@@ -23,8 +23,10 @@ from repro.render import (
     resolve_kernel,
     trilinear_sample,
 )
+from repro.render import raycast
 from repro.render.accel import AccelCache
-from repro.volume import make_dataset
+from repro.render.raycast import BrickTask, raycast_bricks
+from repro.volume import bricks_for_gpu_count, make_dataset
 
 VOL = make_dataset("supernova", (32, 32, 32))
 CAM = orbit_camera(VOL.shape, width=128, height=128, distance_factor=2.2)
@@ -133,9 +135,11 @@ def test_bench_raycast_block_size(benchmark, block_size):
 )
 def test_bench_raycast_macro_grid(benchmark, sparsity, accel, cell):
     """Whole-span empty-space skipping vs the corner-max table vs no
-    acceleration, across volume sparsity and macro-cell size.  The
-    acceptance gate: on the sparse volume, the grid rows must beat the
-    table row by ≥1.5× mean."""
+    acceleration, across volume sparsity and macro-cell size.  The span
+    gate carves only the sparse volume's 4³ grid (``grid-8-sparse``,
+    which must beat the table row); every other grid row has too little
+    to remove per ray·step, or no grid at all, and marches like
+    ``table``."""
     data = _SPARSE[sparsity]
     cfg = RenderConfig(dt=1.0, accel=accel, macro_cell_size=cell)
     frags, stats = benchmark(
@@ -152,6 +156,69 @@ def test_bench_raycast_macro_grid(benchmark, sparsity, accel, cell):
         accel_cache=_ACCEL_CACHE,
     )
     assert stats.n_samples > 0
+
+
+def _brick_scene():
+    """The end-to-end benchmark's sparse scene at kernel level: skull
+    64³ as 16 ghost-padded bricks, 128², dt 0.75 — ≈2 000 padded rays
+    and 8–18 k owned samples per brick, the regime where a per-brick
+    launch is interpreter-dispatch-bound."""
+    vol = make_dataset("skull", (64, 64, 64))
+    grid = bricks_for_gpu_count(vol.shape, 8, 2)
+    tasks = [
+        BrickTask(
+            grid.extract(vol, b), b.data_lo, b.lo, b.hi,
+            accel_key=("bench-bricks", b.id),
+        )
+        for b in grid
+    ]
+    cam = orbit_camera(
+        vol.shape, azimuth_deg=30.0, elevation_deg=20.0, width=128, height=128
+    )
+    return vol, tasks, cam
+
+
+_BRICK_SCENE = _brick_scene()
+
+
+def _cast_frame(tasks, per_launch, shape, cam, cfg):
+    """One frame's ray-cast stage, ``per_launch`` bricks per launch."""
+    out = []
+    for lo in range(0, len(tasks), per_launch):
+        out += raycast_bricks(
+            tasks[lo : lo + per_launch], shape, cam, TF, cfg, _ACCEL_CACHE
+        )
+    return out
+
+
+@pytest.mark.parametrize("bricks_per_launch", [1, 2, 4, 8, 16])
+def test_bench_raycast_fused(benchmark, bricks_per_launch):
+    """What fusing buys: the same 16 bricks cast 1, 2, 4, 8 or 16 per
+    launch (identical fragments every way).  The row pair that chose
+    ``LAUNCH_RAY_BUDGET``: most of the gain is there by 4–8 bricks."""
+    vol, tasks, cam = _BRICK_SCENE
+    cfg = RenderConfig(dt=0.75, kernel="numpy")
+    out = benchmark(_cast_frame, tasks, bricks_per_launch, vol.shape, cam, cfg)
+    assert sum(s.n_samples for _, s in out) > 0
+
+
+@pytest.mark.parametrize("accel", ["off", "table", "grid", "grid-carve-forced"])
+def test_bench_macro_grid_bricks(benchmark, accel, monkeypatch):
+    """The macro grid at brick scale, where it used to lose: the span
+    gate keeps ``grid`` at ``table`` speed here (no brick clears it),
+    and ``grid-carve-forced`` — the gate held open — is what carving
+    these bricks costs.  With test_bench_raycast_macro_grid's sparse
+    rows (where the gate opens and ``grid-8`` wins) this puts a
+    committed row on each side of ``SPAN_GATE_*``."""
+    vol, tasks, cam = _BRICK_SCENE
+    if accel == "grid-carve-forced":
+        monkeypatch.setattr(raycast, "SPAN_GATE_SAMPLES", 0)
+        monkeypatch.setattr(raycast, "SPAN_GATE_STEPS", 0.0)
+        accel = "grid"
+    cfg = RenderConfig(dt=0.75, accel=accel, kernel="numpy")
+    out = benchmark(_cast_frame, tasks, 8, vol.shape, cam, cfg)
+    carved = sum(s.span_carved for _, s in out)
+    assert carved == (16 if raycast.SPAN_GATE_SAMPLES == 0 else 0)
 
 
 def test_bench_trilinear_sample(benchmark):

@@ -106,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "'stall(5)@reduce;exit(3)@shuffle-out:chunk=0' "
                         "(testing/bench hook; see repro.parallel.faults)")
     r.add_argument("--accel", default="grid", choices=["grid", "table", "off"],
-                   help="empty-space skipping: 'grid' carves whole "
+                   help="empty-space skipping: 'grid' may carve whole "
                         "transparent spans per ray via a macro-cell min/max "
-                        "grid (default), 'table' is the per-sample "
+                        "grid, where that pays (default), 'table' is the "
+                        "per-sample "
                         "corner-max probe, 'off' disables both; the image "
                         "is bitwise-identical either way")
     r.add_argument("--macro-cell-size", type=int, default=8,

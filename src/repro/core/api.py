@@ -21,7 +21,7 @@ Domain restrictions (paper §3.1.1) the library enforces:
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class Mapper(abc.ABC):
     ``initialize`` runs once per device before any chunks are mapped —
     the paper uses it to "allocate static data on the GPU (e.g. view
     matrix)".  ``map`` is the kernel body.
+
+    A mapper whose kernel launch has a fixed cost worth sharing between
+    chunks overrides :meth:`map_batch` (several chunks, one launch) and
+    :meth:`launch_sizes` (how many consecutive chunks a launch should
+    take); executors map every launch through ``map_batch``.  The
+    defaults are one chunk per launch.
     """
 
     def initialize(self, device: Any = None) -> None:  # noqa: B027 - optional hook
@@ -63,6 +69,16 @@ class Mapper(abc.ABC):
     @abc.abstractmethod
     def map(self, chunk: Chunk) -> MapOutput:
         """Execute the map kernel over one chunk."""
+
+    def map_batch(self, chunks: Sequence[Chunk]) -> list[MapOutput]:
+        """Map ``chunks`` in one launch → one :class:`MapOutput` each,
+        identical to what :meth:`map` returns for every chunk alone."""
+        return [self.map(chunk) for chunk in chunks]
+
+    def launch_sizes(self, chunks: Sequence[Chunk]) -> list[int]:
+        """Cut ``chunks`` into consecutive launches: their sizes, in
+        order, summing to ``len(chunks)``."""
+        return [1] * len(chunks)
 
     def static_device_bytes(self) -> int:
         """Bytes of per-device constant data (counted against VRAM)."""

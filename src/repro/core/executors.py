@@ -1,9 +1,10 @@
 """Executors: where a job runs.
 
 * :class:`InProcessExecutor` — pure functional execution (no clock).  The
-  algorithmic content of the library: map → partition (placeholder
-  discard + routing) → sort (θ(n) counting sort) → reduce.  Used by
-  tests, examples, and the correctness half of every benchmark.
+  algorithmic content of the library: map (launch by launch, as the
+  mapper's ``launch_sizes`` cuts the chunk list) → partition
+  (placeholder discard + routing) → sort (θ(n) counting sort) → reduce.
+  Used by tests, examples, and the correctness half of every benchmark.
 * :class:`SimClusterExecutor` — timing execution on the simulated
   cluster.  Consumes :class:`~repro.core.scheduler.MapWork` items whose
   counters come either from functional runs or from the analytic
@@ -13,10 +14,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..observability.metrics import build_job_telemetry
 from ..observability.tracer import span
 from ..sim.node import ClusterRuntime, ClusterSpec
 from .chunk import Chunk
@@ -34,6 +36,9 @@ __all__ = [
     "SimClusterExecutor",
     "make_map_work",
     "map_chunk_to_runs",
+    "map_chunks_to_runs",
+    "map_span_name",
+    "map_telemetry",
     "merge_partition_runs",
 ]
 
@@ -133,12 +138,16 @@ class InProcessResult:
     works: list[MapWork]  # per-chunk counters, reusable by the simulator
 
 
-def map_chunk_to_runs(
-    spec, chunk: Chunk
-) -> tuple[list[np.ndarray], int, int, dict, np.ndarray]:
-    """Map + Partition one chunk: the per-"GPU" half of the pipeline.
+def map_chunks_to_runs(
+    spec, chunks: Sequence[Chunk]
+) -> list[tuple[list[np.ndarray], int, int, dict, np.ndarray]]:
+    """Map + Partition ``chunks`` as **one launch**: the per-"GPU" half
+    of the pipeline.
 
-    Returns ``(per-reducer runs, emitted, kept, work counters, routed)``.
+    Returns one ``(per-reducer runs, emitted, kept, work counters,
+    routed)`` tuple per chunk — bitwise what mapping each chunk on its
+    own returns, in any grouping (mappers guarantee it for
+    ``map_batch``; the fused ray-cast launch proves it per ray).
     ``spec`` only needs the ``mapper``/``partitioner``/``combiner``/
     ``kv``/``max_key``/``n_reducers`` attributes, so both a
     :class:`~repro.core.job.MapReduceSpec` and the pool workers' frame
@@ -148,17 +157,56 @@ def map_chunk_to_runs(
     through :meth:`ShuffleSpec.bucket_runs`, the same routing contract
     the shuffle planes use for ownership, so the run layout a reducer
     receives is identical no matter which transport carried it.
+
+    The first chunk's work counters carry ``launches=1`` (the others 0),
+    so a frame's launch count survives whatever carries the counters
+    (:func:`map_telemetry` sums it).  A launch of one goes through the
+    mapper's plain ``map`` — the entry point callers wrap to instrument
+    a mapper (the end-to-end benchmark's replay does).
     """
-    out = spec.mapper.map(chunk)
-    validate_pairs(out.pairs, spec.kv, spec.max_key)
-    emitted = len(out.pairs)
-    pairs = discard_placeholders(out.pairs, spec.kv)
-    if spec.combiner is not None:
-        pairs = spec.combiner.combine(pairs)
-    kept = len(pairs)
-    dests = spec.partitioner.partition(spec.kv.keys(pairs))
-    runs, routed = ShuffleSpec(spec.n_reducers).bucket_runs(pairs, dests)
-    return runs, emitted, kept, out.work, routed
+    if len(chunks) == 1:
+        outs = [spec.mapper.map(chunks[0])]
+    else:
+        outs = spec.mapper.map_batch(chunks)
+    shuffle = ShuffleSpec(spec.n_reducers)
+    results = []
+    for out in outs:
+        validate_pairs(out.pairs, spec.kv, spec.max_key)
+        emitted = len(out.pairs)
+        pairs = discard_placeholders(out.pairs, spec.kv)
+        if spec.combiner is not None:
+            pairs = spec.combiner.combine(pairs)
+        kept = len(pairs)
+        dests = spec.partitioner.partition(spec.kv.keys(pairs))
+        runs, routed = shuffle.bucket_runs(pairs, dests)
+        work = dict(out.work, launches=int(not results))
+        results.append((runs, emitted, kept, work, routed))
+    return results
+
+
+def map_chunk_to_runs(
+    spec, chunk: Chunk
+) -> tuple[list[np.ndarray], int, int, dict, np.ndarray]:
+    """Map + Partition one chunk: :func:`map_chunks_to_runs`, batch of one."""
+    return map_chunks_to_runs(spec, [chunk])[0]
+
+
+def map_telemetry(works: Iterable[dict]) -> dict:
+    """A frame's map-stage gauges from its per-chunk work counters:
+    kernel launches, and bricks whose rays the span gate carved."""
+    works = list(works)
+    return {
+        "map.launches": sum(int(w.get("launches", 0)) for w in works),
+        "map.span_carved_bricks": sum(
+            int(w.get("span_carved", 0)) for w in works
+        ),
+    }
+
+
+def map_span_name(first: int, last: int) -> str:
+    """Name of the one tracer span that covers a launch of the chunks
+    with frame indices ``first..last``."""
+    return f"map:chunks={first}-{last}"
 
 
 def merge_partition_runs(
@@ -274,22 +322,33 @@ class InProcessExecutor:
         stats = JobStats()
         works: list[MapWork] = []
         runs_per_chunk: list[list[np.ndarray]] = []
-        for ci, chunk in enumerate(chunks):
-            with span(f"map:chunk={ci}", cat="map", chunk=ci):
-                runs, emitted, kept, work, routed = map_chunk_to_runs(
-                    spec, chunk
+        counters: list[dict] = []
+        ci = 0
+        for size in spec.mapper.launch_sizes(chunks):
+            launch = chunks[ci : ci + size]
+            with span(
+                map_span_name(ci, ci + size - 1),
+                cat="map",
+                chunks=list(range(ci, ci + size)),
+            ):
+                results = map_chunks_to_runs(spec, launch)
+            for chunk, (runs, emitted, kept, work, routed) in zip(
+                launch, results
+            ):
+                runs_per_chunk.append(runs)
+                counters.append(work)
+                stats.add_map(work, emitted, kept)
+                works.append(
+                    make_map_work(
+                        chunk,
+                        chunk_to_gpu[ci] if chunk_to_gpu is not None else 0,
+                        emitted,
+                        work,
+                        routed,
+                    )
                 )
-            runs_per_chunk.append(runs)
-            stats.add_map(work, emitted, kept)
-            works.append(
-                make_map_work(
-                    chunk,
-                    chunk_to_gpu[ci] if chunk_to_gpu is not None else 0,
-                    emitted,
-                    work,
-                    routed,
-                )
-            )
+                ci += 1
+        stats.telemetry = build_job_telemetry(**map_telemetry(counters))
         outputs, pairs_per_reducer = merge_partition_runs(spec, runs_per_chunk)
         return InProcessResult(
             outputs=outputs,

@@ -14,8 +14,12 @@ Span taxonomy (see ARCHITECTURE.md "Observability"):
 
 ``publish``
     Parent: (re)publishing the chunk/TF/grid shared-memory arena.
-``map:chunk=i``
-    Worker (or serial executor): Map + Partition of one chunk.
+``map:chunks=a-b``
+    Worker (or serial executor): Map + Partition of one *launch* — the
+    chunks ``a``…``b`` (first and last; ``args["chunks"]`` lists them
+    all, ``args["frame"]`` the frame in the pool) marched in one fused
+    kernel invocation.  Exactly one, never nested, per launch, so the
+    ``map`` spans of a track sum to its map time.
 ``shuffle-out``
     Worker: streaming one chunk's runs into the uplink ring or the
     mesh edges (includes queue fallbacks).

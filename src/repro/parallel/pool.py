@@ -151,6 +151,7 @@ from ..core.executors import (
     InProcessExecutor,
     InProcessResult,
     make_map_work,
+    map_telemetry,
     merge_partition_runs,
 )
 from ..core.job import JobConfig, MapReduceSpec
@@ -1491,6 +1492,7 @@ class SharedMemoryPoolExecutor:
             frame_seq=frame.seq,
             kernel_backend=self.kernel or "unpinned",
             kernel_warmups=self._kernel_warmups,
+            **map_telemetry(frame.work_per_chunk),
         )
 
     def _execute_serial(

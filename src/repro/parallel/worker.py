@@ -32,8 +32,13 @@ per-worker task queue:
     validate, discard placeholders, combine, bucket by reducer.
     ``payload`` is ``None`` for workers on host 0 (the chunk is mapped
     zero-copy from the arena) and the chunk's ndarray for off-host
-    workers, whose "host" has no shared segment.  **Shuffle-out**
-    follows immediately: on the parent-routed plane the bucketed runs
+    workers, whose "host" has no shared segment.  The ``map`` messages
+    of the same frame that are already queued behind this one are
+    drained with it and mapped launch by launch (the mapper's
+    ``launch_sizes``; one ``map:chunks=a-b`` span each) — a fused
+    ray-cast launch costs far less than its chunks launched one by
+    one — while everything downstream stays per chunk.  **Shuffle-out**
+    follows each launch: on the parent-routed plane the bucketed runs
     stream up this worker's uplink ring (counters travel on the result
     queue); on the direct planes (mesh edges / socket streams) each
     partition's run goes *directly* to the owning worker, tagged
@@ -83,6 +88,8 @@ from ..core.executors import (
     PartitionReduceSpec,
     ShuffleSpec,
     map_chunk_to_runs,
+    map_chunks_to_runs,
+    map_span_name,
     merge_partition_runs,
 )
 from ..core.job import MapReduceSpec
@@ -162,7 +169,7 @@ class FrameContext:
         )
 
 
-# map_chunk_to_runs is the *same function* the in-process executor runs
+# map_chunks_to_runs is the *same function* the in-process executor runs
 # (repro.core.executors) — a FrameContext duck-types for the spec — so a
 # worker's runs are bitwise-identical to serial execution by construction.
 
@@ -183,7 +190,7 @@ def _pin_to_core(pin_cpu: Optional[int]) -> None:
         pass
 
 
-def _handle_map(
+def _handle_maps(
     worker_id: int,
     ctx: FrameContext,
     view: ArenaView,
@@ -191,11 +198,19 @@ def _handle_map(
     mesh,  # WorkerMesh | SocketMesh | None (duck-typed)
     write_timeout: float,
     result_queue,
-    msg: tuple,
+    msgs: Sequence[tuple],
     faults: Optional[FaultPlan] = None,
     flush_spans=None,
 ) -> None:
-    """Run one map task, then shuffle its runs out.
+    """Run a batch of one frame's map tasks, shuffling each chunk out.
+
+    ``msgs`` are consecutive ``map`` messages of one frame.  The mapper
+    cuts them into launches (``launch_sizes``); each launch is mapped by
+    the literal :func:`~repro.core.executors.map_chunks_to_runs` under
+    one ``map:`` span, then every chunk of it takes the per-chunk path
+    it always took: shuffle-out, span flush, ``done`` — in chunk order,
+    so the parent, the supervisor and the record protocol cannot tell a
+    batch from the same tasks run one by one.
 
     Mesh plane: one record per ``(chunk, partition)`` straight to the
     owner's inbound edge (oversized records fall back through the
@@ -204,12 +219,11 @@ def _handle_map(
     result queue when it outgrows the ring.  Either way the "done"
     message carries only counters.
     """
-    _, seq, ci, chunk_id, nbytes, on_disk, meta, payload = msg
+    seq = msgs[0][1]
+    what = f"map of chunk {msgs[0][2]}"
     try:
-        with span(f"map:chunk={ci}", cat="map", frame=seq, chunk=ci):
-            if faults is not None:
-                faults.fire("map", worker_id, seq, chunk=ci)
-            chunk = Chunk(
+        chunks = [
+            Chunk(
                 id=chunk_id,
                 nbytes=nbytes,
                 # Off-host workers get the chunk bytes in the message
@@ -219,74 +233,31 @@ def _handle_map(
                 on_disk=on_disk,
                 meta=meta,
             )
-            runs, emitted, kept, work, routed = map_chunk_to_runs(ctx, chunk)
-        with span("shuffle-out", cat="shuffle", frame=seq, chunk=ci) as sp:
-            if faults is not None:
-                faults.fire("shuffle-out", worker_id, seq, chunk=ci)
-            fallbacks = 0
-            if mesh is not None:
-                # Shuffle-out over the mesh/sockets: run bytes never
-                # touch the parent.
-                shuf = ShuffleSpec(ctx.n_reducers, mesh.n_workers)
-                wire_base = getattr(mesh, "bytes_sent", None)
-                for part, run in enumerate(runs):
-                    run = np.ascontiguousarray(run)
-                    if not mesh.send(seq, ci, part, run, shuf.owner_of(part)):
-                        # Record too large for its edge: relay through the
-                        # parent's control plane rather than deadlock.
-                        # (Shm edges only — socket sends always succeed.)
-                        result_queue.put(
-                            ("mesh_fallback", worker_id, seq, ci, part, run)
-                        )
-                        fallbacks += 1
-                inline = None
-                # On the socket plane the completion message's byte
-                # field reports this map's bytes-on-wire (headers
-                # included, self-owned runs excluded); the shm mesh
-                # keeps reporting 0 here — its traffic counters live in
-                # the edge rings the parent already holds.
-                ring_nbytes = (
-                    mesh.bytes_sent - wire_base
-                    if wire_base is not None
-                    else 0
+            for _, _, _, chunk_id, nbytes, on_disk, meta, payload in msgs
+        ]
+        lo = 0
+        for size in ctx.mapper.launch_sizes(chunks):
+            cis = [m[2] for m in msgs[lo : lo + size]]
+            what = f"map of chunks {cis[0]}-{cis[-1]}"
+            with span(
+                map_span_name(cis[0], cis[-1]), cat="map", frame=seq, chunks=cis
+            ):
+                if faults is not None:
+                    for ci in cis:
+                        faults.fire("map", worker_id, seq, chunk=ci)
+                results = map_chunks_to_runs(ctx, chunks[lo : lo + size])
+            lo += size
+            for ci, result in zip(cis, results):
+                what = f"map of chunk {ci}"
+                _shuffle_out(
+                    worker_id, ctx, ring, mesh, write_timeout, result_queue,
+                    seq, ci, result, faults, flush_spans,
                 )
-            else:
-                total = int(sum(run.nbytes for run in runs))
-                if total <= ring.capacity:
-                    # Fast path: stream raw run bytes through the ring
-                    # (reducer order), publish only counts on the queue.
-                    for run in runs:
-                        if len(run):
-                            ring.write_bytes(
-                                np.ascontiguousarray(run),
-                                timeout=write_timeout,
-                            )
-                    inline = None
-                    ring_nbytes = total
-                else:
-                    # A single chunk outgrew the ring: fall back to the
-                    # (pickling) queue rather than deadlock.
-                    inline = np.concatenate(runs) if kept else None
-                    ring_nbytes = 0
-                    fallbacks = 1
-            sp.set(bytes=ring_nbytes, fallbacks=fallbacks)
-        if flush_spans is not None:
-            flush_spans()
-        result_queue.put(
-            (
-                "done",
-                worker_id,
-                seq,
-                ci,
-                emitted,
-                kept,
-                work,
-                routed.tolist(),
-                ring_nbytes,
-                inline,
-                fallbacks,
-            )
-        )
+            if mesh is not None:
+                # Between launches, as between tasks: keep the inbound
+                # edges moving so a peer shuffling to us never wedges on
+                # the length of our batch.
+                mesh.poll()
     except Exception as exc:
         # The exception class name rides along so the parent can tell
         # transport wedging (RingTimeout -> recoverable) from a bug in
@@ -297,11 +268,93 @@ def _handle_map(
             (
                 "error",
                 worker_id,
-                f"map of chunk {ci}",
+                what,
                 traceback.format_exc(),
                 type(exc).__name__,
             )
         )
+
+
+def _shuffle_out(
+    worker_id: int,
+    ctx: FrameContext,
+    ring: ShmRing,
+    mesh,
+    write_timeout: float,
+    result_queue,
+    seq: int,
+    ci: int,
+    result: tuple,
+    faults: Optional[FaultPlan],
+    flush_spans,
+) -> None:
+    """Shuffle one mapped chunk's runs out and report it ``done``."""
+    runs, emitted, kept, work, routed = result
+    with span("shuffle-out", cat="shuffle", frame=seq, chunk=ci) as sp:
+        if faults is not None:
+            faults.fire("shuffle-out", worker_id, seq, chunk=ci)
+        fallbacks = 0
+        if mesh is not None:
+            # Shuffle-out over the mesh/sockets: run bytes never
+            # touch the parent.
+            shuf = ShuffleSpec(ctx.n_reducers, mesh.n_workers)
+            wire_base = getattr(mesh, "bytes_sent", None)
+            for part, run in enumerate(runs):
+                run = np.ascontiguousarray(run)
+                if not mesh.send(seq, ci, part, run, shuf.owner_of(part)):
+                    # Record too large for its edge: relay through the
+                    # parent's control plane rather than deadlock.
+                    # (Shm edges only — socket sends always succeed.)
+                    result_queue.put(
+                        ("mesh_fallback", worker_id, seq, ci, part, run)
+                    )
+                    fallbacks += 1
+            inline = None
+            # On the socket plane the completion message's byte
+            # field reports this map's bytes-on-wire (headers
+            # included, self-owned runs excluded); the shm mesh
+            # keeps reporting 0 here — its traffic counters live in
+            # the edge rings the parent already holds.
+            ring_nbytes = (
+                mesh.bytes_sent - wire_base if wire_base is not None else 0
+            )
+        else:
+            total = int(sum(run.nbytes for run in runs))
+            if total <= ring.capacity:
+                # Fast path: stream raw run bytes through the ring
+                # (reducer order), publish only counts on the queue.
+                for run in runs:
+                    if len(run):
+                        ring.write_bytes(
+                            np.ascontiguousarray(run),
+                            timeout=write_timeout,
+                        )
+                inline = None
+                ring_nbytes = total
+            else:
+                # A single chunk outgrew the ring: fall back to the
+                # (pickling) queue rather than deadlock.
+                inline = np.concatenate(runs) if kept else None
+                ring_nbytes = 0
+                fallbacks = 1
+        sp.set(bytes=ring_nbytes, fallbacks=fallbacks)
+    if flush_spans is not None:
+        flush_spans()
+    result_queue.put(
+        (
+            "done",
+            worker_id,
+            seq,
+            ci,
+            emitted,
+            kept,
+            work,
+            routed.tolist(),
+            ring_nbytes,
+            inline,
+            fallbacks,
+        )
+    )
 
 
 def _handle_reduce(
@@ -406,8 +459,12 @@ def _seed_grid_cache(view: ArenaView, seeded: list) -> None:
             seeded.append(key[1])
 
 
-def _next_message(task_queue, mesh):
+def _next_message(task_queue, mesh, pending: list):
     """Block for the next control message, draining the mesh meanwhile.
+
+    ``pending`` is the one-slot buffer of :func:`_drain_maps` (the
+    message it had to pop to see that a batch had ended); it is served
+    first.
 
     An idle worker (done mapping, waiting for its reduce message) must
     keep consuming its inbound edges, or a peer still shuffling into a
@@ -425,6 +482,8 @@ def _next_message(task_queue, mesh):
     napping owner can never turn a blocked peer's normal backpressure
     into a spurious RingTimeout.
     """
+    if pending:
+        return pending.pop()
     if mesh is None:
         return task_queue.get()
     timeout = 0.005
@@ -436,6 +495,28 @@ def _next_message(task_queue, mesh):
             return task_queue.get(timeout=timeout)
         except queue_mod.Empty:
             timeout = min(timeout * 2.0, cap)
+
+
+def _drain_maps(task_queue, first: tuple, pending: list) -> list:
+    """``first`` plus the ``map`` messages of the same frame already
+    queued right behind it.
+
+    Never waits: the batch is whatever has arrived, so its composition
+    varies run to run — results cannot (every grouping of map tasks is
+    bitwise the tasks run one by one).  A message that does not belong
+    ends the batch and waits in ``pending`` for :func:`_next_message`.
+    """
+    batch = [first]
+    while True:
+        try:
+            msg = task_queue.get_nowait()
+        except queue_mod.Empty:
+            return batch
+        if msg[0] == "map" and msg[1] == first[1]:
+            batch.append(msg)
+        else:
+            pending.append(msg)
+            return batch
 
 
 def worker_main(
@@ -562,9 +643,10 @@ def worker_main(
     view: Optional[ArenaView] = None
     ctx: Optional[FrameContext] = None
     seeded: list = []  # accel-cache keys backed by the current arena
+    pending: list = []  # the message a map-batch drain popped past its end
     try:
         while True:
-            msg = _next_message(task_queue, mesh)
+            msg = _next_message(task_queue, mesh, pending)
             kind = msg[0]
             if kind == "stop":
                 break
@@ -594,7 +676,7 @@ def worker_main(
                 # Task body lives in a helper so its locals (arena views,
                 # fragment runs) are released as soon as it returns — the
                 # final unmap in the ``finally`` below must see no views.
-                _handle_map(
+                _handle_maps(
                     worker_id,
                     ctx,
                     view,
@@ -602,7 +684,7 @@ def worker_main(
                     mesh,
                     write_timeout,
                     result_queue,
-                    msg,
+                    _drain_maps(task_queue, msg, pending),
                     faults,
                     flush_spans,
                 )

@@ -1,8 +1,8 @@
 """Map-phase implementations.
 
-:class:`RayCastMapper` is the paper's mapper: one ray-cast kernel per
-chunk (brick).  :class:`MaxIntensityMapper` demonstrates the library's
-pluggability claim (§6.1): swapping the volume-sampling technique
+:class:`RayCastMapper` is the paper's mapper: one ray-cast kernel launch
+over the chunks (bricks) of a map task.  :class:`MaxIntensityMapper`
+demonstrates the library's pluggability claim (§6.1): swapping the volume-sampling technique
 touches *only* the map phase — partitioning, sort, and the reduce shape
 stay identical (MIP reduces with ``max`` instead of ``over``).
 """
@@ -10,26 +10,35 @@ stay identical (MIP reduces with ``max`` instead of ``over``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.api import Mapper, MapOutput
 from ..core.chunk import Chunk
-from ..render.camera import Camera
+from ..render.camera import Camera, PixelRect
 from ..render.fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY, make_fragments
 from ..render.geometry import box_contains, ray_box_intersect
-from ..render.raycast import RenderConfig, raycast_brick, trilinear_sample
+from ..render.raycast import (
+    BrickTask,
+    RenderConfig,
+    cut_launches,
+    raycast_bricks,
+    trilinear_sample,
+)
 from ..render.transfer import TransferFunction1D
 
 __all__ = ["RayCastMapper", "MaxIntensityMapper", "MIP_DTYPE"]
 
 
 class RayCastMapper(Mapper):
-    """The paper's map task: partial ray casting against one brick.
+    """The paper's map task: partial ray casting against bricks.
 
-    The chunk's ``meta`` must be a :class:`~repro.volume.bricking.Brick`;
-    its payload is the ghost-padded voxel block.
+    A chunk's ``meta`` must be a :class:`~repro.volume.bricking.Brick`;
+    its payload is the ghost-padded voxel block.  :meth:`map_batch`
+    casts a list of chunks in one fused kernel launch and
+    :meth:`launch_sizes` says how many consecutive chunks a launch
+    should take; :meth:`map` is a launch of one.
     """
 
     def __init__(
@@ -48,6 +57,7 @@ class RayCastMapper(Mapper):
         # enables empty-space-table reuse across frames when set.
         self.accel_token = accel_token
         self._initialized = False
+        self._rects: dict = {}
 
     def initialize(self, device=None) -> None:
         """Upload-once static state (view matrix, transfer-function texture)."""
@@ -83,34 +93,69 @@ class RayCastMapper(Mapper):
             tuple(brick.data_hi),
         )
 
-    def map(self, chunk: Chunk) -> MapOutput:
+    def _task(self, chunk: Chunk) -> BrickTask:
         brick = chunk.meta
         if brick is None:
             raise ValueError(f"chunk {chunk.id} lacks Brick metadata")
-        accel_key = self.accel_key_for(chunk)
-        fragments, stats = raycast_brick(
+        return BrickTask(
             data=chunk.payload(),
             data_lo=brick.data_lo,
             core_lo=brick.lo,
             core_hi=brick.hi,
+            rect=self._rect(brick),
+            accel_key=self.accel_key_for(chunk),
+        )
+
+    def _rect(self, brick) -> PixelRect:
+        """The brick core's padded footprint under this mapper's camera
+        (remembered: launch planning and the launch itself both need it)."""
+        key = (tuple(brick.lo), tuple(brick.hi))
+        rect = self._rects.get(key)
+        if rect is None:
+            rect = self._rects[key] = self.camera.box_rect(
+                brick.lo, brick.hi, self.config.pad_to_block
+            )
+        return rect
+
+    def launch_sizes(self, chunks: Sequence[Chunk]) -> list[int]:
+        """Consecutive chunks fused per launch: as many as fit the
+        kernel's ray budget (:data:`~repro.render.raycast.LAUNCH_RAY_BUDGET`)."""
+        return cut_launches(
+            [
+                self._rect(c.meta).area if c.meta is not None else 0
+                for c in chunks
+            ]
+        )
+
+    def map(self, chunk: Chunk) -> MapOutput:
+        return self.map_batch([chunk])[0]
+
+    def map_batch(self, chunks: Sequence[Chunk]) -> list[MapOutput]:
+        """Ray cast ``chunks`` in one kernel launch."""
+        results = raycast_bricks(
+            [self._task(c) for c in chunks],
             volume_shape=self.volume_shape,
             camera=self.camera,
             tf=self.tf,
             config=self.config,
-            accel_key=accel_key,
         )
-        pairs = fragments.copy()
         # The renderer's fragment dtype doubles as the library KV dtype;
         # 'pixel' is the int32 key field.
-        return MapOutput(
-            pairs,
-            work={
-                "n_rays": stats.n_rays,
-                "n_samples": stats.n_samples,
-                "n_active_rays": stats.n_active_rays,
-                "n_emitted": stats.n_emitted if self.config.emit_placeholders else stats.n_rays,
-            },
-        )
+        return [
+            MapOutput(
+                fragments,
+                work={
+                    "n_rays": stats.n_rays,
+                    "n_samples": stats.n_samples,
+                    "n_active_rays": stats.n_active_rays,
+                    "n_emitted": stats.n_emitted
+                    if self.config.emit_placeholders
+                    else stats.n_rays,
+                    "span_carved": int(stats.span_carved),
+                },
+            )
+            for fragments, stats in results
+        ]
 
 
 #: MIP pairs: key + (value, depth placeholder) — homogeneous 12-byte pairs.
@@ -148,17 +193,7 @@ class MaxIntensityMapper(Mapper):
         data = chunk.payload()
         core_lo = np.asarray(brick.lo, np.float64)
         core_hi = np.asarray(brick.hi, np.float64)
-        corners = np.array(
-            [
-                [
-                    (core_lo[0], core_hi[0])[(c >> 0) & 1],
-                    (core_lo[1], core_hi[1])[(c >> 1) & 1],
-                    (core_lo[2], core_hi[2])[(c >> 2) & 1],
-                ]
-                for c in range(8)
-            ]
-        )
-        rect = self.camera.brick_rect(corners)
+        rect = self.camera.box_rect(core_lo, core_hi)
         if rect.empty:
             return MapOutput(np.empty(0, MIP_DTYPE), work={"n_rays": 0, "n_samples": 0})
         origins, dirs, keys = self.camera.rays_for_rect(rect)

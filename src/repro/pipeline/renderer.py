@@ -143,8 +143,10 @@ class MapReduceVolumeRenderer:
     accel, macro_cell_size:
         Overrides for :attr:`RenderConfig.accel` /
         :attr:`RenderConfig.macro_cell_size` — the ray caster's
-        empty-space machinery (``"grid"`` macro-cell span skipping, the
-        default; ``"table"`` per-sample corner-max only; ``"off"``).
+        empty-space machinery (``"grid"``, the default: macro-cell span
+        skipping wherever the span gate finds it pays, the corner-max
+        table everywhere; ``"table"`` per-sample corner-max only;
+        ``"off"``).
         All settings produce bitwise-identical images and counters; the
         knobs trade acceleration-structure build cost against marching
         cost.  Macro grids are cached per volume+tf+brick and, with the

@@ -23,8 +23,17 @@ from .fragments import (
 )
 from .geometry import box_contains, ray_box_intersect
 from .image import image_stats, max_abs_diff, mean_abs_diff, psnr
-from .raycast import MapStats, RenderConfig, raycast_brick, trilinear_sample
+from .raycast import (
+    BrickTask,
+    MapStats,
+    RenderConfig,
+    cut_launches,
+    raycast_brick,
+    raycast_bricks,
+    trilinear_sample,
+)
 from .kernels import (
+    BrickSegment,
     KERNEL_CHOICES,
     KernelSpec,
     MarchPlan,
@@ -46,6 +55,8 @@ from .transfer import (
 __all__ = [
     "AccelCache",
     "BLOCK",
+    "BrickSegment",
+    "BrickTask",
     "Camera",
     "FRAGMENT_DTYPE",
     "FRAGMENT_NBYTES",
@@ -77,6 +88,7 @@ __all__ = [
     "group_ranks",
     "image_stats",
     "invalidate_volume",
+    "cut_launches",
     "make_fragments",
     "max_abs_diff",
     "mean_abs_diff",
@@ -86,6 +98,7 @@ __all__ = [
     "psnr",
     "ray_box_intersect",
     "raycast_brick",
+    "raycast_bricks",
     "resolve_kernel",
     "render_reference",
     "rgba_to_rgb8",

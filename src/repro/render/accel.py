@@ -8,11 +8,12 @@ orbit (same volume, same transfer function, new camera) unless cached:
   (:func:`repro.render.raycast._empty_space_table`), cached under the
   caller's base key;
 * the macro-cell occupancy grid (:func:`build_macro_grid`) that the
-  marcher DDA-traverses to carve whole transparent spans out of each
-  ray's sample interval *before* marching, cached under
-  :func:`grid_key` (base key + macro-cell size).
+  marcher DDA-traverses — where the span gate finds the walk pays for
+  itself — to carve whole transparent spans out of each ray's sample
+  interval *before* marching, cached under :func:`grid_key` (base key +
+  macro-cell size).
 
-Both structures are built (and cached) by :func:`raycast_brick`
+Both structures are built (and cached) by :func:`raycast_bricks`
 *before* it dispatches to a march-kernel backend
 (:mod:`repro.render.kernels`), and the cache key deliberately contains
 no backend name: the tables are pure functions of ``(brick payload,

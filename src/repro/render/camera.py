@@ -19,6 +19,9 @@ __all__ = ["Camera", "PixelRect", "orbit_camera"]
 
 BLOCK = 16  # CUDA block edge used by the paper's kernel
 
+# Corner c of a box takes hi on axis a when bit a of c is set.
+_CORNER_BITS = (np.arange(8)[:, None] >> np.arange(3)[None, :]) & 1 == 1
+
 
 @dataclass(frozen=True)
 class PixelRect:
@@ -222,6 +225,17 @@ class Camera:
         x1 = max(0, min(x1, self.width))
         y1 = max(0, min(y1, self.height))
         return PixelRect(x0, y0, x1, y1)
+
+    def box_rect(
+        self, lo: Sequence[float], hi: Sequence[float], pad_to_block: bool = True
+    ) -> PixelRect:
+        """:meth:`brick_rect` of the axis-aligned box ``[lo, hi]``."""
+        corners = np.where(
+            _CORNER_BITS,
+            np.asarray(hi, dtype=np.float64),
+            np.asarray(lo, dtype=np.float64),
+        )
+        return self.brick_rect(corners, pad_to_block=pad_to_block)
 
     def full_rect(self) -> PixelRect:
         return PixelRect(0, 0, self.width, self.height)

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ray_box_intersect", "box_contains", "dual_box_intersect_f32"]
+__all__ = [
+    "ray_box_intersect",
+    "box_contains",
+    "box_intersect_f32",
+    "dual_box_intersect_f32",
+]
 
 
 def ray_box_intersect(
@@ -68,6 +73,47 @@ def ray_box_intersect(
     return t_near, t_far, hit
 
 
+def box_intersect_f32(
+    rel_lo: np.ndarray, rel_hi: np.ndarray, dirs: np.ndarray, inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slab test of shared-origin float32 rays against one AABB.
+
+    ``rel_lo``/``rel_hi`` are the box corners relative to the eye,
+    ``inv`` the reciprocal of ``dirs`` (``(N, 3)``).  Face t-values are
+    ``(face − eye_axis) · inv_axis`` — bitwise identical for the shared
+    face of two adjacent bricks, which is what lets the kernel carve
+    exact per-ray sample intervals out of these numbers.
+
+    The three slabs fold column by column (x, then y, then z — the order
+    a row-wise ``max(axis=1)`` visits them, so the result is bitwise the
+    same) with ``np.maximum``/``np.minimum``: one contiguous pass per
+    axis instead of N length-3 reductions.
+
+    Returns ``(t_near, t_far, hit)`` with ``t_near`` clamped to 0 (rays
+    starting inside enter at t=0).
+    """
+    tn = tf = None
+    for a in range(3):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t1 = rel_lo[a] * inv[:, a]
+            t2 = rel_hi[a] * inv[:, a]
+        lo_t = np.minimum(t1, t2)
+        hi_t = np.maximum(t1, t2)
+        parallel = dirs[:, a] == 0.0
+        if parallel.any():
+            # Parallel to this slab: inside -> (-inf, +inf), outside ->
+            # empty.  Applied after the min/max so the empty interval is
+            # not re-ordered and 0*inf NaNs are overwritten.
+            inside = bool(rel_lo[a] <= 0.0 and rel_hi[a] >= 0.0)
+            lo_t = np.where(parallel, -np.inf if inside else np.inf, lo_t)
+            hi_t = np.where(parallel, np.inf if inside else -np.inf, hi_t)
+        tn = lo_t if tn is None else np.maximum(tn, lo_t)
+        tf = hi_t if tf is None else np.minimum(tf, hi_t)
+    hit = (tf >= tn) & (tf >= 0.0)
+    np.maximum(tn, np.float32(0.0), out=tn)
+    return tn, tf, hit
+
+
 def dual_box_intersect_f32(
     eye: np.ndarray,
     dirs: np.ndarray,
@@ -78,16 +124,13 @@ def dual_box_intersect_f32(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Slab intersection of shared-origin rays with two AABBs, float32.
 
-    The ray-cast kernel needs both the brick-core and the whole-volume
-    interval for every ray; fusing the two tests shares the reciprocal
-    directions and the eye-relative box corners, and float32 halves the
-    memory traffic of the f64 general-purpose :func:`ray_box_intersect`.
-    Face t-values are ``(face − eye_axis) · inv_axis`` — bitwise identical
-    for the shared face of two adjacent bricks, which is what lets the
-    kernel carve exact per-ray sample intervals out of these numbers.
+    Two :func:`box_intersect_f32` tests sharing the reciprocal
+    directions and the float32 eye.  The ray-cast kernel itself tests
+    the whole-volume box once per launch footprint and the brick box
+    once per brick; this pairing is the reference form of the same
+    arithmetic.
 
-    Returns ``(tn_a, tf_a, hit_a, tn_b, tf_b, hit_b)`` with ``tn``
-    clamped to 0 (rays starting inside enter at t=0).
+    Returns ``(tn_a, tf_a, hit_a, tn_b, tf_b, hit_b)``.
     """
     d = np.asarray(dirs, dtype=np.float32)
     eye = np.asarray(eye, dtype=np.float32)
@@ -95,33 +138,14 @@ def dual_box_intersect_f32(
     rel_hi_a = np.asarray(hi_a, dtype=np.float32) - eye
     rel_lo_b = np.asarray(lo_b, dtype=np.float32) - eye
     rel_hi_b = np.asarray(hi_b, dtype=np.float32) - eye
-    parallel = d == 0.0
-    any_parallel = bool(parallel.any())
-
-    def one_box(rel_lo, rel_hi, inv):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = rel_lo[None, :] * inv
-            t2 = rel_hi[None, :] * inv
-        lo_t = np.minimum(t1, t2)
-        hi_t = np.maximum(t1, t2)
-        if any_parallel:
-            inside = (rel_lo[None, :] <= 0.0) & (rel_hi[None, :] >= 0.0) & parallel
-            lo_t = np.where(parallel, np.where(inside, -np.inf, np.inf), lo_t)
-            hi_t = np.where(parallel, np.where(inside, np.inf, -np.inf), hi_t)
-        tn = lo_t.max(axis=1)
-        tf = hi_t.min(axis=1)
-        hit = (tf >= tn) & (tf >= 0.0)
-        np.maximum(tn, np.float32(0.0), out=tn)
-        return tn, tf, hit
-
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.float32(1.0) / d
-    tn_a, tf_a, hit_a = one_box(rel_lo_a, rel_hi_a, inv)
+    tn_a, tf_a, hit_a = box_intersect_f32(rel_lo_a, rel_hi_a, d, inv)
     # A brick spanning the whole volume (reference renders, single-brick
     # grids) makes the second test a mirror of the first.
     if np.array_equal(rel_lo_a, rel_lo_b) and np.array_equal(rel_hi_a, rel_hi_b):
         return tn_a, tf_a, hit_a, tn_a, tf_a, hit_a
-    tn_b, tf_b, hit_b = one_box(rel_lo_b, rel_hi_b, inv)
+    tn_b, tf_b, hit_b = box_intersect_f32(rel_lo_b, rel_hi_b, d, inv)
     return tn_a, tf_a, hit_a, tn_b, tf_b, hit_b
 
 

@@ -1,10 +1,13 @@
 """Pluggable march-kernel backends for the blocked ray caster.
 
-``raycast_brick`` owns everything *around* the march — ray generation,
+``raycast_bricks`` owns everything *around* the march — ray generation,
 slab intersection, ownership intervals, empty-space structure
-build/caching, macro-grid span carving, and fragment emission.  What
-happens *inside* a carved sample span is the kernel contract captured by
-:class:`MarchPlan` + :class:`KernelSpec`:
+build/caching, macro-grid span carving, launch formation, and fragment
+emission.  What happens *inside* a launch is the kernel contract
+captured by :class:`MarchPlan` + :class:`KernelSpec`.  A plan is
+**launch-shaped**: the concatenated active rays of one or more bricks
+(:class:`BrickSegment`), each ray marching against its own brick's
+payload.  Per ray the kernel performs:
 
 * trilinear gather of each owned sample (ravel-offset addressing, the
   optional clamp fold, degenerate-axis strides);
@@ -15,21 +18,22 @@ happens *inside* a carved sample span is the kernel contract captured by
 * the front-to-back fold with block-granular early ray termination,
   writing the per-ray accumulators (``acc_rgb``/``acc_a``/``term``)
   in place;
-* owned-sample accounting: ``march`` returns the number of *owned*
-  samples of every live block, counted before any empty-space elision,
-  exactly as ``MapStats.n_samples`` has always counted them (the caller
-  multiplies by ``fetches_per_sample``).
+* owned-sample accounting: ``march`` returns, per segment, the number
+  of *owned* samples of every live block, counted before any
+  empty-space elision, exactly as ``MapStats.n_samples`` has always
+  counted them (the caller multiplies by ``fetches_per_sample``).
 
 Backends
 --------
 ``numpy``
-    The literal blocked/vectorized loop ``raycast_brick`` has always
-    run, moved here verbatim — a pure refactor, bitwise-identical by
-    construction.  Always available; the conformance oracle for every
-    other backend.
+    The blocked/vectorized fold over the whole launch at once: the
+    segments' payloads form one atlas and brick-wide parameters are
+    expanded per sample, so interpreter dispatch is paid per launch,
+    not per brick (a launch of one keeps them scalar).  Always
+    available; the conformance oracle for every other backend.
 ``numba``
     ``@njit(cache=True, fastmath=False)`` per-ray march loops that fuse
-    gather + lookup + composite into one pass
+    gather + lookup + composite into one pass, run once per segment
     (:mod:`~repro.render.kernels.numba_backend`).  Optional: resolved
     only when ``numba`` imports.
 ``auto``
@@ -87,11 +91,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "BrickSegment",
     "KERNEL_CHOICES",
     "KernelSpec",
     "MarchPlan",
@@ -107,33 +112,51 @@ _FALLBACK_WARNED = False
 
 
 @dataclass
-class MarchPlan:
-    """Everything one blocked march needs, prepared by ``raycast_brick``.
+class BrickSegment:
+    """One brick's slice of a launch: its payload and the brick-wide
+    march parameters of rays ``[ray_lo, ray_hi)`` of the plan."""
 
-    Inputs are read-only to the kernel; ``acc_rgb``/``acc_a``/``term``
-    are the per-active-ray accumulators the kernel mutates in place.
-    ``march`` returns the owned-sample count (pre-elision) so the caller
-    can charge ``MapStats.n_samples`` uniformly across backends.
-    """
-
-    # Volume payload.
     data: np.ndarray  # 3-D payload (shading's gradient taps)
     flat: np.ndarray  # contiguous ravel of ``data``
     shape: tuple  # payload dims (nx, ny, nz)
     need_clamp: bool  # fold clamp-to-edge into the coordinates?
-    # Per-active-ray march state.
+    base_w: np.ndarray  # (3,) float32 lattice origin (eye − data_lo − ½)
+    skip_table: Optional[np.ndarray]  # flat corner-max table, or None
+    ray_lo: int
+    ray_hi: int
+
+
+@dataclass
+class MarchPlan:
+    """One launch: the active rays of one or more bricks, marched together.
+
+    The per-ray arrays are the concatenation of the segments' rays in
+    segment order; every ray marches against its own segment's payload.
+    Inputs are read-only to the kernel; ``acc_rgb``/``acc_a``/``term``
+    are the per-ray accumulators the kernel mutates in place.  ``march``
+    returns the owned-sample count (pre-elision) of each segment so the
+    caller can charge ``MapStats.n_samples`` uniformly across backends.
+
+    Rays never interact, so a ray's result does not depend on which
+    other bricks share its launch: a fused launch is bitwise the
+    launch-of-one results concatenated (the property
+    ``tests/test_fused_launch.py`` pins).
+    """
+
+    segments: tuple  # of BrickSegment; every segment has ≥ 1 ray
+    # Per-ray march state.
     counts: np.ndarray  # (n,) int64 owned sample counts
     t0: np.ndarray  # (n,) float32 t of each ray's first owned sample
     dirs: np.ndarray  # (n, 3) float32 ray directions
-    base_w: np.ndarray  # (3,) float32 lattice origin (eye − data_lo − ½)
     dt: float  # step length (voxel units)
     block_size: int
     use_ert: bool
     ert_alpha: float
     # Empty-space machinery (both optional; both conservative).
     u_thr: float  # exact filter threshold (−1: none, +inf: all empty)
-    skip_table: Optional[np.ndarray]  # flat corner-max table, or None
-    spans: Optional[tuple]  # macro-grid CSR (row_ptr, j0, j1), or None
+    # Macro-grid CSR (row_ptr, j0, j1), or None.  Carved bricks launch
+    # alone: spans require a single segment.
+    spans: Optional[tuple]
     # Classification + shading.
     tf: "TransferFunction1D"  # noqa: F821 - transfer.TransferFunction1D
     shading: bool
@@ -147,14 +170,14 @@ class MarchPlan:
 class KernelSpec:
     """A resolved march backend.
 
-    ``march(plan) -> owned_samples`` runs one brick's blocked march;
-    ``warmup()`` performs any one-time compilation (a no-op for numpy,
-    the JIT compile for numba) so pool workers can pay it at spawn,
-    off the frame critical path.
+    ``march(plan) -> owned samples per segment`` runs one launch's
+    blocked march; ``warmup()`` performs any one-time compilation (a
+    no-op for numpy, the JIT compile for numba) so pool workers can pay
+    it at spawn, off the frame critical path.
     """
 
     name: str
-    march: Callable[[MarchPlan], int]
+    march: Callable[[MarchPlan], Sequence[int]]
     warmup: Callable[[], None]
 
 

@@ -456,20 +456,25 @@ def _march_rays(
     return owned
 
 
-def march(plan: MarchPlan) -> int:
-    """Adapt a :class:`MarchPlan` to the JIT kernel's flat arguments."""
+def march(plan: MarchPlan) -> list:
+    """Adapt a :class:`MarchPlan` to the JIT kernel's flat arguments.
+
+    The compiled marcher already pays no per-launch interpreter cost, so
+    a multi-brick launch is simply marched segment by segment over
+    slices of the plan's per-ray arrays (contiguous views: the
+    accumulators are still written in place).
+    """
     if not _HAVE_NUMBA:  # resolve_kernel never hands out this spec then
         raise RuntimeError(
             f"numba backend unavailable ({import_error()!r}); "
             "use kernel='auto' or 'numpy'"
         )
-    if plan.flat.dtype != np.float32:
+    if any(seg.flat.dtype != np.float32 for seg in plan.segments):
         # Non-f32 payloads (none in production) take the oracle path
         # instead of compiling extra specializations.
         from . import numpy_backend
 
         return numpy_backend.march(plan)
-    nx, ny, nz = (int(d) for d in plan.shape)
     tf = plan.tf
     tf_scale = tf.vmin != 0.0 or tf.vmax != 1.0
     if plan.spans is not None:
@@ -480,50 +485,63 @@ def march(plan: MarchPlan) -> int:
     else:
         row_ptr = sj0 = sj1 = _EMPTY_I64
         have_spans = False
-    if plan.skip_table is not None:
-        table = np.ascontiguousarray(plan.skip_table)
-        have_table = True
-    else:
-        table = _EMPTY_BOOL
-        have_table = False
     u_thr = float(plan.u_thr)
-    owned = _march_rays(
-        np.ascontiguousarray(plan.flat),
-        nx,
-        ny,
-        nz,
-        bool(plan.need_clamp),
-        np.ascontiguousarray(plan.counts, dtype=np.int64),
-        np.ascontiguousarray(plan.t0, dtype=np.float32),
-        np.ascontiguousarray(plan.dirs, dtype=np.float32),
-        np.float32(plan.base_w[0]),
-        np.float32(plan.base_w[1]),
-        np.float32(plan.base_w[2]),
-        np.float64(np.float32(plan.dt)),  # f32 step widened, like j*dt
-        np.float32(plan.dt),  # opacity-correction exponent
-        plan.dt == 1.0,
-        int(plan.block_size),
-        bool(plan.use_ert),
-        np.float32(plan.ert_alpha),
-        np.float32(u_thr),
-        u_thr >= 0,
-        table,
-        have_table,
-        row_ptr,
-        sj0,
-        sj1,
-        have_spans,
-        tf.table,
-        tf._diff,
-        tf_scale,
-        np.float32(tf.vmin),
-        np.float32(1.0 / (tf.vmax - tf.vmin)) if tf_scale else np.float32(1.0),
-        bool(plan.shading),
-        plan.acc_rgb,
-        plan.acc_a,
-        plan.term,
-    )
-    return int(owned)
+    counts = np.ascontiguousarray(plan.counts, dtype=np.int64)
+    t0 = np.ascontiguousarray(plan.t0, dtype=np.float32)
+    dirs = np.ascontiguousarray(plan.dirs, dtype=np.float32)
+    owned = []
+    for seg in plan.segments:
+        nx, ny, nz = (int(d) for d in seg.shape)
+        if seg.skip_table is not None:
+            table = np.ascontiguousarray(seg.skip_table)
+            have_table = True
+        else:
+            table = _EMPTY_BOOL
+            have_table = False
+        rays = slice(seg.ray_lo, seg.ray_hi)
+        owned.append(
+            int(
+                _march_rays(
+                    np.ascontiguousarray(seg.flat),
+                    nx,
+                    ny,
+                    nz,
+                    bool(seg.need_clamp),
+                    counts[rays],
+                    t0[rays],
+                    dirs[rays],
+                    np.float32(seg.base_w[0]),
+                    np.float32(seg.base_w[1]),
+                    np.float32(seg.base_w[2]),
+                    np.float64(np.float32(plan.dt)),  # f32 step widened, like j*dt
+                    np.float32(plan.dt),  # opacity-correction exponent
+                    plan.dt == 1.0,
+                    int(plan.block_size),
+                    bool(plan.use_ert),
+                    np.float32(plan.ert_alpha),
+                    np.float32(u_thr),
+                    u_thr >= 0,
+                    table,
+                    have_table,
+                    row_ptr,
+                    sj0,
+                    sj1,
+                    have_spans,
+                    tf.table,
+                    tf._diff,
+                    tf_scale,
+                    np.float32(tf.vmin),
+                    np.float32(1.0 / (tf.vmax - tf.vmin))
+                    if tf_scale
+                    else np.float32(1.0),
+                    bool(plan.shading),
+                    plan.acc_rgb[rays],
+                    plan.acc_a[rays],
+                    plan.term[rays],
+                )
+            )
+        )
+    return owned
 
 
 def warmup() -> None:

@@ -2,8 +2,10 @@
 
 This is the functional equivalent of the paper's CUDA kernel (§3.2):
 
-* rays are generated for the (block-padded) sub-image the chunk projects
-  onto — one "thread" per pixel;
+* rays are generated for the (block-padded) sub-image each chunk
+  projects onto — one "thread" per pixel — and the bricks of a map task
+  march **together in one launch** (:func:`raycast_bricks`), the way the
+  paper's launch cost is spread over many thousands of threads;
 * all rays are intersected against the brick's bounding box and
   non-intersecting rays are immediately discarded;
 * surviving rays advance with **fixed increments** and non-adaptive
@@ -29,6 +31,21 @@ This is the invariant the whole MapReduce pipeline is tested against.
 (The one theoretical exception is a ray travelling exactly parallel to
 and *inside* a shared brick face, which both bricks claim; cameras with
 finite-precision normalized directions do not produce such rays.)
+
+Fused launches
+--------------
+A NumPy "launch" costs a few hundred interpreter dispatches however few
+rays it carries, and one brick's footprint is only a couple of thousand
+rays — per-brick launches spend most of their time on dispatch, not on
+samples.  :func:`raycast_bricks` therefore sets up every brick of its
+list (footprint, slab test, ownership intervals, empty-space
+structures) and hands the kernel **one** launch-shaped plan: all active
+rays concatenated, each marching against its own brick's payload
+(:class:`~repro.render.kernels.MarchPlan`).  Rays never interact, so
+any grouping of bricks is bitwise the bricks cast one by one;
+:func:`raycast_brick` is a launch of one.  Callers bound a launch with
+:func:`cut_launches` (``LAUNCH_RAY_BUDGET`` footprint rays: block
+temporaries, and with them peak memory, grow with the rays in flight).
 
 Blocked marching
 ----------------
@@ -59,12 +76,17 @@ zero-alpha run are classified empty
 the cell grid once (:func:`_macro_grid_spans`) to carve its owned sample
 interval down to occupied spans **before the blocked march** — skipped
 spans never compute positions, never probe the corner-max table, never
-gather.
+gather.  The walk itself costs time per ray and cell step, so it runs
+only where the samples it can remove pay for it (the *span gate*,
+``SPAN_GATE_STEPS`` / ``SPAN_GATE_SAMPLES`` — large, mostly empty
+bricks); elsewhere ``"grid"`` marches exactly like ``"table"``.  The
+gate is a cost model and cannot be seen in the output, because of the
+carve's own contract.
 
 Conservative-skip proof obligation: the grid path must be **bitwise
 identical** to ``accel="off"``, counters included.  Three facts carry
 it:  (1) a cell is marked empty only when every sample it can produce —
-under the march's own float32 arithmetic, clamping included — satisfies
+under the march's own arithmetic, clamping included — satisfies
 the kernel's exact per-sample filter ``u <= u_thr`` (see
 ``build_macro_grid`` for the two safety margins), so carving removes
 only samples every other path also removes before the transmittance
@@ -94,21 +116,50 @@ default of 8 covers a typical 16³-brick crossing in one or two blocks
 while keeping ERT waste low.  Raise it to 32–64 when termination is
 disabled (reference renders) or content is mostly transparent; drop
 toward 1 for dense, high-opacity transfer functions.
+
+Float widths
+------------
+Ray set-up (directions, slab tests, ownership intervals, first-sample
+``t``) is float32, and so is everything from the transfer-function
+table coordinate on (lookup, opacity correction, the transmittance
+scan, the accumulators, the fragments).  In between, the march is
+**float64**: a sample's ``t`` is ``t0 + ordinal · dt`` with an int32
+ordinal and a float32 *scalar* ``dt``, which NumPy promotes to float64,
+and positions, clamps, lattice fractions, the trilinear lerps and the
+sampled value inherit it until ``table_coord`` casts back.  The golden
+fixtures pin this arithmetic bit for bit (and the numba backend mirrors
+it), so it is a contract, not an accident to tidy away;
+``tests/test_fused_launch.py::test_march_float_widths_are_pinned`` names
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .camera import Camera, PixelRect
-from .fragments import PLACEHOLDER_KEY, empty_fragments, make_fragments
-from .geometry import dual_box_intersect_f32
+from .fragments import (
+    FRAGMENT_DTYPE,
+    PLACEHOLDER_KEY,
+    empty_fragments,
+    make_fragments,
+)
+from .geometry import box_intersect_f32
 from .transfer import TransferFunction1D
 
-__all__ = ["RenderConfig", "MapStats", "raycast_brick", "trilinear_sample"]
+__all__ = [
+    "BrickTask",
+    "LAUNCH_RAY_BUDGET",
+    "MapStats",
+    "RenderConfig",
+    "cut_launches",
+    "raycast_brick",
+    "raycast_bricks",
+    "trilinear_sample",
+]
 
 _F32 = np.float32
 
@@ -131,11 +182,13 @@ class RenderConfig:
 
     ``accel`` selects the empty-space machinery — all three settings are
     bitwise-identical in output and counters (see the module docstring's
-    proof obligation): ``"grid"`` (default) DDA-walks a
+    proof obligation): ``"grid"`` (default) *may* DDA-walk a
     ``macro_cell_size``³ macro-cell min/max grid per ray to carve whole
-    transparent spans before the march *and* keeps the corner-max table
-    for the surviving samples; ``"table"`` is the per-sample corner-max
-    probe alone; ``"off"`` disables both (the conformance oracle).
+    transparent spans before the march — it does where the span gate
+    finds the walk pays for itself (large, mostly empty bricks; see
+    ``SPAN_GATE_STEPS``) — and keeps the corner-max table for the
+    surviving samples; ``"table"`` is the per-sample corner-max probe
+    alone; ``"off"`` disables both (the conformance oracle).
 
     ``kernel`` selects the march backend behind the kernel contract
     (:mod:`repro.render.kernels`): ``"numpy"`` is the blocked vectorized
@@ -190,6 +243,10 @@ class MapStats:
     n_samples: int = 0  # trilinear samples taken
     n_emitted: int = 0  # key-value pairs written (incl. placeholders)
     n_kept: int = 0  # fragments surviving the contribution discard
+    # Whether the span gate carved this brick's rays on the macro grid —
+    # a cost-model decision that cannot change any counter above, so it
+    # takes no part in equality.
+    span_carved: bool = field(default=False, compare=False)
 
     def merge(self, other: "MapStats") -> "MapStats":
         return MapStats(
@@ -206,30 +263,27 @@ def _trilinear_prep(
     cx: np.ndarray,
     cy: np.ndarray,
     cz: np.ndarray,
-    clamp: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(base ravel index, fx, fy, fz) for lattice coords ``c = pos − ½``.
 
     Clamp-to-edge is folded into the coordinates: clipping ``c`` to
     ``[0, n−1]`` and the base index to ``n−2`` reproduces the classic
     per-corner index clamp (outside samples collapse onto the edge value)
-    while keeping the +1 neighbour offsets constant.  Callers that can
-    prove every sample's 2×2×2 support lies inside the payload (interior
-    bricks with a full ghost shell) pass ``clamp=False`` and skip the
-    six clip passes.
+    while keeping the +1 neighbour offsets constant.  The march kernel
+    inlines the same steps over a whole launch (and skips the clamp when
+    every brick of the launch has a full ghost shell).
+
+    The fractions carry the coordinates' dtype: float32 coordinates give
+    float64 fractions (``float32 − int32`` promotes), so the lerps of
+    :func:`_trilinear_gather` run in float64 either way.
     """
     nx, ny, nz = shape
-    if clamp:
-        cx = np.clip(cx, _F32(0.0), _F32(nx - 1))
-        cy = np.clip(cy, _F32(0.0), _F32(ny - 1))
-        cz = np.clip(cz, _F32(0.0), _F32(nz - 1))
-        ix = np.minimum(cx.astype(np.int32), max(nx - 2, 0))
-        iy = np.minimum(cy.astype(np.int32), max(ny - 2, 0))
-        iz = np.minimum(cz.astype(np.int32), max(nz - 2, 0))
-    else:
-        ix = cx.astype(np.int32)
-        iy = cy.astype(np.int32)
-        iz = cz.astype(np.int32)
+    cx = np.clip(cx, _F32(0.0), _F32(nx - 1))
+    cy = np.clip(cy, _F32(0.0), _F32(ny - 1))
+    cz = np.clip(cz, _F32(0.0), _F32(nz - 1))
+    ix = np.minimum(cx.astype(np.int32), max(nx - 2, 0))
+    iy = np.minimum(cy.astype(np.int32), max(ny - 2, 0))
+    iz = np.minimum(cz.astype(np.int32), max(nz - 2, 0))
     fx = cx - ix
     fy = cy - iy
     fz = cz - iz
@@ -239,34 +293,40 @@ def _trilinear_prep(
     return base, fx, fy, fz
 
 
+def _gather_strides(shape: tuple[int, int, int]) -> tuple[int, int, int]:
+    """+1-neighbour ravel offsets per axis; degenerate (size-1) axes
+    collapse the neighbour onto the voxel."""
+    nx, ny, nz = shape
+    return (ny * nz if nx > 1 else 0, nz if ny > 1 else 0, 1 if nz > 1 else 0)
+
+
 def _trilinear_gather(
     flat: np.ndarray,
-    shape: tuple[int, int, int],
+    strides: tuple,
     base: np.ndarray,
     fx: np.ndarray,
     fy: np.ndarray,
     fz: np.ndarray,
 ) -> np.ndarray:
-    """Eight ravel-offset ``np.take`` corner fetches + factored lerps."""
-    nx, ny, nz = shape
-    # Degenerate (size-1) axes collapse the +1 neighbour onto the voxel.
-    sx = ny * nz if nx > 1 else 0
-    sy = nz if ny > 1 else 0
-    sz = 1 if nz > 1 else 0
-    v000 = np.take(flat, base)
-    v001 = np.take(flat, base + sz)
-    v010 = np.take(flat, base + sy)
-    v011 = np.take(flat, base + sy + sz)
-    base = base + sx
-    v100 = np.take(flat, base)
-    v101 = np.take(flat, base + sz)
-    v110 = np.take(flat, base + sy)
-    v111 = np.take(flat, base + sy + sz)
-    c00 = v000 + fz * (v001 - v000)
-    c01 = v010 + fz * (v011 - v010)
-    c10 = v100 + fz * (v101 - v100)
-    c11 = v110 + fz * (v111 - v110)
+    """Eight ravel-offset ``np.take`` corner fetches + factored lerps.
+
+    ``strides`` are the (x, y, z) +1-neighbour offsets — scalars for one
+    payload, per-sample arrays when ``flat`` is a multi-brick atlas.
+    """
+    sx, sy, sz = strides
+
+    def z_lerp(b):
+        v0 = np.take(flat, b)
+        v1 = np.take(flat, b + sz)
+        return v0 + fz * (v1 - v0)
+
+    # One x-plane at a time, so at most two corner fetches are alive.
+    c00 = z_lerp(base)
+    c01 = z_lerp(base + sy)
     c0 = c00 + fy * (c01 - c00)
+    base = base + sx
+    c10 = z_lerp(base)
+    c11 = z_lerp(base + sy)
     c1 = c10 + fy * (c11 - c10)
     return c0 + fx * (c1 - c0)
 
@@ -280,7 +340,7 @@ def _trilinear_flat(
 ) -> np.ndarray:
     """Trilinear filter on raveled data; ``c*`` are lattice coords (pos−½)."""
     base, fx, fy, fz = _trilinear_prep(shape, cx, cy, cz)
-    return _trilinear_gather(flat, shape, base, fx, fy, fz)
+    return _trilinear_gather(flat, _gather_strides(shape), base, fx, fy, fz)
 
 
 def trilinear_sample(data: np.ndarray, local_pos: np.ndarray) -> np.ndarray:
@@ -288,8 +348,9 @@ def trilinear_sample(data: np.ndarray, local_pos: np.ndarray) -> np.ndarray:
 
     ``local_pos`` is ``(M, 3)`` in the data block's local world
     coordinates (voxel ``i`` spans ``[i, i+1)``, its center at ``i+0.5``).
-    Matches CUDA 3D-texture filtering with clamp-to-edge.  Runs in
-    float32 with flat ravel-offset gathers (see :func:`_trilinear_flat`).
+    Matches CUDA 3D-texture filtering with clamp-to-edge.  Positions
+    are taken as float32; the lattice fractions and lerps over the flat
+    ravel-offset gathers are float64 (see :func:`_trilinear_prep`).
     """
     c = np.asarray(local_pos, dtype=_F32) - _F32(0.5)
     flat = np.ascontiguousarray(data).ravel()
@@ -367,6 +428,12 @@ _SPAN_SLACK = 0.5
 _EMPTY_I32 = np.zeros(0, dtype=np.int32)
 
 
+def _span_walk_steps(grid_shape: tuple) -> int:
+    """Step budget of the DDA walk: a straight ray crosses at most
+    gx+gy+gz+2 cells; clamped edge riders may burn a few phantom steps."""
+    return int(sum(grid_shape)) + 4
+
+
 def _macro_grid_spans(
     occ: np.ndarray,
     cell_size: int,
@@ -434,7 +501,7 @@ def _macro_grid_spans(
             j1_parts.append(j1[ok])
 
     occ_cells = np.nonzero(occ_flat)[0]
-    max_steps = int(gx + gy + gz + 4)
+    max_steps = _span_walk_steps(occ.shape)
     gdims = (gx, gy, gz)
     if len(occ_cells) <= max_steps:
         # Sparse path: slab-test every ray against each occupied cell's
@@ -609,115 +676,177 @@ def _block_spans_flat(
     return rows, j_flat
 
 
-def raycast_brick(
-    data: np.ndarray,
-    data_lo: tuple[int, int, int],
-    core_lo: tuple[int, int, int],
-    core_hi: tuple[int, int, int],
-    volume_shape: tuple[int, int, int],
-    camera: Camera,
-    tf: TransferFunction1D,
-    config: RenderConfig = RenderConfig(),
-    rect: Optional[PixelRect] = None,
-    accel_key: Optional[tuple] = None,
-    accel_cache: Optional["AccelCache"] = None,
-) -> tuple[np.ndarray, MapStats]:
-    """Ray cast one ghost-padded brick; return (fragments, stats).
+@dataclass(frozen=True)
+class BrickTask:
+    """One ghost-padded brick of a launch.
 
-    Parameters mirror a :class:`~repro.volume.bricking.Brick`: ``data`` is
-    the padded payload starting at voxel ``data_lo``; the half-open core
-    is ``[core_lo, core_hi)``; ``volume_shape`` defines the global box
-    used for the shared ray parametrisation.
+    Mirrors a :class:`~repro.volume.bricking.Brick`: ``data`` is the
+    padded payload starting at voxel ``data_lo``; the half-open core is
+    ``[core_lo, core_hi)``.  ``rect`` (optional) is the core's padded
+    screen footprint when the caller already has it.
 
     ``accel_key`` (optional) enables empty-space caching: it must
     uniquely identify ``(data, tf)`` — the renderer uses
-    ``(volume token, brick id, tf version)`` — and lookups go to
-    ``accel_cache`` (default: the process-wide
-    :func:`~repro.render.accel.shared_cache`).  The corner-max table is
-    cached under the key itself; the macro-cell occupancy grid under
-    :func:`~repro.render.accel.grid_key` (bricks where no grid can help
-    cache the ``NO_GRID`` sentinel instead, so the negative result is
-    not recomputed every frame).  Both structures are pure functions of
-    ``(data, tf)`` and skipping with them provably cannot change the
+    ``(volume token, tf version, brick id, region)``.  The corner-max
+    table is cached under the key itself; the macro-cell occupancy grid
+    under :func:`~repro.render.accel.grid_key` (bricks where no grid can
+    help cache the ``NO_GRID`` sentinel instead, so the negative result
+    is not recomputed every frame).  Both structures are pure functions
+    of ``(data, tf)`` and skipping with them provably cannot change the
     image or the stats, so caching never affects output.
     """
-    stats = MapStats()
-    core_lo_w = np.asarray(core_lo, dtype=np.float64)
-    core_hi_w = np.asarray(core_hi, dtype=np.float64)
 
-    if rect is None:
-        corners = np.array(
-            [
-                [
-                    (core_lo_w[0], core_hi_w[0])[(c >> 0) & 1],
-                    (core_lo_w[1], core_hi_w[1])[(c >> 1) & 1],
-                    (core_lo_w[2], core_hi_w[2])[(c >> 2) & 1],
-                ]
-                for c in range(8)
-            ]
-        )
-        rect = camera.brick_rect(corners, pad_to_block=config.pad_to_block)
+    data: np.ndarray
+    data_lo: tuple[int, int, int]
+    core_lo: tuple[int, int, int]
+    core_hi: tuple[int, int, int]
+    rect: Optional[PixelRect] = None
+    accel_key: Optional[tuple] = None
+
+
+#: Padded rays (footprint pixels) one fused launch may carry; callers cut
+#: a chunk list into launches with :func:`cut_launches`.  Fusing exists
+#: to amortise the ≈500 interpreter dispatches of a march over more than
+#: one brick's ≈2 000 rays, but a launch's block temporaries grow with
+#: the rays in flight, and peak RSS is a benchmark bound (5 %).  Measured
+#: on the end-to-end scenes at 128² (numpy kernel, in-process; ray-cast
+#: stage of skull 64³ as 16 bricks, ``bench_kernels.py::
+#: test_bench_raycast_fused``, by bricks per launch 1 / 2 / 4 / 8 / 16:
+#: 29.9 / 24.8 / 19.6 / 17.1 / 18.3 ms) and as peak RSS of a 100-view
+#: orbit, sparse / dense scene, by budget: 1 brick 80.0 / 77.7 MiB (the
+#: parent commit's 80.8 / 77.9), 8 192 rays 80.9 / 78.0, 16 384 rays
+#: 83.2 / 79.9, 32 768 rays 86.4 / 83.7.  16 384 — 8 of those bricks —
+#: is where the time curve bottoms out, for +2.5 % RSS.
+LAUNCH_RAY_BUDGET = 16384
+
+#: Voxels the payloads of one fused kernel invocation may hold together.
+#: The numpy backend copies them into one atlas every launch (≈1 ns and
+#: 5 B per voxel, corner-max table included), which is noise against the
+#: ≈1 ms of dispatch a brick saves by fusing only while bricks are
+#: small — and small bricks are the dispatch-bound ones.  A launch whose
+#: payloads outgrow the cap (2²⁰ voxels: 5 MiB, the size of the block
+#: temporaries the ray budget admits; the 8-brick launches of the
+#: end-to-end scenes hold 0.04–0.15 M) is marched in several
+#: invocations, a single payload above it in place, on its own.
+FUSED_VOXEL_CAP = 1 << 20
+
+#: Span gate.  Carving pays ≈22 ns per sample it removes (the
+#: positioning and table probe the march skips) and costs the grid walk
+#: — ≈25 ns per ray per cell step of :func:`_macro_grid_spans` — plus a
+#: fixed ≈1 ms (span merge, the costlier carved block lists, and the
+#: carved brick leaving its fused launch).  So spans are carved only
+#: when the removable samples (owned samples × empty-cell fraction —
+#: within 2 % of what the walk then removes, on every scene below)
+#: reach ``SPAN_GATE_STEPS`` per ray·step **and** ``SPAN_GATE_SAMPLES``
+#: in all.  Measured per brick, numpy kernel, span carve forced on vs
+#: off (``benchmarks/bench_kernels.py::test_bench_macro_grid_bricks``
+#: and the micro-bench rows; removable ÷ ray·steps → on / off ms):
+#: skull 64³ as 16 bricks at 128² 0.2–0.9 → 2.1–3.4 / 1.4–2.2;
+#: skull 128³ as 16 bricks at 256² 0.6–1.6 → 5.7–13.3 / 5.0–10.4;
+#: skull 128³ as 2 bricks at 512² 0.9–1.1 → 156 / 138–151;
+#: 32³ 5 %-fill brick, 4³ grid 2.3 → 6.5 / 9.3 (8³ grid 0.7 → 11.9 / 9.7).
+SPAN_GATE_STEPS = 2.0
+SPAN_GATE_SAMPLES = 65536
+
+
+def cut_launches(
+    ray_counts: Sequence[int], budget: int = LAUNCH_RAY_BUDGET
+) -> list[int]:
+    """Cut consecutive bricks into launches of at most ``budget`` rays.
+
+    Returns the launch sizes (brick counts, summing to
+    ``len(ray_counts)``); a brick larger than the budget launches alone.
+    """
+    sizes: list[int] = []
+    rays = 0
+    for n in ray_counts:
+        if sizes and rays + n <= budget:
+            sizes[-1] += 1
+            rays += n
+        else:
+            sizes.append(1)
+            rays = n
+    return sizes
+
+
+class _BrickRays:
+    """One brick's ray state between set-up, march and emit."""
+
+    __slots__ = (
+        "stats", "n", "keys", "active", "counts", "t0", "dirs",
+        "segment", "spans", "acc_rgb", "acc_a",
+    )
+
+    def __init__(self, stats: MapStats, n: int = 0, keys=None):
+        self.stats = stats
+        self.n = n  # padded rays launched
+        self.keys = keys
+        self.active = None  # indices of rays that march; None: nothing to do
+
+
+def _box_test(camera: Camera, lo, hi, dirs: np.ndarray):
+    """Float32 slab test of ``camera``'s rays ``dirs`` against ``[lo, hi]``."""
+    eye = np.asarray(camera.eye, dtype=_F32)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = _F32(1.0) / dirs
+    return box_intersect_f32(
+        np.asarray(lo, dtype=_F32) - eye, np.asarray(hi, dtype=_F32) - eye, dirs, inv
+    )
+
+
+def _setup_brick(
+    brick: BrickTask,
+    rect: PixelRect,
+    volume_entry: tuple,
+    camera: Camera,
+    tf: TransferFunction1D,
+    config: RenderConfig,
+    u_thr: float,
+    cache: Optional["AccelCache"],
+) -> _BrickRays:
+    """Rays, ownership intervals and empty-space structures of one brick."""
+    from .kernels import BrickSegment
+
+    stats = MapStats()
     if rect.empty:
-        return empty_fragments(), stats
+        return _BrickRays(stats)
 
     dirs, keys = camera.rect_rays_f32(rect)
-    n = len(keys)
-    stats.n_rays = n
-    eye = np.asarray(camera.eye, dtype=np.float64)
-
-    tn_b, tf_b, hit_b, tn_v, _, hit_v = dual_box_intersect_f32(
-        eye, dirs, core_lo_w, core_hi_w, np.zeros(3), volume_shape
+    br = _BrickRays(stats, len(keys), keys)
+    stats.n_rays = br.n
+    tn_b, tf_b, hit_b = _box_test(camera, brick.core_lo, brick.core_hi, dirs)
+    # The whole-volume entry anchors the global sample lattice: one test
+    # over the launch's footprint, sliced per brick.
+    span_rect, tn_v, hit_v = volume_entry
+    window = (
+        slice(rect.y0 - span_rect.y0, rect.y1 - span_rect.y0),
+        slice(rect.x0 - span_rect.x0, rect.x1 - span_rect.x0),
     )
-    active = hit_b & hit_v & (tf_b > tn_b)
-    stats.n_active_rays = int(active.sum())
-
-    def emit(acc_rgb, acc_a, first_t, contributed):
-        stats.n_emitted = n if config.emit_placeholders else int(contributed.sum())
-        stats.n_kept = int(contributed.sum())
-        if config.emit_placeholders:
-            pix = np.where(contributed, keys, PLACEHOLDER_KEY).astype(np.int32)
-            depth = np.where(contributed, first_t, _F32(0.0))
-            rgba = np.concatenate([acc_rgb, acc_a[:, None]], axis=1)
-            rgba[~contributed] = 0.0
-            return make_fragments(pix, depth, rgba)
-        sel = np.nonzero(contributed)[0]
-        rgba = np.concatenate([acc_rgb[sel], acc_a[sel, None]], axis=1)
-        return make_fragments(keys[sel], first_t[sel], rgba)
-
-    if stats.n_active_rays == 0:
-        z1 = np.zeros(n, dtype=_F32)
-        frags = emit(np.zeros((n, 3), _F32), z1, z1, np.zeros(n, dtype=bool))
-        return frags, stats
-
-    dt = _F32(config.dt)
+    active = hit_b & hit_v[window].reshape(-1) & (tf_b > tn_b)
     ai = np.nonzero(active)[0]
-    tnv_c = tn_v[ai]
+    stats.n_active_rays = len(ai)
+    if len(ai) == 0:
+        return br
+
+    data = brick.data
+    dt = _F32(config.dt)
+    eye = np.asarray(camera.eye, dtype=np.float64)
+    tnv_c = tn_v[window].reshape(-1)[ai]
     kf, counts = _sample_intervals(tn_b[ai], tf_b[ai], tnv_c, dt)
     d_c = dirs[ai]
     # t of each ray's first owned sample; later samples add whole steps.
     t0_c = tnv_c + (kf.astype(_F32) + _F32(0.5)) * dt
     # Lattice coords c = (position − ½) with the brick origin folded in.
-    base_w = (eye - np.asarray(data_lo, np.float64) - 0.5).astype(_F32)
+    base_w = (eye - np.asarray(brick.data_lo, np.float64) - 0.5).astype(_F32)
 
-    n_act = len(ai)
-    acc_rgb_c = np.zeros((n_act, 3), dtype=_F32)
-    acc_a_c = np.zeros(n_act, dtype=_F32)
-    term = np.zeros(n_act, dtype=bool)
-
-    K = config.block_size
-    use_ert = config.ert_alpha < 1.0
-    flat = np.ascontiguousarray(data).ravel()
     shape = data.shape
-    fetches = config.fetches_per_sample
-    nx, ny, nz = shape
     # Interior bricks with a full one-voxel ghost shell keep every
     # sample's 2×2×2 support inside the payload — no clamping needed.
-    dlo = np.asarray(data_lo)
+    dlo = np.asarray(brick.data_lo)
     need_clamp = bool(
-        np.any(dlo > np.asarray(core_lo) - 1)
-        or np.any(dlo + np.asarray(shape) < np.asarray(core_hi) + 1)
+        np.any(dlo > np.asarray(brick.core_lo) - 1)
+        or np.any(dlo + np.asarray(shape) < np.asarray(brick.core_hi) + 1)
     )
-    u_thr = _alpha_zero_threshold(tf)
     total_expected = int(counts.sum())
     # The empty-space structures cost O(voxels); build them only when the
     # march is big enough to amortize it — unless a cached copy is free.
@@ -731,11 +860,9 @@ def raycast_brick(
         and u_thr >= 0
         and min(shape) >= 2
     )
-    cache = None
-    if config.accel != "off" and accel_key is not None:
-        from .accel import shared_cache
-
-        cache = accel_cache if accel_cache is not None else shared_cache()
+    accel_key = brick.accel_key
+    if accel_key is None:
+        cache = None
     if table_possible:
         if cache is not None:
             skip_table = cache.get(accel_key)
@@ -755,62 +882,226 @@ def raycast_brick(
             if accel_key is not None
             else None
         )
-        if cache is not None and gkey is not None:
+        if cache is not None:
             grid_occ = cache.get(gkey)
         if grid_occ is None and build_worthwhile:
             grid_occ = build_macro_grid(data, tf, config.macro_cell_size)
-            if cache is not None and gkey is not None:
+            if cache is not None:
                 cache.put(gkey, grid_occ)
         if grid_occ is not None and is_no_grid(grid_occ):
             grid_occ = None  # cached negative: no grid can help here
-    spans = None
+    br.spans = None
+    # The span gate: "grid" means the grid *may* be used.  Carving is a
+    # pure cost model (identical output either way), so walk the grid
+    # only when what it can remove outweighs the walk.
     if grid_occ is not None:
-        spans = _macro_grid_spans(
-            grid_occ, config.macro_cell_size, base_w, d_c, t0_c, counts, config.dt
-        )
+        n_occ = np.count_nonzero(grid_occ)
+        removable = total_expected * (1.0 - n_occ / grid_occ.size)
+        steps = len(ai) * min(n_occ, _span_walk_steps(grid_occ.shape))
+        if removable >= max(SPAN_GATE_SAMPLES, SPAN_GATE_STEPS * steps):
+            br.spans = _macro_grid_spans(
+                grid_occ, config.macro_cell_size, base_w, d_c, t0_c, counts,
+                config.dt,
+            )
+            stats.span_carved = True
 
-    # The march itself runs behind the kernel contract: the numpy
-    # backend is this function's original blocked fold moved verbatim
-    # (bitwise-identical), the numba backend a compiled per-ray marcher
-    # (exact keys/depths/counters, tolerance-banded colors — see the
-    # kernels package docstring).  Imported lazily: kernels imports this
-    # module's helpers at load time.
-    from .kernels import MarchPlan, resolve_kernel
-
-    kspec = resolve_kernel(config.kernel)
-    plan = MarchPlan(
+    br.active = ai
+    br.counts = counts
+    br.t0 = t0_c
+    br.dirs = d_c
+    br.segment = BrickSegment(
         data=data,
-        flat=flat,
+        flat=np.ascontiguousarray(data).ravel(),
         shape=shape,
         need_clamp=need_clamp,
-        counts=counts,
-        t0=t0_c,
-        dirs=d_c,
         base_w=base_w,
-        dt=float(config.dt),
-        block_size=K,
-        use_ert=use_ert,
-        ert_alpha=float(config.ert_alpha),
-        u_thr=float(u_thr),
         skip_table=skip_table,
-        spans=spans,
-        tf=tf,
-        shading=config.shading,
-        acc_rgb=acc_rgb_c,
-        acc_a=acc_a_c,
-        term=term,
+        ray_lo=0,
+        ray_hi=len(ai),
     )
-    stats.n_samples += kspec.march(plan) * fetches
+    return br
 
-    # Expand to the full ray set and emit.
+
+def _march_launch(
+    group: Sequence[_BrickRays],
+    kspec: "KernelSpec",
+    tf: TransferFunction1D,
+    config: RenderConfig,
+    u_thr: float,
+) -> None:
+    """March ``group``'s rays as one launch; leave each brick its slice
+    of the accumulators and charge its owned samples."""
+    from .kernels import MarchPlan
+
+    if len(group) == 1:
+        counts, t0, dirs = group[0].counts, group[0].t0, group[0].dirs
+    else:
+        lo = 0
+        for br in group:
+            br.segment.ray_lo, br.segment.ray_hi = lo, lo + len(br.counts)
+            lo = br.segment.ray_hi
+        counts = np.concatenate([br.counts for br in group])
+        t0 = np.concatenate([br.t0 for br in group])
+        dirs = np.concatenate([br.dirs for br in group])
+    n = len(counts)
     acc_rgb = np.zeros((n, 3), dtype=_F32)
     acc_a = np.zeros(n, dtype=_F32)
-    first_t = np.zeros(n, dtype=_F32)
-    has_samples = np.zeros(n, dtype=bool)
-    acc_rgb[ai] = acc_rgb_c
-    acc_a[ai] = acc_a_c
-    first_t[ai] = t0_c
-    has_samples[ai] = counts > 0
-    contributed = has_samples & (acc_a > config.alpha_eps)
-    first_t = np.where(contributed, first_t, _F32(0.0))
-    return emit(acc_rgb, acc_a, first_t, contributed), stats
+    # The march itself runs behind the kernel contract: the numpy
+    # backend is the blocked fold over the whole launch, the numba
+    # backend a compiled per-ray marcher run per segment (exact
+    # keys/depths/counters, tolerance-banded colors — see the kernels
+    # package docstring).
+    plan = MarchPlan(
+        segments=tuple(br.segment for br in group),
+        counts=counts,
+        t0=t0,
+        dirs=dirs,
+        dt=float(config.dt),
+        block_size=config.block_size,
+        use_ert=config.ert_alpha < 1.0,
+        ert_alpha=float(config.ert_alpha),
+        u_thr=float(u_thr),
+        spans=group[0].spans,
+        tf=tf,
+        shading=config.shading,
+        acc_rgb=acc_rgb,
+        acc_a=acc_a,
+        term=np.zeros(n, dtype=bool),
+    )
+    owned = kspec.march(plan)
+    fetches = config.fetches_per_sample
+    for br, own in zip(group, owned):
+        seg = br.segment
+        br.acc_rgb = acc_rgb[seg.ray_lo : seg.ray_hi]
+        br.acc_a = acc_a[seg.ray_lo : seg.ray_hi]
+        br.stats.n_samples += int(own) * fetches
+
+
+def _emit(br: _BrickRays, config: RenderConfig) -> np.ndarray:
+    """One fragment per contributing ray (or per ray, with placeholders)."""
+    stats = br.stats
+    n = br.n
+    if n == 0:
+        return empty_fragments()
+    if br.active is None:
+        sel = keys = depth = _EMPTY_I32
+        rgba = np.zeros((0, 4), dtype=_F32)
+    else:
+        sel = np.nonzero((br.counts > 0) & (br.acc_a > config.alpha_eps))[0]
+        rgba = np.concatenate([br.acc_rgb[sel], br.acc_a[sel, None]], axis=1)
+        depth = br.t0[sel]
+        sel = br.active[sel]
+        keys = br.keys[sel]
+    stats.n_kept = len(sel)
+    if not config.emit_placeholders:
+        stats.n_emitted = stats.n_kept
+        return make_fragments(keys, depth, rgba)
+    # Every "thread" emits: useless rays write a later-discarded
+    # placeholder with zeroed depth and colour.
+    stats.n_emitted = n
+    out = np.zeros(n, dtype=FRAGMENT_DTYPE)
+    out["pixel"] = PLACEHOLDER_KEY
+    out[sel] = make_fragments(keys, depth, rgba)
+    return out
+
+
+def raycast_bricks(
+    bricks: Sequence[BrickTask],
+    volume_shape: tuple[int, int, int],
+    camera: Camera,
+    tf: TransferFunction1D,
+    config: RenderConfig = RenderConfig(),
+    accel_cache: Optional["AccelCache"] = None,
+) -> list[tuple[np.ndarray, MapStats]]:
+    """Ray cast ``bricks`` as **one launch**; ``(fragments, stats)`` each.
+
+    ``volume_shape`` defines the global box used for the shared ray
+    parametrisation.  All bricks' active rays march together through one
+    kernel invocation, so the per-launch interpreter cost is paid once
+    for the whole list — callers bound a launch's size by cutting their
+    brick list with :func:`cut_launches`.  Two kinds of brick march on
+    their own instead: span-carved ones (large by the span gate, so
+    there is nothing left to amortise, and their carved sample lists
+    differ in kind) and payloads with a size-1 axis; and payloads too
+    large to be worth copying side by side (``FUSED_VOXEL_CAP``) split
+    the march into several invocations.  Results are bitwise those of
+    casting every brick on its own, in any grouping.
+
+    Acceleration structures are looked up in ``accel_cache`` (default:
+    the process-wide :func:`~repro.render.accel.shared_cache`) for
+    bricks that carry an ``accel_key``.
+    """
+    # Imported lazily: kernels imports this module's helpers at load time.
+    from .kernels import resolve_kernel
+
+    kspec = resolve_kernel(config.kernel)
+    u_thr = _alpha_zero_threshold(tf)
+    cache = None
+    if config.accel != "off":
+        from .accel import shared_cache
+
+        cache = accel_cache if accel_cache is not None else shared_cache()
+    rects = [
+        b.rect
+        if b.rect is not None
+        else camera.box_rect(b.core_lo, b.core_hi, config.pad_to_block)
+        for b in bricks
+    ]
+    # The whole-volume interval is the same for every brick of a frame:
+    # test it once over the launch's footprint, not once per brick.
+    seen = [r for r in rects if not r.empty]
+    volume_entry = None
+    if seen:
+        span_rect = PixelRect(
+            min(r.x0 for r in seen),
+            min(r.y0 for r in seen),
+            max(r.x1 for r in seen),
+            max(r.y1 for r in seen),
+        )
+        dirs, _ = camera.rect_rays_f32(span_rect)
+        tn_v, _, hit_v = _box_test(camera, np.zeros(3), volume_shape, dirs)
+        grid = (span_rect.height, span_rect.width)
+        volume_entry = (span_rect, tn_v.reshape(grid), hit_v.reshape(grid))
+    rays = [
+        _setup_brick(b, r, volume_entry, camera, tf, config, u_thr, cache)
+        for b, r in zip(bricks, rects)
+    ]
+    fused: list = []
+    slot = np.zeros(3, dtype=np.int64)  # the fused payloads' common box
+    for br in rays:
+        if br.active is None:
+            continue
+        shape = br.segment.shape
+        if br.spans is not None or min(shape) < 2:
+            _march_launch([br], kspec, tf, config, u_thr)
+            continue
+        grown = np.maximum(slot, shape)
+        if fused and (len(fused) + 1) * int(grown.prod()) > FUSED_VOXEL_CAP:
+            _march_launch(fused, kspec, tf, config, u_thr)
+            fused, grown = [], np.asarray(shape, dtype=np.int64)
+        fused.append(br)
+        slot = grown
+    if fused:
+        _march_launch(fused, kspec, tf, config, u_thr)
+    return [(_emit(br, config), br.stats) for br in rays]
+
+
+def raycast_brick(
+    data: np.ndarray,
+    data_lo: tuple[int, int, int],
+    core_lo: tuple[int, int, int],
+    core_hi: tuple[int, int, int],
+    volume_shape: tuple[int, int, int],
+    camera: Camera,
+    tf: TransferFunction1D,
+    config: RenderConfig = RenderConfig(),
+    rect: Optional[PixelRect] = None,
+    accel_key: Optional[tuple] = None,
+    accel_cache: Optional["AccelCache"] = None,
+) -> tuple[np.ndarray, MapStats]:
+    """Ray cast one ghost-padded brick: a :func:`raycast_bricks` launch
+    of one (see :class:`BrickTask` for the parameters)."""
+    task = BrickTask(data, data_lo, core_lo, core_hi, rect, accel_key)
+    return raycast_bricks(
+        [task], volume_shape, camera, tf, config, accel_cache
+    )[0]

@@ -77,8 +77,8 @@ class TransferFunction1D:
     def table_coord(self, values: np.ndarray) -> np.ndarray:
         """Scalar → clamped fractional table coordinate ``u ∈ [0, N−1]``.
 
-        Float32 with a fast path for the common unit domain ``[0, 1]``
-        (no rescale).  The ray-cast kernel uses ``u`` both for its
+        Float32 (the input is cast first) with a fast path for the
+        common unit domain ``[0, 1]`` (no rescale).  The ray-cast kernel uses ``u`` both for its
         exact empty-space test and for :meth:`lookup_from_u`.
         """
         v = np.asarray(values, dtype=np.float32)
@@ -100,9 +100,11 @@ class TransferFunction1D:
     def lookup(self, values: np.ndarray) -> np.ndarray:
         """Linearly-interpolated RGBA for each scalar (clamp addressing).
 
-        Runs in float32 end-to-end — the CUDA texture unit this models
-        filters in reduced precision, and the ray caster's whole sample
-        path stays float32.
+        The scalars are cast to float32 first (whatever width they
+        arrive in — the ray caster hands over float64 samples, see the
+        raycast module's "Float widths") and coordinate, interpolation
+        and result are float32, like the reduced-precision CUDA texture
+        unit this models.
         """
         return self.lookup_from_u(self.table_coord(values))
 

@@ -1,0 +1,548 @@
+"""The fused multi-brick launch: grouping map tasks cannot change a bit.
+
+The map stage marches all bricks of a launch in one vectorised kernel
+invocation (``raycast_bricks`` / ``map_chunks_to_runs``) and the pool
+worker drains the ``map`` messages already queued for a frame into such
+launches.  How chunks end up grouped depends on the ray budget and, in
+the pool, on queue timing — so the contract this suite pins is that
+**any** cut of a chunk list into consecutive launches yields the bytes,
+``MapStats`` and ``MapWork`` of mapping every chunk on its own.
+
+Also here: the span gate (the macro-grid walk runs only where it pays,
+and is invisible either way), the worker's batch drain and a mid-batch
+fault replay, the per-launch ``map:`` span and the launch gauges, and
+the float widths the march actually computes in.
+"""
+
+import math
+import queue
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import MapReduceVolumeRenderer, make_dataset, orbit_camera
+from repro.core.chunk import Chunk
+from repro.core.executors import (
+    make_map_work,
+    map_chunk_to_runs,
+    map_chunks_to_runs,
+    map_telemetry,
+)
+from repro.core.job import MapReduceSpec
+from repro.core.keyvalue import KVSpec
+from repro.core.partition import RoundRobinPartitioner
+from repro.observability import disable_tracing, enable_tracing
+from repro.parallel.worker import _drain_maps, _next_message
+from repro.pipeline.mappers import RayCastMapper
+from repro.pipeline.reducers import CompositeReducer
+from repro.render import RenderConfig, default_tf, grayscale_tf
+from repro.render import raycast
+from repro.render.camera import Camera
+from repro.render.accel import AccelCache
+from repro.render.fragments import FRAGMENT_DTYPE
+from repro.render.kernels import available_backends
+from repro.render.raycast import (
+    LAUNCH_RAY_BUDGET,
+    BrickTask,
+    _trilinear_gather,
+    _trilinear_prep,
+    cut_launches,
+    raycast_brick,
+    raycast_bricks,
+)
+from repro.volume import BrickGrid, Volume
+
+F32 = np.float32
+
+
+def _blob_volume(n: int = 24) -> Volume:
+    """Dense core, empty rim: rim bricks have rays but nothing visible
+    (and too few samples to earn a corner-max table)."""
+    rng = np.random.default_rng(3)
+    data = np.zeros((n, n, n), np.float32)
+    lo, hi = n // 4, n - n // 4
+    data[lo:hi, lo:hi, lo:hi] = rng.uniform(0.1, 1.0, (hi - lo,) * 3)
+    return Volume(data)
+
+
+VOLUME = _blob_volume()
+#: 3×3×3 bricks: the centre one has a full ghost shell (no clamp), the
+#: other 26 touch the volume boundary (clamp) — mixed in every launch.
+GRID = BrickGrid(VOLUME.shape, 8, ghost=1)
+BRICKS = list(GRID)
+
+
+def _tasks(tag=None):
+    return [
+        BrickTask(
+            GRID.extract(VOLUME, b),
+            b.data_lo,
+            b.lo,
+            b.hi,
+            accel_key=None if tag is None else (tag, b.id),
+        )
+        for b in BRICKS
+    ]
+
+
+def _chunks():
+    return [
+        Chunk(id=b.id, nbytes=b.nbytes, data=GRID.extract(VOLUME, b), meta=b)
+        for b in BRICKS
+    ]
+
+
+def _spec(camera, tf, config, n_reducers=3):
+    return MapReduceSpec(
+        mapper=RayCastMapper(camera, tf, VOLUME.shape, config),
+        reducer=CompositeReducer(),
+        partitioner=RoundRobinPartitioner(n_reducers),
+        kv=KVSpec(FRAGMENT_DTYPE, key_field="pixel"),
+        max_key=camera.pixel_count - 1,
+    )
+
+
+def _camera(azimuth, elevation, look=(0, 0, 0), fov=45.0) -> Camera:
+    """An orbit camera that may look past the volume centre: a narrow,
+    off-centre view leaves some bricks off-screen (empty rects) and some
+    with footprints none of whose rays hit them."""
+    orbit = orbit_camera(
+        VOLUME.shape, azimuth_deg=azimuth, elevation_deg=elevation,
+        distance_factor=2.0, width=40, height=40,
+    )
+    return Camera(
+        eye=orbit.eye,
+        center=tuple(c + o for c, o in zip(orbit.center, look)),
+        fov_y=math.radians(fov),
+        width=40,
+        height=40,
+    )
+
+
+def _work_fields(work) -> dict:
+    """A MapWork as plain comparable values (its routed counts are an
+    ndarray, which dataclass equality cannot compare)."""
+    fields = dict(vars(work))
+    fields["pairs_to_reducer"] = fields["pairs_to_reducer"].tolist()
+    return fields
+
+
+def _cut(n: int, points) -> list:
+    """Consecutive ``range``s of ``0..n`` cut at ``points``."""
+    edges = [0] + sorted(set(points)) + [n]
+    return [range(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+
+
+@st.composite
+def scenarios(draw):
+    config = RenderConfig(
+        dt=draw(st.sampled_from([0.5, 0.75, 1.0])),
+        ert_alpha=draw(st.sampled_from([0.6, 0.98, 1.0])),
+        emit_placeholders=draw(st.booleans()),
+        shading=draw(st.booleans()),
+        block_size=draw(st.sampled_from([1, 3, 8])),
+        accel=draw(st.sampled_from(["grid", "table", "off"])),
+        macro_cell_size=4,
+        kernel="numpy",
+    )
+    camera = _camera(
+        draw(st.floats(0.0, 360.0)),
+        draw(st.floats(-60.0, 60.0)),
+        draw(st.sampled_from([(0, 0, 0), (0, 6, 4), (5, -7, 0)])),
+        draw(st.sampled_from([20.0, 45.0])),
+    )
+    tf = draw(st.sampled_from([default_tf(), grayscale_tf(max_alpha=0.4)]))
+    cuts = draw(st.lists(st.integers(1, len(BRICKS) - 1), max_size=8))
+    carve_always = draw(st.booleans())
+    return config, camera, tf, _cut(len(BRICKS), cuts), carve_always
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios())
+def test_any_cut_into_launches_is_bitwise_per_chunk_mapping(scenario):
+    config, camera, tf, launches, carve_always = scenario
+    gate = (raycast.SPAN_GATE_SAMPLES, raycast.SPAN_GATE_STEPS)
+    if carve_always:  # carved bricks launch alone, inside any group
+        raycast.SPAN_GATE_SAMPLES, raycast.SPAN_GATE_STEPS = 0, 0.0
+    try:
+        # kernel level: fragments and MapStats
+        cache = AccelCache()
+        tasks = _tasks(tag="fused")
+        alone = [
+            raycast_bricks([t], VOLUME.shape, camera, tf, config, cache)[0]
+            for t in tasks
+        ]
+        kinds = {(s.n_rays > 0, s.n_active_rays > 0) for _, s in alone}
+        for launch in launches:
+            together = raycast_bricks(
+                [tasks[i] for i in launch], VOLUME.shape, camera, tf, config, cache
+            )
+            for i, (frags, stats) in zip(launch, together):
+                assert frags.tobytes() == alone[i][0].tobytes()
+                assert stats == alone[i][1]
+                assert stats.span_carved == alone[i][1].span_carved
+
+        # executor level: runs, counters and MapWork
+        spec = _spec(camera, tf, config)
+        chunks = _chunks()
+        single = [map_chunk_to_runs(spec, c) for c in chunks]
+        for launch in launches:
+            batch = map_chunks_to_runs(spec, [chunks[i] for i in launch])
+            assert [r[3]["launches"] for r in batch] == [1] + [0] * (len(launch) - 1)
+            for i, got in zip(launch, batch):
+                runs, emitted, kept, work, routed = got
+                ref_runs, ref_emitted, ref_kept, ref_work, ref_routed = single[i]
+                assert [r.tobytes() for r in runs] == [r.tobytes() for r in ref_runs]
+                assert (emitted, kept) == (ref_emitted, ref_kept)
+                assert dict(work, launches=1) == ref_work
+                assert np.array_equal(routed, ref_routed)
+                got_work = make_map_work(chunks[i], 0, emitted, work, routed)
+                ref = make_map_work(chunks[i], 0, ref_emitted, ref_work, ref_routed)
+                assert _work_fields(got_work) == _work_fields(ref)
+    finally:
+        raycast.SPAN_GATE_SAMPLES, raycast.SPAN_GATE_STEPS = gate
+    # every scenario mixes marching bricks with at least one idle kind
+    assert (True, True) in kinds
+
+
+def test_scenario_volume_covers_the_brick_kinds():
+    """The property's fixture really contains what it claims: clamped
+    and unclamped bricks, table-less bricks, empty rects, rayless
+    footprints (otherwise the property would pass vacuously)."""
+    config = RenderConfig(dt=0.75, kernel="numpy")
+    camera = _camera(0.0, 20.0, look=(0, 6, 4), fov=20.0)
+    cache = AccelCache()
+    tasks = _tasks(tag="kinds")
+    out = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config, cache)
+    stats = [s for _, s in out]
+    assert any(s.n_rays == 0 for s in stats)  # off-screen brick
+    assert any(s.n_rays > 0 and s.n_active_rays == 0 for s in stats)
+    assert any(s.n_active_rays > 0 for s in stats)
+    tabled = [cache.get(t.accel_key) is not None for t in tasks]
+    assert any(tabled) and not all(tabled)
+    ghosts = [
+        all(dl == lo - 1 for dl, lo in zip(b.data_lo, b.lo))
+        and all(dh == hi + 1 for dh, hi in zip(b.data_hi, b.hi))
+        for b in BRICKS
+    ]
+    assert any(ghosts) and not all(ghosts)
+
+
+def test_launches_are_cut_at_the_ray_budget():
+    assert cut_launches([]) == []
+    assert cut_launches([5, 5, 5], budget=10) == [2, 1]
+    assert cut_launches([50, 1, 1], budget=10) == [1, 2]  # oversized: alone
+    assert cut_launches([4, 4, 4, 4], budget=8) == [2, 2]
+    assert sum(cut_launches([LAUNCH_RAY_BUDGET // 3] * 7)) == 7
+    # the mapper cuts by padded footprint rays
+    camera = orbit_camera(VOLUME.shape, width=40, height=40)
+    mapper = RayCastMapper(camera, default_tf(), VOLUME.shape, RenderConfig())
+    sizes = mapper.launch_sizes(_chunks())
+    assert sum(sizes) == len(BRICKS) and max(sizes) > 1
+
+
+def test_fused_voxel_cap_splits_the_march_not_the_result(monkeypatch):
+    """Payloads that outgrow the atlas cap march in several kernel
+    invocations (a lone oversized one in place); nothing else changes."""
+    config = RenderConfig(dt=0.75, kernel="numpy")
+    camera = _camera(30.0, 20.0)
+    tasks = _tasks()
+    want = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
+    groups = []
+    march = raycast._march_launch
+
+    def counted(group, *args):
+        groups.append(len(group))
+        return march(group, *args)
+
+    monkeypatch.setattr(raycast, "_march_launch", counted)
+    raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
+    assert groups == [27]
+    for cap, largest in ((3 * 10**3, 3), (1, 1)):  # payloads are ≤ 10³
+        groups.clear()
+        monkeypatch.setattr(raycast, "FUSED_VOXEL_CAP", cap)
+        got = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
+        assert sum(groups) == 27 and max(groups) == largest
+        for (f0, s0), (f1, s1) in zip(want, got):
+            assert f0.tobytes() == f1.tobytes() and s0 == s1
+
+
+# -- the span gate ----------------------------------------------------------
+def _count_span_walks(monkeypatch) -> list:
+    calls = []
+    walk = raycast._macro_grid_spans
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(raycast, "_macro_grid_spans", counted)
+    return calls
+
+
+def _render_both_ways(monkeypatch, tasks, shape, camera, tf, config):
+    """(gated, never carved, always carved) results of one launch each."""
+    out = []
+    for floor in (None, float("inf"), 0):
+        if floor is not None:
+            monkeypatch.setattr(raycast, "SPAN_GATE_SAMPLES", floor)
+            monkeypatch.setattr(raycast, "SPAN_GATE_STEPS", 0.0)
+        cache = AccelCache()
+        for _ in range(2):  # second pass: structures cached
+            res = raycast_bricks(tasks, shape, camera, tf, config, cache)
+        out.append(res)
+    monkeypatch.undo()
+    return out
+
+
+def test_span_gate_stays_shut_on_the_benchmark_bricks(monkeypatch):
+    """skull 64³ as 16 bricks at 128² (the end-to-end sparse scene):
+    every brick's grid exists, none is worth walking."""
+    from repro.volume import bricks_for_gpu_count
+
+    vol = make_dataset("skull", (64, 64, 64))
+    grid = bricks_for_gpu_count(vol.shape, 8, 2)
+    tasks = [
+        BrickTask(grid.extract(vol, b), b.data_lo, b.lo, b.hi, accel_key=("g", b.id))
+        for b in grid
+    ]
+    camera = orbit_camera(vol.shape, azimuth_deg=30, elevation_deg=20, width=128, height=128)
+    config = RenderConfig(dt=0.75, kernel="numpy")
+    calls = _count_span_walks(monkeypatch)
+    cache = AccelCache()
+    out = raycast_bricks(tasks, vol.shape, camera, default_tf(), config, cache)
+    assert calls == [] and not any(s.span_carved for _, s in out)
+    from repro.render.accel import grid_key, is_no_grid
+
+    grids = [cache.get(grid_key(t.accel_key, 8)) for t in tasks]
+    assert all(g is not None and not is_no_grid(g) for g in grids)
+    gated, never, always = _render_both_ways(
+        monkeypatch, tasks, vol.shape, camera, default_tf(), config
+    )
+    assert all(s.span_carved for _, s in always if s.n_active_rays)
+    for (f0, s0), (f1, s1), (f2, s2) in zip(gated, never, always):
+        assert f0.tobytes() == f1.tobytes() == f2.tobytes()
+        assert s0 == s1 == s2
+
+
+def test_span_gate_opens_on_the_sparse_microbench_brick(monkeypatch):
+    """One 32³ brick, 5 % filled, 11 k rays (bench_kernels' sparse row):
+    193 k removable samples for 88 k ray·steps — carved."""
+    data = np.zeros((32, 32, 32), np.float32)
+    data[10:22, 10:22, 10:22] = np.random.default_rng(11).uniform(
+        0.2, 1.0, (12, 12, 12)
+    )
+    camera = orbit_camera(data.shape, width=128, height=128, distance_factor=2.2)
+    config = RenderConfig(dt=1.0, kernel="numpy")
+    tasks = [BrickTask(data, (0, 0, 0), (0, 0, 0), data.shape, accel_key=("m",))]
+    calls = _count_span_walks(monkeypatch)
+    cache = AccelCache()
+    raycast_bricks(tasks, data.shape, camera, default_tf(), config, cache)
+    (_, stats), = raycast_bricks(tasks, data.shape, camera, default_tf(), config, cache)
+    assert calls == [1, 1] and stats.span_carved
+    gated, never, always = _render_both_ways(
+        monkeypatch, tasks, data.shape, camera, default_tf(), config
+    )
+    assert not never[0][1].span_carved
+    assert gated[0][0].tobytes() == never[0][0].tobytes() == always[0][0].tobytes()
+    assert gated[0][1] == never[0][1] == always[0][1]
+
+
+# -- observability ------------------------------------------------------------
+def _sparse_renderer(**kw):
+    vol = make_dataset("skull", (32, 32, 32))
+    renderer = MapReduceVolumeRenderer(
+        vol, 4, tf=default_tf(), render_config=RenderConfig(dt=0.75, kernel="numpy"), **kw
+    )
+    camera = orbit_camera(vol.shape, azimuth_deg=40, elevation_deg=20, width=64, height=64)
+    return renderer, camera
+
+
+def _map_spans(tracer):
+    return [
+        (worker, ev)
+        for worker, _gen, ev in tracer.all_events()
+        if ev[0].split(":", 1)[0] == "map"
+    ]
+
+
+def test_one_map_span_per_launch_and_launch_gauges_inprocess():
+    renderer, camera = _sparse_renderer()
+    enable_tracing()
+    try:
+        result = renderer.render(camera, bricks_per_gpu=2)
+    finally:
+        tracer = disable_tracing()
+    spans = _map_spans(tracer)
+    covered = [ci for _, ev in spans for ci in ev[4]["chunks"]]
+    assert covered == list(range(8))  # every chunk in exactly one launch
+    tel = result.stats.telemetry["metrics"]
+    assert tel["map.launches"] == {"kind": "gauge", "value": len(spans)}
+    assert tel["map.span_carved_bricks"]["value"] == 0
+    assert len(spans) < 8  # the launches really are fused
+    flat = result.stats.as_dict()
+    assert not any("launch" in k or "carved" in k for k in flat)
+    assert "telemetry" in result.stats.as_dict(include_telemetry=True)
+
+
+def test_one_map_span_per_launch_and_launch_gauges_pool():
+    renderer, camera = _sparse_renderer(
+        executor="pool", workers=2, reduce_mode="worker"
+    )
+    enable_tracing()
+    try:
+        with renderer:
+            result = renderer.render(camera, bricks_per_gpu=2)
+    finally:
+        tracer = disable_tracing()
+    spans = _map_spans(tracer)
+    assert all(worker is not None for worker, _ in spans)
+    assert all(ev[4]["frame"] == 1 for _, ev in spans)
+    covered = sorted(ci for _, ev in spans for ci in ev[4]["chunks"])
+    assert covered == list(range(8))
+    # non-nested: a worker's map spans never overlap
+    for w in {worker for worker, _ in spans}:
+        ivals = sorted((ev[2], ev[2] + ev[3]) for worker, ev in spans if worker == w)
+        assert all(a[1] <= b[0] for a, b in zip(ivals, ivals[1:]))
+    tel = result.stats.telemetry["metrics"]
+    assert tel["map.launches"]["value"] == len(spans)
+    assert tel["map.span_carved_bricks"]["value"] == 0
+
+
+def test_map_telemetry_sums_per_chunk_counters():
+    works = [{"launches": 1, "span_carved": 1}, {"launches": 0}, {"n_rays": 3}]
+    assert map_telemetry(works) == {"map.launches": 1, "map.span_carved_bricks": 1}
+
+
+# -- the worker's batch drain -----------------------------------------------
+def _map_msg(seq, ci):
+    return ("map", seq, ci, ci, 0, False, None, None)
+
+
+def test_drain_takes_only_consecutive_maps_of_the_same_frame():
+    q = queue.Queue()
+    for msg in (_map_msg(4, 1), _map_msg(4, 2), ("reduce", 3, [0], None), _map_msg(4, 3)):
+        q.put(msg)
+    pending = []
+    batch = _drain_maps(q, _map_msg(4, 0), pending)
+    assert [m[2] for m in batch] == [0, 1, 2]
+    assert pending == [("reduce", 3, [0], None)]
+    # the popped message is served before anything still queued
+    assert _next_message(q, None, pending)[0] == "reduce"
+    assert pending == [] and _next_message(q, None, pending) == _map_msg(4, 3)
+
+    q.put(_map_msg(5, 0))  # next frame's map ends the batch too
+    batch = _drain_maps(q, _map_msg(4, 9), pending)
+    assert [m[2] for m in batch] == [9] and pending == [_map_msg(5, 0)]
+    assert _drain_maps(queue.Queue(), _map_msg(1, 0), []) == [_map_msg(1, 0)]
+
+
+@pytest.mark.parametrize("shuffle_mode", ["mesh", "tcp"])
+def test_map_fault_inside_a_drained_batch_replays_bitwise(shuffle_mode):
+    """Frame 2's maps queue up behind frame 1 (depth 2), so worker 0
+    drains them as one batch; the fault fires on a chunk in its middle."""
+    vol = make_dataset("skull", (32, 32, 32))
+    config = RenderConfig(dt=0.75, kernel="numpy")
+    cams = [
+        orbit_camera(vol.shape, azimuth_deg=az, elevation_deg=20, width=64, height=64)
+        for az in (40, 70, 100)
+    ]
+
+    def orbit(**kw):
+        with MapReduceVolumeRenderer(
+            vol, 2, tf=default_tf(), render_config=config, **kw
+        ) as r:
+            handles = [r.submit_frame(cams[0], bricks_per_gpu=6)]
+            out = []
+            for cam in cams[1:]:
+                handles.append(r.submit_frame(cam, bricks_per_gpu=6))
+                out.append(r.collect_frame(handles.pop(0)))
+            out.append(r.collect_frame(handles.pop(0)))
+            return out
+
+    want = orbit()
+    # worker 0 maps chunks 0, 2, 4, …, 14 of the 16: chunk 6 is mid-batch
+    got = orbit(
+        executor="pool", workers=2, reduce_mode="worker",
+        shuffle_mode=shuffle_mode, pipeline_depth=2,
+        fault_plan="crash@map:worker=0,frame=2,chunk=6",
+    )
+    for a, b in zip(want, got):
+        assert np.array_equal(a.image, b.image)
+        assert a.stats.as_dict() == b.stats.as_dict()
+    recovery = got[-1].stats.recovery
+    assert recovery is not None and recovery["failures"] == 1
+    assert recovery["respawns"] >= 1 and recovery["frames_reexecuted"] >= 1
+
+
+# -- kernel backends --------------------------------------------------------
+@pytest.mark.skipif(
+    "numba" not in available_backends(), reason="numba not installed"
+)
+@pytest.mark.parametrize("shading", [False, True])
+def test_numba_marches_the_segments_of_a_fused_launch(shading):
+    """The compiled marcher runs a launch segment by segment: exactly
+    its own per-brick results, and the numpy launch's within the
+    documented colour band."""
+    camera = orbit_camera(VOLUME.shape, azimuth_deg=50, elevation_deg=15, width=48, height=48)
+    tasks = _tasks()
+    out = {}
+    for kernel in ("numba", "numpy"):
+        config = RenderConfig(dt=0.75, shading=shading, accel="table", kernel=kernel)
+        out[kernel] = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
+        if kernel == "numba":
+            for task, (frags, stats) in zip(tasks, out[kernel]):
+                alone, alone_stats = raycast_bricks(
+                    [task], VOLUME.shape, camera, default_tf(), config
+                )[0]
+                assert frags.tobytes() == alone.tobytes() and stats == alone_stats
+    atol = 5e-4 if shading else 2e-4
+    for (nb, nb_stats), (ref, ref_stats) in zip(out["numba"], out["numpy"]):
+        assert nb_stats == ref_stats
+        assert np.array_equal(nb["pixel"], ref["pixel"])
+        assert np.array_equal(nb["depth"], ref["depth"])
+        for ch in "rgba":
+            np.testing.assert_allclose(nb[ch], ref[ch], atol=atol)
+
+
+# -- what the march computes in ---------------------------------------------
+def test_march_float_widths_are_pinned():
+    """The sample path is *not* float32 end to end: ``ordinal × dt`` is
+    int32 × float32-scalar, which NumPy promotes to float64, so
+    positions, lattice fractions, lerps and sampled values are float64;
+    table coordinates, colours and everything after are float32.  The
+    golden fixtures depend on exactly this, so a NumPy promotion change
+    should fail here, by name, rather than there."""
+    dt = F32(0.75)
+    j = np.arange(4, dtype=np.int32)
+    assert (j * dt).dtype == np.float64
+    t0 = np.full(4, 1.5, dtype=F32)
+    t = t0 + j * dt
+    assert t.dtype == np.float64
+    c = F32(0.25) + t * np.full(4, 0.5, dtype=F32)  # lattice origin + t·d
+    assert c.dtype == np.float64
+    assert np.clip(c, F32(0.0), F32(6.0)).dtype == np.float64
+    assert (c - c.astype(np.int32)).dtype == np.float64
+
+    data = np.random.default_rng(0).random((5, 6, 7), dtype=F32)
+    coords = [np.array([0.3, 2.9], dtype=F32)] * 3
+    base, fx, fy, fz = _trilinear_prep(data.shape, *coords)
+    assert base.dtype == np.int32
+    assert fx.dtype == fy.dtype == fz.dtype == np.float64  # f32 − int32
+    values = _trilinear_gather(data.ravel(), (42, 7, 1), base, fx, fy, fz)
+    assert values.dtype == np.float64
+
+    tf = default_tf()
+    u = tf.table_coord(values)
+    assert u.dtype == np.float32  # the cast back happens here
+    assert tf.lookup_from_u(u).dtype == np.float32
+    assert tf.lookup(values).dtype == np.float32
+
+    frags, _ = raycast_brick(
+        data, (0, 0, 0), (0, 0, 0), data.shape, data.shape,
+        orbit_camera(data.shape, width=16, height=16), tf,
+        RenderConfig(kernel="numpy"),
+    )
+    assert frags.dtype == FRAGMENT_DTYPE and frags["depth"].dtype == np.float32

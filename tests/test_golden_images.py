@@ -160,6 +160,7 @@ def test_inprocess_matches_golden(scene):
     assert_matches_golden(scene, image, result)
 
 
+@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("accel", ["off", "table", "grid"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_inprocess_accel_modes_match_golden(scene, accel):
@@ -171,6 +172,7 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
 
 
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
+@pytest.mark.usefixtures("open_span_gate")
 def test_pool_grid_accel_matches_golden(reduce_mode):
     """The grid-accelerated path through the pool executor (arena-shipped
     grids, worker-seeded caches), in both reduce modes."""
@@ -300,6 +302,7 @@ def test_pool_crash_recovery_other_stages_match_golden(fault_plan):
 # -- slow: the full executor × reduce-mode × depth × workers matrix ----------
 @pytest.mark.slow
 @pytest.mark.parametrize("scene", sorted(SCENES))
+@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("accel", ["off", "grid"])
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):

@@ -246,6 +246,7 @@ def test_numba_matches_reference_marcher(dt, block_size, ert_alpha, shading):
     )
 
 
+@pytest.mark.usefixtures("open_span_gate")
 def test_numba_matches_reference_with_empty_space():
     _require_numba()
     rng = np.random.default_rng(11)
@@ -281,6 +282,7 @@ def assert_matches_golden_banded(name, image, result, atol=2e-4):
     assert np.array_equal(counters, g["counters"]), f"{name}: stats diverged"
 
 
+@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("accel", ["off", "table", "grid"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_numba_golden_matrix_serial(scene, accel):
@@ -291,6 +293,7 @@ def test_numba_golden_matrix_serial(scene, accel):
     assert_matches_golden_banded(scene, image, result)
 
 
+@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 def test_numba_golden_through_pool(reduce_mode):
     _require_numba()

@@ -38,6 +38,10 @@ from repro.volume.occupancy import macro_cell_dims, macro_cell_minmax
 
 F32 = np.float32
 
+# The gate that decides where carving *pays* would leave these small
+# scenes uncarved; this suite is about what carving *does*.
+pytestmark = pytest.mark.usefixtures("open_span_gate")
+
 
 # -- scenario generators ------------------------------------------------------
 def _ramp_tf(alphas):
