@@ -160,14 +160,26 @@ def map_chunks_to_runs(
 
     The first chunk's work counters carry ``launches=1`` (the others 0),
     so a frame's launch count survives whatever carries the counters
-    (:func:`map_telemetry` sums it).  A launch of one goes through the
-    mapper's plain ``map`` — the entry point callers wrap to instrument
-    a mapper (the end-to-end benchmark's replay does).
+    (:func:`map_telemetry` sums it).
     """
-    if len(chunks) == 1:
-        outs = [spec.mapper.map(chunks[0])]
-    else:
-        outs = spec.mapper.map_batch(chunks)
+    return _route_outputs(spec, spec.mapper.map_batch(chunks))
+
+
+def map_chunk_to_runs(
+    spec, chunk: Chunk
+) -> tuple[list[np.ndarray], int, int, dict, np.ndarray]:
+    """Map + Partition one chunk: :func:`map_chunks_to_runs`, batch of one.
+
+    Enters through the mapper's plain ``map`` — by the
+    :class:`~repro.core.api.Mapper` contract the same as
+    ``map_batch([chunk])[0]`` — which is the method a caller wraps to
+    instrument a mapper (the end-to-end benchmark's replay does).
+    """
+    return _route_outputs(spec, [spec.mapper.map(chunk)])[0]
+
+
+def _route_outputs(spec, outs) -> list:
+    """Validate, combine and bucket one launch's map outputs per chunk."""
     shuffle = ShuffleSpec(spec.n_reducers)
     results = []
     for out in outs:
@@ -182,13 +194,6 @@ def map_chunks_to_runs(
         work = dict(out.work, launches=int(not results))
         results.append((runs, emitted, kept, work, routed))
     return results
-
-
-def map_chunk_to_runs(
-    spec, chunk: Chunk
-) -> tuple[list[np.ndarray], int, int, dict, np.ndarray]:
-    """Map + Partition one chunk: :func:`map_chunks_to_runs`, batch of one."""
-    return map_chunks_to_runs(spec, [chunk])[0]
 
 
 def map_telemetry(works: Iterable[dict]) -> dict:

@@ -719,17 +719,6 @@ class BrickTask:
 #: is where the time curve bottoms out, for +2.5 % RSS.
 LAUNCH_RAY_BUDGET = 16384
 
-#: Voxels the payloads of one fused kernel invocation may hold together.
-#: The numpy backend copies them into one atlas every launch (≈1 ns and
-#: 5 B per voxel, corner-max table included), which is noise against the
-#: ≈1 ms of dispatch a brick saves by fusing only while bricks are
-#: small — and small bricks are the dispatch-bound ones.  A launch whose
-#: payloads outgrow the cap (2²⁰ voxels: 5 MiB, the size of the block
-#: temporaries the ray budget admits; the 8-brick launches of the
-#: end-to-end scenes hold 0.04–0.15 M) is marched in several
-#: invocations, a single payload above it in place, on its own.
-FUSED_VOXEL_CAP = 1 << 20
-
 #: Span gate.  Carving pays ≈22 ns per sample it removes (the
 #: positioning and table probe the march skips) and costs the grid walk
 #: — ≈25 ns per ray per cell step of :func:`_macro_grid_spans` — plus a
@@ -1022,10 +1011,8 @@ def raycast_bricks(
     brick list with :func:`cut_launches`.  Two kinds of brick march on
     their own instead: span-carved ones (large by the span gate, so
     there is nothing left to amortise, and their carved sample lists
-    differ in kind) and payloads with a size-1 axis; and payloads too
-    large to be worth copying side by side (``FUSED_VOXEL_CAP``) split
-    the march into several invocations.  Results are bitwise those of
-    casting every brick on its own, in any grouping.
+    differ in kind) and payloads with a size-1 axis.  Results are
+    bitwise those of casting every brick on its own, in any grouping.
 
     Acceleration structures are looked up in ``accel_cache`` (default:
     the process-wide :func:`~repro.render.accel.shared_cache`) for
@@ -1067,20 +1054,13 @@ def raycast_bricks(
         for b, r in zip(bricks, rects)
     ]
     fused: list = []
-    slot = np.zeros(3, dtype=np.int64)  # the fused payloads' common box
     for br in rays:
         if br.active is None:
             continue
-        shape = br.segment.shape
-        if br.spans is not None or min(shape) < 2:
+        if br.spans is not None or min(br.segment.shape) < 2:
             _march_launch([br], kspec, tf, config, u_thr)
-            continue
-        grown = np.maximum(slot, shape)
-        if fused and (len(fused) + 1) * int(grown.prod()) > FUSED_VOXEL_CAP:
-            _march_launch(fused, kspec, tf, config, u_thr)
-            fused, grown = [], np.asarray(shape, dtype=np.int64)
-        fused.append(br)
-        slot = grown
+        else:
+            fused.append(br)
     if fused:
         _march_launch(fused, kspec, tf, config, u_thr)
     return [(_emit(br, config), br.stats) for br in rays]

@@ -10,8 +10,10 @@ def open_span_gate(monkeypatch):
     pay, which is every brick small enough for a test.  Suites whose
     subject is the carve itself — its bitwise invisibility, the numba
     span path, grids shipped through the pool arena — open the gate so
-    they keep exercising it.  (Pool workers fork after the patch and
-    inherit it.)
+    they keep exercising it.  Pool workers inherit the patch only by
+    fork, so pool tests under this fixture also assert the
+    ``map.span_carved_bricks`` gauge ``> 0`` — under a spawn start
+    method they fail loudly instead of passing without ever carving.
     """
     from repro.render import raycast
 

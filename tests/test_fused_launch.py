@@ -243,32 +243,6 @@ def test_launches_are_cut_at_the_ray_budget():
     assert sum(sizes) == len(BRICKS) and max(sizes) > 1
 
 
-def test_fused_voxel_cap_splits_the_march_not_the_result(monkeypatch):
-    """Payloads that outgrow the atlas cap march in several kernel
-    invocations (a lone oversized one in place); nothing else changes."""
-    config = RenderConfig(dt=0.75, kernel="numpy")
-    camera = _camera(30.0, 20.0)
-    tasks = _tasks()
-    want = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
-    groups = []
-    march = raycast._march_launch
-
-    def counted(group, *args):
-        groups.append(len(group))
-        return march(group, *args)
-
-    monkeypatch.setattr(raycast, "_march_launch", counted)
-    raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
-    assert groups == [27]
-    for cap, largest in ((3 * 10**3, 3), (1, 1)):  # payloads are ≤ 10³
-        groups.clear()
-        monkeypatch.setattr(raycast, "FUSED_VOXEL_CAP", cap)
-        got = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
-        assert sum(groups) == 27 and max(groups) == largest
-        for (f0, s0), (f1, s1) in zip(want, got):
-            assert f0.tobytes() == f1.tobytes() and s0 == s1
-
-
 # -- the span gate ----------------------------------------------------------
 def _count_span_walks(monkeypatch) -> list:
     calls = []
@@ -505,6 +479,50 @@ def test_numba_marches_the_segments_of_a_fused_launch(shading):
         assert np.array_equal(nb["depth"], ref["depth"])
         for ch in "rgba":
             np.testing.assert_allclose(nb[ch], ref[ch], atol=atol)
+
+
+# -- axis-parallel rays ------------------------------------------------------
+@pytest.mark.parametrize("azimuth,elevation", [(0, 0), (90, 0), (0, 80)])
+def test_axis_parallel_rays_stay_float32_and_partition_exactly(azimuth, elevation):
+    """An odd-sized axis-aligned view has rays with a zero direction
+    component.  The slab test answers them in float32 like every other
+    ray (the row-wise test it replaced promoted the whole rect to
+    float64, so these views differ from it by ~1e-5 in colour and not at
+    all in keys, depths or stats); adjacent bricks still see bitwise the
+    same t on their shared face, so every sample of the whole-volume
+    march is owned by exactly one brick; and fusing stays invisible."""
+    from repro.render.geometry import box_intersect_f32
+
+    camera = orbit_camera(
+        VOLUME.shape, azimuth_deg=azimuth, elevation_deg=elevation,
+        distance_factor=2.0, width=41, height=41,
+    )
+    dirs, _ = camera.rect_rays_f32(camera.box_rect((0, 0, 0), VOLUME.shape, 1))
+    assert (dirs == 0.0).any()
+    eye = np.asarray(camera.eye, dtype=F32)
+    with np.errstate(divide="ignore"):
+        inv = F32(1.0) / dirs
+    b = BRICKS[13]  # the centre brick: off-axis columns miss it
+    tn, tf_, hit = box_intersect_f32(
+        np.asarray(b.lo, F32) - eye, np.asarray(b.hi, F32) - eye, dirs, inv
+    )
+    assert tn.dtype == tf_.dtype == np.float32
+    assert hit.any() and not hit.all()
+    assert np.isfinite(tn[hit]).all() and np.isfinite(tf_[hit]).all()
+
+    config = RenderConfig(dt=0.75, kernel="numpy", ert_alpha=1.0, accel="off")
+    tasks = _tasks()
+    fused = raycast_bricks(tasks, VOLUME.shape, camera, default_tf(), config)
+    _, whole = raycast_brick(
+        VOLUME.data, (0, 0, 0), (0, 0, 0), VOLUME.shape, VOLUME.shape,
+        camera, default_tf(), config,
+    )
+    assert sum(s.n_samples for _, s in fused) == whole.n_samples
+    for task, (frags, stats) in zip(tasks, fused):
+        alone, alone_stats = raycast_bricks(
+            [task], VOLUME.shape, camera, default_tf(), config
+        )[0]
+        assert frags.tobytes() == alone.tobytes() and stats == alone_stats
 
 
 # -- what the march computes in ---------------------------------------------

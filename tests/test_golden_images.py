@@ -154,6 +154,12 @@ def assert_matches_golden(name, image, result):
 
 
 # -- tier-1: serial oracle + the pool smoke set ------------------------------
+
+def carved_bricks(stats) -> int:
+    """Bricks of a frame whose spans were carved, wherever it was mapped."""
+    return stats.telemetry["metrics"]["map.span_carved_bricks"]["value"]
+
+
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_inprocess_matches_golden(scene):
     image, result = render_scene(scene, InProcessExecutor())
@@ -176,13 +182,17 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
 def test_pool_grid_accel_matches_golden(reduce_mode):
     """The grid-accelerated path through the pool executor (arena-shipped
     grids, worker-seeded caches), in both reduce modes."""
-    job = build_job("skull_default_az40", accel="grid", macro_cell_size=4)
+    # 2-voxel cells: at 4 every cell of these bricks is occupied and
+    # there is nothing to carve.
+    job = build_job("skull_default_az40", accel="grid", macro_cell_size=2)
     with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
         image, result = run_job(pool, *job)
         # second render hits the resident arena + seeded worker caches
         image2, result2 = run_job(pool, *job)
     assert_matches_golden("skull_default_az40", image, result)
     assert_matches_golden("skull_default_az40", image2, result2)
+    # the workers really carved (they inherit the open gate only by fork)
+    assert carved_bricks(result.stats) > 0 and carved_bricks(result2.stats) > 0
 
 
 @pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
@@ -307,10 +317,16 @@ def test_pool_crash_recovery_other_stages_match_golden(fault_plan):
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):
     """Grid-accelerated vs accel-off through the pool, all scenes."""
-    job = build_job(scene, accel=accel, macro_cell_size=4)
+    job = build_job(scene, accel=accel, macro_cell_size=2)
     with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
         image, result = run_job(pool, *job)
     assert_matches_golden(scene, image, result)
+    # the workers carved exactly the bricks this process carves (all
+    # with something to skip under "grid", none under "off")
+    serial = run_job(InProcessExecutor(), *job)[1].stats
+    assert carved_bricks(result.stats) == carved_bricks(serial)
+    if scene != "skull_gray_az40":  # opaque-from-zero TF: nothing to skip
+        assert (carved_bricks(serial) > 0) == (accel == "grid")
 
 
 @pytest.mark.slow

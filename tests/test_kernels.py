@@ -297,8 +297,10 @@ def test_numba_golden_matrix_serial(scene, accel):
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 def test_numba_golden_through_pool(reduce_mode):
     _require_numba()
+    # 2-voxel cells: at 4 every cell of these bricks is occupied and
+    # there is nothing to carve.
     job = build_job(
-        "skull_default_az40", accel="grid", macro_cell_size=4, kernel="numba"
+        "skull_default_az40", accel="grid", macro_cell_size=2, kernel="numba"
     )
     with SharedMemoryPoolExecutor(
         workers=2, reduce_mode=reduce_mode, kernel="numba"
@@ -307,6 +309,8 @@ def test_numba_golden_through_pool(reduce_mode):
         tel = result.stats.telemetry["metrics"]
         assert tel["kernel_backend"]["value"] == "numba"
         assert tel["kernel_warmups"]["value"] == 2
+        # the workers really carved (they inherit the open gate only by fork)
+        assert tel["map.span_carved_bricks"]["value"] > 0
     assert_matches_golden_banded("skull_default_az40", image, result)
 
 

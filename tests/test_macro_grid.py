@@ -392,15 +392,24 @@ def test_span_carve_is_conservative_per_sample():
 
 
 # -- end-to-end: renderer + executors ----------------------------------------
+
+def carved_bricks(stats) -> int:
+    """Bricks of a frame whose spans were carved, wherever it was mapped."""
+    return stats.telemetry["metrics"]["map.span_carved_bricks"]["value"]
+
+
 def _render_pair(executor_kwargs, accel):
     vol = make_dataset("skull", (24,) * 3)
     cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=48, height=48)
+    # 2-voxel cells: at the default 8 every cell of these bricks is
+    # occupied and there is nothing to carve.
     with MapReduceVolumeRenderer(
         volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
-        accel=accel, **executor_kwargs,
+        accel=accel, macro_cell_size=2, **executor_kwargs,
     ) as r:
         res = r.render(cam, mode="exec")
-        return res.image, res.stats.as_dict()
+    assert (carved_bricks(res.stats) > 0) == (accel == "grid")
+    return res.image, res.stats.as_dict()
 
 
 def test_renderer_grid_matches_off_end_to_end():
@@ -440,6 +449,8 @@ def test_renderer_grid_matches_off_pool_matrix(reduce_mode, workers, cell):
     assert np.array_equal(img_off, first.image)
     assert np.array_equal(img_off, second.image)
     assert stats_off == first.stats.as_dict() == second.stats.as_dict()
+    for stats in (first.stats, second.stats):  # 8-voxel cells: all occupied
+        assert (carved_bricks(stats) > 0) == (cell == 2)
 
 
 def test_pool_arena_ships_grids_to_workers():
