@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import counting_sort_pairs
+from repro.core import counting_sort_pairs, stable_counting_order
 from repro.render import (
     RenderConfig,
     available_backends,
@@ -236,14 +236,38 @@ def test_bench_ray_box_intersect(benchmark):
     assert len(tn) == 100_000
 
 
-def test_bench_counting_sort(benchmark):
-    n = 200_000
+def _bench_counting_sort(benchmark, n):
     keys = RNG.integers(0, 128 * 128, n).astype(np.int32)
     pairs = make_fragments(
         keys, RNG.uniform(0, 100, n).astype(np.float32), RNG.uniform(0, 1, (n, 4)).astype(np.float32)
     )
     sr = benchmark(counting_sort_pairs, pairs, "pixel", 0, 128 * 128 - 1)
     assert int(sr.counts.sum()) == n
+
+
+def test_bench_counting_sort(benchmark):
+    """The seed-gate row (matched by name, so it stays unparametrized):
+    200 000 pairs, ten times any partition the renderer sorts."""
+    _bench_counting_sort(benchmark, 200_000)
+
+
+@pytest.mark.parametrize("n", [600, 13_000])
+def test_bench_counting_sort_partition(benchmark, n):
+    """The Sort stage at the sizes a reducer partition really has: a
+    sparse-scene partition and a dense-scene one."""
+    _bench_counting_sort(benchmark, n)
+
+
+@pytest.mark.parametrize("n", [600, 13_000, 200_000])
+@pytest.mark.parametrize("n_slots", [1 << 14, 1 << 20], ids=lambda s: f"n_slots={s}")
+def test_bench_stable_order(benchmark, n_slots, n):
+    """The order primitive alone: one digit pass (128² pixels) and two
+    (1024² pixels), at the partition sizes and at the seed-gate size —
+    past the ~10⁵ pairs from which a single-pass C scatter over the
+    whole key would beat the digit-wise order."""
+    keys = RNG.integers(0, n_slots, n)
+    order = benchmark(stable_counting_order, keys, n_slots)
+    assert len(order) == n
 
 
 def test_bench_composite_fragments(benchmark):

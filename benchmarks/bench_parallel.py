@@ -253,8 +253,9 @@ def main(argv=None) -> int:
         }
         print(f"fault smoke [{args.fault_plan}] workers={f_workers} "
               f"reduce={f_mode} shuffle={f_shuffle}: {fps:6.2f} FPS, "
-              f"{snap['respawns']} respawn(s) in "
-              f"{snap['respawn_seconds'] * 1e3:.1f} ms, "
+              f"{snap['respawns']} respawn(s), "
+              f"{snap['respawn_seconds'] * 1e3:.1f} ms from spawn to the "
+              f"replayed maps sealed, "
               f"{snap['frames_reexecuted']} frame(s) re-executed")
 
     report = {

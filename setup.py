@@ -5,7 +5,7 @@ builds cannot produce editable wheels; this classic setup.py lets
 ``pip install -e . --no-build-isolation`` fall back to the legacy
 ``setup.py develop`` path.
 
-Extras:
+NumPy is the only runtime dependency.  Extras:
 
 * ``numba`` — the optional compiled march-kernel backend
   (``repro.render.kernels.numba_backend``); install with
@@ -29,6 +29,5 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "numba": ["numba"],
-        "scipy": ["scipy"],
     },
 )

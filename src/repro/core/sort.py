@@ -4,18 +4,40 @@
 amount of data) that runs in θ(n) since the library knows the minimum
 and maximum keys for each node, as well as the maximum number of keys."
 
-The implementation builds the key histogram with ``np.bincount`` (one
-linear pass) and converts it to slot offsets with a prefix sum.  Those
-offsets make a comparison sort redundant: each pair's destination is its
-key's slot start plus its arrival rank among equal keys, so one stable
-linear scatter finishes the sort.  The scatter
-(:func:`stable_counting_order`) runs at C speed through SciPy's COO→CSR
-placement kernel (exactly the textbook counting-sort loop, preserving
-arrival order within each key); when SciPy is absent we fall back to
-NumPy's stable integer ``argsort``.  Stability means pairs with equal
-keys keep arrival order, which makes distributed runs deterministic.
-The same scatter is the building block of the Reduce side's
+Knowing the key range is what removes the comparisons: a key below
+``n_slots`` has ``ceil(log2(n_slots) / 16)`` 16-bit digits, a number
+fixed by the partitioner and not by the data.
+:func:`stable_counting_order` is a least-significant-digit radix over
+those digits, and each digit pass is ``np.argsort(kind="stable")`` on a
+``uint16`` column, which NumPy runs as a radix sort (per byte: a
+histogram, a prefix sum, one stable scatter — no comparisons).  One
+pass covers up to 2¹⁶ slots, two cover 2³², so the order costs θ(n)
+for every range the renderer declares.  Every pass is stable, so pairs
+with equal keys keep arrival order, which makes distributed runs
+deterministic.  The run index the Reduce stage consumes (unique keys,
+starts, counts) is read off the sorted key column
+(:func:`run_length_groups`), so nothing sized by the key range is
+allocated.  The same order is the building block of the Reduce side's
 (pixel, depth) radix sort in :mod:`repro.render.compositing`.
+
+A single-pass C scatter over the whole key (the ``coo_tocsr``
+placement kernel of a sparse-matrix library is one) needs an index of
+``n_slots`` entries per call and a 24 MiB import on the first; it draws
+level from about 10⁵ pairs per call (5·10⁴ for ``int32`` keys of one
+digit) and is at most 1.6× faster beyond, while a reducer partition of
+the renderer holds 600 to 13 000 pairs.  Best µs per call on the
+development box, ``int64`` keys
+(``benchmarks/bench_kernels.py::test_bench_stable_order`` are the
+committed digit rows):
+
+=======================  ======  =======  =======
+pairs per call              600   13 000  200 000
+=======================  ======  =======  =======
+digits, 16 384 slots          7       68    1 450
+C scatter, 16 384 slots      21       86    1 600
+digits, 1 Mi slots           18      160    3 440
+C scatter, 1 Mi slots     1 090    1 200    3 510
+=======================  ======  =======  =======
 """
 
 from __future__ import annotations
@@ -24,34 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_UNRESOLVED = object()
-_sp_tools = _UNRESOLVED  # lazily resolved on first use (SciPy import is slow)
-
-
-def _load_counting_scatter():
-    """Import SciPy's COO→CSR placement kernel and prove it still works.
-
-    ``coo_tocsr`` is private SciPy API, so guard against signature or
-    semantics drift (not just absence) with a tiny known-answer sort;
-    any failure selects the pure-NumPy argsort fallback.
-    """
-    try:  # pragma: no cover - exercised via stable_counting_order
-        from scipy.sparse import _sparsetools as tools
-
-        keys = np.array([2, 0, 2, 1], dtype=np.int32)
-        arrival = np.arange(4, dtype=np.int32)
-        indptr = np.zeros(4, dtype=np.int32)
-        cols = np.empty(4, dtype=np.int32)
-        order = np.empty(4, dtype=np.int32)
-        tools.coo_tocsr(3, 4, 4, keys, arrival, arrival, indptr, cols, order)
-        if not np.array_equal(order, [1, 3, 0, 2]):
-            return None
-        return tools
-    except Exception:  # pragma: no cover
-        return None
-
 __all__ = [
-    "counting_scatter_available",
     "counting_sort_pairs",
     "run_length_groups",
     "stable_counting_order",
@@ -78,46 +73,29 @@ class SortResult:
         return len(self.unique_keys)
 
 
-def counting_scatter_available() -> bool:
-    """Whether the C counting-scatter fast path is usable (resolves lazily)."""
-    global _sp_tools
-    if _sp_tools is _UNRESOLVED:
-        _sp_tools = _load_counting_scatter()
-    return _sp_tools is not None
-
-
 def stable_counting_order(keys: np.ndarray, n_slots: int) -> np.ndarray:
     """Stable bucket-major order of ``keys`` (dense ints in [0, n_slots)).
 
-    The SciPy path is a single-pass counting scatter: COO→CSR placement
-    walks the entries once in arrival order, dropping each into the next
-    free slot of its key's run (the runs come from the histogram prefix
-    sum).  Arrival indices ride along as the payload column and come back
-    bucket-major — the stable sort permutation — with no comparisons.
-    Falls back to NumPy's stable ``argsort`` without SciPy or for sizes
-    past int32 indexing.
+    LSD radix over 16-bit digits, least significant first; each pass is
+    NumPy's stable radix sort of one ``uint16`` digit column, taken in
+    the order the previous passes left, so the composition is the
+    stable sort permutation.  ``n_slots`` fixes the number of passes.
+    Raises ``ValueError`` for a key outside the slots.
     """
-    global _sp_tools
-    if _sp_tools is _UNRESOLVED:
-        _sp_tools = _load_counting_scatter()
-    n = len(keys)
-    if _sp_tools is not None and 0 < n < 2**31 and n_slots < 2**31:
-        keys = np.asarray(keys)
-        # The C placement loop does no bounds checking; a bad key would
-        # corrupt memory rather than raise, so validate here — before the
-        # int32 cast, which would let an oversized key wrap into range.
-        if keys.min() < 0 or keys.max() >= n_slots:
-            raise ValueError(
-                f"keys outside [0, {n_slots}) in stable_counting_order"
-            )
-        keys32 = np.ascontiguousarray(keys, dtype=np.int32)
-        arrival = np.arange(n, dtype=np.int32)
-        indptr = np.zeros(n_slots + 1, dtype=np.int32)
-        cols = np.empty(n, dtype=np.int32)
-        order = np.empty(n, dtype=np.int32)
-        _sp_tools.coo_tocsr(n_slots, n, n, keys32, arrival, arrival, indptr, cols, order)
-        return order
-    return np.argsort(keys, kind="stable")
+    keys = np.asarray(keys)
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.intp)
+    # Checked on the keys as given: the uint16 cast below keeps only a
+    # digit, so an oversized key would otherwise wrap into range.
+    if int(keys.min()) < 0 or int(keys.max()) >= n_slots:
+        raise ValueError(f"keys outside [0, {n_slots}) in stable_counting_order")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while (n_slots - 1) >> shift:
+        digit = (keys >> shift).astype(np.uint16)
+        order = np.take(order, np.argsort(np.take(digit, order), kind="stable"))
+        shift += 16
+    return order
 
 
 def _permute_records(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -163,20 +141,9 @@ def counting_sort_pairs(
             f"keys outside declared range [{min_key}, {max_key}]: "
             f"got [{keys.min()}, {keys.max()}]"
         )
-    shifted = keys - min_key
-    n_slots = max_key - min_key + 1
-    hist = np.bincount(shifted, minlength=n_slots)
-    order = stable_counting_order(shifted, n_slots)
-    sorted_pairs = _permute_records(pairs, order)
-    present = np.nonzero(hist)[0]
-    counts = hist[present]
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return SortResult(
-        pairs=sorted_pairs,
-        unique_keys=present + min_key,
-        starts=starts.astype(np.int64),
-        counts=counts.astype(np.int64),
-    )
+    order = stable_counting_order(keys - min_key, max_key - min_key + 1)
+    unique_keys, starts, counts = run_length_groups(np.take(keys, order))
+    return SortResult(_permute_records(pairs, order), unique_keys, starts, counts)
 
 
 def run_length_groups(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

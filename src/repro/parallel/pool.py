@@ -990,14 +990,21 @@ class SharedMemoryPoolExecutor:
             for f in frames:
                 f.reset_for_retry()
             try:
+                # Respawn latency runs until the replayed frames' maps
+                # are sealed on the fresh wave: a wave that has spawned
+                # but not yet mapped has still to pay its first-touch
+                # costs, and those belong to the recovery.
                 t0 = time.monotonic()
                 with span("respawn", cat="respawn", workers=self.workers) as sp:
                     self._ensure_started()
-                    sp.set(gen=self._spawn_gen - 1)
-                self._supervisor.record_respawn(
-                    self.workers, time.monotonic() - t0, self._spawn_gen - 1
-                )
-                self._replay(frames)
+                    gen = self._spawn_gen - 1
+                    sp.set(gen=gen)
+                    try:
+                        self._replay(frames)
+                    finally:
+                        self._supervisor.record_respawn(
+                            self.workers, time.monotonic() - t0, gen
+                        )
                 return
             except BaseException as exc:
                 inner = classify_failure(exc)

@@ -397,9 +397,9 @@ class MapReduceVolumeRenderer:
         if mode not in ("exec", "both", "sim"):
             raise ValueError(f"unknown mode {mode!r}")
         grid = grid or self._grid(bricks_per_gpu)
-        self._check_grid(grid)
 
         if mode == "sim":
+            self._check_grid(grid)
             works = build_workload(
                 grid,
                 camera,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.sort import counting_scatter_available, stable_counting_order
+from ..core.sort import stable_counting_order
 from .fragments import FRAGMENT_DTYPE, rgba_view
 
 __all__ = [
@@ -127,23 +127,16 @@ def _depth_rank_bits(depth: np.ndarray) -> np.ndarray:
 def _pixel_depth_order(pix: np.ndarray, n_pixels: int, depth: np.ndarray) -> np.ndarray:
     """Stable (pixel, depth)-ascending permutation, θ(n).
 
-    A three-pass LSD radix built from the Sort stage's counting scatter:
-    two 16-bit passes order by depth, one dense pass groups by pixel.
-    Each pass is stable, so the composition is the stable lexicographic
-    order — the same result as ``np.lexsort`` at a fraction of the cost.
-    Without the C scatter, three argsort passes would cost *more* than
-    one lexsort, so fall back to lexsort directly.
+    An LSD radix built from the Sort stage's digit order: the depth's
+    monotone 32-bit image is the minor key (two 16-bit digits), the
+    dense pixel index the major one (one digit up to 2¹⁶ pixels, two
+    beyond).  Every pass is a stable counting sort, so the composition
+    is the stable lexicographic order — ``np.lexsort((depth, pix))``
+    without its comparisons.
     """
-    if not counting_scatter_available():
-        return np.lexsort((depth, pix))
-    key = _depth_rank_bits(depth)
-    o1 = stable_counting_order((key & np.uint32(0xFFFF)).astype(np.int32), 1 << 16)
-    o2 = stable_counting_order(
-        np.take((key >> np.uint32(16)).astype(np.int32), o1), 1 << 16
-    )
-    o12 = np.take(o1, o2)
-    o3 = stable_counting_order(np.take(pix, o12), n_pixels)
-    return np.take(o12, o3)
+    by_depth = stable_counting_order(_depth_rank_bits(depth), 1 << 32)
+    by_pixel = stable_counting_order(np.take(pix, by_depth), n_pixels)
+    return np.take(by_depth, by_pixel)
 
 
 def composite_pixel_fragments(fragments: np.ndarray) -> np.ndarray:

@@ -160,7 +160,19 @@ class BrickGrid:
         return sum(b.nbytes for b in self)
 
     def max_brick_nbytes(self) -> int:
-        return max(b.nbytes for b in self)
+        """Largest brick payload, without building the bricks.
+
+        The grid is a Cartesian product, so the largest brick has the
+        longest ghost-padded extent on every axis: a brick at position
+        ``b`` of an axis spans ``min((b+1)·s + g, n) − max(b·s − g, 0)``
+        voxels of it.
+        """
+        g = self.ghost
+        longest = [
+            max(min((b + 1) * s + g, n) - max(b * s - g, 0) for b in range(c))
+            for s, n, c in zip(self.brick_size, self.volume_shape, self.counts)
+        ]
+        return math.prod(longest) * 4
 
 
 def bricks_for_gpu_count(

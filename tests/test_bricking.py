@@ -117,6 +117,18 @@ def test_nbytes_and_payload_total():
     assert interior.max_brick_nbytes() == 18**3 * 4  # interior brick: 2 ghosts
 
 
+@given(
+    shape=st.tuples(*[st.integers(1, 40)] * 3),
+    brick=st.tuples(*[st.integers(1, 40)] * 3),
+    ghost=st.integers(0, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_max_brick_nbytes_equals_the_largest_built_brick(shape, brick, ghost):
+    """Ghosts wider than a brick and bricks wider than the volume too."""
+    g = BrickGrid(shape, brick, ghost=ghost)
+    assert g.max_brick_nbytes() == max(b.nbytes for b in g)
+
+
 def test_corners_are_box_corners():
     g = BrickGrid((32, 32, 32), 16)
     b = g.brick_at(1, 0, 1)

@@ -17,6 +17,7 @@ from repro.core import (
     discard_placeholders,
     run_length_groups,
     split_message_sizes,
+    stable_counting_order,
     validate_pairs,
 )
 
@@ -100,6 +101,82 @@ def test_counting_sort_matches_stable_argsort(keys):
     assert np.array_equal(
         sr.counts, np.bincount(pairs["key"], minlength=64)[sr.unique_keys]
     )
+
+
+def _histogram_counting_sort(pairs, key_field, min_key, max_key):
+    """The histogram formulation the run-length index replaced, kept as
+    the reference: slot histogram → present keys / prefix-sum starts."""
+    keys = pairs[key_field].astype(np.int64)
+    hist = np.bincount(keys - min_key, minlength=max_key - min_key + 1)
+    present = np.nonzero(hist)[0]
+    counts = hist[present]
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return (
+        pairs[np.argsort(keys, kind="stable")],
+        present + min_key,
+        starts.astype(np.int64),
+        counts.astype(np.int64),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 500),
+    min_key=st.sampled_from([0, 7, -40]),
+    span=st.sampled_from([1, 5, 64, 2**16, 2**16 + 3, 2**20]),
+)
+@settings(max_examples=80, deadline=None)
+def test_counting_sort_matches_histogram_reference(seed, n, min_key, span):
+    """Dense ranges (every slot hit many times), sparse ones (a few
+    hundred pairs in a million slots) and the empty input all give the
+    SortResult of the histogram formulation, dtypes included."""
+    rng = np.random.default_rng(seed)
+    pairs = make_pairs(rng.integers(min_key, min_key + span, n))
+    sr = counting_sort_pairs(pairs, "key", min_key, min_key + span - 1)
+    got = (sr.pairs, sr.unique_keys, sr.starts, sr.counts)
+    if n == 0:
+        ref = (pairs,) + (np.empty(0, np.int64),) * 3
+    else:
+        ref = _histogram_counting_sort(pairs, "key", min_key, min_key + span - 1)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+# -- the digit-wise radix order ------------------------------------------------
+ORDER_SLOTS = [1, 37, 2**16, 2**16 + 1, 2**20, 2**31]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    n_slots=st.sampled_from(ORDER_SLOTS),
+    dtype=st.sampled_from([np.int32, np.int64, np.uint32]),
+    pool=st.integers(1, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_stable_counting_order_matches_stable_argsort(seed, n, n_slots, dtype, pool):
+    rng = np.random.default_rng(seed)
+    # A small pool of values (range ends and digit boundaries included)
+    # forces ties, and keys that share one digit and differ in the other.
+    edges = [v for v in (0, 2**16 - 1, 2**16, n_slots - 1) if v < n_slots]
+    values = np.r_[rng.integers(0, n_slots, pool), edges]
+    keys = rng.choice(values, n).astype(dtype)
+    got = stable_counting_order(keys, n_slots)
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("n_slots", ORDER_SLOTS)
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+def test_stable_counting_order_rejects_keys_outside_the_slots(n_slots, dtype):
+    """−1, ``n_slots`` and ``n_slots + 2**16`` — which a cast taken
+    before the check would wrap into range — all raise."""
+    info = np.iinfo(dtype)
+    for bad in (-1, n_slots, n_slots + 2**16):
+        if not info.min <= bad <= info.max:
+            continue
+        keys = np.array([0, bad, 0], dtype=dtype)
+        with pytest.raises(ValueError, match="keys outside"):
+            stable_counting_order(keys, n_slots)
 
 
 def test_run_length_groups():

@@ -20,6 +20,7 @@ from repro.render import (
     make_fragments,
     over,
 )
+from repro.render.compositing import _pixel_depth_order
 
 
 def frag(pixel, depth, rgba):
@@ -166,6 +167,33 @@ def test_composite_fragments_rejects_out_of_range():
     f = frag(99, 1.0, [0, 0, 0, 0.5])
     with pytest.raises(ValueError):
         composite_fragments(f, 10)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    n_pixels=st.sampled_from([1, 40, 2**16, 2**16 + 1, 2**18]),
+)
+@settings(max_examples=100, deadline=None)
+def test_pixel_depth_order_matches_lexsort(seed, n, n_pixels):
+    """The digit-wise radix is ``np.lexsort((depth, pix))``: both zeros
+    tie (arrival order decides), negatives sort below them, denormals
+    keep their place, on either side of the one-digit pixel range."""
+    rng = np.random.default_rng(seed)
+    special = np.array(
+        [0.0, -0.0, 1e-45, -1e-45, 1e-39, -3.5, 3.5, np.inf, -np.inf], np.float32
+    )
+    depth = np.where(
+        rng.random(n) < 0.6,
+        rng.choice(special, n),
+        rng.normal(0, 50, n).astype(np.float32),
+    ).astype(np.float32)
+    hot = rng.integers(0, n_pixels, 6)  # few pixels, so depths meet in a run
+    pix = np.where(
+        rng.random(n) < 0.7, rng.choice(hot, n), rng.integers(0, n_pixels, n)
+    ).astype(np.int32)
+    got = _pixel_depth_order(pix, n_pixels, depth)
+    assert np.array_equal(got, np.lexsort((depth, pix)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

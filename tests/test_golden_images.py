@@ -21,6 +21,8 @@ and commit the new ``.npz`` files together with the kernel change.
 """
 
 import glob
+import multiprocessing
+import subprocess
 import sys
 from pathlib import Path
 
@@ -215,6 +217,59 @@ def test_pool_worker_reduce_matches_golden(scene, shuffle_mode):
         if shuffle_mode == "tcp":
             assert result.stats.ring["wire_bytes_total"] > 0
     assert_matches_golden(scene, image, result)
+
+
+_SCIPY_TRIPWIRE = r"""
+import os, sys
+log, tests_dir = sys.argv[1:]
+
+class Tripwire:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            with open(log, "a") as f:
+                f.write(f"pid {os.getpid()} imported {name}\n")
+            raise ImportError("scipy is off limits in this test")
+
+sys.meta_path.insert(0, Tripwire)
+try:
+    import scipy
+except ImportError:
+    os.remove(log)  # the wire trips, and logs; start clean
+else:
+    sys.exit("tripwire did not trip")
+
+sys.path.insert(0, tests_dir)
+import test_golden_images as g
+
+scene = "skull_default_az40"
+g.assert_matches_golden(scene, *g.render_scene(scene, g.InProcessExecutor()))
+for plane in ("mesh", "tcp"):
+    with g.SharedMemoryPoolExecutor(
+        workers=2, reduce_mode="worker", shuffle_mode=plane
+    ) as pool:
+        g.assert_matches_golden(scene, *g.render_scene(scene, pool))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers inherit the import tripwire only by fork",
+)
+def test_render_path_never_imports_scipy(tmp_path):
+    """NumPy is the only dependency of the render path.  A fresh
+    interpreter whose import system logs and refuses every ``scipy``
+    import — a guarded one too, which a bare ``sys.modules`` poison
+    would let through — renders a golden scene in-process and through a
+    2-worker pool (worker reduce, mesh and tcp planes; fork-started
+    workers inherit the tripwire): bitwise images, empty log."""
+    log = tmp_path / "scipy_imports.log"
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_TRIPWIRE, str(log), str(Path(__file__).parent)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not log.exists(), log.read_text()
 
 
 def test_pool_parent_reduce_pipelined_matches_golden():

@@ -120,8 +120,11 @@ def test_renderer_requires_shape_or_volume():
 def test_oversized_brick_rejected():
     spec = accelerator_cluster(1).with_gpu(vram_bytes=1024)
     r = MapReduceVolumeRenderer(volume=VOL, cluster=spec, render_config=CFG)
-    with pytest.raises(MemoryError):
-        r.render(CAM, mode="exec", bricks_per_gpu=1)
+    for mode in ("exec", "sim"):
+        with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
+            r.render(CAM, mode=mode, bricks_per_gpu=1)
+    with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
+        r.submit_frame(CAM, bricks_per_gpu=1)
 
 
 def test_custom_partitioner_same_image():

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import sort as core_sort
 from repro.render import (
     MapStats,
     RenderConfig,
@@ -279,23 +278,3 @@ def test_composite_pixel_fragments_empty():
     assert np.array_equal(
         composite_pixel_fragments(empty_fragments()), np.zeros(4, np.float32)
     )
-
-
-# -- the counting-scatter order and its fallback ------------------------------
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_stable_counting_order_matches_argsort(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    n = data.draw(st.integers(0, 400))
-    keys = rng.integers(0, 37, n).astype(np.int32)
-    got = core_sort.stable_counting_order(keys, 37)
-    assert np.array_equal(got, np.argsort(keys, kind="stable"))
-
-
-def test_stable_counting_order_fallback(monkeypatch):
-    """Without SciPy the order comes from NumPy's stable argsort."""
-    monkeypatch.setattr(core_sort, "_sp_tools", None)
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 64, 500).astype(np.int64)
-    got = core_sort.stable_counting_order(keys, 64)
-    assert np.array_equal(got, np.argsort(keys, kind="stable"))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import InProcessExecutor
+from repro.observability import chrome_trace, disable_tracing, enable_tracing
 from repro.parallel import (
     DEFAULT_MAX_FRAME_RETRIES,
     DEFAULT_RETRY_BACKOFF,
@@ -306,6 +307,39 @@ def test_recovers_in_place_bitwise_identical(plan, shuffle_mode, reduce_mode):
     assert result.stats.recovery is not None
     assert result.stats.recovery["workers"] == 2
     assert _shm_listing() - before == set()
+
+
+class SlowMapper(ModSquareMapper):
+    """Every map takes long enough to dwarf a process spawn."""
+
+    def map(self, chunk):
+        time.sleep(0.2)
+        return super().map(chunk)
+
+
+def test_respawn_latency_covers_the_replayed_maps():
+    """``respawn_seconds`` and the ``respawn`` span run from the spawn
+    until the replayed frame's maps are sealed on the fresh wave, so
+    whatever a new worker pays on its first launch is inside them."""
+    spec, chunks = _generic_job(SlowMapper(7))
+    enable_tracing()
+    try:
+        with _pool("crash@map:worker=0,frame=1", "mesh", "worker") as pool:
+            pool.execute(spec, chunks)
+            snap = pool._supervisor.snapshot()
+    finally:
+        tracer = disable_tracing()
+    events = chrome_trace(tracer)["traceEvents"]
+    (respawn,) = [e for e in events if e["name"] == "respawn" and e["ph"] == "X"]
+    replayed = [
+        e for e in events
+        if e["ph"] == "X" and e["name"].startswith("map:") and e["args"]["gen"] >= 1
+    ]
+    longest = max(e["dur"] for e in replayed)  # µs
+    assert longest >= 0.2e6 and snap["respawn_seconds"] * 1e6 >= longest
+    for e in replayed:
+        assert respawn["ts"] <= e["ts"]
+        assert e["ts"] + e["dur"] <= respawn["ts"] + respawn["dur"]
 
 
 def test_recovery_stats_stay_none_without_failures():
