@@ -23,9 +23,9 @@ from ..observability.tracer import span
 from ..sim.node import ClusterRuntime, ClusterSpec
 from .chunk import Chunk
 from .job import JobConfig, MapReduceSpec
-from .keyvalue import discard_placeholders, validate_pairs
+from .keyvalue import PLACEHOLDER, concat_pairs, validate_pairs
 from .scheduler import MapWork, SimOutcome, run_simulated_job
-from .sort import counting_sort_pairs
+from .sort import _permute_records, counting_sort_pairs, stable_counting_order
 from .stats import JobStats
 
 __all__ = [
@@ -45,17 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShuffleSpec:
-    """The shuffle plane's partition-ownership and run-routing contract.
+    """The shuffle plane's partition-ownership contract.
 
     Every execution path — the serial :class:`InProcessExecutor`, the
     pool parent, and the pool workers — shares this one object, so the
-    three questions that decide where fragment bytes go always have the
-    same answer everywhere:
+    question of where a partition's fragment bytes go always has the
+    same answer everywhere (how a launch's pairs become runs in the
+    first place is :func:`map_chunks_to_runs`, which every path runs):
 
-    * **bucketing** (:meth:`bucket_runs`): how a chunk's partitioned
-      pairs become one contiguous run per reducer partition (the
-      Partition stage's output layout, streamed over rings and
-      concatenated in chunk order by the Sort stage);
     * **ownership** (:meth:`owner_of` / :meth:`owned_partitions`):
       which worker reduces which partition (``partition % n_workers``
       — static, so results can never depend on scheduling);
@@ -108,25 +105,6 @@ class ShuffleSpec:
             )
         return ShuffleSpec(self.n_reducers, n_workers)
 
-    def bucket_runs(
-        self, pairs: np.ndarray, dests: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Split partitioned ``pairs`` into one run per reducer.
-
-        Returns ``(runs, routed)`` where ``runs[r]`` holds the pairs
-        destined for partition ``r`` (in emission order — the stable
-        counting sort downstream relies on it) and ``routed[r]`` its
-        length.  This is the literal Partition-stage bucketing every
-        executor runs, so run layouts are identical by construction.
-        """
-        routed = np.zeros(self.n_reducers, dtype=np.int64)
-        runs: list[np.ndarray] = []
-        for r in range(self.n_reducers):
-            sel = pairs[dests == r]
-            routed[r] = len(sel)
-            runs.append(sel)
-        return runs, routed
-
 
 @dataclass
 class InProcessResult:
@@ -153,10 +131,8 @@ def map_chunks_to_runs(
     :class:`~repro.core.job.MapReduceSpec` and the pool workers' frame
     context qualify — the multiprocess executor's bitwise parity with
     :class:`InProcessExecutor` holds *by construction* because every
-    execution path runs this exact function.  Run bucketing goes
-    through :meth:`ShuffleSpec.bucket_runs`, the same routing contract
-    the shuffle planes use for ownership, so the run layout a reducer
-    receives is identical no matter which transport carried it.
+    execution path runs this exact function, so the run layout a
+    reducer receives is identical no matter which transport carried it.
 
     The first chunk's work counters carry ``launches=1`` (the others 0),
     so a frame's launch count survives whatever carries the counters
@@ -179,21 +155,53 @@ def map_chunk_to_runs(
 
 
 def _route_outputs(spec, outs) -> list:
-    """Validate, combine and bucket one launch's map outputs per chunk."""
-    shuffle = ShuffleSpec(spec.n_reducers)
-    results = []
-    for out in outs:
-        validate_pairs(out.pairs, spec.kv, spec.max_key)
-        emitted = len(out.pairs)
-        pairs = discard_placeholders(out.pairs, spec.kv)
-        if spec.combiner is not None:
-            pairs = spec.combiner.combine(pairs)
-        kept = len(pairs)
-        dests = spec.partitioner.partition(spec.kv.keys(pairs))
-        runs, routed = shuffle.bucket_runs(pairs, dests)
-        work = dict(out.work, launches=int(not results))
-        results.append((runs, emitted, kept, work, routed))
-    return results
+    """Validate, combine and bucket one launch's map outputs: one pass
+    over the launch's pairs, one result per chunk.
+
+    A chunk's run for reducer ``r`` holds its pairs destined there in
+    emission order (the stable counting sort downstream relies on it);
+    all runs are views of one array ordered by (chunk, reducer).
+    """
+    kv = spec.kv
+    n_red = spec.n_reducers
+    pairs, cuts = concat_pairs([out.pairs for out in outs], kv)
+    validate_pairs(pairs, kv, spec.max_key)
+    real = kv.keys(pairs) != PLACEHOLDER
+    if not real.all():
+        real = np.nonzero(real)[0]
+        cuts = np.searchsorted(real, cuts)
+        pairs = _permute_records(pairs, real)
+    if spec.combiner is not None:
+        pairs, cuts = concat_pairs(
+            [
+                spec.combiner.combine(pairs[lo:hi])
+                for lo, hi in zip(cuts.tolist(), cuts[1:].tolist())
+            ],
+            kv,
+        )
+    kept = np.diff(cuts)
+    dests = spec.partitioner.partition(kv.keys(pairs))
+    if len(dests) and not 0 <= dests.min() <= dests.max() < n_red:
+        raise ValueError(f"partitioner routed a pair outside [0, {n_red})")
+    # One stable order on (chunk, reducer) lays every run out contiguously.
+    n_runs = len(outs) * n_red
+    run_of = np.repeat(np.arange(0, n_runs, n_red), kept) + dests
+    pairs = _permute_records(pairs, stable_counting_order(run_of, n_runs))
+    routed = np.bincount(run_of, minlength=n_runs)
+    run_cuts = np.zeros(n_runs + 1, dtype=np.int64)
+    np.cumsum(routed, out=run_cuts[1:])
+    run_cuts = run_cuts.tolist()
+    runs = [pairs[lo:hi] for lo, hi in zip(run_cuts, run_cuts[1:])]
+    return [
+        (
+            runs[c * n_red : (c + 1) * n_red],
+            len(out.pairs),
+            n_kept,
+            dict(out.work, launches=int(c == 0)),
+            routed[c * n_red : (c + 1) * n_red],
+        )
+        for c, (out, n_kept) in enumerate(zip(outs, kept.tolist()))
+    ]
 
 
 def map_telemetry(works: Iterable[dict]) -> dict:
@@ -234,16 +242,20 @@ def merge_partition_runs(
     frame_seq = getattr(spec, "frame_seq", None)
     outputs: list[tuple[np.ndarray, np.ndarray]] = []
     pairs_per_reducer = np.zeros(n_red, dtype=np.int64)
-    for r in range(n_red):
-        parts = [
+    # Every partition's chunk-ordered runs end to end in one array:
+    # partition r received pairs[ends[r]:ends[r + 1]].
+    parts = [
+        [
             runs[r]
             for runs in runs_per_chunk
             if runs is not None and runs[r] is not None and len(runs[r])
         ]
-        if parts:
-            received = np.concatenate(parts)
-        else:
-            received = spec.kv.empty()
+        for r in range(n_red)
+    ]
+    pairs, cuts = concat_pairs([run for mine in parts for run in mine], spec.kv)
+    ends = cuts[np.cumsum([0] + [len(mine) for mine in parts])].tolist()
+    for r in range(n_red):
+        received = pairs[ends[r] : ends[r + 1]]
         pairs_per_reducer[r] = len(received)
         p = int(labels[r]) if labels is not None else r
         with span(

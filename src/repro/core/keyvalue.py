@@ -14,10 +14,17 @@ Paper restrictions encoded here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["KVSpec", "PLACEHOLDER", "discard_placeholders", "validate_pairs"]
+__all__ = [
+    "KVSpec",
+    "PLACEHOLDER",
+    "concat_pairs",
+    "discard_placeholders",
+    "validate_pairs",
+]
 
 PLACEHOLDER = np.int32(-1)
 
@@ -55,6 +62,29 @@ class KVSpec:
 
     def empty(self) -> np.ndarray:
         return np.empty(0, dtype=self.dtype)
+
+
+def concat_pairs(
+    parts: Sequence[np.ndarray], spec: KVSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """``parts`` end to end, and where each one lies: part ``i`` is
+    ``pairs[cuts[i]:cuts[i + 1]]``.
+
+    The records are joined as opaque ``itemsize``-byte blobs:
+    ``np.concatenate`` on the structured dtype itself re-derives it
+    field by field on every call, which for run-sized parts costs
+    several times the copy.
+    """
+    for part in parts:
+        if part.dtype != spec.dtype:
+            raise TypeError(f"pairs dtype {part.dtype} != spec {spec.dtype}")
+    cuts = np.zeros(len(parts) + 1, dtype=np.int64)
+    if not parts:
+        return spec.empty(), cuts
+    np.cumsum(np.array([len(p) for p in parts], dtype=np.int64), out=cuts[1:])
+    blob = np.dtype((np.void, spec.dtype.itemsize))
+    pairs = np.concatenate([part.view(blob) for part in parts]).view(spec.dtype)
+    return pairs, cuts
 
 
 def discard_placeholders(pairs: np.ndarray, spec: KVSpec) -> np.ndarray:

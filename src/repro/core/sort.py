@@ -99,7 +99,8 @@ def stable_counting_order(keys: np.ndarray, n_slots: int) -> np.ndarray:
 
 
 def _permute_records(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``pairs[order]`` but ~3× faster for plain fixed-width records.
+    """``pairs[order]`` (``order`` any index array) but ~3× faster for
+    plain fixed-width records.
 
     Fancy indexing on structured dtypes goes through a slow per-field
     path; reinterpreting the records as rows of a word-sized 2-D array
@@ -109,7 +110,7 @@ def _permute_records(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
     itemsize = pairs.dtype.itemsize
     if pairs.flags.c_contiguous and itemsize % 4 == 0:
         rows = pairs.view(np.int32).reshape(n, itemsize // 4)
-        return np.take(rows, order, axis=0).view(pairs.dtype).reshape(n)
+        return np.take(rows, order, axis=0).view(pairs.dtype).reshape(len(order))
     return pairs[order]
 
 

@@ -93,38 +93,37 @@ class RayCastMapper(Mapper):
             tuple(brick.data_hi),
         )
 
-    def _task(self, chunk: Chunk) -> BrickTask:
-        brick = chunk.meta
-        if brick is None:
+    def _bricks(self, chunks: Sequence[Chunk]) -> list:
+        bricks = [chunk.meta for chunk in chunks]
+        if None in bricks:
+            chunk = chunks[bricks.index(None)]
             raise ValueError(f"chunk {chunk.id} lacks Brick metadata")
-        return BrickTask(
-            data=chunk.payload(),
-            data_lo=brick.data_lo,
-            core_lo=brick.lo,
-            core_hi=brick.hi,
-            rect=self._rect(brick),
-            accel_key=self.accel_key_for(chunk),
-        )
+        return bricks
 
-    def _rect(self, brick) -> PixelRect:
-        """The brick core's padded footprint under this mapper's camera
-        (remembered: launch planning and the launch itself both need it)."""
-        key = (tuple(brick.lo), tuple(brick.hi))
-        rect = self._rects.get(key)
-        if rect is None:
-            rect = self._rects[key] = self.camera.box_rect(
-                brick.lo, brick.hi, self.config.pad_to_block
+    def _rects_of(self, bricks: Sequence) -> list[PixelRect]:
+        """The brick cores' padded footprints under this mapper's camera
+        (remembered: launch planning and the launch itself both need
+        them), the unseen ones projected in one call."""
+        keys = [(tuple(b.lo), tuple(b.hi)) for b in bricks]
+        unseen = [key for key in keys if key not in self._rects]
+        if unseen:
+            self._rects.update(
+                zip(
+                    unseen,
+                    self.camera.box_rects(
+                        [lo for lo, _ in unseen],
+                        [hi for _, hi in unseen],
+                        self.config.pad_to_block,
+                    ),
+                )
             )
-        return rect
+        return [self._rects[key] for key in keys]
 
     def launch_sizes(self, chunks: Sequence[Chunk]) -> list[int]:
         """Consecutive chunks fused per launch: as many as fit the
         kernel's ray budget (:data:`~repro.render.raycast.LAUNCH_RAY_BUDGET`)."""
         return cut_launches(
-            [
-                self._rect(c.meta).area if c.meta is not None else 0
-                for c in chunks
-            ]
+            [rect.area for rect in self._rects_of(self._bricks(chunks))]
         )
 
     def map(self, chunk: Chunk) -> MapOutput:
@@ -132,8 +131,19 @@ class RayCastMapper(Mapper):
 
     def map_batch(self, chunks: Sequence[Chunk]) -> list[MapOutput]:
         """Ray cast ``chunks`` in one kernel launch."""
+        bricks = self._bricks(chunks)
         results = raycast_bricks(
-            [self._task(c) for c in chunks],
+            [
+                BrickTask(
+                    data=chunk.payload(),
+                    data_lo=brick.data_lo,
+                    core_lo=brick.lo,
+                    core_hi=brick.hi,
+                    rect=rect,
+                    accel_key=self.accel_key_for(chunk),
+                )
+                for chunk, brick, rect in zip(chunks, bricks, self._rects_of(bricks))
+            ],
             volume_shape=self.volume_shape,
             camera=self.camera,
             tf=self.tf,

@@ -247,6 +247,7 @@ class MapReduceVolumeRenderer:
         self.max_frame_retries = max_frame_retries
         self.fault_plan = fault_plan
         self._exec_instance = None
+        self._chunk_memo: tuple = (None, [])  # (key, in-core chunks)
 
     @property
     def n_gpus(self) -> int:
@@ -330,30 +331,43 @@ class MapReduceVolumeRenderer:
         return bricks_for_gpu_count(self.volume_shape, self.n_gpus, bricks_per_gpu)
 
     def _chunks(self, grid: BrickGrid, out_of_core: bool) -> list[Chunk]:
+        if not out_of_core:
+            return self._in_core_chunks(grid)
         chunks = []
         for b in grid:
-            if out_of_core:
-                if self.field is None and self.volume is None:
-                    raise ValueError("out-of-core render needs a field or volume")
-                if self.field is not None:
-                    loader = (lambda bb=b: grid.extract_from_field(self.field, bb))
-                else:
-                    loader = (lambda bb=b: grid.extract(self.volume, bb))
-                chunks.append(
-                    Chunk(id=b.id, nbytes=b.nbytes, loader=loader, on_disk=True, meta=b)
-                )
+            if self.field is None and self.volume is None:
+                raise ValueError("out-of-core render needs a field or volume")
+            if self.field is not None:
+                loader = (lambda bb=b: grid.extract_from_field(self.field, bb))
             else:
-                if self.volume is None:
-                    raise ValueError("in-core render needs an in-core volume")
-                chunks.append(
-                    Chunk(
-                        id=b.id,
-                        nbytes=b.nbytes,
-                        data=grid.extract(self.volume, b),
-                        meta=b,
-                    )
-                )
+                loader = (lambda bb=b: grid.extract(self.volume, bb))
+            chunks.append(
+                Chunk(id=b.id, nbytes=b.nbytes, loader=loader, on_disk=True, meta=b)
+            )
         return chunks
+
+    def _in_core_chunks(self, grid: BrickGrid) -> list[Chunk]:
+        """The grid's chunks with their payloads extracted — remembered
+        for the last grid (one copy of the volume plus ghosts), since an
+        orbit asks for the same ones frame after frame.  Invalidating
+        the volume after an in-place edit changes its token."""
+        if self.volume is None:
+            raise ValueError("in-core render needs an in-core volume")
+        key = (
+            volume_token(self.volume), grid.volume_shape, grid.brick_size, grid.ghost
+        )
+        if key[0] is None or key != self._chunk_memo[0]:
+            chunks = [
+                Chunk(
+                    id=b.id,
+                    nbytes=b.nbytes,
+                    data=grid.extract(self.volume, b),
+                    meta=b,
+                )
+                for b in grid
+            ]
+            self._chunk_memo = (key, chunks)
+        return self._chunk_memo[1]
 
     def _spec(self, camera: Camera) -> MapReduceSpec:
         # The token keys the per-volume acceleration cache (and the pool

@@ -147,28 +147,55 @@ class Camera:
         o, d = self.rays_for_pixels(px, py)
         return o, d, self.pixel_index(px, py)
 
-    def rect_rays_f32(self, rect: PixelRect) -> tuple[np.ndarray, np.ndarray]:
-        """(unit dirs float32, pixel keys) for a rect — the kernel fast path.
+    def _dirs32(self) -> np.ndarray:
+        """Float32 unit directions of every viewport pixel, ``(h·w, 3)``
+        in key order — cached: a camera is immutable and every brick of
+        a frame shares it.
 
-        A camera is immutable and every brick of a frame shares it, so the
-        full-viewport direction grid is computed once, cached, and sliced
-        per brick footprint — per-chunk ray setup then costs one contiguous
-        copy instead of a trig-and-normalize pass.
+        The grid is built from the 1-D pixel columns by broadcasting,
+        with per element exactly the operations of
+        :meth:`rays_for_pixels` (which it equals, cast to float32).
         """
-        cache = getattr(self, "_dirs32_grid", None)
-        if cache is None:
-            px, py = self.full_rect().pixel_coords()
-            _, d = self.rays_for_pixels(px, py)
-            cache = np.ascontiguousarray(
-                d.reshape(self.height, self.width, 3), dtype=np.float32
-            )
-            object.__setattr__(self, "_dirs32_grid", cache)
-        dirs = np.ascontiguousarray(
-            cache[rect.y0 : rect.y1, rect.x0 : rect.x1]
-        ).reshape(-1, 3)
-        xs = np.arange(rect.x0, rect.x1, dtype=np.int32)
-        ys = np.arange(rect.y0, rect.y1, dtype=np.int32)
-        keys = (ys[:, None] * np.int32(self.width) + xs[None, :]).reshape(-1)
+        grid = getattr(self, "_dirs32_grid", None)
+        if grid is None:
+            u = (np.arange(self.width, dtype=np.float64) + 0.5 - self.width / 2.0) / self._focal
+            v = (np.arange(self.height, dtype=np.float64) + 0.5 - self.height / 2.0) / self._focal
+            dirs = (
+                self._fwd + u[None, :, None] * self._right - v[:, None, None] * self._up
+            ).reshape(-1, 3)
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            grid = dirs.astype(np.float32)
+            object.__setattr__(self, "_dirs32_grid", grid)
+        return grid
+
+    def footprint_rays_f32(
+        self, rects: Sequence[PixelRect]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(unit dirs float32, pixel keys, offsets) of the rays of
+        ``rects``, concatenated — the kernel fast path.
+
+        Rect ``i`` owns rays ``offsets[i]:offsets[i + 1]``, x fastest.
+        One key computation and one gather from the cached direction
+        grid serve the whole list, so a launch's ray set-up does not
+        grow with its brick count.
+        """
+        # Per rect: its ray count, its first key and its width.
+        areas, first, widths = np.array(
+            [(r.area, r.y0 * self.width + r.x0, r.width) for r in rects],
+            dtype=np.int32,
+        ).reshape(-1, 3).T
+        offsets = np.zeros(len(rects) + 1, dtype=np.int32)
+        np.cumsum(areas, dtype=np.int32, out=offsets[1:])
+        ray = np.arange(offsets[-1], dtype=np.int32)
+        row = (ray - np.repeat(offsets[:-1], areas)) // np.repeat(widths, areas)
+        # key = (y0 + row)·W + x0 + col, with col = ray − offset − row·w
+        keys = ray + np.repeat(first - offsets[:-1], areas)
+        keys += row * np.repeat(np.int32(self.width) - widths, areas)
+        return np.take(self._dirs32(), keys, axis=0), keys, offsets
+
+    def rect_rays_f32(self, rect: PixelRect) -> tuple[np.ndarray, np.ndarray]:
+        """(unit dirs float32, pixel keys) for one rect."""
+        dirs, keys, _ = self.footprint_rays_f32([rect])
         return dirs, keys
 
     def pixel_index(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -199,43 +226,52 @@ class Camera:
         y = np.where(in_front, y, np.nan)
         return np.stack([x, y], axis=-1), in_front
 
+    def _corner_rects(self, corners: np.ndarray, pad_to_block: bool) -> list[PixelRect]:
+        """Padded, clipped footprints of ``(B, K, 3)`` corner sets, all
+        projected in one pass."""
+        n_boxes, n_corners = corners.shape[:2]
+        xy, in_front = self.project_points(corners.reshape(-1, 3))
+        xy = xy.reshape(n_boxes, n_corners, 2)
+        # A corner behind the eye: the footprint conservatively covers
+        # the whole viewport (the eye is inside/near the box).
+        behind = ~in_front.reshape(n_boxes, n_corners).all(axis=1)
+        size = np.array([self.width, self.height])
+        lo = np.where(behind[:, None], 0.0, np.floor(xy.min(axis=1)))
+        hi = np.where(behind[:, None], size, np.ceil(xy.max(axis=1)))
+        # Clipped a block outside the viewport before the integer cast
+        # (a grazing corner projects arbitrarily far out); padding and
+        # the final clip cannot tell.
+        lo = np.clip(lo, -BLOCK, size + BLOCK).astype(np.int64)
+        hi = np.clip(hi, -BLOCK, size + BLOCK).astype(np.int64)
+        if pad_to_block:
+            lo = (lo // BLOCK) * BLOCK
+            hi = ((hi + BLOCK - 1) // BLOCK) * BLOCK
+        lo = np.clip(lo, 0, size).tolist()
+        hi = np.clip(hi, 0, size).tolist()
+        return [PixelRect(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(lo, hi)]
+
     def brick_rect(
         self, corners: np.ndarray, pad_to_block: bool = True
     ) -> PixelRect:
-        """Padded, clipped screen footprint of a world-space box.
+        """Padded, clipped screen footprint of a world-space box, given
+        its ``(K, 3)`` corners."""
+        corners = np.asarray(corners, dtype=np.float64)
+        return self._corner_rects(corners[None], pad_to_block)[0]
 
-        If any corner is behind the eye the footprint conservatively
-        covers the whole viewport (the eye is inside/near the box).
-        """
-        xy, in_front = self.project_points(corners)
-        if not np.all(in_front):
-            x0, y0, x1, y1 = 0, 0, self.width, self.height
-        else:
-            x0 = int(math.floor(xy[:, 0].min()))
-            y0 = int(math.floor(xy[:, 1].min()))
-            x1 = int(math.ceil(xy[:, 0].max()))
-            y1 = int(math.ceil(xy[:, 1].max()))
-        if pad_to_block:
-            x0 = (x0 // BLOCK) * BLOCK
-            y0 = (y0 // BLOCK) * BLOCK
-            x1 = ((x1 + BLOCK - 1) // BLOCK) * BLOCK
-            y1 = ((y1 + BLOCK - 1) // BLOCK) * BLOCK
-        x0 = max(0, min(x0, self.width))
-        y0 = max(0, min(y0, self.height))
-        x1 = max(0, min(x1, self.width))
-        y1 = max(0, min(y1, self.height))
-        return PixelRect(x0, y0, x1, y1)
+    def box_rects(
+        self, los: Sequence, his: Sequence, pad_to_block: bool = True
+    ) -> list[PixelRect]:
+        """:meth:`brick_rect` of every axis-aligned box ``[los[i],
+        his[i]]`` — one projection for the whole list (a frame's bricks)."""
+        los = np.asarray(los, dtype=np.float64).reshape(-1, 1, 3)
+        his = np.asarray(his, dtype=np.float64).reshape(-1, 1, 3)
+        return self._corner_rects(np.where(_CORNER_BITS, his, los), pad_to_block)
 
     def box_rect(
         self, lo: Sequence[float], hi: Sequence[float], pad_to_block: bool = True
     ) -> PixelRect:
-        """:meth:`brick_rect` of the axis-aligned box ``[lo, hi]``."""
-        corners = np.where(
-            _CORNER_BITS,
-            np.asarray(hi, dtype=np.float64),
-            np.asarray(lo, dtype=np.float64),
-        )
-        return self.brick_rect(corners, pad_to_block=pad_to_block)
+        """:meth:`box_rects` of one box."""
+        return self.box_rects([lo], [hi], pad_to_block)[0]
 
     def full_rect(self) -> PixelRect:
         return PixelRect(0, 0, self.width, self.height)

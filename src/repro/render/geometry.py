@@ -76,13 +76,15 @@ def ray_box_intersect(
 def box_intersect_f32(
     rel_lo: np.ndarray, rel_hi: np.ndarray, dirs: np.ndarray, inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slab test of shared-origin float32 rays against one AABB.
+    """Slab test of shared-origin float32 rays against AABBs.
 
-    ``rel_lo``/``rel_hi`` are the box corners relative to the eye,
-    ``inv`` the reciprocal of ``dirs`` (``(N, 3)``).  Face t-values are
-    ``(face − eye_axis) · inv_axis`` — bitwise identical for the shared
-    face of two adjacent bricks, which is what lets the kernel carve
-    exact per-ray sample intervals out of these numbers.
+    ``rel_lo``/``rel_hi`` are the box corners relative to the eye —
+    ``(3,)`` for one box all rays test, or ``(N, 3)`` for a box of its
+    own per ray (a fused launch tests every ray against its brick) —
+    and ``inv`` the reciprocal of ``dirs`` (``(N, 3)``).  Face t-values
+    are ``(face − eye_axis) · inv_axis`` — bitwise identical for the
+    shared face of two adjacent bricks, which is what lets the kernel
+    carve exact per-ray sample intervals out of these numbers.
 
     The three slabs fold column by column (x, then y, then z — the order
     a row-wise ``max(axis=1)`` visits them, so the result is bitwise the
@@ -92,11 +94,13 @@ def box_intersect_f32(
     Returns ``(t_near, t_far, hit)`` with ``t_near`` clamped to 0 (rays
     starting inside enter at t=0).
     """
+    inf = np.float32(np.inf)
     tn = tf = None
     for a in range(3):
+        lo, hi = rel_lo[..., a], rel_hi[..., a]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = rel_lo[a] * inv[:, a]
-            t2 = rel_hi[a] * inv[:, a]
+            t1 = lo * inv[:, a]
+            t2 = hi * inv[:, a]
         lo_t = np.minimum(t1, t2)
         hi_t = np.maximum(t1, t2)
         parallel = dirs[:, a] == 0.0
@@ -104,9 +108,9 @@ def box_intersect_f32(
             # Parallel to this slab: inside -> (-inf, +inf), outside ->
             # empty.  Applied after the min/max so the empty interval is
             # not re-ordered and 0*inf NaNs are overwritten.
-            inside = bool(rel_lo[a] <= 0.0 and rel_hi[a] >= 0.0)
-            lo_t = np.where(parallel, -np.inf if inside else np.inf, lo_t)
-            hi_t = np.where(parallel, np.inf if inside else -np.inf, hi_t)
+            inside = (lo <= 0.0) & (hi >= 0.0)
+            lo_t = np.where(parallel, np.where(inside, -inf, inf), lo_t)
+            hi_t = np.where(parallel, np.where(inside, inf, -inf), hi_t)
         tn = lo_t if tn is None else np.maximum(tn, lo_t)
         tf = hi_t if tf is None else np.minimum(tf, hi_t)
     hit = (tf >= tn) & (tf >= 0.0)
@@ -126,8 +130,8 @@ def dual_box_intersect_f32(
 
     Two :func:`box_intersect_f32` tests sharing the reciprocal
     directions and the float32 eye.  The ray-cast kernel itself tests
-    the whole-volume box once per launch footprint and the brick box
-    once per brick; this pairing is the reference form of the same
+    a launch's rays against the whole-volume box and each against its
+    own brick's box; this pairing is the reference form of the same
     arithmetic.
 
     Returns ``(tn_a, tf_a, hit_a, tn_b, tf_b, hit_b)``.

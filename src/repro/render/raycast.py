@@ -36,16 +36,34 @@ Fused launches
 --------------
 A NumPy "launch" costs a few hundred interpreter dispatches however few
 rays it carries, and one brick's footprint is only a couple of thousand
-rays — per-brick launches spend most of their time on dispatch, not on
-samples.  :func:`raycast_bricks` therefore sets up every brick of its
-list (footprint, slab test, ownership intervals, empty-space
-structures) and hands the kernel **one** launch-shaped plan: all active
-rays concatenated, each marching against its own brick's payload
-(:class:`~repro.render.kernels.MarchPlan`).  Rays never interact, so
+rays — anything done brick by brick spends most of its time on dispatch,
+not on rays.  :func:`raycast_bricks` therefore does everything it can
+for the **whole brick list at once**:
+
+* *set-up* — one key computation and one direction gather over the
+  concatenated footprints, one float32 slab test of every ray against
+  its *own* brick's box (per-ray box operands) and one against the
+  whole-volume box, one ``nonzero``, one ownership-interval and one
+  first-sample computation.  The resulting per-ray arrays *are* the
+  kernel's launch-shaped plan (:class:`~repro.render.kernels.MarchPlan`):
+  all active rays in brick order, each marching against its own brick's
+  payload;
+* *march* — one kernel invocation over those arrays;
+* *emit* — one contribution test, one fragment array (and one
+  placeholder scatter); a brick's fragments are a view of it.
+
+What stays per brick is what is genuinely the brick's own: where its
+rays lie in the launch arrays (offsets, not copies), the look-up of its
+cached empty-space structures, the span gate, and its
+:class:`~repro.render.kernels.BrickSegment`.  Two kinds of brick cannot
+share a kernel invocation — span-carved ones and payloads with a size-1
+axis — and march alone from their slice of the launch arrays, between
+the stretches of consecutive bricks that do.  Rays never interact, so
 any grouping of bricks is bitwise the bricks cast one by one;
-:func:`raycast_brick` is a launch of one.  Callers bound a launch with
-:func:`cut_launches` (``LAUNCH_RAY_BUDGET`` footprint rays: block
-temporaries, and with them peak memory, grow with the rays in flight).
+:func:`raycast_brick` is a launch of one through the same lines.
+Callers bound a launch with :func:`cut_launches` (``LAUNCH_RAY_BUDGET``
+footprint rays: block temporaries, and with them peak memory, grow with
+the rays in flight).
 
 Blocked marching
 ----------------
@@ -141,12 +159,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .camera import Camera, PixelRect
-from .fragments import (
-    FRAGMENT_DTYPE,
-    PLACEHOLDER_KEY,
-    empty_fragments,
-    make_fragments,
-)
+from .fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY, make_fragments
 from .geometry import box_intersect_f32
 from .transfer import TransferFunction1D
 
@@ -706,17 +719,19 @@ class BrickTask:
 
 #: Padded rays (footprint pixels) one fused launch may carry; callers cut
 #: a chunk list into launches with :func:`cut_launches`.  Fusing exists
-#: to amortise the ≈500 interpreter dispatches of a march over more than
-#: one brick's ≈2 000 rays, but a launch's block temporaries grow with
-#: the rays in flight, and peak RSS is a benchmark bound (5 %).  Measured
-#: on the end-to-end scenes at 128² (numpy kernel, in-process; ray-cast
-#: stage of skull 64³ as 16 bricks, ``bench_kernels.py::
-#: test_bench_raycast_fused``, by bricks per launch 1 / 2 / 4 / 8 / 16:
-#: 29.9 / 24.8 / 19.6 / 17.1 / 18.3 ms) and as peak RSS of a 100-view
-#: orbit, sparse / dense scene, by budget: 1 brick 80.0 / 77.7 MiB (the
-#: parent commit's 80.8 / 77.9), 8 192 rays 80.9 / 78.0, 16 384 rays
-#: 83.2 / 79.9, 32 768 rays 86.4 / 83.7.  16 384 — 8 of those bricks —
-#: is where the time curve bottoms out, for +2.5 % RSS.
+#: to amortise the ≈500 interpreter dispatches of a march, and the ≈100
+#: of the set-up and emit around it, over more than one brick's ≈2 000
+#: rays; but a launch's block temporaries grow with the rays in flight,
+#: and peak RSS is a benchmark bound (5 %).  Measured on the end-to-end
+#: scenes at 128² (numpy kernel, in-process): the ray-cast stage of
+#: skull 64³ as 16 bricks (``bench_kernels.py::test_bench_raycast_fused``)
+#: by bricks per launch 1 / 2 / 4 / 8 / 16: 32.0 / 24.9 / 18.7 / 15.7 /
+#: 19.4 ms (best of ≥ 20 rounds), and a 100-view orbit, sparse / dense
+#: scene, by budget — FPS: 1 brick 25.8 / 21.4, 8 192 rays 41.5 / 38.0,
+#: 16 384 rays 50.0 / 40.8, 32 768 rays 50.2 / 42.1; peak RSS: 66.2 /
+#: 63.7, 67.7 / 64.6, 69.8 / 66.9, 73.4 / 70.7 MiB.  16 384 — 8 of those
+#: bricks — is where the time curve bottoms out; doubling it buys ≤ 3 %
+#: for +5 % RSS.
 LAUNCH_RAY_BUDGET = 16384
 
 #: Span gate.  Carving pays ≈22 ns per sample it removes (the
@@ -758,101 +773,33 @@ def cut_launches(
     return sizes
 
 
-class _BrickRays:
-    """One brick's ray state between set-up, march and emit."""
-
-    __slots__ = (
-        "stats", "n", "keys", "active", "counts", "t0", "dirs",
-        "segment", "spans", "acc_rgb", "acc_a",
-    )
-
-    def __init__(self, stats: MapStats, n: int = 0, keys=None):
-        self.stats = stats
-        self.n = n  # padded rays launched
-        self.keys = keys
-        self.active = None  # indices of rays that march; None: nothing to do
-
-
-def _box_test(camera: Camera, lo, hi, dirs: np.ndarray):
-    """Float32 slab test of ``camera``'s rays ``dirs`` against ``[lo, hi]``."""
-    eye = np.asarray(camera.eye, dtype=_F32)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = _F32(1.0) / dirs
-    return box_intersect_f32(
-        np.asarray(lo, dtype=_F32) - eye, np.asarray(hi, dtype=_F32) - eye, dirs, inv
-    )
-
-
-def _setup_brick(
+def _brick_structures(
     brick: BrickTask,
-    rect: PixelRect,
-    volume_entry: tuple,
-    camera: Camera,
+    n_samples: int,
     tf: TransferFunction1D,
     config: RenderConfig,
     u_thr: float,
     cache: Optional["AccelCache"],
-) -> _BrickRays:
-    """Rays, ownership intervals and empty-space structures of one brick."""
-    from .kernels import BrickSegment
-
-    stats = MapStats()
-    if rect.empty:
-        return _BrickRays(stats)
-
-    dirs, keys = camera.rect_rays_f32(rect)
-    br = _BrickRays(stats, len(keys), keys)
-    stats.n_rays = br.n
-    tn_b, tf_b, hit_b = _box_test(camera, brick.core_lo, brick.core_hi, dirs)
-    # The whole-volume entry anchors the global sample lattice: one test
-    # over the launch's footprint, sliced per brick.
-    span_rect, tn_v, hit_v = volume_entry
-    window = (
-        slice(rect.y0 - span_rect.y0, rect.y1 - span_rect.y0),
-        slice(rect.x0 - span_rect.x0, rect.x1 - span_rect.x0),
-    )
-    active = hit_b & hit_v[window].reshape(-1) & (tf_b > tn_b)
-    ai = np.nonzero(active)[0]
-    stats.n_active_rays = len(ai)
-    if len(ai) == 0:
-        return br
-
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(corner-max table, macro-cell occupancy grid) of one brick that
+    is about to march ``n_samples`` samples — cached copies when the
+    brick carries an ``accel_key``, either one None when absent."""
     data = brick.data
-    dt = _F32(config.dt)
-    eye = np.asarray(camera.eye, dtype=np.float64)
-    tnv_c = tn_v[window].reshape(-1)[ai]
-    kf, counts = _sample_intervals(tn_b[ai], tf_b[ai], tnv_c, dt)
-    d_c = dirs[ai]
-    # t of each ray's first owned sample; later samples add whole steps.
-    t0_c = tnv_c + (kf.astype(_F32) + _F32(0.5)) * dt
-    # Lattice coords c = (position − ½) with the brick origin folded in.
-    base_w = (eye - np.asarray(brick.data_lo, np.float64) - 0.5).astype(_F32)
-
-    shape = data.shape
-    # Interior bricks with a full one-voxel ghost shell keep every
-    # sample's 2×2×2 support inside the payload — no clamping needed.
-    dlo = np.asarray(brick.data_lo)
-    need_clamp = bool(
-        np.any(dlo > np.asarray(brick.core_lo) - 1)
-        or np.any(dlo + np.asarray(shape) < np.asarray(brick.core_hi) + 1)
-    )
-    total_expected = int(counts.sum())
     # The empty-space structures cost O(voxels); build them only when the
     # march is big enough to amortize it — unless a cached copy is free.
-    build_worthwhile = total_expected > data.size // 8
-    skip_table = None
-    # u_thr < 0 means the alpha table has no leading zero run: there is
-    # nothing to skip and _empty_space_table would return None.
-    table_possible = (
-        config.accel != "off"
-        and np.isfinite(u_thr)
-        and u_thr >= 0
-        and min(shape) >= 2
-    )
+    build_worthwhile = n_samples > data.size // 8
     accel_key = brick.accel_key
     if accel_key is None:
         cache = None
-    if table_possible:
+    skip_table = None
+    # u_thr < 0 means the alpha table has no leading zero run: there is
+    # nothing to skip and _empty_space_table would return None.
+    if (
+        config.accel != "off"
+        and np.isfinite(u_thr)
+        and u_thr >= 0
+        and min(data.shape) >= 2
+    ):
         if cache is not None:
             skip_table = cache.get(accel_key)
         if skip_table is None and build_worthwhile:
@@ -863,7 +810,7 @@ def _setup_brick(
     # ray's owned interval before the march (bitwise-invisible; see the
     # module docstring's proof obligation).
     grid_occ = None
-    if config.accel == "grid" and min(shape) >= 2:
+    if config.accel == "grid" and min(data.shape) >= 2:
         from .accel import build_macro_grid, grid_key, is_no_grid
 
         gkey = (
@@ -879,119 +826,7 @@ def _setup_brick(
                 cache.put(gkey, grid_occ)
         if grid_occ is not None and is_no_grid(grid_occ):
             grid_occ = None  # cached negative: no grid can help here
-    br.spans = None
-    # The span gate: "grid" means the grid *may* be used.  Carving is a
-    # pure cost model (identical output either way), so walk the grid
-    # only when what it can remove outweighs the walk.
-    if grid_occ is not None:
-        n_occ = np.count_nonzero(grid_occ)
-        removable = total_expected * (1.0 - n_occ / grid_occ.size)
-        steps = len(ai) * min(n_occ, _span_walk_steps(grid_occ.shape))
-        if removable >= max(SPAN_GATE_SAMPLES, SPAN_GATE_STEPS * steps):
-            br.spans = _macro_grid_spans(
-                grid_occ, config.macro_cell_size, base_w, d_c, t0_c, counts,
-                config.dt,
-            )
-            stats.span_carved = True
-
-    br.active = ai
-    br.counts = counts
-    br.t0 = t0_c
-    br.dirs = d_c
-    br.segment = BrickSegment(
-        data=data,
-        flat=np.ascontiguousarray(data).ravel(),
-        shape=shape,
-        need_clamp=need_clamp,
-        base_w=base_w,
-        skip_table=skip_table,
-        ray_lo=0,
-        ray_hi=len(ai),
-    )
-    return br
-
-
-def _march_launch(
-    group: Sequence[_BrickRays],
-    kspec: "KernelSpec",
-    tf: TransferFunction1D,
-    config: RenderConfig,
-    u_thr: float,
-) -> None:
-    """March ``group``'s rays as one launch; leave each brick its slice
-    of the accumulators and charge its owned samples."""
-    from .kernels import MarchPlan
-
-    if len(group) == 1:
-        counts, t0, dirs = group[0].counts, group[0].t0, group[0].dirs
-    else:
-        lo = 0
-        for br in group:
-            br.segment.ray_lo, br.segment.ray_hi = lo, lo + len(br.counts)
-            lo = br.segment.ray_hi
-        counts = np.concatenate([br.counts for br in group])
-        t0 = np.concatenate([br.t0 for br in group])
-        dirs = np.concatenate([br.dirs for br in group])
-    n = len(counts)
-    acc_rgb = np.zeros((n, 3), dtype=_F32)
-    acc_a = np.zeros(n, dtype=_F32)
-    # The march itself runs behind the kernel contract: the numpy
-    # backend is the blocked fold over the whole launch, the numba
-    # backend a compiled per-ray marcher run per segment (exact
-    # keys/depths/counters, tolerance-banded colors — see the kernels
-    # package docstring).
-    plan = MarchPlan(
-        segments=tuple(br.segment for br in group),
-        counts=counts,
-        t0=t0,
-        dirs=dirs,
-        dt=float(config.dt),
-        block_size=config.block_size,
-        use_ert=config.ert_alpha < 1.0,
-        ert_alpha=float(config.ert_alpha),
-        u_thr=float(u_thr),
-        spans=group[0].spans,
-        tf=tf,
-        shading=config.shading,
-        acc_rgb=acc_rgb,
-        acc_a=acc_a,
-        term=np.zeros(n, dtype=bool),
-    )
-    owned = kspec.march(plan)
-    fetches = config.fetches_per_sample
-    for br, own in zip(group, owned):
-        seg = br.segment
-        br.acc_rgb = acc_rgb[seg.ray_lo : seg.ray_hi]
-        br.acc_a = acc_a[seg.ray_lo : seg.ray_hi]
-        br.stats.n_samples += int(own) * fetches
-
-
-def _emit(br: _BrickRays, config: RenderConfig) -> np.ndarray:
-    """One fragment per contributing ray (or per ray, with placeholders)."""
-    stats = br.stats
-    n = br.n
-    if n == 0:
-        return empty_fragments()
-    if br.active is None:
-        sel = keys = depth = _EMPTY_I32
-        rgba = np.zeros((0, 4), dtype=_F32)
-    else:
-        sel = np.nonzero((br.counts > 0) & (br.acc_a > config.alpha_eps))[0]
-        rgba = np.concatenate([br.acc_rgb[sel], br.acc_a[sel, None]], axis=1)
-        depth = br.t0[sel]
-        sel = br.active[sel]
-        keys = br.keys[sel]
-    stats.n_kept = len(sel)
-    if not config.emit_placeholders:
-        stats.n_emitted = stats.n_kept
-        return make_fragments(keys, depth, rgba)
-    # Every "thread" emits: useless rays write a later-discarded
-    # placeholder with zeroed depth and colour.
-    stats.n_emitted = n
-    out = np.zeros(n, dtype=FRAGMENT_DTYPE)
-    out["pixel"] = PLACEHOLDER_KEY
-    out[sel] = make_fragments(keys, depth, rgba)
-    return out
+    return skip_table, grid_occ
 
 
 def raycast_bricks(
@@ -1005,21 +840,23 @@ def raycast_bricks(
     """Ray cast ``bricks`` as **one launch**; ``(fragments, stats)`` each.
 
     ``volume_shape`` defines the global box used for the shared ray
-    parametrisation.  All bricks' active rays march together through one
-    kernel invocation, so the per-launch interpreter cost is paid once
-    for the whole list — callers bound a launch's size by cutting their
-    brick list with :func:`cut_launches`.  Two kinds of brick march on
-    their own instead: span-carved ones (large by the span gate, so
-    there is nothing left to amortise, and their carved sample lists
-    differ in kind) and payloads with a size-1 axis.  Results are
-    bitwise those of casting every brick on its own, in any grouping.
+    parametrisation.  Rays are set up, marched and emitted for the whole
+    list at once (see "Fused launches" in the module docstring), so the
+    per-launch interpreter cost is paid once — callers bound a launch's
+    size by cutting their brick list with :func:`cut_launches`.  Two
+    kinds of brick march on their own, from their slice of the launch's
+    rays: span-carved ones (large by the span gate, so there is nothing
+    left to amortise, and their carved sample lists differ in kind) and
+    payloads with a size-1 axis.  Results are bitwise those of casting
+    every brick on its own, in any grouping; each brick's fragments are
+    a view of the launch's fragment array.
 
     Acceleration structures are looked up in ``accel_cache`` (default:
     the process-wide :func:`~repro.render.accel.shared_cache`) for
     bricks that carry an ``accel_key``.
     """
     # Imported lazily: kernels imports this module's helpers at load time.
-    from .kernels import resolve_kernel
+    from .kernels import BrickSegment, MarchPlan, resolve_kernel
 
     kspec = resolve_kernel(config.kernel)
     u_thr = _alpha_zero_threshold(tf)
@@ -1028,42 +865,180 @@ def raycast_bricks(
         from .accel import shared_cache
 
         cache = accel_cache if accel_cache is not None else shared_cache()
-    rects = [
-        b.rect
-        if b.rect is not None
-        else camera.box_rect(b.core_lo, b.core_hi, config.pad_to_block)
-        for b in bricks
-    ]
-    # The whole-volume interval is the same for every brick of a frame:
-    # test it once over the launch's footprint, not once per brick.
-    seen = [r for r in rects if not r.empty]
-    volume_entry = None
-    if seen:
-        span_rect = PixelRect(
-            min(r.x0 for r in seen),
-            min(r.y0 for r in seen),
-            max(r.x1 for r in seen),
-            max(r.y1 for r in seen),
+    rects = [b.rect for b in bricks]
+    missing = [i for i, r in enumerate(rects) if r is None]
+    if missing:
+        projected = camera.box_rects(
+            [bricks[i].core_lo for i in missing],
+            [bricks[i].core_hi for i in missing],
+            config.pad_to_block,
         )
-        dirs, _ = camera.rect_rays_f32(span_rect)
-        tn_v, _, hit_v = _box_test(camera, np.zeros(3), volume_shape, dirs)
-        grid = (span_rect.height, span_rect.width)
-        volume_entry = (span_rect, tn_v.reshape(grid), hit_v.reshape(grid))
-    rays = [
-        _setup_brick(b, r, volume_entry, camera, tf, config, u_thr, cache)
-        for b, r in zip(bricks, rects)
+        for i, rect in zip(missing, projected):
+            rects[i] = rect
+
+    # -- ray set-up, launch-wide: every brick's footprint rays, each
+    # tested against its own brick's box and the whole-volume box (whose
+    # entry anchors the global sample lattice).
+    dirs, keys, ray_cuts = camera.footprint_rays_f32(rects)
+    areas = np.diff(ray_cuts)
+    eye = np.asarray(camera.eye, dtype=np.float64)
+    eye32 = eye.astype(_F32)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = _F32(1.0) / dirs
+    core_lo = np.array([b.core_lo for b in bricks], dtype=_F32).reshape(-1, 3)
+    core_hi = np.array([b.core_hi for b in bricks], dtype=_F32).reshape(-1, 3)
+    tn_b, tf_b, hit_b = box_intersect_f32(
+        np.repeat(core_lo - eye32, areas, axis=0),
+        np.repeat(core_hi - eye32, areas, axis=0),
+        dirs,
+        inv,
+    )
+    tn_v, _, hit_v = box_intersect_f32(
+        _F32(0.0) - eye32, np.asarray(volume_shape, dtype=_F32) - eye32, dirs, inv
+    )
+    active = np.nonzero(hit_b & hit_v & (tf_b > tn_b))[0]
+    tn_v = tn_v[active]
+    dt = _F32(config.dt)
+    kf, counts = _sample_intervals(tn_b[active], tf_b[active], tn_v, dt)
+    dirs = dirs[active]
+    # t of each ray's first owned sample; later samples add whole steps.
+    t0 = tn_v + (kf.astype(_F32) + _F32(0.5)) * dt
+    n = len(active)
+    acc_rgb = np.zeros((n, 3), dtype=_F32)
+    acc_a = np.zeros(n, dtype=_F32)
+    term = np.zeros(n, dtype=bool)
+
+    # -- per brick: where its rays sit in the launch arrays, then what
+    # is its own — structure lookups, the span gate, a segment.
+    cuts = np.searchsorted(active, ray_cuts).tolist()
+    owned_cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=owned_cum[1:])
+    expected = np.diff(owned_cum[cuts]).tolist()
+    # Lattice coords c = (position − ½) with the brick origin folded in.
+    base_w = (
+        eye - np.array([b.data_lo for b in bricks], dtype=np.float64).reshape(-1, 3) - 0.5
+    ).astype(_F32)
+    stats = [
+        MapStats(n_rays=a, n_active_rays=hi - lo)
+        for a, lo, hi in zip(areas.tolist(), cuts, cuts[1:])
     ]
+    fetches = config.fetches_per_sample
+
+    def march(lo: int, segments: list, spans=None) -> None:
+        """March the rays of ``segments`` — ``(brick index, segment)``
+        pairs tiling the launch's rays from ``lo`` on — as one kernel
+        invocation and charge every brick its owned samples."""
+        hi = lo + segments[-1][1].ray_hi
+        # The march itself runs behind the kernel contract: the numpy
+        # backend is the blocked fold over the whole launch, the numba
+        # backend a compiled per-ray marcher run per segment (exact
+        # keys/depths/counters, tolerance-banded colors — see the
+        # kernels package docstring).
+        plan = MarchPlan(
+            segments=tuple(seg for _, seg in segments),
+            counts=counts[lo:hi],
+            t0=t0[lo:hi],
+            dirs=dirs[lo:hi],
+            dt=float(config.dt),
+            block_size=config.block_size,
+            use_ert=config.ert_alpha < 1.0,
+            ert_alpha=float(config.ert_alpha),
+            u_thr=float(u_thr),
+            spans=spans,
+            tf=tf,
+            shading=config.shading,
+            acc_rgb=acc_rgb[lo:hi],
+            acc_a=acc_a[lo:hi],
+            term=term[lo:hi],
+        )
+        for (i, _), own in zip(segments, kspec.march(plan)):
+            stats[i].n_samples = int(own) * fetches
+
+    # Consecutive bricks march together, as one stretch of the launch
+    # arrays; a brick that must march alone ends the stretch before it
+    # (any grouping is bitwise the same).
     fused: list = []
-    for br in rays:
-        if br.active is None:
+    fused_lo = 0
+    for i, brick in enumerate(bricks):
+        lo, hi = cuts[i], cuts[i + 1]
+        if hi == lo:
             continue
-        if br.spans is not None or min(br.segment.shape) < 2:
-            _march_launch([br], kspec, tf, config, u_thr)
+        data = brick.data
+        shape = data.shape
+        skip_table, grid_occ = _brick_structures(
+            brick, expected[i], tf, config, u_thr, cache
+        )
+        spans = None
+        # The span gate: "grid" means the grid *may* be used.  Carving is
+        # a pure cost model (identical output either way), so walk the
+        # grid only when what it can remove outweighs the walk.
+        if grid_occ is not None:
+            n_occ = np.count_nonzero(grid_occ)
+            removable = expected[i] * (1.0 - n_occ / grid_occ.size)
+            steps = (hi - lo) * min(n_occ, _span_walk_steps(grid_occ.shape))
+            if removable >= max(SPAN_GATE_SAMPLES, SPAN_GATE_STEPS * steps):
+                spans = _macro_grid_spans(
+                    grid_occ, config.macro_cell_size, base_w[i], dirs[lo:hi],
+                    t0[lo:hi], counts[lo:hi], config.dt,
+                )
+                stats[i].span_carved = True
+        alone = spans is not None or min(shape) < 2
+        if alone and fused:
+            march(fused_lo, fused)
+            fused = []
+        if alone or not fused:
+            fused_lo = lo
+        segment = BrickSegment(
+            data=data,
+            flat=np.ascontiguousarray(data).ravel(),
+            shape=shape,
+            # Interior bricks with a full one-voxel ghost shell keep
+            # every sample's 2×2×2 support inside the payload — no
+            # clamping needed.
+            need_clamp=any(
+                dl > cl - 1 or dl + size < ch + 1
+                for dl, size, cl, ch in zip(
+                    brick.data_lo, shape, brick.core_lo, brick.core_hi
+                )
+            ),
+            base_w=base_w[i],
+            skip_table=skip_table,
+            ray_lo=lo - fused_lo,
+            ray_hi=hi - fused_lo,
+        )
+        if alone:
+            march(lo, [(i, segment)], spans)
         else:
-            fused.append(br)
+            fused.append((i, segment))
     if fused:
-        _march_launch(fused, kspec, tf, config, u_thr)
-    return [(_emit(br, config), br.stats) for br in rays]
+        march(fused_lo, fused)
+
+    # -- emit, launch-wide: one fragment per contributing ray (or per
+    # ray, with placeholders); each brick gets its stretch as a view.
+    kept = np.nonzero((counts > 0) & (acc_a > config.alpha_eps))[0]
+    rays = active[kept]
+    fragments = make_fragments(
+        keys[rays],
+        t0[kept],
+        np.concatenate([acc_rgb[kept], acc_a[kept, None]], axis=1),
+    )
+    frag_cuts = np.searchsorted(kept, cuts).tolist()
+    if config.emit_placeholders:
+        # Every "thread" emits: useless rays write a later-discarded
+        # placeholder with zeroed depth and colour.
+        emitted = np.zeros(len(keys), dtype=FRAGMENT_DTYPE)
+        emitted["pixel"] = PLACEHOLDER_KEY
+        emitted[rays] = fragments
+        fragments, out_cuts = emitted, ray_cuts.tolist()
+    else:
+        out_cuts = frag_cuts
+    for i, st in enumerate(stats):
+        st.n_kept = frag_cuts[i + 1] - frag_cuts[i]
+        st.n_emitted = out_cuts[i + 1] - out_cuts[i]
+    return [
+        (fragments[lo:hi], st)
+        for lo, hi, st in zip(out_cuts, out_cuts[1:], stats)
+    ]
 
 
 def raycast_brick(

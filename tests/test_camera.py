@@ -136,6 +136,59 @@ def test_offscreen_brick_rect_is_empty():
     assert rect.empty or rect.area == 0
 
 
+def test_box_rects_projects_a_list_like_one_box_at_a_time():
+    """One projection for a frame's bricks: the footprints of the boxes
+    one by one (in front, straddling the eye plane, off-screen), and the
+    footprint of the same corners handed to ``brick_rect``."""
+    cam = orbit_camera((48, 32, 40), azimuth_deg=20, elevation_deg=35, width=96, height=72)
+    rng = np.random.default_rng(5)
+    los = rng.integers(-40, 60, (40, 3))
+    his = los + rng.integers(1, 50, (40, 3))
+    los[0], his[0] = (-500, -500, -500), (500, 500, 500)  # eye inside
+    los[1], his[1] = (24, 200, 16), (30, 210, 20)  # beside the frustum
+    for pad in (True, False):
+        rects = cam.box_rects(los, his, pad)
+        assert rects == [cam.box_rect(lo, hi, pad) for lo, hi in zip(los, his)]
+        for lo, hi, rect in zip(los, his, rects):
+            corners = [[(lo, hi)[c >> a & 1][a] for a in range(3)] for c in range(8)]
+            assert rect == cam.brick_rect(np.array(corners, float), pad)
+    assert rects[0] == cam.full_rect()
+    assert any(r.empty for r in rects) and any(not r.empty for r in rects)
+    assert cam.box_rects([], []) == []
+
+
+@pytest.mark.parametrize("width,height", [(48, 48), (64, 24), (17, 53)])
+def test_direction_grid_is_rays_for_pixels_in_float32(width, height):
+    """The cached grid the kernel gathers from is built by broadcasting
+    the pixel columns; it must be bit for bit the per-pixel ray formula,
+    cast — for non-square and odd-sized images too."""
+    cam = orbit_camera((40, 50, 60), azimuth_deg=63, elevation_deg=-17, width=width, height=height)
+    full = cam.full_rect()
+    _, dirs = cam.rays_for_pixels(*full.pixel_coords())
+    grid, keys = cam.rect_rays_f32(full)
+    assert grid.dtype == np.float32 and grid.shape == (width * height, 3)
+    assert grid.tobytes() == dirs.astype(np.float32).tobytes()
+    assert keys.dtype == np.int32 and keys.tolist() == list(range(width * height))
+
+
+def test_footprint_rays_concatenate_the_rects():
+    cam = orbit_camera((32, 32, 32), width=50, height=30)
+    rects = [
+        PixelRect(3, 2, 19, 11), PixelRect(0, 0, 0, 0), PixelRect(16, 0, 50, 30),
+        PixelRect(7, 7, 8, 8), PixelRect(40, 20, 30, 25),  # negative width: empty
+    ]
+    dirs, keys, cuts = cam.footprint_rays_f32(rects)
+    assert cuts.tolist() == [0, 144, 144, 1164, 1165, 1165]
+    assert dirs.shape == (1165, 3) and keys.shape == (1165,)
+    _, all_dirs, all_keys = cam.rays_for_rect(cam.full_rect())
+    for rect, lo, hi in zip(rects, cuts, cuts[1:]):
+        px, py = rect.pixel_coords() if not rect.empty else (np.zeros(0, int),) * 2
+        want = cam.pixel_index(px, py)
+        assert keys[lo:hi].tolist() == want.tolist()
+        assert dirs[lo:hi].tobytes() == all_dirs[want].astype(np.float32).tobytes()
+    assert cam.footprint_rays_f32([])[2].tolist() == [0]
+
+
 def test_orbit_camera_looks_at_center():
     cam = orbit_camera((64, 64, 64), azimuth_deg=45, elevation_deg=30)
     assert np.allclose(cam.center, (32, 32, 32))

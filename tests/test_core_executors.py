@@ -3,9 +3,14 @@ small synthetic MapReduce job (histogram fold) independent of rendering."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    BlockPartitioner,
+    CallablePartitioner,
     Chunk,
+    Combiner,
     InProcessExecutor,
     JobConfig,
     KVSpec,
@@ -17,7 +22,14 @@ from repro.core import (
     Reducer,
     RoundRobinPartitioner,
     SimClusterExecutor,
+    TiledPartitioner,
     run_length_groups,
+)
+from repro.core.executors import (
+    PartitionReduceSpec,
+    map_chunk_to_runs,
+    map_chunks_to_runs,
+    merge_partition_runs,
 )
 from repro.sim import accelerator_cluster
 
@@ -124,6 +136,175 @@ def test_works_record_routing():
     assert np.array_equal(
         sum(w.pairs_to_reducer for w in result.works), result.pairs_per_reducer
     )
+
+
+# -- per-launch routing ----------------------------------------------------------
+ROUTE_WIDTH, ROUTE_HEIGHT = 8, 6
+ROUTE_MAX_KEY = ROUTE_WIDTH * ROUTE_HEIGHT - 1
+
+
+class EmitMapper(Mapper):
+    """A chunk's payload *is* its map output."""
+
+    def map(self, chunk):
+        return MapOutput(chunk.payload(), work={"n_rays": len(chunk.payload())})
+
+
+class LastValueCombiner(Combiner):
+    """Keeps each key's last pair, keys in order of first appearance."""
+
+    def combine(self, pairs):
+        last = {int(k): i for i, k in enumerate(pairs["key"])}
+        return pairs[list(last.values())]
+
+
+def _route_partitioner(kind, n):
+    if kind == "round-robin":
+        return RoundRobinPartitioner(n)
+    if kind == "block":
+        return BlockPartitioner(n, ROUTE_MAX_KEY + 1)
+    if kind == "tiled":
+        return TiledPartitioner(n, ROUTE_WIDTH, ROUTE_HEIGHT, tile=3)
+    return CallablePartitioner(n, lambda keys: (keys * 7 + 3) % n)
+
+
+def _route_spec(kind="round-robin", n_reducers=3, combiner=None):
+    return MapReduceSpec(
+        mapper=EmitMapper(),
+        reducer=SumReducer(),
+        partitioner=_route_partitioner(kind, n_reducers),
+        kv=KVSpec(KV),
+        max_key=ROUTE_MAX_KEY,
+        combiner=combiner,
+    )
+
+
+def _route_chunks(key_lists):
+    """One chunk per key list; values number the launch's pairs, so a
+    pair out of place or out of order shows."""
+    chunks, serial = [], 0
+    for i, keys in enumerate(key_lists):
+        pairs = np.zeros(len(keys), dtype=KV)
+        pairs["key"] = keys
+        pairs["val"] = np.arange(serial, serial + len(keys))
+        serial += len(keys)
+        chunks.append(Chunk(id=i, nbytes=pairs.nbytes, data=pairs))
+    return chunks
+
+
+def _reference_route(spec, pairs):
+    """One chunk routed the straight-line way: a mask per reducer."""
+    emitted = len(pairs)
+    pairs = pairs[pairs["key"] != PLACEHOLDER]
+    if spec.combiner is not None:
+        pairs = spec.combiner.combine(pairs)
+    dests = spec.partitioner.partition(pairs["key"])
+    runs = [pairs[dests == r] for r in range(spec.n_reducers)]
+    return runs, emitted, len(pairs), [len(run) for run in runs]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["round-robin", "block", "tiled", "callable"]),
+    n_reducers=st.integers(1, 5),
+    combine=st.booleans(),
+    key_lists=st.lists(
+        st.lists(st.integers(-1, ROUTE_MAX_KEY), max_size=25), min_size=1, max_size=6
+    ),
+)
+def test_routing_a_launch_is_routing_its_chunks_one_by_one(
+    kind, n_reducers, combine, key_lists
+):
+    """Runs bitwise and in emission order, counters equal, the launch
+    charged to its first chunk — with empty chunks, placeholder keys
+    (−1), and a combiner, under every partitioner."""
+    spec = _route_spec(kind, n_reducers, LastValueCombiner() if combine else None)
+    chunks = _route_chunks(key_lists)
+    together = map_chunks_to_runs(spec, chunks)
+    assert len(together) == len(chunks)
+    for ci, (chunk, got) in enumerate(zip(chunks, together)):
+        runs, emitted, kept, work, routed = got
+        ref_runs, ref_emitted, ref_kept, ref_routed = _reference_route(spec, chunk.data)
+        assert len(runs) == n_reducers
+        for run, ref in zip(runs, ref_runs):
+            assert run.dtype == KV and run.tobytes() == ref.tobytes()
+        assert (emitted, kept) == (ref_emitted, ref_kept)
+        assert type(emitted) is int and type(kept) is int
+        assert routed.dtype == np.int64 and routed.tolist() == ref_routed
+        assert work == {"n_rays": len(chunk.data), "launches": int(ci == 0)}
+        # ... and a launch of one is the same function
+        alone = map_chunk_to_runs(spec, chunk)
+        assert [r.tobytes() for r in alone[0]] == [r.tobytes() for r in runs]
+        assert alone[1:3] == (emitted, kept) and alone[3]["launches"] == 1
+        assert alone[4].tolist() == ref_routed
+
+
+def test_routing_rejects_what_per_chunk_routing_rejected():
+    spec = _route_spec()
+    chunks = _route_chunks([[1, 2, 3], [], [4, ROUTE_MAX_KEY + 1]])
+    with pytest.raises(ValueError, match=rf"key {ROUTE_MAX_KEY + 1} outside \[0, {ROUTE_MAX_KEY}\]"):
+        map_chunk_to_runs(spec, chunks[-1])
+    with pytest.raises(ValueError, match=rf"key {ROUTE_MAX_KEY + 1} outside \[0, {ROUTE_MAX_KEY}\]"):
+        map_chunks_to_runs(spec, chunks)
+    chunks = _route_chunks([[1, 2], [-2]])  # only −1 is a placeholder
+    with pytest.raises(ValueError, match="key -2 outside"):
+        map_chunks_to_runs(spec, chunks)
+    # a foreign dtype is a TypeError wherever in the launch it sits
+    chunks = _route_chunks([[1], [2]])
+    chunks[1] = Chunk(id=1, nbytes=8, data=np.zeros(1, np.dtype([("key", np.int32)])))
+    with pytest.raises(TypeError, match="pairs dtype"):
+        map_chunks_to_runs(spec, chunks)
+    with pytest.raises(TypeError, match="pairs dtype"):
+        map_chunk_to_runs(spec, chunks[1])
+
+    class Astray(RoundRobinPartitioner):
+        def partition(self, keys):
+            return super().partition(keys) + 1
+
+    spec.partitioner = Astray(3)
+    with pytest.raises(ValueError, match="outside"):
+        map_chunks_to_runs(spec, _route_chunks([[0, 1, 2]]))
+
+
+def test_merge_partition_runs_with_missing_empty_and_single_runs():
+    """A partition's runs may be absent (``None`` — the chunk, or just
+    that run), empty, or a single one; the merge is the chunk-ordered
+    concatenation, sorted stably and reduced, whichever way."""
+    spec = _route_spec(n_reducers=4)
+    chunks = _route_chunks([[0, 4, 8, 1], [], [4, 0, 5, 1, 1], [9, 13]])
+    dense = [runs for runs, *_ in map_chunks_to_runs(spec, chunks)]
+    # partition 0: three runs; 1: runs from three chunks; 2: none; 3: none
+    assert [[len(r[p]) for r in dense] for p in range(4)] == [
+        [3, 0, 2, 0], [1, 0, 3, 2], [0, 0, 0, 0], [0, 0, 0, 0]
+    ]
+    sparse = [
+        [run if len(run) else None for run in runs] if ci != 1 else None
+        for ci, runs in enumerate(dense)
+    ]
+    single = [dense[0], None, None, None]
+    for runs_per_chunk in (dense, sparse, single, [], [None]):
+        outputs, received = merge_partition_runs(spec, runs_per_chunk)
+        assert len(outputs) == 4 and received.dtype == np.int64
+        for p, (keys, sums) in enumerate(outputs):
+            parts = [
+                runs[p] for runs in runs_per_chunk
+                if runs is not None and runs[p] is not None
+            ]
+            got = np.concatenate(parts) if parts else np.zeros(0, KV)
+            got = got[np.argsort(got["key"], kind="stable")]
+            want_keys, want_sums = spec.reducer.reduce_all(got)
+            assert received[p] == len(got)
+            assert np.array_equal(keys, want_keys)
+            assert np.asarray(sums).tobytes() == np.asarray(want_sums).tobytes()
+    # a worker's renumbered subset runs the same function
+    view = PartitionReduceSpec(2, spec.kv, spec.max_key, spec.reducer, [1, 3])
+    outputs, received = merge_partition_runs(
+        view, [[runs[1], runs[3]] for runs in dense]
+    )
+    full, _ = merge_partition_runs(spec, dense)
+    assert received.tolist() == [6, 0]
+    assert np.array_equal(outputs[0][0], full[1][0])
+    assert np.array_equal(outputs[0][1], full[1][1])
 
 
 def test_out_of_core_chunk_loader():

@@ -230,6 +230,119 @@ def test_scenario_volume_covers_the_brick_kinds():
     assert any(ghosts) and not all(ghosts)
 
 
+def _spy_on_marches(monkeypatch) -> list:
+    """Record every ``MarchPlan`` the numpy kernel is handed."""
+    from repro.render import kernels
+    from repro.render.kernels import numpy_backend
+
+    plans = []
+
+    def march(plan):
+        plans.append(plan)
+        return numpy_backend.march(plan)
+
+    spy = kernels.KernelSpec("numpy", march, numpy_backend.warmup)
+    monkeypatch.setattr(kernels, "resolve_kernel", lambda name, **kw: spy)
+    return plans
+
+
+def _assert_plan_is_well_formed(plan):
+    """Segments hold ≥ 1 ray each and tile the plan's rays in order."""
+    edges = [(s.ray_lo, s.ray_hi) for s in plan.segments]
+    assert all(hi > lo for lo, hi in edges)
+    assert edges[0][0] == 0 and edges[-1][1] == len(plan.counts)
+    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    n = len(plan.counts)
+    assert plan.t0.shape == (n,) and plan.dirs.shape == (n, 3)
+    assert plan.acc_a.shape == (n,) and plan.acc_rgb.shape == (n, 3)
+
+
+@pytest.mark.parametrize("emit_placeholders", [False, True])
+def test_idle_bricks_in_the_middle_of_a_launch(monkeypatch, emit_placeholders):
+    """An off-screen brick (empty footprint) and a brick whose footprint
+    holds no active ray sit *between* marching bricks: the launch-wide
+    set-up hands the kernel one plan whose segments skip them, and each
+    brick still gets exactly its launch-of-one fragments and counters."""
+    config = RenderConfig(
+        dt=0.75, kernel="numpy", emit_placeholders=emit_placeholders
+    )
+    camera = _camera(0.0, 20.0, look=(0, 6, 4), fov=20.0)
+    tasks = _tasks()
+    alone = [
+        raycast_bricks([t], VOLUME.shape, camera, default_tf(), config)[0]
+        for t in tasks
+    ]
+    marching = [i for i, (_, s) in enumerate(alone) if s.n_active_rays]
+    offscreen = [i for i, (_, s) in enumerate(alone) if s.n_rays == 0]
+    rayless = [
+        i for i, (_, s) in enumerate(alone) if s.n_rays and not s.n_active_rays
+    ]
+    assert len(marching) >= 3 and offscreen and rayless
+    launch = [marching[0], offscreen[0], marching[1], rayless[0], offscreen[-1], marching[2]]
+    plans = _spy_on_marches(monkeypatch)
+    together = raycast_bricks(
+        [tasks[i] for i in launch], VOLUME.shape, camera, default_tf(), config
+    )
+    assert len(plans) == 1 and len(plans[0].segments) == 3
+    _assert_plan_is_well_formed(plans[0])
+    assert len(plans[0].counts) == sum(alone[i][1].n_active_rays for i in launch)
+    for i, (frags, stats) in zip(launch, together):
+        assert frags.tobytes() == alone[i][0].tobytes()
+        assert stats == alone[i][1]
+    if emit_placeholders:
+        assert [len(f) for f, _ in together] == [alone[i][1].n_rays for i in launch]
+    # a launch of idle bricks only never reaches the kernel
+    del plans[:]
+    idle = raycast_bricks(
+        [tasks[i] for i in offscreen + rayless], VOLUME.shape, camera,
+        default_tf(), config,
+    )
+    assert plans == [] and all(s.n_samples == 0 for _, s in idle)
+
+
+def test_lone_marchers_share_a_launch_with_fused_bricks(monkeypatch):
+    """Span-carved bricks and a payload with a size-1 axis march alone,
+    from their slices of the launch's rays, between stretches of fused
+    bricks — and nobody's bytes or counters can tell."""
+    from repro.render.accel import NO_GRID, grid_key
+
+    monkeypatch.setattr(raycast, "SPAN_GATE_SAMPLES", 0)
+    monkeypatch.setattr(raycast, "SPAN_GATE_STEPS", 0.0)
+    config = RenderConfig(dt=0.5, macro_cell_size=4, kernel="numpy")
+    camera = _camera(35.0, 25.0)
+    tf = default_tf()
+    # With the gate open every rim brick carves; a cached "no grid can
+    # help" keeps two of every four fusable.
+    cache = AccelCache()
+    tasks = _tasks(tag="lone")
+    for task in tasks:
+        if task.accel_key[1] % 4 in (1, 2):
+            cache.put(grid_key(task.accel_key, 4), NO_GRID)
+    # a one-voxel-thick slab of the volume, ghostless: payload (24, 24, 1)
+    slab = BrickTask(
+        np.ascontiguousarray(VOLUME.data[:, :, 11:12]), (0, 0, 11), (0, 0, 11), (24, 24, 12)
+    )
+    tasks = tasks[:14] + [slab] + tasks[14:]
+    alone = [
+        raycast_bricks([t], VOLUME.shape, camera, tf, config, cache)[0] for t in tasks
+    ]
+    carved = [i for i, (_, s) in enumerate(alone) if s.span_carved]
+    assert carved and len(carved) < len(tasks) - 1
+    plans = _spy_on_marches(monkeypatch)
+    together = raycast_bricks(tasks, VOLUME.shape, camera, tf, config, cache)
+    for plan in plans:
+        _assert_plan_is_well_formed(plan)
+    lone = [p for p in plans if p.spans is not None or min(p.segments[0].shape) < 2]
+    assert all(len(p.segments) == 1 for p in lone)
+    assert sum(p.spans is not None for p in lone) == len(carved)
+    assert sum(p.spans is None for p in lone) == 1  # the slab
+    assert any(len(p.segments) > 1 for p in plans)  # fused stretches remain
+    assert sum(len(p.counts) for p in plans) == sum(s.n_active_rays for _, s in alone)
+    for (frags, stats), (ref, ref_stats) in zip(together, alone):
+        assert frags.tobytes() == ref.tobytes()
+        assert stats == ref_stats and stats.span_carved == ref_stats.span_carved
+
+
 def test_launches_are_cut_at_the_ray_budget():
     assert cut_launches([]) == []
     assert cut_launches([5, 5, 5], budget=10) == [2, 1]
@@ -509,6 +622,22 @@ def test_axis_parallel_rays_stay_float32_and_partition_exactly(azimuth, elevatio
     assert tn.dtype == tf_.dtype == np.float32
     assert hit.any() and not hit.all()
     assert np.isfinite(tn[hit]).all() and np.isfinite(tf_[hit]).all()
+    # One test of every ray against a box of its own — the centre brick
+    # (parallel rays inside its slab) then a corner brick (outside) — is
+    # the two single-box tests end to end.
+    n = len(dirs)
+    corner = BRICKS[0]
+    tn0, tf0, hit0 = box_intersect_f32(
+        np.asarray(corner.lo, F32) - eye, np.asarray(corner.hi, F32) - eye, dirs, inv
+    )
+    parallel = (dirs == 0.0).any(axis=1)
+    assert hit[parallel].any() and not hit0[parallel].any()
+    lo2 = np.repeat(np.array([b.lo, corner.lo], F32) - eye, n, axis=0)
+    hi2 = np.repeat(np.array([b.hi, corner.hi], F32) - eye, n, axis=0)
+    both = box_intersect_f32(lo2, hi2, np.tile(dirs, (2, 1)), np.tile(inv, (2, 1)))
+    for got, first, second in zip(both, (tn, tf_, hit), (tn0, tf0, hit0)):
+        assert got.dtype == first.dtype
+        assert got.tobytes() == first.tobytes() + second.tobytes()
 
     config = RenderConfig(dt=0.75, kernel="numpy", ert_alpha=1.0, accel="off")
     tasks = _tasks()

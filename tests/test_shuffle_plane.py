@@ -59,12 +59,28 @@ def test_shuffle_spec_validation():
         s.owned_partitions(2)
 
 
-def test_shuffle_spec_bucket_runs_layout():
+def test_map_chunks_to_runs_run_layout():
+    from types import SimpleNamespace
+
+    from repro.core import Chunk, KVSpec, MapOutput, Mapper, RoundRobinPartitioner
+    from repro.core.executors import map_chunks_to_runs
+
     kv = np.dtype([("key", np.int32), ("val", np.float32)])
     pairs = np.zeros(10, dtype=kv)
     pairs["key"] = np.arange(10)
-    dests = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
-    runs, routed = ShuffleSpec(3).bucket_runs(pairs, dests)
+
+    class Emit(Mapper):
+        def map(self, chunk):
+            return MapOutput(chunk.payload())
+
+    spec = SimpleNamespace(
+        mapper=Emit(), partitioner=RoundRobinPartitioner(3), combiner=None,
+        kv=KVSpec(kv), max_key=9, n_reducers=3,
+    )
+    (runs, emitted, kept, _, routed), = map_chunks_to_runs(
+        spec, [Chunk(id=0, nbytes=pairs.nbytes, data=pairs)]
+    )
+    assert (emitted, kept) == (10, 10)
     assert routed.tolist() == [4, 3, 3]
     assert [len(r) for r in runs] == [4, 3, 3]
     # Emission order preserved within a run (the stable sort relies on it).
