@@ -23,7 +23,6 @@ from repro.render import (
     resolve_kernel,
     trilinear_sample,
 )
-from repro.render import raycast
 from repro.render.accel import AccelCache
 from repro.render.raycast import BrickTask, raycast_bricks
 from repro.volume import bricks_for_gpu_count, make_dataset
@@ -36,7 +35,7 @@ RNG = np.random.default_rng(7)
 
 def _sparse_volume(size: int, fill: float) -> np.ndarray:
     """A mostly-empty volume with a centred dense blob of ``fill`` volume
-    fraction — the regime whole-span empty-space skipping targets."""
+    fraction — the regime empty-space skipping targets."""
     rng = np.random.default_rng(11)
     data = np.zeros((size,) * 3, np.float32)
     edge = max(2, round(size * fill ** (1.0 / 3.0)))
@@ -129,19 +128,14 @@ def test_bench_raycast_block_size(benchmark, block_size):
 
 
 @pytest.mark.parametrize("sparsity", sorted(_SPARSE))
-@pytest.mark.parametrize(
-    "accel,cell",
-    [("off", 8), ("table", 8), ("grid", 4), ("grid", 8), ("grid", 16)],
-)
-def test_bench_raycast_macro_grid(benchmark, sparsity, accel, cell):
-    """Whole-span empty-space skipping vs the corner-max table vs no
-    acceleration, across volume sparsity and macro-cell size.  The span
-    gate carves only the sparse volume's 4³ grid (``grid-8-sparse``,
-    which must beat the table row); every other grid row has too little
-    to remove per ray·step, or no grid at all, and marches like
-    ``table``."""
+@pytest.mark.parametrize("accel", ["off", "table"])
+def test_bench_raycast_macro_grid(benchmark, sparsity, accel):
+    """Empty-space skipping (corner-max table + occupied-box trim) vs no
+    acceleration, across volume sparsity, one brick.  (Named for the
+    macro-cell grid whose ``grid-*`` rows it used to carry; ``table`` on
+    the sparse volume is the row that beat the carve.)"""
     data = _SPARSE[sparsity]
-    cfg = RenderConfig(dt=1.0, accel=accel, macro_cell_size=cell)
+    cfg = RenderConfig(dt=1.0, accel=accel)
     frags, stats = benchmark(
         raycast_brick,
         data,
@@ -156,6 +150,7 @@ def test_bench_raycast_macro_grid(benchmark, sparsity, accel, cell):
         accel_cache=_ACCEL_CACHE,
     )
     assert stats.n_samples > 0
+    assert (stats.n_positioned < stats.n_samples) == (accel == "table")
 
 
 def _brick_scene():
@@ -202,23 +197,16 @@ def test_bench_raycast_fused(benchmark, bricks_per_launch):
     assert sum(s.n_samples for _, s in out) > 0
 
 
-@pytest.mark.parametrize("accel", ["off", "table", "grid", "grid-carve-forced"])
-def test_bench_macro_grid_bricks(benchmark, accel, monkeypatch):
-    """The macro grid at brick scale, where it used to lose: the span
-    gate keeps ``grid`` at ``table`` speed here (no brick clears it),
-    and ``grid-carve-forced`` — the gate held open — is what carving
-    these bricks costs.  With test_bench_raycast_macro_grid's sparse
-    rows (where the gate opens and ``grid-8`` wins) this puts a
-    committed row on each side of ``SPAN_GATE_*``."""
+@pytest.mark.parametrize("accel", ["off", "table"])
+def test_bench_macro_grid_bricks(benchmark, accel):
+    """Empty-space skipping at brick scale: the end-to-end sparse
+    scene's 16 bricks, 8 per launch, with and without table + trim."""
     vol, tasks, cam = _BRICK_SCENE
-    if accel == "grid-carve-forced":
-        monkeypatch.setattr(raycast, "SPAN_GATE_SAMPLES", 0)
-        monkeypatch.setattr(raycast, "SPAN_GATE_STEPS", 0.0)
-        accel = "grid"
     cfg = RenderConfig(dt=0.75, accel=accel, kernel="numpy")
     out = benchmark(_cast_frame, tasks, 8, vol.shape, cam, cfg)
-    carved = sum(s.span_carved for _, s in out)
-    assert carved == (16 if raycast.SPAN_GATE_SAMPLES == 0 else 0)
+    owned = sum(s.n_samples for _, s in out)
+    positioned = sum(s.n_positioned for _, s in out)
+    assert (positioned < 0.6 * owned) == (accel == "table")
 
 
 def test_bench_trilinear_sample(benchmark):

@@ -11,11 +11,10 @@
 #
 # Runs the functional-kernel micro-benchmarks into a pytest-benchmark
 # JSON (default: BENCH_kernels.json at the repo root) — including the
-# macro-grid empty-space raycast bench (accel off/table/grid × macro
-# -cell size × volume sparsity; behind the span gate only grid-8-sparse
-# carves and must beat table-8-sparse — ≈1.3x mean as committed — while
-# every other grid row must match its table row) and the brick-scale
-# rows where the gate stays shut — then the shared-memory pool
+# empty-space raycast bench (accel off/table × volume sparsity on one
+# brick, and on the end-to-end sparse scene's 16 bricks; table — the
+# corner-max probe plus the occupied-box trim — must beat off wherever
+# there is empty space) — then the shared-memory pool
 # executor's scaling sweep (1/2/4/8 workers × parent/worker reduce ×
 # pipeline depth 1/2 over a multi-brick orbit) into BENCH_parallel.json.
 # Compare kernels against the committed baseline with e.g.:

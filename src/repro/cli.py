@@ -105,15 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. 'crash@map:worker=1,frame=2' or "
                         "'stall(5)@reduce;exit(3)@shuffle-out:chunk=0' "
                         "(testing/bench hook; see repro.parallel.faults)")
-    r.add_argument("--accel", default="grid", choices=["grid", "table", "off"],
-                   help="empty-space skipping: 'grid' may carve whole "
-                        "transparent spans per ray via a macro-cell min/max "
-                        "grid, where that pays (default), 'table' is the "
-                        "per-sample "
-                        "corner-max probe, 'off' disables both; the image "
-                        "is bitwise-identical either way")
-    r.add_argument("--macro-cell-size", type=int, default=8,
-                   help="macro-cell edge length in voxels for --accel grid")
+    r.add_argument("--accel", default="table", choices=["table", "grid", "off"],
+                   help="empty-space skipping: 'table' probes a per-voxel "
+                        "corner-max table before each gather and marches "
+                        "only the part of each brick its occupied cells "
+                        "span (default; 'grid' is an old spelling of it), "
+                        "'off' disables both; the image is "
+                        "bitwise-identical either way")
     r.add_argument("--kernel", default="auto",
                    choices=["auto", "numpy", "numba"],
                    help="march-kernel backend: 'numba' JIT-compiles the "
@@ -219,7 +217,6 @@ def _cmd_render(args) -> int:
             dt=args.dt,
             shading=args.shading,
             accel=args.accel,
-            macro_cell_size=args.macro_cell_size,
             kernel=args.kernel,
         ),
         executor=args.executor,

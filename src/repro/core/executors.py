@@ -206,12 +206,13 @@ def _route_outputs(spec, outs) -> list:
 
 def map_telemetry(works: Iterable[dict]) -> dict:
     """A frame's map-stage gauges from its per-chunk work counters:
-    kernel launches, and bricks whose rays the span gate carved."""
+    kernel launches, and the samples the march positioned (what is left
+    of ``n_samples`` after the occupied-box trim)."""
     works = list(works)
     return {
         "map.launches": sum(int(w.get("launches", 0)) for w in works),
-        "map.span_carved_bricks": sum(
-            int(w.get("span_carved", 0)) for w in works
+        "map.positioned_samples": sum(
+            int(w.get("n_positioned", 0)) for w in works
         ),
     }
 

@@ -177,7 +177,7 @@ from .supervise import (
     dead_workers,
     worker_error_to_exception,
 )
-from .worker import GRID_ARENA_KEY, TF_ARENA_KEY, FrameContext, worker_main
+from .worker import TF_ARENA_KEY, FrameContext, worker_main
 
 __all__ = [
     "PendingFrame",
@@ -1070,27 +1070,19 @@ class SharedMemoryPoolExecutor:
     def _publish(self, spec: MapReduceSpec, chunks: Sequence[Chunk]) -> None:
         """(Re)publish the chunk payload + transfer-function arena.
 
-        When the mapper renders with ``accel="grid"``, each chunk's
-        macro-cell occupancy grid (or its ``NO_GRID`` sentinel) rides
-        along in the same arena under ``(GRID_ARENA_KEY, cache key)``:
-        workers seed their process-local acceleration caches from the
-        zero-copy views on attach, so across an orbit's frames the grids
-        are built exactly once, in the parent — the fingerprint already
-        pins everything they depend on (volume token, tf version, brick
-        regions, and the accel knobs added here).
+        Nothing else rides in it: the empty-space structures are cheap
+        functions of ``(payload, transfer function)`` that every worker
+        builds into its own acceleration cache on its first frame.  The
+        fingerprint pins what the arena holds — volume token, tf
+        version and the brick regions — so an orbit publishes once.
         """
         token = getattr(spec.mapper, "accel_token", None)
         tf = getattr(spec.mapper, "tf", None)
         tf_version = getattr(tf, "version", None)
-        config = getattr(spec.mapper, "config", None)
-        accel_mode = getattr(config, "accel", None)
-        cell_size = getattr(config, "macro_cell_size", None)
         sig = (
             (
                 token,
                 tf_version,
-                accel_mode,
-                cell_size,
                 tuple(
                     (
                         c.id,
@@ -1130,26 +1122,6 @@ class SharedMemoryPoolExecutor:
             arrays = {c.id: c.payload() for c in chunks}
             if tf_version is not None:
                 arrays[TF_ARENA_KEY] = tf.table
-            if accel_mode == "grid" and tf_version is not None:
-                key_for = getattr(spec.mapper, "accel_key_for", None)
-                if key_for is not None:
-                    from ..render.accel import (
-                        build_macro_grid,
-                        grid_key,
-                        shared_cache,
-                    )
-
-                    cache = shared_cache()
-                    for c in chunks:
-                        base = key_for(c)
-                        if base is None:
-                            continue
-                        gkey = grid_key(base, cell_size)
-                        grid = cache.get(gkey)
-                        if grid is None:
-                            grid = build_macro_grid(arrays[c.id], tf, cell_size)
-                            cache.put(gkey, grid)
-                        arrays[(GRID_ARENA_KEY, gkey)] = grid
             nbytes = sum(int(a.nbytes) for a in arrays.values())
             sp.set(bytes=nbytes)
             arena = ShmArena(arrays)

@@ -33,7 +33,7 @@ SPSC rings, mesh edges, and control queues carry mid-frame state that
 cannot be rewound for a single process, so recovery quarantines the
 whole epoch — every transport object and worker process is recycled —
 while the expensive state survives: the shared-memory **arena** (the
-published volume bricks, transfer function, and acceleration grids)
+published volume bricks and transfer function)
 stays mapped, and replacement workers re-attach it by name in
 microseconds.  In-flight frames are then re-executed (re-publish →
 re-map → re-reduce); the chunk-order merge invariant makes the

@@ -9,11 +9,7 @@ names to the parent.  Its loop then consumes control messages from a
 per-worker task queue:
 
 ``("arena", ArenaSpec|None)``
-    (Re)attach the published chunk/transfer-function arena.  Macro-cell
-    occupancy grids published under ``(GRID_ARENA_KEY, cache key)`` seed
-    the worker's process-local acceleration cache as zero-copy views —
-    the multiprocess analogue of the paper's static per-GPU structures —
-    and are evicted again before an old arena is unmapped.
+    (Re)attach the published chunk/transfer-function arena.
 ``("mesh_attach", {peer: ring name})``
     Attach to every peer's inbound edge (this worker's outbound row of
     the N×N mesh).  Sent once, before any frame.
@@ -109,18 +105,12 @@ __all__ = [
     "FrameContext",
     "map_chunk_to_runs",
     "worker_main",
-    "GRID_ARENA_KEY",
     "TF_ARENA_KEY",
 ]
 
 #: Arena key under which the transfer-function table is published.
 TF_ARENA_KEY = "__tf_table__"
 
-#: Arena key *tag* for macro-cell occupancy grids: the parent publishes
-#: each grid under ``(GRID_ARENA_KEY, <acceleration-cache key>)``, so a
-#: worker can seed its process-local cache mechanically — the second
-#: element *is* the cache key the ray-cast kernel will look up.
-GRID_ARENA_KEY = "__accel_grid__"
 
 @dataclass
 class FrameContext:
@@ -423,42 +413,6 @@ def _handle_reduce(
         )
 
 
-def _evict_seeded(seeded: list) -> None:
-    """Drop arena-backed grid views from the local accel cache.
-
-    Must run before the arena they point into is unmapped — on arena
-    swap *and* on worker shutdown — or the views' exported buffers keep
-    the old segment pinned past ``close()``.
-    """
-    if not seeded:
-        return
-    from ..render.accel import shared_cache
-
-    cache = shared_cache()
-    for k in seeded:
-        cache.pop(k)
-    seeded.clear()
-
-
-def _seed_grid_cache(view: ArenaView, seeded: list) -> None:
-    """Install arena-published macro grids into the local accel cache.
-
-    Entries tagged ``(GRID_ARENA_KEY, cache_key)`` are zero-copy views of
-    parent-built grids; putting them under ``cache_key`` means this
-    worker's ray-cast kernel finds them warm on its very first map task
-    and never builds one itself.  ``seeded`` records the keys so the
-    next arena swap can evict the views *before* the old segment is
-    unmapped.
-    """
-    from ..render.accel import shared_cache
-
-    cache = shared_cache()
-    for key in view.spec.keys():
-        if isinstance(key, tuple) and len(key) == 2 and key[0] == GRID_ARENA_KEY:
-            cache.put(key[1], view.array(key))
-            seeded.append(key[1])
-
-
 def _next_message(task_queue, mesh, pending: list):
     """Block for the next control message, draining the mesh meanwhile.
 
@@ -642,7 +596,6 @@ def worker_main(
             )
     view: Optional[ArenaView] = None
     ctx: Optional[FrameContext] = None
-    seeded: list = []  # accel-cache keys backed by the current arena
     pending: list = []  # the message a map-batch drain popped past its end
     try:
         while True:
@@ -656,15 +609,10 @@ def worker_main(
                 # arena (e.g. a transfer function bound to its table);
                 # drop it first so the mapping can actually unmap.  A
                 # "frame" message always follows an "arena" message.
-                # Cached grid views pin the old segment the same way, so
-                # evict them before closing.
                 ctx = None
-                _evict_seeded(seeded)
                 if view is not None:
                     view.close()
                 view = ArenaView(spec) if spec is not None else None
-                if view is not None:
-                    _seed_grid_cache(view, seeded)
             elif kind in ("mesh_attach", "socket_attach"):
                 mesh.attach_row(msg[1])
             elif kind == "frame":
@@ -714,7 +662,6 @@ def worker_main(
                 )
     finally:
         ctx = None  # release arena-backed views before unmapping
-        _evict_seeded(seeded)
         if view is not None:
             view.close()
         if mesh is not None:

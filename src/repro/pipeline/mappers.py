@@ -70,12 +70,8 @@ class RayCastMapper(Mapper):
     def accel_key_for(self, chunk: Chunk) -> Optional[tuple]:
         """Base acceleration-cache key for one chunk (None when untokened).
 
-        The corner-max table is cached under this key directly; the
-        macro-cell grid under
-        :func:`repro.render.accel.grid_key` derived from it.  The pool
-        executor uses the same derivation to publish grids into its
-        shared-memory arena so workers can seed their caches without
-        rebuilding anything.
+        The corner-max table is cached under this key directly, its
+        occupied box under ``("box",) + key``.
         """
         if self.accel_token is None or self.tf is None:
             return None
@@ -161,7 +157,7 @@ class RayCastMapper(Mapper):
                     "n_emitted": stats.n_emitted
                     if self.config.emit_placeholders
                     else stats.n_rays,
-                    "span_carved": int(stats.span_carved),
+                    "n_positioned": stats.n_positioned,
                 },
             )
             for fragments, stats in results

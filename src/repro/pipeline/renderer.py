@@ -140,18 +140,13 @@ class MapReduceVolumeRenderer:
         orbits).  1 (default) is fully synchronous; 2 double-buffers:
         workers map+reduce frame *k+1* while the parent stitches frame
         *k*.
-    accel, macro_cell_size:
-        Overrides for :attr:`RenderConfig.accel` /
-        :attr:`RenderConfig.macro_cell_size` — the ray caster's
-        empty-space machinery (``"grid"``, the default: macro-cell span
-        skipping wherever the span gate finds it pays, the corner-max
-        table everywhere; ``"table"`` per-sample corner-max only;
-        ``"off"``).
-        All settings produce bitwise-identical images and counters; the
-        knobs trade acceleration-structure build cost against marching
-        cost.  Macro grids are cached per volume+tf+brick and, with the
-        pool executor, published once into the shared-memory arena so
-        workers never rebuild them across an orbit's frames.
+    accel:
+        Override for :attr:`RenderConfig.accel` — the ray caster's
+        empty-space machinery (``"table"``, the default: the corner-max
+        table and the occupied-box trim; ``"off"``).  Both settings
+        produce bitwise-identical images and counters.  The structures
+        are cached per volume+tf+brick in each process, so an orbit
+        builds them once.
     kernel:
         Override for :attr:`RenderConfig.kernel` — the march-kernel
         backend (``"auto"``/``"numpy"``/``"numba"``).  ``"auto"`` is
@@ -186,7 +181,6 @@ class MapReduceVolumeRenderer:
         host_spec=None,
         pin_workers: bool = False,
         accel: Optional[str] = None,
-        macro_cell_size: Optional[int] = None,
         kernel: Optional[str] = None,
         supervise: Optional[bool] = None,
         max_frame_retries: Optional[int] = None,
@@ -202,15 +196,13 @@ class MapReduceVolumeRenderer:
         )
         self.tf = tf if tf is not None else default_tf()
         self.render_config = render_config if render_config is not None else RenderConfig()
-        if accel is not None or macro_cell_size is not None or kernel is not None:
+        if accel is not None or kernel is not None:
             # Convenience overrides for the empty-space machinery and
             # the march-kernel backend, so callers need not rebuild a
             # whole RenderConfig to flip them.
             overrides = {}
             if accel is not None:
                 overrides["accel"] = accel
-            if macro_cell_size is not None:
-                overrides["macro_cell_size"] = int(macro_cell_size)
             if kernel is not None:
                 overrides["kernel"] = kernel
             self.render_config = replace(self.render_config, **overrides)

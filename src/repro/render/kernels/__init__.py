@@ -2,15 +2,17 @@
 
 ``raycast_bricks`` owns everything *around* the march — ray generation,
 slab intersection, ownership intervals, empty-space structure
-build/caching, macro-grid span carving, launch formation, and fragment
+build/caching, the occupied-box trim, launch formation, and fragment
 emission.  What happens *inside* a launch is the kernel contract
 captured by :class:`MarchPlan` + :class:`KernelSpec`.  A plan is
 **launch-shaped**: the concatenated active rays of one or more bricks
 (:class:`BrickSegment`), each ray marching against its own brick's
 payload.  Per ray the kernel performs:
 
-* trilinear gather of each owned sample (ravel-offset addressing, the
-  optional clamp fold, degenerate-axis strides);
+* trilinear gather of each owned sample inside the ray's trim interval
+  ``[lead, trail)`` (ravel-offset addressing, the optional clamp fold,
+  degenerate-axis strides) — samples outside it are ones the skip table
+  drops, so a kernel may not even position them;
 * transfer-function ``table_coord`` + the exact per-sample empty-space
   filter ``u > u_thr`` and the corner-max skip-table probe at the
   gather's support base;
@@ -18,10 +20,11 @@ payload.  Per ray the kernel performs:
 * the front-to-back fold with block-granular early ray termination,
   writing the per-ray accumulators (``acc_rgb``/``acc_a``/``term``)
   in place;
-* owned-sample accounting: ``march`` returns, per segment, the number
-  of *owned* samples of every live block, counted before any
-  empty-space elision, exactly as ``MapStats.n_samples`` has always
-  counted them (the caller multiplies by ``fetches_per_sample``).
+* sample accounting: ``march`` returns, per segment, the number of
+  *owned* samples of every live block, counted before any empty-space
+  elision, exactly as ``MapStats.n_samples`` has always counted them
+  (the caller multiplies by ``fetches_per_sample``), and the number it
+  actually positioned (``MapStats.n_positioned``, a cost diagnostic).
 
 Backends
 --------
@@ -135,7 +138,8 @@ class MarchPlan:
     Inputs are read-only to the kernel; ``acc_rgb``/``acc_a``/``term``
     are the per-ray accumulators the kernel mutates in place.  ``march``
     returns the owned-sample count (pre-elision) of each segment so the
-    caller can charge ``MapStats.n_samples`` uniformly across backends.
+    caller can charge ``MapStats.n_samples`` uniformly across backends,
+    and the positioned-sample count beside it.
 
     Rays never interact, so a ray's result does not depend on which
     other bricks share its launch: a fused launch is bitwise the
@@ -154,9 +158,13 @@ class MarchPlan:
     ert_alpha: float
     # Empty-space machinery (both optional; both conservative).
     u_thr: float  # exact filter threshold (−1: none, +inf: all empty)
-    # Macro-grid CSR (row_ptr, j0, j1), or None.  Carved bricks launch
-    # alone: spans require a single segment.
-    spans: Optional[tuple]
+    # Occupied-box trim: (n,) int64 ordinals, 0 <= lead, trail <= counts.
+    # Every sample of ray i outside [lead[i], trail[i]) is one the skip
+    # table drops, so only that interval need be positioned; block
+    # windows, ERT points and the owned count stay those of ``counts``.
+    # Both None when no brick of the launch has anything to trim.
+    lead: Optional[np.ndarray]
+    trail: Optional[np.ndarray]
     # Classification + shading.
     tf: "TransferFunction1D"  # noqa: F821 - transfer.TransferFunction1D
     shading: bool
@@ -170,14 +178,14 @@ class MarchPlan:
 class KernelSpec:
     """A resolved march backend.
 
-    ``march(plan) -> owned samples per segment`` runs one launch's
-    blocked march; ``warmup()`` performs any one-time compilation (a
-    no-op for numpy, the JIT compile for numba) so pool workers can pay
-    it at spawn, off the frame critical path.
+    ``march(plan) -> (owned, positioned) samples per segment`` runs one
+    launch's blocked march; ``warmup()`` performs any one-time
+    compilation (a no-op for numpy, the JIT compile for numba) so pool
+    workers can pay it at spawn, off the frame critical path.
     """
 
     name: str
-    march: Callable[[MarchPlan], Sequence[int]]
+    march: Callable[[MarchPlan], tuple[Sequence[int], Sequence[int]]]
     warmup: Callable[[], None]
 
 

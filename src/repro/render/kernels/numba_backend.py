@@ -53,7 +53,6 @@ except Exception as _exc:  # ImportError, or a broken install
 
 _WARMED = False
 
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_BOOL = np.zeros(0, dtype=bool)
 
 
@@ -343,10 +342,8 @@ def _march_rays(
     have_filter,
     table,
     have_table,
-    row_ptr,
-    sj0,
-    sj1,
-    have_spans,
+    lead,
+    trail,
     tf_table,
     tf_diff,
     tf_scale,
@@ -357,13 +354,16 @@ def _march_rays(
     acc_a,
     term,
 ):
-    """March every active ray; returns the owned-sample count.
+    """March every active ray; returns the (owned, positioned) sample
+    counts.
 
     Per ray, per ``K``-sample block window: accumulate the visible
     samples into block-local partial sums with a sequential running
     transmittance, fold them through ``t_prior = 1 − acc_a`` (the same
     two-level accumulation the numpy backend's scan + ``reduceat``
-    fold performs), then apply block-granular ERT.
+    fold performs), then apply block-granular ERT.  Only the ordinals
+    of a window inside the ray's trim interval ``[lead, trail)`` are
+    sampled; cadence, ERT and the owned count run on ``counts``.
     """
     f0 = np.float32(0.0)
     f1 = np.float32(1.0)
@@ -371,6 +371,7 @@ def _march_rays(
     sy = nz if ny > 1 else 0
     sz = 1 if nz > 1 else 0
     owned = 0
+    positioned = 0
     n = counts.shape[0]
     for i in range(n):
         cnt_i = counts[i]
@@ -383,11 +384,8 @@ def _march_rays(
         dx64 = np.float64(dxf)
         dy64 = np.float64(dyf)
         dz64 = np.float64(dzf)
-        s_lo = 0
-        s_hi = 0
-        if have_spans:
-            s_lo = row_ptr[i]
-            s_hi = row_ptr[i + 1]
+        lead_i = lead[i]
+        trail_i = trail[i]
         jb = 0
         while jb < cnt_i:
             m = cnt_i - jb
@@ -399,49 +397,26 @@ def _march_rays(
             c_b = f0
             c_w = f0
             btrans = f1
-            if have_spans:
-                for s in range(s_lo, s_hi):
-                    a0 = sj0[s]
-                    a1 = sj1[s]
-                    if a1 <= jb:
-                        continue
-                    if a0 >= jb + m:
-                        break
-                    b0 = a0 if a0 > jb else jb
-                    b1 = a1 if a1 < jb + m else jb + m
-                    for j in range(b0, b1):
-                        r, g, b, a, vis = _sample_rgba(
-                            flat, j, t0i, dt64, dx64, dy64, dz64,
-                            dxf, dyf, dzf, bw0, bw1, bw2,
-                            nx, ny, nz, sx, sy, sz, clamp,
-                            table, have_table, have_filter, u_thr,
-                            tf_table, tf_diff, tf_scale, tf_vmin,
-                            tf_inv_range, dt_is_one, dt_pow, shading,
-                        )
-                        if vis:
-                            w = btrans * a
-                            c_r += w * r
-                            c_g += w * g
-                            c_b += w * b
-                            c_w += w
-                            btrans = btrans * (f1 - a)
-            else:
-                for j in range(jb, jb + m):
-                    r, g, b, a, vis = _sample_rgba(
-                        flat, j, t0i, dt64, dx64, dy64, dz64,
-                        dxf, dyf, dzf, bw0, bw1, bw2,
-                        nx, ny, nz, sx, sy, sz, clamp,
-                        table, have_table, have_filter, u_thr,
-                        tf_table, tf_diff, tf_scale, tf_vmin,
-                        tf_inv_range, dt_is_one, dt_pow, shading,
-                    )
-                    if vis:
-                        w = btrans * a
-                        c_r += w * r
-                        c_g += w * g
-                        c_b += w * b
-                        c_w += w
-                        btrans = btrans * (f1 - a)
+            j_lo = jb if jb > lead_i else lead_i
+            j_hi = jb + m if jb + m < trail_i else trail_i
+            if j_hi > j_lo:
+                positioned += j_hi - j_lo
+            for j in range(j_lo, j_hi):
+                r, g, b, a, vis = _sample_rgba(
+                    flat, j, t0i, dt64, dx64, dy64, dz64,
+                    dxf, dyf, dzf, bw0, bw1, bw2,
+                    nx, ny, nz, sx, sy, sz, clamp,
+                    table, have_table, have_filter, u_thr,
+                    tf_table, tf_diff, tf_scale, tf_vmin,
+                    tf_inv_range, dt_is_one, dt_pow, shading,
+                )
+                if vis:
+                    w = btrans * a
+                    c_r += w * r
+                    c_g += w * g
+                    c_b += w * b
+                    c_w += w
+                    btrans = btrans * (f1 - a)
             # Fold the block (adding exact zeros for empty blocks is the
             # identity, matching numpy's fold-only-present-rows).
             t_prior = f1 - acc_a[i]
@@ -453,10 +428,10 @@ def _march_rays(
                 term[i] = True
                 break
             jb += K
-    return owned
+    return owned, positioned
 
 
-def march(plan: MarchPlan) -> list:
+def march(plan: MarchPlan) -> tuple:
     """Adapt a :class:`MarchPlan` to the JIT kernel's flat arguments.
 
     The compiled marcher already pays no per-launch interpreter cost, so
@@ -477,19 +452,16 @@ def march(plan: MarchPlan) -> list:
         return numpy_backend.march(plan)
     tf = plan.tf
     tf_scale = tf.vmin != 0.0 or tf.vmax != 1.0
-    if plan.spans is not None:
-        row_ptr, sj0, sj1 = (
-            np.ascontiguousarray(a, dtype=np.int64) for a in plan.spans
-        )
-        have_spans = True
-    else:
-        row_ptr = sj0 = sj1 = _EMPTY_I64
-        have_spans = False
     u_thr = float(plan.u_thr)
     counts = np.ascontiguousarray(plan.counts, dtype=np.int64)
+    if plan.lead is None:  # nothing to trim: every ray's whole run
+        lead, trail = np.zeros_like(counts), counts
+    else:
+        lead = np.ascontiguousarray(plan.lead, dtype=np.int64)
+        trail = np.ascontiguousarray(plan.trail, dtype=np.int64)
     t0 = np.ascontiguousarray(plan.t0, dtype=np.float32)
     dirs = np.ascontiguousarray(plan.dirs, dtype=np.float32)
-    owned = []
+    owned, positioned = [], []
     for seg in plan.segments:
         nx, ny, nz = (int(d) for d in seg.shape)
         if seg.skip_table is not None:
@@ -499,49 +471,45 @@ def march(plan: MarchPlan) -> list:
             table = _EMPTY_BOOL
             have_table = False
         rays = slice(seg.ray_lo, seg.ray_hi)
-        owned.append(
-            int(
-                _march_rays(
-                    np.ascontiguousarray(seg.flat),
-                    nx,
-                    ny,
-                    nz,
-                    bool(seg.need_clamp),
-                    counts[rays],
-                    t0[rays],
-                    dirs[rays],
-                    np.float32(seg.base_w[0]),
-                    np.float32(seg.base_w[1]),
-                    np.float32(seg.base_w[2]),
-                    np.float64(np.float32(plan.dt)),  # f32 step widened, like j*dt
-                    np.float32(plan.dt),  # opacity-correction exponent
-                    plan.dt == 1.0,
-                    int(plan.block_size),
-                    bool(plan.use_ert),
-                    np.float32(plan.ert_alpha),
-                    np.float32(u_thr),
-                    u_thr >= 0,
-                    table,
-                    have_table,
-                    row_ptr,
-                    sj0,
-                    sj1,
-                    have_spans,
-                    tf.table,
-                    tf._diff,
-                    tf_scale,
-                    np.float32(tf.vmin),
-                    np.float32(1.0 / (tf.vmax - tf.vmin))
-                    if tf_scale
-                    else np.float32(1.0),
-                    bool(plan.shading),
-                    plan.acc_rgb[rays],
-                    plan.acc_a[rays],
-                    plan.term[rays],
-                )
-            )
+        own, pos = _march_rays(
+            np.ascontiguousarray(seg.flat),
+            nx,
+            ny,
+            nz,
+            bool(seg.need_clamp),
+            counts[rays],
+            t0[rays],
+            dirs[rays],
+            np.float32(seg.base_w[0]),
+            np.float32(seg.base_w[1]),
+            np.float32(seg.base_w[2]),
+            np.float64(np.float32(plan.dt)),  # f32 step widened, like j*dt
+            np.float32(plan.dt),  # opacity-correction exponent
+            plan.dt == 1.0,
+            int(plan.block_size),
+            bool(plan.use_ert),
+            np.float32(plan.ert_alpha),
+            np.float32(u_thr),
+            u_thr >= 0,
+            table,
+            have_table,
+            lead[rays],
+            trail[rays],
+            tf.table,
+            tf._diff,
+            tf_scale,
+            np.float32(tf.vmin),
+            np.float32(1.0 / (tf.vmax - tf.vmin))
+            if tf_scale
+            else np.float32(1.0),
+            bool(plan.shading),
+            plan.acc_rgb[rays],
+            plan.acc_a[rays],
+            plan.term[rays],
         )
-    return owned
+        owned.append(int(own))
+        positioned.append(int(pos))
+    return owned, positioned
 
 
 def warmup() -> None:
@@ -549,7 +517,7 @@ def warmup() -> None:
 
     Pool workers call this at spawn — inside a ``kernel-warmup`` tracer
     span — so the first frame never pays compilation latency.  One call
-    covers every runtime branch (spans/table/shading/ERT are plain
+    covers every runtime branch (table/shading/ERT are plain
     booleans, not specializations); only the array dtypes select the
     compiled signature, and production payloads are always float32.
     """
@@ -581,10 +549,8 @@ def warmup() -> None:
         np.float64(0.5), np.float32(0.5), False,
         2, True, np.float32(0.98), np.float32(7.0), True,
         np.ones(64, dtype=bool), True,
-        np.array([0, 1, 2], dtype=np.int64),
         np.array([0, 1], dtype=np.int64),
         np.array([5, 6], dtype=np.int64),
-        True,
         tf_table, tf_diff, False, np.float32(0.0), np.float32(1.0),
         True, acc_rgb, acc_a, term,
     )

@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..compositing import segmented_exclusive_cumprod
-from ..raycast import _block_spans_flat, _gather_strides, _trilinear_gather
+from ..raycast import _gather_strides, _trilinear_gather
 from ..transfer import opacity_correction
 from . import KernelSpec, MarchPlan
 
@@ -106,8 +106,9 @@ class _Launch:
             self.off = self.off.astype(np.int64 if self.wide else np.int32)
 
 
-def march(plan: MarchPlan) -> np.ndarray:
-    """Run the blocked march; returns the owned-sample count per segment."""
+def march(plan: MarchPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Run the blocked march; returns the (owned, positioned) sample
+    counts per segment."""
     segs = plan.segments
     counts = plan.counts
     dt = _F32(plan.dt)
@@ -115,7 +116,7 @@ def march(plan: MarchPlan) -> np.ndarray:
     use_ert = plan.use_ert
     ert_alpha = _F32(plan.ert_alpha)
     u_thr = plan.u_thr
-    spans = plan.spans
+    lead, trail = plan.lead, plan.trail
     shading = plan.shading
     tf = plan.tf
     acc_rgb_c = plan.acc_rgb
@@ -123,8 +124,6 @@ def march(plan: MarchPlan) -> np.ndarray:
     term = plan.term
     n_act = len(counts)
     fused = len(segs) > 1
-    if spans is not None and fused:
-        raise ValueError("a span-carved brick must launch alone")
     lau = _Launch(segs)
     flat, skip_table, clamp = lau.flat, lau.table, lau.clamp
     SX, SY = lau.ravel
@@ -133,52 +132,67 @@ def march(plan: MarchPlan) -> np.ndarray:
     # Ray directions as contiguous columns (strided operands are slow).
     dir_cols = [np.ascontiguousarray(plan.dirs[:, a]) for a in range(3)]
 
-    # The two expansions below read the current block's li/cnt/rows/
-    # seg_cnt (rebound every iteration of the loop).
+    # The two expansions below read the current block's li/cnt/seg_cnt
+    # (rebound every iteration of the loop).
     def per_ray(col):
         """A per-ray column expanded to the block's samples."""
-        if not all_alive:
-            col = col[li]
-        return np.repeat(col, cnt) if spans is None else np.take(col, rows)
+        return np.repeat(col if all_alive else col[li], cnt)
 
     def per_brick(value):
         """A brick-wide value as a per-sample operand."""
         return np.repeat(value, seg_cnt) if np.ndim(value) else value
 
-    max_cnt = int(counts.max()) if n_act else 0
     # Ordinal at which early termination stopped each ray: a ray owns
     # (and is charged for) every sample of every block it entered.
-    stop = np.full(n_act, max_cnt, dtype=np.int64)
+    stop = counts.copy()
+    positioned = np.zeros(len(segs), dtype=np.int64)
+    # A ray is live in the blocks that can still change it: up to its
+    # last owned sample, or — trimmed — only where its interval meets
+    # the block's window (outside it nothing is positioned, so nothing
+    # is accumulated and early termination cannot newly fire).
+    end = counts if lead is None else trail
+    max_end = int(end.max()) if n_act else 0
     jb = 0
-    while jb < max_cnt:
-        alive = (counts > jb) & ~term
+    while jb < max_end:
+        alive = (end > jb) & ~term
+        if lead is not None:
+            alive &= lead < jb + K
         if not alive.any():
-            break
+            if lead is None:
+                break
+            jb += K
+            continue
         li = np.nonzero(alive)[0]
         L = len(li)
         all_alive = L == n_act
-        cnt = np.minimum(counts[li] - jb, K)
-        if spans is None:
-            # Flat (ray, step) list straight from the ownership intervals.
-            cum = np.zeros(L + 1, dtype=np.int32)
-            np.cumsum(cnt, dtype=np.int32, out=cum[1:])
-            rows = np.repeat(np.arange(L, dtype=np.int32), cnt)
-            j_flat = (
-                np.arange(cum[-1], dtype=np.int32) - np.take(cum, rows)
-            ) + np.int32(jb)
+        # Samples to position: the block's window of every live ray,
+        # cut to the ray's trim interval (trail <= counts).
+        if lead is None:
+            start = jb
+            cnt = np.minimum(counts[li] - jb, K)
         else:
-            # Grid-carved list: only samples inside occupied spans are
-            # positioned at all; rows/ordinals keep the uncarved order.
-            rows, j_flat = _block_spans_flat(spans, li, cnt, jb)
-            if len(rows) == 0:
-                jb += K
-                continue
+            start = np.maximum(lead[li], jb)
+            cnt = np.maximum(np.minimum(trail[li], jb + K) - start, 0)
+        # Flat (ray, step) list straight from those intervals.
+        cum = np.zeros(L + 1, dtype=np.int32)
+        np.cumsum(cnt, dtype=np.int32, out=cum[1:])
+        if cum[-1] == 0:
+            jb += K
+            continue
+        rows = np.repeat(np.arange(L, dtype=np.int32), cnt)
+        # ordinal = start of the ray's stretch + rank within it
+        j_flat = np.arange(cum[-1], dtype=np.int32) + np.take(
+            (start - cum[:-1]).astype(np.int32), rows
+        )
 
         if fused:
             # Samples are ray-ordered, so each segment is one stretch of
             # the block: brick-wide values expand over those stretches.
             lb = seg_rays if all_alive else np.searchsorted(li, seg_rays)
             seg_cnt = np.diff(np.take(cum, lb))
+            positioned += seg_cnt
+        else:
+            positioned += cum[-1]
 
         # int32 × float32 scalar promotes: positions, clamps and lerp
         # fractions run in float64 (see the raycast module docstring).
@@ -193,12 +207,16 @@ def march(plan: MarchPlan) -> np.ndarray:
         pos, q, idx = [], [], []
         for axis in range(3):
             d = per_ray(dir_cols[axis])
-            c = per_brick(lau.bw[axis]) + t_flat * d
+            c = t_flat * d
+            c += per_brick(lau.bw[axis])
             if shading:
                 pos.append((c, d))  # shading keeps the unclamped position
             if clamp:
-                c = np.clip(c, _F0, per_brick(lau.hi[axis]))
-                i = np.minimum(c.astype(np.int32), per_brick(lau.imax[axis]))
+                # np.clip, as two passes in place (of a copy if shading)
+                c = np.maximum(c, _F0, out=None if shading else c)
+                np.minimum(c, per_brick(lau.hi[axis]), out=c)
+                i = c.astype(np.int32)
+                np.minimum(i, per_brick(lau.imax[axis]), out=i)
             else:
                 i = c.astype(np.int32)
             q.append(c)
@@ -280,10 +298,10 @@ def march(plan: MarchPlan) -> np.ndarray:
                 stop[hit] = jb + K
         jb += K
     # Every *owned* sample of a block is counted before any empty-space
-    # elision (table or grid) — the counters are part of the bitwise
+    # elision (trim or table) — the counters are part of the bitwise
     # parity contract across accel modes and backends.
     owned = np.minimum(counts, stop)
-    return np.add.reduceat(owned, seg_rays[:-1])
+    return np.add.reduceat(owned, seg_rays[:-1]), positioned
 
 
 def warmup() -> None:

@@ -54,11 +54,11 @@ for the **whole brick list at once**:
 
 What stays per brick is what is genuinely the brick's own: where its
 rays lie in the launch arrays (offsets, not copies), the look-up of its
-cached empty-space structures, the span gate, and its
-:class:`~repro.render.kernels.BrickSegment`.  Two kinds of brick cannot
-share a kernel invocation — span-carved ones and payloads with a size-1
-axis — and march alone from their slice of the launch arrays, between
-the stretches of consecutive bricks that do.  Rays never interact, so
+cached empty-space structures and its
+:class:`~repro.render.kernels.BrickSegment`.  One kind of brick cannot
+share a kernel invocation — a payload with a size-1 axis — and marches
+alone from its slice of the launch arrays, between the stretches of
+consecutive bricks that do.  Rays never interact, so
 any grouping of bricks is bitwise the bricks cast one by one;
 :func:`raycast_brick` is a launch of one through the same lines.
 Callers bound a launch with :func:`cut_launches` (``LAUNCH_RAY_BUDGET``
@@ -82,42 +82,6 @@ block:
   is provably exactly zero *before* the gather — a pure win that cannot
   change the image;
 * one batched transfer-function lookup colours the surviving samples;
-
-Macro-cell empty-space grid (``accel="grid"``)
-----------------------------------------------
-The corner-max table still *positions* every owned sample before it can
-discard one.  The macro grid goes coarser: the brick is partitioned into
-``macro_cell_size``³ cells carrying min/max scalar ranges, cells whose
-entire padded range provably maps into the transfer function's leading
-zero-alpha run are classified empty
-(:func:`repro.render.accel.build_macro_grid`), and each ray DDA-walks
-the cell grid once (:func:`_macro_grid_spans`) to carve its owned sample
-interval down to occupied spans **before the blocked march** — skipped
-spans never compute positions, never probe the corner-max table, never
-gather.  The walk itself costs time per ray and cell step, so it runs
-only where the samples it can remove pay for it (the *span gate*,
-``SPAN_GATE_STEPS`` / ``SPAN_GATE_SAMPLES`` — large, mostly empty
-bricks); elsewhere ``"grid"`` marches exactly like ``"table"``.  The
-gate is a cost model and cannot be seen in the output, because of the
-carve's own contract.
-
-Conservative-skip proof obligation: the grid path must be **bitwise
-identical** to ``accel="off"``, counters included.  Three facts carry
-it:  (1) a cell is marked empty only when every sample it can produce —
-under the march's own arithmetic, clamping included — satisfies
-the kernel's exact per-sample filter ``u <= u_thr`` (see
-``build_macro_grid`` for the two safety margins), so carving removes
-only samples every other path also removes before the transmittance
-scan, leaving the scan's operand list — and hence float association —
-unchanged;  (2) the block structure is preserved: spans are intersected
-with the same ``block_size`` windows, so partial accumulator folds and
-block-granular ERT checks happen at the same points with the same
-values;  (3) ``MapStats.n_samples`` counts every *owned* sample of each
-live block before any elision (exactly as the table path always has),
-so the counters cannot see the skip either.  ``accel="table"`` keeps
-the PR-1 behaviour; ``accel="off"`` disables both structures and is the
-conformance oracle.
-
 * front-to-back accumulation along each ray is closed-form: the
   transmittance in front of every sample is a segmented exclusive
   product scan of ``(1 − α)`` scaled by the transmittance carried in
@@ -134,6 +98,59 @@ default of 8 covers a typical 16³-brick crossing in one or two blocks
 while keeping ERT waste low.  Raise it to 32–64 when termination is
 disabled (reference renders) or content is mostly transparent; drop
 toward 1 for dense, high-opacity transfer functions.
+
+Occupied-box trim
+-----------------
+The corner-max table still *positions* every owned sample before it can
+discard one, and positioning is the march's largest phase.  The paper's
+kernel discards what misses the brick's bounding box before a sample is
+taken; the trim does the same one level down.  Every brick with a table
+also has the **axis-aligned box of the table's ``True`` cells**
+(:func:`_occupied_box`, built and cached with the table), the set-up
+slab-tests every active ray against its own brick's occupied box — the
+per-ray-box call it already makes for the brick boxes — and turns the
+hit interval into sample ordinals ``[lead, trail) ⊆ [0, count)``.  Each
+block of the march positions only the ordinals of its window that fall
+in that interval.  Rays stay in the launch arrays, footprints are not
+shrunk, trimmed bricks fuse like any other, and a launch in which no
+brick's box has a finite face makes no third slab test.
+
+Conservative-skip proof obligation: ``accel="table"`` must be **bitwise
+identical** to ``accel="off"``, counters included.  Three facts carry
+it:  (1) the box is a superset of the table's ``True`` cells under the
+march's own arithmetic — a cell covers the lattice coordinates
+``[i, i+1)`` of its base, a face on the payload's first / last cell is
+open because clamp-to-edge maps every outside coordinate onto it, and
+the ordinal interval keeps one sample of slack per side against the
+float32 slab test (off by ≈ 2e-7·t, so the trim needs ``dt`` well above
+that — the ownership intervals need the same) — so the trim removes
+only samples the table then drops, which every path also removes before
+the transmittance scan, leaving the scan's operand list — and hence
+float association — unchanged;  (2) the block structure is untouched:
+block windows still count ``block_size`` ordinals from the ray's first
+*owned* sample, and a ray sits out only the blocks whose window misses
+its interval — where it would position nothing, fold nothing, and so
+could not newly reach ``ert_alpha`` — so partial accumulator folds and
+block-granular ERT checks happen at the same points with the same
+values;  (3) ``MapStats.n_samples`` counts every *owned* sample of each
+live block before any elision (exactly as the table path always has),
+so the counters cannot see the skip either — what the trim saved shows
+in ``MapStats.n_positioned`` alone, which takes no part in equality.
+``accel="off"`` disables table and trim and is the conformance oracle.
+
+Measured on the 2-core dev box (numpy kernel), parent → trim.  Skull
+64³ as 16 bricks at 128², ``dt`` 0.75 (the end-to-end sparse scene):
+samples positioned per frame 200 k → 97 k of 200 k owned, 53 k surviving
+the table either way; march 11.2 → 9.1–9.5 ms of a 16.0 → 14.3–15.1 ms
+in-process frame (positioning 3.9 → 2.2–2.3 ms; instrumented, box in
+its fast state); ``orbit-pool-sparse`` 92.6 → 106.5 FPS (4/4
+alternating pairs), ``orbit-serial-sparse`` 60.9 → 65.4 FPS (10/10
+pairs, on a box whose runs fall ±15 % into a fast and a slow state: the
+parent's quartiles are 5.5 FPS apart), ``orbit-pool-dense`` level (no
+box there has a finite face).  One 32³ 5 %-fill brick at 128²
+(``bench_kernels.py::test_bench_raycast_macro_grid``): table + trim
+3.7 ms against 4.8–5.5 ms for the macro-grid span carve this replaced
+and 7.5 ms for the table alone (best of ≥ 100 rounds each).
 
 Float widths
 ------------
@@ -193,15 +210,13 @@ class RenderConfig:
     blocked marcher folds per iteration; termination is checked between
     blocks (see the module docstring for the tradeoff).
 
-    ``accel`` selects the empty-space machinery — all three settings are
+    ``accel`` selects the empty-space machinery — both settings are
     bitwise-identical in output and counters (see the module docstring's
-    proof obligation): ``"grid"`` (default) *may* DDA-walk a
-    ``macro_cell_size``³ macro-cell min/max grid per ray to carve whole
-    transparent spans before the march — it does where the span gate
-    finds the walk pays for itself (large, mostly empty bricks; see
-    ``SPAN_GATE_STEPS``) — and keeps the corner-max table for the
-    surviving samples; ``"table"`` is the per-sample corner-max probe
-    alone; ``"off"`` disables both (the conformance oracle).
+    proof obligation): ``"table"`` (default) probes a per-voxel
+    corner-max table before each gather and positions only the part of
+    each ray that crosses the box of the table's occupied cells;
+    ``"off"`` disables both (the conformance oracle).  ``"grid"`` is
+    accepted as an old spelling of ``"table"``.
 
     ``kernel`` selects the march backend behind the kernel contract
     (:mod:`repro.render.kernels`): ``"numpy"`` is the blocked vectorized
@@ -220,8 +235,7 @@ class RenderConfig:
     emit_placeholders: bool = False
     shading: bool = False  # Levoy-style gradient Phong shading
     block_size: int = 8
-    accel: str = "grid"
-    macro_cell_size: int = 8
+    accel: str = "table"
     kernel: str = "auto"
 
     def __post_init__(self):
@@ -233,10 +247,10 @@ class RenderConfig:
             raise ValueError("alpha_eps must be non-negative")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
-        if self.accel not in ("grid", "table", "off"):
-            raise ValueError("accel must be one of 'grid', 'table', 'off'")
-        if self.macro_cell_size < 1:
-            raise ValueError("macro_cell_size must be at least 1")
+        if self.accel == "grid":
+            object.__setattr__(self, "accel", "table")
+        if self.accel not in ("table", "off"):
+            raise ValueError("accel must be one of 'table', 'off' ('grid' = 'table')")
         if self.kernel not in ("auto", "numpy", "numba"):
             raise ValueError("kernel must be one of 'auto', 'numpy', 'numba'")
 
@@ -256,10 +270,12 @@ class MapStats:
     n_samples: int = 0  # trilinear samples taken
     n_emitted: int = 0  # key-value pairs written (incl. placeholders)
     n_kept: int = 0  # fragments surviving the contribution discard
-    # Whether the span gate carved this brick's rays on the macro grid —
-    # a cost-model decision that cannot change any counter above, so it
-    # takes no part in equality.
-    span_carved: bool = field(default=False, compare=False)
+    # Samples the march computed a position for: the owned samples of
+    # every live block that the occupied-box trim could not rule out
+    # (without a trim, ``n_samples / fetches_per_sample``).  A cost
+    # diagnostic that cannot change any counter above, so it takes no
+    # part in equality.
+    n_positioned: int = field(default=0, compare=False)
 
     def merge(self, other: "MapStats") -> "MapStats":
         return MapStats(
@@ -268,6 +284,7 @@ class MapStats:
             self.n_samples + other.n_samples,
             self.n_emitted + other.n_emitted,
             self.n_kept + other.n_kept,
+            self.n_positioned + other.n_positioned,
         )
 
 
@@ -429,266 +446,6 @@ def _alpha_zero_threshold(tf: TransferFunction1D) -> float:
     return float(nz[0] - 1)
 
 
-#: Slack (in samples) the span carve leaves on both sides of every
-#: occupied cell interval.  It only has to cover float64 roundoff in the
-#: t → sample-ordinal conversion (orders of magnitude below half a
-#: sample); positional float32-vs-float64 divergence is absorbed by the
-#: classifier's one-voxel support padding instead.  Erring large merely
-#: keeps a boundary sample that the exact per-sample filter re-tests
-#: anyway.
-_SPAN_SLACK = 0.5
-
-_EMPTY_I32 = np.zeros(0, dtype=np.int32)
-
-
-def _span_walk_steps(grid_shape: tuple) -> int:
-    """Step budget of the DDA walk: a straight ray crosses at most
-    gx+gy+gz+2 cells; clamped edge riders may burn a few phantom steps."""
-    return int(sum(grid_shape)) + 4
-
-
-def _macro_grid_spans(
-    occ: np.ndarray,
-    cell_size: int,
-    base_w: np.ndarray,
-    dirs: np.ndarray,
-    t0: np.ndarray,
-    counts: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occupied sample spans per ray from one DDA walk of the macro grid.
-
-    ``occ`` is the boolean macro-cell occupancy
-    (:func:`~repro.render.accel.build_macro_grid`); ``base_w`` the
-    lattice-origin offset ``eye − data_lo − ½`` the march itself uses;
-    ``t0``/``counts`` the rays' first-owned-sample t and owned counts.
-
-    Returns a CSR triple ``(row_ptr, j0, j1)``: ray ``i``'s occupied
-    spans are the half-open global sample ordinals ``[j0[k], j1[k])``
-    for ``k in [row_ptr[i], row_ptr[i+1])``, sorted and non-overlapping.
-    Samples outside every span are *provably* dropped by the kernel's
-    exact empty-space filter (the classifier's obligation); everything
-    questionable — cell-boundary samples, rays that pin against the
-    clamped grid edge, walks that exhaust their step budget — errs
-    toward keeping.
-
-    Two traversal strategies produce the same conservative span set (the
-    kernel's exact filter makes any conservative superset bitwise
-    equivalent, so the choice is purely a cost model):
-
-    * **sparse grids** (occupied cells ≲ cells a ray can cross): one
-      vectorized slab test of *all* rays against each occupied cell's
-      box — O(occupied cells · rays);
-    * otherwise a vectorized Amanatides–Woo DDA over the cell-index
-      space — O(cells-crossed · rays), independent of occupancy.
-
-    Both run in float64 over the *clamped* trilinear base coordinate
-    (grid-edge cells extend to infinity on their outer faces), so a
-    sample that clamps onto the payload edge is attributed to the edge
-    cell — the same cell whose padded min/max covers the clamped
-    support.  Cost never depends on ``dt``.
-    """
-    n = len(t0)
-    gx, gy, gz = occ.shape
-    occ_flat = np.ascontiguousarray(occ).ravel()
-    cs = float(cell_size)
-    dtf = float(dt)
-    bw = np.asarray(base_w, dtype=np.float64)
-    t_in = t0.astype(np.float64)
-    cnt = counts.astype(np.int64)
-    t_end = t_in + (cnt - 1) * dtf  # t of each ray's last owned sample
-
-    rows_parts: list = []
-    j0_parts: list = []
-    j1_parts: list = []
-
-    def emit(rows_idx, t_lo, t_hi, j_hi_cap):
-        j0 = np.ceil((t_lo - t_in[rows_idx]) / dtf - _SPAN_SLACK).astype(np.int64)
-        j1 = np.floor((t_hi - t_in[rows_idx]) / dtf + _SPAN_SLACK).astype(np.int64) + 1
-        np.clip(j0, 0, None, out=j0)
-        np.minimum(j1, j_hi_cap, out=j1)
-        ok = j1 > j0
-        if ok.any():
-            rows_parts.append(rows_idx[ok])
-            j0_parts.append(j0[ok])
-            j1_parts.append(j1[ok])
-
-    occ_cells = np.nonzero(occ_flat)[0]
-    max_steps = _span_walk_steps(occ.shape)
-    gdims = (gx, gy, gz)
-    if len(occ_cells) <= max_steps:
-        # Sparse path: slab-test every ray against each occupied cell's
-        # box once.  Grid-edge cells extend to infinity on their outer
-        # faces so clamped positions attribute to them.
-        d64 = [dirs[:, a].astype(np.float64) for a in range(3)]
-        with np.errstate(divide="ignore"):
-            inv = [
-                np.where(d64[a] != 0.0, 1.0 / d64[a], np.inf) for a in range(3)
-            ]
-        zero = [d64[a] == 0.0 for a in range(3)]
-        any_zero = [bool(zero[a].any()) for a in range(3)]
-        for fc in occ_cells.tolist():
-            ci = (fc // (gy * gz), (fc // gz) % gy, fc % gz)
-            t_enter, t_exit = t_in, t_end
-            for a in range(3):
-                lo = -np.inf if ci[a] == 0 else ci[a] * cs
-                hi = np.inf if ci[a] == gdims[a] - 1 else (ci[a] + 1) * cs
-                # invalid="ignore": a zero-direction lane whose constant
-                # coordinate sits exactly on a cell face computes 0·inf
-                # here; the zero-lane branch below overwrites those NaNs.
-                with np.errstate(invalid="ignore"):
-                    t1 = (lo - bw[a]) * inv[a]
-                    t2 = (hi - bw[a]) * inv[a]
-                tl = np.minimum(t1, t2)
-                th = np.maximum(t1, t2)
-                if any_zero[a]:
-                    # Constant-coordinate rays: in the slab forever or
-                    # never (also overwrites any 0·inf NaN above).
-                    inside = (bw[a] >= lo) & (bw[a] < hi)
-                    tl = np.where(zero[a], -np.inf if inside else np.inf, tl)
-                    th = np.where(zero[a], np.inf if inside else -np.inf, th)
-                t_enter = np.maximum(t_enter, tl)
-                t_exit = np.minimum(t_exit, th)
-            er = np.nonzero(t_exit >= t_enter)[0]
-            if len(er):
-                emit(er, t_enter[er], t_exit[er], cnt[er])
-    else:
-        # Per-axis contiguous DDA state (a (n, 3) layout would make
-        # every walk op strided and every update a fancy-index scatter).
-        cell = [None, None, None]
-        tmax = [None, None, None]
-        tdelta = [None, None, None]
-        stepv = [None, None, None]
-        for a, nca in ((0, gx), (1, gy), (2, gz)):
-            da = dirs[:, a].astype(np.float64)
-            pa = bw[a] + t_in * da
-            ca = np.floor(pa / cs).astype(np.int64)
-            np.clip(ca, 0, nca - 1, out=ca)
-            sa = np.sign(da).astype(np.int64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inva = np.where(da != 0.0, 1.0 / da, np.inf)
-                tma = np.where(
-                    da != 0.0, ((ca + (sa > 0)) * cs - bw[a]) * inva, np.inf
-                )
-            tda = np.where(da != 0.0, cs * np.abs(inva), np.inf)
-            # Init cells clamped from outside the grid can yield a
-            # boundary crossing *behind* the first sample; advance such
-            # a crossing by whole cell strides so the walk's cell always
-            # tracks the clamped base cell of the current position.
-            lag = np.nonzero(tma < t_in)[0]
-            if len(lag):
-                tma[lag] += np.ceil((t_in[lag] - tma[lag]) / tda[lag]) * tda[lag]
-            cell[a], tmax[a], tdelta[a], stepv[a] = ca, tma, tda, sa
-        cx, cy, cz = cell
-        tmx, tmy, tmz = tmax
-        tdx, tdy, tdz = tdelta
-        sx, sy, sz = stepv
-
-        alive = cnt > 0
-        t_cur = t_in.copy()
-        # A straight ray crosses at most gx+gy+gz+2 cells; clamped edge
-        # riders may burn a few phantom steps, covered by the fallback.
-        for _ in range(max_steps):
-            if not alive.any():
-                break
-            tm = np.minimum(np.minimum(tmx, tmy), tmz)
-            flat_cell = (cx * gy + cy) * gz + cz
-            hit = alive & np.take(occ_flat, flat_cell)
-            if hit.any():
-                er = np.nonzero(hit)[0]
-                emit(er, t_cur[er], np.minimum(tm[er], t_end[er]), cnt[er])
-            alive &= tm < t_end
-            if not alive.any():
-                break
-            # Step the min-tmax axis (ties prefer x then y — argmin order).
-            mx = alive & (tmx <= tmy) & (tmx <= tmz)
-            my = alive & ~mx & (tmy <= tmz)
-            mz = alive & ~mx & ~my
-            cx = np.clip(np.where(mx, cx + sx, cx), 0, gx - 1)
-            cy = np.clip(np.where(my, cy + sy, cy), 0, gy - 1)
-            cz = np.clip(np.where(mz, cz + sz, cz), 0, gz - 1)
-            t_cur = np.where(alive, tm, t_cur)
-            tmx = np.where(mx, tmx + tdx, tmx)
-            tmy = np.where(my, tmy + tdy, tmy)
-            tmz = np.where(mz, tmz + tdz, tmz)
-        else:
-            rem = np.nonzero(alive)[0]  # budget exhausted: keep the rest
-            if len(rem):
-                emit(rem, t_cur[rem], t_end[rem], cnt[rem])
-
-    if not rows_parts:
-        return np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    row = np.concatenate(rows_parts)
-    j0 = np.concatenate(j0_parts)
-    j1 = np.concatenate(j1_parts)
-    # Merge overlapping/adjacent spans per ray (slack-expanded neighbours
-    # overlap; a sample must enter the flat march list exactly once).
-    # The slab path emits cells in grid order, not per-ray t order, so
-    # sort by (ray, start) rather than trusting emission order.
-    order = np.lexsort((j0, row))
-    row, j0, j1 = row[order], j0[order], j1[order]
-    big = int(cnt.max()) + 2
-    a0 = j0 + row * big
-    running_hi = np.maximum.accumulate(j1 + row * big)
-    first = np.empty(len(row), dtype=bool)
-    first[0] = True
-    np.greater(a0[1:], running_hi[:-1], out=first[1:])
-    starts = np.nonzero(first)[0]
-    seg_last = np.r_[starts[1:], len(row)] - 1
-    m_row = row[starts]
-    m_j0 = j0[starts]
-    m_j1 = running_hi[seg_last] - m_row * big
-    row_ptr = np.searchsorted(m_row, np.arange(n + 1, dtype=np.int64))
-    return row_ptr, m_j0, m_j1
-
-
-def _block_spans_flat(
-    spans: tuple[np.ndarray, np.ndarray, np.ndarray],
-    li: np.ndarray,
-    cnt: np.ndarray,
-    jb: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block's flat (row, global ordinal) sample list, grid-carved.
-
-    Intersects the alive rays' occupied spans with the block window
-    ``[jb, jb + cnt_row)``.  Rows ascend and ordinals ascend within each
-    row — the same ordering the uncarved construction produces — so all
-    downstream segment handling (scan boundaries, reduceat starts) is
-    oblivious to the carve.
-    """
-    row_ptr, sj0, sj1 = spans
-    s0 = row_ptr[li]
-    lens = row_ptr[li + 1] - s0
-    nsp = int(lens.sum())
-    if nsp == 0:
-        return _EMPTY_I32, _EMPTY_I32
-    L = len(li)
-    srow = np.repeat(np.arange(L, dtype=np.int32), lens)
-    off = np.zeros(L, dtype=np.int64)
-    np.cumsum(lens[:-1], dtype=np.int64, out=off[1:])
-    sidx = (np.arange(nsp, dtype=np.int64) - np.take(off, srow)) + np.take(s0, srow)
-    b0 = np.maximum(np.take(sj0, sidx), jb)
-    b1 = np.minimum(np.take(sj1, sidx), jb + np.take(cnt, srow))
-    ln = b1 - b0
-    keep = ln > 0
-    if not keep.all():
-        srow = srow[keep]
-        b0 = b0[keep]
-        ln = ln[keep]
-    m = int(ln.sum())
-    if m == 0:
-        return _EMPTY_I32, _EMPTY_I32
-    ns = len(ln)
-    rows = np.repeat(srow, ln)
-    off2 = np.zeros(ns, dtype=np.int64)
-    np.cumsum(ln[:-1], dtype=np.int64, out=off2[1:])
-    span_of = np.repeat(np.arange(ns, dtype=np.int64), ln)
-    j_flat = (
-        np.arange(m, dtype=np.int64) - np.take(off2, span_of) + np.take(b0, span_of)
-    ).astype(np.int32)
-    return rows, j_flat
-
-
 @dataclass(frozen=True)
 class BrickTask:
     """One ghost-padded brick of a launch.
@@ -701,12 +458,10 @@ class BrickTask:
     ``accel_key`` (optional) enables empty-space caching: it must
     uniquely identify ``(data, tf)`` — the renderer uses
     ``(volume token, tf version, brick id, region)``.  The corner-max
-    table is cached under the key itself; the macro-cell occupancy grid
-    under :func:`~repro.render.accel.grid_key` (bricks where no grid can
-    help cache the ``NO_GRID`` sentinel instead, so the negative result
-    is not recomputed every frame).  Both structures are pure functions
-    of ``(data, tf)`` and skipping with them provably cannot change the
-    image or the stats, so caching never affects output.
+    table is cached under the key itself, its occupied box under
+    ``("box",) + key``.  Both are pure functions of ``(data, tf)`` and
+    skipping with them provably cannot change the image or the stats,
+    so caching never affects output.
     """
 
     data: np.ndarray
@@ -734,25 +489,6 @@ class BrickTask:
 #: for +5 % RSS.
 LAUNCH_RAY_BUDGET = 16384
 
-#: Span gate.  Carving pays ≈22 ns per sample it removes (the
-#: positioning and table probe the march skips) and costs the grid walk
-#: — ≈25 ns per ray per cell step of :func:`_macro_grid_spans` — plus a
-#: fixed ≈1 ms (span merge, the costlier carved block lists, and the
-#: carved brick leaving its fused launch).  So spans are carved only
-#: when the removable samples (owned samples × empty-cell fraction —
-#: within 2 % of what the walk then removes, on every scene below)
-#: reach ``SPAN_GATE_STEPS`` per ray·step **and** ``SPAN_GATE_SAMPLES``
-#: in all.  Measured per brick, numpy kernel, span carve forced on vs
-#: off (``benchmarks/bench_kernels.py::test_bench_macro_grid_bricks``
-#: and the micro-bench rows; removable ÷ ray·steps → on / off ms):
-#: skull 64³ as 16 bricks at 128² 0.2–0.9 → 2.1–3.4 / 1.4–2.2;
-#: skull 128³ as 16 bricks at 256² 0.6–1.6 → 5.7–13.3 / 5.0–10.4;
-#: skull 128³ as 2 bricks at 512² 0.9–1.1 → 156 / 138–151;
-#: 32³ 5 %-fill brick, 4³ grid 2.3 → 6.5 / 9.3 (8³ grid 0.7 → 11.9 / 9.7).
-SPAN_GATE_STEPS = 2.0
-SPAN_GATE_SAMPLES = 65536
-
-
 def cut_launches(
     ray_counts: Sequence[int], budget: int = LAUNCH_RAY_BUDGET
 ) -> list[int]:
@@ -773,6 +509,32 @@ def cut_launches(
     return sizes
 
 
+def _occupied_box(table: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Axis-aligned box of a corner-max table's ``True`` cells.
+
+    ``(2, 3)`` float32 ``[lo, hi]`` in the payload's lattice coordinates
+    (``c = position − ½``, the march's own): a sample whose trilinear
+    base is a ``True`` cell has ``lo <= c <= hi`` on every axis.  Base
+    ``i`` covers ``c ∈ [i, i+1)``; clamp-to-edge also maps every ``c``
+    below the lattice onto base 0 and every ``c`` above it onto base
+    ``n−2``, so a face that touches the payload's first / last cell is
+    open (``∓inf``).  A table without a ``True`` cell gives the box no
+    ray enters (``lo = hi = +inf``).
+    """
+    inf = _F32(np.inf)
+    cells = table.reshape(shape)
+    box = np.full((2, 3), inf, dtype=_F32)
+    for axis, n in enumerate(shape):
+        occupied = np.nonzero(cells.any(axis=tuple(a for a in range(3) if a != axis)))[0]
+        if len(occupied) == 0:
+            break
+        first, last = int(occupied[0]), int(occupied[-1])
+        box[0, axis] = -inf if first == 0 else first
+        if last < n - 2:
+            box[1, axis] = last + 1
+    return box
+
+
 def _brick_structures(
     brick: BrickTask,
     n_samples: int,
@@ -781,52 +543,35 @@ def _brick_structures(
     u_thr: float,
     cache: Optional["AccelCache"],
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(corner-max table, macro-cell occupancy grid) of one brick that
-    is about to march ``n_samples`` samples — cached copies when the
-    brick carries an ``accel_key``, either one None when absent."""
+    """(corner-max table, its occupied box) of one brick that is about
+    to march ``n_samples`` samples — cached copies when the brick
+    carries an ``accel_key``, both None when there is no table."""
     data = brick.data
-    # The empty-space structures cost O(voxels); build them only when the
-    # march is big enough to amortize it — unless a cached copy is free.
-    build_worthwhile = n_samples > data.size // 8
-    accel_key = brick.accel_key
-    if accel_key is None:
-        cache = None
-    skip_table = None
     # u_thr < 0 means the alpha table has no leading zero run: there is
     # nothing to skip and _empty_space_table would return None.
-    if (
-        config.accel != "off"
-        and np.isfinite(u_thr)
-        and u_thr >= 0
-        and min(data.shape) >= 2
-    ):
+    if config.accel == "off" or u_thr < 0 or min(data.shape) < 2:
+        return None, None
+    if brick.accel_key is None:
+        cache = None
+    skip_table = box = None
+    if cache is not None:
+        box_key = ("box",) + tuple(brick.accel_key)
+        skip_table = cache.get(brick.accel_key)
+    if skip_table is not None:
+        box = cache.get(box_key)
+    elif n_samples > data.size // 8:
+        # The table costs O(voxels): without a cached copy, build it
+        # only when the march is big enough to amortize it.
+        skip_table = _empty_space_table(data, tf, u_thr)
         if cache is not None:
-            skip_table = cache.get(accel_key)
-        if skip_table is None and build_worthwhile:
-            skip_table = _empty_space_table(data, tf, u_thr)
-            if cache is not None and skip_table is not None:
-                cache.put(accel_key, skip_table)
-    # Macro-cell occupancy grid: carves whole transparent spans off each
-    # ray's owned interval before the march (bitwise-invisible; see the
-    # module docstring's proof obligation).
-    grid_occ = None
-    if config.accel == "grid" and min(data.shape) >= 2:
-        from .accel import build_macro_grid, grid_key, is_no_grid
-
-        gkey = (
-            grid_key(accel_key, config.macro_cell_size)
-            if accel_key is not None
-            else None
-        )
+            cache.put(brick.accel_key, skip_table)
+    else:
+        return None, None
+    if box is None:
+        box = _occupied_box(skip_table, data.shape)
         if cache is not None:
-            grid_occ = cache.get(gkey)
-        if grid_occ is None and build_worthwhile:
-            grid_occ = build_macro_grid(data, tf, config.macro_cell_size)
-            if cache is not None:
-                cache.put(gkey, grid_occ)
-        if grid_occ is not None and is_no_grid(grid_occ):
-            grid_occ = None  # cached negative: no grid can help here
-    return skip_table, grid_occ
+            cache.put(box_key, box)
+    return skip_table, box
 
 
 def raycast_bricks(
@@ -843,11 +588,9 @@ def raycast_bricks(
     parametrisation.  Rays are set up, marched and emitted for the whole
     list at once (see "Fused launches" in the module docstring), so the
     per-launch interpreter cost is paid once — callers bound a launch's
-    size by cutting their brick list with :func:`cut_launches`.  Two
-    kinds of brick march on their own, from their slice of the launch's
-    rays: span-carved ones (large by the span gate, so there is nothing
-    left to amortise, and their carved sample lists differ in kind) and
-    payloads with a size-1 axis.  Results are bitwise those of casting
+    size by cutting their brick list with :func:`cut_launches`.  A
+    payload with a size-1 axis marches on its own, from its slice of the
+    launch's rays.  Results are bitwise those of casting
     every brick on its own, in any grouping; each brick's fragments are
     a view of the launch's fragment array.
 
@@ -909,7 +652,7 @@ def raycast_bricks(
     term = np.zeros(n, dtype=bool)
 
     # -- per brick: where its rays sit in the launch arrays, then what
-    # is its own — structure lookups, the span gate, a segment.
+    # is its own — structure lookups and a segment.
     cuts = np.searchsorted(active, ray_cuts).tolist()
     owned_cum = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=owned_cum[1:])
@@ -922,20 +665,91 @@ def raycast_bricks(
         MapStats(n_rays=a, n_active_rays=hi - lo)
         for a, lo, hi in zip(areas.tolist(), cuts, cuts[1:])
     ]
-    fetches = config.fetches_per_sample
+    # Occupied boxes, open on every face until a brick's table says
+    # otherwise.
+    boxes = np.empty((len(bricks), 2, 3), dtype=_F32)
+    boxes[:, 0] = -np.inf
+    boxes[:, 1] = np.inf
+    # Consecutive bricks march together, as one stretch of the launch
+    # arrays — ``(first ray, [(brick index, segment), ...])``; a payload
+    # with a size-1 axis is a stretch of its own (any grouping is
+    # bitwise the same).
+    stretches: list = []
+    last_alone = False
+    for i, brick in enumerate(bricks):
+        lo, hi = cuts[i], cuts[i + 1]
+        if hi == lo:
+            continue
+        data = brick.data
+        shape = data.shape
+        skip_table, box = _brick_structures(
+            brick, expected[i], tf, config, u_thr, cache
+        )
+        if box is not None:
+            boxes[i] = box
+        alone = min(shape) < 2
+        if alone or last_alone or not stretches:
+            stretches.append((lo, []))
+        last_alone = alone
+        first, members = stretches[-1]
+        members.append(
+            (
+                i,
+                BrickSegment(
+                    data=data,
+                    flat=np.ascontiguousarray(data).ravel(),
+                    shape=shape,
+                    # Interior bricks with a full one-voxel ghost shell
+                    # keep every sample's 2×2×2 support inside the
+                    # payload — no clamping needed.
+                    need_clamp=any(
+                        dl > cl - 1 or dl + size < ch + 1
+                        for dl, size, cl, ch in zip(
+                            brick.data_lo, shape, brick.core_lo, brick.core_hi
+                        )
+                    ),
+                    base_w=base_w[i],
+                    skip_table=skip_table,
+                    ray_lo=lo - first,
+                    ray_hi=hi - first,
+                ),
+            )
+        )
 
-    def march(lo: int, segments: list, spans=None) -> None:
-        """March the rays of ``segments`` — ``(brick index, segment)``
-        pairs tiling the launch's rays from ``lo`` on — as one kernel
-        invocation and charge every brick its owned samples."""
-        hi = lo + segments[-1][1].ray_hi
-        # The march itself runs behind the kernel contract: the numpy
-        # backend is the blocked fold over the whole launch, the numba
-        # backend a compiled per-ray marcher run per segment (exact
-        # keys/depths/counters, tolerance-banded colors — see the
-        # kernels package docstring).
+    # -- occupied-box trim, launch-wide: one more slab test of every ray,
+    # against the box of its own brick's table, gives the ordinals
+    # [lead, trail) outside which the table drops every sample — with
+    # one sample of slack per side, far more than the float32 slab
+    # test can be off by (≈ 2e-7·t).  A ray that misses its box gets
+    # trail <= lead by the same arithmetic; a NaN keeps the ray whole.
+    lead = trail = None
+    if (boxes[:, 0] > -np.inf).any() or (boxes[:, 1] < np.inf).any():
+        rays_of = np.diff(cuts)
+        rel = boxes - base_w[:, None, :]
+        tn_o, tf_o, _ = box_intersect_f32(
+            np.repeat(rel[:, 0], rays_of, axis=0),
+            np.repeat(rel[:, 1], rays_of, axis=0),
+            dirs,
+            inv[active],
+        )
+        owned_f = counts.astype(_F32)
+        lead = np.fmin(
+            np.fmax(np.ceil((tn_o - t0) / dt) - _F32(1.0), _F32(0.0)), owned_f
+        ).astype(np.int64)
+        trail = np.fmax(
+            np.fmin(np.floor((tf_o - t0) / dt) + _F32(2.0), owned_f), _F32(0.0)
+        ).astype(np.int64)
+
+    # -- march, one kernel invocation per stretch.  It runs behind the
+    # kernel contract: the numpy backend is the blocked fold over the
+    # whole stretch, the numba backend a compiled per-ray marcher run
+    # per segment (exact keys/depths/counters, tolerance-banded colors —
+    # see the kernels package docstring).
+    fetches = config.fetches_per_sample
+    for lo, members in stretches:
+        hi = lo + members[-1][1].ray_hi
         plan = MarchPlan(
-            segments=tuple(seg for _, seg in segments),
+            segments=tuple(seg for _, seg in members),
             counts=counts[lo:hi],
             t0=t0[lo:hi],
             dirs=dirs[lo:hi],
@@ -944,74 +758,17 @@ def raycast_bricks(
             use_ert=config.ert_alpha < 1.0,
             ert_alpha=float(config.ert_alpha),
             u_thr=float(u_thr),
-            spans=spans,
+            lead=None if lead is None else lead[lo:hi],
+            trail=None if trail is None else trail[lo:hi],
             tf=tf,
             shading=config.shading,
             acc_rgb=acc_rgb[lo:hi],
             acc_a=acc_a[lo:hi],
             term=term[lo:hi],
         )
-        for (i, _), own in zip(segments, kspec.march(plan)):
+        for (i, _), own, pos in zip(members, *kspec.march(plan)):
             stats[i].n_samples = int(own) * fetches
-
-    # Consecutive bricks march together, as one stretch of the launch
-    # arrays; a brick that must march alone ends the stretch before it
-    # (any grouping is bitwise the same).
-    fused: list = []
-    fused_lo = 0
-    for i, brick in enumerate(bricks):
-        lo, hi = cuts[i], cuts[i + 1]
-        if hi == lo:
-            continue
-        data = brick.data
-        shape = data.shape
-        skip_table, grid_occ = _brick_structures(
-            brick, expected[i], tf, config, u_thr, cache
-        )
-        spans = None
-        # The span gate: "grid" means the grid *may* be used.  Carving is
-        # a pure cost model (identical output either way), so walk the
-        # grid only when what it can remove outweighs the walk.
-        if grid_occ is not None:
-            n_occ = np.count_nonzero(grid_occ)
-            removable = expected[i] * (1.0 - n_occ / grid_occ.size)
-            steps = (hi - lo) * min(n_occ, _span_walk_steps(grid_occ.shape))
-            if removable >= max(SPAN_GATE_SAMPLES, SPAN_GATE_STEPS * steps):
-                spans = _macro_grid_spans(
-                    grid_occ, config.macro_cell_size, base_w[i], dirs[lo:hi],
-                    t0[lo:hi], counts[lo:hi], config.dt,
-                )
-                stats[i].span_carved = True
-        alone = spans is not None or min(shape) < 2
-        if alone and fused:
-            march(fused_lo, fused)
-            fused = []
-        if alone or not fused:
-            fused_lo = lo
-        segment = BrickSegment(
-            data=data,
-            flat=np.ascontiguousarray(data).ravel(),
-            shape=shape,
-            # Interior bricks with a full one-voxel ghost shell keep
-            # every sample's 2×2×2 support inside the payload — no
-            # clamping needed.
-            need_clamp=any(
-                dl > cl - 1 or dl + size < ch + 1
-                for dl, size, cl, ch in zip(
-                    brick.data_lo, shape, brick.core_lo, brick.core_hi
-                )
-            ),
-            base_w=base_w[i],
-            skip_table=skip_table,
-            ray_lo=lo - fused_lo,
-            ray_hi=hi - fused_lo,
-        )
-        if alone:
-            march(lo, [(i, segment)], spans)
-        else:
-            fused.append((i, segment))
-    if fused:
-        march(fused_lo, fused)
+            stats[i].n_positioned = int(pos)
 
     # -- emit, launch-wide: one fragment per contributing ray (or per
     # ray, with placeholders); each brick gets its stretch as a view.

@@ -172,30 +172,28 @@ def test_cached_table_cannot_change_image_or_stats():
 
 
 def test_cached_grid_cannot_change_image_or_stats():
-    """The macro-grid mirror of the table test: cold vs warm bitwise,
-    with per-brick grid entries actually landing in the cache."""
+    """The occupied-box mirror of the table test (under the old
+    ``accel="grid"`` spelling): cold vs warm bitwise, with one box per
+    table actually landing in the cache."""
     vol = make_dataset("skull", (32, 32, 32))
-    r = MapReduceVolumeRenderer(
-        volume=vol, cluster=2, accel="grid", macro_cell_size=4
-    )
+    r = MapReduceVolumeRenderer(volume=vol, cluster=2, accel="grid")
     cam = orbit_camera(vol.shape, width=96, height=96)
     shared_cache().clear()
     cold = r.render(cam, mode="exec")
-    grid_keys = [
-        k for k in shared_cache()._entries
-        if isinstance(k, tuple) and k and k[0] == "grid"
-    ]
-    assert len(grid_keys) == cold.n_bricks  # one grid (or sentinel) per brick
+    keys = list(shared_cache()._entries)
+    box_keys = [k for k in keys if k[0] == "box"]
+    assert len(box_keys) == cold.n_bricks  # one box per brick's table
+    assert sorted(k[1:] for k in box_keys) == sorted(k for k in keys if k[0] != "box")
     hits = shared_cache().hits
     warm = r.render(cam, mode="exec")
-    assert shared_cache().hits > hits
+    assert shared_cache().hits == hits + 2 * cold.n_bricks
     assert np.array_equal(cold.image, warm.image)
     assert cold.stats.as_dict() == warm.stats.as_dict()
 
 
 def test_invalidate_volume_refreshes_grids_after_inplace_edit():
-    """Grid mirror of the table invalidation test: a stale macro grid
-    wrongly skips the edited (previously empty) corner, and
+    """Occupied-box mirror of the table invalidation test: a stale box
+    wrongly trims the edited (previously empty) corner, and
     invalidate_volume() recovers bitwise agreement with a cold render."""
     import copy
 
@@ -203,13 +201,13 @@ def test_invalidate_volume_refreshes_grids_after_inplace_edit():
 
     vol = make_dataset("skull", (24,) * 3)
     cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=64, height=64)
-    cfg = RenderConfig(dt=0.75, accel="grid", macro_cell_size=4)
+    cfg = RenderConfig(dt=0.75, accel="grid")
 
     r = MapReduceVolumeRenderer(volume=vol, cluster=2, render_config=cfg)
     before = r.render(cam, mode="exec").image
-    r.render(cam, mode="exec")  # warm the grid cache
+    r.render(cam, mode="exec")  # warm the cache
     # In-place edit into a previously empty corner — the region a stale
-    # occupancy grid would (at least partially) wrongly skip.
+    # occupied box would (at least partially) wrongly trim.
     vol.data[:10, :10, :10] = float(vol.data.max())
     invalidate_volume(vol)
     fresh = r.render(cam, mode="exec").image
@@ -243,12 +241,10 @@ def test_cache_pop():
 
 def test_accel_key_with_no_leading_zero_alpha_tf():
     # A transfer function that is opaque from entry 0 has no empty space
-    # to skip: the corner-max table cannot exist (_empty_space_table
-    # returns None, which must never be cached) and the macro grid
-    # caches the NO_GRID sentinel so the negative result is remembered
-    # instead of being re-derived every frame.
+    # to skip: no corner-max table and no occupied box exist, nothing is
+    # cached (least of all a None), and nothing is looked up either —
+    # the threshold alone says so, every frame, for free.
     from repro.render import TransferFunction1D
-    from repro.render.accel import is_no_grid
 
     tf = TransferFunction1D(np.full((8, 4), 0.5, np.float32))
     rng = np.random.default_rng(5)
@@ -266,13 +262,9 @@ def test_accel_key_with_no_leading_zero_alpha_tf():
         config=RenderConfig(dt=0.5),
     )
     f1, _ = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    # Exactly one entry: the grid sentinel.  No table, no None.
-    assert len(cache) == 1 and cache.nbytes == 0
-    ((key, entry),) = cache._entries.items()
-    assert key[0] == "grid" and is_no_grid(entry)
-    misses = cache.misses
+    assert len(cache) == 0 and cache.misses == 0
     f2, _ = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    assert cache.misses == misses  # sentinel hit: nothing re-derived
+    assert len(cache) == 0 and cache.misses == 0
     f3, _ = raycast_brick(**kwargs)
     assert np.array_equal(f1, f2) and np.array_equal(f1, f3)
 
@@ -293,9 +285,9 @@ def test_raycast_brick_uses_explicit_cache():
         config=RenderConfig(dt=0.5),
     )
     f1, s1 = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    # Table stored under the base key, macro grid (or its sentinel)
-    # under the derived grid key.
-    assert len(cache) == 2
+    # Table stored under the base key, its occupied box under the
+    # derived box key.
+    assert len(cache) == 2 and set(cache._entries) == {("k",), ("box", "k")}
     f2, s2 = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
     assert cache.hits >= 2
     assert np.array_equal(f1, f2)

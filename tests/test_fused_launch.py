@@ -8,10 +8,10 @@ the pool, on queue timing — so the contract this suite pins is that
 **any** cut of a chunk list into consecutive launches yields the bytes,
 ``MapStats`` and ``MapWork`` of mapping every chunk on its own.
 
-Also here: the span gate (the macro-grid walk runs only where it pays,
-and is invisible either way), the worker's batch drain and a mid-batch
-fault replay, the per-launch ``map:`` span and the launch gauges, and
-the float widths the march actually computes in.
+Also here: what the occupied-box trim saves on the benchmark's bricks,
+the worker's batch drain and a mid-batch fault replay, the per-launch
+``map:`` span and the launch gauges, and the float widths the march
+actually computes in.
 """
 
 import math
@@ -38,7 +38,6 @@ from repro.parallel.worker import _drain_maps, _next_message
 from repro.pipeline.mappers import RayCastMapper
 from repro.pipeline.reducers import CompositeReducer
 from repro.render import RenderConfig, default_tf, grayscale_tf
-from repro.render import raycast
 from repro.render.camera import Camera
 from repro.render.accel import AccelCache
 from repro.render.fragments import FRAGMENT_DTYPE
@@ -143,8 +142,7 @@ def scenarios(draw):
         emit_placeholders=draw(st.booleans()),
         shading=draw(st.booleans()),
         block_size=draw(st.sampled_from([1, 3, 8])),
-        accel=draw(st.sampled_from(["grid", "table", "off"])),
-        macro_cell_size=4,
+        accel=draw(st.sampled_from(["table", "off"])),
         kernel="numpy",
     )
     camera = _camera(
@@ -155,54 +153,47 @@ def scenarios(draw):
     )
     tf = draw(st.sampled_from([default_tf(), grayscale_tf(max_alpha=0.4)]))
     cuts = draw(st.lists(st.integers(1, len(BRICKS) - 1), max_size=8))
-    carve_always = draw(st.booleans())
-    return config, camera, tf, _cut(len(BRICKS), cuts), carve_always
+    return config, camera, tf, _cut(len(BRICKS), cuts)
 
 
 @settings(max_examples=30, deadline=None)
 @given(scenarios())
 def test_any_cut_into_launches_is_bitwise_per_chunk_mapping(scenario):
-    config, camera, tf, launches, carve_always = scenario
-    gate = (raycast.SPAN_GATE_SAMPLES, raycast.SPAN_GATE_STEPS)
-    if carve_always:  # carved bricks launch alone, inside any group
-        raycast.SPAN_GATE_SAMPLES, raycast.SPAN_GATE_STEPS = 0, 0.0
-    try:
-        # kernel level: fragments and MapStats
-        cache = AccelCache()
-        tasks = _tasks(tag="fused")
-        alone = [
-            raycast_bricks([t], VOLUME.shape, camera, tf, config, cache)[0]
-            for t in tasks
-        ]
-        kinds = {(s.n_rays > 0, s.n_active_rays > 0) for _, s in alone}
-        for launch in launches:
-            together = raycast_bricks(
-                [tasks[i] for i in launch], VOLUME.shape, camera, tf, config, cache
-            )
-            for i, (frags, stats) in zip(launch, together):
-                assert frags.tobytes() == alone[i][0].tobytes()
-                assert stats == alone[i][1]
-                assert stats.span_carved == alone[i][1].span_carved
+    config, camera, tf, launches = scenario
+    # kernel level: fragments and MapStats
+    cache = AccelCache()
+    tasks = _tasks(tag="fused")
+    alone = [
+        raycast_bricks([t], VOLUME.shape, camera, tf, config, cache)[0]
+        for t in tasks
+    ]
+    kinds = {(s.n_rays > 0, s.n_active_rays > 0) for _, s in alone}
+    for launch in launches:
+        together = raycast_bricks(
+            [tasks[i] for i in launch], VOLUME.shape, camera, tf, config, cache
+        )
+        for i, (frags, stats) in zip(launch, together):
+            assert frags.tobytes() == alone[i][0].tobytes()
+            assert stats == alone[i][1]
+            assert stats.n_positioned == alone[i][1].n_positioned
 
-        # executor level: runs, counters and MapWork
-        spec = _spec(camera, tf, config)
-        chunks = _chunks()
-        single = [map_chunk_to_runs(spec, c) for c in chunks]
-        for launch in launches:
-            batch = map_chunks_to_runs(spec, [chunks[i] for i in launch])
-            assert [r[3]["launches"] for r in batch] == [1] + [0] * (len(launch) - 1)
-            for i, got in zip(launch, batch):
-                runs, emitted, kept, work, routed = got
-                ref_runs, ref_emitted, ref_kept, ref_work, ref_routed = single[i]
-                assert [r.tobytes() for r in runs] == [r.tobytes() for r in ref_runs]
-                assert (emitted, kept) == (ref_emitted, ref_kept)
-                assert dict(work, launches=1) == ref_work
-                assert np.array_equal(routed, ref_routed)
-                got_work = make_map_work(chunks[i], 0, emitted, work, routed)
-                ref = make_map_work(chunks[i], 0, ref_emitted, ref_work, ref_routed)
-                assert _work_fields(got_work) == _work_fields(ref)
-    finally:
-        raycast.SPAN_GATE_SAMPLES, raycast.SPAN_GATE_STEPS = gate
+    # executor level: runs, counters and MapWork
+    spec = _spec(camera, tf, config)
+    chunks = _chunks()
+    single = [map_chunk_to_runs(spec, c) for c in chunks]
+    for launch in launches:
+        batch = map_chunks_to_runs(spec, [chunks[i] for i in launch])
+        assert [r[3]["launches"] for r in batch] == [1] + [0] * (len(launch) - 1)
+        for i, got in zip(launch, batch):
+            runs, emitted, kept, work, routed = got
+            ref_runs, ref_emitted, ref_kept, ref_work, ref_routed = single[i]
+            assert [r.tobytes() for r in runs] == [r.tobytes() for r in ref_runs]
+            assert (emitted, kept) == (ref_emitted, ref_kept)
+            assert dict(work, launches=1) == ref_work
+            assert np.array_equal(routed, ref_routed)
+            got_work = make_map_work(chunks[i], 0, emitted, work, routed)
+            ref = make_map_work(chunks[i], 0, ref_emitted, ref_work, ref_routed)
+            assert _work_fields(got_work) == _work_fields(ref)
     # every scenario mixes marching bricks with at least one idle kind
     assert (True, True) in kinds
 
@@ -301,23 +292,15 @@ def test_idle_bricks_in_the_middle_of_a_launch(monkeypatch, emit_placeholders):
 
 
 def test_lone_marchers_share_a_launch_with_fused_bricks(monkeypatch):
-    """Span-carved bricks and a payload with a size-1 axis march alone,
-    from their slices of the launch's rays, between stretches of fused
-    bricks — and nobody's bytes or counters can tell."""
-    from repro.render.accel import NO_GRID, grid_key
-
-    monkeypatch.setattr(raycast, "SPAN_GATE_SAMPLES", 0)
-    monkeypatch.setattr(raycast, "SPAN_GATE_STEPS", 0.0)
-    config = RenderConfig(dt=0.5, macro_cell_size=4, kernel="numpy")
+    """A payload with a size-1 axis marches alone, from its slice of the
+    launch's rays, between stretches of fused bricks — trimmed and
+    untrimmed ones side by side, on slices of one launch-wide trim —
+    and nobody's bytes or counters can tell."""
+    config = RenderConfig(dt=0.5, kernel="numpy")
     camera = _camera(35.0, 25.0)
     tf = default_tf()
-    # With the gate open every rim brick carves; a cached "no grid can
-    # help" keeps two of every four fusable.
     cache = AccelCache()
     tasks = _tasks(tag="lone")
-    for task in tasks:
-        if task.accel_key[1] % 4 in (1, 2):
-            cache.put(grid_key(task.accel_key, 4), NO_GRID)
     # a one-voxel-thick slab of the volume, ghostless: payload (24, 24, 1)
     slab = BrickTask(
         np.ascontiguousarray(VOLUME.data[:, :, 11:12]), (0, 0, 11), (0, 0, 11), (24, 24, 12)
@@ -326,21 +309,19 @@ def test_lone_marchers_share_a_launch_with_fused_bricks(monkeypatch):
     alone = [
         raycast_bricks([t], VOLUME.shape, camera, tf, config, cache)[0] for t in tasks
     ]
-    carved = [i for i, (_, s) in enumerate(alone) if s.span_carved]
-    assert carved and len(carved) < len(tasks) - 1
     plans = _spy_on_marches(monkeypatch)
     together = raycast_bricks(tasks, VOLUME.shape, camera, tf, config, cache)
     for plan in plans:
         _assert_plan_is_well_formed(plan)
-    lone = [p for p in plans if p.spans is not None or min(p.segments[0].shape) < 2]
-    assert all(len(p.segments) == 1 for p in lone)
-    assert sum(p.spans is not None for p in lone) == len(carved)
-    assert sum(p.spans is None for p in lone) == 1  # the slab
-    assert any(len(p.segments) > 1 for p in plans)  # fused stretches remain
+    assert [len(p.segments) > 1 for p in plans] == [True, False, True]
+    assert min(plans[1].segments[0].shape) == 1  # the slab
+    assert all(p.lead is not None and len(p.lead) == len(p.counts) for p in plans)
     assert sum(len(p.counts) for p in plans) == sum(s.n_active_rays for _, s in alone)
+    trimmed = [s.n_positioned < s.n_samples for _, s in alone if s.n_samples]
+    assert any(trimmed) and not all(trimmed)
     for (frags, stats), (ref, ref_stats) in zip(together, alone):
         assert frags.tobytes() == ref.tobytes()
-        assert stats == ref_stats and stats.span_carved == ref_stats.span_carved
+        assert stats == ref_stats and stats.n_positioned == ref_stats.n_positioned
 
 
 def test_launches_are_cut_at_the_ray_budget():
@@ -356,37 +337,26 @@ def test_launches_are_cut_at_the_ray_budget():
     assert sum(sizes) == len(BRICKS) and max(sizes) > 1
 
 
-# -- the span gate ----------------------------------------------------------
-def _count_span_walks(monkeypatch) -> list:
-    calls = []
-    walk = raycast._macro_grid_spans
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return walk(*args, **kwargs)
-
-    monkeypatch.setattr(raycast, "_macro_grid_spans", counted)
-    return calls
-
-
-def _render_both_ways(monkeypatch, tasks, shape, camera, tf, config):
-    """(gated, never carved, always carved) results of one launch each."""
-    out = []
-    for floor in (None, float("inf"), 0):
-        if floor is not None:
-            monkeypatch.setattr(raycast, "SPAN_GATE_SAMPLES", floor)
-            monkeypatch.setattr(raycast, "SPAN_GATE_STEPS", 0.0)
-        cache = AccelCache()
-        for _ in range(2):  # second pass: structures cached
-            res = raycast_bricks(tasks, shape, camera, tf, config, cache)
-        out.append(res)
-    monkeypatch.undo()
-    return out
+# -- what the trim saves ------------------------------------------------------
+def _positioned_vs_owned(tasks, shape, camera, tf, config):
+    """(owned, positioned with the trim, positioned without) samples of
+    one launch, after checking the two cast to the same bytes."""
+    cache = AccelCache()
+    for _ in range(2):  # second pass: structures cached
+        on = raycast_bricks(tasks, shape, camera, tf, config, cache)
+    off = raycast_bricks(
+        tasks, shape, camera, tf, RenderConfig(dt=config.dt, accel="off", kernel="numpy")
+    )
+    for (f0, s0), (f1, s1) in zip(on, off):
+        assert f0.tobytes() == f1.tobytes() and s0 == s1
+    owned = sum(s.n_samples for _, s in off)
+    assert owned == sum(s.n_positioned for _, s in off)
+    return owned, sum(s.n_positioned for _, s in on)
 
 
-def test_span_gate_stays_shut_on_the_benchmark_bricks(monkeypatch):
-    """skull 64³ as 16 bricks at 128² (the end-to-end sparse scene):
-    every brick's grid exists, none is worth walking."""
+def test_trim_halves_the_positioned_samples_on_the_benchmark_bricks():
+    """skull 64³ as 16 bricks at 128² (the end-to-end sparse scene): the
+    march positions about half of what it owns, and charges all of it."""
     from repro.volume import bricks_for_gpu_count
 
     vol = make_dataset("skull", (64, 64, 64))
@@ -397,26 +367,15 @@ def test_span_gate_stays_shut_on_the_benchmark_bricks(monkeypatch):
     ]
     camera = orbit_camera(vol.shape, azimuth_deg=30, elevation_deg=20, width=128, height=128)
     config = RenderConfig(dt=0.75, kernel="numpy")
-    calls = _count_span_walks(monkeypatch)
-    cache = AccelCache()
-    out = raycast_bricks(tasks, vol.shape, camera, default_tf(), config, cache)
-    assert calls == [] and not any(s.span_carved for _, s in out)
-    from repro.render.accel import grid_key, is_no_grid
-
-    grids = [cache.get(grid_key(t.accel_key, 8)) for t in tasks]
-    assert all(g is not None and not is_no_grid(g) for g in grids)
-    gated, never, always = _render_both_ways(
-        monkeypatch, tasks, vol.shape, camera, default_tf(), config
+    owned, positioned = _positioned_vs_owned(
+        tasks, vol.shape, camera, default_tf(), config
     )
-    assert all(s.span_carved for _, s in always if s.n_active_rays)
-    for (f0, s0), (f1, s1), (f2, s2) in zip(gated, never, always):
-        assert f0.tobytes() == f1.tobytes() == f2.tobytes()
-        assert s0 == s1 == s2
+    assert 0.3 * owned < positioned < 0.6 * owned
 
 
-def test_span_gate_opens_on_the_sparse_microbench_brick(monkeypatch):
+def test_trim_positions_little_more_than_the_blob_of_the_sparse_microbench_brick():
     """One 32³ brick, 5 % filled, 11 k rays (bench_kernels' sparse row):
-    193 k removable samples for 88 k ray·steps — carved."""
+    the 12³ blob's box is all the march positions."""
     data = np.zeros((32, 32, 32), np.float32)
     data[10:22, 10:22, 10:22] = np.random.default_rng(11).uniform(
         0.2, 1.0, (12, 12, 12)
@@ -424,17 +383,10 @@ def test_span_gate_opens_on_the_sparse_microbench_brick(monkeypatch):
     camera = orbit_camera(data.shape, width=128, height=128, distance_factor=2.2)
     config = RenderConfig(dt=1.0, kernel="numpy")
     tasks = [BrickTask(data, (0, 0, 0), (0, 0, 0), data.shape, accel_key=("m",))]
-    calls = _count_span_walks(monkeypatch)
-    cache = AccelCache()
-    raycast_bricks(tasks, data.shape, camera, default_tf(), config, cache)
-    (_, stats), = raycast_bricks(tasks, data.shape, camera, default_tf(), config, cache)
-    assert calls == [1, 1] and stats.span_carved
-    gated, never, always = _render_both_ways(
-        monkeypatch, tasks, data.shape, camera, default_tf(), config
+    owned, positioned = _positioned_vs_owned(
+        tasks, data.shape, camera, default_tf(), config
     )
-    assert not never[0][1].span_carved
-    assert gated[0][0].tobytes() == never[0][0].tobytes() == always[0][0].tobytes()
-    assert gated[0][1] == never[0][1] == always[0][1]
+    assert positioned < 0.2 * owned
 
 
 # -- observability ------------------------------------------------------------
@@ -467,10 +419,10 @@ def test_one_map_span_per_launch_and_launch_gauges_inprocess():
     assert covered == list(range(8))  # every chunk in exactly one launch
     tel = result.stats.telemetry["metrics"]
     assert tel["map.launches"] == {"kind": "gauge", "value": len(spans)}
-    assert tel["map.span_carved_bricks"]["value"] == 0
+    assert 0 < tel["map.positioned_samples"]["value"] < result.stats.n_samples
     assert len(spans) < 8  # the launches really are fused
     flat = result.stats.as_dict()
-    assert not any("launch" in k or "carved" in k for k in flat)
+    assert not any("launch" in k or "positioned" in k for k in flat)
     assert "telemetry" in result.stats.as_dict(include_telemetry=True)
 
 
@@ -495,12 +447,12 @@ def test_one_map_span_per_launch_and_launch_gauges_pool():
         assert all(a[1] <= b[0] for a, b in zip(ivals, ivals[1:]))
     tel = result.stats.telemetry["metrics"]
     assert tel["map.launches"]["value"] == len(spans)
-    assert tel["map.span_carved_bricks"]["value"] == 0
+    assert 0 < tel["map.positioned_samples"]["value"] < result.stats.n_samples
 
 
 def test_map_telemetry_sums_per_chunk_counters():
-    works = [{"launches": 1, "span_carved": 1}, {"launches": 0}, {"n_rays": 3}]
-    assert map_telemetry(works) == {"map.launches": 1, "map.span_carved_bricks": 1}
+    works = [{"launches": 1, "n_positioned": 5}, {"launches": 0}, {"n_positioned": 3}]
+    assert map_telemetry(works) == {"map.launches": 1, "map.positioned_samples": 8}
 
 
 # -- the worker's batch drain -----------------------------------------------

@@ -4,8 +4,9 @@ Small deterministic rendered fixtures (cameras × transfer functions ×
 brick layouts, float32 arrays in ``tests/golden/*.npz``) pin the exact
 output of the functional pipeline.  Every executor / reduce-mode /
 shuffle-mode / pipeline-depth combination — and every empty-space
-acceleration setting (``accel`` off / corner-max table / macro-cell
-grid) — must reproduce them **bitwise**: neither the concurrency
+acceleration setting (``accel`` off / corner-max table with the
+occupied-box trim, under either spelling) — must reproduce them
+**bitwise**: neither the concurrency
 machinery (worker scheduling, ring streaming, worker-side reduce
 placement, the parent-routed vs mesh shuffle plane, frame pipelining)
 nor the skip structures may leak into the image or the deterministic
@@ -73,12 +74,12 @@ SCENES = {
 }
 
 
-def build_job(name, accel=None, macro_cell_size=8, kernel=None):
+def build_job(name, accel=None, kernel=None):
     """Renderer + camera + chunk placement for one golden scene.
 
     ``accel`` overrides the empty-space machinery; the fixtures were
     rendered once and every accel mode must reproduce them bitwise (the
-    macro grid's conservative-skip proof obligation).  ``kernel`` pins a
+    trim's conservative-skip proof obligation).  ``kernel`` pins a
     march-kernel backend (tests/test_kernels.py runs the matrix against
     the numba backend, comparing within its documented color band).
     """
@@ -91,9 +92,7 @@ def build_job(name, accel=None, macro_cell_size=8, kernel=None):
         width=s["image"],
         height=s["image"],
     )
-    overrides = (
-        {} if accel is None else {"accel": accel, "macro_cell_size": macro_cell_size}
-    )
+    overrides = {} if accel is None else {"accel": accel}
     if kernel is not None:
         overrides["kernel"] = kernel
     r = MapReduceVolumeRenderer(
@@ -157,9 +156,9 @@ def assert_matches_golden(name, image, result):
 
 # -- tier-1: serial oracle + the pool smoke set ------------------------------
 
-def carved_bricks(stats) -> int:
-    """Bricks of a frame whose spans were carved, wherever it was mapped."""
-    return stats.telemetry["metrics"]["map.span_carved_bricks"]["value"]
+def positioned_samples(stats) -> int:
+    """Samples a frame's marches positioned, wherever it was mapped."""
+    return stats.telemetry["metrics"]["map.positioned_samples"]["value"]
 
 
 @pytest.mark.parametrize("scene", sorted(SCENES))
@@ -168,7 +167,6 @@ def test_inprocess_matches_golden(scene):
     assert_matches_golden(scene, image, result)
 
 
-@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("accel", ["off", "table", "grid"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_inprocess_accel_modes_match_golden(scene, accel):
@@ -177,24 +175,25 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
     counts owned samples in every mode by contract)."""
     image, result = run_job(InProcessExecutor(), *build_job(scene, accel=accel))
     assert_matches_golden(scene, image, result)
+    if accel == "off":
+        assert positioned_samples(result.stats) == result.stats.n_samples
 
 
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
-@pytest.mark.usefixtures("open_span_gate")
 def test_pool_grid_accel_matches_golden(reduce_mode):
-    """The grid-accelerated path through the pool executor (arena-shipped
-    grids, worker-seeded caches), in both reduce modes."""
-    # 2-voxel cells: at 4 every cell of these bricks is occupied and
-    # there is nothing to carve.
-    job = build_job("skull_default_az40", accel="grid", macro_cell_size=2)
+    """The trimmed path through the pool executor (worker-built, then
+    worker-cached tables and boxes), in both reduce modes."""
+    job = build_job("skull_default_az40", accel="grid")
     with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
         image, result = run_job(pool, *job)
-        # second render hits the resident arena + seeded worker caches
+        # second render hits the resident arena + warm worker caches
         image2, result2 = run_job(pool, *job)
     assert_matches_golden("skull_default_az40", image, result)
     assert_matches_golden("skull_default_az40", image2, result2)
-    # the workers really carved (they inherit the open gate only by fork)
-    assert carved_bricks(result.stats) > 0 and carved_bricks(result2.stats) > 0
+    # the workers really trimmed, cold and warm alike
+    positioned = positioned_samples(result.stats)
+    assert 0 < positioned < result.stats.n_samples
+    assert positioned_samples(result2.stats) == positioned
 
 
 @pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
@@ -367,21 +366,20 @@ def test_pool_crash_recovery_other_stages_match_golden(fault_plan):
 # -- slow: the full executor × reduce-mode × depth × workers matrix ----------
 @pytest.mark.slow
 @pytest.mark.parametrize("scene", sorted(SCENES))
-@pytest.mark.usefixtures("open_span_gate")
-@pytest.mark.parametrize("accel", ["off", "grid"])
+@pytest.mark.parametrize("accel", ["off", "table"])
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):
-    """Grid-accelerated vs accel-off through the pool, all scenes."""
-    job = build_job(scene, accel=accel, macro_cell_size=2)
+    """Trimmed vs accel-off through the pool, all scenes."""
+    job = build_job(scene, accel=accel)
     with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
         image, result = run_job(pool, *job)
     assert_matches_golden(scene, image, result)
-    # the workers carved exactly the bricks this process carves (all
-    # with something to skip under "grid", none under "off")
+    # the workers positioned exactly the samples this process positions
+    # (fewer than owned under "table", all of them under "off")
     serial = run_job(InProcessExecutor(), *job)[1].stats
-    assert carved_bricks(result.stats) == carved_bricks(serial)
+    assert positioned_samples(result.stats) == positioned_samples(serial)
     if scene != "skull_gray_az40":  # opaque-from-zero TF: nothing to skip
-        assert (carved_bricks(serial) > 0) == (accel == "grid")
+        assert (positioned_samples(serial) < serial.n_samples) == (accel == "table")
 
 
 @pytest.mark.slow

@@ -8,7 +8,7 @@ Three layers:
   *once*, at construction, so the parent and every pool worker march
   with the same kernel or fail fast at worker spawn.
 * **Cross-backend plumbing** (run everywhere): acceleration-cache
-  entries are keyed without the backend name, so tables/grids warmed
+  entries are keyed without the backend name, so tables/boxes warmed
   under one kernel are served — not rebuilt — under another; pool
   telemetry carries the pinned backend and the warmup count.
 * **Numba conformance** (``importorskip``): the compiled marcher against
@@ -164,7 +164,7 @@ def test_pool_without_pinned_kernel_reports_unpinned():
 
 
 def test_accel_cache_shared_across_backends():
-    """Tables/grids are pure functions of (brick, tf): the cache key
+    """Tables/boxes are pure functions of (brick, tf): the cache key
     carries no backend name, so a cache warmed under one kernel serves
     every other backend without duplicate entries."""
     rng = np.random.default_rng(9)
@@ -186,7 +186,7 @@ def test_accel_cache_shared_across_backends():
         **kwargs, accel_key=("k",), accel_cache=cache
     )
     n_entries = len(cache)
-    assert n_entries == 2  # corner-max table + macro grid (or sentinel)
+    assert n_entries == 2  # corner-max table + its occupied box
     for backend in available_backends():
         hits = cache.hits
         kwargs["config"] = RenderConfig(dt=0.5, kernel=backend)
@@ -246,7 +246,6 @@ def test_numba_matches_reference_marcher(dt, block_size, ert_alpha, shading):
     )
 
 
-@pytest.mark.usefixtures("open_span_gate")
 def test_numba_matches_reference_with_empty_space():
     _require_numba()
     rng = np.random.default_rng(11)
@@ -258,12 +257,43 @@ def test_numba_matches_reference_with_empty_space():
     cam = orbit_camera(
         vol.shape, azimuth_deg=15.0, elevation_deg=35.0, width=24, height=24
     )
-    for accel in ("off", "table", "grid"):
-        config = RenderConfig(
-            dt=0.7, block_size=16, accel=accel, macro_cell_size=4,
-            kernel="numba",
-        )
+    for accel in ("off", "table"):
+        config = RenderConfig(dt=0.7, block_size=16, accel=accel, kernel="numba")
         assert_equivalent(vol, None, cam, default_tf(), config)
+
+
+@pytest.mark.parametrize("block_size,ert_alpha", [(1, 1.0), (3, 0.9), (8, 0.5)])
+def test_numba_bounds_its_ray_loop_by_the_trim_interval(block_size, ert_alpha):
+    """The compiled marcher samples only ``[lead, trail)`` of each block
+    window: on trimmed launches it positions exactly the samples the
+    numpy fold positions, and its bytes and counters are those of
+    ``accel="off"``."""
+    _require_numba()
+    from repro.render.raycast import raycast_bricks
+    from test_macro_grid import trimmed_launches
+
+    for shape, cam, tasks in trimmed_launches():
+        out = {
+            (kernel, accel): raycast_bricks(
+                tasks, shape, cam, default_tf(),
+                RenderConfig(
+                    dt=0.6, block_size=block_size, ert_alpha=ert_alpha,
+                    accel=accel, kernel=kernel,
+                ),
+            )
+            for kernel in ("numba", "numpy")
+            for accel in ("table", "off")
+        }
+        for (nb, nb_s), (ref, ref_s), (off, off_s) in zip(
+            out["numba", "table"], out["numpy", "table"], out["numba", "off"]
+        ):
+            assert nb_s == ref_s == off_s
+            assert nb_s.n_positioned == ref_s.n_positioned <= off_s.n_positioned
+            assert np.array_equal(nb["pixel"], ref["pixel"])
+            assert np.array_equal(nb["depth"], ref["depth"])
+            assert nb.tobytes() == off.tobytes()  # same kernel: bitwise
+            for ch in "rgba":
+                np.testing.assert_allclose(nb[ch], ref[ch], atol=2e-4)
 
 
 def assert_matches_golden_banded(name, image, result, atol=2e-4):
@@ -282,7 +312,6 @@ def assert_matches_golden_banded(name, image, result, atol=2e-4):
     assert np.array_equal(counters, g["counters"]), f"{name}: stats diverged"
 
 
-@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("accel", ["off", "table", "grid"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_numba_golden_matrix_serial(scene, accel):
@@ -293,15 +322,10 @@ def test_numba_golden_matrix_serial(scene, accel):
     assert_matches_golden_banded(scene, image, result)
 
 
-@pytest.mark.usefixtures("open_span_gate")
 @pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 def test_numba_golden_through_pool(reduce_mode):
     _require_numba()
-    # 2-voxel cells: at 4 every cell of these bricks is occupied and
-    # there is nothing to carve.
-    job = build_job(
-        "skull_default_az40", accel="grid", macro_cell_size=2, kernel="numba"
-    )
+    job = build_job("skull_default_az40", accel="table", kernel="numba")
     with SharedMemoryPoolExecutor(
         workers=2, reduce_mode=reduce_mode, kernel="numba"
     ) as pool:
@@ -309,8 +333,8 @@ def test_numba_golden_through_pool(reduce_mode):
         tel = result.stats.telemetry["metrics"]
         assert tel["kernel_backend"]["value"] == "numba"
         assert tel["kernel_warmups"]["value"] == 2
-        # the workers really carved (they inherit the open gate only by fork)
-        assert tel["map.span_carved_bricks"]["value"] > 0
+        # the workers really trimmed
+        assert 0 < tel["map.positioned_samples"]["value"] < result.stats.n_samples
     assert_matches_golden_banded("skull_default_az40", image, result)
 
 
