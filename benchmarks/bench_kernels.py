@@ -5,14 +5,19 @@ in this repo), not the simulated GPU — simulated stage times live in the
 figure benches.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.core import counting_sort_pairs, stable_counting_order
+from repro import MapReduceVolumeRenderer
+from repro.core import InProcessExecutor, counting_sort_pairs, stable_counting_order
+from repro.core.executors import map_chunks_to_runs, merge_partition_runs
 from repro.render import (
     RenderConfig,
     composite_fragments,
     default_tf,
+    grayscale_tf,
     make_fragments,
     orbit_camera,
     ray_box_intersect,
@@ -197,8 +202,8 @@ def test_bench_counting_sort(benchmark):
 
 @pytest.mark.parametrize("n", [600, 13_000])
 def test_bench_counting_sort_partition(benchmark, n):
-    """The Sort stage at the sizes a reducer partition really has: a
-    sparse-scene partition and a dense-scene one."""
+    """The Sort stage at a size one partition had when the reduce ran
+    partition by partition, and at the dense scene's whole-frame call."""
     _bench_counting_sort(benchmark, n)
 
 
@@ -212,6 +217,48 @@ def test_bench_stable_order(benchmark, n_slots, n):
     keys = RNG.integers(0, n_slots, n)
     order = benchmark(stable_counting_order, keys, n_slots)
     assert len(order) == n
+
+
+class _CaptureExecutor(InProcessExecutor):
+    """Renders as the in-process executor does and keeps the frame's
+    spec and chunks."""
+
+    def execute(self, spec, chunks, chunk_to_gpu=None):
+        self.frame = (spec, list(chunks))
+        return super().execute(spec, chunks, chunk_to_gpu)
+
+
+@lru_cache(maxsize=None)
+def _frame_runs(scene):
+    """One real frame of the end-to-end benchmark's scene at 128²: its
+    spec and chunk-ordered runs, what the reduce receives."""
+    dataset, size, bricks_per_gpu, tf, cfg = {
+        "sparse": ("skull", 64, 2, default_tf(), RenderConfig(dt=0.75)),
+        "dense": (
+            "supernova", 32, 4, grayscale_tf(max_alpha=0.3),
+            RenderConfig(dt=1.0, ert_alpha=1.0),
+        ),
+    }[scene]
+    vol = make_dataset(dataset, (size,) * 3)
+    capture = _CaptureExecutor()
+    renderer = MapReduceVolumeRenderer(
+        volume=vol, cluster=8, tf=tf, render_config=cfg, executor=capture
+    )
+    cam = orbit_camera(
+        vol.shape, azimuth_deg=30.0, elevation_deg=20.0, width=128, height=128
+    )
+    renderer.render(cam, bricks_per_gpu=bricks_per_gpu)
+    spec, chunks = capture.frame
+    return spec, [runs for runs, *_ in map_chunks_to_runs(spec, chunks)]
+
+
+@pytest.mark.parametrize("scene", ["sparse", "dense"])
+def test_bench_reduce_frame(benchmark, scene):
+    """The in-process reduce of one frame: one Sort and one composite
+    over all 8 partitions (≈4.6 k sparse / 14 k dense pairs)."""
+    spec, runs_per_chunk = _frame_runs(scene)
+    outputs, received = benchmark(merge_partition_runs, spec, runs_per_chunk)
+    assert len(outputs) == spec.n_reducers and received.sum() > 0
 
 
 def test_bench_composite_fragments(benchmark):

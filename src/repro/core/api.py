@@ -90,7 +90,15 @@ class Reducer(abc.ABC):
 
     ``reduce_all`` receives every pair routed to this reducer, already
     **sorted and compacted by key** (the library's Sort guarantee), and
-    returns ``(keys, values)`` arrays of the final reductions.
+    returns ``(keys, values)`` arrays of the final reductions: keys
+    ascending, each one a key it received, one ``values`` row per key.
+
+    One call may receive the pairs of *several* partitions at once (an
+    executor sorts and reduces all the partitions a process owns
+    together), so it must reduce each key independently of every other
+    key: the row of a key may depend only on that key's pairs, in the
+    order received.  That is what keeps the output bitwise the same
+    however partitions are grouped into calls.
     """
 
     def initialize(self, device: Any = None) -> None:  # noqa: B027 - optional hook

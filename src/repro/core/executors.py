@@ -25,7 +25,7 @@ from .chunk import Chunk
 from .job import JobConfig, MapReduceSpec
 from .keyvalue import PLACEHOLDER, concat_pairs, validate_pairs
 from .scheduler import MapWork, SimOutcome, run_simulated_job
-from .sort import _permute_records, counting_sort_pairs, stable_counting_order
+from .sort import _permute_records, stable_counting_order
 from .stats import JobStats
 
 __all__ = [
@@ -233,25 +233,32 @@ def map_span_name(first: int, last: int) -> str:
 def merge_partition_runs(
     spec, runs_per_chunk: Sequence[Sequence[Optional[np.ndarray]]]
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Sort + Reduce every partition from its chunk-ordered runs.
+    """Sort + Reduce every partition from its chunk-ordered runs: one
+    Sort and one Reduce for all of them.
 
     ``runs_per_chunk[ci][r]`` is chunk ``ci``'s run for reducer ``r``
-    (None or empty when nothing was routed there).  Concatenation is in
-    chunk order — for distributed callers this, plus the stable counting
-    sort, is what makes results independent of completion order.
-    Returns per-reducer ``(keys, values)`` outputs and received-pair
-    counts.
+    (None or empty when nothing was routed there).  Each partition's
+    runs are joined in chunk order and the partitions end to end, every
+    pair tagged with its partition; one stable counting order on the key
+    over the whole array, one record permute and one
+    ``spec.reducer.reduce_all`` call follow, and the reduced rows are
+    split back per partition by the tag — never by the partitioner, so a
+    worker's renumbered :class:`PartitionReduceSpec` runs it unchanged.
+
+    This is bitwise the partition-at-a-time loop: keys are disjoint per
+    partition, the stable sort keeps a key's pairs in chunk order either
+    way, and a reducer reduces every key on its own (the
+    :class:`~repro.core.api.Reducer` contract).  For distributed callers
+    chunk order plus the stable sort is what makes results independent
+    of completion order.  Returns per-reducer ``(keys, values)`` outputs
+    (each partition's keys ascending) and received-pair counts.
     """
     n_red = spec.n_reducers
     # Distributed callers renumber their owned partitions 0..n-1; the
-    # optional labels map spans back to job-level partition ids so the
-    # trace shows `reduce:partition=<global p>` wherever it ran.
+    # optional labels map the span back to job-level partition ids.
     labels = getattr(spec, "partition_labels", None)
+    labels = list(range(n_red)) if labels is None else [int(p) for p in labels]
     frame_seq = getattr(spec, "frame_seq", None)
-    outputs: list[tuple[np.ndarray, np.ndarray]] = []
-    pairs_per_reducer = np.zeros(n_red, dtype=np.int64)
-    # Every partition's chunk-ordered runs end to end in one array:
-    # partition r received pairs[ends[r]:ends[r + 1]].
     parts = [
         [
             runs[r]
@@ -261,22 +268,30 @@ def merge_partition_runs(
         for r in range(n_red)
     ]
     pairs, cuts = concat_pairs([run for mine in parts for run in mine], spec.kv)
-    ends = cuts[np.cumsum([0] + [len(mine) for mine in parts])].tolist()
-    for r in range(n_red):
-        received = pairs[ends[r] : ends[r + 1]]
-        pairs_per_reducer[r] = len(received)
-        p = int(labels[r]) if labels is not None else r
-        with span(
-            f"reduce:partition={p}",
-            cat="reduce",
-            pairs=len(received),
-            **({"frame": frame_seq} if frame_seq is not None else {}),
-        ):
-            sr = counting_sort_pairs(
-                received, spec.kv.key_field, 0, spec.max_key
-            )
-            keys, values = spec.reducer.reduce_all(sr.pairs)
-        outputs.append((keys, values))
+    pairs_per_reducer = np.diff(cuts[np.cumsum([0] + [len(mine) for mine in parts])])
+    with span(
+        f"reduce:partitions={','.join(map(str, labels))}",
+        cat="reduce",
+        partitions=labels,
+        pairs=len(pairs),
+        **({"frame": frame_seq} if frame_seq is not None else {}),
+    ):
+        keys = spec.kv.keys(pairs)
+        order = stable_counting_order(keys, spec.max_key + 1)
+        sorted_keys = np.take(keys, order)
+        tags = np.take(np.repeat(np.arange(n_red), pairs_per_reducer), order)
+        out_keys, values = spec.reducer.reduce_all(_permute_records(pairs, order))
+        # A reduced key's partition is the tag of its first sorted pair.
+        part_of = np.take(tags, np.searchsorted(sorted_keys, out_keys))
+        by_part = stable_counting_order(part_of, n_red)
+        out_keys = np.take(out_keys, by_part)
+        values = np.take(values, by_part, axis=0)
+        bounds = np.zeros(n_red + 1, dtype=np.int64)
+        np.cumsum(np.bincount(part_of, minlength=n_red), out=bounds[1:])
+    bounds = bounds.tolist()
+    outputs = [
+        (out_keys[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+    ]
     return outputs, pairs_per_reducer
 
 
@@ -300,8 +315,9 @@ class PartitionReduceSpec:
     reducer: object
     # Job-level ids of the renumbered partitions (ascending, one per
     # local index) and the frame being reduced — only read by tracing,
-    # so span names carry the global partition id (not the worker-local
-    # renumbering) and pipelined frames stay distinguishable.
+    # so the reduce span names the global partition ids (not the
+    # worker-local renumbering) and pipelined frames stay
+    # distinguishable.
     partition_labels: Optional[Sequence[int]] = None
     frame_seq: Optional[int] = None
 

@@ -18,14 +18,16 @@ deterministic.  The run index the Reduce stage consumes (unique keys,
 starts, counts) is read off the sorted key column
 (:func:`run_length_groups`), so nothing sized by the key range is
 allocated.  The same order is the building block of the Reduce side's
-(pixel, depth) radix sort in :mod:`repro.render.compositing`.
+(pixel, depth) radix sort (:func:`repro.render.fragments.fragment_sort_order`).
 
 A single-pass C scatter over the whole key (the ``coo_tocsr``
 placement kernel of a sparse-matrix library is one) needs an index of
 ``n_slots`` entries per call and a 24 MiB import on the first; it draws
 level from about 10⁵ pairs per call (5·10⁴ for ``int32`` keys of one
-digit) and is at most 1.6× faster beyond, while a reducer partition of
-the renderer holds 600 to 13 000 pairs.  Best µs per call on the
+digit) and is at most 1.6× faster beyond, while one Sort call of the
+renderer — every partition a process owns, in one frame — holds about
+4 000 to 14 000 pairs in process (sparse / dense scene at 128²), a
+two-worker pool's worker half that.  Best µs per call on the
 development box, ``int64`` keys
 (``benchmarks/bench_kernels.py::test_bench_stable_order`` are the
 committed digit rows):

@@ -25,10 +25,12 @@ Span taxonomy (see ARCHITECTURE.md "Observability"):
     mesh edges (includes queue fallbacks).
 ``shuffle-in``
     Mesh reducer: draining inbound edges to a frame's watermark.
-``reduce:partition=p``
-    Sort + Reduce of one partition, wherever it runs (worker, parent,
-    serial) — ``p`` is the job-level partition id even when a worker
-    renumbers its owned subset.
+``reduce:partitions=p,q,…``
+    The one Sort + Reduce of a frame over every partition a process
+    owns, wherever it runs (worker, parent, serial) — the ids are
+    job-level even when a worker renumbers its owned subset;
+    ``args["partitions"]`` lists them, ``args["frame"]`` the frame in
+    the pool.
 ``stitch``
     Parent: assembling the final image from reduced pixel spans.
 ``respawn``

@@ -5,9 +5,9 @@ Workers return, for every chunk, one fragment run per reducer partition
 :func:`~repro.core.executors.merge_partition_runs` — is the *same
 function* :class:`~repro.core.executors.InProcessExecutor` runs: it
 concatenates each partition's runs **in chunk order** (not completion
-order) and applies the θ(n) counting sort + the segmented-scan reducer,
-which is what makes the whole pool bitwise deterministic regardless of
-worker scheduling.  Under ``reduce_mode="parent"`` the parent executes
+order) and applies one θ(n) counting sort + one segmented-scan reduce
+over all the partitions it is given, which is what makes the whole pool
+bitwise deterministic regardless of worker scheduling.  Under ``reduce_mode="parent"`` the parent executes
 it over every partition; under ``reduce_mode="worker"`` each worker
 executes the identical function over the partitions it owns (via
 :class:`~repro.core.executors.PartitionReduceSpec`), so the two

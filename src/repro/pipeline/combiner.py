@@ -15,9 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.api import Combiner
-from ..core.sort import run_length_groups
+from ..core.sort import _permute_records, run_length_groups
 from ..render.compositing import fold_depth_runs
-from ..render.fragments import FRAGMENT_DTYPE, make_fragments
+from ..render.fragments import (
+    FRAGMENT_DTYPE,
+    fragment_sort_order,
+    make_fragments,
+    rgba_view,
+)
 
 __all__ = ["FragmentCombiner"]
 
@@ -36,16 +41,14 @@ class FragmentCombiner(Combiner):
             return pairs
         if pairs.dtype != FRAGMENT_DTYPE:
             raise TypeError("FragmentCombiner expects ray-fragment pairs")
-        order = np.lexsort((pairs["depth"], pairs["pixel"]))
-        f = pairs[order]
+        f = _permute_records(pairs, fragment_sort_order(pairs))
         keys, starts, counts = run_length_groups(f["pixel"])
         if np.all(counts == 1):
             # The common case the paper observed: nothing to merge.
             self.pairs_out += len(pairs)
             return pairs
-        rgba = np.stack([f["r"], f["g"], f["b"], f["a"]], axis=1)
         # Same segmented-scan fold the reducer and compositors use.
-        out = fold_depth_runs(rgba, starts)
+        out = fold_depth_runs(rgba_view(f), starts)
         depth = f["depth"][starts]
         merged = make_fragments(keys.astype(np.int32), depth, out)
         self.pairs_out += len(merged)

@@ -4,7 +4,9 @@
 a given pixel are ascending-depth sorted, composited, and blended
 against the background color".  The required per-pixel depth sort is
 exactly why the paper found CPU reduction faster than GPU — the counting
-sort groups by *key* only, so depth ordering is the reducer's job.
+sort groups by *key* only, so depth ordering is the reducer's job.  Here
+that ordering is the same comparison-free (pixel, depth) radix the
+compositors use (:func:`~repro.render.fragments.fragment_sort_order`).
 
 :class:`MaxReducer` pairs with the MIP mapper for the pluggability demo.
 """
@@ -16,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.api import Reducer
-from ..core.sort import run_length_groups
+from ..core.sort import _permute_records, run_length_groups
 from ..render.compositing import fold_depth_runs
+from ..render.fragments import fragment_sort_order, rgba_view
 
 __all__ = ["CompositeReducer", "MaxReducer"]
 
@@ -25,8 +28,11 @@ __all__ = ["CompositeReducer", "MaxReducer"]
 class CompositeReducer(Reducer):
     """Front-to-back depth compositing of pixel fragment groups.
 
-    ``reduce_all`` expects pairs sorted (stably) by the ``pixel`` key and
-    returns ``(unique pixel keys, premultiplied RGBA rows)``.
+    ``reduce_all`` expects fragment pairs sorted (stably) by the
+    ``pixel`` key and returns ``(unique pixel keys, premultiplied RGBA
+    rows)``.  Fragments may come from a peer process, so a NaN depth —
+    the one value the radix and ``np.lexsort`` would order differently —
+    is a ``ValueError``.
     """
 
     def __init__(self, background: Sequence[float] | None = None):
@@ -37,14 +43,14 @@ class CompositeReducer(Reducer):
     def reduce_all(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(pairs) == 0:
             return np.empty(0, np.int64), np.zeros((0, 4), np.float32)
+        if np.isnan(pairs["depth"]).any():
+            raise ValueError("fragment with a NaN depth reached the reducer")
         # Ascending-depth order within each (already grouped) pixel run.
-        order = np.lexsort((pairs["depth"], pairs["pixel"]))
-        f = pairs[order]
+        f = _permute_records(pairs, fragment_sort_order(pairs))
         keys, starts, counts = run_length_groups(f["pixel"])
-        rgba = np.stack([f["r"], f["g"], f["b"], f["a"]], axis=1)
         # One segmented transmittance scan + one segmented sum replaces
         # the per-depth-rank blend loop.
-        out = fold_depth_runs(rgba, starts)
+        out = fold_depth_runs(rgba_view(f), starts)
         if self.background is not None:
             alpha = out[:, 3:4]
             out = out.copy()

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.sort import stable_counting_order
-from .fragments import FRAGMENT_DTYPE, rgba_view
+from .fragments import FRAGMENT_DTYPE, _pixel_depth_order, rgba_view
 
 __all__ = [
     "over",
@@ -109,34 +108,6 @@ def fold_depth_runs(rgba: np.ndarray, starts: np.ndarray) -> np.ndarray:
     trans = segmented_exclusive_cumprod(1.0 - rgba[:, 3], seg_start)
     out = np.add.reduceat(trans[:, None] * rgba, starts, axis=0)
     return out.astype(np.float32, copy=False)
-
-
-def _depth_rank_bits(depth: np.ndarray) -> np.ndarray:
-    """Monotone uint32 image of float32 depths.
-
-    Adding +0.0 first canonicalizes −0.0 to +0.0 so the two zeros
-    compare equal (as ``np.lexsort`` treats them) instead of ordering
-    by sign bit — equal-depth fragments must keep arrival order.
-    """
-    canon = np.asarray(depth, dtype=np.float32) + np.float32(0.0)
-    bits = canon.view(np.uint32)
-    neg = bits >> np.uint32(31)
-    return np.where(neg.astype(bool), ~bits, bits ^ np.uint32(0x80000000))
-
-
-def _pixel_depth_order(pix: np.ndarray, n_pixels: int, depth: np.ndarray) -> np.ndarray:
-    """Stable (pixel, depth)-ascending permutation, θ(n).
-
-    An LSD radix built from the Sort stage's digit order: the depth's
-    monotone 32-bit image is the minor key (two 16-bit digits), the
-    dense pixel index the major one (one digit up to 2¹⁶ pixels, two
-    beyond).  Every pass is a stable counting sort, so the composition
-    is the stable lexicographic order — ``np.lexsort((depth, pix))``
-    without its comparisons.
-    """
-    by_depth = stable_counting_order(_depth_rank_bits(depth), 1 << 32)
-    by_pixel = stable_counting_order(np.take(pix, by_depth), n_pixels)
-    return np.take(by_depth, by_pixel)
 
 
 def composite_pixel_fragments(fragments: np.ndarray) -> np.ndarray:

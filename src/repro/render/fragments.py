@@ -14,6 +14,9 @@ rays composite in depth order to the exact single-pass result.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+from ..core.sort import stable_counting_order
 
 __all__ = [
     "FRAGMENT_DTYPE",
@@ -84,18 +87,64 @@ def drop_placeholders(fragments: np.ndarray) -> np.ndarray:
     return fragments[fragments["pixel"] != PLACEHOLDER_KEY]
 
 
+def _depth_rank_bits(depth: np.ndarray) -> np.ndarray:
+    """Monotone uint32 image of float32 depths.
+
+    Adding +0.0 first canonicalizes −0.0 to +0.0 so the two zeros
+    compare equal (as ``np.lexsort`` treats them) instead of ordering
+    by sign bit — equal-depth fragments must keep arrival order.
+    """
+    canon = np.asarray(depth, dtype=np.float32) + np.float32(0.0)
+    bits = canon.view(np.uint32)
+    neg = bits >> np.uint32(31)
+    return np.where(neg.astype(bool), ~bits, bits ^ np.uint32(0x80000000))
+
+
+def _pixel_depth_order(pix: np.ndarray, n_pixels: int, depth: np.ndarray) -> np.ndarray:
+    """Stable (pixel, depth)-ascending permutation, θ(n).
+
+    An LSD radix built from the Sort stage's digit order: the depth's
+    monotone 32-bit image is the minor key (two 16-bit digits), the
+    dense pixel index the major one (one digit up to 2¹⁶ pixels, two
+    beyond).  Every pass is a stable counting sort, so the composition
+    is the stable lexicographic order — ``np.lexsort((depth, pix))``
+    without its comparisons.
+    """
+    by_depth = stable_counting_order(_depth_rank_bits(depth), 1 << 32)
+    by_pixel = stable_counting_order(np.take(pix, by_depth), n_pixels)
+    return np.take(by_depth, by_pixel)
+
+
 def fragment_sort_order(fragments: np.ndarray) -> np.ndarray:
     """Indices sorting fragments by (pixel, depth) ascending.
 
     This is the canonical compositing order: group per pixel, front to
-    back.  Uses a stable lexsort so equal-depth fragments keep arrival
-    order (deterministic output).
+    back.  Stable, so equal-depth fragments keep arrival order
+    (deterministic output), and θ(n): the (pixel, depth) radix over the
+    pixel keys' own range.  It equals the ``np.lexsort((depth, pixel))``
+    oracle for every depth but a NaN (a sign-bit-set NaN sorts first
+    here, last there), which is why the reducer rejects NaN depths.
     """
-    return np.lexsort((fragments["depth"], fragments["pixel"]))
+    pix = fragments["pixel"]
+    if len(pix) == 0:
+        return np.empty(0, dtype=np.intp)
+    lo = int(pix.min())
+    return _pixel_depth_order(
+        pix.astype(np.int64) - lo, int(pix.max()) - lo + 1, fragments["depth"]
+    )
 
 
 def rgba_view(fragments: np.ndarray) -> np.ndarray:
-    """(N, 4) float32 copy of the colour fields."""
-    return np.stack(
-        [fragments["r"], fragments["g"], fragments["b"], fragments["a"]], axis=1
+    """(N, 4) float32 read-only view of the colour fields, no copy.
+
+    ``r, g, b, a`` are adjacent float32s in every record, so one row
+    steps one record and one column steps four bytes.
+    """
+    if fragments.dtype != FRAGMENT_DTYPE:
+        raise TypeError("expected fragment records")
+    return as_strided(
+        fragments["r"],
+        shape=(len(fragments), 4),
+        strides=(fragments.strides[0], 4),
+        writeable=False,
     )

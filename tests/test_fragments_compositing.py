@@ -19,8 +19,9 @@ from repro.render import (
     group_ranks,
     make_fragments,
     over,
+    rgba_view,
 )
-from repro.render.compositing import _pixel_depth_order
+from repro.render.fragments import _pixel_depth_order
 
 
 def frag(pixel, depth, rgba):
@@ -75,6 +76,36 @@ def test_sort_order_groups_pixels_then_depth():
     s = f[fragment_sort_order(f)]
     assert s["pixel"].tolist() == [3, 3, 5, 5]
     assert s["depth"].tolist() == [4.0, 9.0, 1.0, 2.0]
+
+
+def test_sort_order_is_lexsort_over_any_key_range():
+    """The public order is the radix over the keys' own range —
+    placeholders and keys past one 16-bit digit included — and stays
+    the stable ``np.lexsort`` oracle."""
+    rng = np.random.default_rng(3)
+    for lo, hi in [(-1, 3), (0, 1), (70_000, 70_050), (-(2**31), 2**31 - 1)]:
+        pix = rng.choice(np.int32([lo, hi, (lo + hi) // 2]), 200)
+        depth = rng.choice(np.float32([-0.0, 0.0, 1.5, np.inf]), 200)
+        f = make_fragments(pix, depth, np.zeros((200, 4), np.float32))
+        assert np.array_equal(fragment_sort_order(f), np.lexsort((depth, pix)))
+    assert len(fragment_sort_order(empty_fragments())) == 0
+
+
+def test_rgba_view_is_a_read_only_view_of_the_colour():
+    rng = np.random.default_rng(4)
+    f = make_fragments(
+        np.arange(6, dtype=np.int32),
+        rng.random(6).astype(np.float32),
+        random_premult_rgba(rng, 6),
+    )
+    for part in (f, f[1:5], f[::2], f[:0]):
+        view = rgba_view(part)
+        want = np.stack([part["r"], part["g"], part["b"], part["a"]], axis=1)
+        assert view.dtype == np.float32 and view.tobytes() == want.tobytes()
+        assert np.shares_memory(view, f) or not len(part)
+        assert not view.flags.writeable
+    with pytest.raises(TypeError):
+        rgba_view(np.zeros(2, np.dtype([("pixel", np.int32), ("r", np.float32)])))
 
 
 def test_group_ranks():

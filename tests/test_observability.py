@@ -131,7 +131,7 @@ def test_chrome_trace_tracks_and_metadata():
     with span("publish", cat="publish"):
         pass
     tr.add_remote(0, 0, [("map:chunk=0", "map", 10_000, 5_000, {"chunk": 0})])
-    tr.add_remote(1, 1, [("reduce:partition=3", "reduce", 20_000, 7_000, None)])
+    tr.add_remote(1, 1, [("reduce:partitions=3", "reduce", 20_000, 7_000, None)])
     doc = _trace_doc(tr)
     meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
     names = {(e["tid"], e["args"]["name"]) for e in meta}
@@ -301,10 +301,16 @@ def test_traced_pool_render_matches_golden_smoke():
     assert {e["tid"] for e in spans} >= {0, 1, 2}  # parent + both workers
     families = {e["name"].split(":", 1)[0] for e in spans}
     assert families >= {"publish", "map", "shuffle-out", "shuffle-in", "reduce"}
-    # reduce spans carry the *job-level* partition id and the frame seq
-    reduces = [e for e in spans if e["name"].startswith("reduce:partition=")]
-    labels = {int(e["name"].split("=", 1)[1]) for e in reduces}
-    assert labels == set(range(len(reduces)))
+    # one reduce span per worker per frame, naming the *job-level*
+    # partitions it reduced (disjoint across workers, together all of
+    # them) and carrying the frame seq
+    reduces = [e for e in spans if e["name"].split(":", 1)[0] == "reduce"]
+    assert {e["tid"] for e in reduces} == {1, 2}
+    owned = [e["args"]["partitions"] for e in reduces]
+    for e, parts in zip(reduces, owned):
+        assert e["name"] == "reduce:partitions=" + ",".join(map(str, parts))
+    assert sum(len(parts) for parts in owned) == len(result.pairs_per_reducer)
+    assert set().union(*owned) == set(range(len(result.pairs_per_reducer)))
     assert all(e["args"]["frame"] == 1 for e in reduces)
     # spans nest laminarly per track (no partial overlap on a timeline)
     for tid in {e["tid"] for e in spans}:
