@@ -10,8 +10,9 @@
 # brick, and on the end-to-end sparse scene's 16 bricks; table — the
 # corner-max probe plus the occupied-box trim — must beat off wherever
 # there is empty space) — then the shared-memory pool
-# executor's scaling sweep (1/2/4/8 workers × parent/worker reduce ×
-# pipeline depth 1/2 over a multi-brick orbit) into BENCH_parallel.json.
+# executor's scaling sweep (the in-process baseline, then 1/2/4/8
+# workers × pipeline depth 1/2 over a multi-brick orbit) into
+# BENCH_parallel.json.
 # Compare kernels against the committed baseline with e.g.:
 #   python - <<'EOF'
 #   import json
@@ -35,5 +36,5 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
 echo "wrote $OUT"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python \
     benchmarks/bench_parallel.py --out "$PAR_OUT" --workers 1,2,4,8 \
-    --reduce-modes parent,worker --shuffle-modes parent,mesh --depths 1,2
+    --depths 1,2
 echo "run_kernels.sh: OK"

@@ -281,16 +281,16 @@ class ExperimentResults:
 
     @cached_property
     def parallel_summary(self) -> list:
-        """Headline rows of the pool scaling sweep (one per pool shape)."""
+        """Headline rows of the pool scaling sweep (the in-process
+        baseline, then one per pool shape)."""
         if self.parallel_doc is None:
             return []
         rows = []
         for r in self.parallel_doc.get("results", []):
             rows.append(
                 {
+                    "executor": r.get("executor"),
                     "workers": r.get("workers"),
-                    "reduce": r.get("reduce_mode"),
-                    "shuffle": r.get("shuffle_mode"),
                     "depth": r.get("pipeline_depth"),
                     "fps": r.get("fps"),
                     "speedup": r.get("speedup_vs_inprocess"),

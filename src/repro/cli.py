@@ -50,36 +50,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--workers", type=int, default=None,
                    help="pool worker processes (default: one per simulated "
                         "GPU, capped to the machine's cores)")
-    r.add_argument("--reduce-mode", default="parent", choices=["parent", "worker"],
-                   help="where the pool executor runs Sort+Reduce: in the "
-                        "parent (default), or on the worker owning each "
-                        "partition, which ships back composited pixel spans "
-                        "(bitwise-identical output either way)")
+    r.add_argument("--reduce-mode", default="worker",
+                   help="where the pool executor runs Sort+Reduce; only "
+                        "'worker' remains (each partition is reduced on "
+                        "the worker that owns it) and the removed "
+                        "'parent' raises ValueError.  Kept only until "
+                        "the benchmark harness stops passing it")
     r.add_argument("--pipeline-depth", type=int, default=1,
                    help="frames the pool executor keeps in flight for orbit "
                         "rendering: 1 = synchronous, 2 = double-buffered "
                         "(workers map+reduce the next frame while the parent "
                         "stitches the current one)")
-    r.add_argument("--shuffle-mode", default="auto",
-                   choices=["auto", "parent", "mesh", "tcp"],
-                   help="shuffle plane for the pool executor: 'parent' "
-                        "routes fragment runs through the parent, 'mesh' "
-                        "exchanges them worker-to-worker over direct "
-                        "shared-memory edge rings (the parent becomes a "
-                        "pure control plane), 'tcp' streams the same "
-                        "records worker-to-worker over AF_UNIX/TCP "
-                        "sockets (the multi-host plane; requires "
-                        "--reduce-mode worker), 'auto' picks mesh "
-                        "whenever the reduce runs on workers; the image "
-                        "is bitwise-identical on every plane")
-    r.add_argument("--host-spec", default=None,
-                   help="socket-plane host placement (tcp shuffle only): "
-                        "an int spreads workers round-robin over that "
-                        "many simulated hosts; a comma-separated list "
-                        "like '0,0,1,1' assigns each worker a host id. "
-                        "Host 0 holds the shared-memory arena; workers "
-                        "on other hosts get chunk payloads over the "
-                        "wire instead of attaching the arena")
     r.add_argument("--pin-workers", action="store_true",
                    help="pin each pool worker to its own core "
                         "(os.sched_setaffinity) before it allocates its "
@@ -90,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recover pool infrastructure failures in place: "
                         "respawn dead/wedged workers, re-execute in-flight "
                         "frames bitwise-identically, and degrade (fewer "
-                        "workers, then serial) when retries are exhausted "
+                        "workers, then in-process) when retries are "
+                        "exhausted "
                         "(default)")
     r.add_argument("--no-supervise", dest="supervise", action="store_false",
                    help="disable supervision: any pool failure tears the "
@@ -214,8 +196,6 @@ def _cmd_render(args) -> int:
         workers=args.workers,
         reduce_mode=args.reduce_mode,
         pipeline_depth=args.pipeline_depth,
-        shuffle_mode=args.shuffle_mode,
-        host_spec=args.host_spec,
         pin_workers=args.pin_workers,
         supervise=args.supervise,
         max_frame_retries=args.max_frame_retries,
@@ -226,7 +206,6 @@ def _cmd_render(args) -> int:
         recovery_lines = []
         if backend == "pool":
             backend = (f"pool ({renderer.executor_workers} workers, "
-                       f"{args.reduce_mode} reduce, "
                        f"{renderer.executor_shuffle_mode} shuffle)")
             recovery_lines = renderer.executor_recovery_summary
     write_ppm(args.out, result.image)

@@ -58,7 +58,7 @@ class ShuffleSpec:
       — static, so results can never depend on scheduling);
     * the degenerate serial case: ``n_workers=1`` makes worker 0 own
       everything, which is exactly what :class:`InProcessExecutor`
-      (and the pool's parent-side reduce) execute.
+      executes.
 
     Keys are disjoint per partition, so ownership placement cannot
     change reduced outputs — only who computes them.
@@ -302,11 +302,11 @@ class PartitionReduceSpec:
     :func:`merge_partition_runs` only reads ``n_reducers`` / ``kv`` /
     ``max_key`` / ``reducer`` from its spec, so a worker that owns a
     *subset* of the partitions can renumber them ``0..n-1``, wrap the
-    pieces in this view, and execute the **literal** parent-side
-    function over its chunk-ordered runs — which is what makes
-    worker-side reduce bitwise-identical to parent-side reduce by
-    construction (reducer keys are disjoint per partition, so no
-    cross-partition state exists to diverge on).
+    pieces in this view, and execute the **literal** function the
+    in-process executor runs over its chunk-ordered runs — which is
+    what makes the pool's worker-side reduce bitwise-identical to the
+    in-process reduce by construction (reducer keys are disjoint per
+    partition, so no cross-partition state exists to diverge on).
     """
 
     n_reducers: int

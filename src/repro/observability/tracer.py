@@ -21,13 +21,13 @@ Span taxonomy (see ARCHITECTURE.md "Observability"):
     kernel invocation.  Exactly one, never nested, per launch, so the
     ``map`` spans of a track sum to its map time.
 ``shuffle-out``
-    Worker: streaming one chunk's runs into the uplink ring or the
-    mesh edges (includes queue fallbacks).
+    Worker: writing one chunk's runs into the mesh edges (includes
+    queue fallbacks).
 ``shuffle-in``
     Mesh reducer: draining inbound edges to a frame's watermark.
 ``reduce:partitions=p,q,…``
     The one Sort + Reduce of a frame over every partition a process
-    owns, wherever it runs (worker, parent, serial) — the ids are
+    owns, wherever it runs (pool worker or in-process) — the ids are
     job-level even when a worker renumbers its owned subset;
     ``args["partitions"]`` lists them, ``args["frame"]`` the frame in
     the pool.

@@ -3,12 +3,11 @@
 The paper (Stuart et al., HPDC 2010) renders by fanning volume bricks
 out to many GPUs: each GPU **Maps** its bricks with a ray-cast kernel,
 **Partitions** the emitted ``(pixel, fragment)`` pairs by reducer,
-**Sorts** with a θ(n) counting sort, and **Reduces** by depth-ordered
+exchanges them directly with the GPU that owns each partition, which
+**Sorts** with a θ(n) counting sort and **Reduces** by depth-ordered
 compositing — with brick uploads, kernels, and fragment downloads all
-overlapped.  The rest of this repository reproduces those stages
-functionally but ran them serially in one process; this package turns
-the recorded "simulated GPU" placement into real parallel hardware by
-mapping **one worker process per simulated GPU**:
+overlapped.  This package maps **one worker process per simulated
+GPU** onto that design, over one data path:
 
 =====================  ====================================================
 paper stage            multiprocess realisation
@@ -20,37 +19,25 @@ brick upload (PCIe)    :mod:`~repro.parallel.shm` — chunk payloads and the
 Map + Partition        :mod:`~repro.parallel.worker` — each worker runs the
 (per GPU)              ray-cast kernel and buckets fragments by reducer
                        partition, exactly the serial executor's code
-fragment download      :mod:`~repro.parallel.ring` — per-worker SPSC
-(pinned buffers)       shared-memory ring buffers with a cursor header
-                       protocol stream raw fragment runs to the parent,
-                       exporting backpressure counters (producer stall
-                       time/events, high-water mark) into ``JobStats``
-shuffle + Sort +       ``reduce_mode="parent"``: :mod:`~repro.parallel.merge`
-Reduce                 — the parent reassembles each partition's runs in
-                       chunk order and applies the counting-scatter sort +
-                       segmented-scan compositor.
-                       ``reduce_mode="worker"``: the paper's symmetric
-                       layout — each worker Sort+Reduces the partitions it
-                       owns with the *same* merge function and ships back
-                       composited pixel spans; the parent just stitches
-GPU↔GPU fragment       :mod:`~repro.parallel.shuffle` — the pluggable
-exchange (the          **shuffle plane**: ``shuffle_mode="mesh"`` moves
-interconnect)          runs worker↔worker over an N×N mesh of SPSC edge
-                       rings (records tagged frame/chunk/partition), so
-                       the parent is a pure control plane and zero run
-                       bytes cross it; ``"tcp"``
-                       (:mod:`~repro.parallel.socketplane`) streams the
-                       same records over AF_UNIX/TCP sockets for the
-                       multi-host regime; ``"parent"`` is the routed
-                       legacy plane; ``"auto"`` picks mesh when workers
-                       reduce.
+GPU↔GPU fragment       :mod:`~repro.parallel.shuffle` — an N×N mesh of
+exchange (the          SPSC shared-memory edge rings
+interconnect)          (:mod:`~repro.parallel.ring`): each mapper writes a
+                       partition's runs, tagged frame/chunk/partition,
+                       straight into the owning worker's inbound edge; the
+                       parent is a control plane and touches run bytes
+                       only to relay a record too large for its edge.
                        ``pin_workers=True`` pins workers to cores before
                        they allocate their inbound edges (NUMA locality)
+Sort + Reduce          each worker Sort+Reduces the partitions it owns
+                       (``partition % workers``) with the literal
+                       :func:`~repro.core.executors.merge_partition_runs`
+                       and ships back composited pixel spans; the parent
+                       stitches
 async overlap (§7)     ``pipeline_depth>1``: ``submit``/``collect`` keep
                        frames in flight so workers map+reduce frame *k+1*
-                       while the parent assembles/stitches frame *k* (and
-                       next-frame arenas, incl. out-of-core loads, publish
-                       off the critical path)
+                       while the parent stitches frame *k* (and next-frame
+                       arenas, incl. out-of-core loads, publish off the
+                       critical path)
 =====================  ====================================================
 
 :class:`SharedMemoryPoolExecutor` (:mod:`~repro.parallel.pool`) wires
@@ -58,28 +45,27 @@ these together behind the exact ``execute(spec, chunks, chunk_to_gpu)``
 surface of :class:`~repro.core.executors.InProcessExecutor`, returning
 bitwise-identical images and counters — worker scheduling never leaks
 into the output because runs are merged in chunk order and every kernel
-is deterministic.  A ``serial=True`` mode runs the identical code path
-without processes, for tests and platforms lacking POSIX shared memory.
+is deterministic.
 
 Fault tolerance (:mod:`~repro.parallel.supervise`): the executor
-supervises its workers — a process dying mid-frame or a wedged
-transport recycles the transport epoch in place (the arena survives and
-is re-attached by name), re-executes the in-flight frames
+supervises its workers — a process dying mid-frame (noticed at once:
+the parent waits on every worker's process sentinel) or a wedged edge
+recycles the transport epoch in place (the arena survives and is
+re-attached by name), re-executes the in-flight frames
 bitwise-identically, and degrades (shrink the pool, then fall back to
-the serial executor) when retries are exhausted.
+the in-process executor) when retries are exhausted.
 :mod:`~repro.parallel.faults` is the deterministic fault-injection
 harness (``fault_plan=`` / ``$REPRO_FAULT_PLAN``) that drives crash,
 exit, and stall faults at exact (stage, worker, frame, chunk) points.
 """
 
 from .faults import ENV_FAULT_PLAN, FaultPlan, FaultRule
-from .merge import merge_partition_runs, split_runs
 from .pool import (
     PendingFrame,
     PoolConfig,
     SharedMemoryPoolExecutor,
+    check_modes,
     default_pool_workers,
-    parse_host_spec,
     usable_cores,
 )
 from .ring import RingTimeout, ShmRing
@@ -91,18 +77,8 @@ from .shuffle import (
     ENV_MAX_FRAME_RETRIES,
     ENV_RETRY_BACKOFF,
     ENV_RING_WRITE_TIMEOUT,
-    ENV_SHUFFLE_MODE,
     ENV_WATERMARK_TIMEOUT,
-    MeshShuffle,
-    ParentRoutedShuffle,
-    SocketShuffle,
     WorkerMesh,
-)
-from .socketplane import (
-    ENV_SOCKET_FAMILY,
-    SocketClosed,
-    SocketMesh,
-    socket_path,
 )
 from .supervise import PoolFailure, PoolSupervisor
 from .worker import FrameContext, map_chunk_to_runs
@@ -117,32 +93,22 @@ __all__ = [
     "ENV_MAX_FRAME_RETRIES",
     "ENV_RETRY_BACKOFF",
     "ENV_RING_WRITE_TIMEOUT",
-    "ENV_SHUFFLE_MODE",
-    "ENV_SOCKET_FAMILY",
     "ENV_WATERMARK_TIMEOUT",
     "FaultPlan",
     "FaultRule",
     "FrameContext",
-    "MeshShuffle",
-    "ParentRoutedShuffle",
     "PendingFrame",
     "PoolConfig",
     "PoolFailure",
     "PoolSupervisor",
-    "default_pool_workers",
-    "parse_host_spec",
     "RingTimeout",
     "SharedMemoryPoolExecutor",
     "ShmArena",
     "ShmRing",
-    "SocketClosed",
-    "SocketMesh",
-    "SocketShuffle",
     "WorkerMesh",
+    "check_modes",
+    "default_pool_workers",
     "map_chunk_to_runs",
-    "merge_partition_runs",
     "shm_segment_exists",
-    "socket_path",
-    "split_runs",
     "usable_cores",
 ]

@@ -7,63 +7,27 @@ is a drop-in replacement for
 :class:`~repro.core.executors.InProcessExecutor`: same
 ``execute(spec, chunks, chunk_to_gpu)`` signature, same
 :class:`~repro.core.executors.InProcessResult` out, bitwise-identical
-outputs and counters (see :mod:`repro.parallel.merge` for why).
+outputs and counters.
 
-Stage placement (``reduce_mode``):
+One data path, the paper's:
 
-* ``"parent"`` — workers run Map + Partition, the parent runs Sort +
-  Reduce (the PR-2 layout).
-* ``"worker"`` — the paper's full symmetry: each worker also runs Sort
-  + Reduce for the reducer partitions it *owns* (the static
-  :class:`~repro.core.executors.ShuffleSpec` ownership contract,
-  ``partition % workers``), executing the literal
-  :func:`~repro.core.executors.merge_partition_runs` over chunk-ordered
-  runs and shipping back composited per-partition ``(keys, values)``
-  spans instead of raw fragments.  The parent becomes a pure stitcher.
-  Keys are disjoint per partition, so placement cannot change results.
-
-Shuffle plane (``shuffle_mode``, see :mod:`repro.parallel.shuffle`):
-
-* ``"parent"`` — :class:`~repro.parallel.shuffle.ParentRoutedShuffle`:
-  run bytes go worker → uplink ring → parent (→ task queue → owning
-  worker under worker-side reduce).  The parent is on the data path.
-* ``"mesh"`` — :class:`~repro.parallel.shuffle.MeshShuffle`: an N×N
-  mesh of SPSC shared-memory edge rings; each mapper writes a
-  partition's runs *directly* into the owning reducer worker's inbound
-  edge, tagged ``(frame, chunk, partition)``, the way the paper's GPUs
-  exchange fragments over the interconnect.  The parent degrades to a
-  pure **control plane** — publish, seal, stitch, teardown — and never
-  touches a run byte (``JobStats.ring["parent_run_bytes"] == 0``).
-  Materializes only under ``reduce_mode="worker"``; with a parent-side
-  reduce every run's destination *is* the parent, so the uplink rings
-  already are the direct path.
-* ``"tcp"`` — :class:`~repro.parallel.shuffle.SocketShuffle`: the same
-  direct worker↔worker exchange over byte streams (AF_UNIX on one
-  host, loopback TCP otherwise; see
-  :mod:`repro.parallel.socketplane`) — the off-box plane.  The parent
-  holds **zero** data sockets; like the mesh it is a pure control
-  plane with ``parent_run_bytes == 0``, and with a ``host_spec`` the
-  workers can be placed on separate "hosts" where chunk payloads ride
-  the task queues instead of the shm arena.  Materializes under
-  ``reduce_mode="worker"`` only, like the mesh.
-* ``"auto"`` (default) — ``$REPRO_SHUFFLE_MODE`` if set, else mesh
-  exactly when the reduce runs on workers (never tcp: on one box the
-  shm mesh strictly dominates; the socket plane is an explicit
-  opt-in for the off-box regime).
-
-Host placement (``host_spec``, tcp plane only): ``None`` (default)
-puts every worker on host 0, where the shared-memory arena lives.  An
-int ``n`` round-robins workers over ``n`` hosts; an explicit list
-(``"0,0,1,1"`` on the CLI) pins each worker.  Workers on host 0 map
-chunks zero-copy from the arena exactly as before; workers on other
-hosts receive their chunk payloads *inline in the map message* and
-their frame context with the transfer-function table inline — no
-shared segment is assumed to exist between hosts, which is the whole
-point.  Outputs are bitwise-identical regardless of placement.
-
-Outputs are bitwise-identical across shuffle modes × reduce modes ×
-pipeline depths *by construction*: both planes deliver the same
-chunk-ordered, tag-restored runs into the same literal merge function.
+* **Map + Partition** on the workers: each maps the chunks placed on it
+  and buckets the fragments by reducer partition.
+* **Shuffle** over the N×N shared-memory edge mesh
+  (:mod:`repro.parallel.shuffle`): each mapper writes a partition's runs
+  *directly* into the owning worker's inbound edge, tagged ``(frame,
+  chunk, partition)``.  The parent is a control plane — publish, seal,
+  stitch, teardown — and touches run bytes only through the
+  oversized-record relay, which it counts
+  (``JobStats.ring["queue_fallbacks"]`` / ``["parent_run_bytes"]``).
+* **Sort + Reduce** on the owning worker: the static
+  :class:`~repro.core.executors.ShuffleSpec` contract
+  (``partition % workers``) decides ownership, and the owner runs the
+  literal :func:`~repro.core.executors.merge_partition_runs` over its
+  chunk-ordered runs and ships back composited ``(keys, values)``
+  spans.  Keys are disjoint per partition, so placement cannot change
+  results.
+* **Stitch** in the parent.
 
 Frame pipelining (``pipeline_depth``):
 
@@ -72,36 +36,22 @@ Frame pipelining (``pipeline_depth``):
   Submitting frame *k+1* first **seals** frame *k* (drains its map
   results and dispatches its reduce tasks), so per-worker task queues
   always order ``reduce(k)`` before ``map(k+1)`` — the workers
-  map+reduce frame *k+1* while the parent assembles/stitches frame *k*,
-  the multiprocess analogue of the paper's §7 async-upload overlap.
+  map+reduce frame *k+1* while the parent stitches frame *k*, the
+  multiprocess analogue of the paper's §7 async-upload overlap.
   Because the next frame's arena is published at submit time, an
   out-of-core orbit's chunk loads (disk → shared memory) are also
   prefetched off the previous frame's critical path.
   ``pipeline_depth=1`` (default) degenerates to fully synchronous
   per-frame execution.  Results are bitwise-independent of the depth:
-  runs are merged in chunk order and reduced outputs are assembled in
-  partition order, never in completion order.  Mesh records carry
-  their frame seq, so pipelined frames can interleave on the wire
-  without ever interleaving in a reduce (per-frame watermarks).
+  mesh records carry their frame seq and reduced outputs are assembled
+  in partition order, never in completion order.
 
-Data movement:
-
-* **Downlink** (chunks to workers): every chunk payload and the
-  transfer-function table are published once into a shared-memory
-  arena (:mod:`repro.parallel.shm`); workers map them zero-copy.  The
-  arena is fingerprinted on ``(volume token, tf version, chunk
-  ids/sizes)`` and republished only when that changes, so an orbit's
-  frames upload the volume exactly once — the paper's resident-brick
-  regime.
-* **Uplink** (fragments to parent, parent plane only): each worker
-  streams its bucketed fragment runs through a private shared-memory
-  ring buffer (:mod:`repro.parallel.ring`); only counters cross the
-  pickling queues.  Chunks whose output exceeds the ring capacity fall
-  back to the queue instead of deadlocking.
-* **Shuffle** (worker-reduce mode): owned by the shuffle plane — see
-  above.  Every plane exports backpressure counters (producer stall
-  time/events, high-water marks, queue fallbacks, parent-touched run
-  bytes) into ``JobStats.ring``.
+Downlink: every chunk payload and the transfer-function table are
+published once into a shared-memory arena (:mod:`repro.parallel.shm`);
+workers map them zero-copy.  The arena is fingerprinted on ``(volume
+token, tf version, chunk ids/sizes)`` and republished only when that
+changes, so an orbit's frames upload the volume exactly once — the
+paper's resident-brick regime.
 
 NUMA/core pinning (``pin_workers=True``): each worker is pinned to a
 distinct usable core before it allocates its inbound mesh edges, so
@@ -109,21 +59,18 @@ one-worker-per-GPU placement maps onto real topology and edge pages
 are first-touched locally.  No-op with a warning when affinity is
 unavailable or there are fewer cores than workers.
 
-``serial=True`` executes the identical worker code path in-process with
-no processes or shared memory — the deterministic fallback used by the
-equivalence tests and by platforms without POSIX shared memory.
-
 Supervision (``supervise=True``, the default; see
 :mod:`repro.parallel.supervise`): infrastructure failures — a worker
-process dying mid-frame, a wedged ring/edge, an expired frame
-watermark — are detected by the parent's watchdog, the transport epoch
-is recycled *in place* (the shared-memory arena survives and is
-re-attached by name), and the in-flight frames are re-executed
-bitwise-identically.  Repeated failures walk a degradation ladder:
-``max_frame_retries`` attempts per frame per pool width, then the pool
-shrinks by one worker (ownership re-derives from the same static
-``partition % workers`` rule), and at the floor the remaining frames
-run on the serial in-process executor — an infrastructure failure
+process dying mid-frame, a wedged edge, an expired frame watermark —
+are detected by the parent (a death at once: the parent waits on the
+result queue and every worker's process sentinel together), the
+transport epoch is recycled *in place* (the shared-memory arena
+survives and is re-attached by name), and the in-flight frames are
+re-executed bitwise-identically.  Repeated failures walk a degradation
+ladder: ``max_frame_retries`` attempts per frame per pool width, then
+the pool shrinks by one worker (ownership re-derives from the same
+static ``partition % workers`` rule), and at the floor the remaining
+frames run on the in-process executor — an infrastructure failure
 degrades throughput, never correctness and never an exception.
 User-code errors stay fatal.  :mod:`repro.parallel.faults` provides
 the deterministic fault-injection harness that drives all of this in
@@ -142,7 +89,8 @@ import uuid
 import warnings
 import weakref
 from dataclasses import replace
-from typing import Optional, Sequence
+from multiprocessing.connection import wait as wait_ready
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -150,9 +98,9 @@ from ..core.chunk import Chunk
 from ..core.executors import (
     InProcessExecutor,
     InProcessResult,
+    ShuffleSpec,
     make_map_work,
     map_telemetry,
-    merge_partition_runs,
 )
 from ..core.job import JobConfig, MapReduceSpec
 from ..core.scheduler import MapWork
@@ -161,15 +109,7 @@ from ..observability.metrics import build_job_telemetry
 from ..observability.tracer import current_tracer, span
 from .ring import ShmRing
 from .shm import ShmArena
-from .shuffle import (
-    MeshShuffle,
-    ParentRoutedShuffle,
-    PoolConfig,
-    SocketShuffle,
-    mesh_edge_name,
-    mesh_fd_headroom,
-)
-from .socketplane import socket_path
+from .shuffle import PoolConfig, mesh_edge_name, mesh_fd_headroom
 from .supervise import (
     PoolFailure,
     PoolSupervisor,
@@ -183,8 +123,8 @@ __all__ = [
     "PendingFrame",
     "PoolConfig",
     "SharedMemoryPoolExecutor",
+    "check_modes",
     "default_pool_workers",
-    "parse_host_spec",
     "usable_cores",
 ]
 
@@ -203,53 +143,35 @@ def default_pool_workers(n_gpus: int) -> int:
     return max(1, min(n_gpus, usable_cores()))
 
 
-def parse_host_spec(host_spec, workers: int) -> list:
-    """Per-worker host ids from a ``host_spec`` (see the module docstring).
+_REMOVED_MODES = {
+    ("reduce_mode", "parent"): "the pool Sort+Reduces each partition on "
+    "the worker that owns it; only 'worker' is accepted",
+    ("shuffle_mode", "parent"): "fragments travel the shared-memory mesh "
+    "only; only 'auto' and 'mesh' are accepted",
+    ("shuffle_mode", "tcp"): "the socket plane is gone; fragments travel "
+    "the shared-memory mesh only; only 'auto' and 'mesh' are accepted",
+}
 
-    ``None`` → all on host 0.  An int (or numeric string) ``n`` → worker
-    ``wi`` on host ``wi % n``.  A comma-separated list (``"0,0,1,1"``)
-    or sequence pins each worker explicitly; its length must match the
-    pool size.  Host 0 must be populated — it is where the shared arena
-    lives and where chunk payloads are mapped zero-copy.
+
+def check_modes(reduce_mode: str = "worker", shuffle_mode: str = "auto") -> None:
+    """Validate the pool's two vestigial mode parameters.
+
+    The pool has one data path (mesh shuffle, worker-side reduce), so
+    ``reduce_mode`` accepts only ``"worker"`` and ``shuffle_mode`` only
+    ``"auto"`` or ``"mesh"``.  Both parameters stay only until the
+    benchmark harness stops passing them (ROADMAP item 1(d)); a removed
+    value raises ``ValueError`` naming the removal.
     """
-    workers = int(workers)
-    if host_spec is None:
-        return [0] * workers
-    if isinstance(host_spec, str):
-        host_spec = host_spec.strip()
-        if "," in host_spec:
-            host_spec = [part.strip() for part in host_spec.split(",")]
-        else:
-            try:
-                host_spec = int(host_spec)
-            except ValueError:
-                raise ValueError(
-                    f"host_spec {host_spec!r} is neither a host count nor "
-                    "a comma-separated per-worker host list"
-                ) from None
-    if isinstance(host_spec, int):
-        if host_spec < 1:
-            raise ValueError("host_spec host count must be at least 1")
-        return [wi % host_spec for wi in range(workers)]
-    try:
-        ids = [int(h) for h in host_spec]
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"host_spec {host_spec!r} must be an int, a comma-separated "
-            "list, or a sequence of host ids"
-        ) from None
-    if len(ids) != workers:
-        raise ValueError(
-            f"host_spec lists {len(ids)} host id(s) for {workers} worker(s)"
-        )
-    if any(h < 0 for h in ids):
-        raise ValueError("host_spec host ids must be >= 0")
-    if 0 not in ids:
-        raise ValueError(
-            "host_spec must place at least one worker on host 0 "
-            "(the host holding the shared-memory arena)"
-        )
-    return ids
+    for name, value, accepted in (
+        ("reduce_mode", reduce_mode, ("worker",)),
+        ("shuffle_mode", shuffle_mode, ("auto", "mesh")),
+    ):
+        if value in accepted:
+            continue
+        why = _REMOVED_MODES.get((name, value))
+        if why is not None:
+            raise ValueError(f"{name}={value!r} was removed: {why}")
+        raise ValueError(f"unknown {name} {value!r}")
 
 
 def _cleanup(state: dict) -> None:
@@ -286,8 +208,6 @@ def _cleanup(state: dict) -> None:
             if p.is_alive():  # ignoring SIGTERM (masked or wedged in C)
                 p.kill()
                 p.join(timeout=1.0)
-        for ring in state.pop("rings", []):
-            ring.close()
         for ring in state.pop("mesh_edges", {}).values():
             ring.close()  # attached with owner=True: close() unlinks
         # Defensive sweep: edge names are deterministic (pool token +
@@ -306,15 +226,6 @@ def _cleanup(state: dict) -> None:
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - unlink race
                 pass
-        # Same crash-safe sweep for the tcp plane's AF_UNIX listener
-        # paths: deterministic (pool token + worker id), recorded
-        # before forking, so a worker killed mid-handshake cannot leak
-        # its socket file.
-        for path in state.pop("socket_paths", []):
-            try:
-                os.unlink(path)
-            except (FileNotFoundError, OSError):
-                pass
         arena = state.pop("arena", None)
         if arena is not None:
             arena.close()
@@ -326,8 +237,8 @@ class PendingFrame:
     Opaque to callers: pass it back to
     :meth:`SharedMemoryPoolExecutor.collect` to obtain the frame's
     :class:`~repro.core.executors.InProcessResult`.  The executor keeps
-    the frame's partial state (per-chunk runs and counters, per
-    -partition reduced outputs) here while later frames are submitted.
+    the frame's partial state (per-chunk counters, per-partition reduced
+    outputs) here while later frames are submitted.
     """
 
     __slots__ = (
@@ -336,7 +247,6 @@ class PendingFrame:
         "chunks",
         "chunk_to_gpu",
         "n",
-        "runs_per_chunk",
         "emitted_per_chunk",
         "kept_per_chunk",
         "work_per_chunk",
@@ -344,7 +254,6 @@ class PendingFrame:
         "map_received",
         "queue_fallbacks",
         "parent_run_bytes",
-        "wire_bytes",
         "sealed",
         "outputs",
         "pairs_per_reducer",
@@ -365,23 +274,24 @@ class PendingFrame:
         self.spec = spec
         self.chunks = list(chunks)
         self.chunk_to_gpu = chunk_to_gpu
-        n = len(self.chunks)
-        self.n = n
-        self.runs_per_chunk: list = [None] * n
+        self.n = len(self.chunks)
+        self.result = result
+        self.retries = 0  # recovery re-executions of this frame so far
+        self._reset()
+
+    def _reset(self) -> None:
+        n = self.n
         self.emitted_per_chunk = [0] * n
         self.kept_per_chunk = [0] * n
         self.work_per_chunk: list = [None] * n
         self.routed_per_chunk: list = [None] * n
         self.map_received = 0
         self.queue_fallbacks = 0
-        self.parent_run_bytes = 0  # run bytes that crossed the parent
-        self.wire_bytes = 0  # bytes on the wire (tcp plane, headers incl.)
+        self.parent_run_bytes = 0  # relayed run bytes that crossed the parent
         self.sealed = False
-        self.outputs: list = [None] * spec.n_reducers
-        self.pairs_per_reducer = np.zeros(spec.n_reducers, dtype=np.int64)
+        self.outputs: list = [None] * self.spec.n_reducers
+        self.pairs_per_reducer = np.zeros(self.spec.n_reducers, dtype=np.int64)
         self.reduced_received = 0
-        self.result = result
-        self.retries = 0  # recovery re-executions of this frame so far
 
     @property
     def done(self) -> bool:
@@ -391,30 +301,17 @@ class PendingFrame:
         """Rewind every partial counter so the frame can be re-executed.
 
         The supervisor calls this before replaying the frame on a fresh
-        transport epoch: all map results, buffered runs, and reduced
-        spans drain from the *new* processes, so nothing from the failed
-        attempt may be left behind to double-count.  Chunks and spec are
-        retained (the handle stays valid), only progress is discarded.
+        transport epoch: all map results and reduced spans drain from
+        the *new* processes, so nothing from the failed attempt may be
+        left behind to double-count.  Chunks and spec are retained (the
+        handle stays valid), only progress is discarded.
         """
-        n = self.n
-        self.runs_per_chunk = [None] * n
-        self.emitted_per_chunk = [0] * n
-        self.kept_per_chunk = [0] * n
-        self.work_per_chunk = [None] * n
-        self.routed_per_chunk = [None] * n
-        self.map_received = 0
-        self.queue_fallbacks = 0
-        self.parent_run_bytes = 0
-        self.wire_bytes = 0
-        self.sealed = False
-        self.outputs = [None] * self.spec.n_reducers
-        self.pairs_per_reducer = np.zeros(self.spec.n_reducers, dtype=np.int64)
-        self.reduced_received = 0
+        self._reset()
         self.retries += 1
 
 
 class SharedMemoryPoolExecutor:
-    """Fan brick map (and reduce) work out across a pool of workers.
+    """Fan brick map and reduce work out across a pool of workers.
 
     Parameters
     ----------
@@ -425,51 +322,27 @@ class SharedMemoryPoolExecutor:
     config:
         :class:`~repro.core.job.JobConfig` execution knobs (kept for
         surface parity with the other executors).
-    ring_capacity:
-        Per-worker uplink fragment ring size in bytes (overrides
-        ``pool_config.ring_capacity``).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``.
-    serial:
-        Run the identical code path in-process (no processes, no shared
-        memory).  Deterministic fallback for tests and constrained
-        platforms.
-    reduce_mode:
-        ``"parent"`` (Sort+Reduce in the parent, the default) or
-        ``"worker"`` (per-partition Sort+Reduce on the owning worker —
-        the paper's symmetric layout).  Outputs are bitwise-identical
-        either way.
+    reduce_mode, shuffle_mode:
+        Vestigial: the pool has one data path, so only
+        ``reduce_mode="worker"`` and ``shuffle_mode`` ``"auto"`` or
+        ``"mesh"`` are accepted (see :func:`check_modes`).  They stay
+        only until the benchmark harness stops passing them (ROADMAP
+        item 1(d)).
     pipeline_depth:
         Max frames in flight for :meth:`submit`/:meth:`collect`; 1
         means fully synchronous.  ``execute`` is unaffected by values
         > 1 unless frames are also submitted asynchronously.
-    shuffle_mode:
-        ``"parent"``, ``"mesh"``, ``"tcp"``, or ``"auto"`` (default) —
-        which shuffle plane moves fragment runs between processes; see
-        the module docstring.  Bitwise-identical output either way.
-    socket_family:
-        Address family of the tcp plane's edge streams: ``"unix"``
-        (default where available) or ``"inet"`` (loopback TCP);
-        ``None`` reads ``$REPRO_SOCKET_FAMILY``.  Ignored by the
-        other planes.
-    host_spec:
-        Worker→host placement for the tcp plane (``None``: everything
-        on host 0).  An int round-robins workers across that many
-        hosts; a comma-separated string or sequence pins each worker.
-        Hosts other than 0 get chunk payloads over the wire instead of
-        the shm arena (see the module docstring); any multi-host spec
-        requires the socket plane (``shuffle_mode="tcp"`` with
-        ``reduce_mode="worker"``), because every other transport
-        assumes one shared-memory box.
     pin_workers:
         Opt-in NUMA/core pinning (see module docstring).
     ring_write_timeout:
-        Seconds a blocked ring/edge write may wait before the pool is
+        Seconds a blocked edge write may wait before the pool is
         declared wedged; ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``
         (default 300).
     mesh_edge_capacity:
-        Per-edge mesh ring bytes (default ``ring_capacity // workers``,
-        floor 64 KiB).
+        Per-edge mesh ring bytes (default ``8 MiB // workers``, floor
+        64 KiB).
     watermark_timeout:
         Seconds a mesh reducer may wait for a frame's completion
         watermark before declaring the frame wedged; ``None`` reads
@@ -481,11 +354,11 @@ class SharedMemoryPoolExecutor:
         the transport epoch is recycled in place, in-flight frames are
         re-executed (bitwise-identically), and repeated failures walk a
         degradation ladder (shrink the pool, then fall back to the
-        serial executor) instead of erroring.  ``supervise=False``
-        restores the legacy semantics: any failure tears the pool down
-        and propagates.  User-code exceptions (a mapper/reducer raise)
-        are *never* retried under either setting — retrying a
-        deterministic bug burns the retry budget to reproduce it.
+        in-process executor) instead of erroring.  ``supervise=False``
+        makes any failure tear the pool down and propagate.  User-code
+        exceptions (a mapper/reducer raise) are *never* retried under
+        either setting — retrying a deterministic bug burns the retry
+        budget to reproduce it.
     max_frame_retries:
         Recovery attempts per frame at a given pool width before the
         degradation ladder steps down; ``None`` reads
@@ -508,14 +381,10 @@ class SharedMemoryPoolExecutor:
         self,
         workers: Optional[int] = None,
         config: Optional[JobConfig] = None,
-        ring_capacity: Optional[int] = None,
         start_method: Optional[str] = None,
-        serial: bool = False,
-        reduce_mode: str = "parent",
+        reduce_mode: str = "worker",
         pipeline_depth: int = 1,
-        shuffle_mode: Optional[str] = None,
-        socket_family: Optional[str] = None,
-        host_spec=None,
+        shuffle_mode: str = "auto",
         pin_workers: Optional[bool] = None,
         ring_write_timeout: Optional[float] = None,
         mesh_edge_capacity: Optional[int] = None,
@@ -530,17 +399,13 @@ class SharedMemoryPoolExecutor:
             workers = usable_cores()
         if workers < 1:
             raise ValueError("need at least one worker")
-        if reduce_mode not in ("parent", "worker"):
-            raise ValueError(f"unknown reduce_mode {reduce_mode!r}")
+        check_modes(reduce_mode, shuffle_mode)
         if pipeline_depth < 1:
             raise ValueError("pipeline depth must be at least 1")
         base = pool_config if pool_config is not None else PoolConfig()
         overrides = {
             k: v
             for k, v in {
-                "ring_capacity": ring_capacity,
-                "shuffle_mode": shuffle_mode,
-                "socket_family": socket_family,
                 "pin_workers": pin_workers,
                 "ring_write_timeout": ring_write_timeout,
                 "mesh_edge_capacity": mesh_edge_capacity,
@@ -554,71 +419,33 @@ class SharedMemoryPoolExecutor:
         }
         self.pool_config = replace(base, **overrides)  # revalidates knobs
         self.workers = int(workers)
-        self.config = config if config is not None else JobConfig()
-        self.serial = bool(serial)
-        self.reduce_mode = reduce_mode
-        self.pipeline_depth = int(pipeline_depth)
-        # Resolve the transport once, at construction, so a later env
-        # change cannot flip a live pool's plane mid-orbit.
-        self.ring_capacity = self.pool_config.ring_capacity
-        self.shuffle_mode = self.pool_config.resolved_shuffle_mode(reduce_mode)
-        if self.mesh_active:  # serial pools open zero edge fds
-            # The parent attaches all N(N-1) edges; on many-core hosts
-            # that can blow through the fd soft limit mid-handshake.
-            # An implicit (auto) mesh quietly degrades to the parent
-            # plane — bitwise-identical, just slower — while an
-            # explicit request fails fast with a fix instead of a
-            # confusing EMFILE from deep inside the handshake.
-            fits, needed, soft = mesh_fd_headroom(self.workers)
-            if not fits:
-                if self.pool_config.shuffle_mode_is_explicit():
-                    raise ValueError(
-                        f"shuffle_mode='mesh' with {self.workers} workers "
-                        f"needs ~{needed} file descriptors in the parent "
-                        f"but the soft RLIMIT_NOFILE is {soft}; raise the "
-                        "limit (ulimit -n) or reduce workers"
-                    )
-                warnings.warn(
-                    f"auto shuffle: using the parent-routed plane — a "
-                    f"{self.workers}-worker mesh needs ~{needed} file "
-                    f"descriptors but the soft RLIMIT_NOFILE is {soft}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.shuffle_mode = "parent"
-        # Socket-plane placement: resolved (and validated) here so a
-        # bad host spec or family fails at construction, like every
-        # other transport knob.
-        self.host_ids = parse_host_spec(host_spec, self.workers)
-        self.multi_host = len(set(self.host_ids)) > 1
-        self.socket_family = (
-            self.pool_config.resolved_socket_family()
-            if self.tcp_active
-            else None
-        )
-        if self.multi_host and not self.tcp_active:
+        # The parent attaches all N(N-1) edges; on many-core hosts that
+        # can blow through the fd soft limit mid-handshake.  Fail fast
+        # with a fix instead of a confusing EMFILE from deep inside it.
+        fits, needed, soft = mesh_fd_headroom(self.workers)
+        if not fits:
             raise ValueError(
-                "a multi-host host_spec requires the socket shuffle plane "
-                "(shuffle_mode='tcp' with reduce_mode='worker'): every "
-                "other transport assumes one shared-memory box"
+                f"a {self.workers}-worker mesh needs ~{needed} file "
+                f"descriptors in the parent but the soft RLIMIT_NOFILE is "
+                f"{soft}; raise the limit (ulimit -n) or reduce workers"
             )
+        self.config = config if config is not None else JobConfig()
+        self.pipeline_depth = int(pipeline_depth)
+        # Every knob is resolved once, here, so a later env change cannot
+        # flip a live pool's timeouts or retry policy mid-orbit.
         self.ring_write_timeout = self.pool_config.resolved_ring_write_timeout()
         self.mesh_edge_capacity = self.pool_config.resolved_edge_capacity(
             self.workers
         )
         self.pin_workers = bool(self.pool_config.pin_workers)
-        # Supervision knobs: resolved once here so a live pool's retry
-        # policy cannot flip mid-orbit via an env change.  A serial pool
-        # has no processes to supervise (and the serial path is itself
-        # the last rung of the degradation ladder).
         self.watermark_timeout = self.pool_config.resolved_watermark_timeout()
-        self.supervise = bool(self.pool_config.supervise) and not self.serial
+        self.supervise = bool(self.pool_config.supervise)
         self.max_frame_retries = self.pool_config.resolved_max_frame_retries()
         self.retry_backoff = self.pool_config.resolved_retry_backoff()
         self.fault_plan = self.pool_config.resolved_fault_plan()
         self._supervisor = PoolSupervisor()
         self._spawn_gen = 0  # spawn waves so far; fault rules key on it
-        self._degraded_serial = False  # ladder hit the floor: serial only
+        self._degraded_serial = False  # ladder hit the floor: in-process only
         self._arena_rebroadcast = False  # fresh wave must re-attach arena
         # Cumulative arena traffic, exported via JobStats.telemetry: how
         # many times the downlink actually re-uploaded vs. re-attached.
@@ -635,7 +462,7 @@ class SharedMemoryPoolExecutor:
         self._result_queue = None
         self._seq = 0
         self._pending: dict[int, PendingFrame] = {}  # insertion-ordered
-        self._plane = None
+        self._edge_base: Dict[tuple, dict] = {}  # edge counters at last collect
         self._finalizer = weakref.finalize(self, _cleanup, self._state)
 
     # -- lifecycle ---------------------------------------------------------
@@ -644,45 +471,10 @@ class SharedMemoryPoolExecutor:
         return bool(self._state.get("procs"))
 
     @property
-    def mesh_active(self) -> bool:
-        """Whether the worker↔worker mesh data plane materializes.
-
-        The mesh only exists when workers reduce: with a parent-side
-        reduce every run's destination is the parent, so the uplink
-        rings already are the direct path and ``shuffle_mode="mesh"``
-        degenerates to the parent-routed plane (bitwise-identically).
-        A ``serial=True`` pool runs everything in-process — no
-        processes, no transport of any kind — so no plane materializes
-        there either.
-        """
-        return (
-            self.shuffle_mode == "mesh"
-            and self.reduce_mode == "worker"
-            and not self.serial
-        )
-
-    @property
-    def tcp_active(self) -> bool:
-        """Whether the socket (tcp) data plane materializes — same rule
-        as :attr:`mesh_active`: only when workers reduce (a parent-side
-        reduce makes the uplink rings the direct path already) and the
-        pool is not serial."""
-        return (
-            self.shuffle_mode == "tcp"
-            and self.reduce_mode == "worker"
-            and not self.serial
-        )
-
-    @property
     def effective_shuffle_mode(self) -> str:
-        """The plane that actually carries run bytes: ``"mesh"``/``"tcp"``
-        only when that direct plane materializes (see
-        :attr:`mesh_active` / :attr:`tcp_active`), else ``"parent"`` —
-        always agrees with what ``JobStats.ring["shuffle_mode"]``
-        reports."""
-        if self.tcp_active:
-            return "tcp"
-        return "mesh" if self.mesh_active else "parent"
+        """The plane that carries run bytes — always ``"mesh"``, what
+        ``JobStats.ring["shuffle_mode"]`` reports too."""
+        return "mesh"
 
     def _worker_pins(self) -> list:
         """Per-worker core assignment for ``pin_workers`` (None = unpinned).
@@ -718,10 +510,10 @@ class SharedMemoryPoolExecutor:
         # bookkeeping pairs a register in one process with an unregister
         # in another (worker-created mesh edges are unlinked by whoever
         # gets there first — see shm.py's tracker note).  Children only
-        # inherit a tracker that is already running, and on the mesh
-        # plane the parent may fork before creating any segment of its
-        # own, so start it explicitly or every process lazily spawns its
-        # own tracker and each warns about phantom "leaks" at exit.
+        # inherit a tracker that is already running, and the parent
+        # forks before creating any segment of its own, so start it
+        # explicitly or every process lazily spawns its own tracker and
+        # each warns about phantom "leaks" at exit.
         try:
             from multiprocessing import resource_tracker
 
@@ -729,46 +521,18 @@ class SharedMemoryPoolExecutor:
         except Exception:  # pragma: no cover - tracker is an optimization
             pass
         pins = self._worker_pins()
-        mesh_active = self.mesh_active
-        tcp_active = self.tcp_active
-        direct_plane = mesh_active or tcp_active
-        # Uplink rings exist only on the parent-routed plane; on the
-        # direct planes (mesh, tcp) every run byte travels
-        # worker<->worker edges, so the uplinks would be N dead
-        # full-capacity segments.
-        rings = (
-            []
-            if direct_plane
-            else [
-                ShmRing.create(self.ring_capacity)
-                for _ in range(self.workers)
-            ]
-        )
         task_queues = [self._ctx.Queue() for _ in range(self.workers)]
         self._result_queue = self._ctx.Queue()
-        mesh_token = None
-        if mesh_active:
-            # Deterministic edge names, recorded before any worker
-            # exists: teardown can unlink every edge a worker may have
-            # created even if it dies before the handshake completes.
-            mesh_token = uuid.uuid4().hex[:12]
-            self._state["mesh_edge_names"] = [
-                mesh_edge_name(mesh_token, i, j)
-                for i in range(self.workers)
-                for j in range(self.workers)
-                if i != j
-            ]
-        socket_token = None
-        if tcp_active:
-            # Same crash-safe trick for the socket plane: AF_UNIX
-            # listener paths are deterministic and recorded pre-fork,
-            # so teardown can sweep them no matter when a worker died.
-            socket_token = uuid.uuid4().hex[:12]
-            if self.socket_family == "unix":
-                self._state["socket_paths"] = [
-                    socket_path(socket_token, wi)
-                    for wi in range(self.workers)
-                ]
+        # Deterministic edge names, recorded before any worker exists:
+        # teardown can unlink every edge a worker may have created even
+        # if it dies before the handshake completes.
+        mesh_token = uuid.uuid4().hex[:12]
+        self._state["mesh_edge_names"] = [
+            mesh_edge_name(mesh_token, i, j)
+            for i in range(self.workers)
+            for j in range(self.workers)
+            if i != j
+        ]
         spawn_gen = self._spawn_gen
         self._spawn_gen += 1
         # Load (or, on a cold cache, build) the C march before forking:
@@ -782,17 +546,9 @@ class SharedMemoryPoolExecutor:
                 "pin_cpu": pins[wi],
                 "write_timeout": self.ring_write_timeout,
                 "watermark_timeout": self.watermark_timeout,
-                "mesh_active": mesh_active,
                 "n_workers": self.workers,
                 "edge_capacity": self.mesh_edge_capacity,
                 "mesh_token": mesh_token,
-                "socket_active": tcp_active,
-                "socket_token": socket_token,
-                "socket_family": self.socket_family,
-                # Off-host workers (host != 0) never receive arena
-                # messages; their chunk payloads and TF table ride the
-                # task queues instead.
-                "host_id": self.host_ids[wi],
                 "fault_plan": self.fault_plan,
                 # Fault rules default to generation 0, so a respawned
                 # wave does not re-trip the fault that killed its
@@ -807,31 +563,48 @@ class SharedMemoryPoolExecutor:
             }
             p = self._ctx.Process(
                 target=worker_main,
-                args=(
-                    wi,
-                    task_queues[wi],
-                    self._result_queue,
-                    rings[wi].name if not direct_plane else None,
-                    cfg,
-                ),
+                args=(wi, task_queues[wi], self._result_queue, cfg),
                 daemon=True,
                 name=f"repro-pool-{wi}",
             )
             p.start()
             procs.append(p)
-        self._state.update(
-            procs=procs, task_queues=task_queues, rings=rings
-        )
-        # The plane owns the data path; it finishes its own transport
-        # bring-up (the mesh edge / socket address handshake) before
-        # any frame flows.
-        if tcp_active:
-            self._plane = SocketShuffle(self)
-        elif mesh_active:
-            self._plane = MeshShuffle(self)
-        else:
-            self._plane = ParentRoutedShuffle(self)
-        self._plane.start()
+        self._state.update(procs=procs, task_queues=task_queues)
+        self._mesh_handshake()
+
+    def _mesh_handshake(self) -> None:
+        """Collect every worker's inbound-edge names (created worker-side,
+        after pinning), attach to all N×N edges with unlink ownership, and
+        broadcast each worker its outbound row.  Raises — tearing the
+        pool down — if a worker dies or misbehaves before the mesh is
+        up."""
+        n = self.workers
+        inbound: Dict[int, Dict[int, str]] = {}
+        while len(inbound) < n:
+            msg = self._recv()
+            if msg is None:
+                continue
+            kind = msg[0]
+            if kind == "error":
+                _, wi, what, tb, etype = msg
+                raise worker_error_to_exception(wi, what, tb, etype)
+            if kind != "mesh_ready":  # pragma: no cover - protocol violation
+                raise RuntimeError(
+                    f"unexpected {kind!r} message during the mesh handshake"
+                )
+            _, wi, names = msg
+            inbound[wi] = names
+        edges: Dict[tuple, ShmRing] = {}
+        for j, names in inbound.items():
+            for i, name in names.items():
+                # owner=True: the parent adopts unlink duty so a worker
+                # crash cannot leak the segment.
+                edges[(i, j)] = ShmRing.attach(name, owner=True)
+        self._state["mesh_edges"] = edges
+        for i in range(n):
+            row = {j: inbound[j][i] for j in range(n) if j != i}
+            self._state["task_queues"][i].put(("mesh_attach", row))
+        self._edge_base = {key: r.counters() for key, r in edges.items()}
 
     def close(self) -> None:
         """Shut the pool down and release every shared-memory segment.
@@ -847,18 +620,17 @@ class SharedMemoryPoolExecutor:
         self._arena_fingerprint = None
         self._result_queue = None
         self._pending.clear()
-        self._plane = None
 
     def _teardown_transport(self, join_timeout: float = 1.0) -> None:
         """Recycle the transport epoch, *keeping* the published arena.
 
         Recovery's fault domain is the whole transport — processes,
-        queues, uplink rings, mesh edges — because SPSC cursor state
-        cannot be rewound for a single lost peer.  The arena is popped
-        around the sweep so the expensive brick/TF segments survive;
-        the fingerprint stays valid, so replay re-publishes nothing
-        and the fresh wave re-attaches by name.  ``join_timeout`` is
-        short: a worker wedged or stalled by a fault will never drain
+        queues, mesh edges — because SPSC cursor state cannot be
+        rewound for a single lost peer.  The arena is popped around the
+        sweep so the expensive brick/TF segments survive; the
+        fingerprint stays valid, so replay re-publishes nothing and the
+        fresh wave re-attaches by name.  ``join_timeout`` is short: a
+        worker wedged or stalled by a fault will never drain
         voluntarily, so escalate to SIGTERM/SIGKILL quickly.
         """
         arena = self._state.pop("arena", None)
@@ -872,8 +644,28 @@ class SharedMemoryPoolExecutor:
                 # The next publish against a fresh wave must re-send the
                 # kept arena's spec even when the fingerprint matches.
                 self._arena_rebroadcast = True
+        self._absorb_stray_spans()
         self._result_queue = None
-        self._plane = None
+
+    def _absorb_stray_spans(self) -> None:
+        """Keep the failed epoch's work on the timeline.
+
+        A death is noticed the moment it happens, usually before the
+        surviving workers' span buffers reach the parent; they flush
+        them onto the result queue before exiting, so once the epoch is
+        torn down everything left there is read, and only the spans are
+        kept."""
+        tracer = current_tracer()
+        q = self._result_queue
+        if tracer is None or q is None:
+            return
+        while True:
+            try:
+                msg = q.get_nowait()
+            except (queue_mod.Empty, OSError, EOFError):
+                return
+            if msg[0] == "spans":
+                tracer.add_remote(msg[1], msg[2], msg[3])
 
     # -- supervision & recovery --------------------------------------------
     def _run_pipeline_op(self, op, serial_fallback):
@@ -884,10 +676,10 @@ class SharedMemoryPoolExecutor:
         transport — the supervisor recycles the transport epoch and
         replays the in-flight frames, then ``op`` is retried against
         the fresh pool.  On any other exception (user code, interrupt,
-        protocol violation) or with ``supervise=False``, the historical
-        semantics hold: full teardown, propagate.  When the degradation
-        ladder bottoms out in serial execution, ``serial_fallback``
-        produces the operation's result without any pool at all.
+        protocol violation) or with ``supervise=False``: full teardown,
+        propagate.  When the degradation ladder bottoms out in
+        in-process execution, ``serial_fallback`` produces the
+        operation's result without any pool at all.
         """
         while True:
             try:
@@ -895,7 +687,7 @@ class SharedMemoryPoolExecutor:
             except BaseException as exc:
                 failure = classify_failure(exc) if self.supervise else None
                 if failure is None:
-                    # Leftover ring bytes or queue messages from a
+                    # Leftover edge bytes or queue messages from a
                     # partially-drained frame must never pair with a
                     # later frame's chunks: tear everything down.
                     self.close()
@@ -913,7 +705,7 @@ class SharedMemoryPoolExecutor:
         ``partition % n_workers`` ownership contract re-owns every
         partition deterministically, so results cannot change); at
         width zero the pool stops pretending and runs the remaining
-        frames through the serial in-process executor — the pipeline
+        frames through the in-process executor — the pipeline
         *degrades*, it never errors, for infrastructure failures.
         Exponential backoff between attempts gives a transiently sick
         host (OOM-killer sweeps, cgroup pressure) room to breathe.
@@ -923,7 +715,7 @@ class SharedMemoryPoolExecutor:
             self._supervisor.record_failure(failure)
             frames = [f for f in self._pending.values() if not f.done]
             # Recycle the whole transport epoch: processes, queues,
-            # rings, edges.  The arena survives (see _teardown_transport).
+            # edges.  The arena survives (see _teardown_transport).
             self._teardown_transport()
             spent = max((f.retries for f in frames), default=attempt)
             if spent >= self.max_frame_retries:
@@ -933,18 +725,13 @@ class SharedMemoryPoolExecutor:
                     self.mesh_edge_capacity = (
                         self.pool_config.resolved_edge_capacity(self.workers)
                     )
-                    # Shedding the last worker of a host may collapse a
-                    # multi-host placement back to single-host — then
-                    # everyone attaches the arena again.
-                    self.host_ids = self.host_ids[: self.workers]
-                    self.multi_host = len(set(self.host_ids)) > 1
                     self._supervisor.record_degraded(old, self.workers)
                     for f in frames:
                         f.retries = 0  # fresh budget at the new width
                 else:
                     # The ladder's floor: no healthy width left.  The
-                    # serial executor is the identical algorithm with no
-                    # transport to fail, so finish the frames there.
+                    # in-process executor is the identical algorithm with
+                    # no transport to fail, so finish the frames there.
                     self._supervisor.record_serial_fallback()
                     self._degraded_serial = True
                     for f in sorted(frames, key=lambda f: f.seq):
@@ -1009,18 +796,7 @@ class SharedMemoryPoolExecutor:
         if not frames:
             return
         for f in sorted(frames, key=lambda f: f.seq):
-            self._publish(f.spec, f.chunks)
-            arena_payload, wire_payload = self._frame_payloads(f.spec, f.n)
-            self._put_frame(arena_payload, wire_payload)
-            for ci, chunk in enumerate(f.chunks):
-                wi = (
-                    int(f.chunk_to_gpu[ci])
-                    if f.chunk_to_gpu is not None
-                    else ci
-                ) % self.workers
-                self._state["task_queues"][wi].put(
-                    self._map_message(f.seq, ci, chunk, wi)
-                )
+            self._enqueue_frame(f)
             self._seal(f)
         self._supervisor.record_reexecuted(len(frames))
 
@@ -1031,17 +807,6 @@ class SharedMemoryPoolExecutor:
         self.close()
 
     # -- data publication --------------------------------------------------
-    def _arena_queues(self) -> list:
-        """Task queues of the workers that attach the shm arena — host-0
-        workers only.  Off-host workers must never see an arena spec
-        (there is, by definition, no shared segment on their host);
-        their data rides the queues instead."""
-        return [
-            q
-            for wi, q in enumerate(self._state["task_queues"])
-            if self.host_ids[wi] == 0
-        ]
-
     def _publish(self, spec: MapReduceSpec, chunks: Sequence[Chunk]) -> None:
         """(Re)publish the chunk payload + transfer-function arena.
 
@@ -1073,6 +838,7 @@ class SharedMemoryPoolExecutor:
             if token is not None
             else None  # unknown provenance: always republish
         )
+        task_queues = self._state["task_queues"]
         if sig is not None and sig == self._arena_fingerprint:
             if self._arena_rebroadcast:
                 # Recovery fast path: the arena survived the transport
@@ -1088,7 +854,7 @@ class SharedMemoryPoolExecutor:
                 # frame's maps have drained.
                 with span("publish", cat="publish", rebroadcast=True):
                     arena = self._state["arena"]
-                    for q in self._arena_queues():
+                    for q in task_queues:
                         q.put(("arena", arena.spec))
                 self._arena_rebroadcast = False
                 self._arena_rebroadcasts += 1
@@ -1100,7 +866,7 @@ class SharedMemoryPoolExecutor:
             nbytes = sum(int(a.nbytes) for a in arrays.values())
             sp.set(bytes=nbytes)
             arena = ShmArena(arrays)
-            for q in self._arena_queues():
+            for q in task_queues:
                 q.put(("arena", arena.spec))
             old = self._state.get("arena")
             if old is not None:
@@ -1111,68 +877,43 @@ class SharedMemoryPoolExecutor:
         self._arena_publishes += 1
         self._arena_bytes_published += nbytes
 
-    def _frame_payloads(self, spec: MapReduceSpec, n_chunks: int) -> tuple:
-        """Pickle the frame context: ``(arena_payload, wire_payload)``.
+    def _frame_payload(self, spec: MapReduceSpec, n_chunks: int) -> bytes:
+        """Pickle the frame context for the workers.
 
-        The arena payload strips the TF table (it travels via shared
-        memory; ``tf_ref`` tells the worker to rebind the arena view).
-        The wire payload — built only for multi-host pools — keeps the
-        table inline and leaves ``tf_ref`` unset, because an off-host
-        worker has no arena to rebind from; it is ``None`` otherwise.
-        ``n_chunks`` rides along so direct-plane reducers know each
-        frame's completion watermark without another control message.
+        The TF table is stripped (it travels via shared memory;
+        ``tf_ref`` tells the worker to rebind the arena view).
+        ``n_chunks`` rides along so reducers know each frame's
+        completion watermark without another control message.
         """
-        ctx = FrameContext.from_spec(
-            spec,
-            include_reducer=self.reduce_mode == "worker",
-            n_chunks=n_chunks,
-        )
-        wire = (
-            pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
-            if self.multi_host
-            else None
-        )
+        ctx = FrameContext.from_spec(spec, n_chunks=n_chunks)
         tf = getattr(spec.mapper, "tf", None)
         if tf is not None and getattr(tf, "version", None) is not None:
             ctx.tf_ref = (tf.vmin, tf.vmax)
             try:
                 spec.mapper.tf = None  # table travels via shared memory
-                return (
-                    pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL),
-                    wire,
-                )
+                return pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
             finally:
                 spec.mapper.tf = tf
-        return pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL), wire
+        return pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _put_frame(self, arena_payload: bytes, wire_payload) -> None:
-        """Enqueue the frame context on every task queue, picking the
-        wire flavor for off-host workers."""
-        for wi, q in enumerate(self._state["task_queues"]):
-            q.put(
-                (
-                    "frame",
-                    wire_payload
-                    if self.host_ids[wi] != 0 and wire_payload is not None
-                    else arena_payload,
-                )
+    def _enqueue_frame(self, frame: PendingFrame) -> None:
+        """Publish ``frame``'s arena and enqueue its context and map tasks;
+        ``chunk_to_gpu`` doubles as worker placement (modulo pool size)."""
+        self._publish(frame.spec, frame.chunks)
+        task_queues = self._state["task_queues"]
+        payload = self._frame_payload(frame.spec, frame.n)
+        for q in task_queues:
+            q.put(("frame", payload))
+        for ci, chunk in enumerate(frame.chunks):
+            wi = (
+                int(frame.chunk_to_gpu[ci])
+                if frame.chunk_to_gpu is not None
+                else ci
+            ) % self.workers
+            task_queues[wi].put(
+                ("map", frame.seq, ci, chunk.id, chunk.nbytes, chunk.on_disk,
+                 chunk.meta)
             )
-
-    def _map_message(self, frame_seq: int, ci: int, chunk: Chunk, wi: int):
-        """One map task message.  Off-host targets get the chunk payload
-        inline (there is no shared arena on their host); host-0 targets
-        get ``None`` and map the arena view zero-copy as always."""
-        payload = chunk.payload() if self.host_ids[wi] != 0 else None
-        return (
-            "map",
-            frame_seq,
-            ci,
-            chunk.id,
-            chunk.nbytes,
-            chunk.on_disk,
-            chunk.meta,
-            payload,
-        )
 
     # -- async frame pipeline ----------------------------------------------
     def submit(
@@ -1192,17 +933,13 @@ class SharedMemoryPoolExecutor:
         Failure semantics: under supervision (the default), an
         infrastructure failure — a dead worker, a wedged transport —
         recycles the transport epoch in place, replays the in-flight
-        frames, and retries; user-code errors (and
-        ``supervise=False``) keep the legacy behaviour of tearing the
-        whole pool down on the way out, because leftover ring bytes or
-        queue messages from a partially-drained frame must never be
-        paired with a later frame's chunks.
+        frames, and retries; user-code errors (and ``supervise=False``)
+        tear the whole pool down on the way out, because leftover edge
+        bytes or queue messages from a partially-drained frame must
+        never be paired with a later frame's chunks.
         """
-        if self.serial or self._degraded_serial or len(chunks) == 0:
-            # Zero chunks means nothing to fan out (and nothing to put in
-            # an arena); the serial path returns the same empty-job result
-            # InProcessExecutor produces.  A pool degraded to the serial
-            # floor routes every subsequent frame here too.
+
+        def serial() -> PendingFrame:
             result = self._execute_serial(spec, chunks, chunk_to_gpu)
             if self._degraded_serial and self._supervisor.active:
                 result.stats.recovery = self._supervisor.snapshot(workers=0)
@@ -1210,6 +947,13 @@ class SharedMemoryPoolExecutor:
             return PendingFrame(
                 self._seq, spec, chunks, chunk_to_gpu, result=result
             )
+
+        if self._degraded_serial or len(chunks) == 0:
+            # Zero chunks means nothing to fan out (and nothing to put in
+            # an arena); the in-process executor returns the same
+            # empty-job result.  A pool degraded to the floor routes
+            # every subsequent frame here too.
+            return serial()
         ids = [c.id for c in chunks]
         if len(set(ids)) != len(ids):
             raise ValueError("chunk ids must be unique for the pool executor")
@@ -1220,19 +964,8 @@ class SharedMemoryPoolExecutor:
                 self._seal(f)
             while len(self._pending) >= self.pipeline_depth:
                 self._collect_oldest()
-            self._publish(spec, chunks)
-            arena_payload, wire_payload = self._frame_payloads(
-                spec, len(chunks)
-            )
-            self._put_frame(arena_payload, wire_payload)
             frame = PendingFrame(self._seq + 1, spec, chunks, chunk_to_gpu)
-            for ci, chunk in enumerate(chunks):
-                wi = (
-                    int(chunk_to_gpu[ci]) if chunk_to_gpu is not None else ci
-                ) % self.workers
-                self._state["task_queues"][wi].put(
-                    self._map_message(frame.seq, ci, chunk, wi)
-                )
+            self._enqueue_frame(frame)
             # Register (and burn the seq) only once every message is
             # enqueued: if anything above failed, the partial messages
             # died with the recycled transport and op re-runs cleanly
@@ -1241,15 +974,7 @@ class SharedMemoryPoolExecutor:
             self._pending[frame.seq] = frame
             return frame
 
-        def fallback() -> PendingFrame:
-            result = self._execute_serial(spec, chunks, chunk_to_gpu)
-            result.stats.recovery = self._supervisor.snapshot(workers=0)
-            self._seq += 1
-            return PendingFrame(
-                self._seq, spec, chunks, chunk_to_gpu, result=result
-            )
-
-        return self._run_pipeline_op(op, fallback)
+        return self._run_pipeline_op(op, serial)
 
     def collect(self, frame: PendingFrame) -> InProcessResult:
         """Finish ``frame`` and return its result.
@@ -1267,9 +992,9 @@ class SharedMemoryPoolExecutor:
                     "frame was aborted by a pool shutdown before it "
                     "could be collected"
                 )
-            # If recovery bottoms out in serial execution, _recover has
-            # already finished every pending frame (including this one),
-            # so the fallback has nothing left to do.
+            # If recovery bottoms out in in-process execution, _recover
+            # has already finished every pending frame (including this
+            # one), so the fallback has nothing left to do.
             self._run_pipeline_op(self._collect_oldest, lambda: None)
         return frame.result
 
@@ -1291,36 +1016,51 @@ class SharedMemoryPoolExecutor:
 
     def _seal(self, frame: PendingFrame) -> None:
         """Bring ``frame`` to the point where later frames may be enqueued:
-        all map results drained and (in worker mode) reduce dispatched."""
+        all map results drained and every owner told to reduce.  The
+        runs are already in (or relayed ahead of the reduce message
+        toward) the owners' inbound edges, so this is control plane
+        only."""
         if frame.sealed:
             return
         while frame.map_received < frame.n:
             self._pump()
-        if self.reduce_mode == "worker":
-            # Control-plane handoff to the shuffle plane: parent-routed
-            # ships the runs it buffered; mesh only announces ownership
-            # (the runs are already in the owners' inbound edges).
-            self._plane.dispatch_reduce(frame)
+        shuf = ShuffleSpec(frame.spec.n_reducers, self.workers)
+        for wi, q in enumerate(self._state["task_queues"]):
+            owned = shuf.owned_partitions(wi)
+            if owned:
+                q.put(("reduce", frame.seq, owned))
         frame.sealed = True
 
     def _recv(self, timeout: float = 1.0):
-        """One result-queue message, or None after a liveness check."""
-        try:
-            return self._result_queue.get(timeout=timeout)
-        except queue_mod.Empty:
-            dead = dead_workers(self._state.get("procs", []))
-            if dead:
-                names = [name for name, _ in dead]
-                raise PoolFailure(
-                    f"pool worker(s) died during execute: {names}",
-                    kind="worker-death",
-                    workers=names,
-                )
-            return None
+        """One result-queue message, or None after ``timeout``.
 
-    def _pump(self, timeout: float = 1.0) -> None:
-        """Receive and route one worker message (or poll for dead workers)."""
-        msg = self._recv(timeout=timeout)
+        Waits on the queue's reader and every worker's process sentinel
+        together, so a worker death surfaces the moment it happens
+        rather than after a poll interval.  A message that is already
+        pending is always read before a death is declared: a dying
+        worker's last error report wins over the bare fact of its
+        death.
+        """
+        q = self._result_queue
+        procs = self._state.get("procs", [])
+        reader = q._reader  # the queue's receiving Connection
+        if reader in wait_ready([reader] + [p.sentinel for p in procs], timeout):
+            # One wait per message, as a plain get(timeout) would do: the
+            # parent is the only reader, so this get finds its message.
+            return q.get()
+        dead = dead_workers(procs)
+        if dead:
+            names = [name for name, _ in dead]
+            raise PoolFailure(
+                f"pool worker(s) died during execute: {names}",
+                kind="worker-death",
+                workers=names,
+            )
+        return None
+
+    def _pump(self) -> None:
+        """Receive and route one worker message (or check for deaths)."""
+        msg = self._recv()
         if msg is None:
             return
         kind = msg[0]
@@ -1340,10 +1080,8 @@ class SharedMemoryPoolExecutor:
             _, wi, what, tb, etype = msg
             raise worker_error_to_exception(wi, what, tb, etype)
         if kind == "done":
-            (_, wi, seq, ci, emitted, kept, work, routed, ring_nbytes,
-             inline, fallbacks) = msg
+            _, wi, seq, ci, emitted, kept, work, routed, fallbacks = msg
             frame = self._pending[seq]
-            self._plane.on_map_done(frame, wi, ci, routed, ring_nbytes, inline)
             frame.emitted_per_chunk[ci] = emitted
             frame.kept_per_chunk[ci] = kept
             frame.work_per_chunk[ci] = work
@@ -1351,16 +1089,20 @@ class SharedMemoryPoolExecutor:
             frame.map_received += 1
             frame.queue_fallbacks += int(fallbacks)
         elif kind == "mesh_fallback":
-            # An oversized mesh record taking the control-plane escape
-            # hatch; the plane relays it to its owner (and counts it).
-            self._plane.on_fallback(self._pending[msg[2]], msg)
-        elif kind == "shuffle_stats":
-            # Cumulative socket-plane counters, shipped FIFO just ahead
-            # of the sender's reduce result; only the tcp plane emits
-            # (and consumes) them.
-            on_stats = getattr(self._plane, "on_worker_stats", None)
-            if on_stats is not None:
-                on_stats(msg[1], msg[2])
+            # An oversized record taking the control-plane escape hatch:
+            # relay it to its owner over the task queue.  Relays are
+            # enqueued strictly before the frame's reduce message (the
+            # sender's map completion follows its fallbacks on the FIFO
+            # result queue, and sealing waits for every completion), so
+            # the owner's watermark cannot hang on a record stuck
+            # behind it.
+            _, wi, seq, ci, part, run = msg
+            frame = self._pending[seq]
+            frame.parent_run_bytes += int(run.nbytes)
+            owner = ShuffleSpec(frame.spec.n_reducers, self.workers).owner_of(part)
+            self._state["task_queues"][owner].put(
+                ("mesh_relay", seq, ci, part, run)
+            )
         elif kind == "reduced":
             _, wi, seq, owned, outputs, pairs_per_reducer = msg
             frame = self._pending[seq]
@@ -1375,17 +1117,8 @@ class SharedMemoryPoolExecutor:
         """Complete the oldest in-flight frame and cache its result."""
         frame = self._oldest()
         self._seal(frame)
-        spec = frame.spec
-        if self.reduce_mode == "worker":
-            while frame.reduced_received < spec.n_reducers:
-                self._pump()
-            outputs = frame.outputs
-            pairs_per_reducer = frame.pairs_per_reducer
-        else:
-            spec.reducer.initialize()
-            outputs, pairs_per_reducer = merge_partition_runs(
-                spec, frame.runs_per_chunk
-            )
+        while frame.reduced_received < frame.spec.n_reducers:
+            self._pump()
         stats = JobStats()
         works: list[MapWork] = []
         for ci, chunk in enumerate(frame.chunks):
@@ -1405,20 +1138,57 @@ class SharedMemoryPoolExecutor:
                     frame.routed_per_chunk[ci],
                 )
             )
-        stats.ring = self._plane.frame_stats(frame)
+        stats.ring = self._mesh_stats(frame)
         if self._supervisor.active:
             stats.recovery = self._supervisor.snapshot(
                 frame_retries=frame.retries, workers=self.workers
             )
         stats.telemetry = self._frame_telemetry(stats, frame)
         frame.result = InProcessResult(
-            outputs=outputs,
+            outputs=frame.outputs,
             stats=stats,
-            pairs_per_reducer=pairs_per_reducer,
+            pairs_per_reducer=frame.pairs_per_reducer,
             works=works,
         )
-        frame.runs_per_chunk = None  # free the fragment memory
         del self._pending[frame.seq]
+
+    def _mesh_stats(self, frame: PendingFrame) -> dict:
+        """The ``JobStats.ring`` payload: per-edge backpressure deltas
+        since the previous collect, high-water marks, total bytes moved
+        over the mesh, and the control-plane escape hatch (queue
+        fallbacks / parent-touched run bytes)."""
+        per_edge = []
+        total_bytes = 0
+        for (i, j), ring in sorted(self._state.get("mesh_edges", {}).items()):
+            now = ring.counters()
+            base = self._edge_base.get((i, j), now)
+            # Delta like the stall counters, so the whole dict shares
+            # one windowing semantic: "since the previous collect".
+            total_bytes += now["written_bytes"] - base["written_bytes"]
+            per_edge.append(
+                {
+                    "src": i,
+                    "dst": j,
+                    "stall_seconds": now["stall_seconds"]
+                    - base["stall_seconds"],
+                    "stall_events": now["stall_events"] - base["stall_events"],
+                    "high_water_bytes": now["high_water_bytes"],
+                }
+            )
+            self._edge_base[(i, j)] = now
+        return {
+            "shuffle_mode": "mesh",
+            "stall_seconds": sum(e["stall_seconds"] for e in per_edge),
+            "stall_events": sum(e["stall_events"] for e in per_edge),
+            "high_water_bytes": max(
+                (e["high_water_bytes"] for e in per_edge), default=0
+            ),
+            "queue_fallbacks": frame.queue_fallbacks,
+            "parent_run_bytes": frame.parent_run_bytes,
+            "mesh_bytes_total": total_bytes,
+            "ring_capacity": self.mesh_edge_capacity,
+            "per_edge": per_edge,
+        }
 
     def _frame_telemetry(self, stats: JobStats, frame: PendingFrame) -> dict:
         """The ``JobStats.telemetry`` registry snapshot for one frame.
@@ -1440,8 +1210,8 @@ class SharedMemoryPoolExecutor:
             },
             cache=shared_cache().stats(),
             workers=self.workers,
-            reduce_mode=self.reduce_mode,
-            shuffle_mode=self.effective_shuffle_mode,
+            reduce_mode="worker",
+            shuffle_mode="mesh",
             pipeline_depth=self.pipeline_depth,
             frame_seq=frame.seq,
             **map_telemetry(frame.work_per_chunk),
@@ -1453,11 +1223,11 @@ class SharedMemoryPoolExecutor:
         chunks: Sequence[Chunk],
         chunk_to_gpu: Optional[Sequence[int]],
     ) -> InProcessResult:
-        """Deterministic fallback: the serial executor *is* the same code.
+        """The degradation floor: the in-process executor *is* the same code.
 
         ``InProcessExecutor.execute`` is built from the identical
-        ``map_chunk_to_runs`` / ``merge_partition_runs`` functions the
-        workers and the parent merge run, so delegating to it is the
-        fallback path — equivalence by construction, not by mirroring.
+        ``map_chunks_to_runs`` / ``merge_partition_runs`` functions the
+        workers run, so delegating to it is equivalence by
+        construction, not by mirroring.
         """
         return InProcessExecutor(self.config).execute(spec, chunks, chunk_to_gpu)

@@ -1,10 +1,10 @@
 """Single-producer single-consumer shared-memory ring buffers.
 
-Each pool worker owns one ring: the worker (producer) appends the raw
-bytes of its per-chunk fragment runs; the parent (consumer) drains them
-after the matching completion message arrives on the result queue.  The
-ring models the paper's pinned-host fragment buffers that the GPUs
-stream emitted pairs into while the CPU concurrently consumes them.
+Every edge of the pool's shuffle mesh is one ring: the mapping worker
+(producer) appends tagged fragment-run records, the owning reducer
+worker (consumer) drains them (see :mod:`repro.parallel.shuffle`).  The
+ring models the paper's pinned buffers that the GPUs stream emitted
+pairs into while the peer concurrently consumes them.
 
 Layout of the shared segment::
 
@@ -94,9 +94,9 @@ class ShmRing:
         """Allocate a fresh ring (creator side; owns the segment name).
 
         ``name`` pins the segment name instead of letting the OS pick
-        one — the mesh shuffle plane uses deterministic per-edge names
-        so the parent can unlink every edge even when the creating
-        worker died before reporting anything.
+        one — the mesh uses deterministic per-edge names so the parent
+        can unlink every edge even when the creating worker died before
+        reporting anything.
         """
         if capacity < 1:
             raise ValueError("ring capacity must be positive")
@@ -118,7 +118,7 @@ class ShmRing:
 
         ``owner=False`` (the default, worker side) never unlinks.
         ``owner=True`` adopts unlink responsibility on :meth:`close` —
-        the mesh shuffle plane uses this: each *worker* creates its
+        the mesh uses this: each *worker* creates its
         inbound edge rings (after CPU pinning, so first-touch lands on
         the right node) but the *parent* owns teardown, which keeps the
         no-leaked-segments guarantee even when a worker dies without
@@ -170,7 +170,7 @@ class ShmRing:
 
         All values are monotonic totals since creation; consumers
         wanting per-interval numbers snapshot and diff them (which is
-        exactly what the shuffle planes' per-frame stats do).
+        exactly what the pool's per-frame mesh stats do).
         """
         return {
             "stall_seconds": self.stall_seconds,
@@ -188,8 +188,7 @@ class ShmRing:
         ``payload`` must fit in the ring at all (``len <= capacity``);
         callers stream larger transfers in capacity-bounded pieces or
         fall back to another channel.  ``on_wait`` (optional callable)
-        runs on every poll iteration while blocked — the mesh shuffle
-        plane uses it to drain its *own* inbound edges while waiting
+        runs on every poll iteration while blocked — the mesh uses it to drain its *own* inbound edges while waiting
         for outbound space, which is what makes cycles of mutually
         backpressured workers deadlock-free.
         """
@@ -203,9 +202,9 @@ class ShmRing:
         Each part is copied straight into the ring and the write cursor
         is published once, after the last copy — so a consumer either
         sees the whole concatenation or nothing, with no intermediate
-        gather buffer.  The mesh shuffle plane writes each record as
-        ``(header, run payload)`` through this, which keeps fragment
-        bytes at a single memcpy just like the uplink-ring path.
+        gather buffer.  The mesh writes each record as ``(header, run
+        payload)`` through this, which keeps fragment bytes at a single
+        memcpy.
         """
         bufs = [memoryview(p).cast("B") for p in parts]
         n = sum(len(b) for b in bufs)
@@ -279,17 +278,6 @@ class ShmRing:
             out[first:] = self._data[: n - first].tobytes()
         self._header[_IDX_READ] = np.uint64(r + n)
         return out
-
-    def read_records(
-        self, nbytes: int, dtype: np.dtype, timeout: Optional[float] = 30.0
-    ) -> np.ndarray:
-        """Consume ``nbytes`` and view them as records of ``dtype``."""
-        dtype = np.dtype(dtype)
-        if nbytes % dtype.itemsize:
-            raise ValueError(
-                f"{nbytes} B is not a whole number of {dtype.itemsize}-byte records"
-            )
-        return np.frombuffer(self.read_bytes(nbytes, timeout), dtype=dtype)
 
     # -- plumbing ----------------------------------------------------------
     def _wait(

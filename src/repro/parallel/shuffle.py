@@ -1,51 +1,26 @@
-"""The pluggable shuffle plane: who moves fragment runs between processes.
+"""The shuffle plane: worker↔worker fragment exchange over shared memory.
 
 The paper's GPUs exchange emitted fragments *directly* over the
 interconnect during the shuffle into Sort/Reduce; the parent CPU only
-orchestrates.  This module makes that separation explicit for the pool
-executor: all inter-process movement of run bytes is owned by a
-**shuffle plane** with three interchangeable implementations, selected
-by ``shuffle_mode``:
+orchestrates.  The pool executor does the same over an N×N mesh of SPSC
+shared-memory rings (one *edge* per ordered worker pair, generalizing
+:mod:`repro.parallel.ring`): each mapper writes a partition's run
+**directly** into the owning reducer worker's inbound edge, tagged
+``(frame, chunk index, partition)`` so the owner can restore chunk order
+and execute the literal
+:func:`~repro.core.executors.merge_partition_runs`.  The parent never
+touches run bytes except through the oversized-record relay below,
+which it counts in ``parent_run_bytes``.  Runs a mapper owns itself
+short-circuit through a local stash, no copy.  Edges are created by the
+*reader* worker after CPU pinning (first touch lands on its node) but
+unlinked by the parent, preserving the zero-leak teardown guarantee
+even when a worker dies mid-shuffle.
 
-``ParentRoutedShuffle`` (``"parent"``)
-    The PR-2/PR-3 layout, refactored behind the plane interface: every
-    worker streams its bucketed runs up its private SPSC ring to the
-    parent, which (for worker-side reduce) re-ships each partition's
-    chunk-ordered runs down to the owning worker over the pickling task
-    queues.  Simple, but the parent is a serial bandwidth bottleneck —
-    every fragment byte crosses it at least once.
-
-``MeshShuffle`` (``"mesh"``)
-    An N×N mesh of SPSC shared-memory rings (one *edge* per ordered
-    worker pair, generalizing :mod:`repro.parallel.ring`): each mapper
-    writes a partition's run **directly** into the owning reducer
-    worker's inbound edge, tagged ``(frame, chunk index, partition)``
-    so the owner can restore chunk order and execute the literal
-    :func:`~repro.core.executors.merge_partition_runs` — the parent
-    never touches run bytes (asserted by the ``parent_run_bytes``
-    counter it exports).  Runs a mapper owns itself short-circuit
-    through a local stash, no copy.  Edges are created by the *reader*
-    worker after CPU pinning (first touch lands on its node) but
-    unlinked by the parent, preserving the zero-leak teardown
-    guarantee even when a worker dies mid-shuffle.
-
-``SocketShuffle`` (``"tcp"``)
-    The same direct worker↔worker exchange over **byte streams**
-    (AF_UNIX on one host, loopback TCP otherwise — see
-    :mod:`repro.parallel.socketplane`) instead of shared-memory rings:
-    the off-box plane.  Identical record protocol, watermarks, and
-    cooperative drain; no shared segment is required, so with a
-    ``host_spec`` the executor can place workers on separate "hosts"
-    and ship chunk payloads over the wire instead of the shm arena.
-    Streams have no record-size cliff, so the tcp plane has *no*
-    queue-fallback path and ``parent_run_bytes`` is structurally zero.
-    A dropped connection surfaces as a recoverable
-    :class:`~repro.parallel.socketplane.SocketClosed`.
-
-All planes feed byte-identical, chunk-ordered runs into the identical
-reducer code, so outputs are bitwise-equal across planes by
-construction — the plane only decides *which processes the bytes
-traverse*.
+This module holds the worker half (:class:`WorkerMesh`), the pool's
+transport knobs (:class:`PoolConfig`) and the edge naming and fd
+budget helpers; the parent half (handshake, relay, reduce dispatch,
+per-frame edge counters) lives in
+:class:`~repro.parallel.pool.SharedMemoryPoolExecutor`.
 
 Mesh record protocol
 --------------------
@@ -76,7 +51,7 @@ truly wedged edge (dead peer) surfaces as a
 ``watermark_timeout``), which hands the failure to the executor's
 supervision layer (:mod:`repro.parallel.supervise`): the transport
 epoch is recycled and the affected frames re-execute bitwise-identically
-— or, with ``supervise=False``, the whole pool tears down as before.
+— or, with ``supervise=False``, the whole pool tears down.
 """
 
 from __future__ import annotations
@@ -88,12 +63,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.executors import ShuffleSpec
 from ..observability.tracer import span
 from .faults import ENV_FAULT_PLAN, resolve_fault_plan
-from .merge import split_runs
 from .ring import _POLL_SECONDS, RingTimeout, ShmRing
-from .supervise import worker_error_to_exception
 
 __all__ = [
     "DEFAULT_MAX_FRAME_RETRIES",
@@ -103,13 +75,9 @@ __all__ = [
     "ENV_MAX_FRAME_RETRIES",
     "ENV_RETRY_BACKOFF",
     "ENV_RING_WRITE_TIMEOUT",
-    "ENV_SHUFFLE_MODE",
     "ENV_WATERMARK_TIMEOUT",
     "MESH_HEADER_NBYTES",
-    "MeshShuffle",
-    "ParentRoutedShuffle",
     "PoolConfig",
-    "SocketShuffle",
     "WorkerMesh",
 ]
 
@@ -117,10 +85,6 @@ __all__ = [
 #: lets soak tests (and impatient operators) shorten the wedged-edge
 #: detection bound without monkeypatching worker code.
 ENV_RING_WRITE_TIMEOUT = "REPRO_RING_WRITE_TIMEOUT"
-
-#: Environment override for ``shuffle_mode="auto"`` resolution — the CI
-#: slow matrix forces each plane in turn through this.
-ENV_SHUFFLE_MODE = "REPRO_SHUFFLE_MODE"
 
 #: Environment override for :attr:`PoolConfig.watermark_timeout` — how
 #: long a mesh reducer waits for a frame's completion watermark before
@@ -133,11 +97,11 @@ ENV_MAX_FRAME_RETRIES = "REPRO_MAX_FRAME_RETRIES"
 #: Environment override for :attr:`PoolConfig.retry_backoff`.
 ENV_RETRY_BACKOFF = "REPRO_RETRY_BACKOFF"
 
-#: How long a blocked ring/edge write may sit in backpressure before it
-#: is declared wedged.  With ``pipeline_depth > 1`` a blocked write is
-#: the *normal* flow-control state (the consumer is legitimately busy
-#: with the previous frame), so the bound is generous; it exists only
-#: so a dead peer surfaces as a RingTimeout instead of a silent hang.
+#: How long a blocked edge write may sit in backpressure before it is
+#: declared wedged.  With ``pipeline_depth > 1`` a blocked write is the
+#: *normal* flow-control state (the consumer is legitimately busy with
+#: the previous frame), so the bound is generous; it exists only so a
+#: dead peer surfaces as a RingTimeout instead of a silent hang.
 DEFAULT_RING_WRITE_TIMEOUT = 300.0
 
 #: How many times one in-flight frame may be re-executed after an
@@ -149,6 +113,10 @@ DEFAULT_MAX_FRAME_RETRIES = 2
 #: Small by default: respawning forked workers is cheap, and the arena
 #: (the expensive state) survives recovery anyway.
 DEFAULT_RETRY_BACKOFF = 0.05
+
+#: Mesh bytes per pool: the default edge size splits this over the
+#: workers (floor 64 KiB), so a 2-worker pool gets 4 MiB edges.
+DEFAULT_MESH_BYTES = 8 << 20
 
 #: Mesh record header: (frame seq, chunk index, partition, payload bytes).
 MESH_HEADER_DTYPE = np.dtype(
@@ -194,6 +162,23 @@ def mesh_edge_name(token: str, src: int, dst: int) -> str:
     return f"repro_mesh_{token}_{src}_{dst}"
 
 
+def _env_number(name: str, cast, allow_zero: bool):
+    """``$name`` parsed with ``cast``, or None when unset; non-numeric,
+    negative (and, unless ``allow_zero``, zero) values raise."""
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return None
+    try:
+        value = cast(env)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"${name}={env!r} is not {kind}") from None
+    if value < 0 or (value == 0 and not allow_zero):
+        rule = "cannot be negative" if allow_zero else "must be positive"
+        raise ValueError(f"${name}={env!r} {rule}")
+    return value
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Transport knobs of the pool executor's data plane.
@@ -202,34 +187,15 @@ class PoolConfig:
     rendered output (the parity suites enforce it); they trade memory,
     latency, and failure-detection bounds.
 
-    ring_capacity:
-        Per-worker uplink fragment ring size in bytes (worker → parent).
     mesh_edge_capacity:
         Per-edge mesh ring size in bytes; default
-        ``max(64 KiB, ring_capacity // workers)`` so a full mesh uses
-        about the same memory as the uplink rings.
+        ``max(64 KiB, 8 MiB // workers)``.
     ring_write_timeout:
-        Seconds a blocked ring **or mesh-edge** write may wait before
-        raising :class:`~repro.parallel.ring.RingTimeout` (recovered by
-        the supervision layer, or fatal with ``supervise=False``).
+        Seconds a blocked mesh-edge write may wait before raising
+        :class:`~repro.parallel.ring.RingTimeout` (recovered by the
+        supervision layer, or fatal with ``supervise=False``).
         ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``, falling back to
         :data:`DEFAULT_RING_WRITE_TIMEOUT`.
-    shuffle_mode:
-        ``"parent"``, ``"mesh"``, ``"tcp"``, or ``"auto"`` (default).
-        Auto reads ``$REPRO_SHUFFLE_MODE`` if set, else picks
-        ``"mesh"`` when the reduce runs on workers (where direct
-        exchange pays) and ``"parent"`` otherwise — auto never picks
-        ``"tcp"``, because on one shared-memory box the shm mesh
-        strictly dominates it; the socket plane is an explicit opt-in
-        for the off-box regime.  Note the direct data planes (mesh,
-        tcp) only materialize under ``reduce_mode="worker"`` — with a
-        parent-side reduce every run's destination *is* the parent, so
-        the uplink rings already are the direct path.
-    socket_family:
-        Address family of the tcp plane's edge streams: ``"unix"``
-        (AF_UNIX, default where available) or ``"inet"`` (loopback
-        TCP).  ``None`` reads ``$REPRO_SOCKET_FAMILY``.  Ignored by
-        the other planes.
     pin_workers:
         Opt-in NUMA/core pinning: give each worker its own core via
         ``os.sched_setaffinity`` before it allocates its inbound mesh
@@ -246,14 +212,13 @@ class PoolConfig:
         Whether the executor recovers from *infrastructure* failures
         (dead workers, wedged edges, expired watermarks) by respawning
         in place and re-executing the affected frames, instead of
-        tearing the whole pool down (the pre-supervision behavior,
-        available as ``supervise=False``).  Recovery never changes
-        rendered output — re-executed frames are bitwise-identical by
-        the chunk-order-merge invariant.
+        tearing the whole pool down (``supervise=False``).  Recovery
+        never changes rendered output — re-executed frames are
+        bitwise-identical by the chunk-order-merge invariant.
     max_frame_retries:
         How many times one in-flight frame may be re-executed at a
         given pool width before the pool degrades (sheds a worker;
-        at width 0 it falls back to the serial executor).  ``None``
+        at width 0 it falls back to the in-process executor).  ``None``
         reads ``$REPRO_MAX_FRAME_RETRIES`` (default 2); negative
         values raise.
     retry_backoff:
@@ -270,11 +235,8 @@ class PoolConfig:
         exit, or stall workers at exact stage boundaries.
     """
 
-    ring_capacity: int = 8 << 20
     mesh_edge_capacity: Optional[int] = None
     ring_write_timeout: Optional[float] = None
-    shuffle_mode: str = "auto"
-    socket_family: Optional[str] = None
     pin_workers: bool = False
     watermark_timeout: Optional[float] = None
     supervise: bool = True
@@ -283,23 +245,12 @@ class PoolConfig:
     fault_plan: Optional[str] = None
 
     def __post_init__(self):
-        if self.ring_capacity < 1:
-            raise ValueError("ring capacity must be positive")
         if self.mesh_edge_capacity is not None and self.mesh_edge_capacity < (
             MESH_HEADER_NBYTES + 1
         ):
             raise ValueError(
                 f"mesh edge capacity must exceed the {MESH_HEADER_NBYTES}-byte "
                 "record header"
-            )
-        if self.shuffle_mode not in ("auto", "parent", "mesh", "tcp"):
-            raise ValueError(f"unknown shuffle_mode {self.shuffle_mode!r}")
-        if self.socket_family is not None and self.socket_family not in (
-            "unix",
-            "inet",
-        ):
-            raise ValueError(
-                f"socket family {self.socket_family!r} must be 'unix' or 'inet'"
             )
         if self.ring_write_timeout is not None and self.ring_write_timeout <= 0:
             raise ValueError("ring write timeout must be positive")
@@ -320,20 +271,8 @@ class PoolConfig:
     def resolved_ring_write_timeout(self) -> float:
         if self.ring_write_timeout is not None:
             return float(self.ring_write_timeout)
-        env = os.environ.get(ENV_RING_WRITE_TIMEOUT, "").strip()
-        if env:
-            try:
-                value = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"${ENV_RING_WRITE_TIMEOUT}={env!r} is not a number"
-                ) from None
-            if value <= 0:
-                raise ValueError(
-                    f"${ENV_RING_WRITE_TIMEOUT}={env!r} must be positive"
-                )
-            return value
-        return DEFAULT_RING_WRITE_TIMEOUT
+        env = _env_number(ENV_RING_WRITE_TIMEOUT, float, allow_zero=False)
+        return DEFAULT_RING_WRITE_TIMEOUT if env is None else env
 
     def resolved_watermark_timeout(self) -> float:
         """Explicit > ``$REPRO_WATERMARK_TIMEOUT`` > the resolved ring
@@ -341,104 +280,34 @@ class PoolConfig:
         non-numeric values raise rather than silently falling back)."""
         if self.watermark_timeout is not None:
             return float(self.watermark_timeout)
-        env = os.environ.get(ENV_WATERMARK_TIMEOUT, "").strip()
-        if env:
-            try:
-                value = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"${ENV_WATERMARK_TIMEOUT}={env!r} is not a number"
-                ) from None
-            if value <= 0:
-                raise ValueError(
-                    f"${ENV_WATERMARK_TIMEOUT}={env!r} must be positive"
-                )
-            return value
-        return self.resolved_ring_write_timeout()
+        env = _env_number(ENV_WATERMARK_TIMEOUT, float, allow_zero=False)
+        return self.resolved_ring_write_timeout() if env is None else env
 
     def resolved_max_frame_retries(self) -> int:
         """Explicit > ``$REPRO_MAX_FRAME_RETRIES`` > default (2);
         negative or non-integer values raise."""
         if self.max_frame_retries is not None:
             return int(self.max_frame_retries)
-        env = os.environ.get(ENV_MAX_FRAME_RETRIES, "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"${ENV_MAX_FRAME_RETRIES}={env!r} is not an integer"
-                ) from None
-            if value < 0:
-                raise ValueError(
-                    f"${ENV_MAX_FRAME_RETRIES}={env!r} cannot be negative"
-                )
-            return value
-        return DEFAULT_MAX_FRAME_RETRIES
+        env = _env_number(ENV_MAX_FRAME_RETRIES, int, allow_zero=True)
+        return DEFAULT_MAX_FRAME_RETRIES if env is None else env
 
     def resolved_retry_backoff(self) -> float:
         """Explicit > ``$REPRO_RETRY_BACKOFF`` > default (0.05 s);
         negative or non-numeric values raise, zero disables backoff."""
         if self.retry_backoff is not None:
             return float(self.retry_backoff)
-        env = os.environ.get(ENV_RETRY_BACKOFF, "").strip()
-        if env:
-            try:
-                value = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"${ENV_RETRY_BACKOFF}={env!r} is not a number"
-                ) from None
-            if value < 0:
-                raise ValueError(
-                    f"${ENV_RETRY_BACKOFF}={env!r} cannot be negative"
-                )
-            return value
-        return DEFAULT_RETRY_BACKOFF
+        env = _env_number(ENV_RETRY_BACKOFF, float, allow_zero=True)
+        return DEFAULT_RETRY_BACKOFF if env is None else env
 
     def resolved_fault_plan(self) -> Optional[str]:
         """Explicit > ``$REPRO_FAULT_PLAN`` > None, grammar-validated
         (see :func:`repro.parallel.faults.resolve_fault_plan`)."""
         return resolve_fault_plan(self.fault_plan)
 
-    def resolved_shuffle_mode(self, reduce_mode: str) -> str:
-        mode = self.shuffle_mode
-        if mode == "auto":
-            env = os.environ.get(ENV_SHUFFLE_MODE, "").strip()
-            if env:
-                if env not in ("parent", "mesh", "tcp"):
-                    raise ValueError(
-                        f"${ENV_SHUFFLE_MODE}={env!r} must be 'parent', "
-                        "'mesh', or 'tcp'"
-                    )
-                return env
-            # Auto never picks tcp: on one box the shm mesh dominates.
-            return "mesh" if reduce_mode == "worker" else "parent"
-        return mode
-
-    def resolved_socket_family(self) -> str:
-        """Explicit > ``$REPRO_SOCKET_FAMILY`` > ``"unix"`` where
-        AF_UNIX exists, else ``"inet"`` (validated either way)."""
-        from .socketplane import resolve_socket_family
-
-        return resolve_socket_family(self.socket_family)
-
-    def shuffle_mode_is_explicit(self) -> bool:
-        """Whether a plane was deliberately pinned — by the config/kwarg
-        or by ``$REPRO_SHUFFLE_MODE`` — rather than left to the auto
-        heuristic.  Callers that would silently override the resolved
-        plane (e.g. the fd-headroom guard) must fail loudly instead
-        when this is True; keeping the env sniffing here, next to
-        :meth:`resolved_shuffle_mode`, keeps one source of truth for
-        what counts as an explicit request."""
-        return self.shuffle_mode != "auto" or bool(
-            os.environ.get(ENV_SHUFFLE_MODE, "").strip()
-        )
-
     def resolved_edge_capacity(self, workers: int) -> int:
         if self.mesh_edge_capacity is not None:
             return int(self.mesh_edge_capacity)
-        return max(1 << 16, int(self.ring_capacity) // max(1, int(workers)))
+        return max(1 << 16, DEFAULT_MESH_BYTES // max(1, int(workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +454,8 @@ class WorkerMesh:
     ) -> list:
         """Wait for frame ``seq``'s completion watermark, then return its
         chunk-ordered runs for this worker's ``owned`` partitions —
-        exactly the ``runs_per_chunk`` layout the parent-routed plane
-        ships, so the downstream merge cannot tell the planes apart.
+        exactly the ``runs_per_chunk`` layout the in-process executor
+        builds, so the downstream merge cannot tell them apart.
 
         By the control-plane contract this is called only after the
         parent observed every map completion for ``seq`` (sealing), so
@@ -632,342 +501,3 @@ class WorkerMesh:
             ring.close()
         self.inbound = {}
         self._stash.clear()
-
-
-# ---------------------------------------------------------------------------
-# Parent-side planes: the control-plane view of the two transports.
-# ---------------------------------------------------------------------------
-class ParentRoutedShuffle:
-    """Today's transport behind the plane interface: runs go worker →
-    (uplink ring) → parent → (task queue) → owning worker.  The parent
-    is on the data path; ``parent_run_bytes`` counts every byte it
-    touched."""
-
-    mode = "parent"
-
-    def __init__(self, pool):
-        self.pool = pool
-        self._ring_base = [
-            ring.counters() for ring in pool._state.get("rings", [])
-        ]
-
-    def start(self) -> None:  # no extra transport to negotiate
-        pass
-
-    # -- data-plane events -------------------------------------------------
-    def on_map_done(self, frame, wi, ci, routed, ring_nbytes, inline) -> None:
-        """Consume one map completion's run payload (ring or inline)."""
-        if inline is not None:
-            pairs = inline
-        else:
-            # Ring bytes are consumed immediately, in per-worker
-            # completion-message order (the ring is FIFO), even when
-            # the message belongs to a newer frame than the one being
-            # collected — frames only reorder at the *result* level.
-            pairs = self.pool._state["rings"][wi].read_records(
-                ring_nbytes, frame.spec.kv.dtype
-            )
-        frame.parent_run_bytes += int(pairs.nbytes)
-        frame.runs_per_chunk[ci] = split_runs(pairs, routed)
-
-    def on_fallback(self, frame, msg) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "mesh_fallback message received on the parent-routed plane"
-        )
-
-    def dispatch_reduce(self, frame) -> None:
-        """Ship each worker the chunk-ordered runs of its owned partitions.
-
-        Ownership comes from the shared :class:`ShuffleSpec` contract —
-        static, so results never depend on scheduling.  The payload is
-        parent-owned memory (ring copies / inline arrays), never arena
-        views, so a later arena republish cannot invalidate it.
-        """
-        pool = self.pool
-        shuf = ShuffleSpec(frame.spec.n_reducers, pool.workers)
-        for wi in range(pool.workers):
-            owned = shuf.owned_partitions(wi)
-            if not owned:
-                continue
-            runs_per_chunk = [
-                [frame.runs_per_chunk[ci][r] for r in owned]
-                for ci in range(frame.n)
-            ]
-            pool._state["task_queues"][wi].put(
-                ("reduce", frame.seq, owned, runs_per_chunk)
-            )
-        # The parent no longer needs the raw runs: free them eagerly so a
-        # deep pipeline holds at most one frame's fragments at a time.
-        frame.runs_per_chunk = [None] * frame.n
-
-    def frame_stats(self, frame) -> dict:
-        """Per-frame backpressure export: producer stall deltas since the
-        previous collect, absolute high-water marks, queue fallbacks."""
-        per_worker = []
-        for wi, ring in enumerate(self.pool._state.get("rings", [])):
-            now = ring.counters()
-            base = self._ring_base[wi]
-            per_worker.append(
-                {
-                    "worker": wi,
-                    "stall_seconds": now["stall_seconds"]
-                    - base["stall_seconds"],
-                    "stall_events": now["stall_events"]
-                    - base["stall_events"],
-                    "high_water_bytes": now["high_water_bytes"],
-                }
-            )
-            self._ring_base[wi] = now
-        return {
-            "shuffle_mode": self.mode,
-            "stall_seconds": sum(w["stall_seconds"] for w in per_worker),
-            "stall_events": sum(w["stall_events"] for w in per_worker),
-            "high_water_bytes": max(
-                (w["high_water_bytes"] for w in per_worker), default=0
-            ),
-            "queue_fallbacks": frame.queue_fallbacks,
-            "parent_run_bytes": frame.parent_run_bytes,
-            "ring_capacity": self.pool.ring_capacity,
-            "per_worker": per_worker,
-        }
-
-
-class MeshShuffle:
-    """Direct worker↔worker transport: the parent degrades to a pure
-    control plane (publish, seal, stitch, teardown) and never sees a
-    run byte — except the explicit oversized-record queue fallback,
-    which it counts."""
-
-    mode = "mesh"
-
-    def __init__(self, pool):
-        self.pool = pool
-        self._edge_base: Dict[tuple, dict] = {}
-
-    def start(self) -> None:
-        """Run the edge handshake: collect every worker's inbound-edge
-        names (created worker-side, after pinning), attach to all N×N
-        edges with unlink ownership, and broadcast each worker its
-        outbound row.  Raises — tearing the pool down — if a worker
-        dies or misbehaves before the mesh is up."""
-        pool = self.pool
-        n = pool.workers
-        inbound: Dict[int, Dict[int, str]] = {}
-        while len(inbound) < n:
-            msg = pool._recv(timeout=1.0)
-            if msg is None:
-                continue
-            kind = msg[0]
-            if kind == "error":
-                _, wi, what, tb, etype = msg
-                raise worker_error_to_exception(wi, what, tb, etype)
-            if kind != "mesh_ready":  # pragma: no cover - protocol violation
-                raise RuntimeError(
-                    f"unexpected {kind!r} message during the mesh handshake"
-                )
-            _, wi, names = msg
-            inbound[wi] = names
-        edges: Dict[tuple, ShmRing] = {}
-        for j, names in inbound.items():
-            for i, name in names.items():
-                # owner=True: the parent adopts unlink duty so a worker
-                # crash cannot leak the segment.
-                edges[(i, j)] = ShmRing.attach(name, owner=True)
-        pool._state["mesh_edges"] = edges
-        for i in range(n):
-            row = {j: inbound[j][i] for j in range(n) if j != i}
-            pool._state["task_queues"][i].put(("mesh_attach", row))
-        self._edge_base = {key: r.counters() for key, r in edges.items()}
-
-    # -- data-plane events -------------------------------------------------
-    def on_map_done(self, frame, wi, ci, routed, ring_nbytes, inline) -> None:
-        # Run bytes traveled the mesh; nothing for the parent to consume.
-        return None
-
-    def on_fallback(self, frame, msg) -> None:
-        """Relay one oversized record to its owner over the task queue.
-
-        Relays are enqueued strictly before the frame's reduce message
-        (the sender's map completion follows its fallbacks on the FIFO
-        result queue, and sealing waits for every completion), so the
-        owner always sees relay → reduce in order and the watermark
-        cannot hang on a record stuck behind it.
-        """
-        _, wi, seq, ci, part, run = msg
-        shuf = ShuffleSpec(frame.spec.n_reducers, self.pool.workers)
-        frame.parent_run_bytes += int(run.nbytes)
-        self.pool._state["task_queues"][shuf.owner_of(part)].put(
-            ("mesh_relay", seq, ci, part, run)
-        )
-
-    def dispatch_reduce(self, frame) -> None:
-        """Pure control plane: announce which partitions each worker
-        reduces; the runs are already in (or on their way through) the
-        owner's inbound edges."""
-        pool = self.pool
-        shuf = ShuffleSpec(frame.spec.n_reducers, pool.workers)
-        for wi in range(pool.workers):
-            owned = shuf.owned_partitions(wi)
-            if not owned:
-                continue
-            pool._state["task_queues"][wi].put(
-                ("reduce", frame.seq, owned, None)
-            )
-
-    def frame_stats(self, frame) -> dict:
-        """Aggregate per-edge backpressure into the JobStats.ring schema:
-        stall deltas since the previous collect, high-water marks, total
-        bytes moved over the mesh, and the control-plane escape hatches
-        (queue fallbacks / parent-touched run bytes)."""
-        per_edge = []
-        total_bytes = 0
-        for (i, j), ring in sorted(self.pool._state.get("mesh_edges", {}).items()):
-            now = ring.counters()
-            base = self._edge_base.get((i, j), now)
-            # Delta like the stall counters, so the whole dict shares
-            # one windowing semantic: "since the previous collect".
-            total_bytes += now["written_bytes"] - base["written_bytes"]
-            per_edge.append(
-                {
-                    "src": i,
-                    "dst": j,
-                    "stall_seconds": now["stall_seconds"]
-                    - base["stall_seconds"],
-                    "stall_events": now["stall_events"] - base["stall_events"],
-                    "high_water_bytes": now["high_water_bytes"],
-                }
-            )
-            self._edge_base[(i, j)] = now
-        return {
-            "shuffle_mode": self.mode,
-            "stall_seconds": sum(e["stall_seconds"] for e in per_edge),
-            "stall_events": sum(e["stall_events"] for e in per_edge),
-            "high_water_bytes": max(
-                (e["high_water_bytes"] for e in per_edge), default=0
-            ),
-            "queue_fallbacks": frame.queue_fallbacks,
-            "parent_run_bytes": frame.parent_run_bytes,
-            "mesh_bytes_total": total_bytes,
-            "ring_capacity": self.pool.mesh_edge_capacity,
-            "per_edge": per_edge,
-        }
-
-
-class SocketShuffle:
-    """Direct worker↔worker transport over byte streams (the ``tcp``
-    plane): the parent is a pure control plane holding **zero** data
-    sockets — it collects each worker's listener address, broadcasts
-    the address map, and from then on only sees completion messages
-    and per-worker traffic counters.  There is no oversized-record
-    fallback (streams have no capacity cliff), so ``parent_run_bytes``
-    is structurally zero — the acceptance counter the soak suite
-    asserts on.
-    """
-
-    mode = "tcp"
-
-    def __init__(self, pool):
-        self.pool = pool
-        # Cumulative per-worker counters shipped with each reduce
-        # ("shuffle_stats" messages) and the previous-collect baseline,
-        # so frame_stats exports deltas with the same "since previous
-        # collect" windowing as the ring/edge planes.
-        self._latest: Dict[int, dict] = {}
-        self._base: Dict[int, dict] = {}
-
-    def start(self) -> None:
-        """Run the address handshake: collect every worker's listener
-        address (the listener is created worker-side, before anything
-        is reported, so no connect can race it), then broadcast the
-        full map — each worker dials every peer exactly once.  Raises,
-        tearing the pool down, if a worker dies or misbehaves first."""
-        pool = self.pool
-        n = pool.workers
-        addresses: Dict[int, object] = {}
-        while len(addresses) < n:
-            msg = pool._recv(timeout=1.0)
-            if msg is None:
-                continue
-            kind = msg[0]
-            if kind == "error":
-                _, wi, what, tb, etype = msg
-                raise worker_error_to_exception(wi, what, tb, etype)
-            if kind != "socket_ready":  # pragma: no cover - protocol violation
-                raise RuntimeError(
-                    f"unexpected {kind!r} message during the socket handshake"
-                )
-            _, wi, addr = msg
-            addresses[int(wi)] = addr
-        for q in pool._state["task_queues"]:
-            q.put(("socket_attach", dict(addresses)))
-
-    # -- data-plane events -------------------------------------------------
-    def on_map_done(self, frame, wi, ci, routed, ring_nbytes, inline) -> None:
-        # Run bytes traveled the sockets; the completion message's
-        # ring_nbytes field carries the sender's bytes-on-wire for this
-        # map (headers included, self-owned runs excluded).
-        frame.wire_bytes += int(ring_nbytes)
-
-    def on_fallback(self, frame, msg) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "mesh_fallback message received on the tcp plane "
-            "(streams have no record-size limit)"
-        )
-
-    def dispatch_reduce(self, frame) -> None:
-        """Pure control plane: announce which partitions each worker
-        reduces; the runs are already in (or on the wire toward) the
-        owner's inbound streams."""
-        pool = self.pool
-        shuf = ShuffleSpec(frame.spec.n_reducers, pool.workers)
-        for wi in range(pool.workers):
-            owned = shuf.owned_partitions(wi)
-            if not owned:
-                continue
-            pool._state["task_queues"][wi].put(
-                ("reduce", frame.seq, owned, None)
-            )
-
-    def on_worker_stats(self, wi: int, counters: dict) -> None:
-        """Absorb one worker's cumulative socket counters (shipped just
-        ahead of its reduce result on the FIFO result queue)."""
-        self._latest[int(wi)] = dict(counters)
-
-    def frame_stats(self, frame) -> dict:
-        """JobStats.ring schema for the tcp plane: per-worker stall and
-        traffic deltas since the previous collect, total bytes-on-wire
-        for this frame, and the structural zeroes (queue fallbacks,
-        parent-touched run bytes) the parity suite asserts on.
-        ``ring_capacity`` is None — streams have no fixed capacity."""
-        per_worker = []
-        for wi in sorted(self._latest):
-            now = self._latest[wi]
-            base = self._base.get(wi, {k: 0 for k in now})
-            per_worker.append(
-                {
-                    "worker": wi,
-                    "stall_seconds": now["stall_seconds"]
-                    - base["stall_seconds"],
-                    "stall_events": now["stall_events"]
-                    - base["stall_events"],
-                    "high_water_bytes": now["high_water_bytes"],
-                    "bytes_sent": now["bytes_sent"] - base["bytes_sent"],
-                    "bytes_received": now["bytes_received"]
-                    - base["bytes_received"],
-                }
-            )
-            self._base[wi] = now
-        return {
-            "shuffle_mode": self.mode,
-            "stall_seconds": sum(w["stall_seconds"] for w in per_worker),
-            "stall_events": sum(w["stall_events"] for w in per_worker),
-            "high_water_bytes": max(
-                (w["high_water_bytes"] for w in per_worker), default=0
-            ),
-            "queue_fallbacks": frame.queue_fallbacks,
-            "parent_run_bytes": frame.parent_run_bytes,
-            "wire_bytes_total": frame.wire_bytes,
-            "socket_family": self.pool.socket_family,
-            "ring_capacity": None,
-            "per_worker": per_worker,
-        }

@@ -4,15 +4,15 @@ MapReduce's signature robustness property is that failed map/reduce
 tasks are simply re-executed on healthy workers; the paper inherits it
 wholesale (a dead GPU's bricks are re-assigned and re-rendered).  This
 module gives :class:`~repro.parallel.pool.SharedMemoryPoolExecutor`
-the same property on the shared-memory planes:
+the same property on its shared-memory mesh:
 
-* **Detection** — :func:`dead_workers` is the watchdog primitive the
-  executor polls whenever its result queue goes quiet
-  (``Process.is_alive`` + exitcode); wedged edges and watermark expiry
-  surface as :class:`~repro.parallel.ring.RingTimeout`, either raised
-  parent-side (uplink-ring reads) or reported by a worker in an error
-  message whose exception-type tag :func:`worker_error_to_exception`
-  classifies.
+* **Detection** — the executor waits on its result queue and every
+  worker's process sentinel together, so a death wakes it at once;
+  :func:`dead_workers` (``Process.is_alive`` + exitcode) then names the
+  dead.  Wedged edges and watermark expiry surface as
+  :class:`~repro.parallel.ring.RingTimeout`, reported by a worker in an
+  error message whose exception-type tag
+  :func:`worker_error_to_exception` classifies.
 * **Classification** — :class:`PoolFailure` marks an *infrastructure*
   failure (a dead process, a wedged transport): these are recoverable
   by re-execution, because the inputs are intact and the kernels are
@@ -29,7 +29,7 @@ the same property on the shared-memory planes:
   results are not).
 
 The *fault domain* of this executor is the pool's transport epoch: the
-SPSC rings, mesh edges, and control queues carry mid-frame state that
+SPSC mesh edges and control queues carry mid-frame state that
 cannot be rewound for a single process, so recovery quarantines the
 whole epoch — every transport object and worker process is recycled —
 while the expensive state survives: the shared-memory **arena** (the
@@ -67,11 +67,8 @@ class PoolFailure(RuntimeError):
     """An *infrastructure* failure of the pool — recoverable by retry.
 
     kind:
-        ``"worker-death"`` (a process exited or was killed),
-        ``"wedged"`` (a ring/edge write or a frame watermark timed
-        out), or ``"conn-drop"`` (a socket-plane peer connection
-        reset/EOFed mid-frame — the stream analogue of finding the
-        peer process dead).
+        ``"worker-death"`` (a process exited or was killed) or
+        ``"wedged"`` (an edge write or a frame watermark timed out).
     workers:
         The worker ids/names implicated, when known.
     stage:
@@ -111,17 +108,9 @@ def classify_failure(exc: BaseException) -> Optional[PoolFailure]:
     if isinstance(exc, PoolFailure):
         return exc
     if isinstance(exc, RingTimeout):
-        # Parent-side timeout draining an uplink ring: the producing
-        # worker stopped publishing mid-stream.
+        # A parent-side ring wait that expired: the peer stopped
+        # publishing mid-stream.
         return PoolFailure(str(exc), kind="wedged", stage="shuffle-out")
-    # Deferred import: socketplane sits above shuffle, which imports
-    # this module at load time.
-    from .socketplane import SocketClosed
-
-    if isinstance(exc, SocketClosed):
-        # A socket-plane peer dropped its connection mid-frame: the
-        # inputs are intact, so recycle the transport epoch and replay.
-        return PoolFailure(str(exc), kind="conn-drop", stage="shuffle-out")
     return None
 
 
@@ -132,20 +121,16 @@ def worker_error_to_exception(
     exception the parent should raise.
 
     Workers tag each report with the exception class name; a
-    ``RingTimeout`` is transport wedging (a blocked edge/stream write
-    inside a map task, or an expired frame watermark inside a reduce)
-    and a ``SocketClosed`` is a dropped socket-plane peer connection —
-    both map to a recoverable :class:`PoolFailure`, while anything else
-    is a task failure in user code and keeps the historical fatal
-    ``RuntimeError``.
+    ``RingTimeout`` is transport wedging (a blocked edge write inside a
+    map task, or an expired frame watermark inside a reduce) and maps to
+    a recoverable :class:`PoolFailure`, while anything else is a task
+    failure in user code and stays a fatal ``RuntimeError``.
     """
-    if etype in ("RingTimeout", "SocketClosed"):
+    if etype == "RingTimeout":
         stage = "shuffle-in" if what.startswith("reduce") else "shuffle-out"
         return PoolFailure(
-            ("dropped connection" if etype == "SocketClosed"
-             else "wedged transport")
-            + f" in the worker pool [{what} on worker {wi}]:\n{tb}",
-            kind="conn-drop" if etype == "SocketClosed" else "wedged",
+            f"wedged transport in the worker pool [{what} on worker {wi}]:\n{tb}",
+            kind="wedged",
             workers=[wi],
             stage=stage,
         )

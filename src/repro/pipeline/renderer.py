@@ -105,29 +105,14 @@ class MapReduceVolumeRenderer:
         ``execute(spec, chunks, chunk_to_gpu)``.  Pool renderers should
         be closed (or used as context managers) to release worker
         processes and shared memory.
-    reduce_mode:
-        Where the pool executor runs Sort+Reduce: ``"parent"`` (default)
-        or ``"worker"`` (each worker reduces its owned partitions and
-        ships back composited pixel spans — the paper's symmetric
-        layout).  Bitwise-identical output either way; ignored by the
-        in-process executor, which is its own single device.
-    shuffle_mode:
-        Which shuffle plane moves fragment runs between pool processes:
-        ``"parent"`` (runs route through the parent, the PR-2/3
-        layout), ``"mesh"`` (direct worker↔worker shared-memory edge
-        rings — the paper's GPUs exchanging fragments over the
-        interconnect, parent demoted to a pure control plane), ``"tcp"``
-        (the same record protocol streamed worker↔worker over
-        AF_UNIX/TCP sockets — the multi-host regime; requires
-        ``reduce_mode="worker"``), or ``"auto"`` (default: mesh exactly
-        when workers reduce; never tcp).  Bitwise-identical output on
-        every plane.
-    host_spec:
-        Socket-plane host placement (tcp only): an int (workers spread
-        round-robin over that many "hosts") or a comma-separated/id
-        sequence assigning each worker a host id.  Host 0 holds the
-        shared-memory arena; workers placed off host 0 receive chunk
-        payloads over the wire instead of attaching the arena.
+    reduce_mode, shuffle_mode:
+        Vestigial: the pool has one data path — map on the workers,
+        exchange over the shared-memory edge mesh, Sort+Reduce on the
+        worker that owns each partition — so only ``reduce_mode=
+        "worker"`` and ``shuffle_mode`` ``"auto"`` or ``"mesh"`` are
+        accepted; the removed ``"parent"`` and ``"tcp"`` values raise
+        ``ValueError``.  Both parameters stay only until the benchmark
+        harness stops passing them (ROADMAP item 1(d)).
     pin_workers:
         Opt-in NUMA/core pinning for pool workers: each worker is
         pinned to a distinct core before allocating its inbound mesh
@@ -169,10 +154,9 @@ class MapReduceVolumeRenderer:
         partitioner_factory: Optional[Callable[[int], Partitioner]] = None,
         executor: str | object = "inprocess",
         workers: Optional[int] = None,
-        reduce_mode: str = "parent",
+        reduce_mode: str = "worker",
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
-        host_spec=None,
         pin_workers: bool = False,
         accel: Optional[str] = None,
         supervise: Optional[bool] = None,
@@ -198,17 +182,13 @@ class MapReduceVolumeRenderer:
         self._partitioner_factory = partitioner_factory or RoundRobinPartitioner
         if isinstance(executor, str) and executor not in ("inprocess", "pool"):
             raise ValueError(f"unknown executor {executor!r}")
-        if reduce_mode not in ("parent", "worker"):
-            raise ValueError(f"unknown reduce_mode {reduce_mode!r}")
-        if shuffle_mode not in ("auto", "parent", "mesh", "tcp"):
-            raise ValueError(f"unknown shuffle_mode {shuffle_mode!r}")
+        from ..parallel.pool import check_modes
+
+        check_modes(reduce_mode, shuffle_mode)
         if pipeline_depth < 1:
             raise ValueError("pipeline depth must be at least 1")
         self.executor = executor
         self.workers = workers
-        self.reduce_mode = reduce_mode
-        self.shuffle_mode = shuffle_mode
-        self.host_spec = host_spec
         self.pin_workers = bool(pin_workers)
         self.pipeline_depth = int(pipeline_depth)
         self.supervise = supervise
@@ -244,10 +224,7 @@ class MapReduceVolumeRenderer:
                 self._exec_instance = SharedMemoryPoolExecutor(
                     workers=workers,
                     config=self.job_config,
-                    reduce_mode=self.reduce_mode,
                     pipeline_depth=self.pipeline_depth,
-                    shuffle_mode=self.shuffle_mode,
-                    host_spec=self.host_spec,
                     pin_workers=self.pin_workers,
                     supervise=self.supervise,
                     max_frame_retries=self.max_frame_retries,
@@ -265,11 +242,9 @@ class MapReduceVolumeRenderer:
 
     @property
     def executor_shuffle_mode(self) -> Optional[str]:
-        """Effective shuffle plane of the active executor (``"parent"``,
-        ``"mesh"``, or ``"tcp"``; None when serial or not yet
-        instantiated) — the plane that actually carries run bytes, which
-        is what ``JobStats.ring["shuffle_mode"]`` reports too (a mesh
-        request under parent-side reduce degenerates to ``"parent"``)."""
+        """Shuffle plane of the active executor — ``"mesh"`` for the pool,
+        what ``JobStats.ring["shuffle_mode"]`` reports too; None when
+        serial or not yet instantiated."""
         return getattr(self._exec_instance, "effective_shuffle_mode", None)
 
     @property

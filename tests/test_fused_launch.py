@@ -35,6 +35,7 @@ from repro.core.job import MapReduceSpec
 from repro.core.keyvalue import KVSpec
 from repro.core.partition import RoundRobinPartitioner
 from repro.observability import disable_tracing, enable_tracing
+from repro.parallel import WorkerMesh
 from repro.parallel.worker import _drain_maps, _next_message
 from repro.pipeline.mappers import RayCastMapper
 from repro.pipeline.reducers import CompositeReducer
@@ -444,9 +445,7 @@ def test_one_map_span_per_launch_and_launch_gauges_inprocess():
 
 
 def test_one_map_span_per_launch_and_launch_gauges_pool():
-    renderer, camera = _sparse_renderer(
-        executor="pool", workers=2, reduce_mode="worker"
-    )
+    renderer, camera = _sparse_renderer(executor="pool", workers=2)
     enable_tracing()
     try:
         with renderer:
@@ -474,20 +473,21 @@ def test_map_telemetry_sums_per_chunk_counters():
 
 # -- the worker's batch drain -----------------------------------------------
 def _map_msg(seq, ci):
-    return ("map", seq, ci, ci, 0, False, None, None)
+    return ("map", seq, ci, ci, 0, False, None)
 
 
 def test_drain_takes_only_consecutive_maps_of_the_same_frame():
     q = queue.Queue()
-    for msg in (_map_msg(4, 1), _map_msg(4, 2), ("reduce", 3, [0], None), _map_msg(4, 3)):
+    for msg in (_map_msg(4, 1), _map_msg(4, 2), ("reduce", 3, [0]), _map_msg(4, 3)):
         q.put(msg)
     pending = []
     batch = _drain_maps(q, _map_msg(4, 0), pending)
     assert [m[2] for m in batch] == [0, 1, 2]
-    assert pending == [("reduce", 3, [0], None)]
+    assert pending == [("reduce", 3, [0])]
     # the popped message is served before anything still queued
-    assert _next_message(q, None, pending)[0] == "reduce"
-    assert pending == [] and _next_message(q, None, pending) == _map_msg(4, 3)
+    mesh = WorkerMesh(0, 1, edge_capacity=1 << 12, write_timeout=1.0)  # no edges
+    assert _next_message(q, mesh, pending)[0] == "reduce"
+    assert pending == [] and _next_message(q, mesh, pending) == _map_msg(4, 3)
 
     q.put(_map_msg(5, 0))  # next frame's map ends the batch too
     batch = _drain_maps(q, _map_msg(4, 9), pending)
@@ -495,8 +495,7 @@ def test_drain_takes_only_consecutive_maps_of_the_same_frame():
     assert _drain_maps(queue.Queue(), _map_msg(1, 0), []) == [_map_msg(1, 0)]
 
 
-@pytest.mark.parametrize("shuffle_mode", ["mesh", "tcp"])
-def test_map_fault_inside_a_drained_batch_replays_bitwise(shuffle_mode):
+def test_map_fault_inside_a_drained_batch_replays_bitwise():
     """Frame 2's maps queue up behind frame 1 (depth 2), so worker 0
     drains them as one batch; the fault fires on a chunk in its middle."""
     vol = make_dataset("skull", (32, 32, 32))
@@ -521,8 +520,7 @@ def test_map_fault_inside_a_drained_batch_replays_bitwise(shuffle_mode):
     want = orbit()
     # worker 0 maps chunks 0, 2, 4, …, 14 of the 16: chunk 6 is mid-batch
     got = orbit(
-        executor="pool", workers=2, reduce_mode="worker",
-        shuffle_mode=shuffle_mode, pipeline_depth=2,
+        executor="pool", workers=2, pipeline_depth=2,
         fault_plan="crash@map:worker=0,frame=2,chunk=6",
     )
     for a, b in zip(want, got):

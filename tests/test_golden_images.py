@@ -222,12 +222,11 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
         assert positioned_samples(result.stats) == result.stats.n_samples
 
 
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
-def test_pool_grid_accel_matches_golden(reduce_mode):
+def test_pool_grid_accel_matches_golden():
     """The trimmed path through the pool executor (worker-built, then
-    worker-cached tables and boxes), in both reduce modes."""
+    worker-cached tables and boxes)."""
     job = build_job("skull_default_az40", accel="table")
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = run_job(pool, *job)
         # second render hits the resident arena + warm worker caches
         image2, result2 = run_job(pool, *job)
@@ -239,25 +238,16 @@ def test_pool_grid_accel_matches_golden(reduce_mode):
     assert positioned_samples(result2.stats) == positioned
 
 
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
-def test_pool_worker_reduce_matches_golden(scene, shuffle_mode):
-    """Worker-side reduce over all three shuffle planes: the
-    parent-routed transport, the direct worker↔worker mesh, and the
-    socket streams must reproduce the fixtures bitwise — the plane only
-    decides which processes the run bytes traverse, never what they
-    decode to."""
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode=shuffle_mode
-    ) as pool:
+def test_pool_worker_reduce_matches_golden(scene):
+    """Map on the workers, exchange over the direct worker↔worker mesh,
+    Sort+Reduce on the owning worker: every fixture reproduces bitwise."""
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = render_scene(scene, pool)
-        assert result.stats.ring["shuffle_mode"] == shuffle_mode
-        if shuffle_mode in ("mesh", "tcp"):
-            # The control-plane guarantee: zero run bytes crossed the
-            # parent on the way to the reducers.
-            assert result.stats.ring["parent_run_bytes"] == 0
-        if shuffle_mode == "tcp":
-            assert result.stats.ring["wire_bytes_total"] > 0
+        assert result.stats.ring["shuffle_mode"] == "mesh"
+        # The control-plane guarantee: zero run bytes crossed the
+        # parent on the way to the reducers.
+        assert result.stats.ring["parent_run_bytes"] == 0
     assert_matches_golden(scene, image, result)
 
 
@@ -286,11 +276,8 @@ import test_golden_images as g
 
 scene = "skull_default_az40"
 g.assert_matches_golden(scene, *g.render_scene(scene, g.InProcessExecutor()))
-for plane in ("mesh", "tcp"):
-    with g.SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode=plane
-    ) as pool:
-        g.assert_matches_golden(scene, *g.render_scene(scene, pool))
+with g.SharedMemoryPoolExecutor(workers=2) as pool:
+    g.assert_matches_golden(scene, *g.render_scene(scene, pool))
 """
 
 
@@ -303,8 +290,8 @@ def test_render_path_never_imports_scipy(tmp_path):
     interpreter whose import system logs and refuses every ``scipy``
     import — a guarded one too, which a bare ``sys.modules`` poison
     would let through — renders a golden scene in-process and through a
-    2-worker pool (worker reduce, mesh and tcp planes; fork-started
-    workers inherit the tripwire): bitwise images, empty log."""
+    2-worker pool (fork-started workers inherit the tripwire): bitwise
+    images, empty log."""
     log = tmp_path / "scipy_imports.log"
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_TRIPWIRE, str(log), str(Path(__file__).parent)],
@@ -314,20 +301,10 @@ def test_render_path_never_imports_scipy(tmp_path):
     assert not log.exists(), log.read_text()
 
 
-def test_pool_parent_reduce_pipelined_matches_golden():
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="parent", pipeline_depth=2
-    ) as pool:
-        image, result = render_scene("skull_default_az40", pool)
-    assert_matches_golden("skull_default_az40", image, result)
-
-
 def test_pool_mesh_pipelined_matches_golden():
-    """Depth-2 pipelining over the mesh plane: per-frame watermarks keep
+    """Depth-2 pipelining over the mesh: per-frame watermarks keep
     interleaved in-flight frames bitwise-correct."""
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh", pipeline_depth=2
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, pipeline_depth=2) as pool:
         image, result = render_scene("skull_default_az40", pool)
         image2, result2 = render_scene("skull_default_az130", pool)
     assert_matches_golden("skull_default_az40", image, result)
@@ -335,13 +312,21 @@ def test_pool_mesh_pipelined_matches_golden():
 
 
 def test_pool_serial_fallback_matches_golden():
-    pool = SharedMemoryPoolExecutor(workers=1, serial=True)
-    image, result = render_scene("skull_gray_az40", pool)
+    """The degradation ladder's floor: a pool whose every wave crashes
+    finishes the frame on the in-process executor, bitwise-golden."""
+    with SharedMemoryPoolExecutor(
+        workers=1,
+        fault_plan="crash@map:worker=0,frame=1,gen=any",
+        max_frame_retries=0,
+        retry_backoff=0.0,
+    ) as pool:
+        image, result = render_scene("skull_gray_az40", pool)
+    assert result.stats.recovery["serial_fallback"] is True
     assert_matches_golden("skull_gray_az40", image, result)
 
 
 # -- crash + in-place recovery must also be bitwise ---------------------------
-def _render_with_crash(scene, shuffle_mode, reduce_mode, pipeline_depth,
+def _render_with_crash(scene, pipeline_depth,
                        fault_plan="crash@map:worker=0,frame=1"):
     """Render ``scene`` with an injected mid-frame fault: the supervisor
     recycles the transport epoch, re-attaches the surviving arena, and
@@ -350,8 +335,6 @@ def _render_with_crash(scene, shuffle_mode, reduce_mode, pipeline_depth,
     before = set(glob.glob("/dev/shm/*"))
     with SharedMemoryPoolExecutor(
         workers=2,
-        reduce_mode=reduce_mode,
-        shuffle_mode=shuffle_mode,
         pipeline_depth=pipeline_depth,
         fault_plan=fault_plan,
         retry_backoff=0.0,
@@ -371,28 +354,13 @@ def _render_with_crash(scene, shuffle_mode, reduce_mode, pipeline_depth,
 
 def test_pool_crash_recovery_matches_golden_smoke():
     """Tier-1 canary for the slow recovery matrix below."""
-    _render_with_crash("skull_default_az40", "mesh", "worker", 1)
-
-
-def test_pool_tcp_crash_recovery_matches_golden_smoke():
-    """Socket-plane canary: a mid-frame crash drops the worker's
-    connections (peers see SocketClosed, not just a missing process),
-    and the recovered render must still be bitwise-golden."""
-    _render_with_crash("skull_default_az40", "tcp", "worker", 1)
+    _render_with_crash("skull_default_az40", 1)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shuffle_mode,reduce_mode", [
-    ("parent", "parent"), ("parent", "worker"), ("mesh", "worker"),
-    ("tcp", "worker"),
-])
 @pytest.mark.parametrize("pipeline_depth", [1, 2])
-def test_pool_crash_recovery_matrix_matches_golden(
-    shuffle_mode, reduce_mode, pipeline_depth
-):
-    _render_with_crash(
-        "skull_default_az40", shuffle_mode, reduce_mode, pipeline_depth
-    )
+def test_pool_crash_recovery_matrix_matches_golden(pipeline_depth):
+    _render_with_crash("skull_default_az40", pipeline_depth)
 
 
 @pytest.mark.slow
@@ -401,20 +369,17 @@ def test_pool_crash_recovery_matrix_matches_golden(
     "crash@reduce:worker=0,frame=1",
 ])
 def test_pool_crash_recovery_other_stages_match_golden(fault_plan):
-    _render_with_crash(
-        "skull_default_az40", "mesh", "worker", 1, fault_plan=fault_plan
-    )
+    _render_with_crash("skull_default_az40", 1, fault_plan=fault_plan)
 
 
-# -- slow: the full executor × reduce-mode × depth × workers matrix ----------
+# -- slow: the full executor × depth × workers matrix -------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize("scene", sorted(SCENES))
 @pytest.mark.parametrize("accel", ["off", "table"])
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
-def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):
+def test_pool_accel_matrix_matches_golden(scene, accel):
     """Trimmed vs accel-off through the pool, all scenes."""
     job = build_job(scene, accel=accel)
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = run_job(pool, *job)
     assert_matches_golden(scene, image, result)
     # the workers positioned exactly the samples this process positions
@@ -428,23 +393,11 @@ def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):
 @pytest.mark.slow
 @pytest.mark.parametrize("scene", sorted(SCENES))
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh"])
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 @pytest.mark.parametrize("pipeline_depth", [1, 2])
-def test_pool_matrix_matches_golden(
-    scene, workers, shuffle_mode, reduce_mode, pipeline_depth
-):
-    if shuffle_mode == "mesh" and reduce_mode == "parent":
-        pytest.skip(
-            "mesh never materializes under a parent-side reduce "
-            "(identical code path to the parent plane)"
-        )
+def test_pool_matrix_matches_golden(scene, workers, pipeline_depth):
     job = build_job(scene)
     with SharedMemoryPoolExecutor(
-        workers=workers,
-        reduce_mode=reduce_mode,
-        shuffle_mode=shuffle_mode,
-        pipeline_depth=pipeline_depth,
+        workers=workers, pipeline_depth=pipeline_depth
     ) as pool:
         # Render the *same* job twice: the volume object (and so its
         # identity token) is shared, so the second pass actually hits the

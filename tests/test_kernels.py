@@ -70,7 +70,7 @@ def test_pool_matches_serial_with_pinned_kernel_and_telemetry():
     job = build_job("skull_default_az40")
     with use_march("numpy"):
         serial_image, serial_result = run_job(InProcessExecutor(), *job)
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode="worker") as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = run_job(pool, *job)
     assert np.array_equal(image, serial_image)
     assert result.stats.as_dict() == serial_result.stats.as_dict()

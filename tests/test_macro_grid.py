@@ -638,22 +638,21 @@ def test_renderer_grid_matches_off_end_to_end():
 def test_renderer_grid_matches_off_pool_smoke():
     img_off, stats_off = _render_pair({}, "off")
     img_pool, stats_pool = _render_pair(
-        dict(executor="pool", workers=2, reduce_mode="worker"), "table"
+        dict(executor="pool", workers=2), "table"
     )
     assert np.array_equal(img_off, img_pool)
     assert stats_off == stats_pool
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_renderer_grid_matches_off_pool_matrix(reduce_mode, workers):
+def test_renderer_grid_matches_off_pool_matrix(workers):
     img_off, stats_off = _render_pair({}, "off")
     vol = make_dataset("skull", (24,) * 3)
     cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=48, height=48)
     with MapReduceVolumeRenderer(
         volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
-        accel="table", executor="pool", workers=workers, reduce_mode=reduce_mode,
+        accel="table", executor="pool", workers=workers,
     ) as r:
         first = r.render(cam, mode="exec")
         # second frame hits the workers' warm caches

@@ -289,9 +289,7 @@ def test_traced_pool_render_matches_golden_smoke():
     and the merged timeline covers every stage with one track per worker
     plus the parent."""
     enable_tracing()
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = render_scene("skull_default_az40", pool)
     tr = disable_tracing()
     assert_matches_golden("skull_default_az40", image, result)
@@ -334,7 +332,7 @@ def test_traced_pool_render_matches_golden_smoke():
 
 def test_untraced_pool_render_matches_golden_smoke():
     assert current_tracer() is None
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode="worker") as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = render_scene("skull_default_az40", pool)
     assert_matches_golden("skull_default_az40", image, result)
     assert result.stats.telemetry["schema"] == SCHEMA  # metrics stay on
@@ -342,16 +340,13 @@ def test_untraced_pool_render_matches_golden_smoke():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize(
-    "reduce_mode,shuffle_mode",
-    [("parent", "parent"), ("worker", "parent"), ("worker", "mesh")],
-)
-def test_tracer_parity_matrix(traced, reduce_mode, shuffle_mode):
-    """Tracer on/off × both shuffle planes × both reduce modes: bitwise."""
+@pytest.mark.parametrize("pipeline_depth", [1, 2])
+def test_tracer_parity_matrix(traced, pipeline_depth):
+    """Tracer on/off × pipeline depth: bitwise."""
     if traced:
         enable_tracing()
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode=reduce_mode, shuffle_mode=shuffle_mode
+        workers=2, pipeline_depth=pipeline_depth
     ) as pool:
         image, result = render_scene("skull_default_az40", pool)
     assert_matches_golden("skull_default_az40", image, result)
@@ -364,8 +359,6 @@ def test_fault_plan_trace_tags_respawned_generation():
     enable_tracing()
     with SharedMemoryPoolExecutor(
         workers=2,
-        reduce_mode="worker",
-        shuffle_mode="mesh",
         fault_plan="crash@map:worker=1,frame=1",
         retry_backoff=0.0,
     ) as pool:

@@ -36,7 +36,6 @@ from repro.parallel import (
     ShmArena,
     ShmRing,
     shm_segment_exists,
-    split_runs,
 )
 from repro.render import RenderConfig, default_tf
 
@@ -96,60 +95,36 @@ def test_pool_matches_inprocess(workers):
     run_equivalence(workers)
 
 
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pool_worker_reduce_matches_inprocess(workers, shuffle_mode):
-    # The paper's symmetric layout: Sort+Reduce on the owning worker —
-    # over every shuffle plane (parent-routed runs, the direct
-    # worker<->worker edge mesh, and the socket streams).
-    run_equivalence(workers, reduce_mode="worker", shuffle_mode=shuffle_mode)
+def test_pool_matches_with_pipeline_depth():
+    run_equivalence(2, pipeline_depth=2)
 
 
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
-def test_pool_worker_reduce_with_pipeline_depth_matches(shuffle_mode):
-    run_equivalence(
-        2, reduce_mode="worker", shuffle_mode=shuffle_mode, pipeline_depth=2
-    )
-
-
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
-def test_pool_worker_reduce_more_reducers_than_workers(shuffle_mode):
+def test_pool_more_reducers_than_workers():
     # gpus=3 -> 3 reducer partitions over 2 workers: worker 0 owns {0, 2}.
-    run_equivalence(
-        2, gpus=3, bricks_per_gpu=3, reduce_mode="worker",
-        shuffle_mode=shuffle_mode,
-    )
+    run_equivalence(2, gpus=3, bricks_per_gpu=3)
 
 
 def test_pool_mesh_more_workers_than_reducers():
     # 4 workers over 2 partitions: workers 2 and 3 own nothing, get no
     # reduce message, and receive no mesh records — but still map.
-    run_equivalence(
-        4, gpus=2, bricks_per_gpu=2, reduce_mode="worker", shuffle_mode="mesh"
-    )
+    run_equivalence(4, gpus=2, bricks_per_gpu=2)
 
 
 def test_pool_mesh_fallback_when_record_outgrows_edge():
     # Edges too small for any real run force every record through the
     # parent-queue relay; results must be unchanged and counted.
-    run_equivalence(
-        2, reduce_mode="worker", shuffle_mode="mesh", mesh_edge_capacity=64
-    )
+    run_equivalence(2, mesh_edge_capacity=64)
 
 
 def test_pool_rejects_bad_knobs():
-    with pytest.raises(ValueError, match="reduce_mode"):
+    with pytest.raises(ValueError, match="unknown reduce_mode"):
         SharedMemoryPoolExecutor(workers=1, reduce_mode="gpu")
     with pytest.raises(ValueError, match="pipeline depth"):
         SharedMemoryPoolExecutor(workers=1, pipeline_depth=0)
-    with pytest.raises(ValueError, match="shuffle_mode"):
+    with pytest.raises(ValueError, match="unknown shuffle_mode"):
         SharedMemoryPoolExecutor(workers=1, shuffle_mode="broadcast")
     with pytest.raises(ValueError, match="ring write timeout"):
         SharedMemoryPoolExecutor(workers=1, ring_write_timeout=0.0)
-
-
-def test_serial_fallback_matches_inprocess():
-    run_equivalence(1, serial=True)
 
 
 def test_pool_matches_with_placeholders_and_no_ert():
@@ -169,20 +144,16 @@ def test_pool_multi_frame_resident_arena():
         assert pool._arena_fingerprint is not None
 
 
-def test_pool_inline_fallback_when_chunk_outgrows_ring():
-    # A ring too small for any chunk's fragments forces the queue path;
-    # results must be unchanged.
-    run_equivalence(2, ring_capacity=256)
-
-
 def test_pool_counts_queue_fallbacks():
     r, cam = make_scene()
     chunks, ctg = scene_job(r, cam)
-    with SharedMemoryPoolExecutor(workers=2, ring_capacity=256) as pool:
+    with SharedMemoryPoolExecutor(workers=2, mesh_edge_capacity=64) as pool:
         got = pool.execute(r._spec(cam), chunks, ctg)
     assert got.stats.ring is not None
-    assert 1 <= got.stats.ring["queue_fallbacks"] <= len(chunks)
-    assert got.stats.ring["ring_capacity"] == 256
+    # Every non-empty record sent to the other worker outgrows a 64 B
+    # edge; records a worker owns itself never touch an edge.
+    assert 1 <= got.stats.ring["queue_fallbacks"] <= len(chunks) * r.n_gpus
+    assert got.stats.ring["ring_capacity"] == 64
 
 
 def test_pipelined_orbit_smoke_bitwise_and_walls():
@@ -200,7 +171,6 @@ def test_pipelined_orbit_smoke_bitwise_and_walls():
         render_config=r_ref.render_config,
         executor="pool",
         workers=2,
-        reduce_mode="worker",
         pipeline_depth=2,
     ) as r:
         assert r.frame_pipeline_depth == 2
@@ -239,7 +209,6 @@ def test_pipelined_out_of_core_orbit_matches_serial():
         render_config=cfg,
         executor="pool",
         workers=2,
-        reduce_mode="worker",
         pipeline_depth=2,
     ) as r:
         handles = [r.submit_frame(c, out_of_core=True) for c in cams]
@@ -258,9 +227,7 @@ def test_submit_collect_out_of_order_and_depth_cap():
     ]
     chunks, ctg = scene_job(r, cams[0])
     refs = [InProcessExecutor().execute(r._spec(c), chunks, ctg) for c in cams]
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", pipeline_depth=2
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, pipeline_depth=2) as pool:
         handles = [pool.submit(r._spec(c), chunks, ctg) for c in cams]
         # Depth 2: submitting the 3rd frame must have force-collected the 1st.
         assert handles[0].done and not handles[2].done
@@ -300,28 +267,21 @@ def test_pool_matches_inprocess_matrix(workers, gpus, bricks_per_gpu, ert_alpha)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("pipeline_depth", [1, 2, 3])
 @pytest.mark.parametrize("gpus,bricks_per_gpu", [(2, 2), (3, 3)])
-def test_pool_worker_reduce_matrix(
-    workers, pipeline_depth, gpus, bricks_per_gpu, shuffle_mode
-):
+def test_pool_pipeline_depth_matrix(workers, pipeline_depth, gpus, bricks_per_gpu):
     run_equivalence(
         workers,
         gpus=gpus,
         bricks_per_gpu=bricks_per_gpu,
-        reduce_mode="worker",
-        shuffle_mode=shuffle_mode,
         pipeline_depth=pipeline_depth,
     )
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_pipelined_orbit_matches_serial_matrix(reduce_mode, workers, shuffle_mode):
+def test_pipelined_orbit_matches_serial_matrix(workers):
     from repro.pipeline import render_rotation
 
     r_ref, _ = make_scene()
@@ -334,8 +294,6 @@ def test_pipelined_orbit_matches_serial_matrix(reduce_mode, workers, shuffle_mod
         render_config=r_ref.render_config,
         executor="pool",
         workers=workers,
-        reduce_mode=reduce_mode,
-        shuffle_mode=shuffle_mode,
         pipeline_depth=2,
     ) as r:
         rot = render_rotation(
@@ -411,9 +369,9 @@ def test_pool_propagates_worker_errors_and_resets():
     with SharedMemoryPoolExecutor(workers=1) as pool:
         with pytest.raises(RuntimeError, match="boom in worker"):
             pool.execute(spec, chunks)
-        # A failed map task may leave partial fragment runs in its
-        # worker's ring, so the pool tears itself down rather than risk
-        # serving misaligned bytes; a retry starts from a fresh pool.
+        # A failed map task may leave partial fragment records in the
+        # mesh, so the pool tears itself down rather than risk serving
+        # misaligned bytes; a retry starts from a fresh pool.
         assert not pool.running
         good = MapReduceSpec(
             mapper=ModSquareMapper(9),
@@ -464,51 +422,36 @@ def _generic_job(mapper, n_chunks=4, n_reducers=2, seed=13, n_elems=32):
 
 
 def _all_segment_names(pool) -> list:
-    """Every shared-memory segment the pool currently holds: uplink
-    rings, the arena, and — on the mesh plane — all N×N edge rings."""
-    names = [ring.name for ring in pool._state["rings"]]
-    names.append(pool._state["arena"].name)
+    """Every shared-memory segment the pool currently holds: the arena
+    and all N×N mesh edge rings."""
+    names = [pool._state["arena"].name]
     names.extend(r.name for r in pool._state.get("mesh_edges", {}).values())
     return names
 
 
-@pytest.mark.parametrize(
-    "reduce_mode,shuffle_mode",
-    [("parent", "parent"), ("worker", "parent"), ("worker", "mesh"),
-     ("worker", "tcp")],
-)
-def test_pool_worker_crash_mid_frame_teardown_and_retry(reduce_mode, shuffle_mode):
+def test_pool_worker_crash_mid_frame_teardown_and_retry():
     """Kill a worker mid-frame: the pool must tear down cleanly (no
     leaked shared-memory segments — including worker-created mesh
     edges), and a retry on the same executor must run on a fresh pool
-    with no stale ring bytes.
+    with no stale edge bytes.
 
-    ``supervise=False`` pins the *legacy* fail-fast semantics (the
-    default now recovers in place; see test_supervision.py).  The crash
-    comes from user mapper code, which supervision would faithfully
-    re-execute all the way down the degradation ladder into the parent.
+    ``supervise=False`` pins the fail-fast semantics (the default
+    recovers in place; see test_supervision.py).  The crash comes from
+    user mapper code, which supervision would faithfully re-execute all
+    the way down the degradation ladder into the parent.
     """
     good_spec, chunks = _generic_job(ModSquareMapper(9))
     crash_spec, _ = _generic_job(ExitMapper(kill_chunk=2))
     ref = InProcessExecutor().execute(good_spec, chunks, [0, 1, 0, 1])
-    pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode=reduce_mode, shuffle_mode=shuffle_mode,
-        supervise=False,
-    )
+    pool = SharedMemoryPoolExecutor(workers=2, supervise=False)
     try:
         # Warm frame: creates rings + arena whose names we can audit.
         got = pool.execute(good_spec, chunks, [0, 1, 0, 1])
         assert_results_identical(ref, got)
         names = _all_segment_names(pool)
-        if shuffle_mode == "mesh":
-            assert len(pool._state["mesh_edges"]) == 2  # 2 workers -> 2 edges
+        assert len(pool._state["mesh_edges"]) == 2  # 2 workers -> 2 edges
 
-        # On the socket plane the survivor may report the dead peer's
-        # dropped connection before the parent's liveness probe notices
-        # the corpse — either surfaces the failure.
-        with pytest.raises(
-            RuntimeError, match="died during execute|dropped connection"
-        ):
+        with pytest.raises(RuntimeError, match="died during execute"):
             pool.execute(crash_spec, chunks, [0, 1, 0, 1])
         assert not pool.running
         for name in names:
@@ -523,17 +466,15 @@ def test_pool_worker_crash_mid_frame_teardown_and_retry(reduce_mode, shuffle_mod
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
-def test_pool_crash_soak_pipelined(shuffle_mode):
+def test_pool_crash_soak_pipelined():
     """Soak: interleave pipelined frames with a mid-flight worker crash
     repeatedly; every recovery must produce bitwise-correct results and
-    release every shared-memory segment — on both shuffle planes."""
+    release every shared-memory segment."""
     good_spec, chunks = _generic_job(ModSquareMapper(9), n_chunks=6)
     crash_spec, _ = _generic_job(ExitMapper(kill_chunk=4), n_chunks=6)
     ref = InProcessExecutor().execute(good_spec, chunks)
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode=shuffle_mode,
-        pipeline_depth=2, supervise=False,  # pin legacy fail-fast teardown
+        workers=2, pipeline_depth=2, supervise=False,  # pin fail-fast teardown
     ) as pool:
         for _ in range(3):
             h1 = pool.submit(good_spec, chunks)
@@ -565,28 +506,10 @@ class BoomReducer(SumReducer):
 def test_worker_reduce_errors_name_the_reduce_stage():
     spec, chunks = _generic_job(ModSquareMapper(9))
     spec.reducer = BoomReducer()
-    with SharedMemoryPoolExecutor(workers=1, reduce_mode="worker") as pool:
+    with SharedMemoryPoolExecutor(workers=1) as pool:
         with pytest.raises(RuntimeError, match="reduce of partitions"):
             pool.execute(spec, chunks)
         assert not pool.running  # failed frames always tear the pool down
-
-
-class UnpicklableSumReducer(SumReducer):
-    """A reducer carrying a resource that cannot cross process lines."""
-
-    def __init__(self):
-        self.lock = threading.Lock()  # pickling this raises TypeError
-
-
-def test_parent_reduce_tolerates_unpicklable_reducer():
-    # Parent-mode workers never see the reducer, so it must not be
-    # pickled into the frame payload (PR-2 behavior, preserved).
-    spec, chunks = _generic_job(ModSquareMapper(9))
-    spec.reducer = UnpicklableSumReducer()
-    ref = InProcessExecutor().execute(spec, chunks)
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode="parent") as pool:
-        got = pool.execute(spec, chunks)
-    assert_results_identical(ref, got)
 
 
 def test_stale_aborted_handle_does_not_kill_restarted_pool():
@@ -665,7 +588,8 @@ def test_ring_records_roundtrip():
 
         def consume():
             for _ in range(len(arr)):
-                out.append(ring.read_records(dt.itemsize, dt, timeout=5.0))
+                raw = ring.read_bytes(dt.itemsize, timeout=5.0)
+                out.append(np.frombuffer(raw, dtype=dt))
 
         consumer = threading.Thread(target=consume)
         consumer.start()
@@ -701,7 +625,7 @@ def test_ring_validation():
         with pytest.raises(ValueError):
             ring.read_bytes(9)
         with pytest.raises(ValueError):
-            ring.read_records(6, np.dtype(np.int32))  # not whole records
+            ring.read_bytes(-1)
     with pytest.raises(ValueError):
         ShmRing.create(capacity=0)
 
@@ -739,11 +663,11 @@ def test_ring_backpressure_counters():
 
 
 def test_pool_exports_ring_backpressure_into_jobstats(monkeypatch):
-    """A tiny ring + an artificially slow parent drain must register
+    """Small mesh edges + an artificially slow edge reader must register
     producer stalls, and the exported counters must actually move —
     without changing the results."""
     rng = np.random.default_rng(11)
-    datas = [rng.integers(0, 100, 64).astype(np.int64) for _ in range(6)]
+    datas = [rng.integers(0, 100, 128).astype(np.int64) for _ in range(8)]
     chunks = [
         Chunk(id=i, nbytes=d.nbytes, data=d) for i, d in enumerate(datas)
     ]
@@ -756,30 +680,34 @@ def test_pool_exports_ring_backpressure_into_jobstats(monkeypatch):
     )
     ref = InProcessExecutor().execute(spec, chunks)
 
-    # Slow the *parent's* ring drain only (workers are separate
-    # processes, unaffected by this patch): the single worker races
-    # ahead and must block on its full ring, deterministically.
-    real_read = ShmRing.read_records
+    # Slow every edge read.  The pool forks its workers after this
+    # patch, so the readers inherit it: each record a peer sends waits
+    # for a sleeping consumer, and the writer must block on its full
+    # edge.
+    real_read = ShmRing.read_bytes
 
-    def slow_read(self, nbytes, dtype, timeout=30.0):
-        time.sleep(0.03)
-        return real_read(self, nbytes, dtype, timeout)
+    def slow_read(self, n, timeout=30.0):
+        time.sleep(0.01)
+        return real_read(self, n, timeout)
 
-    monkeypatch.setattr(ShmRing, "read_records", slow_read)
-    # Capacity fits one chunk's runs (~64 * 8 B) but not two.
-    with SharedMemoryPoolExecutor(workers=1, ring_capacity=600) as pool:
+    monkeypatch.setattr(ShmRing, "read_bytes", slow_read)
+    # Every kept key is even, so partition 0 (worker 0's) gets every
+    # pair: worker 1 sends each of its chunks as one record of a 32 B
+    # header plus ~64 pairs of 8 B, and an 800 B edge holds only one.
+    with SharedMemoryPoolExecutor(workers=2, mesh_edge_capacity=800) as pool:
         got = pool.execute(spec, chunks)
     assert_results_identical(ref, got)
     ring_stats = got.stats.ring
     assert ring_stats is not None
     assert ring_stats["stall_events"] >= 1
     assert ring_stats["stall_seconds"] > 0.0
-    assert 0 < ring_stats["high_water_bytes"] <= 600
+    assert 0 < ring_stats["high_water_bytes"] <= 800
     assert ring_stats["queue_fallbacks"] == 0
-    assert [w["worker"] for w in ring_stats["per_worker"]] == [0]
-    assert (
-        ring_stats["per_worker"][0]["stall_events"]
-        == ring_stats["stall_events"]
+    assert [(e["src"], e["dst"]) for e in ring_stats["per_edge"]] == [
+        (0, 1), (1, 0)
+    ]
+    assert sum(e["stall_events"] for e in ring_stats["per_edge"]) == (
+        ring_stats["stall_events"]
     )
 
 
@@ -821,32 +749,16 @@ def test_arena_rejects_empty():
         ShmArena({})
 
 
-@pytest.mark.parametrize(
-    "pool_kwargs",
-    [dict(), dict(reduce_mode="worker", shuffle_mode="mesh"),
-     dict(reduce_mode="worker", shuffle_mode="tcp")],
-    ids=["parent", "mesh", "tcp"],
-)
-def test_pool_releases_all_segments_on_close(pool_kwargs):
+def test_pool_releases_all_segments_on_close():
     r, cam = make_scene()
     chunks, ctg = scene_job(r, cam)
-    pool = SharedMemoryPoolExecutor(workers=2, **pool_kwargs)
+    pool = SharedMemoryPoolExecutor(workers=2)
     pool.execute(r._spec(cam), chunks, ctg)
     names = _all_segment_names(pool)
     pool.close()
     for name in names:
         assert not shm_segment_exists(name), f"leaked segment {name}"
     pool.close()  # idempotent
-
-
-# -- merge helpers -----------------------------------------------------------
-def test_split_runs_checks_counters():
-    dt = np.dtype([("pixel", np.int32), ("v", np.float32)])
-    pairs = np.zeros(5, dtype=dt)
-    runs = split_runs(pairs, [2, 0, 3])
-    assert [len(x) for x in runs] == [2, 0, 3]
-    with pytest.raises(ValueError):
-        split_runs(pairs, [2, 2])
 
 
 def test_camera_pickle_excludes_ray_grid_cache():
@@ -868,6 +780,6 @@ def test_camera_pickle_excludes_ray_grid_cache():
 # -- executor config hygiene (shared-default fix) ----------------------------
 def test_executor_configs_are_per_instance():
     assert InProcessExecutor().config is not InProcessExecutor().config
-    p1 = SharedMemoryPoolExecutor(workers=1, serial=True)
-    p2 = SharedMemoryPoolExecutor(workers=1, serial=True)
+    p1 = SharedMemoryPoolExecutor(workers=1)  # no process until a frame
+    p2 = SharedMemoryPoolExecutor(workers=1)
     assert p1.config is not p2.config

@@ -1,15 +1,17 @@
-"""Tests for the pluggable shuffle plane (`repro.parallel.shuffle`).
+"""Tests for the shuffle mesh (`repro.parallel.shuffle`).
 
-The executor-parity and golden suites already pin that both planes are
-bitwise-indistinguishable; this layer tests the plane machinery itself:
-the ShuffleSpec ownership/routing contract, the mesh record protocol
-and per-frame watermarks, transport configuration (PoolConfig + env
-overrides), the control-plane guarantee (zero run bytes through the
-parent), NUMA pinning, and the mesh failure modes — a reducer-owner
-dying mid-shuffle and a wedged edge — which must tear the pool down
-with zero leaked shared-memory segments and allow a bitwise retry.
+The executor-parity and golden suites already pin that the pool is
+bitwise-indistinguishable from the in-process executor; this layer
+tests the mesh machinery itself: the ShuffleSpec ownership/routing
+contract, the mesh record protocol and per-frame watermarks, transport
+configuration (PoolConfig + env overrides, the removed mode values),
+the control-plane guarantee (zero run bytes through the parent), NUMA
+pinning, and the mesh failure modes — a reducer-owner dying
+mid-shuffle and a wedged edge — which must tear the pool down with
+zero leaked shared-memory segments and allow a bitwise retry.
 """
 
+import dataclasses
 import os
 import time
 
@@ -20,7 +22,6 @@ from repro.core import InProcessExecutor, ShuffleSpec
 from repro.parallel import (
     DEFAULT_RING_WRITE_TIMEOUT,
     ENV_RING_WRITE_TIMEOUT,
-    ENV_SHUFFLE_MODE,
     PoolConfig,
     SharedMemoryPoolExecutor,
     WorkerMesh,
@@ -91,22 +92,8 @@ def test_map_chunks_to_runs_run_layout():
 # -- transport configuration -------------------------------------------------
 def test_pool_config_env_overrides(monkeypatch):
     monkeypatch.delenv(ENV_RING_WRITE_TIMEOUT, raising=False)
-    monkeypatch.delenv(ENV_SHUFFLE_MODE, raising=False)
     cfg = PoolConfig()
     assert cfg.resolved_ring_write_timeout() == DEFAULT_RING_WRITE_TIMEOUT
-    # Auto picks the plane that matches the reduce placement...
-    assert cfg.resolved_shuffle_mode("worker") == "mesh"
-    assert cfg.resolved_shuffle_mode("parent") == "parent"
-    # ...unless the environment pins it (the CI slow matrix does this).
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "parent")
-    assert cfg.resolved_shuffle_mode("worker") == "parent"
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "mesh")
-    assert cfg.resolved_shuffle_mode("parent") == "mesh"
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "bogus")
-    with pytest.raises(ValueError, match="REPRO_SHUFFLE_MODE"):
-        cfg.resolved_shuffle_mode("worker")
-    # Explicit modes beat the environment.
-    assert PoolConfig(shuffle_mode="parent").resolved_shuffle_mode("worker") == "parent"
     # Timeout: explicit > env > default; soak tests use the env knob.
     monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "7.5")
     assert cfg.resolved_ring_write_timeout() == 7.5
@@ -122,37 +109,26 @@ def test_pool_config_env_overrides(monkeypatch):
 
 
 def test_pool_config_edge_capacity_and_validation():
-    assert PoolConfig(ring_capacity=8 << 20).resolved_edge_capacity(4) == 2 << 20
-    assert PoolConfig(ring_capacity=1024).resolved_edge_capacity(4) == 1 << 16
+    # The default splits 8 MiB over the workers, floor 64 KiB: the
+    # benchmark's 2-worker pool runs 4 MiB edges.
+    assert PoolConfig().resolved_edge_capacity(2) == 4 << 20
+    assert PoolConfig().resolved_edge_capacity(4) == 2 << 20
+    assert PoolConfig().resolved_edge_capacity(256) == 1 << 16
     assert PoolConfig(mesh_edge_capacity=4096).resolved_edge_capacity(4) == 4096
     with pytest.raises(ValueError):
-        PoolConfig(shuffle_mode="ring")
-    with pytest.raises(ValueError):
-        PoolConfig(ring_capacity=0)
-    with pytest.raises(ValueError):
         PoolConfig(mesh_edge_capacity=MESH_HEADER_NBYTES)
+    assert len(dataclasses.fields(PoolConfig)) == 8
 
 
 def test_executor_resolves_transport_at_construction(monkeypatch):
-    monkeypatch.delenv(ENV_SHUFFLE_MODE, raising=False)
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
-    assert ex.shuffle_mode == "mesh" and ex.mesh_active
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="parent")
-    assert ex.shuffle_mode == "parent" and not ex.mesh_active
-    # mesh requested with a parent-side reduce: every run's destination
-    # IS the parent, so the mesh never materializes — and every
-    # user-facing surface reports the plane that actually ran.
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="parent",
-                                  shuffle_mode="mesh")
-    assert ex.shuffle_mode == "mesh" and not ex.mesh_active
-    assert ex.effective_shuffle_mode == "parent"
-    assert SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    ).effective_shuffle_mode == "mesh"
-    # env steering of "auto" is captured once, at construction
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "parent")
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
-    assert ex.shuffle_mode == "parent" and not ex.mesh_active
+    # The values the benchmark harness still passes are accepted, and
+    # every one of them runs the mesh.
+    for kwargs in (dict(), dict(reduce_mode="worker", shuffle_mode="auto"),
+                   dict(shuffle_mode="mesh")):
+        ex = SharedMemoryPoolExecutor(workers=2, **kwargs)
+        assert ex.effective_shuffle_mode == "mesh"
+        assert ex.mesh_edge_capacity == 4 << 20
+    # env knobs are captured once, at construction
     monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "9")
     ex = SharedMemoryPoolExecutor(workers=1)
     assert ex.ring_write_timeout == 9.0
@@ -160,33 +136,61 @@ def test_executor_resolves_transport_at_construction(monkeypatch):
 
 def test_mesh_fd_headroom_guard(monkeypatch):
     """On hosts where the parent's O(N²) edge attachments would blow the
-    fd soft limit, an implicit (auto) mesh degrades to the parent plane
-    with a warning; an explicit mesh request fails fast with guidance
-    instead of EMFILE mid-handshake."""
+    fd soft limit, the pool fails fast at construction with guidance
+    instead of EMFILE mid-handshake — there is no other plane to fall
+    back to."""
+    import resource
+
     from repro.parallel.shuffle import mesh_fd_headroom
 
     fits, needed, _ = mesh_fd_headroom(2)
     assert needed == 2 * 1 + 4 * 2 + 64
-    import repro.parallel.pool as pool_mod
-
-    monkeypatch.setattr(
-        pool_mod, "mesh_fd_headroom", lambda w: (False, 9999, 128)
-    )
-    monkeypatch.delenv(ENV_SHUFFLE_MODE, raising=False)
-    with pytest.warns(RuntimeWarning, match="RLIMIT_NOFILE"):
-        ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
-    assert ex.effective_shuffle_mode == "parent" and not ex.mesh_active
+    # A soft limit of 140 leaves 70 for the pool: one worker needs 68,
+    # two need 74.
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (140, 4096))
+    assert mesh_fd_headroom(2) == (False, 74, 140)
+    assert mesh_fd_headroom(1) == (True, 68, 140)
     with pytest.raises(ValueError, match="RLIMIT_NOFILE"):
-        SharedMemoryPoolExecutor(
-            workers=2, reduce_mode="worker", shuffle_mode="mesh"
-        )
+        SharedMemoryPoolExecutor(workers=2)
+    SharedMemoryPoolExecutor(workers=1)
 
 
 def test_renderer_rejects_bad_shuffle_mode():
     from repro import MapReduceVolumeRenderer
 
-    with pytest.raises(ValueError, match="shuffle_mode"):
+    with pytest.raises(ValueError, match="unknown shuffle_mode"):
         MapReduceVolumeRenderer(volume_shape=(8, 8, 8), shuffle_mode="ring")
+
+
+REMOVED_MODES = [
+    ("reduce_mode", "parent"),
+    ("shuffle_mode", "parent"),
+    ("shuffle_mode", "tcp"),
+]
+
+
+@pytest.mark.parametrize("name,value", REMOVED_MODES)
+def test_removed_modes_raise_at_every_surface(name, value):
+    """Every removed mode value raises ``ValueError`` naming the removal,
+    at the pool kwarg, the renderer kwarg and the CLI; the CLI no
+    longer has a ``--shuffle-mode`` flag at all."""
+    from repro import MapReduceVolumeRenderer
+    from repro.cli import build_parser, main
+
+    match = f"{name}={value!r} was removed"
+    with pytest.raises(ValueError, match=match):
+        SharedMemoryPoolExecutor(workers=2, **{name: value})
+    with pytest.raises(ValueError, match=match):
+        MapReduceVolumeRenderer(
+            volume_shape=(8, 8, 8), executor="pool", **{name: value}
+        )
+    if name == "reduce_mode":
+        with pytest.raises(ValueError, match=match):
+            main(["render", "--size", "8", "--image", "8",
+                  "--executor", "pool", "--reduce-mode", value])
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["render", "--shuffle-mode", value])
 
 
 # -- the mesh record protocol (single-process loopback) ----------------------
@@ -354,16 +358,12 @@ def assert_outputs_identical(a, b):
 
 
 def test_mesh_zero_run_bytes_through_parent_and_stats_schema():
-    """The acceptance-criteria counter: with worker-side reduce on the
-    mesh plane, the parent touches zero run bytes; the same job on the
-    parent plane routes every byte through it."""
+    """The acceptance-criteria counter: on the mesh the parent touches
+    zero run bytes."""
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
-    total_run_bytes = int(ref.pairs_per_reducer.sum()) * KV.itemsize
 
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         got = pool.execute(spec, chunks)
     assert_outputs_identical(ref, got)
     ring = got.stats.ring
@@ -376,22 +376,12 @@ def test_mesh_zero_run_bytes_through_parent_and_stats_schema():
         <= set(ring["per_edge"][0])
     assert len(ring["per_edge"]) == 2  # N*(N-1) directed edges, N=2
 
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="parent"
-    ) as pool:
-        got = pool.execute(spec, chunks)
-    assert_outputs_identical(ref, got)
-    ring = got.stats.ring
-    assert ring["shuffle_mode"] == "parent"
-    assert ring["parent_run_bytes"] == total_run_bytes
-
 
 def test_mesh_fallback_counts_and_parent_bytes():
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh",
-        mesh_edge_capacity=64,  # no real run fits: all relayed
+        workers=2, mesh_edge_capacity=64,  # no real run fits: all relayed
     ) as pool:
         got = pool.execute(spec, chunks)
     assert_outputs_identical(ref, got)
@@ -411,14 +401,12 @@ def test_mesh_kill_reducer_owner_mid_shuffle():
     placement = [0, 1, 0, 1]
     ref = InProcessExecutor().execute(good_spec, chunks, placement)
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh",
-        supervise=False,  # pin legacy fail-fast teardown semantics
+        workers=2, supervise=False,  # pin fail-fast teardown semantics
     )
     try:
         got = pool.execute(good_spec, chunks, placement)
         assert_outputs_identical(ref, got)
-        names = [r.name for r in pool._state["rings"]]
-        names += [r.name for r in pool._state["mesh_edges"].values()]
+        names = [r.name for r in pool._state["mesh_edges"].values()]
         names.append(pool._state["arena"].name)
 
         with pytest.raises(RuntimeError, match="died during execute"):
@@ -449,9 +437,8 @@ def test_mesh_wedged_edge_times_out_and_tears_down():
     )
     placement = [1] + [0] * 11
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh",
-        mesh_edge_capacity=4096, ring_write_timeout=0.25,
-        supervise=False,  # pin legacy fail-fast teardown semantics
+        workers=2, mesh_edge_capacity=4096, ring_write_timeout=0.25,
+        supervise=False,  # pin fail-fast teardown semantics
     )
     try:
         t0 = time.monotonic()
@@ -495,8 +482,7 @@ def test_cleanup_sweeps_edge_names_even_without_handshake():
 def test_mesh_edge_names_are_deterministic_and_swept_on_close():
     spec, chunks = _job(ModSquareMapper(9))
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    )
+        workers=2)
     try:
         pool.execute(spec, chunks)
         names = list(pool._state["mesh_edge_names"])
@@ -530,9 +516,7 @@ def test_pin_workers_pins_when_possible():
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
     # workers == 1 <= cores: pinning engages, results unchanged.
-    with SharedMemoryPoolExecutor(
-        workers=1, pin_workers=True, reduce_mode="worker", shuffle_mode="mesh"
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=1, pin_workers=True) as pool:
         assert pool._worker_pins() == [sorted(os.sched_getaffinity(0))[0]]
         got = pool.execute(spec, chunks)
     assert_outputs_identical(ref, got)

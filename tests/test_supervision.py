@@ -5,9 +5,9 @@ The contract under test: with ``supervise=True`` (the default) an
 transport — is recovered **in place** (transport epoch recycled, arena
 re-attached, in-flight frames re-executed) and the recovered result is
 **bitwise-identical** to a failure-free run; when retries are
-exhausted the pool degrades (fewer workers, then the serial executor)
-rather than erroring.  User-code exceptions keep the legacy fail-fast
-semantics.  Faults are injected deterministically via
+exhausted the pool degrades (fewer workers, then the in-process
+executor) rather than erroring.  User-code exceptions keep the
+fail-fast semantics.  Faults are injected deterministically via
 :mod:`repro.parallel.faults` plans, never by ad-hoc monkeypatching.
 """
 
@@ -38,7 +38,6 @@ from repro.parallel import (
 )
 from repro.parallel.faults import CRASH_EXIT_CODE, resolve_fault_plan
 from repro.parallel.ring import RingTimeout
-from repro.parallel.socketplane import SocketClosed
 from repro.parallel.supervise import (
     classify_failure,
     dead_workers,
@@ -57,14 +56,11 @@ def _shm_listing():
     return set(glob.glob("/dev/shm/*"))
 
 
-def _pool(fault_plan=None, shuffle_mode="parent", reduce_mode="parent",
-          workers=2, depth=1, retries=2, **cfg):
+def _pool(fault_plan=None, workers=2, depth=1, retries=2, **cfg):
     return SharedMemoryPoolExecutor(
         workers=workers,
-        reduce_mode=reduce_mode,
         pipeline_depth=depth,
         pool_config=PoolConfig(
-            shuffle_mode=shuffle_mode,
             retry_backoff=0.0,
             max_frame_retries=retries,
             fault_plan=fault_plan,
@@ -221,11 +217,8 @@ def test_classify_failure_recoverable_vs_fatal():
     assert classify_failure(pf) is pf
     wedged = classify_failure(RingTimeout("edge full"))
     assert wedged is not None and wedged.kind == "wedged"
-    dropped = classify_failure(SocketClosed("peer 1 reset"))
-    assert dropped is not None and dropped.kind == "conn-drop"
-    assert dropped.stage == "shuffle-out"
     assert classify_failure(ValueError("user bug")) is None
-    assert classify_failure(ConnectionError("not a shuffle socket")) is None
+    assert classify_failure(ConnectionError("no shuffle socket")) is None
     assert classify_failure(KeyboardInterrupt()) is None
 
 
@@ -235,12 +228,8 @@ def test_worker_error_to_exception_mapping():
     assert exc.kind == "wedged" and exc.stage == "shuffle-out"
     exc = worker_error_to_exception(0, "reduce frame 2", "tb", "RingTimeout")
     assert isinstance(exc, PoolFailure) and exc.stage == "shuffle-in"
-    exc = worker_error_to_exception(1, "map chunk 3", "tb", "SocketClosed")
-    assert isinstance(exc, PoolFailure)
-    assert exc.kind == "conn-drop" and exc.stage == "shuffle-out"
+    exc = worker_error_to_exception(1, "map chunk 3", "tb", "RingTimeout")
     assert exc.workers == [1]
-    exc = worker_error_to_exception(0, "reduce frame 2", "tb", "SocketClosed")
-    assert isinstance(exc, PoolFailure) and exc.stage == "shuffle-in"
     exc = worker_error_to_exception(0, "map chunk 0", "tb", "ValueError")
     assert isinstance(exc, RuntimeError)
     assert not isinstance(exc, PoolFailure)
@@ -276,27 +265,20 @@ def test_supervisor_event_history_is_bounded():
 
 # -- in-place recovery -------------------------------------------------------
 RECOVERY_CASES = [
-    # (plan, shuffle_mode, reduce_mode)
-    ("crash@map:worker=0,frame=1", "parent", "parent"),
-    ("crash@map:worker=1,frame=1", "mesh", "worker"),
-    ("exit(9)@shuffle-out:worker=1,frame=1", "parent", "parent"),
-    ("exit(9)@shuffle-out:worker=0,frame=1", "mesh", "worker"),
-    ("crash@reduce:worker=0,frame=1", "mesh", "worker"),
-    # Socket plane: a crash mid-map drops the worker's connections too,
-    # so recovery must survive the peers' SocketClosed reports racing
-    # the death detection.
-    ("crash@map:worker=1,frame=1", "tcp", "worker"),
-    ("exit(9)@shuffle-out:worker=0,frame=1", "tcp", "worker"),
-    ("crash@reduce:worker=0,frame=1", "tcp", "worker"),
+    "crash@map:worker=0,frame=1",
+    "crash@map:worker=1,frame=1",
+    "exit(9)@shuffle-out:worker=0,frame=1",
+    "exit(9)@shuffle-out:worker=1,frame=1",
+    "crash@reduce:worker=0,frame=1",
 ]
 
 
-@pytest.mark.parametrize("plan,shuffle_mode,reduce_mode", RECOVERY_CASES)
-def test_recovers_in_place_bitwise_identical(plan, shuffle_mode, reduce_mode):
+@pytest.mark.parametrize("plan", RECOVERY_CASES)
+def test_recovers_in_place_bitwise_identical(plan):
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool(plan, shuffle_mode, reduce_mode) as pool:
+    with _pool(plan) as pool:
         result = pool.execute(spec, chunks)
         snap = pool._supervisor.snapshot()
     assert_results_identical(result, ref)
@@ -324,7 +306,7 @@ def test_respawn_latency_covers_the_replayed_maps():
     spec, chunks = _generic_job(SlowMapper(7))
     enable_tracing()
     try:
-        with _pool("crash@map:worker=0,frame=1", "mesh", "worker") as pool:
+        with _pool("crash@map:worker=0,frame=1") as pool:
             pool.execute(spec, chunks)
             snap = pool._supervisor.snapshot()
     finally:
@@ -355,8 +337,7 @@ def test_recovers_with_pipelined_frames_in_flight():
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("crash@map:worker=0,frame=2", "mesh", "worker",
-               depth=2) as pool:
+    with _pool("crash@map:worker=0,frame=2", depth=2) as pool:
         frames = [pool.submit(spec, chunks) for _ in range(3)]
         results = [pool.collect(f) for f in frames]
         snap = pool._supervisor.snapshot()
@@ -400,7 +381,7 @@ def test_wedged_stalled_worker_recovers():
                                 n_elems=512)
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("stall(30)@map:worker=0,frame=1", "mesh", "worker",
+    with _pool("stall(30)@map:worker=0,frame=1",
                mesh_edge_capacity=3072, ring_write_timeout=1.0) as pool:
         t0 = time.monotonic()
         result = pool.execute(spec, chunks)
@@ -416,10 +397,41 @@ def test_wedged_stalled_worker_recovers():
 def test_user_code_errors_stay_fatal_under_supervision():
     spec, chunks = _generic_job(ModSquareMapper(7))
     spec.reducer = BoomReducer()
-    with _pool(reduce_mode="worker", shuffle_mode="mesh") as pool:
+    with _pool() as pool:
         with pytest.raises(RuntimeError, match="task failure"):
             pool.execute(spec, chunks)
         assert not pool._supervisor.active
+
+
+def test_worker_death_reaches_the_supervisor_at_once():
+    """A worker SIGKILLed while the parent blocks in ``collect`` is
+    noticed the moment it dies: the parent waits on the result queue and
+    every worker's process sentinel together, not on a 1 s queue poll."""
+    spec, chunks = _generic_job(ModSquareMapper(7))
+    ref = InProcessExecutor().execute(spec, chunks)
+    before = _shm_listing()
+    # Worker 1 sleeps in its first map, so the parent is parked in
+    # collect with nothing to read when the kill lands.
+    with _pool("stall(5)@map:worker=1,frame=1") as pool:
+        handle = pool.submit(spec, chunks)
+        victim = pool._state["procs"][1]
+        killed = []
+
+        def kill():
+            time.sleep(0.3)
+            killed.append(time.time())
+            os.kill(victim.pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill)
+        killer.start()
+        result = pool.collect(handle)
+        killer.join()
+        (failure,) = [e for e in pool._supervisor.events
+                      if e["event"] == "failure"]
+    assert_results_identical(result, ref)
+    assert failure["kind"] == "worker-death"
+    assert failure["t"] - killed[0] < 0.5
+    assert _shm_listing() - before == set()
 
 
 def test_supervise_false_keeps_legacy_fail_fast():
@@ -435,21 +447,17 @@ def test_supervise_false_keeps_legacy_fail_fast():
 
 
 # -- degradation ladder ------------------------------------------------------
-@pytest.mark.parametrize("shuffle_mode,reduce_mode", [
-    ("parent", "parent"),
-    pytest.param("mesh", "worker", marks=pytest.mark.slow),
-])
-def test_persistent_fault_degrades_to_serial(shuffle_mode, reduce_mode):
+def test_persistent_fault_degrades_to_serial():
     """gen=any makes every respawned wave re-crash: the ladder must
-    shrink 2 -> 1, then finish on the serial executor — never error."""
+    shrink 2 -> 1, then finish on the in-process executor — never
+    error."""
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("crash@map:worker=0,frame=1,gen=any", shuffle_mode,
-               reduce_mode, retries=1) as pool:
+    with _pool("crash@map:worker=0,frame=1,gen=any", retries=1) as pool:
         result = pool.execute(spec, chunks)
         snap = pool._supervisor.snapshot()
-        # The pool is pinned to the serial floor for later frames too.
+        # The pool is pinned to the in-process floor for later frames too.
         again = pool.execute(spec, chunks)
     assert_results_identical(result, ref)
     assert_results_identical(again, ref)
@@ -506,7 +514,7 @@ def test_close_is_idempotent_and_concurrent_safe():
 def test_sigterm_worker_exits_cleanly_and_recovery_continues():
     """An external SIGTERM looks like any other death to the watchdog;
     the worker's handler converts it to SystemExit so its finally-block
-    teardown (arena detach, ring close) runs before the exit."""
+    teardown (arena detach, edge close) runs before the exit."""
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
