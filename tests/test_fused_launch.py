@@ -495,7 +495,8 @@ def test_drain_takes_only_consecutive_maps_of_the_same_frame():
     assert _drain_maps(queue.Queue(), _map_msg(1, 0), []) == [_map_msg(1, 0)]
 
 
-def test_map_fault_inside_a_drained_batch_replays_bitwise():
+@pytest.mark.parametrize("shuffle_mode", ["mesh"])
+def test_map_fault_inside_a_drained_batch_replays_bitwise(shuffle_mode):
     """Frame 2's maps queue up behind frame 1 (depth 2), so worker 0
     drains them as one batch; the fault fires on a chunk in its middle."""
     vol = make_dataset("skull", (32, 32, 32))
@@ -520,7 +521,8 @@ def test_map_fault_inside_a_drained_batch_replays_bitwise():
     want = orbit()
     # worker 0 maps chunks 0, 2, 4, …, 14 of the 16: chunk 6 is mid-batch
     got = orbit(
-        executor="pool", workers=2, pipeline_depth=2,
+        executor="pool", workers=2, reduce_mode="worker",
+        shuffle_mode=shuffle_mode, pipeline_depth=2,
         fault_plan="crash@map:worker=0,frame=2,chunk=6",
     )
     for a, b in zip(want, got):

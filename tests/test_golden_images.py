@@ -222,11 +222,13 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
         assert positioned_samples(result.stats) == result.stats.n_samples
 
 
-def test_pool_grid_accel_matches_golden():
+# The one reduce placement, spelled out as the benchmark harness passes it.
+@pytest.mark.parametrize("reduce_mode", ["worker"])
+def test_pool_grid_accel_matches_golden(reduce_mode):
     """The trimmed path through the pool executor (worker-built, then
     worker-cached tables and boxes)."""
     job = build_job("skull_default_az40", accel="table")
-    with SharedMemoryPoolExecutor(workers=2) as pool:
+    with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
         image, result = run_job(pool, *job)
         # second render hits the resident arena + warm worker caches
         image2, result2 = run_job(pool, *job)
@@ -238,13 +240,18 @@ def test_pool_grid_accel_matches_golden():
     assert positioned_samples(result2.stats) == positioned
 
 
+# The one plane, named explicitly; the default ``auto`` resolves to it in
+# every other pool test here.
+@pytest.mark.parametrize("shuffle_mode", ["mesh"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
-def test_pool_worker_reduce_matches_golden(scene):
+def test_pool_worker_reduce_matches_golden(scene, shuffle_mode):
     """Map on the workers, exchange over the direct worker↔worker mesh,
     Sort+Reduce on the owning worker: every fixture reproduces bitwise."""
-    with SharedMemoryPoolExecutor(workers=2) as pool:
+    with SharedMemoryPoolExecutor(
+        workers=2, reduce_mode="worker", shuffle_mode=shuffle_mode
+    ) as pool:
         image, result = render_scene(scene, pool)
-        assert result.stats.ring["shuffle_mode"] == "mesh"
+        assert result.stats.ring["shuffle_mode"] == shuffle_mode
         # The control-plane guarantee: zero run bytes crossed the
         # parent on the way to the reducers.
         assert result.stats.ring["parent_run_bytes"] == 0

@@ -95,13 +95,28 @@ def test_pool_matches_inprocess(workers):
     run_equivalence(workers)
 
 
-def test_pool_matches_with_pipeline_depth():
-    run_equivalence(2, pipeline_depth=2)
+# The kwargs the benchmark harness passes, spelled out: worker reduce over
+# the explicitly named mesh must give the same bits as the defaults above.
+@pytest.mark.parametrize("shuffle_mode", ["mesh"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_worker_reduce_matches_inprocess(workers, shuffle_mode):
+    run_equivalence(workers, reduce_mode="worker", shuffle_mode=shuffle_mode)
 
 
-def test_pool_more_reducers_than_workers():
+@pytest.mark.parametrize("shuffle_mode", ["mesh"])
+def test_pool_worker_reduce_with_pipeline_depth_matches(shuffle_mode):
+    run_equivalence(
+        2, reduce_mode="worker", shuffle_mode=shuffle_mode, pipeline_depth=2
+    )
+
+
+@pytest.mark.parametrize("shuffle_mode", ["mesh"])
+def test_pool_worker_reduce_more_reducers_than_workers(shuffle_mode):
     # gpus=3 -> 3 reducer partitions over 2 workers: worker 0 owns {0, 2}.
-    run_equivalence(2, gpus=3, bricks_per_gpu=3)
+    run_equivalence(
+        2, gpus=3, bricks_per_gpu=3, reduce_mode="worker",
+        shuffle_mode=shuffle_mode,
+    )
 
 
 def test_pool_mesh_more_workers_than_reducers():
@@ -429,7 +444,8 @@ def _all_segment_names(pool) -> list:
     return names
 
 
-def test_pool_worker_crash_mid_frame_teardown_and_retry():
+@pytest.mark.parametrize("reduce_mode,shuffle_mode", [("worker", "mesh")])
+def test_pool_worker_crash_mid_frame_teardown_and_retry(reduce_mode, shuffle_mode):
     """Kill a worker mid-frame: the pool must tear down cleanly (no
     leaked shared-memory segments — including worker-created mesh
     edges), and a retry on the same executor must run on a fresh pool
@@ -443,7 +459,10 @@ def test_pool_worker_crash_mid_frame_teardown_and_retry():
     good_spec, chunks = _generic_job(ModSquareMapper(9))
     crash_spec, _ = _generic_job(ExitMapper(kill_chunk=2))
     ref = InProcessExecutor().execute(good_spec, chunks, [0, 1, 0, 1])
-    pool = SharedMemoryPoolExecutor(workers=2, supervise=False)
+    pool = SharedMemoryPoolExecutor(
+        workers=2, reduce_mode=reduce_mode, shuffle_mode=shuffle_mode,
+        supervise=False,
+    )
     try:
         # Warm frame: creates rings + arena whose names we can audit.
         got = pool.execute(good_spec, chunks, [0, 1, 0, 1])
@@ -749,10 +768,14 @@ def test_arena_rejects_empty():
         ShmArena({})
 
 
-def test_pool_releases_all_segments_on_close():
+@pytest.mark.parametrize(
+    "pool_kwargs", [dict(reduce_mode="worker", shuffle_mode="mesh")],
+    ids=["mesh"],
+)
+def test_pool_releases_all_segments_on_close(pool_kwargs):
     r, cam = make_scene()
     chunks, ctg = scene_job(r, cam)
-    pool = SharedMemoryPoolExecutor(workers=2)
+    pool = SharedMemoryPoolExecutor(workers=2, **pool_kwargs)
     pool.execute(r._spec(cam), chunks, ctg)
     names = _all_segment_names(pool)
     pool.close()

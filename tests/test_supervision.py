@@ -56,9 +56,12 @@ def _shm_listing():
     return set(glob.glob("/dev/shm/*"))
 
 
-def _pool(fault_plan=None, workers=2, depth=1, retries=2, **cfg):
+def _pool(fault_plan=None, workers=2, depth=1, retries=2,
+          shuffle_mode="auto", reduce_mode="worker", **cfg):
     return SharedMemoryPoolExecutor(
         workers=workers,
+        reduce_mode=reduce_mode,
+        shuffle_mode=shuffle_mode,
         pipeline_depth=depth,
         pool_config=PoolConfig(
             retry_backoff=0.0,
@@ -265,20 +268,21 @@ def test_supervisor_event_history_is_bounded():
 
 # -- in-place recovery -------------------------------------------------------
 RECOVERY_CASES = [
-    "crash@map:worker=0,frame=1",
-    "crash@map:worker=1,frame=1",
-    "exit(9)@shuffle-out:worker=0,frame=1",
-    "exit(9)@shuffle-out:worker=1,frame=1",
-    "crash@reduce:worker=0,frame=1",
+    # (plan, shuffle_mode, reduce_mode): both accepted plane spellings
+    ("crash@map:worker=0,frame=1", "auto", "worker"),
+    ("crash@map:worker=1,frame=1", "mesh", "worker"),
+    ("exit(9)@shuffle-out:worker=1,frame=1", "auto", "worker"),
+    ("exit(9)@shuffle-out:worker=0,frame=1", "mesh", "worker"),
+    ("crash@reduce:worker=0,frame=1", "mesh", "worker"),
 ]
 
 
-@pytest.mark.parametrize("plan", RECOVERY_CASES)
-def test_recovers_in_place_bitwise_identical(plan):
+@pytest.mark.parametrize("plan,shuffle_mode,reduce_mode", RECOVERY_CASES)
+def test_recovers_in_place_bitwise_identical(plan, shuffle_mode, reduce_mode):
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool(plan) as pool:
+    with _pool(plan, shuffle_mode=shuffle_mode, reduce_mode=reduce_mode) as pool:
         result = pool.execute(spec, chunks)
         snap = pool._supervisor.snapshot()
     assert_results_identical(result, ref)
