@@ -27,8 +27,8 @@ def run_datasets():
                 "dataset": name,
                 "resolution": "x".join(str(s) for s in shape),
                 "mean_occupancy": float(occ.mean()),
-                "fragments": int(res.outcome.pairs_per_reducer.sum()),
-                "total_s": res.runtime,
+                "fragments": int(res.pairs_per_reducer.sum()),
+                "total_s": res.total_runtime,
             }
         )
     return rows

@@ -10,6 +10,7 @@ time; disk-bound streaming pays far more again.
 from repro.bench import format_table
 from repro.core import JobConfig
 from repro.pipeline import MapReduceVolumeRenderer, orbit_path
+from repro.pipeline.workload import simulate_sequence
 from repro.render import RenderConfig, default_tf
 from repro.volume.datasets import skull_field
 
@@ -30,14 +31,16 @@ def run_regimes():
             cluster=8,
             tf=default_tf(),
             render_config=RenderConfig(dt=1.0),
-            job_config=JobConfig(include_disk=include_disk),
         )
-        results = r.render_sequence(cams, resident=resident, out_of_core=include_disk)
-        steady = [res.runtime for res in results[1:]]  # skip warm-up frame
+        results = simulate_sequence(
+            r, cams, job_config=JobConfig(include_disk=include_disk),
+            out_of_core=include_disk, resident=resident,
+        )
+        steady = [res.total_runtime for res in results[1:]]  # skip warm-up frame
         rows.append(
             {
                 "regime": label,
-                "first_frame_s": results[0].runtime,
+                "first_frame_s": results[0].total_runtime,
                 "steady_frame_s": sum(steady) / len(steady),
                 "steady_fps": len(steady) / sum(steady),
             }

@@ -50,13 +50,12 @@ def orbit_fps(renderer, frames, image, keep_images=False):
     """Sustained wall-clock FPS over one orbit (after a warmup frame)."""
     # Warmup: publishes the arena, spawns workers, fills accel caches.
     warm = render_rotation(
-        renderer, n_frames=1, mode="exec", width=image, height=image
+        renderer, n_frames=1, width=image, height=image
     )
     t0 = time.perf_counter()
     rot = render_rotation(
         renderer,
         n_frames=frames,
-        mode="exec",
         width=image,
         height=image,
         keep_images=keep_images,

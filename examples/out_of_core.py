@@ -31,6 +31,7 @@ from repro import (
 )
 from repro.baselines import InCoreOnlyError, SingleGpuBaseline
 from repro.core import Chunk, JobConfig
+from repro.pipeline.workload import simulate_frame
 from repro.render import max_abs_diff
 from repro.volume.datasets import supernova_field
 
@@ -97,20 +98,20 @@ def main(out_dir: str = "quickstart_output") -> None:
 
     # --- 4. what does out-of-core cost at figure scale? -------------------
     for include_disk, label in [(False, "bricks in host RAM"), (True, "bricks on disk")]:
-        sim = MapReduceVolumeRenderer(
-            volume=None,
-            volume_shape=(512, 512, 512),
-            field=supernova_field,
-            cluster=8,
-            tf=tf,
-            render_config=RenderConfig(dt=1.0),
-            job_config=JobConfig(include_disk=include_disk),
-        ).render(
+        sim = simulate_frame(
+            MapReduceVolumeRenderer(
+                volume=None,
+                volume_shape=(512, 512, 512),
+                field=supernova_field,
+                cluster=8,
+                tf=tf,
+                render_config=RenderConfig(dt=1.0),
+            ),
             orbit_camera((512,) * 3, width=512, height=512, distance_factor=2.2),
-            mode="sim",
+            job_config=JobConfig(include_disk=include_disk),
             out_of_core=True,
         )
-        print(f"simulated 512^3 frame on 8 GPUs, {label}: {sim.runtime:.3f}s")
+        print(f"simulated 512^3 frame on 8 GPUs, {label}: {sim.total_runtime:.3f}s")
 
 
 if __name__ == "__main__":

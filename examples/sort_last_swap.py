@@ -32,7 +32,7 @@ from repro import (
     write_ppm,
 )
 from repro.baselines import binary_swap_time
-from repro.pipeline import render_swap
+from repro.pipeline.swap import render_swap
 from repro.render import max_abs_diff
 from repro.sim import NetworkSpec
 from repro.volume import BrickGrid

@@ -1,21 +1,26 @@
 """repro — Multi-GPU Volume Rendering using MapReduce (Stuart et al., 2010).
 
-A full reproduction of the paper's system in pure Python/NumPy:
+A reproduction of the paper's system in Python/NumPy, in two halves.
 
-* :mod:`repro.core` — the multi-GPU MapReduce library (Map / Partition /
-  Sort / Reduce with the paper's volume-rendering specialisations);
-* :mod:`repro.render` — the CUDA-style ray-casting kernel, transfer
-  functions, fragment compositing;
+The functional renderer, which this namespace exports:
+
+* :mod:`repro.core` — the MapReduce library (Map / Partition / Sort /
+  Reduce with the paper's volume-rendering specialisations);
+* :mod:`repro.render` — the ray-casting kernel, transfer functions,
+  fragment compositing;
 * :mod:`repro.volume` — volumes, procedural datasets, bricking, the
   ``.bvol`` out-of-core container;
-* :mod:`repro.sim` — the discrete-event GPU-cluster simulator standing in
-  for the NCSA Accelerator Cluster;
 * :mod:`repro.pipeline` — the end-to-end renderer
   (:class:`~repro.pipeline.MapReduceVolumeRenderer`);
-* :mod:`repro.perfmodel` — VPS/FPS/efficiency and the §6.3 bottleneck
-  analysis;
-* :mod:`repro.baselines` — ParaView-like, Mars-like, and binary-swap
-  comparators.
+* :mod:`repro.parallel` — the shared-memory multiprocess executor.
+
+The analysis half regenerates the paper's figures and is imported by
+name; it may import the functional half, never the reverse:
+:mod:`repro.sim` (the discrete-event stand-in for the NCSA Accelerator
+Cluster), :mod:`repro.pipeline.workload` (the analytic workload and the
+simulator's front end), :mod:`repro.perfmodel` (VPS/FPS and the §6.3
+analysis), :mod:`repro.baselines` (ParaView-, Mars- and binary-swap
+comparators) and :mod:`repro.bench` (one experiment per figure).
 
 Quickstart::
 
@@ -41,7 +46,6 @@ from .render import (
     render_reference,
     write_ppm,
 )
-from .sim import ClusterSpec, accelerator_cluster, cpu_cluster, laptop
 from .volume import BrickGrid, BvolReader, Volume, make_dataset, write_bvol
 
 __version__ = "1.0.0"
@@ -50,20 +54,16 @@ __all__ = [
     "BrickGrid",
     "BvolReader",
     "Camera",
-    "ClusterSpec",
     "MapReduceVolumeRenderer",
     "RenderConfig",
     "RenderResult",
     "SharedMemoryPoolExecutor",
     "TransferFunction1D",
     "Volume",
-    "accelerator_cluster",
     "bone_tf",
-    "cpu_cluster",
     "default_tf",
     "fire_tf",
     "grayscale_tf",
-    "laptop",
     "make_dataset",
     "orbit_camera",
     "render_reference",

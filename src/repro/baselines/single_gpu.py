@@ -48,7 +48,7 @@ class SingleGpuBaseline:
         spec = laptop().gpu_specs()[0]
         return nbytes <= spec.vram_bytes
 
-    def render(self, volume: Volume, camera: Camera, mode: str = "exec") -> RenderResult:
+    def render(self, volume: Volume, camera: Camera) -> RenderResult:
         """Render in-core on one GPU, or refuse (the Mars limitation)."""
         self.check_fits(volume.nbytes)
         renderer = MapReduceVolumeRenderer(
@@ -57,4 +57,4 @@ class SingleGpuBaseline:
             tf=self.tf,
             render_config=self.render_config,
         )
-        return renderer.render(camera, mode=mode, bricks_per_gpu=1)
+        return renderer.render(camera, bricks_per_gpu=1)

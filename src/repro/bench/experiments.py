@@ -4,9 +4,10 @@ Every experiment returns plain dict rows so the ``benchmarks/`` harness
 can both time it (pytest-benchmark) and print the paper-shaped table.
 See DESIGN.md's experiment index for the mapping to the paper.
 
-All figure-scale experiments run in **sim mode** (analytic workload +
-discrete-event cluster).  ``exec_vs_sim_validation`` cross-checks the
-two paths on a small volume.
+All figure-scale experiments run on the simulated cluster from the
+analytic workload (:func:`~repro.pipeline.workload.simulate_frame`).
+``exec_vs_sim_validation`` cross-checks that against a functional render
+on a small volume.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from ..core.partition import (
     RoundRobinPartitioner,
     TiledPartitioner,
 )
-from ..core.executors import SimClusterExecutor
 from ..perfmodel.bottleneck import compute_vs_communication, find_sweet_spot
 from ..perfmodel.efficiency import ScalingPoint, scaling_series
 from ..pipeline.renderer import MapReduceVolumeRenderer
-from ..pipeline.workload import build_workload
+from ..pipeline.workload import build_workload, replay, simulate_frame
 from ..render.camera import orbit_camera
 from ..render.fragments import FRAGMENT_NBYTES
 from ..render.raycast import RenderConfig
@@ -36,6 +36,7 @@ from ..render.transfer import TransferFunction1D, default_tf
 from ..sim.disk import DiskSpec
 from ..sim.pcie import PCIeSpec
 from ..sim.presets import accelerator_cluster
+from ..sim.scheduler import SimOutcome
 from ..volume.bricking import bricks_for_gpu_count
 from ..volume.datasets import DATASET_FIELDS
 from ..volume.occupancy import grid_occupancy
@@ -80,7 +81,6 @@ def _renderer(
     n_gpus: int,
     dataset: str = "skull",
     tf: Optional[TransferFunction1D] = None,
-    job_config: JobConfig = JobConfig(),
     partitioner_factory=None,
 ) -> MapReduceVolumeRenderer:
     shape = (size,) * 3 if isinstance(size, int) else tuple(size)
@@ -91,7 +91,6 @@ def _renderer(
         cluster=n_gpus,
         tf=tf or default_tf(),
         render_config=RenderConfig(dt=DT),
-        job_config=job_config,
         partitioner_factory=partitioner_factory,
     )
 
@@ -104,14 +103,13 @@ def sim_render(
     image: int = IMAGE,
     job_config: JobConfig = JobConfig(),
     partitioner_factory=None,
-):
-    """One sim-mode frame; returns the RenderResult."""
-    r = _renderer(
-        size, n_gpus, dataset, job_config=job_config,
-        partitioner_factory=partitioner_factory,
-    )
+) -> SimOutcome:
+    """One simulated frame at the evaluation view."""
+    r = _renderer(size, n_gpus, dataset, partitioner_factory=partitioner_factory)
     cam = figure_camera(r.volume_shape, image)
-    return r.render(cam, mode="sim", bricks_per_gpu=bricks_per_gpu)
+    return simulate_frame(
+        r, cam, job_config=job_config, bricks_per_gpu=bricks_per_gpu
+    )
 
 
 def _skip(size, n_gpus: int) -> bool:
@@ -133,7 +131,7 @@ def fig3_breakdown(
             if _skip(size, n):
                 continue
             res = sim_render(size, n, dataset)
-            sb = res.outcome.breakdown
+            sb = res.breakdown
             rows.append(
                 {
                     "volume": f"{size}^3",
@@ -162,7 +160,7 @@ def fig4_scaling(
             if _skip(size, n):
                 continue
             res = sim_render(size, n, dataset)
-            points.append(ScalingPoint(n, res.runtime, size**3))
+            points.append(ScalingPoint(n, res.total_runtime, size**3))
         for s in scaling_series(points):
             rows.append(
                 {
@@ -207,7 +205,7 @@ def sec63_bottleneck(dataset: str = "skull", size: int = 1024) -> list[dict]:
 def paraview_reference(dataset: str = "skull", size: int = 1024) -> list[dict]:
     """Footnote 1: our VPS at 16 GPUs vs ParaView's 346M at 512 procs."""
     res = sim_render(size, 16, dataset)
-    ours = size**3 / res.runtime
+    ours = size**3 / res.total_runtime
     base = run_cpu_cluster_baseline((size,) * 3, n_procs=512)
     return [
         {
@@ -267,13 +265,13 @@ def ablation_partitioners(
     rows = []
     for name, factory in factories.items():
         res = sim_render(size, n_gpus, dataset, partitioner_factory=factory)
-        per_reducer = res.outcome.pairs_per_reducer
+        per_reducer = res.pairs_per_reducer
         imb = float(per_reducer.max() / max(per_reducer.mean(), 1e-12))
         rows.append(
             {
                 "partitioner": name,
-                "total_s": res.runtime,
-                "reduce_s": res.outcome.breakdown.reduce,
+                "total_s": res.total_runtime,
+                "reduce_s": res.breakdown.reduce,
                 "load_imbalance": imb,
             }
         )
@@ -291,7 +289,7 @@ def ablation_compositing(
     for size in sizes:
         for n in gpu_counts:
             res = sim_render(size, n, dataset)
-            sb = res.outcome.breakdown
+            sb = res.breakdown
             direct = sb.partition_io + sb.sort + sb.reduce
             # Every GPU is a compositing participant; swap partners that
             # share a node still pay the host staging/compositing costs.
@@ -327,9 +325,9 @@ def ablation_sort_device(
                 {
                     "sort_on": device,
                     "image": f"{image}^2",
-                    "pairs": int(res.outcome.pairs_per_reducer.sum()),
-                    "sort_s": res.outcome.breakdown.sort,
-                    "total_s": res.runtime,
+                    "pairs": int(res.pairs_per_reducer.sum()),
+                    "sort_s": res.breakdown.sort,
+                    "total_s": res.total_runtime,
                 }
             )
     return rows
@@ -347,8 +345,8 @@ def ablation_reduce_device(
         rows.append(
             {
                 "reduce_on": device,
-                "reduce_s": res.outcome.breakdown.reduce,
-                "total_s": res.runtime,
+                "reduce_s": res.breakdown.reduce,
+                "total_s": res.total_runtime,
             }
         )
     return rows
@@ -382,8 +380,8 @@ def ablation_future_work(
                         "volume": f"{size}^3",
                         "n_gpus": n,
                         "mode": name,
-                        "map_s": res.outcome.breakdown.map,
-                        "total_s": res.runtime,
+                        "map_s": res.breakdown.map,
+                        "total_s": res.total_runtime,
                     }
                 )
     return rows
@@ -443,19 +441,14 @@ def exec_vs_sim_validation(size: int = 32, n_gpus: int = 4) -> dict:
     renderer = MapReduceVolumeRenderer(
         volume=vol, cluster=n_gpus, tf=default_tf(), render_config=cfg
     )
-    exec_res = renderer.render(cam, mode="both")
-    sim_res = MapReduceVolumeRenderer(
-        volume=vol,
-        cluster=n_gpus,
-        tf=default_tf(),
-        render_config=cfg,
-    ).render(cam, mode="sim")
+    exec_res = renderer.render(cam)
+    sim_res = simulate_frame(renderer, cam)
     exec_frags = int(exec_res.stats.n_pairs_kept)
-    sim_frags = int(sim_res.outcome.pairs_per_reducer.sum())
+    sim_frags = int(sim_res.pairs_per_reducer.sum())
     return {
         "exec_fragments": exec_frags,
         "sim_fragments": sim_frags,
         "ratio": sim_frags / max(exec_frags, 1),
-        "exec_runtime_s": exec_res.runtime,
-        "sim_runtime_s": sim_res.runtime,
+        "exec_runtime_s": replay(renderer, exec_res).total_runtime,
+        "sim_runtime_s": sim_res.total_runtime,
     }

@@ -3,18 +3,14 @@
 Stages (paper §3.1): **Map** (ray-cast a chunk), **Partition** (modulo
 routing + placeholder discard), **Sort** (θ(n) counting sort), **Reduce**
 (per-key fold).  The library streams intermediate pairs between stages —
-no disk shuffle — and overlaps disk, PCIe, kernel, and network activity
-in the simulated scheduler.
+no disk shuffle.  The simulated scheduler that overlaps disk, PCIe,
+kernel and network activity is :mod:`repro.sim.scheduler`; it imports
+this package, never the other way round.
 """
 
 from .api import Combiner, Mapper, MapOutput, Partitioner, Reducer
 from .chunk import Chunk
-from .executors import (
-    InProcessExecutor,
-    InProcessResult,
-    ShuffleSpec,
-    SimClusterExecutor,
-)
+from .executors import InProcessExecutor, InProcessResult, MapWork, ShuffleSpec
 from .job import JobConfig, MapReduceSpec
 from .keyvalue import PLACEHOLDER, KVSpec, discard_placeholders, validate_pairs
 from .partition import (
@@ -23,7 +19,6 @@ from .partition import (
     RoundRobinPartitioner,
     TiledPartitioner,
 )
-from .scheduler import MapWork, SimOutcome, run_simulated_job
 from .sort import (
     SortResult,
     counting_sort_pairs,
@@ -31,7 +26,6 @@ from .sort import (
     stable_counting_order,
 )
 from .stats import JobStats
-from .stream import SendBuffer, split_message_sizes
 
 __all__ = [
     "BlockPartitioner",
@@ -51,17 +45,12 @@ __all__ = [
     "Partitioner",
     "Reducer",
     "RoundRobinPartitioner",
-    "SendBuffer",
     "ShuffleSpec",
-    "SimClusterExecutor",
-    "SimOutcome",
     "SortResult",
     "TiledPartitioner",
     "counting_sort_pairs",
     "discard_placeholders",
     "run_length_groups",
     "stable_counting_order",
-    "run_simulated_job",
-    "split_message_sizes",
     "validate_pairs",
 ]

@@ -5,10 +5,10 @@
   mapper's ``launch_sizes`` cuts the chunk list) → partition
   (placeholder discard + routing) → sort (θ(n) counting sort) → reduce.
   Used by tests, examples, and the correctness half of every benchmark.
-* :class:`SimClusterExecutor` — timing execution on the simulated
-  cluster.  Consumes :class:`~repro.core.scheduler.MapWork` items whose
-  counters come either from functional runs or from the analytic
-  workload model.
+
+Each functional result also carries one :class:`MapWork` per chunk, the
+work counters the cluster simulator (:mod:`repro.sim.scheduler`) prices;
+nothing here imports the simulator.
 """
 
 from __future__ import annotations
@@ -20,20 +20,18 @@ import numpy as np
 
 from ..observability.metrics import build_job_telemetry
 from ..observability.tracer import span
-from ..sim.node import ClusterRuntime, ClusterSpec
 from .chunk import Chunk
-from .job import JobConfig, MapReduceSpec
+from .job import MapReduceSpec
 from .keyvalue import PLACEHOLDER, concat_pairs, validate_pairs
-from .scheduler import MapWork, SimOutcome, run_simulated_job
 from .sort import _permute_records, stable_counting_order
 from .stats import JobStats
 
 __all__ = [
     "InProcessResult",
     "InProcessExecutor",
+    "MapWork",
     "PartitionReduceSpec",
     "ShuffleSpec",
-    "SimClusterExecutor",
     "make_map_work",
     "map_chunk_to_runs",
     "map_chunks_to_runs",
@@ -104,6 +102,33 @@ class ShuffleSpec:
                 f"got {n_workers}"
             )
         return ShuffleSpec(self.n_reducers, n_workers)
+
+
+@dataclass
+class MapWork:
+    """Everything the cluster simulator needs to know about one chunk's
+    map task.
+
+    Built either from a *functional* kernel run (counts measured) or from
+    the *analytic* workload model (counts predicted) — the simulator does
+    not care which.
+    """
+
+    chunk_id: int
+    gpu: int  # global GPU index executing this chunk
+    upload_bytes: int  # ghost-padded brick payload
+    n_rays: int  # padded kernel thread count
+    n_samples: int  # trilinear samples taken
+    pairs_emitted: int  # kernel emissions incl. placeholders (D2H size)
+    pairs_to_reducer: np.ndarray  # (n_reducers,) kept pairs routed to each reducer
+    read_from_disk: bool = False
+
+    def __post_init__(self):
+        self.pairs_to_reducer = np.asarray(self.pairs_to_reducer, dtype=np.int64)
+        if np.any(self.pairs_to_reducer < 0):
+            raise ValueError("negative pair counts")
+        if self.pairs_emitted < int(self.pairs_to_reducer.sum()):
+            raise ValueError("emitted fewer pairs than routed")
 
 
 @dataclass
@@ -341,11 +366,6 @@ def make_map_work(
 class InProcessExecutor:
     """Run the full MapReduce pipeline functionally in this process."""
 
-    def __init__(self, config: Optional[JobConfig] = None):
-        # A `config=JobConfig()` default would be evaluated once at class
-        # definition and shared by every instance; instantiate per-instance.
-        self.config = config if config is not None else JobConfig()
-
     def execute(
         self,
         spec: MapReduceSpec,
@@ -356,7 +376,7 @@ class InProcessExecutor:
 
         ``chunk_to_gpu`` (optional) records which simulated GPU each
         chunk *would* run on, so the returned :class:`MapWork` items can
-        be replayed through :class:`SimClusterExecutor` for timing.
+        be replayed on the simulated cluster for timing.
         """
         spec.mapper.initialize()
         spec.reducer.initialize()
@@ -398,28 +418,3 @@ class InProcessExecutor:
             works=works,
         )
 
-
-class SimClusterExecutor:
-    """Replay :class:`MapWork` items on a simulated cluster for timing."""
-
-    def __init__(self, cluster_spec: ClusterSpec, config: Optional[JobConfig] = None):
-        self.cluster_spec = cluster_spec
-        self.config = config if config is not None else JobConfig()
-
-    def execute(
-        self,
-        works: Sequence[MapWork],
-        pair_nbytes: int,
-        owned_keys_per_reducer: Optional[np.ndarray] = None,
-    ) -> tuple[SimOutcome, ClusterRuntime]:
-        """Run the timing simulation; returns the outcome and the runtime
-        (whose trace callers can inspect for Gantt-level detail)."""
-        cluster = ClusterRuntime(self.cluster_spec)
-        outcome = run_simulated_job(
-            cluster,
-            list(works),
-            pair_nbytes=pair_nbytes,
-            config=self.config,
-            owned_keys_per_reducer=owned_keys_per_reducer,
-        )
-        return outcome, cluster

@@ -42,7 +42,8 @@ class MapReduceSpec:
 
 @dataclass(frozen=True)
 class JobConfig:
-    """Execution knobs shared by the functional and simulated executors.
+    """Knobs of a simulated job (:mod:`repro.sim.scheduler`); the
+    functional executors read none of them.
 
     ``sort_on``/``reduce_on`` mirror the paper's device choices: sorting
     runs on CPU or GPU "depending on the amount of data" (``auto`` picks

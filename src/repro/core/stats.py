@@ -5,26 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim.trace import StageBreakdown
-
 __all__ = ["JobStats"]
 
 
 @dataclass
 class JobStats:
-    """Work and traffic counters for one MapReduce job."""
+    """Work counters for one functional MapReduce job.  Simulated
+    timings and traffic live in :class:`~repro.sim.scheduler.SimOutcome`."""
 
     n_chunks: int = 0
     n_rays: int = 0
     n_samples: int = 0
     n_pairs_emitted: int = 0  # including placeholders
     n_pairs_kept: int = 0  # after placeholder discard
-    bytes_uploaded: int = 0  # H2D chunk payloads
-    bytes_downloaded: int = 0  # D2H emitted pairs
-    bytes_internode: int = 0  # NIC traffic
-    bytes_intranode: int = 0  # local memcpy traffic
-    n_messages: int = 0
-    breakdown: Optional[StageBreakdown] = None
     # Ring-buffer backpressure diagnostics, filled only by the pool
     # executor: aggregate + per-worker producer stall time/events, ring
     # high-water marks, and queue fallbacks for oversized chunks.  These
@@ -74,14 +67,7 @@ class JobStats:
             "n_samples": self.n_samples,
             "n_pairs_emitted": self.n_pairs_emitted,
             "n_pairs_kept": self.n_pairs_kept,
-            "bytes_uploaded": self.bytes_uploaded,
-            "bytes_downloaded": self.bytes_downloaded,
-            "bytes_internode": self.bytes_internode,
-            "bytes_intranode": self.bytes_intranode,
-            "n_messages": self.n_messages,
         }
-        if self.breakdown is not None:
-            out["stage_breakdown"] = self.breakdown.as_dict()
         if include_telemetry:
             if self.ring is not None:
                 out["ring"] = self.ring

@@ -98,12 +98,12 @@ from ..core.chunk import Chunk
 from ..core.executors import (
     InProcessExecutor,
     InProcessResult,
+    MapWork,
     ShuffleSpec,
     make_map_work,
     map_telemetry,
 )
-from ..core.job import JobConfig, MapReduceSpec
-from ..core.scheduler import MapWork
+from ..core.job import MapReduceSpec
 from ..core.stats import JobStats
 from ..observability.metrics import build_job_telemetry
 from ..observability.tracer import current_tracer, span
@@ -319,9 +319,6 @@ class SharedMemoryPoolExecutor:
         Pool size (defaults to the number of usable cores).  The
         renderer passes its simulated-GPU count so placement maps one
         worker per GPU.
-    config:
-        :class:`~repro.core.job.JobConfig` execution knobs (kept for
-        surface parity with the other executors).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``.
     reduce_mode, shuffle_mode:
@@ -380,7 +377,6 @@ class SharedMemoryPoolExecutor:
     def __init__(
         self,
         workers: Optional[int] = None,
-        config: Optional[JobConfig] = None,
         start_method: Optional[str] = None,
         reduce_mode: str = "worker",
         pipeline_depth: int = 1,
@@ -429,7 +425,6 @@ class SharedMemoryPoolExecutor:
                 f"descriptors in the parent but the soft RLIMIT_NOFILE is "
                 f"{soft}; raise the limit (ulimit -n) or reduce workers"
             )
-        self.config = config if config is not None else JobConfig()
         self.pipeline_depth = int(pipeline_depth)
         # Every knob is resolved once, here, so a later env change cannot
         # flip a live pool's timeouts or retry policy mid-orbit.
@@ -1230,4 +1225,4 @@ class SharedMemoryPoolExecutor:
         workers run, so delegating to it is equivalence by
         construction, not by mirroring.
         """
-        return InProcessExecutor(self.config).execute(spec, chunks, chunk_to_gpu)
+        return InProcessExecutor().execute(spec, chunks, chunk_to_gpu)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.scheduler import MapWork
+from ..core.executors import MapWork
 from ..sim.node import ClusterSpec
 from .peaks import speed_of_light
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.scheduler import MapWork
+from ..core.executors import MapWork
 from ..sim.node import ClusterSpec
 
 __all__ = ["StagePeaks", "speed_of_light"]

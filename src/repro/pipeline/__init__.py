@@ -1,34 +1,27 @@
-"""The MapReduce volume renderer built on core + render + sim."""
+"""The MapReduce volume renderer built on core + render.
+
+The namespace exports the functional renderer only.  The analysis
+modules, :mod:`~repro.pipeline.workload`, :mod:`~repro.pipeline.outofcore`
+and :mod:`~repro.pipeline.swap`, import the simulator or the baselines
+and are imported by name.
+"""
 
 from .combiner import FragmentCombiner
 from .driver import RotationResult, orbit_path, render_rotation
-from .outofcore import ResidencyPlan, plan_residency, strip_uploads
 from .mappers import MIP_DTYPE, MaxIntensityMapper, RayCastMapper
 from .reducers import CompositeReducer, MaxReducer
 from .renderer import MapReduceVolumeRenderer, RenderResult
-from .swap import LocalPartitioner, SwapRenderResult, render_swap, slab_assignment
-from .workload import BrickWork, build_workload, model_brick_work
 
 __all__ = [
-    "BrickWork",
     "CompositeReducer",
     "FragmentCombiner",
-    "LocalPartitioner",
     "MIP_DTYPE",
-    "SwapRenderResult",
-    "render_swap",
-    "slab_assignment",
     "MapReduceVolumeRenderer",
     "MaxIntensityMapper",
     "MaxReducer",
     "RayCastMapper",
     "RenderResult",
-    "ResidencyPlan",
     "RotationResult",
-    "plan_residency",
-    "strip_uploads",
-    "build_workload",
-    "model_brick_work",
     "orbit_path",
     "render_rotation",
 ]

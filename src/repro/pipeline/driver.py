@@ -2,10 +2,11 @@
 
 "Scientists care about the frame rate of their visualization" (§4.2) —
 this module renders orbits (the canonical interaction) and reports the
-sustained FPS the paper's Figure 4 is about, rather than single-frame
-numbers.  Per-frame timings also expose view-dependence: fragment
-counts and stage times change with the camera angle, which single-frame
-benchmarks hide.
+sustained FPS measured on the functional pipeline, rather than
+single-frame numbers.  Per-frame timings also expose view-dependence:
+fragment counts and stage times change with the camera angle, which
+single-frame benchmarks hide.  The paper's simulated Figure 4 orbit is
+:func:`~repro.pipeline.workload.simulate_sequence`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,27 +51,27 @@ def orbit_path(
 
 @dataclass
 class RotationResult:
-    """Per-frame and aggregate numbers for one orbit.
+    """Measured per-frame wall-clock times of one orbit, and optionally
+    its images.
 
-    ``frame_runtimes`` are *simulated* seconds when the orbit ran in a
-    timing mode, and measured wall-clock seconds for exec-only orbits
-    (where the functional pipeline itself is the hardware being timed —
-    the parallel-executor benchmarks use exactly this).
-    ``wall_seconds`` always holds the measured per-frame wall times.
+    ``wall_seconds[i]`` is the interval between the completions of
+    frames *i − 1* and *i* (for the first frame, since the orbit
+    started), so their sum is the orbit's end-to-end wall time however
+    many frames were in flight.  Simulated frame times come from
+    :func:`~repro.pipeline.workload.simulate_sequence` instead.
     """
 
-    frame_runtimes: list[float]
+    wall_seconds: list[float]
     images: list[np.ndarray] = field(default_factory=list)
     results: list[RenderResult] = field(default_factory=list)
-    wall_seconds: list[float] = field(default_factory=list)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frame_runtimes)
+        return len(self.wall_seconds)
 
     @property
     def total_seconds(self) -> float:
-        return float(sum(self.frame_runtimes))
+        return float(sum(self.wall_seconds))
 
     @property
     def mean_fps(self) -> float:
@@ -80,120 +81,57 @@ class RotationResult:
 
     @property
     def worst_frame(self) -> float:
-        return max(self.frame_runtimes)
+        return max(self.wall_seconds)
 
     @property
     def frame_time_spread(self) -> float:
         """max/min frame time — the view-dependence of the workload."""
-        lo = min(self.frame_runtimes)
+        lo = min(self.wall_seconds)
         return self.worst_frame / lo if lo > 0 else float("inf")
-
-    @property
-    def wall_fps(self) -> float:
-        """Measured end-to-end frames/second of the functional pipeline."""
-        total = float(sum(self.wall_seconds))
-        if total <= 0:
-            raise ValueError("no wall-clock timings recorded")
-        return len(self.wall_seconds) / total
 
 
 def render_rotation(
     renderer: MapReduceVolumeRenderer,
     n_frames: int = 8,
-    mode: str = "sim",
     elevation_deg: float = 20.0,
     width: int = 512,
     height: int = 512,
     bricks_per_gpu: int = 2,
     keep_images: bool = False,
 ) -> RotationResult:
-    """Render an orbit and collect the paper's interactivity metrics.
+    """Render an orbit functionally and time each frame's wall clock
+    (use small volumes/images).
 
-    In ``"sim"``/``"both"`` modes frame runtimes come from the simulated
-    cluster; in ``"exec"`` mode the functional pipeline runs per frame
-    (use small volumes/images) and frame times are the measured wall
-    clock — which is how the multiprocess executor's real speedup is
-    benchmarked.
-
-    When the renderer's executor supports frame pipelining (a pool
-    executor with ``pipeline_depth > 1``) and the mode is functional,
-    the orbit is rendered **double-buffered**: frame *k+1* is submitted
-    before frame *k* is collected, so the workers map+reduce the next
-    frame while the parent stitches the current one.  Frame completion
-    order (and every image) is unchanged; per-frame wall times then
-    measure the interval between successive frame *completions*, whose
-    sum is the orbit's true end-to-end wall time.
+    One submit/collect loop keeps up to the renderer's
+    ``frame_pipeline_depth`` frames in flight.  At depth 1 each frame is
+    submitted and then collected.  At depth 2 (a pool executor) the
+    orbit is **double-buffered**: frame *k+1* is submitted before frame
+    *k* is collected, so the workers map+reduce the next frame while the
+    parent stitches the current one.  Frame completion order and every
+    image are the same at any depth.
     """
     cams = orbit_path(
         renderer.volume_shape, n_frames, elevation_deg, width, height
     )
-    depth = renderer.frame_pipeline_depth if mode in ("exec", "both") else 1
-    if depth > 1:
-        return _render_rotation_pipelined(
-            renderer, cams, mode, bricks_per_gpu, keep_images, depth
-        )
-    runtimes: list[float] = []
-    wall: list[float] = []
-    images: list[np.ndarray] = []
-    results: list[RenderResult] = []
-    for cam in cams:
-        t0 = time.perf_counter()
-        res = renderer.render(cam, mode=mode, bricks_per_gpu=bricks_per_gpu)
-        wall.append(time.perf_counter() - t0)
-        results.append(res)
-        if res.outcome is not None:
-            runtimes.append(res.outcome.total_runtime)
-        if keep_images and res.image is not None:
-            images.append(res.image)
-    # Exec-only orbits have no simulated clock: the measured wall time of
-    # the functional pipeline (serial or multiprocess) is the frame time.
-    return RotationResult(
-        frame_runtimes=runtimes if runtimes else list(wall),
-        images=images,
-        results=results,
-        wall_seconds=wall,
-    )
-
-
-def _render_rotation_pipelined(
-    renderer: MapReduceVolumeRenderer,
-    cams: Sequence[Camera],
-    mode: str,
-    bricks_per_gpu: int,
-    keep_images: bool,
-    depth: int,
-) -> RotationResult:
-    """Keep up to ``depth`` frames in flight through the pool pipeline."""
-    runtimes: list[float] = []
-    wall: list[float] = []
-    images: list[np.ndarray] = []
-    results: list[RenderResult] = []
+    depth = renderer.frame_pipeline_depth
+    rot = RotationResult(wall_seconds=[])
     inflight: deque = deque()
-    t_mark = time.perf_counter()
+    mark = time.perf_counter()
 
-    def _complete_oldest() -> None:
-        nonlocal t_mark
-        res = renderer.collect_frame(inflight.popleft(), mode=mode)
+    def complete_oldest() -> None:
+        nonlocal mark
+        res = renderer.collect_frame(inflight.popleft())
         now = time.perf_counter()
-        wall.append(now - t_mark)
-        t_mark = now
-        results.append(res)
-        if res.outcome is not None:
-            runtimes.append(res.outcome.total_runtime)
-        if keep_images and res.image is not None:
-            images.append(res.image)
+        rot.wall_seconds.append(now - mark)
+        mark = now
+        rot.results.append(res)
+        if keep_images:
+            rot.images.append(res.image)
 
     for cam in cams:
+        inflight.append(renderer.submit_frame(cam, bricks_per_gpu=bricks_per_gpu))
         if len(inflight) >= depth:
-            _complete_oldest()
-        inflight.append(
-            renderer.submit_frame(cam, bricks_per_gpu=bricks_per_gpu)
-        )
+            complete_oldest()
     while inflight:
-        _complete_oldest()
-    return RotationResult(
-        frame_runtimes=runtimes if runtimes else list(wall),
-        images=images,
-        results=results,
-        wall_seconds=wall,
-    )
+        complete_oldest()
+    return rot

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.scheduler import MapWork
+from ..core.executors import MapWork
 from ..sim.node import ClusterSpec
 from ..volume.bricking import BrickGrid
 

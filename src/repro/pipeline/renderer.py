@@ -1,71 +1,57 @@
 """The end-to-end MapReduce volume renderer (the paper's application).
 
 :class:`MapReduceVolumeRenderer` wires a volume, camera, and transfer
-function into the library:
+function into the library and executes frames functionally through
+:class:`~repro.core.executors.InProcessExecutor` or the shared-memory
+pool: real ray casting, real partition/sort/reduce, a real image out.
+It keeps no clock of its own.
 
-* **exec mode** — functional execution through
-  :class:`~repro.core.executors.InProcessExecutor`: real ray casting,
-  real partition/sort/reduce, a real image out.  The per-chunk work
-  counters it measures can be *replayed* on the simulated cluster for
-  timing (mode ``"both"``).
-* **sim mode** — timing-only execution: the analytic workload model
-  predicts every brick's kernel work and traffic, and the discrete-event
-  scheduler produces the paper's stage breakdown.  This is how the
-  1024³-scale figures are regenerated.
+Timing a frame on the simulated 2010 cluster is the analysis side's job:
+:mod:`repro.pipeline.workload` takes a renderer as its scene description
+and either predicts every brick's work (``simulate_frame``,
+``simulate_sequence``) or prices the work counters a functional frame
+measured (``replay``).  That module imports this one; nothing here
+imports the simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..core.chunk import Chunk
-from ..core.executors import InProcessExecutor, SimClusterExecutor
-from ..core.job import JobConfig, MapReduceSpec
+from ..core.executors import InProcessExecutor, MapWork
+from ..core.job import MapReduceSpec
 from ..core.keyvalue import KVSpec
 from ..core.partition import RoundRobinPartitioner
 from ..core.api import Partitioner
-from ..core.scheduler import MapWork, SimOutcome
 from ..core.stats import JobStats
 from ..observability.tracer import span
 from ..render.accel import volume_token
 from ..render.camera import Camera
-from ..render.fragments import FRAGMENT_DTYPE, FRAGMENT_NBYTES
+from ..render.fragments import FRAGMENT_DTYPE
 from ..render.raycast import RenderConfig
 from ..render.stitch import stitch_pixels
 from ..render.transfer import TransferFunction1D, default_tf
-from ..sim.node import ClusterSpec
-from ..sim.presets import accelerator_cluster
 from ..volume.bricking import BrickGrid, bricks_for_gpu_count
-from ..volume.occupancy import grid_occupancy
 from ..volume.volume import Volume
 from .mappers import RayCastMapper
 from .reducers import CompositeReducer
-from .workload import build_workload
 
-# plan_residency / strip_uploads are imported lazily inside
-# render_sequence to avoid an import cycle with pipeline.outofcore.
-
-__all__ = ["FrameHandle", "RenderResult", "MapReduceVolumeRenderer"]
+__all__ = ["FrameHandle", "RenderResult", "MapReduceVolumeRenderer", "check_vram"]
 
 
 @dataclass
 class RenderResult:
     """Output of one rendered frame."""
 
-    image: Optional[np.ndarray]  # (h, w, 4) premultiplied RGBA (exec modes)
-    outcome: Optional[SimOutcome]  # stage timings (sim / both modes)
-    stats: Optional[JobStats]  # work counters (exec modes)
+    image: np.ndarray  # (h, w, 4) premultiplied RGBA
+    stats: JobStats  # work counters
+    works: list[MapWork]  # per-chunk counters, what a simulated replay prices
     n_bricks: int
     n_gpus: int
-
-    @property
-    def runtime(self) -> float:
-        if self.outcome is None:
-            raise ValueError("no timing available (exec-only render)")
-        return self.outcome.total_runtime
 
 
 @dataclass
@@ -80,21 +66,39 @@ class FrameHandle:
     asynchronous: bool  # whether `pending` still needs executor.collect()
 
 
+def check_vram(grid: BrickGrid, cluster) -> None:
+    """Refuse ``grid`` if its largest brick exceeds the largest VRAM of
+    ``cluster`` — any object with ``gpu_specs()`` whose items carry
+    ``vram_bytes``, such as a :class:`~repro.sim.node.ClusterSpec`."""
+    max_vram = max(g.vram_bytes for g in cluster.gpu_specs())
+    oversized = grid.max_brick_nbytes()
+    if oversized > max_vram:
+        raise MemoryError(
+            f"brick of {oversized} B exceeds GPU VRAM {max_vram} B; "
+            "use more bricks per GPU"
+        )
+
+
 class MapReduceVolumeRenderer:
     """Facade assembling the full pipeline.
 
     Parameters
     ----------
     volume:
-        In-core volume (exec modes) — optional when only sim mode with a
-        procedural ``field`` is used.
+        In-core volume — optional when a procedural ``field`` is given
+        (out-of-core renders, simulated workloads).
     cluster:
-        A :class:`~repro.sim.node.ClusterSpec` or a GPU count (builds the
-        paper's AC preset).
-    tf, render_config, job_config:
-        Transfer function and knobs; defaults match the paper.
+        A GPU count, or a cluster description such as
+        :class:`~repro.sim.node.ClusterSpec`, read by duck typing
+        (``gpu_count``, ``gpu_specs()``).  The count sets the bricking
+        and the reducer partitions.  A description also states each
+        GPU's VRAM, and every frame refuses a brick larger than that; a
+        bare count states no VRAM, so no brick is refused.
+    tf, render_config:
+        Transfer function and ray-cast knobs; defaults match the paper.
     field:
-        Procedural dataset field for out-of-core / sim workloads.
+        Procedural dataset field for out-of-core renders and simulated
+        workloads.
     volume_shape:
         Required when ``volume`` is None.
     executor, workers:
@@ -121,10 +125,9 @@ class MapReduceVolumeRenderer:
     pipeline_depth:
         Max frames in flight for the pool executor's async
         :meth:`submit_frame`/:meth:`collect_frame` pipeline (used by
-        :func:`~repro.pipeline.driver.render_rotation` for exec-mode
-        orbits).  1 (default) is fully synchronous; 2 double-buffers:
-        workers map+reduce frame *k+1* while the parent stitches frame
-        *k*.
+        :func:`~repro.pipeline.driver.render_rotation`).  1 (default) is
+        fully synchronous; 2 double-buffers: workers map+reduce frame
+        *k+1* while the parent stitches frame *k*.
     accel:
         Override for :attr:`RenderConfig.accel` — the ray caster's
         empty-space machinery (``"table"``, the default: the corner-max
@@ -145,10 +148,9 @@ class MapReduceVolumeRenderer:
     def __init__(
         self,
         volume: Optional[Volume] = None,
-        cluster: ClusterSpec | int = 1,
+        cluster: object = 1,
         tf: Optional[TransferFunction1D] = None,
         render_config: Optional[RenderConfig] = None,
-        job_config: Optional[JobConfig] = None,
         field: Optional[Callable] = None,
         volume_shape: Optional[tuple[int, int, int]] = None,
         partitioner_factory: Optional[Callable[[int], Partitioner]] = None,
@@ -168,16 +170,20 @@ class MapReduceVolumeRenderer:
         self.volume = volume
         self.volume_shape = tuple(volume.shape if volume is not None else volume_shape)
         self.field = field
-        self.cluster_spec = (
-            cluster if isinstance(cluster, ClusterSpec) else accelerator_cluster(cluster)
-        )
+        if hasattr(cluster, "gpu_count"):
+            self.cluster_spec = cluster
+            self.n_gpus = int(cluster.gpu_count)
+        else:
+            self.cluster_spec = None  # a bare count: no VRAM stated
+            self.n_gpus = int(cluster)
+        if self.n_gpus < 1:
+            raise ValueError("need at least one GPU")
         self.tf = tf if tf is not None else default_tf()
         self.render_config = render_config if render_config is not None else RenderConfig()
         if accel is not None:
             # Convenience override for the empty-space machinery, so
             # callers need not rebuild a whole RenderConfig to flip it.
             self.render_config = replace(self.render_config, accel=accel)
-        self.job_config = job_config if job_config is not None else JobConfig()
         self.kv = KVSpec(FRAGMENT_DTYPE, key_field="pixel")
         self._partitioner_factory = partitioner_factory or RoundRobinPartitioner
         if isinstance(executor, str) and executor not in ("inprocess", "pool"):
@@ -196,10 +202,6 @@ class MapReduceVolumeRenderer:
         self.fault_plan = fault_plan
         self._exec_instance = None
         self._chunk_memo: tuple = (None, [])  # (key, in-core chunks)
-
-    @property
-    def n_gpus(self) -> int:
-        return self.cluster_spec.gpu_count
 
     # -- executor lifecycle ------------------------------------------------
     def _executor(self):
@@ -223,7 +225,6 @@ class MapReduceVolumeRenderer:
                     workers = default_pool_workers(self.n_gpus)
                 self._exec_instance = SharedMemoryPoolExecutor(
                     workers=workers,
-                    config=self.job_config,
                     pipeline_depth=self.pipeline_depth,
                     pin_workers=self.pin_workers,
                     supervise=self.supervise,
@@ -231,7 +232,7 @@ class MapReduceVolumeRenderer:
                     fault_plan=self.fault_plan,
                 )
             else:
-                self._exec_instance = InProcessExecutor(self.job_config)
+                self._exec_instance = InProcessExecutor()
         return self._exec_instance
 
     @property
@@ -329,64 +330,22 @@ class MapReduceVolumeRenderer:
             max_key=camera.pixel_count - 1,
         )
 
-    def _occupancy(self, grid: BrickGrid) -> np.ndarray:
-        threshold = self.tf.opacity_threshold_value()
-        if self.volume is not None:
-            return grid_occupancy(grid, threshold, volume=self.volume)
-        return grid_occupancy(grid, threshold, field=self.field)
-
     # -- public API -----------------------------------------------------------
     def render(
         self,
         camera: Camera,
-        mode: str = "exec",
         bricks_per_gpu: int = 2,
         out_of_core: bool = False,
         grid: Optional[BrickGrid] = None,
     ) -> RenderResult:
-        """Render one frame.
-
-        ``mode``: ``"exec"`` (functional image, no clock), ``"both"``
-        (functional image + replayed timing), or ``"sim"`` (timing from
-        the analytic workload, no image).
-        """
-        if mode not in ("exec", "both", "sim"):
-            raise ValueError(f"unknown mode {mode!r}")
-        grid = grid or self._grid(bricks_per_gpu)
-
-        if mode == "sim":
-            self._check_grid(grid)
-            works = build_workload(
-                grid,
-                camera,
-                self.render_config.dt,
-                self._occupancy(grid),
-                self._partitioner_factory(self.n_gpus),
-                self.n_gpus,
-                emit_placeholders=True,
-                on_disk=out_of_core,
-                ert=self.render_config.ert_alpha < 1.0,
-                fetches_per_sample=self.render_config.fetches_per_sample,
-            )
-            outcome, _ = SimClusterExecutor(self.cluster_spec, self.job_config).execute(
-                works, pair_nbytes=FRAGMENT_NBYTES
-            )
-            return RenderResult(
-                image=None,
-                outcome=outcome,
-                stats=None,
-                n_bricks=len(grid),
-                n_gpus=self.n_gpus,
-            )
-
-        # Functional execution: the synchronous render is exactly one
-        # submit/collect round trip, so chunk construction and placement
-        # live only in submit_frame.
+        """Render one frame: exactly one submit/collect round trip, so
+        chunk construction and placement live only in
+        :meth:`submit_frame`."""
         handle = self.submit_frame(
             camera, bricks_per_gpu=bricks_per_gpu,
             out_of_core=out_of_core, grid=grid,
         )
-        return self.collect_frame(handle, mode=mode)
+        return self.collect_frame(handle)
 
     def submit_frame(
         self,
@@ -416,19 +375,25 @@ class MapReduceVolumeRenderer:
             return FrameHandle(camera, grid, ex.submit(spec, chunks, chunk_to_gpu), True)
         return FrameHandle(camera, grid, ex.execute(spec, chunks, chunk_to_gpu), False)
 
-    def collect_frame(self, handle: FrameHandle, mode: str = "exec") -> RenderResult:
-        """Finish a frame started by :meth:`submit_frame` and stitch it.
-
-        ``mode`` is ``"exec"`` or ``"both"`` (sim-mode frames have no
-        functional execution to pipeline).
-        """
-        if mode not in ("exec", "both"):
-            raise ValueError(f"unknown mode {mode!r} for collect_frame")
+    def collect_frame(self, handle: FrameHandle) -> RenderResult:
+        """Finish a frame started by :meth:`submit_frame` and stitch it."""
         if handle.asynchronous:
             result = self._executor().collect(handle.pending)
         else:
             result = handle.pending
-        return self._finish_exec(handle.camera, mode, handle.grid, result)
+        parts = [
+            (keys, values) for keys, values in result.outputs if len(keys)
+        ]
+        camera = handle.camera
+        with span("stitch", cat="stitch", parts=len(parts)):
+            image = stitch_pixels(parts, camera.width, camera.height)
+        return RenderResult(
+            image=image,
+            stats=result.stats,
+            works=result.works,
+            n_bricks=len(handle.grid),
+            n_gpus=self.n_gpus,
+        )
 
     @property
     def frame_pipeline_depth(self) -> int:
@@ -439,93 +404,5 @@ class MapReduceVolumeRenderer:
         return 1
 
     def _check_grid(self, grid: BrickGrid) -> None:
-        max_vram = max(g.vram_bytes for g in self.cluster_spec.gpu_specs())
-        oversized = grid.max_brick_nbytes()
-        if oversized > max_vram:
-            raise MemoryError(
-                f"brick of {oversized} B exceeds GPU VRAM {max_vram} B; "
-                "use more bricks per GPU"
-            )
-
-    def _finish_exec(self, camera, mode, grid, result) -> RenderResult:
-        parts = [
-            (keys, values) for keys, values in result.outputs if len(keys)
-        ]
-        with span("stitch", cat="stitch", parts=len(parts)):
-            image = stitch_pixels(parts, camera.width, camera.height)
-
-        outcome = None
-        if mode == "both":  # replay measured work on the simulated cluster
-            outcome, _ = SimClusterExecutor(self.cluster_spec, self.job_config).execute(
-                result.works, pair_nbytes=FRAGMENT_NBYTES
-            )
-            result.stats.breakdown = outcome.breakdown
-            result.stats.bytes_uploaded = outcome.bytes_uploaded
-            result.stats.bytes_downloaded = outcome.bytes_downloaded
-            result.stats.bytes_internode = outcome.bytes_internode
-            result.stats.bytes_intranode = outcome.bytes_intranode
-            result.stats.n_messages = outcome.n_messages
-        return RenderResult(
-            image=image,
-            outcome=outcome,
-            stats=result.stats,
-            n_bricks=len(grid),
-            n_gpus=self.n_gpus,
-        )
-
-    def render_sequence(
-        self,
-        cameras: Sequence[Camera],
-        bricks_per_gpu: int = 2,
-        out_of_core: bool = False,
-        resident: bool = True,
-    ) -> list[RenderResult]:
-        """Simulate an interactive frame sequence (sim mode only).
-
-        With ``resident=True`` and a grid that fits each GPU's VRAM
-        (checked by :func:`~repro.pipeline.outofcore.plan_residency`),
-        only the first frame pays brick uploads; later frames re-render
-        from residency — the paper's "obvious speed benefits" of the
-        in-core regime.  When the volume does not fit, every frame
-        streams its bricks (out-of-core regime).
-        """
-        from .outofcore import plan_residency, strip_uploads
-
-        if not cameras:
-            raise ValueError("need at least one camera")
-        grid = self._grid(bricks_per_gpu)
-        partitioner = self._partitioner_factory(self.n_gpus)
-        occupancy = self._occupancy(grid)
-        static = RayCastMapper(
-            cameras[0], self.tf, self.volume_shape, self.render_config
-        ).static_device_bytes()
-        plan = plan_residency(grid, self.cluster_spec, static)
-        results: list[RenderResult] = []
-        for i, cam in enumerate(cameras):
-            works = build_workload(
-                grid,
-                cam,
-                self.render_config.dt,
-                occupancy,
-                partitioner,
-                self.n_gpus,
-                emit_placeholders=True,
-                on_disk=out_of_core,
-                ert=self.render_config.ert_alpha < 1.0,
-                fetches_per_sample=self.render_config.fetches_per_sample,
-            )
-            if resident and plan.in_core and i > 0:
-                works = strip_uploads(works)
-            outcome, _ = SimClusterExecutor(
-                self.cluster_spec, self.job_config
-            ).execute(works, pair_nbytes=FRAGMENT_NBYTES)
-            results.append(
-                RenderResult(
-                    image=None,
-                    outcome=outcome,
-                    stats=None,
-                    n_bricks=len(grid),
-                    n_gpus=self.n_gpus,
-                )
-            )
-        return results
+        if self.cluster_spec is not None:
+            check_vram(grid, self.cluster_spec)

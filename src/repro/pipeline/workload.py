@@ -17,22 +17,46 @@ traffic from geometry instead:
 * **routing** — the partitioner applied to the *actual* footprint pixel
   keys (exact), scaled to the kept-fragment count.
 
-The `exec`-mode benchmarks validate these predictions against functional
-counts on small volumes (see ``tests/test_workload.py``).
+Functional renders validate these predictions against measured counts
+on small volumes (see ``tests/test_workload.py``).
+
+This module is also the only code that times a renderer's frame on the
+simulated cluster: :func:`simulate_frame` / :func:`simulate_sequence`
+price the analytic workload, :func:`replay` a functional frame's
+measured counters.  Each takes the renderer as its scene description, a
+cluster (default: the renderer's own ClusterSpec, else the AC preset for
+its GPU count) and a :class:`~repro.core.job.JobConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.api import Partitioner
-from ..core.scheduler import MapWork
+from ..core.executors import MapWork
+from ..core.job import JobConfig
 from ..render.camera import Camera
+from ..render.fragments import FRAGMENT_NBYTES
+from ..sim.node import ClusterSpec
+from ..sim.presets import accelerator_cluster
+from ..sim.scheduler import SimClusterExecutor, SimOutcome
 from ..volume.bricking import Brick, BrickGrid
+from ..volume.occupancy import grid_occupancy
+from .mappers import RayCastMapper
+from .outofcore import plan_residency, strip_uploads
+from .renderer import MapReduceVolumeRenderer, RenderResult, check_vram
 
-__all__ = ["BrickWork", "model_brick_work", "build_workload"]
+__all__ = [
+    "BrickWork",
+    "build_workload",
+    "model_brick_work",
+    "replay",
+    "simulate_frame",
+    "simulate_sequence",
+]
 
 
 @dataclass
@@ -180,3 +204,103 @@ def build_workload(
             )
         )
     return works
+
+
+# -- the simulator's front end ------------------------------------------------
+def _cluster(
+    renderer: MapReduceVolumeRenderer, cluster: Optional[ClusterSpec]
+) -> ClusterSpec:
+    cluster = cluster or renderer.cluster_spec or accelerator_cluster(renderer.n_gpus)
+    if cluster.gpu_count != renderer.n_gpus:
+        raise ValueError(
+            f"cluster has {cluster.gpu_count} GPUs, the renderer {renderer.n_gpus}"
+        )
+    return cluster
+
+
+def simulate_sequence(
+    renderer: MapReduceVolumeRenderer,
+    cameras: Sequence[Camera],
+    cluster: Optional[ClusterSpec] = None,
+    job_config: Optional[JobConfig] = None,
+    bricks_per_gpu: int = 2,
+    out_of_core: bool = False,
+    resident: bool = True,
+) -> list[SimOutcome]:
+    """Time ``renderer``'s scene on the simulated cluster, one outcome
+    per camera.
+
+    With ``resident=True`` and a grid that fits each GPU's VRAM
+    (:func:`~repro.pipeline.outofcore.plan_residency`), only the first
+    frame pays brick uploads — the paper's "obvious speed benefits" of
+    the in-core regime.  Otherwise every frame streams its bricks.
+    """
+    if not cameras:
+        raise ValueError("need at least one camera")
+    cluster = _cluster(renderer, cluster)
+    grid = renderer._grid(bricks_per_gpu)
+    check_vram(grid, cluster)
+    n_gpus = renderer.n_gpus
+    partitioner = renderer._partitioner_factory(n_gpus)
+    threshold = renderer.tf.opacity_threshold_value()
+    if renderer.volume is not None:
+        occupancy = grid_occupancy(grid, threshold, volume=renderer.volume)
+    else:
+        occupancy = grid_occupancy(grid, threshold, field=renderer.field)
+    rc = renderer.render_config
+    if resident and len(cameras) > 1:
+        static = RayCastMapper(
+            cameras[0], renderer.tf, renderer.volume_shape, rc
+        ).static_device_bytes()
+        resident = plan_residency(grid, cluster, static).in_core
+    executor = SimClusterExecutor(cluster, job_config)
+    outcomes = []
+    for i, cam in enumerate(cameras):
+        works = build_workload(
+            grid,
+            cam,
+            rc.dt,
+            occupancy,
+            partitioner,
+            n_gpus,
+            emit_placeholders=True,
+            on_disk=out_of_core,
+            ert=rc.ert_alpha < 1.0,
+            fetches_per_sample=rc.fetches_per_sample,
+        )
+        if resident and i > 0:
+            works = strip_uploads(works)
+        outcomes.append(executor.execute(works, pair_nbytes=FRAGMENT_NBYTES)[0])
+    return outcomes
+
+
+def simulate_frame(
+    renderer: MapReduceVolumeRenderer,
+    camera: Camera,
+    cluster: Optional[ClusterSpec] = None,
+    job_config: Optional[JobConfig] = None,
+    bricks_per_gpu: int = 2,
+    out_of_core: bool = False,
+) -> SimOutcome:
+    """Time one frame of ``renderer``'s scene on the simulated cluster
+    from the analytic workload — no image, and no volume data beyond
+    what the brick occupancy reads."""
+    return simulate_sequence(
+        renderer, [camera], cluster, job_config, bricks_per_gpu, out_of_core
+    )[0]
+
+
+def replay(
+    renderer: MapReduceVolumeRenderer,
+    result: RenderResult,
+    cluster: Optional[ClusterSpec] = None,
+    job_config: Optional[JobConfig] = None,
+) -> SimOutcome:
+    """Price a functional frame's measured per-chunk work
+    (``result.works``) on the simulated cluster.  A brick larger than
+    a GPU's VRAM is refused here too, by the scheduler."""
+    cluster = _cluster(renderer, cluster)
+    outcome, _ = SimClusterExecutor(cluster, job_config).execute(
+        result.works, pair_nbytes=FRAGMENT_NBYTES
+    )
+    return outcome

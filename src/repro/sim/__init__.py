@@ -7,6 +7,11 @@ calibrated to the micro-costs the paper states (64³ brick ≈ 20 ms from
 disk, <0.2 ms over PCIe, <2 ms fragment download, VRAM ≫ DRAM bandwidth),
 so the *relative* stage costs — and hence every scaling trend in the
 evaluation — are preserved.
+
+The simulator imports the functional core (for
+:class:`~repro.core.executors.MapWork` and
+:class:`~repro.core.job.JobConfig`); nothing in the core imports the
+simulator.
 """
 
 from .cpu import CPUSpec
@@ -18,6 +23,7 @@ from .node import ClusterRuntime, ClusterSpec, GPUHandle, NodeRuntime, NodeSpec
 from .pcie import PCIeSpec
 from .presets import accelerator_cluster, cpu_cluster, laptop
 from .resources import Link, Resource, Store, TokenBucket
+from .scheduler import SimClusterExecutor, SimOutcome, run_simulated_job
 from .trace import Span, StageBreakdown, Trace
 
 __all__ = [
@@ -38,6 +44,8 @@ __all__ = [
     "PCIeSpec",
     "Process",
     "Resource",
+    "SimClusterExecutor",
+    "SimOutcome",
     "SimulationError",
     "Span",
     "StageBreakdown",
@@ -48,5 +56,6 @@ __all__ = [
     "accelerator_cluster",
     "cpu_cluster",
     "laptop",
+    "run_simulated_job",
     "tesla_c1060",
 ]

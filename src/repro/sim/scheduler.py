@@ -1,8 +1,8 @@
-"""The streaming scheduler — where the paper's overlap happens.
+"""The simulated job scheduler — where the paper's overlap happens.
 
-This module turns a list of :class:`MapWork` items (one per chunk, with
-all work counters known) into discrete-event processes on a
-:class:`~repro.sim.node.ClusterRuntime`:
+This module turns a list of :class:`~repro.core.executors.MapWork` items
+(one per chunk, with all work counters known) into discrete-event
+processes on a :class:`~repro.sim.node.ClusterRuntime`:
 
 * each GPU runs a mapper process: (disk read) → synchronous texture
   upload → ray-cast kernel → asynchronous fragment download → host
@@ -23,45 +23,20 @@ contention structure of the AC testbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..sim import trace as T
-from ..sim.engine import AllOf, Environment, Event
-from ..sim.node import ClusterRuntime
-from ..sim.trace import StageBreakdown
-from .job import JobConfig
+from ..core.executors import MapWork
+from ..core.job import JobConfig
+from . import trace as T
+from .engine import AllOf, Event
+from .node import ClusterRuntime, ClusterSpec
 from .stream import split_message_sizes
+from .trace import StageBreakdown
 
-__all__ = ["MapWork", "SimOutcome", "run_simulated_job"]
-
-
-@dataclass
-class MapWork:
-    """Everything the simulator needs to know about one chunk's map task.
-
-    Built either from a *functional* kernel run (counts measured) or from
-    the *analytic* workload model (counts predicted) — the scheduler does
-    not care which.
-    """
-
-    chunk_id: int
-    gpu: int  # global GPU index executing this chunk
-    upload_bytes: int  # ghost-padded brick payload
-    n_rays: int  # padded kernel thread count
-    n_samples: int  # trilinear samples taken
-    pairs_emitted: int  # kernel emissions incl. placeholders (D2H size)
-    pairs_to_reducer: np.ndarray  # (n_reducers,) kept pairs routed to each reducer
-    read_from_disk: bool = False
-
-    def __post_init__(self):
-        self.pairs_to_reducer = np.asarray(self.pairs_to_reducer, dtype=np.int64)
-        if np.any(self.pairs_to_reducer < 0):
-            raise ValueError("negative pair counts")
-        if self.pairs_emitted < int(self.pairs_to_reducer.sum()):
-            raise ValueError("emitted fewer pairs than routed")
+__all__ = ["SimClusterExecutor", "SimOutcome", "run_simulated_job"]
 
 
 @dataclass
@@ -342,3 +317,29 @@ def run_simulated_job(
         )
         outcome.gpu_utilization = busy / (cluster.gpu_count * outcome.total_runtime)
     return outcome
+
+
+class SimClusterExecutor:
+    """Replay :class:`MapWork` items on a simulated cluster for timing."""
+
+    def __init__(self, cluster_spec: ClusterSpec, config: Optional[JobConfig] = None):
+        self.cluster_spec = cluster_spec
+        self.config = config if config is not None else JobConfig()
+
+    def execute(
+        self,
+        works: Sequence[MapWork],
+        pair_nbytes: int,
+        owned_keys_per_reducer: Optional[np.ndarray] = None,
+    ) -> tuple[SimOutcome, ClusterRuntime]:
+        """Run the timing simulation; returns the outcome and the runtime
+        (whose trace callers can inspect for Gantt-level detail)."""
+        cluster = ClusterRuntime(self.cluster_spec)
+        outcome = run_simulated_job(
+            cluster,
+            list(works),
+            pair_nbytes=pair_nbytes,
+            config=self.config,
+            owned_keys_per_reducer=owned_keys_per_reducer,
+        )
+        return outcome, cluster

@@ -85,21 +85,21 @@ def test_invalidate_volume_end_to_end_after_inplace_edit():
     cfg = RenderConfig(dt=0.75)
 
     r = MapReduceVolumeRenderer(volume=vol, cluster=2, render_config=cfg)
-    before = r.render(cam, mode="exec").image
-    r.render(cam, mode="exec")  # warm the accel cache
+    before = r.render(cam).image
+    r.render(cam)  # warm the accel cache
 
     # In-place edit: drop a dense block into a previously empty corner —
     # exactly the region a stale empty-space table would wrongly skip.
     vol.data[:10, :10, :10] = float(vol.data.max())
     invalidate_volume(vol)
-    warm = r.render(cam, mode="exec").image
+    warm = r.render(cam).image
 
     # Cold oracle: same bytes, fresh object, fresh caches.
     vol2 = copy.deepcopy(vol)
     shared_cache().clear()
     cold = (
         MapReduceVolumeRenderer(volume=vol2, cluster=2, render_config=cfg)
-        .render(cam, mode="exec")
+        .render(cam)
         .image
     )
     assert not np.array_equal(cold, before)  # the edit is actually visible
@@ -119,21 +119,21 @@ def test_invalidate_volume_end_to_end_pool_arena():
         volume=vol, cluster=2, render_config=cfg,
         executor="pool", workers=2,
     ) as rp:
-        before = rp.render(cam, mode="exec").image
+        before = rp.render(cam).image
         vol.data[:10, :10, :10] = float(vol.data.max())
         # Without invalidation the arena fingerprint is unchanged, so the
         # pool keeps rendering the *stale* published voxels — that is the
         # documented hazard the escape hatch exists for.
-        stale = rp.render(cam, mode="exec").image
+        stale = rp.render(cam).image
         assert np.array_equal(stale, before)
         invalidate_volume(vol)
-        fresh = rp.render(cam, mode="exec").image
+        fresh = rp.render(cam).image
 
     vol2 = copy.deepcopy(vol)
     shared_cache().clear()
     cold = (
         MapReduceVolumeRenderer(volume=vol2, cluster=2, render_config=cfg)
-        .render(cam, mode="exec")
+        .render(cam)
         .image
     )
     assert not np.array_equal(cold, before)
@@ -164,8 +164,8 @@ def test_cached_table_cannot_change_image_or_stats():
     r = MapReduceVolumeRenderer(volume=vol, cluster=2)
     cam = orbit_camera(vol.shape, width=96, height=96)
     shared_cache().clear()
-    cold = r.render(cam, mode="exec")
-    warm = r.render(cam, mode="exec")
+    cold = r.render(cam)
+    warm = r.render(cam)
     assert shared_cache().hits > 0  # the second frame actually hit
     assert np.array_equal(cold.image, warm.image)
     assert cold.stats.as_dict() == warm.stats.as_dict()
@@ -178,13 +178,13 @@ def test_cached_grid_cannot_change_image_or_stats():
     r = MapReduceVolumeRenderer(volume=vol, cluster=2, accel="table")
     cam = orbit_camera(vol.shape, width=96, height=96)
     shared_cache().clear()
-    cold = r.render(cam, mode="exec")
+    cold = r.render(cam)
     keys = list(shared_cache()._entries)
     box_keys = [k for k in keys if k[0] == "box"]
     assert len(box_keys) == cold.n_bricks  # one box per brick's table
     assert sorted(k[1:] for k in box_keys) == sorted(k for k in keys if k[0] != "box")
     hits = shared_cache().hits
-    warm = r.render(cam, mode="exec")
+    warm = r.render(cam)
     assert shared_cache().hits == hits + 2 * cold.n_bricks
     assert np.array_equal(cold.image, warm.image)
     assert cold.stats.as_dict() == warm.stats.as_dict()
@@ -203,19 +203,19 @@ def test_invalidate_volume_refreshes_grids_after_inplace_edit():
     cfg = RenderConfig(dt=0.75, accel="table")
 
     r = MapReduceVolumeRenderer(volume=vol, cluster=2, render_config=cfg)
-    before = r.render(cam, mode="exec").image
-    r.render(cam, mode="exec")  # warm the cache
+    before = r.render(cam).image
+    r.render(cam)  # warm the cache
     # In-place edit into a previously empty corner — the region a stale
     # occupied box would (at least partially) wrongly trim.
     vol.data[:10, :10, :10] = float(vol.data.max())
     invalidate_volume(vol)
-    fresh = r.render(cam, mode="exec").image
+    fresh = r.render(cam).image
 
     vol2 = copy.deepcopy(vol)
     shared_cache().clear()
     cold = (
         MapReduceVolumeRenderer(volume=vol2, cluster=2, render_config=cfg)
-        .render(cam, mode="exec")
+        .render(cam)
         .image
     )
     assert not np.array_equal(cold, before)  # the edit is actually visible

@@ -21,7 +21,6 @@ from repro.core import (
     PLACEHOLDER,
     Reducer,
     RoundRobinPartitioner,
-    SimClusterExecutor,
     TiledPartitioner,
     run_length_groups,
 )
@@ -31,7 +30,7 @@ from repro.core.executors import (
     map_chunks_to_runs,
     merge_partition_runs,
 )
-from repro.sim import accelerator_cluster
+from repro.sim import SimClusterExecutor, accelerator_cluster
 
 KV = np.dtype([("key", np.int32), ("val", np.float32)])
 

@@ -11,15 +11,14 @@ from repro.core import (
     KVSpec,
     PLACEHOLDER,
     RoundRobinPartitioner,
-    SendBuffer,
     TiledPartitioner,
     counting_sort_pairs,
     discard_placeholders,
     run_length_groups,
-    split_message_sizes,
     stable_counting_order,
     validate_pairs,
 )
+from repro.sim.stream import SendBuffer, split_message_sizes
 
 KV = np.dtype([("key", np.int32), ("val", np.float32)])
 SPEC = KVSpec(KV)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.pipeline import MapReduceVolumeRenderer, orbit_path, render_rotation
+from repro.pipeline.workload import simulate_sequence
 from repro.render import RenderConfig, default_tf
 from repro.volume import auto_transfer_function, make_dataset, value_histogram
 from repro.volume.datasets import skull_field
@@ -24,7 +25,7 @@ def test_orbit_path_shapes_and_validation():
         orbit_path((32, 32, 32), 0)
 
 
-def test_render_rotation_sim_mode():
+def test_simulated_orbit_frame_times():
     r = MapReduceVolumeRenderer(
         volume=None,
         volume_shape=(128, 128, 128),
@@ -33,12 +34,12 @@ def test_render_rotation_sim_mode():
         tf=default_tf(),
         render_config=RenderConfig(dt=1.0),
     )
-    rot = render_rotation(r, n_frames=4, mode="sim", width=256, height=256)
-    assert rot.n_frames == 4
-    assert rot.mean_fps > 0
-    assert rot.worst_frame >= max(rot.frame_runtimes) - 1e-12
-    assert rot.frame_time_spread >= 1.0
-    assert rot.total_seconds == pytest.approx(sum(rot.frame_runtimes))
+    cams = orbit_path(r.volume_shape, 4, width=256, height=256)
+    outcomes = simulate_sequence(r, cams, resident=False)
+    times = [o.total_runtime for o in outcomes]
+    assert len(times) == 4 and all(t > 0 for t in times)
+    # The view changes each frame's work: the orbit is not flat.
+    assert max(times) > min(times)
 
 
 def test_render_rotation_exec_keeps_images():
@@ -46,9 +47,7 @@ def test_render_rotation_exec_keeps_images():
     r = MapReduceVolumeRenderer(
         volume=vol, cluster=2, tf=default_tf(), render_config=RenderConfig(dt=1.0)
     )
-    rot = render_rotation(
-        r, n_frames=3, mode="both", width=32, height=32, keep_images=True
-    )
+    rot = render_rotation(r, n_frames=3, width=32, height=32, keep_images=True)
     assert len(rot.images) == 3
     assert all(img.shape == (32, 32, 4) for img in rot.images)
     # Different angles produce different images.
@@ -56,20 +55,19 @@ def test_render_rotation_exec_keeps_images():
 
 
 def test_render_rotation_exec_mode_times_wall_clock():
-    # Exec-only orbits have no simulated clock: frame times are the
-    # measured wall clock of the functional pipeline.
+    # Orbits have no simulated clock: frame times are the measured wall
+    # clock of the functional pipeline, one per frame.
     vol = make_dataset("supernova", (16, 16, 16))
     r = MapReduceVolumeRenderer(volume=vol, cluster=2)
-    rot = render_rotation(r, n_frames=2, mode="exec", width=32, height=32)
+    rot = render_rotation(r, n_frames=2, width=32, height=32)
     assert rot.n_frames == 2
-    assert len(rot.wall_seconds) == 2
+    assert len(rot.wall_seconds) == 2 and len(rot.results) == 2
     assert all(t > 0 for t in rot.wall_seconds)
-    assert rot.frame_runtimes == rot.wall_seconds
-    assert rot.wall_fps > 0
-    # Timed modes still report the simulated clock, not the wall clock.
-    rot_sim = render_rotation(r, n_frames=2, mode="sim", width=32, height=32)
-    assert len(rot_sim.wall_seconds) == 2
-    assert rot_sim.frame_runtimes != rot_sim.wall_seconds
+    assert rot.images == []  # kept only on request
+    assert rot.mean_fps == pytest.approx(2 / sum(rot.wall_seconds))
+    assert rot.worst_frame == max(rot.wall_seconds)
+    assert rot.frame_time_spread >= 1.0
+    assert rot.total_seconds == pytest.approx(sum(rot.wall_seconds))
 
 
 # -- histogram / auto transfer function ------------------------------------
@@ -145,7 +143,9 @@ def test_cli_render_writes_ppm(tmp_path, capsys):
     )
     assert rc == 0
     assert out.exists() and out.read_bytes().startswith(b"P6")
-    assert "simulated stages" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "frame wall-clock:" in out and "(measured)" in out
+    assert "simulated stages" not in out
 
 
 def test_cli_render_with_shading_and_auto_tf(tmp_path):

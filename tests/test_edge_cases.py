@@ -127,6 +127,7 @@ def test_run_until_without_events_advances_clock():
 
 # -- pipeline edge cases ------------------------------------------------------
 def test_render_sim_single_gpu_single_brick():
+    from repro.pipeline.workload import simulate_frame
     from repro.volume.datasets import skull_field
 
     r = MapReduceVolumeRenderer(
@@ -138,9 +139,9 @@ def test_render_sim_single_gpu_single_brick():
         render_config=RenderConfig(dt=1.0),
     )
     cam = orbit_camera((64,) * 3, width=64, height=64)
-    res = r.render(cam, mode="sim", bricks_per_gpu=1)
-    assert res.n_bricks >= 1
-    assert res.runtime > 0
+    res = simulate_frame(r, cam, bricks_per_gpu=1)
+    assert len(res.pairs_per_reducer) == 1
+    assert res.total_runtime > 0
 
 
 def test_offscreen_volume_renders_empty():

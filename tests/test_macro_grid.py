@@ -623,7 +623,7 @@ def _render_pair(executor_kwargs, accel):
         volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
         accel=accel, **executor_kwargs,
     ) as r:
-        res = r.render(cam, mode="exec")
+        res = r.render(cam)
     assert (positioned_samples(res.stats) < res.stats.n_samples) == (accel != "off")
     return res.image, res.stats.as_dict()
 
@@ -654,9 +654,9 @@ def test_renderer_grid_matches_off_pool_matrix(workers):
         volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
         accel="table", executor="pool", workers=workers,
     ) as r:
-        first = r.render(cam, mode="exec")
+        first = r.render(cam)
         # second frame hits the workers' warm caches
-        second = r.render(cam, mode="exec")
+        second = r.render(cam)
     assert np.array_equal(img_off, first.image)
     assert np.array_equal(img_off, second.image)
     assert stats_off == first.stats.as_dict() == second.stats.as_dict()
@@ -675,14 +675,14 @@ def test_accel_off_publishes_no_grids():
         volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
         accel="off", executor="pool", workers=2,
     ) as r:
-        r.render(cam, mode="exec")
+        r.render(cam)
         pool = r._exec_instance
         assert isinstance(pool, SharedMemoryPoolExecutor)
         arena_keys = set(pool._state["arena"].spec.keys())
         assert arena_keys == {0, 1, 2, 3, TF_ARENA_KEY}  # 2 GPUs × 2 bricks
         fp = pool._arena_fingerprint
         r.render_config = RenderConfig(dt=0.75, accel="table")
-        r.render(cam, mode="exec")
+        r.render(cam)
         assert pool._arena_fingerprint == fp
         assert set(pool._state["arena"].spec.keys()) == arena_keys
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core import MapWork
 from repro.pipeline import MapReduceVolumeRenderer
 from repro.pipeline.outofcore import plan_residency, strip_uploads
+from repro.pipeline.workload import simulate_sequence
 from repro.render import RenderConfig, default_tf
 from repro.pipeline import orbit_path
 from repro.sim import accelerator_cluster
@@ -66,29 +67,29 @@ def make_renderer(size=128, n_gpus=4):
     )
 
 
-def test_render_sequence_resident_frames_faster():
+def test_simulate_sequence_resident_frames_faster():
     """After the first frame, resident re-renders skip uploads entirely."""
     r = make_renderer()
     cams = orbit_path((128,) * 3, 3, width=256, height=256)
-    results = r.render_sequence(cams, resident=True)
+    results = simulate_sequence(r, cams, resident=True)
     assert len(results) == 3
     first, later = results[0], results[1:]
-    assert all(res.runtime < first.runtime for res in later)
-    assert first.outcome.bytes_uploaded > 0
-    assert all(res.outcome.bytes_uploaded == 0 for res in later)
+    assert all(res.total_runtime < first.total_runtime for res in later)
+    assert first.bytes_uploaded > 0
+    assert all(res.bytes_uploaded == 0 for res in later)
 
 
-def test_render_sequence_streaming_when_not_resident():
+def test_simulate_sequence_streaming_when_not_resident():
     r = make_renderer()
     cams = orbit_path((128,) * 3, 3, width=256, height=256)
-    results = r.render_sequence(cams, resident=False)
-    assert all(res.outcome.bytes_uploaded > 0 for res in results)
+    results = simulate_sequence(r, cams, resident=False)
+    assert all(res.bytes_uploaded > 0 for res in results)
     # Frame times are comparable (every frame pays uploads).
-    times = [res.runtime for res in results]
+    times = [res.total_runtime for res in results]
     assert max(times) < 1.5 * min(times)
 
 
-def test_render_sequence_oversized_volume_falls_back_to_streaming():
+def test_simulate_sequence_oversized_volume_falls_back_to_streaming():
     """A volume that cannot be resident streams every frame even with
     resident=True requested."""
     spec = accelerator_cluster(2).with_gpu(vram_bytes=1 << 17)  # 128 KiB GPUs
@@ -101,11 +102,11 @@ def test_render_sequence_oversized_volume_falls_back_to_streaming():
         render_config=RenderConfig(dt=1.0),
     )
     cams = orbit_path((64,) * 3, 2, width=64, height=64)
-    results = r.render_sequence(cams, bricks_per_gpu=8, resident=True)
-    assert all(res.outcome.bytes_uploaded > 0 for res in results)
+    results = simulate_sequence(r, cams, bricks_per_gpu=8, resident=True)
+    assert all(res.bytes_uploaded > 0 for res in results)
 
 
-def test_render_sequence_validation():
+def test_simulate_sequence_validation():
     r = make_renderer()
     with pytest.raises(ValueError):
-        r.render_sequence([])
+        simulate_sequence(r, [])

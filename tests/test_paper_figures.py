@@ -21,7 +21,8 @@ import pytest
 
 from repro.bench import exec_vs_sim_validation, fig3_breakdown, fig4_scaling
 from repro.cli import main as cli_main
-from repro.pipeline import MapReduceVolumeRenderer, orbit_path, render_rotation
+from repro.pipeline import MapReduceVolumeRenderer, orbit_path
+from repro.pipeline.workload import replay, simulate_sequence
 from repro.render import RenderConfig, default_tf, orbit_camera
 from repro.volume import make_dataset
 from repro.volume.datasets import skull_field
@@ -87,20 +88,21 @@ def exec_vs_sim():
 def sequence_resident():
     r = _field_renderer()
     cams = orbit_path((128,) * 3, 3, width=256, height=256)
-    return [res.outcome for res in r.render_sequence(cams, resident=True)]
+    return simulate_sequence(r, cams, resident=True)
 
 
 @figure
 def sequence_streaming():
     r = _field_renderer()
     cams = orbit_path((128,) * 3, 3, width=256, height=256)
-    return [res.outcome for res in r.render_sequence(cams, resident=False)]
+    return simulate_sequence(r, cams, resident=False)
 
 
 @figure
 def rotation_frame_runtimes():
     r = _field_renderer()
-    return render_rotation(r, n_frames=4, mode="sim", width=256, height=256).frame_runtimes
+    cams = orbit_path(r.volume_shape, 4, width=256, height=256)
+    return [o.total_runtime for o in simulate_sequence(r, cams, resident=False)]
 
 
 @figure
@@ -111,7 +113,7 @@ def replayed_frame():
         volume=vol, cluster=2, tf=default_tf(),
         render_config=RenderConfig(dt=0.8, ert_alpha=1.0),
     )
-    return r.render(cam, mode="both").outcome
+    return replay(r, r.render(cam))
 
 
 @figure

@@ -178,7 +178,7 @@ def test_pipelined_orbit_smoke_bitwise_and_walls():
 
     r_ref, _ = make_scene()
     ref = render_rotation(
-        r_ref, n_frames=3, mode="exec", width=64, height=64, keep_images=True
+        r_ref, n_frames=3, width=64, height=64, keep_images=True
     )
     with MapReduceVolumeRenderer(
         volume=r_ref.volume,
@@ -190,7 +190,7 @@ def test_pipelined_orbit_smoke_bitwise_and_walls():
     ) as r:
         assert r.frame_pipeline_depth == 2
         rot = render_rotation(
-            r, n_frames=3, mode="exec", width=64, height=64, keep_images=True
+            r, n_frames=3, width=64, height=64, keep_images=True
         )
     assert len(rot.wall_seconds) == 3 and all(w > 0 for w in rot.wall_seconds)
     for img, img_ref in zip(rot.images, ref.images):
@@ -216,7 +216,7 @@ def test_pipelined_out_of_core_orbit_matches_serial():
         cluster=2,
         render_config=cfg,
     )
-    refs = [ref.render(c, mode="exec", out_of_core=True).image for c in cams]
+    refs = [ref.render(c, out_of_core=True).image for c in cams]
     with MapReduceVolumeRenderer(
         volume_shape=shape,
         field=DATASET_FIELDS["skull"],
@@ -255,7 +255,7 @@ def test_submit_collect_out_of_order_and_depth_cap():
 
 def test_renderer_pool_image_identical():
     r_ref, cam = make_scene()
-    img_ref = r_ref.render(cam, mode="exec").image
+    img_ref = r_ref.render(cam).image
     vol = r_ref.volume
     with MapReduceVolumeRenderer(
         volume=vol,
@@ -264,8 +264,8 @@ def test_renderer_pool_image_identical():
         executor="pool",
         workers=2,
     ) as r_pool:
-        img_pool = r_pool.render(cam, mode="exec").image
-        img_pool2 = r_pool.render(cam, mode="exec").image  # warm arena + caches
+        img_pool = r_pool.render(cam).image
+        img_pool2 = r_pool.render(cam).image  # warm arena + caches
     assert np.array_equal(img_ref, img_pool)
     assert np.array_equal(img_ref, img_pool2)
 
@@ -301,7 +301,7 @@ def test_pipelined_orbit_matches_serial_matrix(workers):
 
     r_ref, _ = make_scene()
     ref = render_rotation(
-        r_ref, n_frames=4, mode="exec", width=64, height=64, keep_images=True
+        r_ref, n_frames=4, width=64, height=64, keep_images=True
     )
     with MapReduceVolumeRenderer(
         volume=r_ref.volume,
@@ -312,7 +312,7 @@ def test_pipelined_orbit_matches_serial_matrix(workers):
         pipeline_depth=2,
     ) as r:
         rot = render_rotation(
-            r, n_frames=4, mode="exec", width=64, height=64, keep_images=True
+            r, n_frames=4, width=64, height=64, keep_images=True
         )
     assert len(rot.images) == len(ref.images) == 4
     for img, img_ref in zip(rot.images, ref.images):
@@ -799,10 +799,3 @@ def test_camera_pickle_excludes_ray_grid_cache():
     d2, k2 = clone.rect_rays_f32(clone.full_rect())
     assert np.array_equal(d1, d2) and np.array_equal(k1, k2)
 
-
-# -- executor config hygiene (shared-default fix) ----------------------------
-def test_executor_configs_are_per_instance():
-    assert InProcessExecutor().config is not InProcessExecutor().config
-    p1 = SharedMemoryPoolExecutor(workers=1)  # no process until a frame
-    p2 = SharedMemoryPoolExecutor(workers=1)
-    assert p1.config is not p2.config

@@ -94,7 +94,8 @@ def test_speed_of_light_single_node_no_network():
 
 def test_speed_of_light_lower_bounds_simulation():
     """The simulator can never beat the speed of light."""
-    from repro.core import JobConfig, SimClusterExecutor
+    from repro.core import JobConfig
+    from repro.sim import SimClusterExecutor
 
     spec = accelerator_cluster(8)
     works = make_works(8)

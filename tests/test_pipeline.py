@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import JobConfig, TiledPartitioner
 from repro.pipeline import MapReduceVolumeRenderer
+from repro.pipeline.workload import replay, simulate_frame
 from repro.render import (
     RenderConfig,
     default_tf,
@@ -30,7 +31,7 @@ def test_exec_render_matches_reference():
     """The full MapReduce pipeline reproduces the single-pass image."""
     ref = render_reference(VOL, CAM, default_tf(), CFG)
     for n_gpus in (1, 2, 4):
-        res = renderer(n_gpus).render(CAM, mode="exec", bricks_per_gpu=2)
+        res = renderer(n_gpus).render(CAM, bricks_per_gpu=2)
         assert res.image is not None
         assert max_abs_diff(res.image, ref.image) < 1e-4, f"{n_gpus} GPUs"
         assert res.n_gpus == n_gpus
@@ -39,8 +40,8 @@ def test_exec_render_matches_reference():
 
 def test_exec_render_out_of_core_same_image():
     """Streaming bricks through loaders changes nothing in the output."""
-    ref = renderer(2).render(CAM, mode="exec")
-    ooc = renderer(2).render(CAM, mode="exec", out_of_core=True)
+    ref = renderer(2).render(CAM)
+    ooc = renderer(2).render(CAM, out_of_core=True)
     assert max_abs_diff(ooc.image, ref.image) == 0.0
 
 
@@ -57,20 +58,22 @@ def test_exec_render_procedural_field_out_of_core():
         render_config=CFG,
     )
     with pytest.raises(ValueError):
-        r.render(CAM, mode="exec")  # in-core render without volume
-    res = r.render(CAM, mode="exec", out_of_core=True)
-    ref = renderer(2).render(CAM, mode="exec")
+        r.render(CAM)  # in-core render without volume
+    res = r.render(CAM, out_of_core=True)
+    ref = renderer(2).render(CAM)
     assert max_abs_diff(res.image, ref.image) < 1e-4
 
 
-def test_both_mode_attaches_timing():
-    res = renderer(2).render(CAM, mode="both")
-    assert res.image is not None
-    assert res.outcome is not None
-    assert res.runtime > 0
-    sb = res.outcome.breakdown
-    assert sb.total == pytest.approx(res.runtime, rel=1e-9)
-    assert res.stats.breakdown is sb
+def test_replay_times_a_functional_frame():
+    r = renderer(2)
+    res = r.render(CAM)
+    assert len(res.works) == res.n_bricks
+    outcome = replay(r, res)
+    assert outcome.total_runtime > 0
+    sb = outcome.breakdown
+    assert sb.total == pytest.approx(outcome.total_runtime, rel=1e-9)
+    # The replay prices the pairs the functional frame kept.
+    assert int(outcome.pairs_per_reducer.sum()) == res.stats.n_pairs_kept
 
 
 def test_sim_mode_runs_without_volume_data():
@@ -84,10 +87,9 @@ def test_sim_mode_runs_without_volume_data():
         tf=default_tf(),
         render_config=RenderConfig(dt=0.5),
     )
-    res = r.render(orbit_camera((256,) * 3, width=512, height=512), mode="sim")
-    assert res.image is None
-    assert res.outcome.total_runtime > 0
-    assert res.outcome.breakdown.map > 0
+    res = simulate_frame(r, orbit_camera((256,) * 3, width=512, height=512))
+    assert res.total_runtime > 0
+    assert res.breakdown.map > 0
 
 
 def test_sim_runtime_decreases_with_gpus_for_large_volume():
@@ -103,13 +105,8 @@ def test_sim_runtime_decreases_with_gpus_for_large_volume():
             tf=default_tf(),
         )
         cam = orbit_camera((256,) * 3, width=512, height=512)
-        times[n] = r.render(cam, mode="sim", bricks_per_gpu=2).runtime
+        times[n] = simulate_frame(r, cam, bricks_per_gpu=2).total_runtime
     assert times[4] < times[1]
-
-
-def test_render_mode_validation():
-    with pytest.raises(ValueError):
-        renderer().render(CAM, mode="warp")
 
 
 def test_renderer_requires_shape_or_volume():
@@ -118,31 +115,46 @@ def test_renderer_requires_shape_or_volume():
 
 
 def test_oversized_brick_rejected():
+    """A stated VRAM refuses an oversized brick, functional or simulated;
+    a bare GPU count states none, so only the simulator refuses."""
     spec = accelerator_cluster(1).with_gpu(vram_bytes=1024)
     r = MapReduceVolumeRenderer(volume=VOL, cluster=spec, render_config=CFG)
-    for mode in ("exec", "sim"):
-        with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
-            r.render(CAM, mode=mode, bricks_per_gpu=1)
+    with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
+        r.render(CAM, bricks_per_gpu=1)
     with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
         r.submit_frame(CAM, bricks_per_gpu=1)
+    with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
+        simulate_frame(r, CAM, bricks_per_gpu=1)
+    bare = MapReduceVolumeRenderer(volume=VOL, cluster=1, render_config=CFG)
+    res = bare.render(CAM, bricks_per_gpu=1)
+    with pytest.raises(MemoryError, match="exceeds GPU VRAM 1024 B"):
+        simulate_frame(bare, CAM, spec, bricks_per_gpu=1)
+    with pytest.raises(MemoryError, match="exceeds VRAM"):
+        replay(bare, res, spec)
 
 
 def test_custom_partitioner_same_image():
     """§6.1 pluggability: swapping the partitioner leaves the image intact."""
-    ref = renderer(4).render(CAM, mode="exec")
+    ref = renderer(4).render(CAM)
     tiled = MapReduceVolumeRenderer(
         volume=VOL,
         cluster=4,
         tf=default_tf(),
         render_config=CFG,
         partitioner_factory=lambda n: TiledPartitioner(n, CAM.width, CAM.height, tile=16),
-    ).render(CAM, mode="exec")
+    ).render(CAM)
     assert max_abs_diff(tiled.image, ref.image) == 0.0
 
 
 def test_job_config_flows_to_sim():
     cfg = JobConfig(reduce_on="gpu", sort_on="gpu")
-    res = MapReduceVolumeRenderer(
-        volume=VOL, cluster=2, tf=default_tf(), render_config=CFG, job_config=cfg
-    ).render(CAM, mode="both")
-    assert res.outcome.sort_device == "gpu"
+    r = renderer(2)
+    assert replay(r, r.render(CAM), job_config=cfg).sort_device == "gpu"
+    assert simulate_frame(r, CAM, job_config=cfg).sort_device == "gpu"
+    assert simulate_frame(r, CAM).sort_device == "cpu"
+
+
+def test_simulated_cluster_must_match_the_renderer():
+    r = renderer(2)
+    with pytest.raises(ValueError, match="cluster has 4 GPUs"):
+        simulate_frame(r, CAM, accelerator_cluster(4))

@@ -85,24 +85,27 @@ def test_pipeline_reducer_count_invariance(seed, n_gpus):
 @given(seed=st.integers(0, 2**31 - 1), threshold=st.integers(1, 50))
 @settings(max_examples=20, deadline=None)
 def test_send_threshold_never_changes_results(seed, threshold):
-    """Streaming granularity is a pure performance knob."""
+    """Streaming granularity is a pure performance knob: a replayed frame
+    moves the same pairs and bytes in more, smaller messages."""
     from repro.core import JobConfig
+    from repro.pipeline.workload import replay
 
     rng = np.random.default_rng(seed)
     v = random_volume(rng, (10, 10, 10))
     cam = orbit_camera(v.shape, width=16, height=16)
     cfg = RenderConfig(dt=1.0, ert_alpha=1.0)
-    imgs = []
-    for thr in (threshold, 1 << 16):
-        res = MapReduceVolumeRenderer(
-            volume=v,
-            cluster=2,
-            tf=default_tf(),
-            render_config=cfg,
-            job_config=JobConfig(send_threshold_pairs=thr),
-        ).render(cam)
-        imgs.append(res.image)
-    assert np.array_equal(imgs[0], imgs[1])
+    r = MapReduceVolumeRenderer(
+        volume=v, cluster=8, tf=default_tf(), render_config=cfg
+    )
+    res = r.render(cam)
+    small, big = (
+        replay(r, res, job_config=JobConfig(send_threshold_pairs=thr))
+        for thr in (threshold, 1 << 16)
+    )
+    assert np.array_equal(small.pairs_per_reducer, big.pairs_per_reducer)
+    assert small.bytes_internode == big.bytes_internode
+    assert small.bytes_intranode == big.bytes_intranode
+    assert small.n_messages >= big.n_messages
 
 
 @given(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bench import format_series, format_table
-from repro.core import JobStats, MapWork, SimClusterExecutor
+from repro.core import JobStats, MapWork
 from repro.render.raycast import MapStats
-from repro.sim import ClusterRuntime, Trace, accelerator_cluster
+from repro.sim import ClusterRuntime, SimClusterExecutor, Trace, accelerator_cluster
 from repro.sim import trace as T
 
 
@@ -101,6 +101,8 @@ def test_jobstats_dict_and_discard_fraction():
     assert st.discard_fraction == pytest.approx(0.25)
     d = st.as_dict()
     assert d["n_chunks"] == 1 and d["n_rays"] == 100
-    assert "stage_breakdown" not in d  # no breakdown attached yet
+    assert set(d) == {
+        "n_chunks", "n_rays", "n_samples", "n_pairs_emitted", "n_pairs_kept"
+    }
     empty = JobStats()
     assert empty.discard_fraction == 0.0

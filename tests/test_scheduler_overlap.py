@@ -6,8 +6,8 @@ concurrently")."""
 import numpy as np
 import pytest
 
-from repro.core import JobConfig, MapWork, SimClusterExecutor
-from repro.sim import accelerator_cluster
+from repro.core import JobConfig, MapWork
+from repro.sim import SimClusterExecutor, accelerator_cluster
 from repro.sim import trace as T
 
 

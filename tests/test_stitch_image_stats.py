@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import JobConfig, MapWork, SimClusterExecutor
+from repro.core import JobConfig, MapWork
 from repro.render import (
     image_stats,
     max_abs_diff,
@@ -13,7 +13,7 @@ from repro.render import (
     stitch_pixels,
     write_ppm,
 )
-from repro.sim import accelerator_cluster
+from repro.sim import SimClusterExecutor, accelerator_cluster
 
 
 # -- stitching -------------------------------------------------------------

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.pipeline import (
-    LocalPartitioner,
-    MapReduceVolumeRenderer,
-    render_swap,
-    slab_assignment,
-)
+from repro.pipeline import MapReduceVolumeRenderer
+from repro.pipeline.swap import LocalPartitioner, render_swap, slab_assignment
 from repro.render import (
     Camera,
     RenderConfig,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import InProcessExecutor, RoundRobinPartitioner
-from repro.pipeline import MapReduceVolumeRenderer, build_workload, model_brick_work
+from repro.pipeline import MapReduceVolumeRenderer
+from repro.pipeline.workload import build_workload, model_brick_work
 from repro.pipeline.workload import _route_exact
 from repro.render import RenderConfig, default_tf, orbit_camera
 from repro.volume import BrickGrid, grid_occupancy, make_dataset
