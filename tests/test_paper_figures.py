@@ -19,7 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import exec_vs_sim_validation, fig3_breakdown, fig4_scaling
+from repro.bench import (
+    ablation_compositing,
+    ablation_partitioners,
+    ablation_reduce_device,
+    ablation_sort_device,
+    exec_vs_sim_validation,
+    fig3_breakdown,
+    fig4_scaling,
+    micro_transfer_costs,
+    paraview_reference,
+    sec63_bottleneck,
+)
+from repro.bench.experiments import ablation_combiner, ablation_future_work
 from repro.cli import main as cli_main
 from repro.pipeline import MapReduceVolumeRenderer, orbit_path
 from repro.pipeline.workload import replay, simulate_sequence
@@ -82,6 +94,22 @@ def fig4_scaling_small():
 @figure
 def exec_vs_sim():
     return exec_vs_sim_validation()
+
+
+# The §6.3, footnote-1 and §3 tables and the six ablations, at the
+# paper-scale defaults the figure experiments run with.
+for _fn in (
+    sec63_bottleneck,
+    paraview_reference,
+    micro_transfer_costs,
+    ablation_partitioners,
+    ablation_compositing,
+    ablation_sort_device,
+    ablation_reduce_device,
+    ablation_future_work,
+    ablation_combiner,
+):
+    figure(_fn)
 
 
 @figure
