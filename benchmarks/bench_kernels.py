@@ -1,8 +1,9 @@
 """KERNELS — micro-benchmarks of the functional kernels.
 
-These time the *Python implementations* (useful for tracking regressions
-in this repo), not the simulated GPU — simulated stage times live in the
-figure benches.
+These time the functional kernels on this machine (where a kernel's
+time goes), not the simulated GPU — the paper's simulated figures are
+checked in ``tests/test_paper_claims.py``.  ``benchmarks/run_kernels.sh``
+runs them into ``BENCH_kernels.json``.
 """
 
 from functools import lru_cache

@@ -1,13 +1,8 @@
-"""Shared benchmark helpers.
+"""Provenance for the kernel micro-benchmarks.
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-Each bench regenerates one paper artifact (figure/table), prints it as a
-table, and asserts the paper's *qualitative shape* (who wins, where the
-crossover falls) — absolute milliseconds are simulated, not measured on
-2010 hardware.
+``benchmarks/run_kernels.sh`` runs ``bench_kernels.py`` under
+pytest-benchmark; the hook below stamps the environment it ran in into
+the JSON document it saves.
 """
 
 import pytest
@@ -23,17 +18,3 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
     from repro.bench.results import collect_environment
 
     output_json["environment"] = collect_environment()
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Benchmark a grid-level experiment with a single round.
-
-    Figure grids run dozens of simulated frames; default calibration
-    would repeat them hundreds of times for no statistical benefit.
-    """
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return _run

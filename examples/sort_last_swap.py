@@ -76,7 +76,7 @@ def main(out_dir: str = "quickstart_output") -> None:
               f"composite={swap_cost.composite_seconds * 1e3:.1f}ms "
               f"total={swap_cost.total * 1e3:.1f}ms")
     print("compare against direct-send Partition+Sort+Reduce in "
-          "`pytest benchmarks/bench_abl_compositing.py --benchmark-only -s`")
+          "`repro.bench.ablation_compositing()`")
 
 
 if __name__ == "__main__":

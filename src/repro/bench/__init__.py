@@ -1,4 +1,10 @@
-"""Benchmark harness: experiment grids and table reporting."""
+"""The paper's figure experiments on the simulated cluster, their
+tables, and the provenance block of every benchmark document.
+
+``tests/test_paper_claims.py`` checks the figures' shape and
+``tests/test_paper_figures.py`` pins their values; the repo's benchmark
+is ``BENCHMARK.json`` with ``benchmarks/e2e/``.
+"""
 
 from .experiments import (
     GPU_COUNTS,
@@ -16,11 +22,10 @@ from .experiments import (
     sec63_bottleneck,
     sim_render,
 )
-from .reporting import format_series, format_table, print_table
-from .results import ExperimentResults, collect_environment, load_kernel_means
+from .reporting import format_series, format_table
+from .results import collect_environment
 
 __all__ = [
-    "ExperimentResults",
     "GPU_COUNTS",
     "PAPER_SIZES",
     "ablation_compositing",
@@ -34,10 +39,8 @@ __all__ = [
     "figure_camera",
     "format_series",
     "format_table",
-    "load_kernel_means",
     "micro_transfer_costs",
     "paraview_reference",
-    "print_table",
     "sec63_bottleneck",
     "sim_render",
 ]

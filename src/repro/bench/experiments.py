@@ -1,8 +1,9 @@
 """Experiment definitions — one function per paper figure/table.
 
-Every experiment returns plain dict rows so the ``benchmarks/`` harness
-can both time it (pytest-benchmark) and print the paper-shaped table.
-See DESIGN.md's experiment index for the mapping to the paper.
+Every experiment returns plain dict rows: ``repro sweep`` and ``repro
+analyze`` print them as the paper-shaped tables,
+``tests/test_paper_claims.py`` checks their shape against the paper and
+``tests/test_paper_figures.py`` pins their values.
 
 All figure-scale experiments run on the simulated cluster from the
 analytic workload (:func:`~repro.pipeline.workload.simulate_frame`).

@@ -1,4 +1,4 @@
-"""Plain-text reporting for the benchmark harness.
+"""Plain-text tables for the paper's figure experiments.
 
 The paper's figures are line/bar charts; in a terminal we print the same
 data as aligned tables so "who wins, by what factor, where crossovers
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "print_table"]
+__all__ = ["format_table", "format_series"]
 
 
 def _fmt(value: Any, ndigits: int = 4) -> str:
@@ -52,7 +52,3 @@ def format_series(
     """One figure series as 'label: x=y, x=y, ...'."""
     pairs = ", ".join(f"{x}→{_fmt(y)}" for x, y in zip(xs, ys))
     return f"{label} [{y_name}]: {pairs}"
-
-
-def print_table(rows, columns=None, title="") -> None:
-    print(format_table(rows, columns, title))

@@ -129,29 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--no-resident", action="store_true",
                    help="stream bricks every frame instead of caching them")
 
-    rep = sub.add_parser(
-        "report",
-        help="benchmark regression report over committed BENCH_*.json",
-    )
-    rep.add_argument("--kernels", default="BENCH_kernels.json",
-                     help="current pytest-benchmark kernel document "
-                          "(default: the committed BENCH_kernels.json)")
-    rep.add_argument("--baseline", default="BENCH_kernels_seed.json",
-                     help="baseline kernel document to compare against "
-                          "(default: the committed seed)")
-    rep.add_argument("--previous", default=None,
-                     help="optional previous-PR kernel document for a "
-                          "three-way comparison")
-    rep.add_argument("--parallel", default="BENCH_parallel.json",
-                     help="pool scaling sweep document summarised in the "
-                          "report (skipped when missing)")
-    rep.add_argument("--check", action="store_true",
-                     help="exit non-zero if any kernel mean regressed "
-                          "past --threshold vs the baseline (the CI gate)")
-    rep.add_argument("--threshold", type=float, default=0.15,
-                     help="allowed fractional slowdown before --check "
-                          "fails (default 0.15 = 15%%)")
-
     sub.add_parser("info", help="package / model configuration summary")
     return p
 
@@ -306,27 +283,6 @@ def _cmd_rotate(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from .bench.results import ExperimentResults
-
-    results = ExperimentResults(
-        kernels=args.kernels,
-        baseline=args.baseline,
-        previous=args.previous,
-        parallel=args.parallel,
-        threshold=args.threshold,
-    )
-    print(results.render_report())
-    if args.check and not results.check():
-        print(
-            f"FAIL: {len(results.regressions())} kernel(s) regressed "
-            f"beyond {args.threshold:.0%}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_info(args) -> int:
     import numpy
 
@@ -349,7 +305,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": _cmd_sweep,
         "analyze": _cmd_analyze,
         "rotate": _cmd_rotate,
-        "report": _cmd_report,
         "info": _cmd_info,
     }
     return handlers[args.command](args)

@@ -1,11 +1,14 @@
-"""The CI workflow's ``repro render`` command lines still parse.
+"""The CI workflow's command lines still point at real things.
 
 Nothing runs ``.github/workflows/ci.yml`` before it is pushed, so a CLI
-flag removed from :func:`repro.cli.build_parser` but still passed by a
-CI step would only fail on the runner.  This test reads the workflow,
-joins each ``run:`` step's backslash continuations, substitutes every
-``${{ matrix.* }}`` combination of its job, and parses every
-``python -m repro render …`` line with the real parser.
+flag, subcommand or script removed from the repo but still used by a CI
+step would only fail on the runner.  These tests read the workflow, join
+each ``run:`` step's backslash continuations, substitute every
+``${{ matrix.* }}`` combination of its job, and check that:
+
+* every ``python -m repro render …`` line parses with the real parser;
+* every ``python -m repro <cmd>`` names a real subcommand;
+* every relative path a step names exists in the repo.
 """
 
 import itertools
@@ -18,9 +21,14 @@ import yaml
 
 from repro.cli import build_parser
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 MATRIX_REF = re.compile(r"\$\{\{\s*matrix\.([A-Za-z0-9_-]+)\s*\}\}")
 SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "<"}
+# A relative path: word characters, dots and dashes between slashes.  It
+# counts as a repo path when it has a slash or a file suffix.
+PATH_TOKEN = re.compile(r"[\w.-]+(/[\w.-]+)*/?")
+FILE_SUFFIX = re.compile(r"\.(py|sh|json|ya?ml|toml|cfg|ini|txt|md)$")
 
 
 def _matrix_combinations(job: dict) -> list:
@@ -32,9 +40,9 @@ def _matrix_combinations(job: dict) -> list:
     )]
 
 
-def _render_commands() -> list:
-    """``(job, argv after "render")`` for every render line in the
-    workflow, once per matrix combination."""
+def _run_scripts() -> list:
+    """``(job, script)`` for every ``run:`` step, once per matrix
+    combination, continuations joined and matrix values filled in."""
     doc = yaml.safe_load(WORKFLOW.read_text())
     found = []
     for name, job in doc["jobs"].items():
@@ -45,27 +53,37 @@ def _render_commands() -> list:
                     continue
                 script = script.replace("\\\n", " ")
                 script = MATRIX_REF.sub(lambda m: str(combo[m.group(1)]), script)
-                for line in script.splitlines():
-                    if "repro render" not in line:
-                        continue
-                    tokens = shlex.split(line, comments=True)
-                    for i in range(len(tokens) - 2):
-                        if tokens[i : i + 3] == ["-m", "repro", "render"]:
-                            argv = []
-                            for tok in tokens[i + 2 :]:
-                                if tok in SHELL_BREAKS:
-                                    break
-                                argv.append(tok)
-                            found.append((name, argv))
+                found.append((name, script))
     return found
 
 
-COMMANDS = _render_commands()
+def _render_commands(scripts) -> list:
+    """``(job, argv after "render")`` for every render line in the
+    workflow, once per matrix combination."""
+    found = []
+    for name, script in scripts:
+        for line in script.splitlines():
+            if "repro render" not in line:
+                continue
+            tokens = shlex.split(line, comments=True)
+            for i in range(len(tokens) - 2):
+                if tokens[i : i + 3] == ["-m", "repro", "render"]:
+                    argv = []
+                    for tok in tokens[i + 2 :]:
+                        if tok in SHELL_BREAKS:
+                            break
+                        argv.append(tok)
+                    found.append((name, argv))
+    return found
+
+
+SCRIPTS = _run_scripts()
+COMMANDS = _render_commands(SCRIPTS)
 
 
 def test_workflow_has_render_lines():
     jobs = {name for name, _ in COMMANDS}
-    assert {"fault-injection", "bench-regression"} <= jobs
+    assert {"fault-injection"} <= jobs
 
 
 @pytest.mark.parametrize(
@@ -75,3 +93,34 @@ def test_every_ci_render_line_parses(job, argv):
     assert not any("${{" in tok for tok in argv), argv
     args = build_parser().parse_args(argv)
     assert args.command == "render"
+
+
+def test_every_ci_repro_command_is_a_subcommand():
+    commands = set()
+    for _job, script in SCRIPTS:
+        tokens = shlex.split(script, comments=True)
+        for i in range(len(tokens) - 2):
+            if tokens[i : i + 2] == ["-m", "repro"]:
+                commands.add(tokens[i + 2])
+    assert commands, "no `python -m repro` step found"
+    for command in sorted(commands):
+        try:
+            args = build_parser().parse_args([command])
+        except SystemExit:
+            pytest.fail(f"CI runs `python -m repro {command}`, not a subcommand")
+        assert args.command == command
+
+
+def test_every_ci_repo_path_exists():
+    named, missing = set(), []
+    for job, script in SCRIPTS:
+        for token in shlex.split(script, comments=True):
+            value = token.split("=", 1)[-1]  # VAR=path and --flag=path
+            if value.startswith(("/", "-")) or not PATH_TOKEN.fullmatch(value):
+                continue
+            if "/" in value or FILE_SUFFIX.search(value):
+                named.add(value)
+                if not (ROOT / value).exists():
+                    missing.append((job, value))
+    assert "benchmarks/run_kernels.sh" in named  # the scan sees the steps
+    assert not missing, missing

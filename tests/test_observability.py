@@ -1,4 +1,4 @@
-"""Observability stack: tracer, timeline export, metrics, regression gate.
+"""Observability stack: tracer, timeline export, metrics, provenance.
 
 Four contracts pinned here:
 
@@ -12,9 +12,8 @@ Four contracts pinned here:
 * **One telemetry schema** — ``JobStats.telemetry`` carries the unified
   metrics registry (ring/recovery/arena/cache) and ``as_dict`` only
   exposes it on explicit opt-in.
-* **Regression gate** — :class:`ExperimentResults` passes on the
-  committed BENCH documents and fails on a synthetic 20% kernel
-  slowdown (the CI ``repro report --check`` contract).
+* **Provenance** — every benchmark document records the machine,
+  interpreter, bytecode settings and march it was measured with.
 """
 
 import json
@@ -35,11 +34,7 @@ from test_golden_images import (  # noqa: E402
     run_job,
 )
 
-from repro.bench.results import (  # noqa: E402
-    ExperimentResults,
-    collect_environment,
-    load_kernel_means,
-)
+from repro.bench.results import collect_environment  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.core.stats import JobStats  # noqa: E402
 from repro.observability import (  # noqa: E402
@@ -57,8 +52,6 @@ from repro.observability.tracer import _NOOP, instant, span  # noqa: E402
 from repro.parallel import SharedMemoryPoolExecutor  # noqa: E402
 from repro.parallel.ring import ShmRing  # noqa: E402
 from repro.render.accel import AccelCache  # noqa: E402
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -382,103 +375,8 @@ def test_fault_plan_trace_tags_respawned_generation():
     assert {"supervisor:failure", "supervisor:respawn"} <= marks
 
 
-# -- ExperimentResults / regression gate -------------------------------------
-def _kernel_doc(means, environment=None):
-    doc = {
-        "benchmarks": [
-            {"name": name, "stats": {"mean": mean}}
-            for name, mean in means.items()
-        ]
-    }
-    if environment is not None:
-        doc["environment"] = environment
-    return doc
-
-
-@pytest.fixture
-def bench_files(tmp_path):
-    def write(name, means, environment=None):
-        path = tmp_path / name
-        path.write_text(json.dumps(_kernel_doc(means, environment)))
-        return path
-
-    return write
-
-
-def test_results_pass_when_current_is_not_slower(bench_files):
-    cur = bench_files("cur.json", {"sort": 0.010, "raycast": 0.020})
-    base = bench_files("base.json", {"sort": 0.011, "raycast": 0.019})
-    res = ExperimentResults(cur, baseline=base)
-    assert res.check()  # raycast is 5.3% slower: inside the 15% gate
-    table = {r["benchmark"]: r for r in res.kernel_table}
-    assert table["sort"]["vs_baseline"] == pytest.approx(10 / 11)
-    assert "previous_ms" not in table["sort"]
-
-
-def test_results_fail_on_synthetic_20pct_regression(bench_files):
-    cur = bench_files("cur.json", {"sort": 0.012, "raycast": 0.020})
-    base = bench_files("base.json", {"sort": 0.010, "raycast": 0.020})
-    res = ExperimentResults(cur, baseline=base, threshold=0.15)
-    assert not res.check()
-    (reg,) = res.regressions()
-    assert reg["benchmark"] == "sort"
-    assert reg["slowdown"] == pytest.approx(1.2)
-    # a looser gate admits the same document
-    assert res.check(threshold=0.25)
-    report = res.render_report()
-    assert "REGRESSIONS" in report and "sort" in report
-
-
-def test_results_three_way_and_env_mismatch(bench_files):
-    env_a = {"cpu_count": 8, "python": "3.11.7", "platform": "Linux-x86_64"}
-    env_b = dict(env_a, cpu_count=1)
-    cur = bench_files("cur.json", {"sort": 0.010}, environment=env_a)
-    base = bench_files("base.json", {"sort": 0.010}, environment=env_b)
-    prev = bench_files("prev.json", {"sort": 0.009}, environment=env_a)
-    res = ExperimentResults(cur, baseline=base, previous=prev)
-    row = res.kernel_table[0]
-    assert row["vs_previous"] == pytest.approx(10 / 9)
-    assert any("baseline.cpu_count" in n for n in res.environment_mismatches)
-    assert "environment mismatch" in res.render_report()
-
-
-def test_results_usable_cores_mismatch_is_flagged(bench_files):
-    """cpu_count alone misses cgroup/affinity caps: two machines with 8
-    physical cores are not comparable when one is pinned to 2 of them,
-    so usable_cores is a comparability key in its own right."""
-    env_a = {"cpu_count": 8, "usable_cores": 8, "python": "3.11.7",
-             "platform": "Linux-x86_64"}
-    env_b = dict(env_a, usable_cores=2)  # same box, throttled affinity
-    cur = bench_files("cur.json", {"sort": 0.010}, environment=env_a)
-    base = bench_files("base.json", {"sort": 0.010}, environment=env_b)
-    res = ExperimentResults(cur, baseline=base)
-    assert any("baseline.usable_cores" in n for n in res.environment_mismatches)
-    assert not any("cpu_count" in n for n in res.environment_mismatches)
-    # Documents predating the key (no usable_cores at all) are not
-    # penalized with a false mismatch.
-    old = bench_files(
-        "old.json", {"sort": 0.010},
-        environment={k: v for k, v in env_a.items() if k != "usable_cores"},
-    )
-    res = ExperimentResults(cur, baseline=old)
-    assert not any("usable_cores" in n for n in res.environment_mismatches)
-
-
-def test_results_committed_bench_files_pass_the_gate():
-    """The CI configuration: committed current vs committed seed."""
-    res = ExperimentResults(
-        REPO / "BENCH_kernels.json",
-        baseline=REPO / "BENCH_kernels_seed.json",
-        parallel=REPO / "BENCH_parallel.json",
-    )
-    assert res.check()
-    assert res.parallel_summary  # sweep rows summarized
-    assert res.current_means  # non-empty documents
-    report = res.render_report()
-    assert "no kernel regression" in report
-
-
-def test_collect_environment_and_load_means(tmp_path):
+# -- provenance ----------------------------------------------------------------
+def test_collect_environment_and_load_means():
     env = collect_environment()
     assert env["cpu_count"] >= 1
     # The affinity-aware core count rides along: what the process can
@@ -486,14 +384,10 @@ def test_collect_environment_and_load_means(tmp_path):
     assert 1 <= env["usable_cores"] <= env["cpu_count"]
     assert env["python"].count(".") == 2
     assert "timestamp" in env and "platform" in env
-    path = tmp_path / "k.json"
-    path.write_text(json.dumps(_kernel_doc({"a": 0.5})))
-    assert load_kernel_means(path) == {"a": 0.5}
-
-
-def test_results_invalid_threshold():
-    with pytest.raises(ValueError):
-        ExperimentResults("x.json", threshold=0.0)
+    # Whether the run wrote bytecode, and where, rides along: a cold
+    # start compiled from source is not comparable with a cached one.
+    assert env["dont_write_bytecode"] is sys.dont_write_bytecode
+    assert env["pycache_prefix"] == sys.pycache_prefix
 
 
 # -- CLI surfaces ------------------------------------------------------------
@@ -522,26 +416,3 @@ def test_cli_render_trace_and_stats_json(tmp_path, capsys):
     assert payload["telemetry"]["schema"] == SCHEMA
     assert "ring" in payload
     assert current_tracer() is None  # the command uninstalls its tracer
-
-
-def test_cli_report_check_passes_and_fails(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
-    assert main(["report", "--check"]) == 0
-    assert "kernel means" in capsys.readouterr().out
-
-    cur = tmp_path / "cur.json"
-    base = tmp_path / "base.json"
-    cur.write_text(json.dumps(_kernel_doc({"sort": 0.012})))
-    base.write_text(json.dumps(_kernel_doc({"sort": 0.010})))
-    rc = main(
-        [
-            "report", "--check",
-            "--kernels", str(cur),
-            "--baseline", str(base),
-            "--parallel", str(tmp_path / "missing.json"),
-        ]
-    )
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert "REGRESSIONS" in captured.out
-    assert "FAIL" in captured.err
