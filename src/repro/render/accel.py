@@ -9,9 +9,9 @@ camera) unless cached:
   (:func:`repro.render.raycast._empty_space_table`), cached under the
   caller's base key;
 * the axis-aligned box of that table's occupied cells
-  (:func:`repro.render.raycast._occupied_box`), which the set-up
-  slab-tests every ray against so the march positions only the part of
-  each ray that can show anything, cached under ``("box",) + base key``.
+  (:func:`repro.render.raycast._occupied_box`), which the march kernel
+  slab-tests each ray against so it positions only the part of each ray
+  that can show anything, cached under ``("box",) + base key``.
 
 Both are built (and cached) by :func:`raycast_bricks` *before* it
 hands a launch to the march (:mod:`repro.render.kernels`), and the

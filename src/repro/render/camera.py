@@ -172,7 +172,7 @@ class Camera:
         self, rects: Sequence[PixelRect]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(unit dirs float32, pixel keys, offsets) of the rays of
-        ``rects``, concatenated — the kernel fast path.
+        ``rects``, concatenated — the NumPy set-up's ray gather.
 
         Rect ``i`` owns rays ``offsets[i]:offsets[i + 1]``, x fastest.
         One key computation and one gather from the cached direction

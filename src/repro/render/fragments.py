@@ -25,6 +25,7 @@ __all__ = [
     "make_fragments",
     "concat_fragments",
     "empty_fragments",
+    "placeholder_fragments",
     "drop_placeholders",
     "fragment_sort_order",
     "rgba_view",
@@ -51,6 +52,13 @@ PLACEHOLDER_KEY = np.int32(-1)
 
 def empty_fragments() -> np.ndarray:
     return np.empty(0, dtype=FRAGMENT_DTYPE)
+
+
+def placeholder_fragments(n: int) -> np.ndarray:
+    """``n`` placeholders: key −1, zeroed depth and colour."""
+    out = np.zeros(n, dtype=FRAGMENT_DTYPE)
+    out["pixel"] = PLACEHOLDER_KEY
+    return out
 
 
 def make_fragments(

@@ -13,7 +13,6 @@ __all__ = [
     "ray_box_intersect",
     "box_contains",
     "box_intersect_f32",
-    "dual_box_intersect_f32",
 ]
 
 
@@ -116,41 +115,6 @@ def box_intersect_f32(
     hit = (tf >= tn) & (tf >= 0.0)
     np.maximum(tn, np.float32(0.0), out=tn)
     return tn, tf, hit
-
-
-def dual_box_intersect_f32(
-    eye: np.ndarray,
-    dirs: np.ndarray,
-    lo_a: np.ndarray,
-    hi_a: np.ndarray,
-    lo_b: np.ndarray,
-    hi_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Slab intersection of shared-origin rays with two AABBs, float32.
-
-    Two :func:`box_intersect_f32` tests sharing the reciprocal
-    directions and the float32 eye.  The ray-cast kernel itself tests
-    a launch's rays against the whole-volume box and each against its
-    own brick's box; this pairing is the reference form of the same
-    arithmetic.
-
-    Returns ``(tn_a, tf_a, hit_a, tn_b, tf_b, hit_b)``.
-    """
-    d = np.asarray(dirs, dtype=np.float32)
-    eye = np.asarray(eye, dtype=np.float32)
-    rel_lo_a = np.asarray(lo_a, dtype=np.float32) - eye
-    rel_hi_a = np.asarray(hi_a, dtype=np.float32) - eye
-    rel_lo_b = np.asarray(lo_b, dtype=np.float32) - eye
-    rel_hi_b = np.asarray(hi_b, dtype=np.float32) - eye
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = np.float32(1.0) / d
-    tn_a, tf_a, hit_a = box_intersect_f32(rel_lo_a, rel_hi_a, d, inv)
-    # A brick spanning the whole volume (reference renders, single-brick
-    # grids) makes the second test a mirror of the first.
-    if np.array_equal(rel_lo_a, rel_lo_b) and np.array_equal(rel_hi_a, rel_hi_b):
-        return tn_a, tf_a, hit_a, tn_a, tf_a, hit_a
-    tn_b, tf_b, hit_b = box_intersect_f32(rel_lo_b, rel_hi_b, d, inv)
-    return tn_a, tf_a, hit_a, tn_b, tf_b, hit_b
 
 
 def box_contains(

@@ -1,64 +1,56 @@
-"""The march kernel of the blocked ray caster: one arithmetic contract,
+"""The per-ray kernels of the blocked ray caster: one arithmetic contract,
 two implementations that give the same bits.
 
-``raycast_bricks`` owns everything *around* the march — ray generation,
-slab intersection, ownership intervals, empty-space structure
-build/caching, the occupied-box trim, launch formation, and fragment
-emission.  What happens *inside* a launch is the kernel contract
-captured by :class:`MarchPlan`.  A plan is **launch-shaped**: the
-concatenated active rays of one or more bricks (:class:`BrickSegment`),
-each ray marching against its own brick's payload.  Per ray the kernel
-performs:
+``raycast_bricks`` keeps what belongs to a brick (rect projection, its
+cached empty-space structures, its :class:`BrickSegment` and
+``MapStats``); everything done per *ray* is a kernel, and a launch makes
+two kernel calls:
 
-* trilinear gather of each owned sample inside the ray's trim interval
-  ``[lead, trail)`` (ravel-offset addressing, the optional clamp fold,
-  degenerate-axis strides) — samples outside it are ones the skip table
-  drops, so a kernel may not even position them;
-* transfer-function ``table_coord`` + the exact per-sample empty-space
-  filter ``u > u_thr`` and the corner-max skip-table probe at the
-  gather's support base;
-* lookup in the opacity-corrected transfer function (the correction for
-  ``dt`` is taken per table entry, never per sample), optional
-  Levoy/Phong shading;
-* the front-to-back fold with block-granular early ray termination,
-  writing the per-ray accumulators (``acc_rgb``/``acc_a``/``term``)
-  in place;
-* sample accounting: the march returns, per segment, the number of
-  *owned* samples of every live block, counted before any empty-space
-  elision, exactly as ``MapStats.n_samples`` has always counted them
-  (the caller multiplies by ``fetches_per_sample``), and the number it
-  actually positioned (``MapStats.n_positioned``, a cost diagnostic).
+* :func:`setup` (:class:`SetupPlan` → :class:`LaunchRays`) — each
+  footprint ray's key and direction, the float32 slab tests against its
+  own brick's box and the whole-volume box, compaction to the active
+  rays, their owned-sample intervals and first-sample ``t``, and each
+  brick's owned-sample total (which decides whether an uncached
+  corner-max table is worth building);
+* :func:`march` (:class:`MarchPlan`, **launch-shaped**: the active rays
+  of one or more bricks, each marching against its own brick's
+  payload) — per ray, the occupied-box trim (a slab test against the
+  box of its brick's occupied table cells gives the ordinals ``[lead,
+  trail)`` outside which the table drops every sample); the trilinear
+  gather of each positioned sample, ``table_coord``, the exact filter
+  ``u > u_thr`` and the skip-table probe at the gather's base; the
+  lookup in the opacity-corrected transfer function and optional Phong
+  shading; the front-to-back fold with block-granular early ray
+  termination; the emit (a fragment per ray that owns a sample and
+  carries more than ``alpha_eps``, over a placeholder per footprint ray
+  with ``emit_placeholders``); and per segment the *owned* samples of
+  every live block, counted before any elision (``MapStats.n_samples``),
+  the positioned ones (``MapStats.n_positioned``) and the kept fragments.
 
-The arithmetic contract
------------------------
 The contract is NumPy's own arithmetic in
-:func:`~repro.render.kernels.numpy_backend.march`, the blocked fold over
-the whole launch: float64 sample ``t``, positions, clamps and trilinear
-lerps (the int32 × float32-scalar promotion in the raycast module's
-"Float widths"), float32 table coordinates, lookups and fold, truncating
-casts, the Hillis–Steele in-block transmittance scan, and
-``np.add.reduceat``'s association (the first element plus the pairwise
-sum of the rest).  Nothing in it is a transcendental or depends on the
-CPU's SIMD dispatch, so the golden fixtures pin it bit for bit on every
-host.
+:mod:`~repro.render.kernels.numpy_backend`: float32 slab tests
+(``geometry.box_intersect_f32``: NaN-propagating ``np.maximum`` /
+``np.minimum``, float32 infinities for parallel rays), float32 ordinals
+(``ceil``/``floor``, ``np.fmin``/``np.fmax``, int64 casts), then float64
+sample ``t``, positions, clamps and lerps (the int32 × float32-scalar
+promotion in the raycast module's "Float widths"), float32 table
+coordinates, lookups and fold, the Hillis–Steele in-block scan and
+``np.add.reduceat``'s association.  Nothing in it is a transcendental or
+depends on the CPU's SIMD dispatch, so the golden fixtures pin it bit
+for bit on every host.
 
-Two implementations
--------------------
-``c``
-    ``march.c``: one ray at a time, every operation of the NumPy fold in
-    the same width and association, built ``-O2 -ffp-contract=off``
-    (no fused multiply-add, no fast-math) into a per-user cache at first
-    use and loaded with ctypes (:mod:`~repro.render.kernels.c_backend`).
-    It runs every unshaded launch over float32 payloads.
-``numpy``
-    The reference, and the march wherever the C one cannot run: no C
-    compiler, a failed build or ``dlopen``, a refused cache directory, a
-    shaded launch or a non-float32 payload.
-
-Both give the same bits — the fused-launch, trim and golden suites
-assert byte equality between them — so which one ran is not a mode and
-changes no result.  Telemetry still records it (``map.march`` and
-``map.march_reason``), and so does ``collect_environment()``.
+``c`` is ``march.c`` (``repro_setup``, ``repro_march``): one ray — or
+four lanes of rays — at a time, every operation in the same width and
+association, built ``-O3 -ffp-contract=off`` into a per-user cache and
+loaded with ctypes (:mod:`~repro.render.kernels.c_backend`, which checks
+every buffer it hands over); it holds no GIL and runs every unshaded
+launch over float32 payloads.  ``numpy`` is the reference and runs
+wherever C cannot: no compiler, a failed build or ``dlopen``, a refused
+cache directory, a shaded launch or a non-float32 payload.  The
+fused-launch, trim, launch-kernel and golden suites assert byte
+equality between the two, so which one ran is not a mode; telemetry
+(``map.march``, ``map.march_reason``) and ``collect_environment()``
+record it.
 """
 
 from __future__ import annotations
@@ -68,7 +60,36 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["BrickSegment", "MarchPlan", "march", "resolve"]
+__all__ = ["BrickSegment", "LaunchRays", "MarchPlan", "SetupPlan", "march", "resolve", "setup"]
+
+
+@dataclass
+class SetupPlan:
+    """One launch's ray set-up: brick ``i`` casts the rays of
+    ``rects[i]`` against its core box ``cores[i]``."""
+
+    camera: "Camera"  # noqa: F821 - camera.Camera
+    rects: list  # of PixelRect inside the viewport, one per brick
+    cores: np.ndarray  # (B, 2, 3) float32 core boxes [lo, hi]
+    volume_shape: tuple  # the whole-volume box [0, volume_shape)
+    dt: float
+    shading: bool  # with float32 (every payload float32): may C run?
+    float32: bool
+
+
+@dataclass
+class LaunchRays:
+    """A launch's active rays in brick order, as :func:`setup` leaves them."""
+
+    ray_cuts: np.ndarray  # (B+1,) brick i's footprint rays are [ray_cuts[i], ray_cuts[i+1])
+    active: np.ndarray  # (n,) int64 footprint index of each active ray
+    keys: np.ndarray  # (n,) int32 pixel keys
+    dirs: np.ndarray  # (n, 3) float32 unit directions
+    kf: np.ndarray  # (n,) int64 first owned global sample
+    counts: np.ndarray  # (n,) int64 owned sample counts
+    t0: np.ndarray  # (n,) float32 t of each ray's first owned sample
+    cuts: np.ndarray  # (B+1,) brick i's active rays are [cuts[i], cuts[i+1])
+    owned: np.ndarray  # (B,) int64 owned samples per brick
 
 
 @dataclass
@@ -82,26 +103,22 @@ class BrickSegment:
     need_clamp: bool  # fold clamp-to-edge into the coordinates?
     base_w: np.ndarray  # (3,) float32 lattice origin (eye − data_lo − ½)
     skip_table: Optional[np.ndarray]  # flat corner-max table, or None
+    box: Optional[np.ndarray]  # (2, 3) float32 occupied box (lattice), or None
     ray_lo: int
     ray_hi: int
 
 
 @dataclass
 class MarchPlan:
-    """One launch: the active rays of one or more bricks, marched together.
+    """One launch: the active rays of one or more bricks, trimmed,
+    marched and emitted together.
 
     The per-ray arrays are the concatenation of the segments' rays in
     segment order; every ray marches against its own segment's payload.
-    Inputs are read-only to the kernel; ``acc_rgb``/``acc_a``/``term``
-    are the per-ray accumulators the kernel mutates in place.  ``march``
-    returns the owned-sample count (pre-elision) of each segment so the
-    caller can charge ``MapStats.n_samples``, and the positioned-sample
-    count beside it.
-
-    Rays never interact, so a ray's result does not depend on which
-    other bricks share its launch: a fused launch is bitwise the
-    launch-of-one results concatenated (the property
-    ``tests/test_fused_launch.py`` pins).
+    Inputs are read-only to the kernel except the per-ray accumulators
+    ``acc_rgb``/``acc_a``/``term`` and the trim ordinals it fills in.
+    Rays never interact, so a fused launch is bitwise the launch-of-one
+    results concatenated (``tests/test_fused_launch.py``).
     """
 
     segments: tuple  # of BrickSegment; every segment has ≥ 1 ray
@@ -115,44 +132,68 @@ class MarchPlan:
     ert_alpha: float
     # Empty-space machinery (both optional; both conservative).
     u_thr: float  # exact filter threshold (−1: none, +inf: all empty)
-    # Occupied-box trim: (n,) int64 ordinals, 0 <= lead, trail <= counts.
-    # Every sample of ray i outside [lead[i], trail[i]) is one the skip
-    # table drops, so only that interval need be positioned; block
-    # windows, ERT points and the owned count stay those of ``counts``.
-    # Both None when no brick of the launch has anything to trim.
+    # Occupied-box trim: (n,) int64 ordinals 0 <= lead, trail <= counts
+    # the march derives from the boxes (None: no finite face).  Only
+    # samples in [lead[i], trail[i]) are positioned; block windows, ERT
+    # points and the owned count stay those of ``counts``.
     lead: Optional[np.ndarray]
     trail: Optional[np.ndarray]
-    # Classification + shading.
-    # The transfer function the march looks up: already corrected for
-    # ``dt`` (TransferFunction1D.opacity_corrected).
+    # The transfer function, already corrected for ``dt``
+    # (TransferFunction1D.opacity_corrected).
     tf: "TransferFunction1D"  # noqa: F821 - transfer.TransferFunction1D
     shading: bool
     # Outputs (mutated in place).
     acc_rgb: np.ndarray  # (n, 3) float32
     acc_a: np.ndarray  # (n,) float32
     term: np.ndarray  # (n,) bool
+    # Emit.
+    keys: np.ndarray  # (n,) int32 pixel keys
+    active: np.ndarray  # (n,) int64 footprint index of each ray
+    n_rays: int  # footprint rays of the launch (one placeholder each)
+    alpha_eps: float
+    emit_placeholders: bool
+
+
+_OPEN = np.array([[-np.inf] * 3, [np.inf] * 3], dtype=np.float32)
+
+
+def trim_boxes(segments) -> Optional[np.ndarray]:
+    """``(nseg, 2, 3)`` float32 occupied boxes, open where a segment has
+    none; None when no box has a finite face (nothing to trim)."""
+    boxes = np.array([_OPEN if s.box is None else s.box for s in segments], dtype=np.float32)
+    return boxes if (boxes != _OPEN).any() else None
 
 
 def resolve() -> tuple[str, str]:
-    """``(march, reason)``: the march this process runs for an unshaded
-    float32 launch (``"c"`` or ``"numpy"``) and why."""
+    """``(march, reason)``: the kernels this process runs for an
+    unshaded float32 launch (``"c"`` or ``"numpy"``) and why."""
     from . import c_backend
 
-    fn, reason = c_backend.load()
-    return ("c" if fn is not None else "numpy"), reason
+    lib, reason = c_backend.load()
+    return ("c" if lib is not None else "numpy"), reason
 
 
-def march(plan: MarchPlan) -> tuple[np.ndarray, np.ndarray, str, str]:
-    """Run one launch's blocked march: the (owned, positioned) sample
-    counts per segment, the march that ran and why it did."""
+def _kernels(shading: bool, float32: bool) -> tuple:
+    """``(name, kernels, reason)``: C where it can run, else NumPy."""
     from . import c_backend, numpy_backend
 
-    fn, reason = c_backend.load()
-    if fn is not None:
-        if plan.shading:
-            reason = "shaded launch"
-        elif any(s.flat.dtype != np.float32 for s in plan.segments):
-            reason = "non-float32 payload"
-        else:
-            return (*fn(plan), "c", reason)
-    return (*numpy_backend.march(plan), "numpy", reason)
+    lib, reason = c_backend.load()
+    if lib is not None and (shading or not float32):
+        lib, reason = None, "shaded launch" if shading else "non-float32 payload"
+    return ("c", lib, reason) if lib is not None else ("numpy", numpy_backend, reason)
+
+
+def setup(plan: SetupPlan) -> LaunchRays:
+    """Set up one launch's rays (one C call, or the NumPy passes)."""
+    return _kernels(plan.shading, plan.float32)[1].setup(plan)
+
+
+def march(plan: MarchPlan) -> tuple:
+    """Trim, march and emit one launch: ``(fragments, owned, positioned,
+    kept, march, reason)`` — the launch's fragment array, the owned /
+    positioned samples and kept fragments per segment, the march that
+    ran and why."""
+    name, kernels, reason = _kernels(
+        plan.shading, all(s.flat.dtype == np.float32 for s in plan.segments)
+    )
+    return (*kernels.launch(plan), name, reason)

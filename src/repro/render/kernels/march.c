@@ -1,18 +1,27 @@
 /*
- * The blocked march, one ray at a time: the compiled twin of
- * numpy_backend.march.  Every floating-point operation below is one the
- * NumPy fold performs, in the same width and the same association, so
- * the two give the same bits (see the kernels package docstring).  Build
- * with -O2 -ffp-contract=off and without fast-math: a fused multiply-add
- * or a reassociated sum would round differently.
+ * A launch's per-ray work, one ray (or four lanes of rays) at a time:
+ * the compiled twin of numpy_backend's set-up, occupied-box trim,
+ * blocked march and emit.
+ * Every floating-point operation below is one the NumPy passes perform,
+ * in the same width and the same association, so the two give the same
+ * bits (see the kernels package docstring).  Build with -O3
+ * -ffp-contract=off and without fast-math: a fused multiply-add or a
+ * reassociated sum would round differently.  Nothing here calls libm.
  */
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
 #if FLT_EVAL_METHOD != 0
 #error "march.c needs float/double arithmetic without excess precision"
 #endif
+
+/* One FRAGMENT_DTYPE record: int32 key + 20-byte value. */
+typedef struct {
+    int32_t pixel;
+    float depth, r, g, b, a;
+} fragment;
 
 /* np.add.reduce's float32 pairwise sum (numpy loops_utils.h): plain
  * accumulation from -0.0 below 8 terms, eight interleaved partial sums
@@ -56,6 +65,78 @@ static float reduceat(const float *a, int64_t n, int64_t stride)
 static double max_d(double a, double b) { return (a >= b || a != a) ? a : b; }
 static double min_d(double a, double b) { return (a <= b || a != a) ? a : b; }
 
+/* Four float32 lanes (GCC/Clang vector extensions: SSE on x86-64,
+ * plain scalar code where a target has no vectors).  Each lane rounds
+ * exactly as the scalar operation does. */
+typedef float v4f __attribute__((vector_size(16)));
+typedef int32_t v4i __attribute__((vector_size(16)));
+
+static inline v4f splat(float x) { return (v4f){x, x, x, x}; }
+static inline v4f sel(v4i m, v4f a, v4f b)
+{
+    return (v4f)((m & (v4i)a) | (~m & (v4i)b));
+}
+
+/* np.maximum / np.minimum: a NaN in either operand wins.  Of two equal
+ * zeros either may come back; no zero sign these pick reaches an
+ * output (see slab4). */
+static inline v4f max4(v4f a, v4f b) { return sel((a != a) | (a > b), a, b); }
+static inline v4f min4(v4f a, v4f b) { return sel((a != a) | (a < b), a, b); }
+
+/* np.fmax / np.fmin (C99 fmaxf / fminf) where b is never NaN: a NaN a
+ * yields b. */
+static inline v4f fmax4(v4f a, v4f b) { return sel(a >= b, a, b); }
+static inline v4f fmin4(v4f a, v4f b) { return sel(a <= b, a, b); }
+
+/* np.floor / np.ceil on float32, exact: from 2^23 up every float is an
+ * integer, and an infinity or a NaN is its own floor. */
+static inline v4f floor4(v4f x)
+{
+    const v4i small = (x > splat(-8388608.0f)) & (x < splat(8388608.0f));
+    const v4f t = __builtin_convertvector(
+        __builtin_convertvector(sel(small, x, splat(0.0f)), v4i), v4f);
+    return sel(small, t - sel(t > x, splat(1.0f), splat(0.0f)), x);
+}
+static inline v4f ceil4(v4f x) { return -floor4(-x); }
+
+/* geometry.box_intersect_f32 for four rays: lo/hi are the box corners
+ * relative to the eye, d and inv the rays' directions and reciprocals
+ * per axis; the slabs fold x, then y, then z.  An axis a ray is parallel
+ * to (d == 0) is inside -> (-inf, inf) or outside -> empty, set after
+ * the min/max so 0·inf NaNs are overwritten.  Writes the entries
+ * clamped to 0 and the exits; returns the hit mask.  The sign of a zero
+ * entry or exit never matters: each is compared, or added to or
+ * subtracted from a t that is not zero, before anything is stored. */
+static inline v4i slab4(const float *lo, const float *hi, const v4f *d,
+                        const v4f *inv, v4f *tn, v4f *tf)
+{
+    v4f n = splat(0.0f), f = splat(0.0f);
+    for (int a = 0; a < 3; a++) {
+        const v4f t1 = splat(lo[a]) * inv[a], t2 = splat(hi[a]) * inv[a];
+        const int inside = lo[a] <= 0.0f && hi[a] >= 0.0f;
+        const v4i parallel = d[a] == splat(0.0f);
+        const v4f lo_t = sel(parallel, splat(inside ? -INFINITY : INFINITY), min4(t1, t2));
+        const v4f hi_t = sel(parallel, splat(inside ? INFINITY : -INFINITY), max4(t1, t2));
+        n = a ? max4(n, lo_t) : lo_t;
+        f = a ? min4(f, hi_t) : hi_t;
+    }
+    *tn = max4(n, splat(0.0f));
+    *tf = f;
+    return (f >= n) & (f >= splat(0.0f));
+}
+
+/* Rays [0, m) (m <= 4) of a (n, 3) direction array as per-axis lanes,
+ * the spare lanes copies of the last ray, with their reciprocals. */
+static inline void load4(const float *dirs, int m, v4f *d, v4f *inv)
+{
+    const float *r1 = dirs + 3 * (m > 1), *r2 = dirs + 3 * (m > 2 ? 2 : m - 1);
+    const float *r3 = dirs + 3 * (m - 1);
+    for (int a = 0; a < 3; a++) {
+        d[a] = (v4f){dirs[a], r1[a], r2[a], r3[a]};
+        inv[a] = splat(1.0f) / d[a];
+    }
+}
+
 /* np.clip(v, 0, 1) on float32. */
 static float clip01(float v)
 {
@@ -74,24 +155,109 @@ static double z_lerp(const float *flat, int64_t b, int64_t sz, double fz)
 }
 
 /*
- * March the rays of one launch.  Segment s (nseg of them) owns rays
- * [seg_ray[s], seg_ray[s + 1]); its payload is flat[s] with dims
- * shape[3s..3s+2], its corner-max table table[s] (NULL: none) and its
- * lattice origin base_w[3s..3s+2].  lead/trail are NULL when no brick
- * of the launch is trimmed.  The TF table/diff are the opacity-corrected
- * (res, 4) float32 arrays.  Writes acc_rgb/acc_a/term in place and the
- * owned / positioned sample counts per segment.  Returns 0, or -1 when
- * the scratch allocation fails.
+ * The ray set-up of one launch.  Rect i (nrect of them) is
+ * rects[4i..4i+3] = (x0, y0, width, area) of a viewport `width` pixels
+ * wide whose float32 directions, in key order, are `grid`; its rays
+ * test the brick box core[6i..6i+5] = (lo, hi) and the volume box
+ * [0, volume), both taken relative to the float32 eye.  Writes, for
+ * every ray that hits both and has a non-empty brick interval, in ray
+ * order: its footprint index, key and direction, its first owned global
+ * sample, owned count and first-sample t; and per brick the active-ray
+ * offsets cuts[i..i+1] and the owned-sample total.  The caller sizes
+ * the per-ray outputs for every footprint ray and keeps every rect
+ * inside the viewport.  Returns the number of active rays.
+ */
+int64_t repro_setup(
+    int64_t nrect, const int64_t *rects, int64_t width, const float *grid,
+    const float *eye, const float *core, const float *volume, float dt,
+    int64_t *active, int32_t *keys, float *dirs, int64_t *kf, int64_t *counts,
+    float *t0, int64_t *cuts, int64_t *owned)
+{
+    float vlo[3], vhi[3];
+    for (int a = 0; a < 3; a++) {
+        vlo[a] = 0.0f - eye[a];
+        vhi[a] = volume[a] - eye[a];
+    }
+    int64_t n = 0, ray = 0;
+    cuts[0] = 0;
+    for (int64_t i = 0; i < nrect; i++) {
+        const int64_t x0 = rects[4 * i], y0 = rects[4 * i + 1];
+        const int64_t w = rects[4 * i + 2], area = rects[4 * i + 3];
+        float lo[3], hi[3];
+        for (int a = 0; a < 3; a++) {
+            lo[a] = core[6 * i + a] - eye[a];
+            hi[a] = core[6 * i + 3 + a] - eye[a];
+        }
+        int64_t own = 0;
+        /* x fastest, four pixels of a row at a time */
+        const int64_t rows = area > 0 ? area / w : 0;
+        for (int64_t y = y0; y < y0 + rows; y++) {
+            for (int64_t x = x0; x < x0 + w; x += 4) {
+                const int m = x0 + w - x < 4 ? (int)(x0 + w - x) : 4;
+                const float *row = grid + 3 * (y * width + x);
+                v4f d[3], inv[3], tn_b, tf_b, tn_v, tf_v;
+                load4(row, m, d, inv);
+                v4i hit = slab4(lo, hi, d, inv, &tn_b, &tf_b);
+                hit &= slab4(vlo, vhi, d, inv, &tn_v, &tf_v);
+                hit &= tf_b > tn_b;
+                /* _sample_intervals: one shared float32 formula, an
+                 * int64 cast, the first ordinal clamped at 0 (numpy's
+                 * int64 arithmetic wraps, hence the unsigned difference). */
+                const v4f c_first = ceil4((tn_b - tn_v) / splat(dt) - splat(0.5f));
+                const v4f c_last = ceil4((tf_b - tn_v) / splat(dt) - splat(0.5f));
+                for (int k = 0; k < m; k++) {
+                    if (!hit[k])
+                        continue;
+                    int64_t first = (int64_t)c_first[k];
+                    if (first < 0)
+                        first = 0;
+                    const int64_t last = (int64_t)c_last[k];
+                    const int64_t count = (int64_t)((uint64_t)last - (uint64_t)first);
+                    active[n] = ray + k;
+                    keys[n] = (int32_t)(y * width + x + k);
+                    for (int a = 0; a < 3; a++)
+                        dirs[3 * n + a] = d[a][k];
+                    kf[n] = first;
+                    counts[n] = count > 0 ? count : 0;
+                    t0[n] = tn_v[k] + ((float)first + 0.5f) * dt;
+                    own += counts[n];
+                    n++;
+                }
+                ray += m;
+            }
+        }
+        cuts[i + 1] = n;
+        owned[i] = own;
+    }
+    return n;
+}
+
+/*
+ * Trim, march and emit the rays of one launch.  Segment s (nseg of
+ * them) owns rays [seg_ray[s], seg_ray[s + 1]); its payload is flat[s]
+ * with dims shape[3s..3s+2], its corner-max table table[s] (NULL: none)
+ * and its lattice origin base_w[3s..3s+2].  boxes is NULL when nothing
+ * is trimmed; otherwise boxes[6s..6s+5] is segment s's occupied box
+ * (lo, hi) in lattice coordinates and each ray's trim interval is
+ * written to lead/trail.  The TF table/diff are the opacity-corrected
+ * float32 arrays.  Writes acc_rgb/acc_a/term in place, and emits into
+ * out: n_out placeholders first when `placeholders` is set (each kept
+ * ray then lands at its footprint index active[r]), else the kept rays
+ * in ray order.  Writes the owned / positioned samples and the kept
+ * fragments per segment.  Returns 0, -1 when the scratch allocation
+ * fails, or -2 for a footprint index outside out.
  */
 int repro_march(
     int64_t nseg, const float *const *flat, const int64_t *shape,
-    const uint8_t *const *table, const float *base_w, const int64_t *seg_ray,
-    int clamp, const int64_t *counts, const float *t0, const float *dirs,
-    const int64_t *lead, const int64_t *trail, float dt, int64_t block,
+    const uint8_t *const *table, const float *base_w, const float *boxes,
+    const int64_t *seg_ray, int clamp, const int64_t *counts, const float *t0,
+    const float *dirs, int64_t *lead, int64_t *trail, float dt, int64_t block,
     int use_ert, float ert_alpha, int filter, float u_thr,
     const float *tf_table, const float *tf_diff, int32_t res, int unit_domain,
     float vmin, float inv_span, float *acc_rgb, float *acc_a, uint8_t *term,
-    int64_t *owned, int64_t *positioned)
+    const int32_t *keys, const int64_t *active, float alpha_eps,
+    int placeholders, int64_t n_out, fragment *out, int64_t *owned,
+    int64_t *positioned, int64_t *kept)
 {
     /* Per visible sample of a block: r, g, b, a, then w·rgb and the
      * transmittance scan. */
@@ -103,6 +269,11 @@ int repro_march(
         free(rgba); free(wrgb); free(p); free(w);
         return -1;
     }
+    int status = 0;
+    if (placeholders)
+        for (int64_t k = 0; k < n_out; k++)
+            out[k] = (fragment){-1, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+    int64_t emitted = 0;
     const double dt_d = (double)dt;
     const float scale = (float)(res - 1);
     for (int64_t s = 0; s < nseg; s++) {
@@ -118,27 +289,59 @@ int repro_march(
                                  (int32_t)(nz - 2 > 0 ? nz - 2 : 0)};
         const double bw[3] = {(double)base_w[3 * s], (double)base_w[3 * s + 1],
                               (double)base_w[3 * s + 2]};
-        int64_t own = 0, pos = 0;
+        /* The trim: each ray's ordinals [lead, trail) that can show
+         * anything are its slab interval through the occupied box
+         * (taken relative to the lattice origin, as the eye sees it in
+         * lattice coordinates), with one sample of slack per side; a
+         * NaN keeps the ray whole. */
+        if (boxes) {
+            float box_lo[3], box_hi[3];
+            for (int a = 0; a < 3; a++) {
+                box_lo[a] = boxes[6 * s + a] - base_w[3 * s + a];
+                box_hi[a] = boxes[6 * s + 3 + a] - base_w[3 * s + a];
+            }
+            for (int64_t r = seg_ray[s]; r < seg_ray[s + 1]; r += 4) {
+                const int m = seg_ray[s + 1] - r < 4 ? (int)(seg_ray[s + 1] - r) : 4;
+                const int64_t *c = counts + r;
+                const float *t = t0 + r;
+                const int k1 = m > 1, k2 = m > 2 ? 2 : m - 1, k3 = m - 1;
+                const v4f owned_f = {(float)c[0], (float)c[k1], (float)c[k2], (float)c[k3]};
+                const v4f first_t = {t[0], t[k1], t[k2], t[k3]};
+                v4f d[3], inv[3], tn, tf;
+                load4(dirs + 3 * r, m, d, inv);
+                slab4(box_lo, box_hi, d, inv, &tn, &tf);
+                const v4f l = fmin4(
+                    fmax4(ceil4((tn - first_t) / splat(dt)) - splat(1.0f), splat(0.0f)),
+                    owned_f);
+                const v4f u = fmax4(
+                    fmin4(floor4((tf - first_t) / splat(dt)) + splat(2.0f), owned_f),
+                    splat(0.0f));
+                for (int k = 0; k < m; k++) {
+                    lead[r + k] = (int64_t)l[k];
+                    trail[r + k] = (int64_t)u[k];
+                }
+            }
+        }
+        int64_t own = 0, pos = 0, keep = 0;
         for (int64_t r = seg_ray[s]; r < seg_ray[s + 1]; r++) {
             const int64_t count = counts[r];
-            const int64_t end = lead ? trail[r] : count;
+            /* A ray is live in the blocks whose window meets its trim
+             * interval, until early termination. */
+            const int64_t first = boxes ? lead[r] : 0, end = boxes ? trail[r] : count;
             const double t0_d = (double)t0[r];
             const double d[3] = {(double)dirs[3 * r], (double)dirs[3 * r + 1],
                                  (double)dirs[3 * r + 2]};
+            float acc[4] = {acc_rgb[3 * r], acc_rgb[3 * r + 1], acc_rgb[3 * r + 2],
+                            acc_a[r]};
+            int done = term[r];
             int64_t stop = count;
-            for (int64_t jb = 0; jb < end && !term[r]; jb += block) {
-                int64_t start, n;
-                if (lead) {
-                    if (lead[r] >= jb + block)
-                        continue;
-                    start = lead[r] > jb ? lead[r] : jb;
-                    n = (trail[r] < jb + block ? trail[r] : jb + block) - start;
-                    if (n < 0)
-                        n = 0;
-                } else {
-                    start = jb;
-                    n = count - jb < block ? count - jb : block;
-                }
+            for (int64_t jb = 0; jb < end && !done; jb += block) {
+                if (first >= jb + block)
+                    continue;
+                const int64_t start = first > jb ? first : jb;
+                int64_t n = (end < jb + block ? end : jb + block) - start;
+                if (n < 0)
+                    n = 0;
                 pos += n;
                 int64_t m = 0; /* visible samples of this block */
                 for (int64_t j = start; j < start + n; j++) {
@@ -181,9 +384,9 @@ int repro_march(
                     if (i0 > res - 2)
                         i0 = res - 2;
                     const float f = u - (float)i0;
-                    float *out = rgba + 4 * m;
+                    float *o = rgba + 4 * m;
                     for (int k = 0; k < 4; k++)
-                        out[k] = tf_table[4 * i0 + k] + f * tf_diff[4 * i0 + k];
+                        o[k] = tf_table[4 * i0 + k] + f * tf_diff[4 * i0 + k];
                     m++;
                 }
                 if (m == 0)
@@ -202,20 +405,38 @@ int repro_march(
                     for (int ch = 0; ch < 3; ch++)
                         wrgb[3 * k + ch] = w[k] * rgba[4 * k + ch];
                 }
-                const float t_prior = 1.0f - acc_a[r];
+                const float t_prior = 1.0f - acc[3];
                 for (int ch = 0; ch < 3; ch++)
-                    acc_rgb[3 * r + ch] += t_prior * reduceat(wrgb + ch, m, 3);
-                acc_a[r] += t_prior * reduceat(w, m, 1);
-                if (use_ert && acc_a[r] >= ert_alpha) {
-                    term[r] = 1;
+                    acc[ch] += t_prior * reduceat(wrgb + ch, m, 3);
+                acc[3] += t_prior * reduceat(w, m, 1);
+                if (use_ert && acc[3] >= ert_alpha) {
+                    done = 1;
                     stop = jb + block;
                 }
             }
             own += count < stop ? count : stop;
+            for (int ch = 0; ch < 3; ch++)
+                acc_rgb[3 * r + ch] = acc[ch];
+            acc_a[r] = acc[3];
+            term[r] = (uint8_t)done;
+            /* Emit: a fragment for every ray that owns a sample and
+             * carries more than alpha_eps. */
+            if (count > 0 && acc[3] > alpha_eps) {
+                const int64_t at = placeholders ? active[r] : emitted;
+                if (at < 0 || at >= n_out) {
+                    status = -2;
+                    goto finish;
+                }
+                out[at] = (fragment){keys[r], t0[r], acc[0], acc[1], acc[2], acc[3]};
+                emitted++;
+                keep++;
+            }
         }
         owned[s] = own;
         positioned[s] = pos;
+        kept[s] = keep;
     }
+finish:
     free(rgba); free(wrgb); free(p); free(w);
-    return 0;
+    return status;
 }

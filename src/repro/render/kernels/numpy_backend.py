@@ -1,52 +1,166 @@
-"""The numpy march backend — the blocked vectorized fold over a launch.
+"""The NumPy kernels: a launch's set-up, trim, march and emit as
+vectorised passes over all of its rays at once — the reference the C
+kernels (``march.c``) mirror operation for operation and are tested
+against byte for byte.  A per-brick NumPy "launch" pays a few hundred
+interpreter dispatches for a couple of thousand rays, so every pass
+runs over the launch's rays together; the blocked march (:func:`march`,
+once per stretch of consecutive segments — a payload with a size-1 axis
+is a stretch of its own) is described in the raycast module docstring.
 
-The blocked-march design is described in the raycast module docstring.
-This backend runs it over **all rays of a launch at once**: a per-brick
-NumPy "launch" pays a few hundred interpreter dispatches for a couple of
-thousand rays, so marching the bricks of a map task together is what
-amortises them (the paper spreads its launch cost over one CUDA thread
-per pixel the same way).
+Launch layout: the segments' payloads are copied into the slots of one
+4-D **atlas** ``(bricks, NX, NY, NZ)`` sized to the largest payload, so
+ravel strides are launch-wide scalars and a brick is an offset (the
+corner-max tables form a second atlas; a table-less brick rides as an
+all-True slot, which the exact ``u > u_thr`` filter makes equivalent).
+What stays brick-wide — lattice origin, atlas offset and, when payload
+shapes differ, the clamp bounds — is expanded per sample with one
+``np.repeat`` over the segments' sample counts.  A launch of one keeps
+all of it scalar and its payload in place.
 
-Launch layout
--------------
-* the segments' payloads are copied into the slots of one 4-D **atlas**
-  ``(bricks, NX, NY, NZ)`` sized to the largest payload, so the ravel
-  strides are launch-wide scalars and a brick is just an offset (the
-  corner-max tables form a second atlas — a table-less brick rides as
-  an all-True slot, which the exact ``u > u_thr`` filter makes
-  equivalent);
-* what stays brick-wide — lattice origin, atlas offset and, when the
-  payload shapes differ, the clamp bounds — is expanded per sample with
-  one ``np.repeat`` over the segments' sample counts (samples are
-  ray-ordered, so every segment is one stretch of a block);
-* a launch of one keeps all of it scalar and its payload in place — no
-  atlas copy, no expansion.
-
-Why fusing cannot change a bit: every operation below is elementwise
-per sample or segment-local per ray.  Positions, clamp, gathers and the
-transfer lookup are elementwise; ``segmented_exclusive_cumprod`` scans
-within a ray's run, and doubling passes beyond a run's own length are
-no-ops, so ``max_run`` taken over a larger launch changes nothing;
-``np.add.reduceat`` folds each run on its own; early termination and
-the block cadence count from each ray's own first sample.  Clamping a
-row whose brick needs no clamp is the identity (its coordinates already
-lie strictly inside the bounds), so one clamp decision serves the
-launch.
-
-This is the reference the C march (``march.c``) mirrors operation for
-operation and is tested against byte for byte.
+Fusing cannot change a bit: every operation is elementwise per sample
+or segment-local per ray (``segmented_exclusive_cumprod`` scans within a
+ray's run, so ``max_run`` over a larger launch changes nothing;
+``np.add.reduceat`` folds each run on its own; termination and the block
+cadence count from each ray's own first sample), and clamping a row
+whose brick needs no clamp is the identity, so one clamp decision
+serves the launch.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..compositing import segmented_exclusive_cumprod
+from ..fragments import make_fragments, placeholder_fragments
+from ..geometry import box_intersect_f32
 from ..raycast import _gather_strides, _trilinear_gather
-from . import MarchPlan
+from . import LaunchRays, MarchPlan, SetupPlan, trim_boxes
 
 _F32 = np.float32
 _F0 = np.float32(0.0)
+
+
+def _sample_intervals(
+    tn_brick: np.ndarray,
+    tf_brick: np.ndarray,
+    tn_volume: np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k_first, count) of the owned global sample indices per ray.
+
+    ``k`` is owned iff ``t_k = tnv + (k+½)·dt`` lies in
+    ``[tn_brick, tf_brick)``.  Evaluated with one shared float32 formula
+    so adjacent bricks' runs tile each ray exactly (see the raycast
+    module docstring).
+    """
+    dt = _F32(dt)
+    # int64: a tiny dt over a long ray can exceed int32 sample indices,
+    # which would wrap in the cast and silently drop the whole brick.
+    kf = np.ceil((tn_brick - tn_volume) / dt - _F32(0.5)).astype(np.int64)
+    np.maximum(kf, 0, out=kf)
+    kl = np.ceil((tf_brick - tn_volume) / dt - _F32(0.5)).astype(np.int64)
+    return kf, np.maximum(kl - kf, 0)
+
+
+def setup(plan: SetupPlan) -> LaunchRays:
+    """Every footprint ray against its own brick's box and the volume box
+    (whose entry anchors the global sample lattice), compacted."""
+    dirs, keys, ray_cuts = plan.camera.footprint_rays_f32(plan.rects)
+    areas = np.diff(ray_cuts)
+    eye32 = np.asarray(plan.camera.eye, dtype=np.float64).astype(_F32)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = _F32(1.0) / dirs
+    rel = plan.cores - eye32
+    tn_b, tf_b, hit_b = box_intersect_f32(
+        np.repeat(rel[:, 0], areas, axis=0), np.repeat(rel[:, 1], areas, axis=0),
+        dirs, inv,
+    )
+    tn_v, _, hit_v = box_intersect_f32(
+        _F32(0.0) - eye32, np.asarray(plan.volume_shape, dtype=_F32) - eye32, dirs, inv
+    )
+    active = np.nonzero(hit_b & hit_v & (tf_b > tn_b))[0]
+    tn_v = tn_v[active]
+    dt = _F32(plan.dt)
+    kf, counts = _sample_intervals(tn_b[active], tf_b[active], tn_v, dt)
+    # t of each ray's first owned sample; later samples add whole steps.
+    t0 = tn_v + (kf.astype(_F32) + _F32(0.5)) * dt
+    cuts = np.searchsorted(active, ray_cuts)
+    owned_cum = np.zeros(len(active) + 1, dtype=np.int64)
+    np.cumsum(counts, out=owned_cum[1:])
+    return LaunchRays(
+        ray_cuts.astype(np.int64), active, keys[active], dirs[active], kf, counts,
+        t0, cuts, np.diff(owned_cum[cuts]),
+    )
+
+
+def launch(plan: MarchPlan) -> tuple:
+    """Trim, march and emit one launch: ``(fragments, owned, positioned,
+    kept)``, the last three per segment."""
+    segs = plan.segments
+    seg_rays = np.array([s.ray_lo for s in segs] + [len(plan.counts)])
+    # -- occupied-box trim: one more slab test of every ray, against the
+    # box of its own brick's table, gives the ordinals [lead, trail)
+    # outside which the table drops every sample — with one sample of
+    # slack per side, far more than the float32 slab test can be off by
+    # (≈ 2e-7·t).  A ray that misses its box gets trail <= lead by the
+    # same arithmetic; a NaN keeps the ray whole.
+    boxes = trim_boxes(segs)
+    if boxes is not None:
+        rays_of = np.diff(seg_rays)
+        rel = boxes - np.array([s.base_w for s in segs], dtype=_F32)[:, None, :]
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = _F32(1.0) / plan.dirs
+        tn_o, tf_o, _ = box_intersect_f32(
+            np.repeat(rel[:, 0], rays_of, axis=0), np.repeat(rel[:, 1], rays_of, axis=0),
+            plan.dirs, inv,
+        )
+        dt, t0, owned_f = _F32(plan.dt), plan.t0, plan.counts.astype(_F32)
+        lead = np.fmin(np.fmax(np.ceil((tn_o - t0) / dt) - _F32(1.0), _F0), owned_f)
+        trail = np.fmax(np.fmin(np.floor((tf_o - t0) / dt) + _F32(2.0), owned_f), _F0)
+        plan.lead, plan.trail = lead.astype(np.int64), trail.astype(np.int64)
+
+    # -- march, once per stretch of consecutive segments; a payload with
+    # a size-1 axis is a stretch of its own (any grouping is bitwise the
+    # same).
+    owned, positioned, first = [], [], 0
+    for b, seg in enumerate(segs):
+        if b + 1 < len(segs) and min(seg.shape) > 1 and min(segs[b + 1].shape) > 1:
+            continue
+        lo, hi = segs[first].ray_lo, seg.ray_hi
+        cut = slice(lo, hi)
+        own, pos = march(replace(
+            plan,
+            segments=tuple(
+                replace(s, ray_lo=s.ray_lo - lo, ray_hi=s.ray_hi - lo) for s in segs[first : b + 1]
+            ),
+            counts=plan.counts[cut], t0=plan.t0[cut], dirs=plan.dirs[cut],
+            lead=None if plan.lead is None else plan.lead[cut],
+            trail=None if plan.trail is None else plan.trail[cut],
+            acc_rgb=plan.acc_rgb[cut], acc_a=plan.acc_a[cut], term=plan.term[cut],
+        ))
+        owned.append(own)
+        positioned.append(pos)
+        first = b + 1
+
+    # -- emit: one fragment per contributing ray (or per footprint ray,
+    # with placeholders).
+    kept = np.nonzero((plan.counts > 0) & (plan.acc_a > plan.alpha_eps))[0]
+    fragments = make_fragments(
+        plan.keys[kept], plan.t0[kept],
+        np.concatenate([plan.acc_rgb[kept], plan.acc_a[kept, None]], axis=1),
+    )
+    if plan.emit_placeholders:
+        # Every "thread" emits: useless rays write a later-discarded
+        # placeholder with zeroed depth and colour.
+        emitted = placeholder_fragments(plan.n_rays)
+        emitted[plan.active[kept]] = fragments
+        fragments = emitted
+    return (
+        fragments, np.concatenate(owned), np.concatenate(positioned),
+        np.diff(np.searchsorted(kept, seg_rays)),
+    )
 
 
 class _Launch:

@@ -34,70 +34,52 @@ finite-precision normalized directions do not produce such rays.)
 
 Fused launches
 --------------
-A NumPy "launch" costs a few hundred interpreter dispatches however few
-rays it carries, and one brick's footprint is only a couple of thousand
-rays — anything done brick by brick spends most of its time on dispatch,
-not on rays.  :func:`raycast_bricks` therefore does everything it can
-for the **whole brick list at once**:
+One brick's footprint is only a couple of thousand rays, so
+:func:`raycast_bricks` casts the **whole brick list as one launch** of
+two kernel calls (:mod:`repro.render.kernels`), each one C call when
+the process has the C kernels:
 
-* *set-up* — one key computation and one direction gather over the
-  concatenated footprints, one float32 slab test of every ray against
-  its *own* brick's box (per-ray box operands) and one against the
-  whole-volume box, one ``nonzero``, one ownership-interval and one
-  first-sample computation.  The resulting per-ray arrays *are* the
-  kernel's launch-shaped plan (:class:`~repro.render.kernels.MarchPlan`):
-  all active rays in brick order, each marching against its own brick's
-  payload;
-* *march* — one kernel invocation over those arrays;
-* *emit* — one contribution test, one fragment array (and one
-  placeholder scatter); a brick's fragments are a view of it.
+* *set-up* (``kernels.setup``) — every footprint ray's key and
+  direction, one float32 slab test against its *own* brick's box and
+  one against the whole-volume box, compaction to the active rays in
+  brick order, their ownership intervals and first-sample ``t``, and
+  each brick's owned-sample total;
+* *trim, march and emit* (``kernels.march``) — the occupied-box trim
+  below, the blocked march, and one fragment per contributing ray (or
+  a placeholder per footprint ray); a brick's fragments are a view of
+  the launch's array.
 
-What stays per brick is what is genuinely the brick's own: where its
-rays lie in the launch arrays (offsets, not copies), the look-up of its
-cached empty-space structures and its
-:class:`~repro.render.kernels.BrickSegment`.  One kind of brick cannot
-share a kernel invocation — a payload with a size-1 axis — and marches
-alone from its slice of the launch arrays, between the stretches of
-consecutive bricks that do.  Rays never interact, so
-any grouping of bricks is bitwise the bricks cast one by one;
-:func:`raycast_brick` is a launch of one through the same lines.
-Callers bound a launch with :func:`cut_launches` (``LAUNCH_RAY_BUDGET``
-footprint rays: block temporaries, and with them peak memory, grow with
-the rays in flight).
+Between the two, :func:`raycast_bricks` does only what is the brick's
+own: the look-up (or first build) of its cached empty-space structures
+and its :class:`~repro.render.kernels.BrickSegment`, and afterwards its
+``MapStats``.  Rays never interact, so any grouping of bricks is
+bitwise the bricks cast one by one; :func:`raycast_brick` is a launch
+of one through the same lines.  Callers bound a launch with
+:func:`cut_launches` (``LAUNCH_RAY_BUDGET`` footprint rays: per-launch
+buffers, and with them peak memory, grow with the rays in flight).
 
 Blocked marching
 ----------------
-Instead of advancing one global sample index per Python-interpreter
-iteration, the marcher processes each live ray's next ``block_size``
-owned samples at once and amortizes interpreter dispatch over the whole
-block:
-
-* the flat sample list of a block is built directly from the ownership
-  intervals (``np.repeat`` over per-ray counts — ownership is a mask by
-  construction, not a test);
-* one flattened trilinear gather fetches all samples (ravel-offset
-  ``np.take`` on ``data.ravel()`` — no 3-D fancy indexing);
-* a conservative corner-max empty-space table (built per call when the
-  sample count warrants it) drops samples whose transfer-function alpha
-  is provably exactly zero *before* the gather — a pure win that cannot
-  change the image;
-* one batched transfer-function lookup colours the surviving samples;
-* front-to-back accumulation along each ray is closed-form: the
-  transmittance in front of every sample is a segmented exclusive
-  product scan of ``(1 − α)`` scaled by the transmittance carried in
-  from earlier blocks, so a block folds into the accumulators with a
-  handful of array ops.
+The marcher folds each live ray's next ``block_size`` owned samples at
+once: the block's sample list comes straight from the ownership
+intervals (ownership is a mask by construction, not a test); a
+conservative corner-max empty-space table (built when the sample count
+warrants it) drops samples whose transfer-function alpha is provably
+exactly zero *before* the gather; one flattened ravel-offset trilinear
+gather and one transfer-function lookup serve the rest; and the
+front-to-back fold is closed-form — the transmittance in front of every
+sample is a segmented exclusive product scan of ``(1 − α)`` scaled by
+the transmittance carried in from earlier blocks.
 
 Early ray termination runs at **block granularity**: after each block,
 rays whose accumulated alpha reached ``ert_alpha`` stop marching.
 Within a block all owned samples are processed (and counted in
-``MapStats.n_samples``), so a larger ``block_size`` trades per-block
-dispatch overhead against samples marched past the termination point.
-``block_size=1`` reproduces classic per-step termination exactly; the
-default of 8 covers a typical 16³-brick crossing in one or two blocks
-while keeping ERT waste low.  Raise it to 32–64 when termination is
-disabled (reference renders) or content is mostly transparent; drop
-toward 1 for dense, high-opacity transfer functions.
+``MapStats.n_samples``).  ``block_size=1`` reproduces classic per-step
+termination exactly; the default of 8 covers a typical 16³-brick
+crossing in one or two blocks while keeping ERT waste low.  Raise it to
+32–64 when termination is disabled (reference renders) or content is
+mostly transparent; drop toward 1 for dense, high-opacity transfer
+functions.
 
 Occupied-box trim
 -----------------
@@ -106,14 +88,13 @@ discard one, and positioning is the march's largest phase.  The paper's
 kernel discards what misses the brick's bounding box before a sample is
 taken; the trim does the same one level down.  Every brick with a table
 also has the **axis-aligned box of the table's ``True`` cells**
-(:func:`_occupied_box`, built and cached with the table), the set-up
-slab-tests every active ray against its own brick's occupied box — the
-per-ray-box call it already makes for the brick boxes — and turns the
-hit interval into sample ordinals ``[lead, trail) ⊆ [0, count)``.  Each
-block of the march positions only the ordinals of its window that fall
-in that interval.  Rays stay in the launch arrays, footprints are not
-shrunk, trimmed bricks fuse like any other, and a launch in which no
-brick's box has a finite face makes no third slab test.
+(:func:`_occupied_box`, built and cached with the table).  The march
+kernel slab-tests each ray against its own brick's occupied box and
+turns the hit interval into sample ordinals ``[lead, trail) ⊆ [0,
+count)``; each block then positions only the ordinals of its window in
+that interval.  Rays stay in the launch, footprints are not shrunk,
+trimmed bricks fuse like any other, and a launch in which no brick's
+box has a finite face makes no third slab test.
 
 Conservative-skip proof obligation: ``accel="table"`` must be **bitwise
 identical** to ``accel="off"``, counters included.  Three facts carry
@@ -138,19 +119,9 @@ so the counters cannot see the skip either — what the trim saved shows
 in ``MapStats.n_positioned`` alone, which takes no part in equality.
 ``accel="off"`` disables table and trim and is the conformance oracle.
 
-Measured on the 2-core dev box (numpy kernel), parent → trim.  Skull
-64³ as 16 bricks at 128², ``dt`` 0.75 (the end-to-end sparse scene):
-samples positioned per frame 200 k → 97 k of 200 k owned, 53 k surviving
-the table either way; march 11.2 → 9.1–9.5 ms of a 16.0 → 14.3–15.1 ms
-in-process frame (positioning 3.9 → 2.2–2.3 ms; instrumented, box in
-its fast state); ``orbit-pool-sparse`` 92.6 → 106.5 FPS (4/4
-alternating pairs), ``orbit-serial-sparse`` 60.9 → 65.4 FPS (10/10
-pairs, on a box whose runs fall ±15 % into a fast and a slow state: the
-parent's quartiles are 5.5 FPS apart), ``orbit-pool-dense`` level (no
-box there has a finite face).  One 32³ 5 %-fill brick at 128²
-(``bench_kernels.py::test_bench_raycast_macro_grid``): table + trim
-3.7 ms against 4.8–5.5 ms for the macro-grid span carve this replaced
-and 7.5 ms for the table alone (best of ≥ 100 rounds each).
+On the sparse benchmark scene the march positions 97 k of the 200 k
+samples it owns per frame (53 k survive the table either way); the
+measured gains are in ARCHITECTURE.md.
 
 Float widths
 ------------
@@ -179,8 +150,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .camera import Camera, PixelRect
-from .fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY, make_fragments
-from .geometry import box_intersect_f32
+from .fragments import empty_fragments, placeholder_fragments
 from .transfer import TransferFunction1D
 
 __all__ = [
@@ -278,16 +248,6 @@ class MapStats:
     # Which march ran ("c" / "numpy") and why: provenance, not a result.
     march: str = field(default="", compare=False)
     march_reason: str = field(default="", compare=False)
-
-    def merge(self, other: "MapStats") -> "MapStats":
-        return MapStats(
-            self.n_rays + other.n_rays,
-            self.n_active_rays + other.n_active_rays,
-            self.n_samples + other.n_samples,
-            self.n_emitted + other.n_emitted,
-            self.n_kept + other.n_kept,
-            self.n_positioned + other.n_positioned,
-        )
 
 
 def _trilinear_prep(
@@ -389,27 +349,6 @@ def trilinear_sample(data: np.ndarray, local_pos: np.ndarray) -> np.ndarray:
     return _trilinear_flat(flat, data.shape, c[:, 0], c[:, 1], c[:, 2])
 
 
-def _sample_intervals(
-    tn_brick: np.ndarray,
-    tf_brick: np.ndarray,
-    tn_volume: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(k_first, count) of the owned global sample indices per ray.
-
-    ``k`` is owned iff ``t_k = tnv + (k+½)·dt`` lies in
-    ``[tn_brick, tf_brick)``.  Evaluated with one shared float32 formula
-    so adjacent bricks' runs tile each ray exactly (see module docs).
-    """
-    dt = _F32(dt)
-    # int64: a tiny dt over a long ray can exceed int32 sample indices,
-    # which would wrap in the cast and silently drop the whole brick.
-    kf = np.ceil((tn_brick - tn_volume) / dt - _F32(0.5)).astype(np.int64)
-    np.maximum(kf, 0, out=kf)
-    kl = np.ceil((tf_brick - tn_volume) / dt - _F32(0.5)).astype(np.int64)
-    return kf, np.maximum(kl - kf, 0)
-
-
 def _empty_space_table(
     data: np.ndarray, tf: TransferFunction1D, u_thr: float
 ) -> Optional[np.ndarray]:
@@ -475,20 +414,14 @@ class BrickTask:
 
 
 #: Padded rays (footprint pixels) one fused launch may carry; callers cut
-#: a chunk list into launches with :func:`cut_launches`.  Fusing exists
-#: to amortise the ≈500 interpreter dispatches of a march, and the ≈100
-#: of the set-up and emit around it, over more than one brick's ≈2 000
-#: rays; but a launch's block temporaries grow with the rays in flight,
-#: and peak RSS is a benchmark bound (5 %).  Measured on the end-to-end
-#: scenes at 128² (numpy kernel, in-process): the ray-cast stage of
-#: skull 64³ as 16 bricks (``bench_kernels.py::test_bench_raycast_fused``)
-#: by bricks per launch 1 / 2 / 4 / 8 / 16: 32.0 / 24.9 / 18.7 / 15.7 /
-#: 19.4 ms (best of ≥ 20 rounds), and a 100-view orbit, sparse / dense
-#: scene, by budget — FPS: 1 brick 25.8 / 21.4, 8 192 rays 41.5 / 38.0,
-#: 16 384 rays 50.0 / 40.8, 32 768 rays 50.2 / 42.1; peak RSS: 66.2 /
-#: 63.7, 67.7 / 64.6, 69.8 / 66.9, 73.4 / 70.7 MiB.  16 384 — 8 of those
-#: bricks — is where the time curve bottoms out; doubling it buys ≤ 3 %
-#: for +5 % RSS.
+#: a chunk list into launches with :func:`cut_launches`.  Fusing amortises
+#: a launch's fixed cost over more than one brick's ≈2 000 rays, but a
+#: launch's buffers grow with the rays in flight and peak RSS is a
+#: benchmark bound (5 %).  Measured on the end-to-end scenes at 128²
+#: (numpy kernel, 100-view orbit, sparse / dense) by budget — FPS: 1
+#: brick 25.8 / 21.4, 8 192 rays 41.5 / 38.0, 16 384 rays 50.0 / 40.8,
+#: 32 768 rays 50.2 / 42.1; peak RSS: 66.2 / 63.7, 67.7 / 64.6, 69.8 /
+#: 66.9, 73.4 / 70.7 MiB.  16 384 is where the time curve bottoms out.
 LAUNCH_RAY_BUDGET = 16384
 
 def cut_launches(
@@ -588,13 +521,10 @@ def raycast_bricks(
 
     ``volume_shape`` defines the global box used for the shared ray
     parametrisation.  Rays are set up, marched and emitted for the whole
-    list at once (see "Fused launches" in the module docstring), so the
-    per-launch interpreter cost is paid once — callers bound a launch's
-    size by cutting their brick list with :func:`cut_launches`.  A
-    payload with a size-1 axis marches on its own, from its slice of the
-    launch's rays.  Results are bitwise those of casting
-    every brick on its own, in any grouping; each brick's fragments are
-    a view of the launch's fragment array.
+    list at once (see "Fused launches" in the module docstring) —
+    callers bound a launch's size with :func:`cut_launches`.  Results
+    are bitwise those of casting every brick on its own, in any
+    grouping; each brick's fragments are a view of the launch's array.
 
     Acceleration structures are looked up in ``accel_cache`` (default:
     the process-wide :func:`~repro.render.accel.shared_cache`) for
@@ -602,7 +532,7 @@ def raycast_bricks(
     """
     # Imported lazily: kernels imports this module's helpers at load time.
     from . import kernels
-    from .kernels import BrickSegment, MarchPlan
+    from .kernels import BrickSegment, MarchPlan, SetupPlan
 
     u_thr = _alpha_zero_threshold(tf)
     cache = None
@@ -614,190 +544,79 @@ def raycast_bricks(
     missing = [i for i, r in enumerate(rects) if r is None]
     if missing:
         projected = camera.box_rects(
-            [bricks[i].core_lo for i in missing],
-            [bricks[i].core_hi for i in missing],
+            [bricks[i].core_lo for i in missing], [bricks[i].core_hi for i in missing],
             config.pad_to_block,
         )
         for i, rect in zip(missing, projected):
             rects[i] = rect
 
-    # -- ray set-up, launch-wide: every brick's footprint rays, each
-    # tested against its own brick's box and the whole-volume box (whose
-    # entry anchors the global sample lattice).
-    dirs, keys, ray_cuts = camera.footprint_rays_f32(rects)
-    areas = np.diff(ray_cuts)
-    eye = np.asarray(camera.eye, dtype=np.float64)
-    eye32 = eye.astype(_F32)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = _F32(1.0) / dirs
-    core_lo = np.array([b.core_lo for b in bricks], dtype=_F32).reshape(-1, 3)
-    core_hi = np.array([b.core_hi for b in bricks], dtype=_F32).reshape(-1, 3)
-    tn_b, tf_b, hit_b = box_intersect_f32(
-        np.repeat(core_lo - eye32, areas, axis=0),
-        np.repeat(core_hi - eye32, areas, axis=0),
-        dirs,
-        inv,
-    )
-    tn_v, _, hit_v = box_intersect_f32(
-        _F32(0.0) - eye32, np.asarray(volume_shape, dtype=_F32) - eye32, dirs, inv
-    )
-    active = np.nonzero(hit_b & hit_v & (tf_b > tn_b))[0]
-    tn_v = tn_v[active]
-    dt = _F32(config.dt)
-    kf, counts = _sample_intervals(tn_b[active], tf_b[active], tn_v, dt)
-    dirs = dirs[active]
-    # t of each ray's first owned sample; later samples add whole steps.
-    t0 = tn_v + (kf.astype(_F32) + _F32(0.5)) * dt
-    n = len(active)
-    acc_rgb = np.zeros((n, 3), dtype=_F32)
-    acc_a = np.zeros(n, dtype=_F32)
-    term = np.zeros(n, dtype=bool)
-
-    # -- per brick: where its rays sit in the launch arrays, then what
-    # is its own — structure lookups and a segment.
-    cuts = np.searchsorted(active, ray_cuts).tolist()
-    owned_cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=owned_cum[1:])
-    expected = np.diff(owned_cum[cuts]).tolist()
+    # -- ray set-up, launch-wide (a kernel: see the kernels package).
+    rays = kernels.setup(SetupPlan(
+        camera, rects,
+        np.array([(b.core_lo, b.core_hi) for b in bricks], dtype=_F32).reshape(-1, 2, 3),
+        volume_shape, config.dt, config.shading,
+        all(b.data.dtype == _F32 for b in bricks),
+    ))
+    cuts, owned, ray_cuts = rays.cuts.tolist(), rays.owned.tolist(), rays.ray_cuts.tolist()
     # Lattice coords c = (position − ½) with the brick origin folded in.
-    base_w = (
-        eye - np.array([b.data_lo for b in bricks], dtype=np.float64).reshape(-1, 3) - 0.5
-    ).astype(_F32)
+    data_lo = np.array([b.data_lo for b in bricks], dtype=np.float64).reshape(-1, 3)
+    base_w = (np.asarray(camera.eye, dtype=np.float64) - data_lo - 0.5).astype(_F32)
     stats = [
-        MapStats(n_rays=a, n_active_rays=hi - lo)
-        for a, lo, hi in zip(areas.tolist(), cuts, cuts[1:])
+        MapStats(n_rays=hi - lo, n_active_rays=c1 - c0)
+        for lo, hi, c0, c1 in zip(ray_cuts, ray_cuts[1:], cuts, cuts[1:])
     ]
-    # Occupied boxes, open on every face until a brick's table says
-    # otherwise.
-    boxes = np.empty((len(bricks), 2, 3), dtype=_F32)
-    boxes[:, 0] = -np.inf
-    boxes[:, 1] = np.inf
-    # Consecutive bricks march together, as one stretch of the launch
-    # arrays — ``(first ray, [(brick index, segment), ...])``; a payload
-    # with a size-1 axis is a stretch of its own (any grouping is
-    # bitwise the same).
-    stretches: list = []
-    last_alone = False
+
+    # -- per brick: what is its own — structure lookups and a segment
+    # over its stretch of the launch's rays (idle bricks have none).
+    marching, segments = [], []
     for i, brick in enumerate(bricks):
         lo, hi = cuts[i], cuts[i + 1]
         if hi == lo:
             continue
         data = brick.data
-        shape = data.shape
-        skip_table, box = _brick_structures(
-            brick, expected[i], tf, config, u_thr, cache
-        )
-        if box is not None:
-            boxes[i] = box
-        alone = min(shape) < 2
-        if alone or last_alone or not stretches:
-            stretches.append((lo, []))
-        last_alone = alone
-        first, members = stretches[-1]
-        members.append(
-            (
-                i,
-                BrickSegment(
-                    data=data,
-                    flat=np.ascontiguousarray(data).ravel(),
-                    shape=shape,
-                    # Interior bricks with a full one-voxel ghost shell
-                    # keep every sample's 2×2×2 support inside the
-                    # payload — no clamping needed.
-                    need_clamp=any(
-                        dl > cl - 1 or dl + size < ch + 1
-                        for dl, size, cl, ch in zip(
-                            brick.data_lo, shape, brick.core_lo, brick.core_hi
-                        )
-                    ),
-                    base_w=base_w[i],
-                    skip_table=skip_table,
-                    ray_lo=lo - first,
-                    ray_hi=hi - first,
-                ),
-            )
-        )
+        skip_table, box = _brick_structures(brick, owned[i], tf, config, u_thr, cache)
+        marching.append(i)
+        segments.append(BrickSegment(
+            data, np.ascontiguousarray(data).ravel(), data.shape,
+            # Interior bricks with a full one-voxel ghost shell keep
+            # every sample's 2×2×2 support inside the payload — no
+            # clamping needed.
+            need_clamp=any(
+                dl > cl - 1 or dl + size < ch + 1
+                for dl, size, cl, ch in zip(brick.data_lo, data.shape, brick.core_lo, brick.core_hi)
+            ),
+            base_w=base_w[i], skip_table=skip_table, box=box, ray_lo=lo, ray_hi=hi,
+        ))
 
-    # -- occupied-box trim, launch-wide: one more slab test of every ray,
-    # against the box of its own brick's table, gives the ordinals
-    # [lead, trail) outside which the table drops every sample — with
-    # one sample of slack per side, far more than the float32 slab
-    # test can be off by (≈ 2e-7·t).  A ray that misses its box gets
-    # trail <= lead by the same arithmetic; a NaN keeps the ray whole.
-    lead = trail = None
-    if (boxes[:, 0] > -np.inf).any() or (boxes[:, 1] < np.inf).any():
-        rays_of = np.diff(cuts)
-        rel = boxes - base_w[:, None, :]
-        tn_o, tf_o, _ = box_intersect_f32(
-            np.repeat(rel[:, 0], rays_of, axis=0),
-            np.repeat(rel[:, 1], rays_of, axis=0),
-            dirs,
-            inv[active],
-        )
-        owned_f = counts.astype(_F32)
-        lead = np.fmin(
-            np.fmax(np.ceil((tn_o - t0) / dt) - _F32(1.0), _F32(0.0)), owned_f
-        ).astype(np.int64)
-        trail = np.fmax(
-            np.fmin(np.floor((tf_o - t0) / dt) + _F32(2.0), owned_f), _F32(0.0)
-        ).astype(np.int64)
-
-    # -- march, one kernel invocation per stretch (the C march, or the
-    # NumPy fold it mirrors bit for bit — see the kernels package).
-    fetches = config.fetches_per_sample
-    lookup_tf = tf.opacity_corrected(config.dt)
-    for lo, members in stretches:
-        hi = lo + members[-1][1].ray_hi
-        plan = MarchPlan(
-            segments=tuple(seg for _, seg in members),
-            counts=counts[lo:hi],
-            t0=t0[lo:hi],
-            dirs=dirs[lo:hi],
-            dt=float(config.dt),
-            block_size=config.block_size,
-            use_ert=config.ert_alpha < 1.0,
-            ert_alpha=float(config.ert_alpha),
-            u_thr=float(u_thr),
-            lead=None if lead is None else lead[lo:hi],
-            trail=None if trail is None else trail[lo:hi],
-            tf=lookup_tf,
-            shading=config.shading,
-            acc_rgb=acc_rgb[lo:hi],
-            acc_a=acc_a[lo:hi],
-            term=term[lo:hi],
-        )
-        owned, positioned, name, why = kernels.march(plan)
-        for (i, _), own, pos in zip(members, owned, positioned):
-            stats[i].n_samples = int(own) * fetches
-            stats[i].n_positioned = int(pos)
+    # -- trim, march and emit, launch-wide (a kernel: the C one, or the
+    # NumPy passes it mirrors bit for bit).  A launch of idle bricks
+    # never reaches it.
+    kept = [0] * len(bricks)
+    if segments:
+        n = len(rays.counts)
+        fragments, owned_s, positioned, kept_s, name, why = kernels.march(MarchPlan(
+            tuple(segments), rays.counts, rays.t0, rays.dirs, float(config.dt),
+            config.block_size, config.ert_alpha < 1.0, float(config.ert_alpha),
+            float(u_thr), lead=None, trail=None, tf=tf.opacity_corrected(config.dt),
+            shading=config.shading, acc_rgb=np.zeros((n, 3), dtype=_F32),
+            acc_a=np.zeros(n, dtype=_F32), term=np.zeros(n, dtype=bool),
+            keys=rays.keys, active=rays.active, n_rays=ray_cuts[-1],
+            alpha_eps=float(config.alpha_eps), emit_placeholders=config.emit_placeholders,
+        ))
+        for i, own, pos, k in zip(marching, owned_s.tolist(), positioned.tolist(), kept_s.tolist()):
+            stats[i].n_samples = own * config.fetches_per_sample
+            stats[i].n_positioned, kept[i] = pos, k
             stats[i].march, stats[i].march_reason = name, why
-
-    # -- emit, launch-wide: one fragment per contributing ray (or per
-    # ray, with placeholders); each brick gets its stretch as a view.
-    kept = np.nonzero((counts > 0) & (acc_a > config.alpha_eps))[0]
-    rays = active[kept]
-    fragments = make_fragments(
-        keys[rays],
-        t0[kept],
-        np.concatenate([acc_rgb[kept], acc_a[kept, None]], axis=1),
-    )
-    frag_cuts = np.searchsorted(kept, cuts).tolist()
-    if config.emit_placeholders:
-        # Every "thread" emits: useless rays write a later-discarded
-        # placeholder with zeroed depth and colour.
-        emitted = np.zeros(len(keys), dtype=FRAGMENT_DTYPE)
-        emitted["pixel"] = PLACEHOLDER_KEY
-        emitted[rays] = fragments
-        fragments, out_cuts = emitted, ray_cuts.tolist()
+    elif config.emit_placeholders:
+        fragments = placeholder_fragments(ray_cuts[-1])
     else:
-        out_cuts = frag_cuts
-    for i, st in enumerate(stats):
-        st.n_kept = frag_cuts[i + 1] - frag_cuts[i]
-        st.n_emitted = out_cuts[i + 1] - out_cuts[i]
-    return [
-        (fragments[lo:hi], st)
-        for lo, hi, st in zip(out_cuts, out_cuts[1:], stats)
-    ]
+        fragments = empty_fragments()
+    # Each brick's fragments are a view of the launch's array: its
+    # footprint with placeholders, else its kept rays.
+    out_cuts = ray_cuts if config.emit_placeholders else np.cumsum([0] + kept).tolist()
+    for st, k, lo, hi in zip(stats, kept, out_cuts, out_cuts[1:]):
+        st.n_kept, st.n_emitted = k, hi - lo
+    return [(fragments[lo:hi], st) for lo, hi, st in zip(out_cuts, out_cuts[1:], stats)]
 
 
 def raycast_brick(

@@ -242,7 +242,7 @@ def test_scenario_volume_covers_the_brick_kinds():
 
 
 def _spy_on_marches(monkeypatch) -> list:
-    """Record every ``MarchPlan`` the numpy kernel is handed."""
+    """Record every launch's ``MarchPlan``."""
     from repro.render import kernels
 
     plans = []
@@ -310,10 +310,13 @@ def test_idle_bricks_in_the_middle_of_a_launch(monkeypatch, emit_placeholders):
 
 
 def test_lone_marchers_share_a_launch_with_fused_bricks(monkeypatch):
-    """A payload with a size-1 axis marches alone, from its slice of the
-    launch's rays, between stretches of fused bricks — trimmed and
-    untrimmed ones side by side, on slices of one launch-wide trim —
-    and nobody's bytes or counters can tell."""
+    """A payload with a size-1 axis marches alone on the NumPy march,
+    from its slice of the launch's rays, between stretches of fused
+    bricks — trimmed and untrimmed ones side by side, on slices of one
+    launch-wide trim; C marches every segment in its one call — and
+    nobody's bytes or counters can tell."""
+    from repro.render.kernels import numpy_backend
+
     config = RenderConfig(dt=0.5)
     camera = _camera(35.0, 25.0)
     tf = default_tf()
@@ -327,19 +330,36 @@ def test_lone_marchers_share_a_launch_with_fused_bricks(monkeypatch):
     alone = [
         raycast_bricks([t], VOLUME.shape, camera, tf, config, cache)[0] for t in tasks
     ]
+    stretches = []
+
+    def fold(plan, run=numpy_backend.march):
+        stretches.append(plan)
+        return run(plan)
+
+    monkeypatch.setattr(numpy_backend, "march", fold)
     plans = _spy_on_marches(monkeypatch)
-    together = raycast_bricks(tasks, VOLUME.shape, camera, tf, config, cache)
-    for plan in plans:
-        _assert_plan_is_well_formed(plan)
-    assert [len(p.segments) > 1 for p in plans] == [True, False, True]
-    assert min(plans[1].segments[0].shape) == 1  # the slab
-    assert all(p.lead is not None and len(p.lead) == len(p.counts) for p in plans)
-    assert sum(len(p.counts) for p in plans) == sum(s.n_active_rays for _, s in alone)
-    trimmed = [s.n_positioned < s.n_samples for _, s in alone if s.n_samples]
-    assert any(trimmed) and not all(trimmed)
-    for (frags, stats), (ref, ref_stats) in zip(together, alone):
-        assert frags.tobytes() == ref.tobytes()
-        assert stats == ref_stats and stats.n_positioned == ref_stats.n_positioned
+    for march in MARCHES:
+        del plans[:], stretches[:]
+        with use_march(march):
+            together = raycast_bricks(tasks, VOLUME.shape, camera, tf, config, cache)
+        assert len(plans) == 1 and len(plans[0].lead) == len(plans[0].counts)
+        _assert_plan_is_well_formed(plans[0])
+        if march == "c":
+            assert stretches == []
+        else:
+            for plan in stretches:
+                _assert_plan_is_well_formed(plan)
+            assert [len(p.segments) > 1 for p in stretches] == [True, False, True]
+            assert min(stretches[1].segments[0].shape) == 1  # the slab
+            assert all(
+                p.lead is not None and len(p.lead) == len(p.counts) for p in stretches
+            )
+        assert len(plans[0].counts) == sum(s.n_active_rays for _, s in alone)
+        trimmed = [s.n_positioned < s.n_samples for _, s in alone if s.n_samples]
+        assert any(trimmed) and not all(trimmed)
+        for (frags, stats), (ref, ref_stats) in zip(together, alone):
+            assert frags.tobytes() == ref.tobytes()
+            assert stats == ref_stats and stats.n_positioned == ref_stats.n_positioned
 
 
 def test_launches_are_cut_at_the_ray_budget():

@@ -11,13 +11,18 @@ that both give the same bits.
   the warm path runs no subprocess.
 * **Cross-march plumbing** — acceleration-cache entries carry no march
   name, so tables/boxes warmed under one march serve the other.
+* **C reads nothing unchecked** — a wrong dtype, a non-contiguous
+  buffer or a rect outside the viewport is refused before C sees it,
+  and ``march.c`` compiles free of warnings.
 
 Byte equality between the marches over launches, cuts, block sizes and
 golden scenes lives with those suites (``test_fused_launch.py``,
 ``test_macro_grid.py``, ``test_golden_images.py``).
 """
 
+import shutil
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +32,8 @@ from repro.core import InProcessExecutor
 from repro.parallel import SharedMemoryPoolExecutor
 from repro.render import RenderConfig, default_tf
 from repro.render.accel import AccelCache
-from repro.render.kernels import c_backend, resolve
+from repro.render.camera import PixelRect
+from repro.render.kernels import SetupPlan, c_backend, resolve
 from repro.render.raycast import raycast_brick
 
 from marches import MARCHES, use_march
@@ -197,3 +203,67 @@ def test_accel_cache_shared_across_backends():
         assert cache.hits > hits, f"{march} missed the warmed cache"
         assert warm_stats.march == march
         assert warm.tobytes() == cold.tobytes() and warm_stats == cold_stats
+
+
+# -- what C may read ------------------------------------------------------------
+def test_bad_buffers_are_refused_before_c_sees_them(monkeypatch):
+    """Every buffer the bindings hand to C is checked first: a wrong
+    dtype, a non-contiguous array and a rect outside the viewport each
+    raise ``ValueError`` and never reach ``repro_setup`` /
+    ``repro_march``."""
+    from repro.render import kernels
+
+    lib, reason = c_backend.load()
+    assert lib is not None, reason
+    plans = []
+
+    def record(plan, run=kernels.march):
+        plans.append(plan)
+        return run(plan)
+
+    monkeypatch.setattr(kernels, "march", record)
+    data = np.random.default_rng(4).random((12, 12, 12), dtype=np.float32)
+    cam = orbit_camera((12,) * 3, width=24, height=24)
+    with use_march("numpy"):
+        raycast_brick(data, (0, 0, 0), (0, 0, 0), (12,) * 3, (12,) * 3, cam, default_tf())
+    (plan,) = plans
+
+    def reached(*args):
+        raise AssertionError("C was handed a bad buffer")
+
+    monkeypatch.setattr(lib.lib, "repro_setup", reached)
+    monkeypatch.setattr(lib.lib, "repro_march", reached)
+    cores = np.array([[[0, 0, 0], [12, 12, 12]]], np.float32)
+    setup = SetupPlan(cam, [cam.full_rect()], cores, (12,) * 3, 0.5, False, True)
+    for bad in (
+        replace(setup, rects=[PixelRect(0, 0, 25, 4)]),  # outside the viewport
+        replace(setup, rects=[PixelRect(-1, 0, 4, 4)]),
+        replace(setup, cores=cores.astype(np.float64)),  # wrong dtype
+        replace(setup, cores=np.asfortranarray(np.repeat(cores, 2, axis=0))[:1]),
+    ):
+        with pytest.raises(ValueError, match="C kernels"):
+            lib.setup(bad)
+    for bad in (
+        replace(plan, t0=plan.t0.astype(np.float64)),  # wrong dtype
+        replace(plan, dirs=np.asfortranarray(plan.dirs)),  # not contiguous
+        replace(plan, keys=plan.keys.astype(np.int64)),
+        replace(plan, segments=(
+            replace(plan.segments[0], flat=np.repeat(plan.segments[0].flat, 2)[::2]),
+        )),
+    ):
+        with pytest.raises(ValueError, match="C kernels"):
+            lib.launch(bad)
+
+
+def test_march_c_compiles_without_warnings():
+    """The C kernels build warning-free under -Wall -Wextra -Werror (the
+    same command is a tier-1 CI step)."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [cc, "-std=c99", "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
+         "-fsyntax-only", str(c_backend.SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

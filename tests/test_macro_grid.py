@@ -397,9 +397,10 @@ def test_all_zero_alpha_tf_carves_everything():
 
 
 def _spy_on_launch(monkeypatch):
-    """Record the plans the numpy kernel is handed and count the
-    launch-wide slab tests of the set-up."""
+    """Record every launch's plan, and count the slab tests of the NumPy
+    set-up and trim (the C kernels make theirs inside ``march.c``)."""
     from repro.render import kernels
+    from repro.render.kernels import numpy_backend
 
     plans, slab_tests = [], []
 
@@ -411,38 +412,41 @@ def _spy_on_launch(monkeypatch):
         slab_tests.append(len(args[2]))
         return box_test(*args)
 
-    box_test = raycast.box_intersect_f32
+    box_test = numpy_backend.box_intersect_f32
     monkeypatch.setattr(kernels, "march", march)
-    monkeypatch.setattr(raycast, "box_intersect_f32", box_intersect)
+    monkeypatch.setattr(numpy_backend, "box_intersect_f32", box_intersect)
     return plans, slab_tests
 
 
 def test_no_leading_zero_and_opaque_tfs_have_no_table_and_no_trim(monkeypatch):
     """Where there is nothing to skip — no leading zero-alpha run, or a
     table that is ``True`` wherever a base can fall — the plan carries no
-    trim interval and the set-up makes its two slab tests, as it always
-    has; nothing lands in the cache for the table-less bricks."""
+    trim interval and the NumPy set-up makes its two slab tests, as it
+    always has; nothing lands in the cache for the table-less bricks.
+    The C march positions every owned sample there too."""
     rng = np.random.default_rng(1)
     data = rng.uniform(0, 1, (12, 12, 12)).astype(np.float32)
     dense = np.full((12, 12, 12), 0.9, np.float32)
     cam = orbit_camera((12, 12, 12), width=32, height=32)
     plans, slab_tests = _spy_on_launch(monkeypatch)
-    for payload, tf, n_cached in (
-        (data, _ramp_tf(rng.uniform(0.05, 1.0, 16)), 0),
-        (data, _ramp_tf(rng.uniform(0.5, 1.0, 8)), 0),
-        (dense, default_tf(), 2),  # every cell occupied: table + open box
-    ):
-        cache = AccelCache()
-        task = BrickTask(payload, (0, 0, 0), (0, 0, 0), payload.shape, accel_key=("k",))
-        del plans[:], slab_tests[:]
-        (_, stats), = raycast_bricks(
-            [task], payload.shape, cam, tf, RenderConfig(), cache
-        )
-        assert len(plans) == 1 and plans[0].lead is None and plans[0].trail is None
-        assert len(slab_tests) == 2
-        assert (plans[0].segments[0].skip_table is not None) == bool(n_cached)
-        assert len(cache) == n_cached
-        assert stats.n_positioned == stats.n_samples > 0
+    for march in MARCHES:
+        for payload, tf, n_cached in (
+            (data, _ramp_tf(rng.uniform(0.05, 1.0, 16)), 0),
+            (data, _ramp_tf(rng.uniform(0.5, 1.0, 8)), 0),
+            (dense, default_tf(), 2),  # every cell occupied: table + open box
+        ):
+            cache = AccelCache()
+            task = BrickTask(payload, (0, 0, 0), (0, 0, 0), payload.shape, accel_key=("k",))
+            del plans[:], slab_tests[:]
+            with use_march(march):
+                (_, stats), = raycast_bricks(
+                    [task], payload.shape, cam, tf, RenderConfig(), cache
+                )
+            assert len(plans) == 1 and plans[0].lead is None and plans[0].trail is None
+            assert len(slab_tests) == (2 if march == "numpy" else 0)
+            assert (plans[0].segments[0].skip_table is not None) == bool(n_cached)
+            assert len(cache) == n_cached
+            assert stats.n_positioned == stats.n_samples > 0
 
 
 def _lattice_bases(plan, seg, rays, j):
@@ -526,32 +530,45 @@ def test_trim_is_conservative_per_sample(monkeypatch):
 
 # -- what the trim costs ------------------------------------------------------
 def test_trim_is_one_slab_test_and_only_where_a_box_has_a_finite_face(monkeypatch):
-    """Two launch-wide slab tests set a launch up; the trim adds a third
-    over the active rays — unless no brick has anything to trim (the
-    dense benchmark scene pays nothing)."""
+    """Two launch-wide slab tests set a NumPy launch up; the trim adds a
+    third over the active rays — unless no brick has anything to trim
+    (the dense benchmark scene pays nothing).  The C march shows the
+    same through what it positions."""
     plans, slab_tests = _spy_on_launch(monkeypatch)
 
-    def launch(name, n, **kw):
+    def launch(name, n, march, **kw):
         vol = make_dataset(name, (n,) * 3)
         grid = BrickGrid(vol.shape, n // 2, ghost=1)
         tasks = [BrickTask(grid.extract(vol, b), b.data_lo, b.lo, b.hi) for b in grid]
         cam = orbit_camera(vol.shape, width=64, height=64)
         del plans[:], slab_tests[:]
-        out = raycast_bricks(tasks, vol.shape, cam, kw.pop("tf"), RenderConfig(**kw))
-        return sum(s.n_rays for _, s in out), sum(s.n_active_rays for _, s in out)
+        with use_march(march):
+            out = raycast_bricks(tasks, vol.shape, cam, kw.pop("tf"), RenderConfig(**kw))
+        assert {s.march for _, s in out if s.n_active_rays} == {march}
+        return (
+            sum(s.n_rays for _, s in out), sum(s.n_active_rays for _, s in out),
+            sum(s.n_samples - s.n_positioned for _, s in out),
+        )
 
-    n_rays, n_active = launch("skull", 32, tf=default_tf(), dt=0.75)
+    n_rays, n_active, elided = launch("skull", 32, "numpy", tf=default_tf(), dt=0.75)
     assert slab_tests == [n_rays, n_rays, n_active]
     assert [p.lead is not None for p in plans] == [True]
+    assert launch("skull", 32, "c", tf=default_tf(), dt=0.75)[2] == elided > 0
+    assert slab_tests == [] and [p.lead is not None for p in plans] == [True]
     # the dense benchmark scene: translucent everywhere, nothing to trim
-    n_rays, _ = launch(
-        "supernova", 32, tf=grayscale_tf(max_alpha=0.3), dt=1.0, ert_alpha=1.0,
-    )
-    assert slab_tests == [n_rays, n_rays]
-    assert [p.lead for p in plans] == [None]
-    # and accel="off" never builds a structure to trim with
-    n_rays, _ = launch("skull", 32, tf=default_tf(), dt=0.75, accel="off")
-    assert slab_tests == [n_rays, n_rays] and plans[0].lead is None
+    for march in MARCHES:
+        n_rays, _, elided = launch(
+            "supernova", 32, march, tf=grayscale_tf(max_alpha=0.3), dt=1.0,
+            ert_alpha=1.0,
+        )
+        assert slab_tests == ([n_rays, n_rays] if march == "numpy" else [])
+        assert [p.lead for p in plans] == [None] and elided == 0
+        # and accel="off" never builds a structure to trim with
+        n_rays, _, elided = launch(
+            "skull", 32, march, tf=default_tf(), dt=0.75, accel="off"
+        )
+        assert slab_tests == ([n_rays, n_rays] if march == "numpy" else [])
+        assert plans[0].lead is None and elided == 0
 
 
 def test_occupied_box_is_cached_with_its_table_and_invalidated_with_it(monkeypatch):

@@ -33,11 +33,24 @@ from repro.render import (
     trilinear_sample,
 )
 from repro.render.fragments import PLACEHOLDER_KEY
-from repro.render.geometry import dual_box_intersect_f32
-from repro.render.raycast import _sample_intervals
+from repro.render.geometry import box_intersect_f32
+from repro.render.kernels.numpy_backend import _sample_intervals
 from repro.volume import BrickGrid, Volume
 
 F32 = np.float32
+
+
+def _slab_tests(eye, dirs, lo_a, hi_a, lo_b, hi_b):
+    """Float32 slab tests of shared-origin rays against two boxes,
+    sharing the reciprocal directions and the float32 eye."""
+    eye = np.asarray(eye, dtype=F32)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = F32(1.0) / dirs
+
+    def box(lo, hi):
+        return box_intersect_f32(np.asarray(lo, F32) - eye, np.asarray(hi, F32) - eye, dirs, inv)
+
+    return (*box(lo_a, hi_a), *box(lo_b, hi_b))
 
 
 def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf, config):
@@ -68,7 +81,7 @@ def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf,
     n = len(keys)
     stats.n_rays = n
     eye = np.asarray(camera.eye, np.float64)
-    tn_b, tf_b, hit_b, tn_v, _, hit_v = dual_box_intersect_f32(
+    tn_b, tf_b, hit_b, tn_v, _, hit_v = _slab_tests(
         eye, dirs, core_lo_w, core_hi_w, np.zeros(3), volume_shape
     )
     active = hit_b & hit_v & (tf_b > tn_b)

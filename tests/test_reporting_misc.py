@@ -5,7 +5,6 @@ import pytest
 
 from repro.bench import format_series, format_table
 from repro.core import JobStats, MapWork
-from repro.render.raycast import MapStats
 from repro.sim import ClusterRuntime, SimClusterExecutor, Trace, accelerator_cluster
 from repro.sim import trace as T
 
@@ -82,19 +81,6 @@ def test_utilization_report_after_job():
 
 
 # -- small stats helpers --------------------------------------------------------
-def test_mapstats_merge():
-    a = MapStats(1, 2, 3, 4, 5)
-    b = MapStats(10, 20, 30, 40, 50)
-    m = a.merge(b)
-    assert (m.n_rays, m.n_active_rays, m.n_samples, m.n_emitted, m.n_kept) == (
-        11,
-        22,
-        33,
-        44,
-        55,
-    )
-
-
 def test_jobstats_dict_and_discard_fraction():
     st = JobStats()
     st.add_map({"n_rays": 100, "n_samples": 1000}, emitted=100, kept=75)
