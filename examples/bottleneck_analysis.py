@@ -9,13 +9,13 @@ casting is no longer a limiting factor in rendering".
 Run:  python examples/bottleneck_analysis.py
 """
 
-from repro.bench import figure_camera
 from repro.core import JobConfig, RoundRobinPartitioner
 from repro.perfmodel import compute_vs_communication, find_crossover, speed_of_light
 from repro.pipeline.workload import build_workload
 from repro.render import default_tf
 from repro.render.fragments import FRAGMENT_NBYTES
 from repro.sim import SimClusterExecutor, accelerator_cluster
+from repro.sim.figures import figure_camera
 from repro.volume import bricks_for_gpu_count, grid_occupancy
 from repro.volume.datasets import skull_field
 

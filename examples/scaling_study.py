@@ -10,13 +10,13 @@ Run:  python examples/scaling_study.py [--quick]
 
 import sys
 
-from repro.bench import (
+from repro.perfmodel import find_sweet_spot
+from repro.sim.figures import (
     fig3_breakdown,
     fig4_scaling,
     format_table,
     sec63_bottleneck,
 )
-from repro.perfmodel import find_sweet_spot
 
 
 def main(quick: bool = False) -> None:

@@ -75,8 +75,8 @@ def main(out_dir: str = "quickstart_output") -> None:
               f"comm={swap_cost.comm_seconds * 1e3:.1f}ms "
               f"composite={swap_cost.composite_seconds * 1e3:.1f}ms "
               f"total={swap_cost.total * 1e3:.1f}ms")
-    print("compare against direct-send Partition+Sort+Reduce in "
-          "`repro.bench.ablation_compositing()`")
+    print("compare against direct-send Partition+Sort+Reduce with "
+          "`repro figure ablation_compositing`")
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 Usage::
 
     python -m repro render --dataset skull --size 48 --gpus 4 --out skull.ppm
-    python -m repro sweep --figure fig3 --sizes 128,256 --gpus 1,8,32
-    python -m repro analyze --size 1024
+    python -m repro figure fig3_breakdown_small
     python -m repro info
 
 `render` runs the functional pipeline (small volumes) and reports its
-measured wall clock; it imports no simulator code.  `rotate`, `sweep`
-and `analyze` run the simulated figure experiments at paper scale.
+measured wall clock; it imports no simulator code.  `figure` prints one
+of the paper's results exactly as ``tests/golden/paper_figures.json``
+pins it (no name lists them all; see :mod:`repro.sim.figures`).
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ import time
 from typing import Optional, Sequence
 
 __all__ = ["main", "build_parser"]
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "rendering: 1 = synchronous, 2 = double-buffered "
                         "(workers map+reduce the next frame while the parent "
                         "stitches the current one)")
-    r.add_argument("--pin-workers", action="store_true",
-                   help="pin each pool worker to its own core "
-                        "(os.sched_setaffinity) before it allocates its "
-                        "inbound mesh rings; warns and no-ops when "
-                        "affinity is unavailable or cores < workers")
     r.add_argument("--supervise", dest="supervise", action="store_true",
                    default=True,
                    help="recover pool infrastructure failures in place: "
@@ -110,24 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "hit rates) — as JSON")
     r.add_argument("--out", default="render.ppm")
 
-    s = sub.add_parser("sweep", help="regenerate a paper figure (simulated cluster)")
-    s.add_argument("--figure", default="fig3", choices=["fig3", "fig4"])
-    s.add_argument("--dataset", default="skull", choices=["skull", "supernova", "plume"])
-    s.add_argument("--sizes", type=_int_list, default=[128, 256, 512, 1024])
-    s.add_argument("--gpus", type=_int_list, default=[1, 2, 4, 8, 16, 32])
-
-    a = sub.add_parser("analyze", help="§6.3 compute-vs-communication analysis")
-    a.add_argument("--size", type=int, default=1024)
-    a.add_argument("--dataset", default="skull", choices=["skull", "supernova", "plume"])
-
-    o = sub.add_parser("rotate", help="simulate an interactive orbit (FPS report)")
-    o.add_argument("--dataset", default="skull", choices=["skull", "supernova", "plume"])
-    o.add_argument("--size", type=int, default=256)
-    o.add_argument("--gpus", type=int, default=8)
-    o.add_argument("--frames", type=int, default=8)
-    o.add_argument("--image", type=int, default=512)
-    o.add_argument("--no-resident", action="store_true",
-                   help="stream bricks every frame instead of caching them")
+    f = sub.add_parser("figure", help="print a pinned paper figure "
+                                      "(simulated cluster); no name lists them")
+    f.add_argument("name", nargs="?", help="a figure of repro.sim.figures.FIGURES")
 
     sub.add_parser("info", help="package / model configuration summary")
     return p
@@ -175,7 +148,6 @@ def _cmd_render(args) -> int:
         workers=args.workers,
         reduce_mode=args.reduce_mode,
         pipeline_depth=args.pipeline_depth,
-        pin_workers=args.pin_workers,
         supervise=args.supervise,
         max_frame_retries=args.max_frame_retries,
         fault_plan=args.fault_plan,
@@ -226,60 +198,25 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from .bench import fig3_breakdown, fig4_scaling, format_table
+def _cmd_figure(args) -> int:
+    import json
 
-    if args.figure == "fig3":
-        rows = fig3_breakdown(args.dataset, args.sizes, args.gpus)
-        print(format_table(rows, title="Fig 3: runtime breakdown (seconds)"))
+    from .sim.figures import FIGURES, figure
+
+    if args.name is None:
+        for name, (fn, kwargs) in FIGURES.items():
+            call = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
+            print(f"{name}: {fn.__name__}({call})")
+        return 0
+    if args.name not in FIGURES:
+        print(f"repro figure: unknown figure {args.name!r}; known: "
+              f"{', '.join(FIGURES)}", file=sys.stderr)
+        return 2
+    value = figure(args.name)
+    if isinstance(value, str):
+        print(value, end="")
     else:
-        rows = fig4_scaling(args.dataset, args.sizes, args.gpus)
-        print(format_table(rows, title="Fig 4: FPS / VPS scaling"))
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    from .bench import format_table, sec63_bottleneck
-    from .perfmodel import CommComputeSplit, find_crossover
-
-    rows = sec63_bottleneck(args.dataset, args.size)
-    print(format_table(rows, title=f"§6.3 analysis, {args.size}^3 volume"))
-    splits = [
-        CommComputeSplit(r["n_gpus"], r["compute_s"], r["communication_s"])
-        for r in rows
-    ]
-    cross = find_crossover(splits)
-    if cross is None:
-        print("compute-bound at every measured GPU count")
-    else:
-        print(f"communication overtakes computation at {cross} GPUs")
-    return 0
-
-
-def _cmd_rotate(args) -> int:
-    from . import MapReduceVolumeRenderer, RenderConfig, default_tf
-    from .pipeline import orbit_path
-    from .pipeline.workload import simulate_sequence
-    from .volume.datasets import DATASET_FIELDS
-
-    r = MapReduceVolumeRenderer(
-        volume=None,
-        volume_shape=(args.size,) * 3,
-        field=DATASET_FIELDS[args.dataset],
-        cluster=args.gpus,
-        tf=default_tf(),
-        render_config=RenderConfig(dt=1.0),
-    )
-    cams = orbit_path((args.size,) * 3, args.frames, width=args.image, height=args.image)
-    outcomes = simulate_sequence(r, cams, resident=not args.no_resident)
-    times = [o.total_runtime for o in outcomes]
-    steady = times[1:] or times
-    print(f"{args.dataset} {args.size}^3 on {args.gpus} simulated GPUs, "
-          f"{args.frames}-frame orbit "
-          f"({'resident' if not args.no_resident else 'streaming'} bricks):")
-    print(f"  first frame : {times[0] * 1e3:8.1f} ms")
-    print(f"  steady frame: {sum(steady) / len(steady) * 1e3:8.1f} ms "
-          f"({len(steady) / sum(steady):.2f} FPS)")
+        print(json.dumps(value, indent=1, sort_keys=True))
     return 0
 
 
@@ -302,9 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "render": _cmd_render,
-        "sweep": _cmd_sweep,
-        "analyze": _cmd_analyze,
-        "rotate": _cmd_rotate,
+        "figure": _cmd_figure,
         "info": _cmd_info,
     }
     return handlers[args.command](args)

@@ -26,8 +26,6 @@ interconnect)          (:mod:`~repro.parallel.ring`): each mapper writes a
                        straight into the owning worker's inbound edge; the
                        parent is a control plane and touches run bytes
                        only to relay a record too large for its edge.
-                       ``pin_workers=True`` pins workers to cores before
-                       they allocate their inbound edges (NUMA locality)
 Sort + Reduce          each worker Sort+Reduces the partitions it owns
                        (``partition % workers``) with the literal
                        :func:`~repro.core.executors.merge_partition_runs`

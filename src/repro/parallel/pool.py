@@ -53,12 +53,6 @@ token, tf version, chunk ids/sizes)`` and republished only when that
 changes, so an orbit's frames upload the volume exactly once — the
 paper's resident-brick regime.
 
-NUMA/core pinning (``pin_workers=True``): each worker is pinned to a
-distinct usable core before it allocates its inbound mesh edges, so
-one-worker-per-GPU placement maps onto real topology and edge pages
-are first-touched locally.  No-op with a warning when affinity is
-unavailable or there are fewer cores than workers.
-
 Supervision (``supervise=True``, the default; see
 :mod:`repro.parallel.supervise`): infrastructure failures — a worker
 process dying mid-frame, a wedged edge, an expired frame watermark —
@@ -86,7 +80,6 @@ import queue as queue_mod
 import threading
 import time
 import uuid
-import warnings
 import weakref
 from dataclasses import replace
 from multiprocessing.connection import wait as wait_ready
@@ -331,8 +324,6 @@ class SharedMemoryPoolExecutor:
         Max frames in flight for :meth:`submit`/:meth:`collect`; 1
         means fully synchronous.  ``execute`` is unaffected by values
         > 1 unless frames are also submitted asynchronously.
-    pin_workers:
-        Opt-in NUMA/core pinning (see module docstring).
     ring_write_timeout:
         Seconds a blocked edge write may wait before the pool is
         declared wedged; ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``
@@ -381,7 +372,6 @@ class SharedMemoryPoolExecutor:
         reduce_mode: str = "worker",
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
-        pin_workers: Optional[bool] = None,
         ring_write_timeout: Optional[float] = None,
         mesh_edge_capacity: Optional[int] = None,
         watermark_timeout: Optional[float] = None,
@@ -402,7 +392,6 @@ class SharedMemoryPoolExecutor:
         overrides = {
             k: v
             for k, v in {
-                "pin_workers": pin_workers,
                 "ring_write_timeout": ring_write_timeout,
                 "mesh_edge_capacity": mesh_edge_capacity,
                 "watermark_timeout": watermark_timeout,
@@ -432,7 +421,6 @@ class SharedMemoryPoolExecutor:
         self.mesh_edge_capacity = self.pool_config.resolved_edge_capacity(
             self.workers
         )
-        self.pin_workers = bool(self.pool_config.pin_workers)
         self.watermark_timeout = self.pool_config.resolved_watermark_timeout()
         self.supervise = bool(self.pool_config.supervise)
         self.max_frame_retries = self.pool_config.resolved_max_frame_retries()
@@ -471,33 +459,6 @@ class SharedMemoryPoolExecutor:
         ``JobStats.ring["shuffle_mode"]`` reports too."""
         return "mesh"
 
-    def _worker_pins(self) -> list:
-        """Per-worker core assignment for ``pin_workers`` (None = unpinned).
-
-        Distinct cores, taken from this process's own affinity mask so
-        a pool nested under an external pinning regime stays inside it.
-        """
-        if not self.pin_workers:
-            return [None] * self.workers
-        if not hasattr(os, "sched_setaffinity"):  # pragma: no cover
-            warnings.warn(
-                "pin_workers=True ignored: CPU affinity is unavailable "
-                "on this platform",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return [None] * self.workers
-        cores = sorted(os.sched_getaffinity(0))
-        if len(cores) < self.workers:
-            warnings.warn(
-                f"pin_workers=True ignored: {len(cores)} usable core(s) "
-                f"for {self.workers} workers",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return [None] * self.workers
-        return cores[: self.workers]
-
     def _ensure_started(self) -> None:
         if self.running:
             return
@@ -515,7 +476,6 @@ class SharedMemoryPoolExecutor:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker is an optimization
             pass
-        pins = self._worker_pins()
         task_queues = [self._ctx.Queue() for _ in range(self.workers)]
         self._result_queue = self._ctx.Queue()
         # Deterministic edge names, recorded before any worker exists:
@@ -538,7 +498,6 @@ class SharedMemoryPoolExecutor:
         procs = []
         for wi in range(self.workers):
             cfg = {
-                "pin_cpu": pins[wi],
                 "write_timeout": self.ring_write_timeout,
                 "watermark_timeout": self.watermark_timeout,
                 "n_workers": self.workers,
@@ -568,9 +527,9 @@ class SharedMemoryPoolExecutor:
         self._mesh_handshake()
 
     def _mesh_handshake(self) -> None:
-        """Collect every worker's inbound-edge names (created worker-side,
-        after pinning), attach to all N×N edges with unlink ownership, and
-        broadcast each worker its outbound row.  Raises — tearing the
+        """Collect every worker's inbound-edge names (created worker-side),
+        attach to all N×N edges with unlink ownership, and broadcast
+        each worker its outbound row.  Raises — tearing the
         pool down — if a worker dies or misbehaves before the mesh is
         up."""
         n = self.workers

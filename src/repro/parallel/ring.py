@@ -118,9 +118,8 @@ class ShmRing:
 
         ``owner=False`` (the default, worker side) never unlinks.
         ``owner=True`` adopts unlink responsibility on :meth:`close` —
-        the mesh uses this: each *worker* creates its
-        inbound edge rings (after CPU pinning, so first-touch lands on
-        the right node) but the *parent* owns teardown, which keeps the
+        the mesh uses this: each *worker* creates its inbound edge rings
+        but the *parent* owns teardown, which keeps the
         no-leaked-segments guarantee even when a worker dies without
         cleaning up.  Double unlink is harmless (guarded in close).
         """

@@ -12,9 +12,8 @@ and execute the literal
 touches run bytes except through the oversized-record relay below,
 which it counts in ``parent_run_bytes``.  Runs a mapper owns itself
 short-circuit through a local stash, no copy.  Edges are created by the
-*reader* worker after CPU pinning (first touch lands on its node) but
-unlinked by the parent, preserving the zero-leak teardown guarantee
-even when a worker dies mid-shuffle.
+*reader* worker but unlinked by the parent, preserving the zero-leak
+teardown guarantee even when a worker dies mid-shuffle.
 
 This module holds the worker half (:class:`WorkerMesh`), the pool's
 transport knobs (:class:`PoolConfig`) and the edge naming and fd
@@ -152,9 +151,9 @@ def mesh_fd_headroom(workers: int) -> tuple:
 def mesh_edge_name(token: str, src: int, dst: int) -> str:
     """Deterministic segment name for the ``src → dst`` edge of one mesh.
 
-    Edges are *created* by their reader worker (after pinning), but the
-    parent must be able to unlink every edge even when a worker dies
-    before reporting anything — including during the handshake itself.
+    Edges are *created* by their reader worker, but the parent must be
+    able to unlink every edge even when a worker dies before reporting
+    anything — including during the handshake itself.
     A per-pool token plus the edge coordinates makes every name known
     to the parent in advance, so teardown never depends on a message
     that a dead worker failed to send.
@@ -196,11 +195,6 @@ class PoolConfig:
         supervision layer, or fatal with ``supervise=False``).
         ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``, falling back to
         :data:`DEFAULT_RING_WRITE_TIMEOUT`.
-    pin_workers:
-        Opt-in NUMA/core pinning: give each worker its own core via
-        ``os.sched_setaffinity`` before it allocates its inbound mesh
-        edges (first-touch locality).  No-op with a warning when
-        affinity is unavailable or there are fewer cores than workers.
     watermark_timeout:
         Seconds a mesh reducer waits for a frame's completion watermark
         (``n_chunks × owned`` records) before declaring the frame's
@@ -237,7 +231,6 @@ class PoolConfig:
 
     mesh_edge_capacity: Optional[int] = None
     ring_write_timeout: Optional[float] = None
-    pin_workers: bool = False
     watermark_timeout: Optional[float] = None
     supervise: bool = True
     max_frame_retries: Optional[int] = None
@@ -316,8 +309,7 @@ class PoolConfig:
 class WorkerMesh:
     """One worker's view of the N×N edge mesh.
 
-    Owns this worker's **inbound** edges (created here, after pinning,
-    so the pages are first-touched on the worker's node; the parent
+    Owns this worker's **inbound** edges (created here; the parent
     adopts unlink duty) and attaches to the **outbound** edges other
     workers created, once the parent broadcasts the name matrix.
 

@@ -2,10 +2,8 @@
 state machine.
 
 Each worker is the multiprocess stand-in for one of the paper's GPUs.
-At startup it (optionally) pins itself to its assigned core, then
-allocates its *inbound* mesh edge rings (after pinning, so first touch
-lands on the local node) and reports their names to the parent.  Its
-loop then consumes control messages from a per-worker task queue:
+At startup it allocates its *inbound* mesh edge rings and reports their
+names to the parent.  Its loop then consumes control messages from a per-worker task queue:
 
 ``("arena", ArenaSpec|None)``
     (Re)attach the published chunk/transfer-function arena.
@@ -59,7 +57,6 @@ never from arrival order, so the pool matches
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue as queue_mod
 import signal
@@ -142,22 +139,6 @@ class FrameContext:
 # map_chunks_to_runs is the *same function* the in-process executor runs
 # (repro.core.executors) — a FrameContext duck-types for the spec — so a
 # worker's runs are bitwise-identical to serial execution by construction.
-
-
-def _pin_to_core(pin_cpu: Optional[int]) -> None:
-    """Pin this worker to its assigned core (best effort).
-
-    The parent already validated availability and emitted the warning
-    when pinning was requested but impossible, so failures here (cores
-    taken offline between spawn and pin) silently fall back to the
-    unpinned scheduler placement rather than killing the worker.
-    """
-    if pin_cpu is None:
-        return
-    try:
-        os.sched_setaffinity(0, {int(pin_cpu)})
-    except (AttributeError, OSError):  # pragma: no cover - platform dependent
-        pass
 
 
 def _report_error(result_queue, worker_id: int, what: str, exc, flush_spans):
@@ -373,15 +354,12 @@ def worker_main(worker_id: int, task_queue, result_queue, cfg: dict) -> None:
     """Entry point of one pool worker process.
 
     ``cfg`` carries the transport configuration resolved by the parent:
-    ``pin_cpu`` (core to pin to, or None), ``write_timeout`` (shared by
-    every mesh edge), ``watermark_timeout`` (the frame-completion
-    bound), ``n_workers``/``edge_capacity``/``mesh_token`` (the mesh
-    shape and its deterministic edge names), and
+    ``write_timeout`` (shared by every mesh edge), ``watermark_timeout``
+    (the frame-completion bound), ``n_workers``/``edge_capacity``/
+    ``mesh_token`` (the mesh shape and its deterministic edge names), and
     ``fault_plan``/``spawn_gen`` (the deterministic fault-injection
     plan and this process's spawn generation — see
-    :mod:`repro.parallel.faults`).  Pinning happens **before** the
-    inbound mesh edges are created so their pages are first-touched on
-    the pinned core's NUMA node.
+    :mod:`repro.parallel.faults`).
 
     An external SIGTERM is converted to ``SystemExit`` so the
     ``finally`` teardown below still runs: the dying worker detaches
@@ -396,7 +374,6 @@ def worker_main(worker_id: int, task_queue, result_queue, cfg: dict) -> None:
         signal.signal(signal.SIGTERM, _graceful_term)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    _pin_to_core(cfg["pin_cpu"])
     # Tracing: a fresh per-process buffer when the parent traces, else
     # explicitly disabled — a fork child inherits the parent's tracer
     # object, and recording into (or shipping) that copy would be wrong

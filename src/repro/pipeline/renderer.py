@@ -117,11 +117,6 @@ class MapReduceVolumeRenderer:
         accepted; the removed ``"parent"`` and ``"tcp"`` values raise
         ``ValueError``.  Both parameters stay only until the benchmark
         harness stops passing them (ROADMAP item 1(d)).
-    pin_workers:
-        Opt-in NUMA/core pinning for pool workers: each worker is
-        pinned to a distinct core before allocating its inbound mesh
-        edges.  No-op with a warning when affinity is unavailable or
-        cores < workers.
     pipeline_depth:
         Max frames in flight for the pool executor's async
         :meth:`submit_frame`/:meth:`collect_frame` pipeline (used by
@@ -159,7 +154,6 @@ class MapReduceVolumeRenderer:
         reduce_mode: str = "worker",
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
-        pin_workers: bool = False,
         accel: Optional[str] = None,
         supervise: Optional[bool] = None,
         max_frame_retries: Optional[int] = None,
@@ -195,7 +189,6 @@ class MapReduceVolumeRenderer:
             raise ValueError("pipeline depth must be at least 1")
         self.executor = executor
         self.workers = workers
-        self.pin_workers = bool(pin_workers)
         self.pipeline_depth = int(pipeline_depth)
         self.supervise = supervise
         self.max_frame_retries = max_frame_retries
@@ -226,7 +219,6 @@ class MapReduceVolumeRenderer:
                 self._exec_instance = SharedMemoryPoolExecutor(
                     workers=workers,
                     pipeline_depth=self.pipeline_depth,
-                    pin_workers=self.pin_workers,
                     supervise=self.supervise,
                     max_frame_retries=self.max_frame_retries,
                     fault_plan=self.fault_plan,

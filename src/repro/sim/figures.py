@@ -1,20 +1,24 @@
-"""Experiment definitions — one function per paper figure/table.
+"""The paper's figures: one function per figure or table, and one
+registry of the named results the repo pins.
 
-Every experiment returns plain dict rows: ``repro sweep`` and ``repro
-analyze`` print them as the paper-shaped tables,
-``tests/test_paper_claims.py`` checks their shape against the paper and
-``tests/test_paper_figures.py`` pins their values.
+Experiments return dict rows, simulated outcomes or a report string.
+:data:`FIGURES` names each pinned result with the function and
+arguments that produce it; :func:`figure` runs one and makes it
+JSON-shaped, ``python -m repro figure NAME`` prints it,
+``tests/test_paper_figures.py`` pins every entry value for value in
+``tests/golden/paper_figures.json``, and ``tests/test_paper_claims.py``
+checks the experiments' shape against the paper at paper scale.
 
 All figure-scale experiments run on the simulated cluster from the
 analytic workload (:func:`~repro.pipeline.workload.simulate_frame`).
-``exec_vs_sim_validation`` cross-checks that against a functional render
-on a small volume.
+``exec_vs_sim_validation`` and ``replayed_frame`` cross-check that
+against a functional render on a small volume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import dataclasses
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,26 +30,36 @@ from ..core.partition import (
     RoundRobinPartitioner,
     TiledPartitioner,
 )
-from ..perfmodel.bottleneck import compute_vs_communication, find_sweet_spot
+from ..perfmodel.bottleneck import compute_vs_communication
 from ..perfmodel.efficiency import ScalingPoint, scaling_series
+from ..pipeline.driver import orbit_path
 from ..pipeline.renderer import MapReduceVolumeRenderer
-from ..pipeline.workload import build_workload, replay, simulate_frame
+from ..pipeline.workload import (
+    build_workload,
+    replay,
+    simulate_frame,
+    simulate_sequence,
+)
 from ..render.camera import orbit_camera
 from ..render.fragments import FRAGMENT_NBYTES
 from ..render.raycast import RenderConfig
 from ..render.transfer import TransferFunction1D, default_tf
-from ..sim.disk import DiskSpec
-from ..sim.pcie import PCIeSpec
-from ..sim.presets import accelerator_cluster
-from ..sim.scheduler import SimOutcome
 from ..volume.bricking import bricks_for_gpu_count
-from ..volume.datasets import DATASET_FIELDS
+from ..volume.datasets import DATASET_FIELDS, make_dataset
 from ..volume.occupancy import grid_occupancy
+from .disk import DiskSpec
+from .pcie import PCIeSpec
+from .presets import accelerator_cluster
+from .scheduler import SimOutcome
 
 __all__ = [
+    "FIGURES",
     "GPU_COUNTS",
     "PAPER_SIZES",
+    "figure",
     "figure_camera",
+    "format_table",
+    "plain",
     "sim_render",
     "fig3_breakdown",
     "fig4_scaling",
@@ -56,7 +70,13 @@ __all__ = [
     "ablation_compositing",
     "ablation_sort_device",
     "ablation_reduce_device",
+    "ablation_future_work",
+    "ablation_combiner",
     "exec_vs_sim_validation",
+    "orbit_sequence",
+    "orbit_frame_runtimes",
+    "rotation_report",
+    "replayed_frame",
 ]
 
 GPU_COUNTS = (1, 2, 4, 8, 16, 32)
@@ -396,7 +416,6 @@ def ablation_combiner(size: int = 32, n_gpus: int = 4) -> list[dict]:
     brick each pixel emits at most one fragment, so the answer is zero.
     """
     from ..pipeline.combiner import FragmentCombiner
-    from ..volume.datasets import make_dataset
 
     vol = make_dataset("supernova", (size,) * 3)
     cam = figure_camera(vol.shape, image=128)
@@ -434,8 +453,6 @@ def exec_vs_sim_validation(size: int = 32, n_gpus: int = 4) -> dict:
     Runs a small volume both ways and compares total kept fragments —
     the quantity every communication cost depends on.
     """
-    from ..volume.datasets import make_dataset
-
     vol = make_dataset("supernova", (size,) * 3)
     cam = figure_camera(vol.shape, image=128)
     cfg = RenderConfig(dt=DT, ert_alpha=1.0)
@@ -453,3 +470,151 @@ def exec_vs_sim_validation(size: int = 32, n_gpus: int = 4) -> dict:
         "exec_runtime_s": replay(renderer, exec_res).total_runtime,
         "sim_runtime_s": sim_res.total_runtime,
     }
+
+
+# -- ROTATE: a simulated interactive orbit --------------------------------------
+def orbit_sequence(
+    dataset: str = "skull",
+    size: int = 128,
+    n_gpus: int = 4,
+    frames: int = 3,
+    image: int = 256,
+    resident: bool = True,
+) -> list[SimOutcome]:
+    """A simulated orbit, bricks kept resident across frames or
+    streamed in every frame."""
+    r = _renderer(size, n_gpus, dataset)
+    cams = orbit_path(r.volume_shape, frames, width=image, height=image)
+    return simulate_sequence(r, cams, resident=resident)
+
+
+def orbit_frame_runtimes(**orbit) -> list[float]:
+    """Each frame's simulated runtime (seconds) of :func:`orbit_sequence`."""
+    return [o.total_runtime for o in orbit_sequence(**orbit)]
+
+
+def rotation_report(
+    dataset: str = "skull",
+    size: int = 128,
+    n_gpus: int = 4,
+    frames: int = 3,
+    image: int = 256,
+    resident: bool = True,
+) -> str:
+    """An orbit's first and steady frame time, and its steady FPS."""
+    times = orbit_frame_runtimes(
+        dataset=dataset, size=size, n_gpus=n_gpus, frames=frames,
+        image=image, resident=resident,
+    )
+    steady = times[1:] or times
+    return (
+        f"{dataset} {size}^3 on {n_gpus} simulated GPUs, {frames}-frame orbit "
+        f"({'resident' if resident else 'streaming'} bricks):\n"
+        f"  first frame : {times[0] * 1e3:8.1f} ms\n"
+        f"  steady frame: {sum(steady) / len(steady) * 1e3:8.1f} ms "
+        f"({len(steady) / sum(steady):.2f} FPS)\n"
+    )
+
+
+# -- REPLAY: a functional frame priced on the simulated cluster ------------------
+def replayed_frame() -> SimOutcome:
+    """The work a small functional render measured, replayed on the
+    simulated cluster."""
+    vol = make_dataset("supernova", (24, 24, 24))
+    cam = orbit_camera(vol.shape, azimuth_deg=40, elevation_deg=25, width=48, height=48)
+    r = MapReduceVolumeRenderer(
+        volume=vol, cluster=2, tf=default_tf(),
+        render_config=RenderConfig(dt=0.8, ert_alpha=1.0),
+    )
+    return replay(r, r.render(cam))
+
+
+# -- output ---------------------------------------------------------------------
+def plain(obj):
+    """JSON-shaped copy of ``obj``: dataclasses and NumPy values become
+    dicts, lists and Python scalars."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def _fmt(value: Any, ndigits: int = 4) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        return f"{value:.{ndigits}g}"
+    return str(value)
+
+
+def format_table(
+    rows: Sequence[Mapping[str, Any]],
+    columns: Sequence[str] | None = None,
+    title: str = "",
+) -> str:
+    """Render dict rows as an aligned ASCII table."""
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    cols = list(columns) if columns else list(rows[0].keys())
+    cells = [[_fmt(r.get(c, "")) for c in cols] for r in rows]
+    widths = [
+        max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    header = "  ".join(c.rjust(w) for c, w in zip(cols, widths))
+    lines.append(header)
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+# -- the registry ---------------------------------------------------------------
+_SMALL_GRID = {"sizes": (64, 128), "gpu_counts": (1, 2, 4, 8)}
+
+#: Every pinned result, keyed as in ``tests/golden/paper_figures.json``:
+#: the experiment and the keyword arguments it runs with.  The §6.3,
+#: footnote-1 and §3 tables and the ablations run at their paper-scale
+#: defaults.
+FIGURES: dict[str, tuple[Callable, dict]] = {
+    "fig3_breakdown_small": (fig3_breakdown, _SMALL_GRID),
+    "fig4_scaling_small": (fig4_scaling, _SMALL_GRID),
+    "exec_vs_sim": (exec_vs_sim_validation, {}),
+    "sec63_bottleneck": (sec63_bottleneck, {}),
+    "paraview_reference": (paraview_reference, {}),
+    "micro_transfer_costs": (micro_transfer_costs, {}),
+    "ablation_partitioners": (ablation_partitioners, {}),
+    "ablation_compositing": (ablation_compositing, {}),
+    "ablation_sort_device": (ablation_sort_device, {}),
+    "ablation_reduce_device": (ablation_reduce_device, {}),
+    "ablation_future_work": (ablation_future_work, {}),
+    "ablation_combiner": (ablation_combiner, {}),
+    "sequence_resident": (orbit_sequence, {"frames": 3}),
+    "sequence_streaming": (orbit_sequence, {"frames": 3, "resident": False}),
+    "rotation_frame_runtimes": (
+        orbit_frame_runtimes, {"frames": 4, "resident": False}
+    ),
+    "replayed_frame": (replayed_frame, {}),
+    "rotate_cli_resident": (
+        rotation_report, {"size": 128, "n_gpus": 4, "frames": 4, "image": 256}
+    ),
+    "rotate_cli_streaming": (
+        rotation_report,
+        {"size": 64, "n_gpus": 2, "frames": 3, "image": 128, "resident": False},
+    ),
+}
+
+
+def figure(name: str):
+    """The named figure's value, made JSON-shaped by :func:`plain`."""
+    fn, kwargs = FIGURES[name]
+    return plain(fn(**kwargs))

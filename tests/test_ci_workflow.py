@@ -1,13 +1,17 @@
-"""The CI workflow's command lines still point at real things.
+"""The documented command lines still point at real things.
 
-Nothing runs ``.github/workflows/ci.yml`` before it is pushed, so a CLI
-flag, subcommand or script removed from the repo but still used by a CI
-step would only fail on the runner.  These tests read the workflow, join
-each ``run:`` step's backslash continuations, substitute every
-``${{ matrix.* }}`` combination of its job, and check that:
+Nothing runs ``.github/workflows/ci.yml`` before it is pushed, and
+nothing runs the README's examples at all, so a CLI flag, subcommand or
+script removed from the repo but still named there would only fail on
+the runner or in a reader's terminal.  These tests read the workflow,
+join each ``run:`` step's backslash continuations, substitute every
+``${{ matrix.* }}`` combination of its job, read README.md's fenced code
+blocks the same way, and check that:
 
-* every ``python -m repro render …`` line parses with the real parser;
-* every ``python -m repro <cmd>`` names a real subcommand;
+* every ``python -m repro …`` line, of any subcommand, parses with the
+  real parser;
+* every ``python -m repro <cmd>`` in the workflow names a real
+  subcommand;
 * every relative path a step names exists in the repo.
 """
 
@@ -23,6 +27,8 @@ from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+README = ROOT / "README.md"
+FENCED = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
 MATRIX_REF = re.compile(r"\$\{\{\s*matrix\.([A-Za-z0-9_-]+)\s*\}\}")
 SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "<"}
 # A relative path: word characters, dots and dashes between slashes.  It
@@ -57,17 +63,26 @@ def _run_scripts() -> list:
     return found
 
 
-def _render_commands(scripts) -> list:
-    """``(job, argv after "render")`` for every render line in the
-    workflow, once per matrix combination."""
+def _readme_blocks() -> list:
+    """``("README.md", block)`` for every fenced code block of the
+    README, continuations joined."""
+    return [
+        ("README.md", block.replace("\\\n", " "))
+        for block in FENCED.findall(README.read_text())
+    ]
+
+
+def _repro_commands(scripts) -> list:
+    """``(source, argv after "repro")`` for every ``python -m repro``
+    line of the given scripts."""
     found = []
     for name, script in scripts:
         for line in script.splitlines():
-            if "repro render" not in line:
+            if "-m repro " not in line:
                 continue
             tokens = shlex.split(line, comments=True)
             for i in range(len(tokens) - 2):
-                if tokens[i : i + 3] == ["-m", "repro", "render"]:
+                if tokens[i : i + 2] == ["-m", "repro"]:
                     argv = []
                     for tok in tokens[i + 2 :]:
                         if tok in SHELL_BREAKS:
@@ -78,21 +93,24 @@ def _render_commands(scripts) -> list:
 
 
 SCRIPTS = _run_scripts()
-COMMANDS = _render_commands(SCRIPTS)
+COMMANDS = _repro_commands(SCRIPTS) + _repro_commands(_readme_blocks())
 
 
 def test_workflow_has_render_lines():
-    jobs = {name for name, _ in COMMANDS}
-    assert {"fault-injection"} <= jobs
+    jobs = {name for name, argv in COMMANDS if argv[0] == "render"}
+    assert {"fault-injection", "README.md"} <= jobs
+    assert {"render", "figure", "info"} <= {argv[0] for _, argv in COMMANDS}
 
 
 @pytest.mark.parametrize(
     "job,argv", COMMANDS, ids=[f"{job}-{i}" for i, (job, _) in enumerate(COMMANDS)]
 )
 def test_every_ci_render_line_parses(job, argv):
+    """Every ``python -m repro`` line of the workflow and the README
+    parses, whatever its subcommand."""
     assert not any("${{" in tok for tok in argv), argv
     args = build_parser().parse_args(argv)
-    assert args.command == "render"
+    assert args.command == argv[0]
 
 
 def test_every_ci_repro_command_is_a_subcommand():

@@ -112,10 +112,11 @@ def test_cli_parser_subcommands():
     p = build_parser()
     args = p.parse_args(["render", "--dataset", "supernova", "--size", "16"])
     assert args.command == "render" and args.size == 16
-    args = p.parse_args(["sweep", "--figure", "fig4", "--sizes", "128,256"])
-    assert args.sizes == [128, 256]
+    args = p.parse_args(["figure", "sec63_bottleneck"])
+    assert args.command == "figure" and args.name == "sec63_bottleneck"
+    assert p.parse_args(["figure"]).name is None
     with pytest.raises(SystemExit):
-        p.parse_args(["sweep", "--sizes", "x,y"])
+        p.parse_args(["sweep"])
 
 
 def test_cli_info(capsys):
@@ -159,33 +160,16 @@ def test_cli_render_with_shading_and_auto_tf(tmp_path):
     assert rc == 0 and out.exists()
 
 
-def test_cli_sweep_fig3(capsys):
-    rc = main(["sweep", "--figure", "fig3", "--sizes", "64", "--gpus", "1,4"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "Fig 3" in out and "64^3" in out
+def test_cli_figure_lists_the_registry(capsys):
+    from repro.sim.figures import FIGURES
+
+    assert main(["figure"]) == 0
+    listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == list(FIGURES)
 
 
-def test_cli_analyze(capsys):
-    rc = main(["analyze", "--size", "128"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "§6.3" in out
-
-
-def test_cli_rotate(capsys):
-    rc = main(
-        ["rotate", "--size", "64", "--gpus", "2", "--frames", "3", "--image", "128"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "steady frame" in out and "FPS" in out
-
-
-def test_cli_rotate_streaming(capsys):
-    rc = main(
-        ["rotate", "--size", "64", "--gpus", "2", "--frames", "2",
-         "--image", "128", "--no-resident"]
-    )
-    assert rc == 0
-    assert "streaming" in capsys.readouterr().out
+def test_cli_figure_unknown_name_exits_nonzero(capsys):
+    assert main(["figure", "no-such-name"]) != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no-such-name" in captured.err and "fig3_breakdown_small" in captured.err

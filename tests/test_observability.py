@@ -17,6 +17,7 @@ Four contracts pinned here:
 """
 
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -388,6 +389,29 @@ def test_collect_environment_and_load_means():
     # start compiled from source is not comparable with a cached one.
     assert env["dont_write_bytecode"] is sys.dont_write_bytecode
     assert env["pycache_prefix"] == sys.pycache_prefix
+
+
+_PROVENANCE_CHILD = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from repro.bench.results import collect_environment
+collect_environment()
+analysis = ("repro.sim", "repro.baselines", "repro.perfmodel")
+print(sorted(m for m in sys.modules
+             if any(m == a or m.startswith(a + ".") for a in analysis)))
+"""
+
+
+def test_collect_environment_loads_no_simulator():
+    # A benchmark child stamps its document with this block, in a fresh
+    # interpreter; it must not pay for (or depend on) the analysis half.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROVENANCE_CHILD, src],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- CLI surfaces ------------------------------------------------------------

@@ -8,17 +8,24 @@ values are pinned separately in ``test_paper_figures.py``.
 
 The ``test_claim_*`` tests are the sentences a reader would quote from
 the paper.  Where a figure's check is one of those sentences, it is
-asserted once, in the claim test, on the same figure grid.  Fig. 3,
-Fig. 4 and §6.3 print as tables with ``repro sweep`` and ``repro
-analyze``.
+asserted once, in the claim test, on the same figure grid.  The
+experiments live in :mod:`repro.sim.figures`; ``repro figure NAME``
+prints the pinned entries.
 """
 
 from collections import defaultdict
 
 import pytest
 
-from repro.bench import (
+from repro.core import JobConfig
+from repro.perfmodel import CommComputeSplit, find_crossover, find_sweet_spot
+from repro.pipeline import MapReduceVolumeRenderer, orbit_path
+from repro.pipeline.workload import simulate_sequence
+from repro.render import RenderConfig, default_tf
+from repro.sim.figures import (
+    ablation_combiner,
     ablation_compositing,
+    ablation_future_work,
     ablation_partitioners,
     ablation_reduce_device,
     ablation_sort_device,
@@ -30,12 +37,6 @@ from repro.bench import (
     sec63_bottleneck,
     sim_render,
 )
-from repro.bench.experiments import ablation_combiner, ablation_future_work
-from repro.core import JobConfig
-from repro.perfmodel import CommComputeSplit, find_crossover, find_sweet_spot
-from repro.pipeline import MapReduceVolumeRenderer, orbit_path
-from repro.pipeline.workload import simulate_sequence
-from repro.render import RenderConfig, default_tf
 from repro.volume import BrickGrid, grid_occupancy
 from repro.volume.datasets import DATASET_FIELDS, skull_field
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bench import format_series, format_table
 from repro.core import JobStats, MapWork
 from repro.sim import ClusterRuntime, SimClusterExecutor, Trace, accelerator_cluster
 from repro.sim import trace as T
+from repro.sim.figures import format_table
 
 
 # -- table formatting -------------------------------------------------------
@@ -30,12 +30,6 @@ def test_format_table_empty_and_column_selection():
     rows = [{"a": 1, "b": 2}]
     out = format_table(rows, columns=["b"])
     assert "b" in out and "a" not in out
-
-
-def test_format_series():
-    s = format_series("128^3", [1, 2, 4], [0.5, 0.25, 0.125], "runtime")
-    assert s.startswith("128^3 [runtime]:")
-    assert "1→0.5" in s and "4→0.125" in s
 
 
 # -- trace utilities ---------------------------------------------------------

@@ -5,14 +5,13 @@ bitwise-indistinguishable from the in-process executor; this layer
 tests the mesh machinery itself: the ShuffleSpec ownership/routing
 contract, the mesh record protocol and per-frame watermarks, transport
 configuration (PoolConfig + env overrides, the removed mode values),
-the control-plane guarantee (zero run bytes through the parent), NUMA
-pinning, and the mesh failure modes — a reducer-owner dying
+the control-plane guarantee (zero run bytes through the parent), and
+the mesh failure modes — a reducer-owner dying
 mid-shuffle and a wedged edge — which must tear the pool down with
 zero leaked shared-memory segments and allow a bitwise retry.
 """
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.parallel import (
     SharedMemoryPoolExecutor,
     WorkerMesh,
     shm_segment_exists,
-    usable_cores,
 )
 from repro.parallel.shuffle import MESH_HEADER_NBYTES
 
@@ -117,7 +115,7 @@ def test_pool_config_edge_capacity_and_validation():
     assert PoolConfig(mesh_edge_capacity=4096).resolved_edge_capacity(4) == 4096
     with pytest.raises(ValueError):
         PoolConfig(mesh_edge_capacity=MESH_HEADER_NBYTES)
-    assert len(dataclasses.fields(PoolConfig)) == 8
+    assert len(dataclasses.fields(PoolConfig)) == 7
 
 
 def test_executor_resolves_transport_at_construction(monkeypatch):
@@ -495,33 +493,3 @@ def test_mesh_edge_names_are_deterministic_and_swept_on_close():
         pool.close()
     for name in names:
         assert not shm_segment_exists(name), f"leaked edge {name}"
-
-
-# -- NUMA / core pinning -----------------------------------------------------
-def test_pin_workers_warns_when_cores_insufficient(monkeypatch):
-    spec, chunks = _job(ModSquareMapper(9))
-    ref = InProcessExecutor().execute(spec, chunks)
-    # Force the undersized-affinity path regardless of the host.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    with SharedMemoryPoolExecutor(workers=2, pin_workers=True) as pool:
-        with pytest.warns(RuntimeWarning, match="pin_workers"):
-            got = pool.execute(spec, chunks)
-    assert_outputs_identical(ref, got)
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
-)
-def test_pin_workers_pins_when_possible():
-    spec, chunks = _job(ModSquareMapper(9))
-    ref = InProcessExecutor().execute(spec, chunks)
-    # workers == 1 <= cores: pinning engages, results unchanged.
-    with SharedMemoryPoolExecutor(workers=1, pin_workers=True) as pool:
-        assert pool._worker_pins() == [sorted(os.sched_getaffinity(0))[0]]
-        got = pool.execute(spec, chunks)
-    assert_outputs_identical(ref, got)
-
-
-def test_pin_workers_disabled_is_pinless():
-    pool = SharedMemoryPoolExecutor(workers=max(2, usable_cores()))
-    assert pool._worker_pins() == [None] * pool.workers
