@@ -440,3 +440,28 @@ def test_cli_render_trace_and_stats_json(tmp_path, capsys):
     assert payload["telemetry"]["schema"] == SCHEMA
     assert "ring" in payload
     assert current_tracer() is None  # the command uninstalls its tracer
+
+
+def test_cli_stats_json_inprocess_metric_set(tmp_path):
+    """The exact telemetry an in-process ``--stats-json`` render prints:
+    the map stage's four gauges, none with a unit."""
+    stats = tmp_path / "s.json"
+    rc = main(
+        [
+            "render", "--dataset", "skull", "--size", "16", "--gpus", "2",
+            "--image", "32", "--executor", "inprocess",
+            "--stats-json", str(stats), "--out", str(tmp_path / "r.ppm"),
+        ]
+    )
+    assert rc == 0
+    telemetry = json.loads(stats.read_text())["telemetry"]
+    assert telemetry["schema"] == SCHEMA
+    assert {
+        name: (entry["kind"], entry.get("unit"))
+        for name, entry in telemetry["metrics"].items()
+    } == {
+        "map.launches": ("gauge", None),
+        "map.march": ("gauge", None),
+        "map.march_reason": ("gauge", None),
+        "map.positioned_samples": ("gauge", None),
+    }
