@@ -1,10 +1,9 @@
 """Environment provenance for benchmark documents.
 
-:func:`collect_environment` is the block stamped into every saved
-benchmark JSON: the kernel micro-benchmarks (``benchmarks/conftest.py``)
-and the end-to-end harness (``benchmarks/e2e/``).  It says which machine,
-interpreter, march and commit produced a document, so a reader can tell
-whether two documents are comparable.
+:func:`collect_environment` is the block the end-to-end harness
+(``benchmarks/e2e/``) stamps into its saved JSON.  It says which
+machine, interpreter, march and commit produced a document, so a reader
+can tell whether two documents are comparable.
 """
 
 from __future__ import annotations

@@ -28,9 +28,7 @@ digit) and is at most 1.6× faster beyond, while one Sort call of the
 renderer — every partition a process owns, in one frame — holds about
 4 000 to 14 000 pairs in process (sparse / dense scene at 128²), a
 two-worker pool's worker half that.  Best µs per call on the
-development box, ``int64`` keys
-(``benchmarks/bench_kernels.py::test_bench_stable_order`` are the
-committed digit rows):
+development box, ``int64`` keys:
 
 =======================  ======  =======  =======
 pairs per call              600   13 000  200 000

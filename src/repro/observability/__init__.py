@@ -8,15 +8,14 @@ Three pieces, one contract (see ARCHITECTURE.md "Observability"):
 * :mod:`repro.observability.timeline` — merges parent + worker span
   buffers into Chrome/Perfetto ``trace_event`` JSON (``repro render
   --trace-out``) and computes the CLI's per-stage breakdown line.
-* :mod:`repro.observability.metrics` — the counters/gauges/histograms
-  registry that absorbs the stack's ad-hoc stat dicts into the single
+* :mod:`repro.observability.metrics` — the counters/gauges registry
+  that absorbs the stack's ad-hoc stat dicts into the single
   ``JobStats.telemetry`` schema (``repro render --stats-json``).
 """
 
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     SCHEMA,
     build_job_telemetry,
@@ -39,7 +38,6 @@ from .tracer import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "SCHEMA",
     "Tracer",

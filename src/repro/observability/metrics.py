@@ -8,13 +8,11 @@ absorbs them all into one ``{name: {kind, value, unit}}`` document
 under ``JobStats.telemetry`` (dumped by ``repro render --stats-json``),
 so downstream tooling reads a single schema instead of five.
 
-Three metric kinds, deliberately minimal:
+Two metric kinds, deliberately minimal:
 
 * :class:`Counter` — monotonic total (``inc``),
 * :class:`Gauge` — last-observed value (``set``); non-numeric values
-  are allowed and exported as-is (e.g. ``shuffle_mode="mesh"``),
-* :class:`Histogram` — streaming count/sum/min/max over ``observe``
-  (enough for per-frame latency shapes without bucket bookkeeping).
+  are allowed and exported as-is (e.g. ``shuffle_mode="mesh"``).
 
 Everything here is parent-side, per-frame bookkeeping — a few dozen
 dict operations per frame against multi-millisecond frames — so the
@@ -30,7 +28,6 @@ from typing import Optional
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "SCHEMA",
     "build_job_telemetry",
@@ -74,34 +71,6 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """Streaming count/sum/min/max summary."""
-
-    __slots__ = ("count", "sum", "min", "max")
-    kind = "histogram"
-
-    def __init__(self):
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-
-    def observe(self, value) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    def export(self):
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
 class MetricsRegistry:
     """Name → metric map with one export shape for all kinds."""
 
@@ -124,9 +93,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, unit: Optional[str] = None) -> Gauge:
         return self._get(name, Gauge, unit)
-
-    def histogram(self, name: str, unit: Optional[str] = None) -> Histogram:
-        return self._get(name, Histogram, unit)
 
     def absorb(self, prefix: str, mapping: Optional[dict]) -> None:
         """Flatten an ad-hoc nested dict into gauges under ``prefix``.

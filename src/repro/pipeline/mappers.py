@@ -107,9 +107,7 @@ class RayCastMapper(Mapper):
                 zip(
                     unseen,
                     self.camera.box_rects(
-                        [lo for lo, _ in unseen],
-                        [hi for _, hi in unseen],
-                        self.config.pad_to_block,
+                        [lo for lo, _ in unseen], [hi for _, hi in unseen]
                     ),
                 )
             )

@@ -79,7 +79,8 @@ termination exactly; the default of 8 covers a typical 16³-brick
 crossing in one or two blocks while keeping ERT waste low.  Raise it to
 32–64 when termination is disabled (reference renders) or content is
 mostly transparent; drop toward 1 for dense, high-opacity transfer
-functions.
+functions.  One 32³ brick at 128², ``dt`` 1, took 6.75 / 6.40 / 7.98 ms
+at block 1 / 8 / 64 (medians, C march, 2-core Xeon VM).
 
 Occupied-box trim
 -----------------
@@ -121,7 +122,10 @@ in ``MapStats.n_positioned`` alone, which takes no part in equality.
 
 On the sparse benchmark scene the march positions 97 k of the 200 k
 samples it owns per frame (53 k survive the table either way); the
-measured gains are in ARCHITECTURE.md.
+end-to-end gains are in ARCHITECTURE.md.  Per cast, ``accel`` off →
+table (medians, C march, 2-core Xeon VM): one 32³ brick at 128², ``dt``
+1, 5 % filled 7.81 → 2.35 ms, 50 % filled 8.17 → 4.34 ms; the sparse
+scene's 16 bricks, 8 per launch, 10.3 → 7.67 ms.
 
 Float widths
 ------------
@@ -197,7 +201,6 @@ class RenderConfig:
     dt: float = 0.5
     ert_alpha: float = 0.98
     alpha_eps: float = 0.0
-    pad_to_block: bool = True
     emit_placeholders: bool = False
     shading: bool = False  # Levoy-style gradient Phong shading
     block_size: int = 8
@@ -343,6 +346,7 @@ def trilinear_sample(data: np.ndarray, local_pos: np.ndarray) -> np.ndarray:
     Matches CUDA 3D-texture filtering with clamp-to-edge.  Positions
     are taken as float32; the lattice fractions and lerps over the flat
     ravel-offset gathers are float64 (see :func:`_trilinear_prep`).
+    100 000 positions in a 32³ volume: 10.2 ms (median, 2-core Xeon VM).
     """
     c = np.asarray(local_pos, dtype=_F32) - _F32(0.5)
     flat = np.ascontiguousarray(data).ravel()
@@ -544,8 +548,7 @@ def raycast_bricks(
     missing = [i for i, r in enumerate(rects) if r is None]
     if missing:
         projected = camera.box_rects(
-            [bricks[i].core_lo for i in missing], [bricks[i].core_hi for i in missing],
-            config.pad_to_block,
+            [bricks[i].core_lo for i in missing], [bricks[i].core_hi for i in missing]
         )
         for i, rect in zip(missing, projected):
             rects[i] = rect

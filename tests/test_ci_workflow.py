@@ -140,5 +140,5 @@ def test_every_ci_repo_path_exists():
                 named.add(value)
                 if not (ROOT / value).exists():
                     missing.append((job, value))
-    assert "benchmarks/run_kernels.sh" in named  # the scan sees the steps
+    assert "benchmarks/e2e/run.py" in named  # the scan sees the steps
     assert not missing, missing

@@ -412,8 +412,9 @@ def test_trim_halves_the_positioned_samples_on_the_benchmark_bricks():
 
 
 def test_trim_positions_little_more_than_the_blob_of_the_sparse_microbench_brick():
-    """One 32³ brick, 5 % filled, 11 k rays (bench_kernels' sparse row):
-    the 12³ blob's box is all the march positions."""
+    """One 32³ brick, 5 % filled, 11 k rays (the sparse brick the
+    ``render/raycast.py`` docstring times): the 12³ blob's box is all
+    the march positions."""
     data = np.zeros((32, 32, 32), np.float32)
     data[10:22, 10:22, 10:22] = np.random.default_rng(11).uniform(
         0.2, 1.0, (12, 12, 12)

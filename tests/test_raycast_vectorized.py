@@ -74,7 +74,7 @@ def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf,
             for c in range(8)
         ]
     )
-    rect = camera.brick_rect(corners, pad_to_block=config.pad_to_block)
+    rect = camera.brick_rect(corners, pad_to_block=True)
     if rect.empty:
         return empty_fragments(), stats
     dirs, keys = camera.rect_rays_f32(rect)
