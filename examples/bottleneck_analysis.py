@@ -1,16 +1,16 @@
 #!/usr/bin/env python
-"""Speed-of-light and bottleneck analysis (§6.3).
+"""Bottleneck analysis (§6.3).
 
-Prints the per-stage lower bounds for a 1024³ render, the simulator's
-achieved stage times, and how close the pipeline comes to its
-speed-of-light — the paper's argument that "the computation from ray
-casting is no longer a limiting factor in rendering".
+Prints the simulator's achieved stage times for a 1024³ render and its
+compute-vs-communication split per GPU count — the paper's argument
+that "the computation from ray casting is no longer a limiting factor
+in rendering".
 
 Run:  python examples/bottleneck_analysis.py
 """
 
 from repro.core import JobConfig, RoundRobinPartitioner
-from repro.perfmodel import compute_vs_communication, find_crossover, speed_of_light
+from repro.perfmodel import compute_vs_communication, find_crossover
 from repro.pipeline.workload import build_workload
 from repro.render import default_tf
 from repro.render.fragments import FRAGMENT_NBYTES
@@ -39,7 +39,6 @@ def main() -> None:
     for n in (2, 4, 8, 16, 32):
         spec = accelerator_cluster(n)
         works = workload_for(n)
-        peaks = speed_of_light(spec, works, FRAGMENT_NBYTES)
         outcome, _ = SimClusterExecutor(spec, JobConfig()).execute(
             works, pair_nbytes=FRAGMENT_NBYTES
         )
@@ -47,15 +46,10 @@ def main() -> None:
         splits.append(split)
         achieved = outcome.breakdown
         print(f"{n:3d} GPUs:")
-        print(f"    speed of light: map_compute={peaks.map_compute:.3f}s "
-              f"upload={peaks.upload:.3f}s network={peaks.network:.3f}s "
-              f"sort={peaks.sort:.4f}s reduce={peaks.reduce:.4f}s")
         print(f"    achieved:       map={achieved.map:.3f}s "
               f"partition+io={achieved.partition_io:.3f}s "
               f"sort={achieved.sort:.4f}s reduce={achieved.reduce:.4f}s "
               f"total={achieved.total:.3f}s")
-        print(f"    map efficiency vs light: "
-              f"{peaks.map_compute / max(achieved.map, 1e-12) * 100:.0f}%")
         print(f"    compute {split.compute_seconds:.3f}s vs "
               f"communication {split.communication_seconds:.3f}s -> "
               f"{'compute' if split.compute_bound else 'COMMUNICATION'}-bound")

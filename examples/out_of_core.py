@@ -6,10 +6,9 @@ bricks through the GPUs instead of requiring the dataset in core.  This
 example
 
 1. writes a volume to the bricked ``.bvol`` container,
-2. shows the Mars-like single-GPU baseline *refusing* a 1024³ dataset,
-3. streams the bricks from disk through the MapReduce pipeline (the
+2. streams the bricks from disk through the MapReduce pipeline (the
    image is identical to the in-core render),
-4. prices the same out-of-core frame on the simulated cluster, with and
+3. prices the same out-of-core frame on the simulated cluster, with and
    without the disk in the stream.
 
 Run:  python examples/out_of_core.py [output_dir]
@@ -29,7 +28,6 @@ from repro import (
     write_bvol,
     write_ppm,
 )
-from repro.baselines import InCoreOnlyError, SingleGpuBaseline
 from repro.core import Chunk, JobConfig
 from repro.pipeline.workload import simulate_frame
 from repro.render import max_abs_diff
@@ -52,14 +50,7 @@ def main(out_dir: str = "quickstart_output") -> None:
         print(f"wrote {path.name}: {len(grid)} bricks, "
               f"{reader.file_size() / 1e6:.1f} MB on disk")
 
-        # --- 2. the Mars-like baseline cannot touch big data -------------
-        baseline = SingleGpuBaseline(tf=tf)
-        try:
-            baseline.check_fits(1024**3 * 4)  # a 1024^3 float volume
-        except InCoreOnlyError as e:
-            print(f"Mars-style system: {e}")
-
-        # --- 3. stream bricks from disk through the pipeline --------------
+        # --- 2. stream bricks from disk through the pipeline --------------
         renderer = MapReduceVolumeRenderer(
             volume=None,
             volume_shape=reader.shape,
@@ -96,7 +87,7 @@ def main(out_dir: str = "quickstart_output") -> None:
               f"{max_abs_diff(streamed, in_core.image):.2e} (expect 0)")
         write_ppm(out / "supernova_out_of_core.ppm", streamed)
 
-    # --- 4. what does out-of-core cost at figure scale? -------------------
+    # --- 3. what does out-of-core cost at figure scale? -------------------
     for include_disk, label in [(False, "bricks in host RAM"), (True, "bricks on disk")]:
         sim = simulate_frame(
             MapReduceVolumeRenderer(

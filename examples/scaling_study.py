@@ -11,12 +11,13 @@ Run:  python examples/scaling_study.py [--quick]
 import sys
 
 from repro.perfmodel import find_sweet_spot
-from repro.sim.figures import (
-    fig3_breakdown,
-    fig4_scaling,
-    format_table,
-    sec63_bottleneck,
-)
+from repro.sim.figures import fig3_breakdown, fig4_scaling, sec63_bottleneck
+
+
+def show(title, rows, columns=None):
+    print(title)
+    for row in rows:
+        print("  ".join(f"{c}={row[c]}" for c in columns or row))
 
 
 def main(quick: bool = False) -> None:
@@ -24,7 +25,7 @@ def main(quick: bool = False) -> None:
     gpus = (1, 2, 8, 32) if quick else (1, 2, 4, 8, 16, 32)
 
     rows = fig3_breakdown(sizes=sizes, gpu_counts=gpus)
-    print(format_table(rows, title="Runtime breakdown by stage (Fig. 3)"))
+    show("Runtime breakdown by stage (Fig. 3)", rows)
     print()
 
     # Sweet spot per volume (the paper's 'best configuration' discussion).
@@ -38,18 +39,12 @@ def main(quick: bool = False) -> None:
     print()
 
     scaling = fig4_scaling(sizes=sizes, gpu_counts=gpus)
-    print(format_table(
-        scaling,
-        ["volume", "n_gpus", "fps", "mvps", "speedup", "efficiency"],
-        title="Framerate and voxel throughput (Fig. 4)",
-    ))
+    show("Framerate and voxel throughput (Fig. 4)", scaling,
+         ["volume", "n_gpus", "fps", "mvps", "speedup", "efficiency"])
     print()
 
     if not quick:
-        print(format_table(
-            sec63_bottleneck(),
-            title="Compute vs communication for 1024^3 (§6.3)",
-        ))
+        show("Compute vs communication for 1024^3 (§6.3)", sec63_bottleneck())
         print()
         print("Note: computation stops being the bottleneck once "
               "communication crosses it — the paper's central claim.")

@@ -12,7 +12,8 @@ and where no compiler exists the NumPy march runs with the same bits.
 
 Extras:
 
-* ``test`` — what ``tests/`` imports beyond the runtime:
+* ``test`` — what ``tests/`` and ``benchmarks/e2e/`` import beyond the
+  runtime:
   ``pip install -e .[test] --no-build-isolation``.
 """
 
@@ -31,6 +32,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        "test": ["pytest", "hypothesis", "pyyaml"],
     },
 )

@@ -19,7 +19,7 @@ name; it may import the functional half, never the reverse:
 :mod:`repro.sim` (the discrete-event stand-in for the NCSA Accelerator
 Cluster), :mod:`repro.pipeline.workload` (the analytic workload and the
 simulator's front end), :mod:`repro.perfmodel` (VPS/FPS and the §6.3
-analysis) and :mod:`repro.baselines` (ParaView-, Mars- and binary-swap
+analysis) and :mod:`repro.baselines` (the ParaView and binary-swap
 comparators).  :mod:`repro.sim.figures` holds one experiment per figure
 and the registry ``repro figure NAME`` prints.  :mod:`repro.bench`
 holds only the provenance block of benchmark documents.

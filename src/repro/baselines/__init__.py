@@ -1,21 +1,17 @@
-"""Comparators: CPU cluster (ParaView-like), single GPU (Mars-like),
-binary-swap compositing (Ma et al. '94)."""
+"""Comparators: CPU cluster (ParaView-like) and binary-swap compositing
+(Ma et al. '94)."""
 
-from .binary_swap import SwapCost, binary_swap_time, swap_partial_images
+from .binary_swap import SwapCost, binary_swap_time
 from .cpu_cluster import (
     PARAVIEW_REPORTED_VPS,
     CpuClusterResult,
     run_cpu_cluster_baseline,
 )
-from .single_gpu import InCoreOnlyError, SingleGpuBaseline
 
 __all__ = [
     "CpuClusterResult",
-    "InCoreOnlyError",
     "PARAVIEW_REPORTED_VPS",
-    "SingleGpuBaseline",
     "SwapCost",
     "binary_swap_time",
     "run_cpu_cluster_baseline",
-    "swap_partial_images",
 ]

@@ -2,15 +2,10 @@
 
 The paper §6 weighs two compositing schemes and picks **direct-send**
 "because it allows an overlap of communication and computation, and also
-because it fits within the MapReduce model".  This module supplies the
-alternative for the ablation:
-
-* :func:`swap_partial_images` — functional binary-swap compositing of
-  per-GPU partial images (requires a view-ordered slab assignment so
-  visibility order between partials is per-pixel constant);
-* :func:`binary_swap_time` — the communication/compute cost model of the
-  log₂(n)-round exchange, comparable against the pipeline's measured
-  Partition+Sort+Reduce time.
+because it fits within the MapReduce model".  :func:`binary_swap_time`
+supplies the alternative for the ablation: the communication/compute
+cost model of the log₂(n)-round exchange, comparable against the
+pipeline's measured Partition+Sort+Reduce time.
 """
 
 from __future__ import annotations
@@ -18,36 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..render.compositing import over
 from ..sim.network import NetworkSpec
 
-__all__ = ["swap_partial_images", "binary_swap_time", "SwapCost"]
-
-
-def swap_partial_images(partials: list[np.ndarray]) -> np.ndarray:
-    """Composite per-node partial images given in front-to-back order.
-
-    ``partials`` are premultiplied RGBA images of the *full* viewport,
-    listed front-to-back (the slab visibility order).  Binary swap's
-    result is order-equivalent to the sequential over chain; we compute
-    it with a balanced tree to mirror the pairwise rounds.
-    """
-    if not partials:
-        raise ValueError("no partial images")
-    shapes = {p.shape for p in partials}
-    if len(shapes) != 1:
-        raise ValueError("partial images must share a shape")
-    layer = list(partials)
-    while len(layer) > 1:
-        merged = []
-        for i in range(0, len(layer) - 1, 2):
-            merged.append(over(layer[i], layer[i + 1]))
-        if len(layer) % 2:
-            merged.append(layer[-1])
-        layer = merged
-    return layer[0]
+__all__ = ["binary_swap_time", "SwapCost"]
 
 
 @dataclass(frozen=True)

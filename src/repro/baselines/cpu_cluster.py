@@ -21,7 +21,6 @@ constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +51,6 @@ class CpuClusterResult:
     @property
     def vps(self) -> float:
         return self.voxel_count / self.runtime
-
-    @property
-    def fps(self) -> float:
-        return 1.0 / self.runtime
 
 
 def run_cpu_cluster_baseline(

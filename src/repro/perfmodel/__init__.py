@@ -14,19 +14,16 @@ from .efficiency import (
     speedup,
     voxels_per_second,
 )
-from .peaks import StagePeaks, speed_of_light
 
 __all__ = [
     "CommComputeSplit",
     "ScalingPoint",
-    "StagePeaks",
     "compute_vs_communication",
     "find_crossover",
     "find_sweet_spot",
     "fps",
     "parallel_efficiency",
     "scaling_series",
-    "speed_of_light",
     "speedup",
     "voxels_per_second",
 ]

@@ -11,13 +11,12 @@ where communication overtakes computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.executors import MapWork
 from ..sim.node import ClusterSpec
-from .peaks import speed_of_light
 
 __all__ = ["CommComputeSplit", "compute_vs_communication", "find_crossover", "find_sweet_spot"]
 

@@ -1,9 +1,9 @@
 """The MapReduce volume renderer built on core + render.
 
 The namespace exports the functional renderer only.  The analysis
-modules, :mod:`~repro.pipeline.workload`, :mod:`~repro.pipeline.outofcore`
-and :mod:`~repro.pipeline.swap`, import the simulator or the baselines
-and are imported by name.
+modules, :mod:`~repro.pipeline.workload` and
+:mod:`~repro.pipeline.outofcore`, import the simulator and are imported
+by name.
 """
 
 from .combiner import FragmentCombiner

@@ -16,19 +16,18 @@ simulator.
 
 from .cpu import CPUSpec
 from .disk import DiskSpec
-from .engine import AllOf, AnyOf, Environment, Event, Process, SimulationError, Timeout
-from .gpu import GPUSpec, tesla_c1060
+from .engine import AllOf, Environment, Event, Process, SimulationError, Timeout
+from .gpu import GPUSpec
 from .network import NetworkSpec
 from .node import ClusterRuntime, ClusterSpec, GPUHandle, NodeRuntime, NodeSpec
 from .pcie import PCIeSpec
-from .presets import accelerator_cluster, cpu_cluster, laptop
-from .resources import Link, Resource, Store, TokenBucket
+from .presets import accelerator_cluster
+from .resources import Link, Resource
 from .scheduler import SimClusterExecutor, SimOutcome, run_simulated_job
 from .trace import Span, StageBreakdown, Trace
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CPUSpec",
     "ClusterRuntime",
     "ClusterSpec",
@@ -49,13 +48,8 @@ __all__ = [
     "SimulationError",
     "Span",
     "StageBreakdown",
-    "Store",
     "Timeout",
-    "TokenBucket",
     "Trace",
     "accelerator_cluster",
-    "cpu_cluster",
-    "laptop",
     "run_simulated_job",
-    "tesla_c1060",
 ]

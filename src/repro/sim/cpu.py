@@ -8,7 +8,6 @@ constants model a 2010-era quad-core host.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["CPUSpec"]
@@ -71,12 +70,3 @@ class CPUSpec:
     def memcpy_time(self, nbytes: int) -> float:
         """Seconds for a host staging copy of ``nbytes``."""
         return nbytes / self.memcpy_bandwidth
-
-    def comparison_sort_time(self, n: int, threads: int = 1) -> float:
-        """Seconds for an O(n log n) comparison sort (baseline for ablation)."""
-        if n <= 1:
-            return 0.0
-        threads = max(1, min(threads, self.cores))
-        # Comparison sorts move several times more data per key than a
-        # counting sort; fold that into a constant factor of ~3.
-        return (n * math.log2(n) * 3.0) / (self.sort_keys_per_sec * threads * 8.0)

@@ -25,7 +25,3 @@ class DiskSpec:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         return self.latency + nbytes / self.bandwidth
-
-    def write_time(self, nbytes: int) -> float:
-        """Unloaded time to write ``nbytes``."""
-        return self.read_time(nbytes)

@@ -40,7 +40,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "SimulationError",
 ]
 
@@ -67,11 +66,6 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled onto the queue."""
-        return self._triggered
 
     @property
     def processed(self) -> bool:
@@ -148,10 +142,6 @@ class Process(Event):
         boot.callbacks.append(self._resume)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         try:
@@ -225,37 +215,6 @@ class AllOf(Event):
         return cb
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is ``(index, value)``."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(self._events):
-            if ev.processed:
-                if ev.ok:
-                    self.succeed((i, ev.value))
-                else:
-                    self.fail(ev.value)
-                return
-            ev.callbacks.append(self._make_cb(i))
-
-    def _make_cb(self, index: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if self._triggered:
-                return
-            if ev.ok:
-                self.succeed((index, ev.value))
-            else:
-                self.fail(ev.value)
-
-        return cb
-
-
 class Environment:
     """Owns the virtual clock and the pending-event queue."""
 
@@ -278,12 +237,6 @@ class Environment:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

@@ -18,7 +18,7 @@ against a functional render on a small volume.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "PAPER_SIZES",
     "figure",
     "figure_camera",
-    "format_table",
     "plain",
     "sim_render",
     "fig3_breakdown",
@@ -542,40 +541,6 @@ def plain(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     return obj
-
-
-def _fmt(value: Any, ndigits: int = 4) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        return f"{value:.{ndigits}g}"
-    return str(value)
-
-
-def format_table(
-    rows: Sequence[Mapping[str, Any]],
-    columns: Sequence[str] | None = None,
-    title: str = "",
-) -> str:
-    """Render dict rows as an aligned ASCII table."""
-    if not rows:
-        return f"{title}\n(no rows)" if title else "(no rows)"
-    cols = list(columns) if columns else list(rows[0].keys())
-    cells = [[_fmt(r.get(c, "")) for c in cols] for r in rows]
-    widths = [
-        max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    header = "  ".join(c.rjust(w) for c, w in zip(cols, widths))
-    lines.append(header)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 # -- the registry ---------------------------------------------------------------

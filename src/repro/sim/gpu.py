@@ -10,9 +10,9 @@ numbers — the goal is that *stage-time ratios* match the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["GPUSpec", "tesla_c1060"]
+__all__ = ["GPUSpec"]
 
 MiB = 1024 * 1024
 GiB = 1024 * MiB
@@ -57,8 +57,6 @@ class GPUSpec:
         the Sort stage.
     composite_frags_per_sec:
         GPU fragment-compositing throughput for the GPU Reduce variant.
-    partition_pairs_per_sec:
-        Rate of computing `key % n_reducers` and binning on the GPU.
     """
 
     name: str = "Tesla C1060"
@@ -71,7 +69,6 @@ class GPUSpec:
     task_setup_overhead: float = 2.5e-3
     sort_keys_per_sec: float = 400e6
     composite_frags_per_sec: float = 120e6
-    partition_pairs_per_sec: float = 2e9
     # Future-work (§7) knobs:
     zero_copy_bandwidth: float = 1.5e9  # host-mapped writes, ~2 orders < VRAM
     manual_filter_slowdown: float = 1.6  # shared-mem trilinear vs HW filtering
@@ -98,16 +95,3 @@ class GPUSpec:
     def composite_time(self, n_fragments: int) -> float:
         """Seconds for GPU per-pixel compositing of ``n_fragments``."""
         return self.kernel_launch_overhead + n_fragments / self.composite_frags_per_sec
-
-    def partition_time(self, n_pairs: int) -> float:
-        """Seconds to bin ``n_pairs`` pairs by reducer on the GPU."""
-        return self.kernel_launch_overhead + n_pairs / self.partition_pairs_per_sec
-
-    def fits(self, nbytes: int) -> bool:
-        """True if a buffer of ``nbytes`` fits in VRAM (with no slack)."""
-        return nbytes <= self.vram_bytes
-
-
-def tesla_c1060(**overrides) -> GPUSpec:
-    """The paper's GPU (one quarter of a Tesla S1070 unit)."""
-    return GPUSpec(**overrides) if overrides else GPUSpec()

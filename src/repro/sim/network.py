@@ -32,16 +32,3 @@ class NetworkSpec:
     bandwidth: float = 900e6
     latency: float = 2e-6
     message_overhead: float = 50e-6  # per-message software/verbs cost
-
-    def transfer_time(self, nbytes: int) -> float:
-        """Unloaded end-to-end time for one ``nbytes`` message."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return self.latency + self.message_overhead + nbytes / self.bandwidth
-
-    def exchange_lower_bound(self, per_node_out_bytes: float) -> float:
-        """Lower bound on an all-to-all where each node sends ``per_node_out_bytes``.
-
-        Used by the speed-of-light analysis in :mod:`repro.perfmodel.peaks`.
-        """
-        return self.latency + per_node_out_bytes / self.bandwidth

@@ -8,7 +8,7 @@ timed primitives the MapReduce scheduler composes:
 
 * ``gpu.upload_texture`` — *synchronous* 3D-texture H2D copy (occupies the
   GPU engine as well as the PCIe link, per the paper's CUDA limitation);
-* ``gpu.run_raycast`` / ``run_kernel`` — kernel execution;
+* ``gpu.run_kernel`` — kernel execution;
 * ``gpu.download`` — asynchronous D2H fragment copy (PCIe only);
 * ``node.read_disk`` — brick load;
 * ``node.cpu_work`` — host-side partition/sort/composite work;
@@ -96,22 +96,6 @@ class GPUHandle:
         self.name = f"gpu{global_index}"
         self.engine = Resource(env, 1, name=f"{self.name}:engine")
         self.pcie = pcie_link
-        self.vram_used = 0
-
-    # -- memory accounting ------------------------------------------------
-    def allocate(self, nbytes: int) -> None:
-        """Reserve VRAM; raises MemoryError when the chunk cannot fit."""
-        if self.vram_used + nbytes > self.spec.vram_bytes:
-            raise MemoryError(
-                f"{self.name}: allocation of {nbytes} B exceeds VRAM "
-                f"({self.vram_used}/{self.spec.vram_bytes} B in use)"
-            )
-        self.vram_used += nbytes
-
-    def free(self, nbytes: int) -> None:
-        if nbytes > self.vram_used:
-            raise ValueError(f"{self.name}: freeing more than allocated")
-        self.vram_used -= nbytes
 
     # -- timed operations --------------------------------------------------
     def upload_texture(self, nbytes: int, setup_overhead: float = 0.0) -> Generator:
@@ -160,9 +144,6 @@ class GPUHandle:
             self.trace.record(category, self.name, t0, self.env.now)
         finally:
             self.engine.release()
-
-    def run_raycast(self, n_rays: int, n_samples: int) -> Generator:
-        yield from self.run_kernel(self.spec.raycast_time(n_rays, n_samples))
 
 
 class NodeRuntime:
@@ -290,27 +271,3 @@ class ClusterRuntime:
             sender.nic_tx.release()
         if net.latency > 0:
             yield env.timeout(net.latency)
-
-    def run(self, until: Optional[float] = None) -> None:
-        self.env.run(until)
-
-    def utilization_report(self) -> dict[str, float]:
-        """Mean busy fractions of the contended resources since t=0.
-
-        Keys: ``gpu_engines``, ``nic_tx``, ``nic_rx``, ``cpus``, ``disks``
-        — the quantities the paper's overlap argument is about (a good
-        streaming schedule keeps GPU engines busy while NICs drain).
-        """
-        if self.env.now <= 0:
-            return {k: 0.0 for k in ("gpu_engines", "nic_tx", "nic_rx", "cpus", "disks")}
-
-        def mean(vals: list[float]) -> float:
-            return sum(vals) / len(vals) if vals else 0.0
-
-        return {
-            "gpu_engines": mean([g.engine.utilization() for g in self.gpus]),
-            "nic_tx": mean([n.nic_tx.utilization() for n in self.nodes]),
-            "nic_rx": mean([n.nic_rx.utilization() for n in self.nodes]),
-            "cpus": mean([n.cpu.utilization() for n in self.nodes]),
-            "disks": mean([n.disk.utilization() for n in self.nodes]),
-        }

@@ -3,10 +3,6 @@
 ``accelerator_cluster`` reproduces the paper's testbed: NCSA's Accelerator
 Cluster (AC), where each node has a quad-core CPU, 8 GB of DRAM, one
 Tesla S1070 unit (four logical C1060 GPUs), and a QDR InfiniBand port.
-
-``cpu_cluster`` models the ParaView comparison point from the paper's
-footnote (software ray casting on CPU cores over the same fabric), and
-``laptop`` is a tiny single-GPU machine for the in-core examples.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from .network import NetworkSpec
 from .node import ClusterSpec, NodeSpec
 from .pcie import PCIeSpec
 
-__all__ = ["accelerator_cluster", "cpu_cluster", "laptop"]
+__all__ = ["accelerator_cluster"]
 
 GiB = 1024**3
 
@@ -52,62 +48,3 @@ def accelerator_cluster(n_gpus: int, gpus_per_node: int = 4) -> ClusterSpec:
             )
         )
     return ClusterSpec(nodes=tuple(nodes), network=NetworkSpec())
-
-
-def cpu_cluster(n_procs: int, procs_per_node: int = 2, vps_per_proc: float = 0.7e6) -> ClusterSpec:
-    """A CPU-only cluster in the style of the paper's ParaView reference.
-
-    Moreland et al. report ParaView sustaining 346 M voxels/s with 512
-    processes on 256 nodes — about 0.68 M voxels/s/process.  We encode each
-    CPU process as a pseudo-"GPU" whose sample throughput equals that
-    per-process rate, so the same pipeline code can drive the baseline.
-    """
-    if n_procs < 1:
-        raise ValueError("need at least one process")
-    n_nodes = math.ceil(n_procs / procs_per_node)
-    # One pseudo-device per process; texture sampling at CPU speed, no
-    # PCIe cost (device memory *is* host memory).
-    cpu_dev = GPUSpec(
-        name="cpu-proc",
-        vram_bytes=4 * GiB,
-        vram_bandwidth=10e9,
-        texture_samples_per_sec=vps_per_proc,
-        ray_setup_per_sec=50e6,
-        kernel_launch_overhead=0.0,
-        texture_setup_overhead=0.0,  # no 3D-texture upload on a CPU proc
-        sort_keys_per_sec=120e6,
-        composite_frags_per_sec=45e6,
-        partition_pairs_per_sec=350e6,
-    )
-    fast_pcie = PCIeSpec(h2d_bandwidth=1e12, d2h_bandwidth=1e12, latency=0.0, shared_by=1)
-    nodes = []
-    remaining = n_procs
-    for _ in range(n_nodes):
-        k = min(procs_per_node, remaining)
-        remaining -= k
-        nodes.append(
-            NodeSpec(
-                cpu=CPUSpec(cores=max(2, procs_per_node)),
-                disk=DiskSpec(),
-                pcie=fast_pcie,
-                gpus=tuple(cpu_dev for _ in range(k)),
-                dram_bytes=8 * GiB,
-            )
-        )
-    return ClusterSpec(nodes=tuple(nodes), network=NetworkSpec())
-
-
-def laptop() -> ClusterSpec:
-    """One node, one GPU — for in-core quickstart runs."""
-    return ClusterSpec(
-        nodes=(
-            NodeSpec(
-                cpu=CPUSpec(cores=4),
-                disk=DiskSpec(),
-                pcie=PCIeSpec(shared_by=1),
-                gpus=(GPUSpec(),),
-                dram_bytes=16 * GiB,
-            ),
-        ),
-        network=NetworkSpec(),
-    )

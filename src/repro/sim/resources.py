@@ -1,25 +1,21 @@
 """Shared-hardware primitives for the cluster simulator.
 
-Three kinds of contention appear in the paper's pipeline and each maps to
+Two kinds of contention appear in the paper's pipeline and each maps to
 one primitive here:
 
 * :class:`Resource` — a FIFO server pool with integer capacity.  A GPU's
   kernel engine is a ``Resource(capacity=1)``; so is a disk spindle.
 * :class:`Link` — a bandwidth/latency pipe (PCIe lane, InfiniBand port).
   Transfers serialise on the link and take ``latency + bytes/bandwidth``.
-* :class:`Store` — a bounded FIFO buffer used to stream items between
-  pipeline stages (the library's "streaming interface" that replaces the
-  disk-based shuffle of classic MapReduce).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Link", "Store", "TokenBucket"]
+__all__ = ["Resource", "Link"]
 
 
 class Resource:
@@ -47,14 +43,6 @@ class Resource:
         self._busy_time = 0.0
         self._last_change = env.now
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def _account(self) -> None:
         now = self.env.now
         self._busy_time += self._in_use * (now - self._last_change)
@@ -64,13 +52,6 @@ class Resource:
         """Integrated user-seconds up to the current simulated time."""
         self._account()
         return self._busy_time
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity in use since t=0."""
-        horizon = self.env.now
-        if horizon <= 0:
-            return 0.0
-        return self.busy_time() / (self.capacity * horizon)
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -132,10 +113,6 @@ class Link:
         """Seconds the link is occupied by a transfer of ``nbytes``."""
         return nbytes / self.bandwidth
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Unloaded end-to-end time for ``nbytes``."""
-        return self.latency + self.occupancy(nbytes)
-
     def transfer(self, nbytes: int, direction: int = 0):
         """Process generator: move ``nbytes`` across the link.
 
@@ -157,79 +134,3 @@ class Link:
         self.bytes_moved += nbytes
         self.transfer_count += 1
         return nbytes
-
-    def utilization(self) -> float:
-        return max(c.utilization() for c in self._channels)
-
-
-class Store:
-    """Bounded FIFO buffer connecting producer and consumer processes.
-
-    ``put`` blocks when full, ``get`` blocks when empty — exactly the
-    backpressure a streaming MapReduce runtime needs so a fast mapper
-    cannot overrun GPU memory with un-partitioned fragments.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        ev = self.env.event()
-        if self._getters:
-            # Hand directly to a waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif not self.is_full:
-            self._items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        ev = self.env.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-            if self._putters:
-                put_ev, item = self._putters.popleft()
-                self._items.append(item)
-                put_ev.succeed(None)
-        else:
-            self._getters.append(ev)
-        return ev
-
-
-class TokenBucket:
-    """Counting semaphore used e.g. to bound in-flight async PCIe buffers."""
-
-    def __init__(self, env: Environment, tokens: int, name: str = ""):
-        if tokens < 1:
-            raise ValueError("tokens must be >= 1")
-        self.env = env
-        self.name = name
-        self._res = Resource(env, tokens, name=name)
-
-    def acquire(self) -> Event:
-        return self._res.request()
-
-    def release(self) -> None:
-        self._res.release()
-
-    @property
-    def available(self) -> int:
-        return self._res.capacity - self._res.in_use

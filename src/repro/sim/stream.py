@@ -1,81 +1,15 @@
-"""Streaming send buffers.
+"""Streaming message sizes.
 
 "Once enough pairs have been generated by a Mapper, they are sent
-asynchronously to the Reducer."  The buffer below implements that
-policy: pairs accumulate per destination and flush whenever a
-destination crosses the send threshold, so the network sees a stream of
-bounded messages instead of one giant end-of-map transfer — the paper's
-replacement for a disk-based shuffle.
+asynchronously to the Reducer."  The scheduler models that policy: pairs
+leave in messages of at most the send threshold, so the network sees a
+stream of bounded messages instead of one giant end-of-map transfer —
+the paper's replacement for a disk-based shuffle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
-
-__all__ = ["SendBuffer", "split_message_sizes"]
-
-
-class SendBuffer:
-    """Per-destination pair accumulator with threshold-triggered flushes."""
-
-    def __init__(
-        self,
-        n_destinations: int,
-        threshold_pairs: int,
-        on_flush: Optional[Callable[[int, np.ndarray], None]] = None,
-    ):
-        if n_destinations < 1:
-            raise ValueError("need at least one destination")
-        if threshold_pairs < 1:
-            raise ValueError("threshold must be positive")
-        self.threshold = threshold_pairs
-        self.on_flush = on_flush
-        self._buffers: list[list[np.ndarray]] = [[] for _ in range(n_destinations)]
-        self._counts = np.zeros(n_destinations, dtype=np.int64)
-        self.flushes = 0
-        self.pairs_sent = 0
-
-    @property
-    def n_destinations(self) -> int:
-        return len(self._buffers)
-
-    def pending(self, dest: int) -> int:
-        return int(self._counts[dest])
-
-    def add(self, dest: int, pairs: np.ndarray) -> None:
-        """Buffer pairs for ``dest``; flush if the threshold is crossed."""
-        if not 0 <= dest < self.n_destinations:
-            raise IndexError(f"destination {dest} out of range")
-        if len(pairs) == 0:
-            return
-        self._buffers[dest].append(pairs)
-        self._counts[dest] += len(pairs)
-        while self._counts[dest] >= self.threshold:
-            self._flush_one(dest)
-
-    def _flush_one(self, dest: int) -> None:
-        merged = np.concatenate(self._buffers[dest])
-        batch, rest = merged[: self.threshold], merged[self.threshold :]
-        self._buffers[dest] = [rest] if len(rest) else []
-        self._counts[dest] = len(rest)
-        self.flushes += 1
-        self.pairs_sent += len(batch)
-        if self.on_flush is not None:
-            self.on_flush(dest, batch)
-
-    def flush_all(self) -> None:
-        """Drain every destination (end of the map phase)."""
-        for dest in range(self.n_destinations):
-            while self._counts[dest] > 0:
-                merged = np.concatenate(self._buffers[dest])
-                self._buffers[dest] = []
-                self._counts[dest] = 0
-                self.flushes += 1
-                self.pairs_sent += len(merged)
-                if self.on_flush is not None:
-                    self.on_flush(dest, merged)
+__all__ = ["split_message_sizes"]
 
 
 def split_message_sizes(n_pairs: int, threshold_pairs: int) -> list[int]:

@@ -20,8 +20,8 @@ total runtime.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 __all__ = ["Span", "Trace", "StageBreakdown"]
 
@@ -81,20 +81,6 @@ class Trace:
         self.marks[name] = time
 
     # -- aggregation -----------------------------------------------------
-    def by_category(self) -> dict[str, list[Span]]:
-        out: dict[str, list[Span]] = defaultdict(list)
-        for s in self.spans:
-            out[s.category].append(s)
-        return dict(out)
-
-    def busy_time(self, category: str, resource: Optional[str] = None) -> float:
-        """Total (possibly overlapping) span-seconds in a category."""
-        return sum(
-            s.duration
-            for s in self.spans
-            if s.category == category and (resource is None or s.resource == resource)
-        )
-
     def busy_by_resource(self, categories: Iterable[str]) -> dict[str, float]:
         """Σ duration per resource over the given categories."""
         cats = set(categories)
@@ -106,20 +92,6 @@ class Trace:
 
     def bytes_moved(self, category: str) -> int:
         return sum(s.nbytes for s in self.spans if s.category == category)
-
-    def window(self, category: str) -> tuple[float, float]:
-        """(first start, last end) over a category; (0, 0) if empty."""
-        spans = [s for s in self.spans if s.category == category]
-        if not spans:
-            return (0.0, 0.0)
-        return (min(s.start for s in spans), max(s.end for s in spans))
-
-    def gantt_rows(self) -> list[tuple[str, str, float, float]]:
-        """(resource, category, start, end) rows sorted by start time."""
-        return sorted(
-            ((s.resource, s.category, s.start, s.end) for s in self.spans),
-            key=lambda r: (r[2], r[0]),
-        )
 
 
 @dataclass
@@ -134,15 +106,6 @@ class StageBreakdown:
     @property
     def total(self) -> float:
         return self.map + self.partition_io + self.sort + self.reduce
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "map": self.map,
-            "partition_io": self.partition_io,
-            "sort": self.sort,
-            "reduce": self.reduce,
-            "total": self.total,
-        }
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "StageBreakdown":

@@ -1,30 +1,13 @@
-"""Tests for the ParaView-like, Mars-like, and binary-swap baselines."""
+"""Tests for the ParaView-like CPU cluster and the binary-swap cost model."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (
     PARAVIEW_REPORTED_VPS,
-    InCoreOnlyError,
-    SingleGpuBaseline,
     binary_swap_time,
     run_cpu_cluster_baseline,
-    swap_partial_images,
 )
-from repro.render import (
-    RenderConfig,
-    default_tf,
-    max_abs_diff,
-    orbit_camera,
-    over,
-    render_reference,
-)
-from repro.render.compositing import composite_fragments
-from repro.render.fragments import concat_fragments
-from repro.render.raycast import raycast_brick
 from repro.sim import NetworkSpec
-from repro.volume import BrickGrid, make_dataset
-from repro.volume.datasets import skull_field
 
 
 def test_cpu_cluster_baseline_matches_reported_rate():
@@ -46,79 +29,13 @@ def test_cpu_cluster_validation_and_fields():
     res = run_cpu_cluster_baseline((128,) * 3, n_procs=1)
     assert res.composite_seconds == 0.0
     assert res.runtime == res.render_seconds
-    assert res.fps == 1.0 / res.runtime
     with pytest.raises(ValueError):
         run_cpu_cluster_baseline((128,) * 3, n_procs=0)
     with pytest.raises(ValueError):
         run_cpu_cluster_baseline((128,) * 3, image_pixels=-1)
 
 
-# -- Mars-like single GPU -------------------------------------------------------
-def test_single_gpu_renders_small_volume():
-    vol = make_dataset("supernova", (24, 24, 24))
-    cam = orbit_camera(vol.shape, width=32, height=32)
-    base = SingleGpuBaseline(tf=default_tf(), render_config=RenderConfig(dt=0.8, ert_alpha=1.0))
-    res = base.render(vol, cam)
-    ref = render_reference(vol, cam, default_tf(), RenderConfig(dt=0.8, ert_alpha=1.0))
-    assert max_abs_diff(res.image, ref.image) < 1e-4
-
-
-def test_single_gpu_rejects_out_of_core_volume():
-    base = SingleGpuBaseline(tf=default_tf())
-    with pytest.raises(InCoreOnlyError):
-        base.check_fits(5 * 1024**3)  # > 4 GiB VRAM
-    assert base.would_fit((512, 512, 512))  # 512 MB fits
-    assert not base.would_fit((1024, 1024, 1024 + 64))  # > 4 GiB does not
-
-
 # -- binary swap ----------------------------------------------------------------
-def test_swap_partial_images_equals_sequential_over():
-    rng = np.random.default_rng(3)
-    partials = []
-    for _ in range(4):
-        a = rng.uniform(0, 1, (8, 8, 1)).astype(np.float32)
-        rgb = rng.uniform(0, 1, (8, 8, 3)).astype(np.float32) * a
-        partials.append(np.concatenate([rgb, a], axis=2))
-    tree = swap_partial_images(partials)
-    seq = partials[0]
-    for p in partials[1:]:
-        seq = over(seq, p)
-    assert np.allclose(tree, seq, atol=1e-5)
-
-
-def test_swap_partial_images_odd_count_and_validation():
-    imgs = [np.zeros((4, 4, 4), np.float32) for _ in range(3)]
-    out = swap_partial_images(imgs)
-    assert out.shape == (4, 4, 4)
-    with pytest.raises(ValueError):
-        swap_partial_images([])
-    with pytest.raises(ValueError):
-        swap_partial_images([np.zeros((4, 4, 4)), np.zeros((2, 2, 4))])
-
-
-def test_swap_matches_reference_on_slab_decomposition():
-    """Functional check: per-slab partial images composited with binary
-    swap reproduce the reference image (visibility-ordered slabs)."""
-    vol = make_dataset("supernova", (24, 24, 24))
-    tf = default_tf()
-    cfg = RenderConfig(dt=0.8, ert_alpha=1.0)
-    # Camera along -y so slabs along y are in depth order.
-    from repro.render import Camera
-
-    cam = Camera(eye=(12.0, -90.0, 12.0), center=(12.0, 12.0, 12.0), width=32, height=32)
-    ref = render_reference(vol, cam, tf, cfg)
-    grid = BrickGrid(vol.shape, (24, 6, 24), ghost=1)  # 4 slabs along y
-    partials = []
-    for b in grid:  # brick ids ascend in y → ascending depth from camera
-        frags, _ = raycast_brick(
-            grid.extract(vol, b), b.data_lo, b.lo, b.hi, vol.shape, cam, tf, cfg
-        )
-        img = composite_fragments(frags, cam.pixel_count).reshape(32, 32, 4)
-        partials.append(img)
-    merged = swap_partial_images(partials)
-    assert max_abs_diff(merged, ref.image) < 1e-4
-
-
 def test_binary_swap_time_model():
     net = NetworkSpec(bandwidth=4e9, latency=2e-6, message_overhead=4e-6)
     one = binary_swap_time(1, 512 * 512, net)

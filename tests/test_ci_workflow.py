@@ -13,11 +13,17 @@ blocks the same way, and check that:
 * every ``python -m repro <cmd>`` in the workflow names a real
   subcommand;
 * every relative path a step names exists in the repo.
+
+The workflow installs ``.[test]``, so every third-party module that
+``tests/`` and ``benchmarks/e2e/`` import must be declared in
+``setup.py``, or the runner stops at collection.
 """
 
+import ast
 import itertools
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +41,9 @@ SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "<"}
 # counts as a repo path when it has a slash or a file suffix.
 PATH_TOKEN = re.compile(r"[\w.-]+(/[\w.-]+)*/?")
 FILE_SUFFIX = re.compile(r"\.(py|sh|json|ya?ml|toml|cfg|ini|txt|md)$")
+IMPORTING_DIRS = (ROOT / "tests", ROOT / "benchmarks" / "e2e")
+# Import name -> distribution name, where the two differ.
+DISTRIBUTION = {"yaml": "pyyaml"}
 
 
 def _matrix_combinations(job: dict) -> list:
@@ -142,3 +151,51 @@ def test_every_ci_repo_path_exists():
                     missing.append((job, value))
     assert "benchmarks/e2e/run.py" in named  # the scan sees the steps
     assert not missing, missing
+
+
+def _declared_distributions() -> set:
+    """``install_requires`` plus the ``test`` extra, read from setup.py."""
+    tree = ast.parse((ROOT / "setup.py").read_text())
+    setup = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setup"
+    )
+    kwargs = {kw.arg: kw.value for kw in setup.keywords}
+    reqs = ast.literal_eval(kwargs["install_requires"])
+    reqs += ast.literal_eval(kwargs["extras_require"])["test"]
+    return {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower() for req in reqs}
+
+
+def _third_party_imports() -> dict:
+    """Top-level module -> first file importing it, for every module that
+    ``tests/`` and ``benchmarks/e2e/`` import from outside the standard
+    library and the repo."""
+    local = {p.stem for d in IMPORTING_DIRS for p in d.rglob("*.py")}
+    local |= {p.name for p in ROOT.iterdir() if p.is_dir()}
+    local |= {p.name for p in (ROOT / "src").iterdir() if p.is_dir()}
+    found = {}
+    for directory in IMPORTING_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top not in sys.stdlib_module_names and top not in local:
+                        found.setdefault(top, path.relative_to(ROOT).as_posix())
+    return found
+
+
+def test_every_test_import_is_declared():
+    declared = _declared_distributions()
+    imports = _third_party_imports()
+    assert {"numpy", "pytest"} <= set(imports)  # the scan sees the imports
+    undeclared = {
+        module: path for module, path in imports.items()
+        if DISTRIBUTION.get(module, module) not in declared
+    }
+    assert not undeclared, undeclared

@@ -18,7 +18,7 @@ from repro.core import (
     stable_counting_order,
     validate_pairs,
 )
-from repro.sim.stream import SendBuffer, split_message_sizes
+from repro.sim.stream import split_message_sizes
 
 KV = np.dtype([("key", np.int32), ("val", np.float32)])
 SPEC = KVSpec(KV)
@@ -250,40 +250,7 @@ def test_partitioner_requires_reducers():
         RoundRobinPartitioner(0)
 
 
-# -- send buffer ----------------------------------------------------------------
-def test_send_buffer_flushes_at_threshold():
-    flushed = []
-    buf = SendBuffer(2, threshold_pairs=10, on_flush=lambda d, p: flushed.append((d, len(p))))
-    buf.add(0, make_pairs(list(range(7))))
-    assert flushed == [] and buf.pending(0) == 7
-    buf.add(0, make_pairs(list(range(7))))
-    assert flushed == [(0, 10)] and buf.pending(0) == 4
-    buf.flush_all()
-    assert flushed == [(0, 10), (0, 4)]
-    assert buf.pairs_sent == 14
-    assert buf.flushes == 2
-
-
-def test_send_buffer_multiple_destinations_independent():
-    flushed = []
-    buf = SendBuffer(3, threshold_pairs=5, on_flush=lambda d, p: flushed.append(d))
-    buf.add(1, make_pairs(list(range(5))))
-    buf.add(2, make_pairs(list(range(4))))
-    assert flushed == [1]
-    buf.flush_all()
-    assert flushed == [1, 2]
-
-
-def test_send_buffer_validation():
-    with pytest.raises(ValueError):
-        SendBuffer(0, 10)
-    with pytest.raises(ValueError):
-        SendBuffer(1, 0)
-    buf = SendBuffer(1, 10)
-    with pytest.raises(IndexError):
-        buf.add(5, make_pairs([1]))
-
-
+# -- streaming message sizes ----------------------------------------------------
 @given(n=st.integers(0, 10_000), thr=st.integers(1, 999))
 @settings(max_examples=60, deadline=None)
 def test_split_message_sizes_conserves_pairs(n, thr):

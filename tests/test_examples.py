@@ -20,7 +20,6 @@ RUNS = {
     "pluggable_pipeline": (lambda tmp: (str(tmp),), r"single-brick diff: 0\.00e\+00"),
     "quickstart": (lambda tmp: (str(tmp),), r"simulated cluster stages: map="),
     "scaling_study": (lambda tmp: (True,), r"best configuration = \d+ GPUs"),
-    "sort_last_swap": (lambda tmp: (str(tmp),), r"sort-last\s+vs reference: "),
 }
 
 

@@ -10,20 +10,46 @@ golden file.  A change to any of them is a stated re-baseline, never
 silent drift.  The only way to rewrite the file is::
 
     PYTHONPATH=src python tests/test_paper_figures.py --regen
+
+The figures run once per module, under a profiler that records every
+Python function they call.  The census test uses that record: each
+function of the paper model (``repro.sim``, ``repro.perfmodel``,
+``repro.baselines``) either runs for some pinned figure or is named in
+:data:`ALLOWED` with the reason it stays.
 """
 
 import contextlib
+import inspect
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.sim.figures import FIGURES
 
 GOLDEN = Path(__file__).with_name("golden") / "paper_figures.json"
+SRC = Path(repro.__file__).parent
+MODEL_PACKAGES = ("sim", "perfmodel", "baselines")
+
+#: The paper-model functions no pinned figure calls, each with the
+#: reason it stays.  Keyed ``"<path under repro/>::<function name>"``.
+ALLOWED = {
+    "perfmodel/bottleneck.py::find_crossover":
+        "test_paper_claims.py finds §6.3's crossover between 8 and 16 GPUs",
+    "perfmodel/bottleneck.py::find_sweet_spot":
+        "test_paper_claims.py finds Fig. 4's best GPU count per volume",
+    "sim/node.py::read_disk":
+        "test_paper_claims.py::test_in_core_vs_out_of_core charges disk reads",
+    "sim/engine.py::fail":
+        "the engine's error path; test_sim_engine.py drives it",
+    "sim/node.py::with_gpu":
+        "five test modules build their cluster fixtures with it",
+}
 
 
 def compute(name):
@@ -44,13 +70,66 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def figure_runs():
+    """``(values, called)``: every figure's value, and the
+    ``(real path, first line)`` of each Python function that ran while
+    they were computed."""
+    raw = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            raw.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        values = {name: compute(name) for name in sorted(FIGURES)}
+    finally:
+        sys.setprofile(previous)
+    return values, {(os.path.realpath(f), line) for f, line in raw}
+
+
+def _model_functions():
+    """``("<path>::<name>", (real path, first line))`` for every function
+    and method defined under the model packages.  Class bodies and
+    ``<lambda>``-style code objects are not functions of their own."""
+
+    def walk(code):
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                    yield const
+                yield from walk(const)
+
+    for package in MODEL_PACKAGES:
+        for path in sorted((SRC / package).glob("*.py")):
+            real = os.path.realpath(path)
+            module = compile(path.read_text(), real, "exec")
+            rel = path.relative_to(SRC).as_posix()
+            for code in walk(module):
+                yield f"{rel}::{code.co_name}", (real, code.co_firstlineno)
+
+
 def test_golden_covers_every_figure(golden):
     assert set(FIGURES) == set(golden)
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
-def test_paper_figure_matches_golden(name, golden):
-    assert compute(name) == golden[name]
+def test_paper_figure_matches_golden(name, golden, figure_runs):
+    values, _ = figure_runs
+    assert values[name] == golden[name]
+
+
+def test_every_model_function_backs_a_figure(figure_runs):
+    """No paper-model function is dead weight: what no pinned figure
+    runs is either deleted or allowed by name, and the allow-list holds
+    no function that a figure now runs or that no longer exists."""
+    _, called = figure_runs
+    uncalled = sorted(
+        key for key, site in _model_functions() if site not in called
+    )
+    assert uncalled == sorted(ALLOWED)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Tests for figures of merit, speed-of-light peaks, and the §6.3 analysis."""
+"""Tests for figures of merit and the §6.3 analysis."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.perfmodel import (
     fps,
     parallel_efficiency,
     scaling_series,
-    speed_of_light,
     speedup,
     voxels_per_second,
 )
@@ -71,38 +70,6 @@ def make_works(n_gpus, n_chunks=8, samples=5_000_000, pairs=40_000):
             )
         )
     return works
-
-
-def test_speed_of_light_positive_and_consistent():
-    spec = accelerator_cluster(8)
-    peaks = speed_of_light(spec, make_works(8), pair_nbytes=24)
-    d = peaks.as_dict()
-    for k in ("upload", "map_compute", "download", "sort", "reduce"):
-        assert d[k] > 0, k
-    assert d["network"] > 0  # 2 nodes exchange fragments
-    assert peaks.map_phase == max(
-        peaks.upload, peaks.map_compute, peaks.download, peaks.network
-    )
-    assert peaks.total == pytest.approx(peaks.map_phase + peaks.sort + peaks.reduce)
-
-
-def test_speed_of_light_single_node_no_network():
-    spec = accelerator_cluster(4)
-    peaks = speed_of_light(spec, make_works(4), pair_nbytes=24)
-    assert peaks.network == 0.0
-
-
-def test_speed_of_light_lower_bounds_simulation():
-    """The simulator can never beat the speed of light."""
-    from repro.core import JobConfig
-    from repro.sim import SimClusterExecutor
-
-    spec = accelerator_cluster(8)
-    works = make_works(8)
-    peaks = speed_of_light(spec, works, pair_nbytes=24)
-    outcome, _ = SimClusterExecutor(spec, JobConfig()).execute(works, pair_nbytes=24)
-    assert outcome.total_runtime >= peaks.map_phase * 0.999
-    assert outcome.breakdown.map >= peaks.map_compute * 0.999
 
 
 def test_compute_vs_communication_scales():

@@ -8,14 +8,11 @@ from repro.sim import (
     CPUSpec,
     DiskSpec,
     GPUSpec,
-    NetworkSpec,
     NodeSpec,
     PCIeSpec,
     StageBreakdown,
     Trace,
     accelerator_cluster,
-    cpu_cluster,
-    laptop,
 )
 from repro.sim import trace as T
 
@@ -55,11 +52,6 @@ def test_gpu_raycast_time_monotone_in_work():
         g.raycast_time(-1, 0)
 
 
-def test_network_transfer_time():
-    n = NetworkSpec(bandwidth=4e9, latency=2e-6, message_overhead=4e-6)
-    assert n.transfer_time(4e9) == pytest.approx(1.0 + 6e-6)
-
-
 # -- presets ---------------------------------------------------------------
 def test_accelerator_cluster_shapes():
     c = accelerator_cluster(32)
@@ -83,35 +75,12 @@ def test_accelerator_cluster_validation():
         accelerator_cluster(4, gpus_per_node=0)
 
 
-def test_cpu_cluster_512_procs_matches_paraview_rate():
-    c = cpu_cluster(512)
-    total_vps = sum(g.texture_samples_per_sec for g in c.gpu_specs())
-    # Moreland et al.: 346M VPS at 512 procs; our preset should be close.
-    assert 250e6 <= total_vps <= 450e6
-
-
-def test_laptop_single_gpu():
-    c = laptop()
-    assert c.gpu_count == 1 and c.node_count == 1
-
-
 def test_with_gpu_override():
     c = accelerator_cluster(4).with_gpu(texture_samples_per_sec=1.0)
     assert all(g.texture_samples_per_sec == 1.0 for g in c.gpu_specs())
 
 
 # -- runtime ---------------------------------------------------------------
-def test_vram_accounting():
-    rt = ClusterRuntime(accelerator_cluster(1))
-    gpu = rt.gpus[0]
-    gpu.allocate(gpu.spec.vram_bytes)
-    with pytest.raises(MemoryError):
-        gpu.allocate(1)
-    gpu.free(gpu.spec.vram_bytes)
-    with pytest.raises(ValueError):
-        gpu.free(1)
-
-
 def test_texture_upload_blocks_kernel_same_gpu():
     """Sync 3D-texture copies occupy the GPU engine (paper's CUDA limitation)."""
     rt = ClusterRuntime(accelerator_cluster(1))
@@ -262,17 +231,6 @@ def test_cpu_work_uses_threads():
 
 
 # -- trace / stage breakdown ----------------------------------------------
-def test_trace_busy_and_window():
-    tr = Trace()
-    tr.record(T.CAT_KERNEL, "gpu0", 0.0, 1.0)
-    tr.record(T.CAT_KERNEL, "gpu0", 2.0, 3.0)
-    tr.record(T.CAT_KERNEL, "gpu1", 0.5, 1.0)
-    assert tr.busy_time(T.CAT_KERNEL) == pytest.approx(2.5)
-    assert tr.busy_time(T.CAT_KERNEL, "gpu0") == pytest.approx(2.0)
-    assert tr.window(T.CAT_KERNEL) == (0.0, 3.0)
-    assert tr.window("missing") == (0.0, 0.0)
-
-
 def test_trace_rejects_negative_span():
     tr = Trace()
     with pytest.raises(ValueError):
@@ -297,7 +255,6 @@ def test_stage_breakdown_accounting():
     assert sb.sort == pytest.approx(0.2)
     assert sb.reduce == pytest.approx(0.3)
     assert sb.total == pytest.approx(1.5)
-    assert sb.as_dict()["total"] == pytest.approx(1.5)
 
 
 def test_stage_breakdown_requires_marks():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment, SimulationError
-from repro.sim.engine import AllOf, AnyOf
+from repro.sim.engine import AllOf
 
 
 def test_timeout_ordering():
@@ -182,31 +182,6 @@ def test_allof_empty_fires_immediately():
     env.process(parent())
     env.run()
     assert out == [(0.0, [])]
-
-
-def test_anyof_returns_first():
-    env = Environment()
-    out = []
-
-    def child(delay, value):
-        yield env.timeout(delay)
-        return value
-
-    def parent():
-        idx, value = yield AnyOf(
-            env, [env.process(child(5, "slow")), env.process(child(2, "fast"))]
-        )
-        out.append((env.now, idx, value))
-
-    env.process(parent())
-    env.run()
-    assert out == [(2.0, 1, "fast")]
-
-
-def test_anyof_requires_events():
-    env = Environment()
-    with pytest.raises(ValueError):
-        AnyOf(env, [])
 
 
 def test_nested_processes_compose():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Link, Store, TokenBucket."""
+"""Unit tests for Resource and Link."""
 
 import pytest
 
-from repro.sim import Environment, Link, Resource, Store, TokenBucket
+from repro.sim import Environment, Link, Resource
 from repro.sim.engine import SimulationError
 
 
@@ -76,13 +76,7 @@ def test_resource_utilization_full():
     env = Environment()
     res = Resource(env, 1)
     run_users(env, res, 2.0, 2)  # busy 4s over 4s horizon
-    assert res.utilization() == pytest.approx(1.0)
-
-
-def test_link_transfer_time_formula():
-    env = Environment()
-    link = Link(env, bandwidth=1e9, latency=1e-3)
-    assert link.transfer_time(1e6) == pytest.approx(1e-3 + 1e-3)
+    assert res.busy_time() == pytest.approx(4.0)
 
 
 def test_link_serialises_transfers_and_pipes_latency():
@@ -124,64 +118,3 @@ def test_link_rejects_bad_params():
         Link(env, bandwidth=0)
     with pytest.raises(ValueError):
         Link(env, bandwidth=1, latency=-1)
-
-
-def test_store_fifo_and_backpressure():
-    env = Environment()
-    store = Store(env, capacity=2)
-    consumed = []
-
-    def producer():
-        for i in range(4):
-            yield store.put(i)
-
-    def consumer():
-        for _ in range(4):
-            item = yield store.get()
-            consumed.append(item)
-            yield env.timeout(1.0)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert consumed == [0, 1, 2, 3]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer():
-        yield env.timeout(3.0)
-        yield store.put("brick")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(3.0, "brick")]
-
-
-def test_token_bucket_bounds_inflight():
-    env = Environment()
-    bucket = TokenBucket(env, tokens=2)
-    active = []
-    max_active = []
-
-    def worker():
-        yield bucket.acquire()
-        active.append(1)
-        max_active.append(len(active))
-        yield env.timeout(1.0)
-        active.pop()
-        bucket.release()
-
-    for _ in range(5):
-        env.process(worker())
-    env.run()
-    assert max(max_active) <= 2
-    assert bucket.available == 2
