@@ -461,3 +461,44 @@ def test_cli_stats_json_inprocess_metric_set(tmp_path):
         "map.march_reason": ("gauge", None),
         "map.positioned_samples": ("gauge", None),
     }
+
+
+def test_cli_stats_json_pool_metric_set(tmp_path):
+    """The exact telemetry a failure-free pool ``--stats-json`` render
+    prints: the ring ledger per mesh edge, the arena's counters, the
+    accel cache, the map stage and the pool's shape — no recovery."""
+    stats = tmp_path / "s.json"
+    rc = main(
+        [
+            "render", "--dataset", "skull", "--size", "16", "--gpus", "2",
+            "--image", "32", "--executor", "pool", "--workers", "2",
+            "--stats-json", str(stats), "--out", str(tmp_path / "r.ppm"),
+        ]
+    )
+    assert rc == 0
+    telemetry = json.loads(stats.read_text())["telemetry"]
+    assert telemetry["schema"] == SCHEMA
+    gauges = [
+        "accel_cache.entries", "accel_cache.hit_rate", "accel_cache.hits",
+        "accel_cache.misses", "accel_cache.nbytes",
+        "frame_seq", "pipeline_depth", "reduce_mode", "shuffle_mode", "workers",
+        "map.launches", "map.march", "map.march_reason", "map.positioned_samples",
+        "ring.high_water_bytes", "ring.mesh_bytes_total", "ring.parent_run_bytes",
+        "ring.queue_fallbacks", "ring.ring_capacity", "ring.shuffle_mode",
+        "ring.stall_events", "ring.stall_seconds",
+    ] + [
+        f"ring.per_edge.{edge}.{field}"
+        for edge in (0, 1)
+        for field in ("dst", "high_water_bytes", "src", "stall_events", "stall_seconds")
+    ]
+    expected = {name: ("gauge", None) for name in gauges}
+    expected.update({
+        "arena.published_bytes": ("counter", "bytes"),
+        "arena.publishes": ("counter", None),
+        "arena.rebroadcasts": ("counter", None),
+    })
+    assert {
+        name: (entry["kind"], entry.get("unit"))
+        for name, entry in telemetry["metrics"].items()
+    } == expected
+    assert list(telemetry["metrics"]) == sorted(telemetry["metrics"])
