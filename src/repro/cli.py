@@ -51,32 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "the worker that owns it) and the removed "
                         "'parent' raises ValueError.  Kept only until "
                         "the benchmark harness stops passing it")
-    r.add_argument("--pipeline-depth", type=int, default=1,
-                   help="frames the pool executor keeps in flight for orbit "
-                        "rendering: 1 = synchronous, 2 = double-buffered "
-                        "(workers map+reduce the next frame while the parent "
-                        "stitches the current one)")
-    r.add_argument("--supervise", dest="supervise", action="store_true",
-                   default=True,
-                   help="recover pool infrastructure failures in place: "
-                        "respawn dead/wedged workers, re-execute in-flight "
-                        "frames bitwise-identically, and degrade (fewer "
-                        "workers, then in-process) when retries are "
-                        "exhausted "
-                        "(default)")
     r.add_argument("--no-supervise", dest="supervise", action="store_false",
                    help="disable supervision: any pool failure tears the "
-                        "pool down and propagates (the legacy fail-fast "
-                        "behaviour)")
+                        "pool down and propagates.  By default the pool "
+                        "recovers infrastructure failures in place: it "
+                        "respawns dead/wedged workers, re-executes in-flight "
+                        "frames bitwise-identically, and degrades (fewer "
+                        "workers, then in-process) when retries are "
+                        "exhausted")
     r.add_argument("--max-frame-retries", type=int, default=None,
                    help="recovery attempts per frame at each pool width "
                         "before the supervisor degrades the pool "
-                        "(default $REPRO_MAX_FRAME_RETRIES or 2)")
+                        "(default 2)")
     r.add_argument("--fault-plan", default=None,
                    help="deterministic fault injection for pool workers, "
                         "e.g. 'crash@map:worker=1,frame=2' or "
                         "'stall(5)@reduce;exit(3)@shuffle-out:chunk=0' "
-                        "(testing/bench hook; see repro.parallel.faults)")
+                        "(testing hook; see repro.parallel.faults)")
     r.add_argument("--accel", default="table", choices=["table", "off"],
                    help="empty-space skipping: 'table' probes a per-voxel "
                         "corner-max table before each gather and marches "
@@ -92,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "ui.perfetto.dev or chrome://tracing.  Tracing is "
                         "off (and costs nothing) without this flag")
     r.add_argument("--stats-json", default=None, metavar="STATS.json",
-                   help="dump the frame's JobStats — including the "
-                        "unified telemetry registry (ring backpressure, "
+                   help="dump the frame's JobStats — including its "
+                        "telemetry document (ring backpressure, "
                         "recovery ledger, arena publish bytes, accel-cache "
                         "hit rates) — as JSON")
     r.add_argument("--out", default="render.ppm")
@@ -147,7 +138,6 @@ def _cmd_render(args) -> int:
         executor=args.executor,
         workers=args.workers,
         reduce_mode=args.reduce_mode,
-        pipeline_depth=args.pipeline_depth,
         supervise=args.supervise,
         max_frame_retries=args.max_frame_retries,
         fault_plan=args.fault_plan,

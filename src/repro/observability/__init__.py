@@ -8,18 +8,12 @@ Three pieces, one contract (see ARCHITECTURE.md "Observability"):
 * :mod:`repro.observability.timeline` — merges parent + worker span
   buffers into Chrome/Perfetto ``trace_event`` JSON (``repro render
   --trace-out``) and computes the CLI's per-stage breakdown line.
-* :mod:`repro.observability.metrics` — the counters/gauges registry
-  that absorbs the stack's ad-hoc stat dicts into the single
+* :mod:`repro.observability.metrics` — :func:`build_job_telemetry`
+  flattens the stack's ad-hoc stat dicts into the single
   ``JobStats.telemetry`` schema (``repro render --stats-json``).
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    SCHEMA,
-    build_job_telemetry,
-)
+from .metrics import SCHEMA, build_job_telemetry
 from .timeline import (
     chrome_trace,
     stage_breakdown,
@@ -36,9 +30,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "SCHEMA",
     "Tracer",
     "build_job_telemetry",

@@ -1,23 +1,21 @@
-"""Unified metrics registry: one schema over the stack's ad-hoc counters.
+"""One telemetry schema over the stack's ad-hoc counters.
 
-Before this module each subsystem exported its own dict shape —
-``JobStats.ring`` (shuffle-plane backpressure), ``JobStats.recovery``
-(the supervision ledger), queue-fallback counts, arena publish bytes,
-:class:`~repro.render.accel.AccelCache` hit counters.  The registry
-absorbs them all into one ``{name: {kind, value, unit}}`` document
-under ``JobStats.telemetry`` (dumped by ``repro render --stats-json``),
-so downstream tooling reads a single schema instead of five.
+Each subsystem keeps its own dict shape — ``JobStats.ring`` (shuffle-
+plane backpressure), ``JobStats.recovery`` (the supervision ledger),
+arena publish bytes, :class:`~repro.render.accel.AccelCache` hit
+counters, the map stage's gauges.  :func:`build_job_telemetry` flattens
+them all into one ``{name: {kind, value[, unit]}}`` document under
+``JobStats.telemetry`` (dumped by ``repro render --stats-json``), so
+downstream tooling reads a single schema instead of five.
 
-Two metric kinds, deliberately minimal:
-
-* :class:`Counter` — monotonic total (``inc``),
-* :class:`Gauge` — last-observed value (``set``); non-numeric values
-  are allowed and exported as-is (e.g. ``shuffle_mode="mesh"``).
+Two metric kinds: ``counter`` (a monotonic total: the arena's) and
+``gauge`` (a last-observed value, numeric or descriptive, e.g.
+``shuffle_mode="mesh"``).
 
 Everything here is parent-side, per-frame bookkeeping — a few dozen
-dict operations per frame against multi-millisecond frames — so the
-registry stays always-on (unlike the tracer, which is default-off
-because it records per-chunk intervals in every process).
+dict operations per frame against multi-millisecond frames — so it
+stays always-on (unlike the tracer, which is default-off because it
+records per-chunk intervals in every process).
 """
 
 from __future__ import annotations
@@ -25,110 +23,36 @@ from __future__ import annotations
 from numbers import Number
 from typing import Optional
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "SCHEMA",
-    "build_job_telemetry",
-]
+__all__ = ["SCHEMA", "build_job_telemetry"]
 
 #: Schema tag stamped into every export, so readers can dispatch.
 SCHEMA = "repro.telemetry/v1"
 
-
-class Counter:
-    """Monotonic total."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, n=1) -> None:
-        if n < 0:
-            raise ValueError("counters only increase")
-        self.value += n
-
-    def export(self):
-        return self.value
+#: The arena's publish counters and their units.
+_ARENA_COUNTERS = {"publishes": None, "published_bytes": "bytes", "rebroadcasts": None}
 
 
-class Gauge:
-    """Last-observed value (numeric or descriptive)."""
+def _flatten(metrics: dict, prefix: str, mapping: Optional[dict]) -> None:
+    """Flatten an ad-hoc nested dict into gauges under ``prefix``.
 
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self):
-        self.value = None
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def export(self):
-        return self.value
-
-
-class MetricsRegistry:
-    """Name → metric map with one export shape for all kinds."""
-
-    def __init__(self):
-        self._metrics: dict = {}
-
-    def _get(self, name: str, cls, unit: Optional[str]):
-        entry = self._metrics.get(name)
-        if entry is None:
-            entry = (cls(), unit)
-            self._metrics[name] = entry
-        elif not isinstance(entry[0], cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {entry[0].kind}"
-            )
-        return entry[0]
-
-    def counter(self, name: str, unit: Optional[str] = None) -> Counter:
-        return self._get(name, Counter, unit)
-
-    def gauge(self, name: str, unit: Optional[str] = None) -> Gauge:
-        return self._get(name, Gauge, unit)
-
-    def absorb(self, prefix: str, mapping: Optional[dict]) -> None:
-        """Flatten an ad-hoc nested dict into gauges under ``prefix``.
-
-        Numeric leaves become numeric gauges, strings/bools descriptive
-        ones; nested dicts recurse with dotted names and lists of dicts
-        are indexed (``ring.per_worker.0.stall_seconds``).  This is the
-        adapter that lets today's ``JobStats.ring`` / ``recovery``
-        payloads join the unified schema without rewriting their
-        producers.
-        """
-        if mapping is None:
-            return
-        for key, value in mapping.items():
-            name = f"{prefix}.{key}"
-            if isinstance(value, dict):
-                self.absorb(name, value)
-            elif isinstance(value, (list, tuple)) and value and all(
-                isinstance(v, dict) for v in value
-            ):
-                for i, sub in enumerate(value):
-                    self.absorb(f"{name}.{i}", sub)
-            elif isinstance(value, (list, tuple)):
-                self.gauge(name).set(list(value))
-            elif isinstance(value, (Number, str, bool)) or value is None:
-                self.gauge(name).set(value)
-
-    def as_dict(self) -> dict:
-        metrics = {}
-        for name in sorted(self._metrics):
-            metric, unit = self._metrics[name]
-            entry = {"kind": metric.kind, "value": metric.export()}
-            if unit is not None:
-                entry["unit"] = unit
-            metrics[name] = entry
-        return {"schema": SCHEMA, "metrics": metrics}
+    Numeric leaves become numeric gauges, strings/bools/None descriptive
+    ones, and lists of scalars list-valued ones; nested dicts recurse
+    with dotted names and lists of dicts are indexed
+    (``ring.per_edge.0.stall_seconds``).  Other leaves are dropped.
+    """
+    for key, value in (mapping or {}).items():
+        name = f"{prefix}.{key}"
+        if isinstance(value, dict):
+            _flatten(metrics, name, value)
+        elif isinstance(value, (list, tuple)) and value and all(
+            isinstance(v, dict) for v in value
+        ):
+            for i, sub in enumerate(value):
+                _flatten(metrics, f"{name}.{i}", sub)
+        elif isinstance(value, (list, tuple)):
+            metrics[name] = {"kind": "gauge", "value": list(value)}
+        elif isinstance(value, (Number, str, bool)) or value is None:
+            metrics[name] = {"kind": "gauge", "value": value}
 
 
 def build_job_telemetry(
@@ -141,22 +65,22 @@ def build_job_telemetry(
     """Assemble one frame's ``JobStats.telemetry`` document.
 
     ``ring``/``recovery`` are the executor's existing per-frame dicts
-    (absorbed verbatim under their old names so nothing is lost in the
+    (flattened verbatim under their old names so nothing is lost in the
     translation); ``arena`` carries the parent's publish counters,
     ``cache`` the parent-side :class:`AccelCache` hit statistics, and
     any extra keyword becomes a top-level gauge (pool shape knobs).
+    Metrics are sorted by name.
     """
-    reg = MetricsRegistry()
-    reg.absorb("ring", ring)
-    reg.absorb("recovery", recovery)
+    metrics: dict = {}
+    _flatten(metrics, "ring", ring)
+    _flatten(metrics, "recovery", recovery)
     if arena:
-        reg.counter("arena.publishes").inc(int(arena.get("publishes", 0)))
-        reg.counter("arena.published_bytes", unit="bytes").inc(
-            int(arena.get("published_bytes", 0))
-        )
-        reg.counter("arena.rebroadcasts").inc(int(arena.get("rebroadcasts", 0)))
-    if cache:
-        reg.absorb("accel_cache", cache)
+        for key, unit in _ARENA_COUNTERS.items():
+            entry = {"kind": "counter", "value": int(arena.get(key, 0))}
+            if unit is not None:
+                entry["unit"] = unit
+            metrics[f"arena.{key}"] = entry
+    _flatten(metrics, "accel_cache", cache)
     for name, value in gauges.items():
-        reg.gauge(name).set(value)
-    return reg.as_dict()
+        metrics[name] = {"kind": "gauge", "value": value}
+    return {"schema": SCHEMA, "metrics": dict(sorted(metrics.items()))}

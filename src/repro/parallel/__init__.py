@@ -53,11 +53,12 @@ re-attached by name), re-executes the in-flight frames
 bitwise-identically, and degrades (shrink the pool, then fall back to
 the in-process executor) when retries are exhausted.
 :mod:`~repro.parallel.faults` is the deterministic fault-injection
-harness (``fault_plan=`` / ``$REPRO_FAULT_PLAN``) that drives crash,
-exit, and stall faults at exact (stage, worker, frame, chunk) points.
+harness (``fault_plan=`` / ``repro render --fault-plan``) that drives
+crash, exit, and stall faults at exact (stage, worker, frame, chunk)
+points.
 """
 
-from .faults import ENV_FAULT_PLAN, FaultPlan, FaultRule
+from .faults import FaultPlan, FaultRule
 from .pool import (
     PendingFrame,
     PoolConfig,
@@ -72,10 +73,6 @@ from .shuffle import (
     DEFAULT_MAX_FRAME_RETRIES,
     DEFAULT_RETRY_BACKOFF,
     DEFAULT_RING_WRITE_TIMEOUT,
-    ENV_MAX_FRAME_RETRIES,
-    ENV_RETRY_BACKOFF,
-    ENV_RING_WRITE_TIMEOUT,
-    ENV_WATERMARK_TIMEOUT,
     WorkerMesh,
 )
 from .supervise import PoolFailure, PoolSupervisor
@@ -87,11 +84,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_RETRIES",
     "DEFAULT_RETRY_BACKOFF",
     "DEFAULT_RING_WRITE_TIMEOUT",
-    "ENV_FAULT_PLAN",
-    "ENV_MAX_FRAME_RETRIES",
-    "ENV_RETRY_BACKOFF",
-    "ENV_RING_WRITE_TIMEOUT",
-    "ENV_WATERMARK_TIMEOUT",
     "FaultPlan",
     "FaultRule",
     "FrameContext",

@@ -6,9 +6,9 @@ soak / golden suites a *deterministic* way to kill, wedge, or stall a
 pool worker at an exact point of the Map → shuffle-out → shuffle-in →
 Reduce state machine, replacing the ad-hoc ``os._exit`` mapper
 subclasses the earlier crash tests monkeypatched in.  A plan is a plain
-string (so it travels through ``PoolConfig.fault_plan``, the
-``$REPRO_FAULT_PLAN`` environment variable, and a worker's spawn
-``cfg`` dict unchanged) with the grammar::
+string (so it travels through ``repro render --fault-plan``,
+``PoolConfig.fault_plan`` and a worker's spawn ``cfg`` dict unchanged)
+with the grammar::
 
     plan   := rule ( ';' rule )*
     rule   := action '@' stage ( ':' cond ( ',' cond )* )?
@@ -66,16 +66,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
-    "ENV_FAULT_PLAN",
     "FAULT_ACTIONS",
     "FAULT_STAGES",
     "FaultPlan",
     "FaultRule",
 ]
-
-#: Environment override for :attr:`PoolConfig.fault_plan` — lets the CI
-#: fault-injection matrix select a plan without touching test code.
-ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 
 #: The injectable points of the worker state machine, in execution order.
 FAULT_STAGES = ("map", "shuffle-out", "shuffle-in", "reduce")
@@ -282,20 +277,3 @@ class FaultPlan:
             raise SystemExit(code)  # graceful: finally-teardown runs
         elif rule.action == "stall":
             time.sleep(float(rule.arg))
-
-
-def resolve_fault_plan(explicit: Optional[str]) -> Optional[str]:
-    """The configured plan string: explicit > ``$REPRO_FAULT_PLAN`` > None.
-
-    The winning string is parse-validated here so a malformed plan fails
-    at configuration time, in the parent, with the offending rule named —
-    not as a cryptic worker error after spawn.
-    """
-    text = explicit
-    if text is None:
-        text = os.environ.get(ENV_FAULT_PLAN, "")
-    text = text.strip()
-    if not text:
-        return None
-    FaultPlan.parse(text)  # validate; raises ValueError with the bad rule
-    return text

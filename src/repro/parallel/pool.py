@@ -326,16 +326,14 @@ class SharedMemoryPoolExecutor:
         > 1 unless frames are also submitted asynchronously.
     ring_write_timeout:
         Seconds a blocked edge write may wait before the pool is
-        declared wedged; ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``
-        (default 300).
+        declared wedged (default 300).
     mesh_edge_capacity:
         Per-edge mesh ring bytes (default ``8 MiB // workers``, floor
         64 KiB).
     watermark_timeout:
         Seconds a mesh reducer may wait for a frame's completion
-        watermark before declaring the frame wedged; ``None`` reads
-        ``$REPRO_WATERMARK_TIMEOUT`` and falls back to the ring write
-        timeout.
+        watermark before declaring the frame wedged (default: the ring
+        write timeout).
     supervise:
         When True (the default), infrastructure failures — a dead
         worker process, a wedged transport timeout — are *recovered*:
@@ -349,16 +347,14 @@ class SharedMemoryPoolExecutor:
         budget to reproduce it.
     max_frame_retries:
         Recovery attempts per frame at a given pool width before the
-        degradation ladder steps down; ``None`` reads
-        ``$REPRO_MAX_FRAME_RETRIES`` (default 2).
+        degradation ladder steps down (default 2).
     retry_backoff:
-        Base seconds of exponential backoff between recovery attempts;
-        ``None`` reads ``$REPRO_RETRY_BACKOFF`` (default 0.05).
+        Base seconds of exponential backoff between recovery attempts
+        (default 0.05).
     fault_plan:
         Deterministic fault-injection plan for the workers (see
-        :mod:`repro.parallel.faults` for the grammar); ``None`` reads
-        ``$REPRO_FAULT_PLAN``.  Testing/benchmark hook — production
-        pools leave it unset.
+        :mod:`repro.parallel.faults` for the grammar).  Testing hook —
+        production pools leave it unset.
     pool_config:
         A :class:`~repro.parallel.shuffle.PoolConfig` supplying the
         transport defaults; the explicit keyword arguments above
@@ -415,8 +411,6 @@ class SharedMemoryPoolExecutor:
                 f"{soft}; raise the limit (ulimit -n) or reduce workers"
             )
         self.pipeline_depth = int(pipeline_depth)
-        # Every knob is resolved once, here, so a later env change cannot
-        # flip a live pool's timeouts or retry policy mid-orbit.
         self.ring_write_timeout = self.pool_config.resolved_ring_write_timeout()
         self.mesh_edge_capacity = self.pool_config.resolved_edge_capacity(
             self.workers
@@ -1145,9 +1139,9 @@ class SharedMemoryPoolExecutor:
         }
 
     def _frame_telemetry(self, stats: JobStats, frame: PendingFrame) -> dict:
-        """The ``JobStats.telemetry`` registry snapshot for one frame.
+        """The ``JobStats.telemetry`` document for one frame.
 
-        Absorbs the ad-hoc dicts that already exist (ring backpressure,
+        Flattens the ad-hoc dicts that already exist (ring backpressure,
         recovery ledger) plus the pool-lifetime arena counters and the
         parent's acceleration-cache hit rates into one flat, uniformly
         named metrics payload (see :mod:`repro.observability.metrics`).

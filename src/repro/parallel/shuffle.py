@@ -55,7 +55,6 @@ epoch is recycled and the affected frames re-execute bitwise-identically
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -63,38 +62,16 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..observability.tracer import span
-from .faults import ENV_FAULT_PLAN, resolve_fault_plan
 from .ring import _POLL_SECONDS, RingTimeout, ShmRing
 
 __all__ = [
     "DEFAULT_MAX_FRAME_RETRIES",
     "DEFAULT_RETRY_BACKOFF",
     "DEFAULT_RING_WRITE_TIMEOUT",
-    "ENV_FAULT_PLAN",
-    "ENV_MAX_FRAME_RETRIES",
-    "ENV_RETRY_BACKOFF",
-    "ENV_RING_WRITE_TIMEOUT",
-    "ENV_WATERMARK_TIMEOUT",
     "MESH_HEADER_NBYTES",
     "PoolConfig",
     "WorkerMesh",
 ]
-
-#: Environment override for :attr:`PoolConfig.ring_write_timeout` —
-#: lets soak tests (and impatient operators) shorten the wedged-edge
-#: detection bound without monkeypatching worker code.
-ENV_RING_WRITE_TIMEOUT = "REPRO_RING_WRITE_TIMEOUT"
-
-#: Environment override for :attr:`PoolConfig.watermark_timeout` — how
-#: long a mesh reducer waits for a frame's completion watermark before
-#: declaring the frame's shuffle wedged.
-ENV_WATERMARK_TIMEOUT = "REPRO_WATERMARK_TIMEOUT"
-
-#: Environment override for :attr:`PoolConfig.max_frame_retries`.
-ENV_MAX_FRAME_RETRIES = "REPRO_MAX_FRAME_RETRIES"
-
-#: Environment override for :attr:`PoolConfig.retry_backoff`.
-ENV_RETRY_BACKOFF = "REPRO_RETRY_BACKOFF"
 
 #: How long a blocked edge write may sit in backpressure before it is
 #: declared wedged.  With ``pipeline_depth > 1`` a blocked write is the
@@ -161,23 +138,6 @@ def mesh_edge_name(token: str, src: int, dst: int) -> str:
     return f"repro_mesh_{token}_{src}_{dst}"
 
 
-def _env_number(name: str, cast, allow_zero: bool):
-    """``$name`` parsed with ``cast``, or None when unset; non-numeric,
-    negative (and, unless ``allow_zero``, zero) values raise."""
-    env = os.environ.get(name, "").strip()
-    if not env:
-        return None
-    try:
-        value = cast(env)
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise ValueError(f"${name}={env!r} is not {kind}") from None
-    if value < 0 or (value == 0 and not allow_zero):
-        rule = "cannot be negative" if allow_zero else "must be positive"
-        raise ValueError(f"${name}={env!r} {rule}")
-    return value
-
-
 @dataclass(frozen=True)
 class PoolConfig:
     """Transport knobs of the pool executor's data plane.
@@ -193,15 +153,14 @@ class PoolConfig:
         Seconds a blocked mesh-edge write may wait before raising
         :class:`~repro.parallel.ring.RingTimeout` (recovered by the
         supervision layer, or fatal with ``supervise=False``).
-        ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``, falling back to
-        :data:`DEFAULT_RING_WRITE_TIMEOUT`.
+        ``None`` means :data:`DEFAULT_RING_WRITE_TIMEOUT`.
     watermark_timeout:
         Seconds a mesh reducer waits for a frame's completion watermark
         (``n_chunks × owned`` records) before declaring the frame's
-        shuffle wedged.  ``None`` reads ``$REPRO_WATERMARK_TIMEOUT``,
-        falling back to the resolved ring write timeout (the watermark
-        wait is the shuffle-in mirror of a blocked shuffle-out write,
-        so by default they share one detection bound).
+        shuffle wedged.  ``None`` means the resolved ring write timeout
+        (the watermark wait is the shuffle-in mirror of a blocked
+        shuffle-out write, so by default they share one detection
+        bound).
     supervise:
         Whether the executor recovers from *infrastructure* failures
         (dead workers, wedged edges, expired watermarks) by respawning
@@ -213,18 +172,17 @@ class PoolConfig:
         How many times one in-flight frame may be re-executed at a
         given pool width before the pool degrades (sheds a worker;
         at width 0 it falls back to the in-process executor).  ``None``
-        reads ``$REPRO_MAX_FRAME_RETRIES`` (default 2); negative
-        values raise.
+        means :data:`DEFAULT_MAX_FRAME_RETRIES`; negative values raise.
     retry_backoff:
         Base of the exponential backoff slept between recovery
-        attempts, in seconds.  ``None`` reads ``$REPRO_RETRY_BACKOFF``
-        (default 0.05); negative values raise, zero disables backoff
-        (the fault-injection suites use that to keep recovery tests
-        fast).
+        attempts, in seconds.  ``None`` means
+        :data:`DEFAULT_RETRY_BACKOFF`; negative values raise, zero
+        disables backoff (the fault-injection suites use that to keep
+        recovery tests fast).
     fault_plan:
         Deterministic fault-injection plan string for the workers (see
         :mod:`repro.parallel.faults` for the grammar), or ``None``
-        (read ``$REPRO_FAULT_PLAN``; empty means no injection).  For
+        (blank means the same: no injection).  For
         testing the recovery machinery only — injected faults crash,
         exit, or stall workers at exact stage boundaries.
     """
@@ -256,7 +214,7 @@ class PoolConfig:
         if self.fault_plan is not None:
             # Validate the grammar at configuration time, in the parent —
             # a typo must not surface as a cryptic worker error after
-            # spawn (resolution happens again in resolved_fault_plan()).
+            # spawn.
             from .faults import FaultPlan
 
             FaultPlan.parse(self.fault_plan)
@@ -264,38 +222,26 @@ class PoolConfig:
     def resolved_ring_write_timeout(self) -> float:
         if self.ring_write_timeout is not None:
             return float(self.ring_write_timeout)
-        env = _env_number(ENV_RING_WRITE_TIMEOUT, float, allow_zero=False)
-        return DEFAULT_RING_WRITE_TIMEOUT if env is None else env
+        return DEFAULT_RING_WRITE_TIMEOUT
 
     def resolved_watermark_timeout(self) -> float:
-        """Explicit > ``$REPRO_WATERMARK_TIMEOUT`` > the resolved ring
-        write timeout (validated like the ring timeout: nonpositive or
-        non-numeric values raise rather than silently falling back)."""
         if self.watermark_timeout is not None:
             return float(self.watermark_timeout)
-        env = _env_number(ENV_WATERMARK_TIMEOUT, float, allow_zero=False)
-        return self.resolved_ring_write_timeout() if env is None else env
+        return self.resolved_ring_write_timeout()
 
     def resolved_max_frame_retries(self) -> int:
-        """Explicit > ``$REPRO_MAX_FRAME_RETRIES`` > default (2);
-        negative or non-integer values raise."""
         if self.max_frame_retries is not None:
             return int(self.max_frame_retries)
-        env = _env_number(ENV_MAX_FRAME_RETRIES, int, allow_zero=True)
-        return DEFAULT_MAX_FRAME_RETRIES if env is None else env
+        return DEFAULT_MAX_FRAME_RETRIES
 
     def resolved_retry_backoff(self) -> float:
-        """Explicit > ``$REPRO_RETRY_BACKOFF`` > default (0.05 s);
-        negative or non-numeric values raise, zero disables backoff."""
         if self.retry_backoff is not None:
             return float(self.retry_backoff)
-        env = _env_number(ENV_RETRY_BACKOFF, float, allow_zero=True)
-        return DEFAULT_RETRY_BACKOFF if env is None else env
+        return DEFAULT_RETRY_BACKOFF
 
     def resolved_fault_plan(self) -> Optional[str]:
-        """Explicit > ``$REPRO_FAULT_PLAN`` > None, grammar-validated
-        (see :func:`repro.parallel.faults.resolve_fault_plan`)."""
-        return resolve_fault_plan(self.fault_plan)
+        """The plan string, or None when it is unset or blank."""
+        return (self.fault_plan or "").strip() or None
 
     def resolved_edge_capacity(self, workers: int) -> int:
         if self.mesh_edge_capacity is not None:
@@ -337,8 +283,8 @@ class WorkerMesh:
         self.edge_capacity = int(edge_capacity)
         self.write_timeout = float(write_timeout)
         # The frame-completion wait has its own configurable bound
-        # (PoolConfig.watermark_timeout / $REPRO_WATERMARK_TIMEOUT);
-        # it defaults to the write timeout, the pre-knob behavior.
+        # (PoolConfig.watermark_timeout); it defaults to the write
+        # timeout, the pre-knob behavior.
         self.watermark_timeout = (
             float(watermark_timeout)
             if watermark_timeout is not None

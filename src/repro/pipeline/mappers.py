@@ -9,6 +9,7 @@ stay identical (MIP reduces with ``max`` instead of ``over``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -167,6 +168,10 @@ class RayCastMapper(Mapper):
 #: MIP pairs: key + (value, depth placeholder) — homogeneous 12-byte pairs.
 MIP_DTYPE = np.dtype([("pixel", np.int32), ("value", np.float32)])
 
+#: Samples per ray the MIP march folds at once.  MIP never terminates a
+#: ray early, so a long block wastes nothing.
+MIP_BLOCK = 64
+
 
 class MaxIntensityMapper(Mapper):
     """Maximum-intensity projection: per-brick max along each ray.
@@ -183,16 +188,12 @@ class MaxIntensityMapper(Mapper):
         camera: Camera,
         volume_shape: tuple[int, int, int],
         dt: float = 0.5,
-        block_size: int = 64,
     ):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError("dt must be finite and positive")
         self.camera = camera
         self.volume_shape = tuple(volume_shape)
         self.dt = dt
-        self.block_size = block_size
 
     def map(self, chunk: Chunk) -> MapOutput:
         brick = chunk.meta
@@ -215,7 +216,7 @@ class MaxIntensityMapper(Mapper):
             k0 = np.maximum(np.floor((tn[idx] - tv_c) / self.dt - 1), 0).astype(np.int64)
             k1 = np.ceil((tf_[idx] - tv_c) / self.dt + 1).astype(np.int64)
             data_lo = np.asarray(brick.data_lo, np.float64)
-            K = self.block_size
+            K = MIP_BLOCK
             for kb in range(int(k0.min()), int(k1.max()) + 1, K):
                 ks = np.arange(kb, kb + K, dtype=np.float64)
                 live = (k0 <= kb + K - 1) & (k1 >= kb)

@@ -16,7 +16,7 @@ imports the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,7 +95,9 @@ class MapReduceVolumeRenderer:
         GPU's VRAM, and every frame refuses a brick larger than that; a
         bare count states no VRAM, so no brick is refused.
     tf, render_config:
-        Transfer function and ray-cast knobs; defaults match the paper.
+        Transfer function and ray-cast knobs (:class:`RenderConfig`:
+        step, early termination, shading, placeholder emission and the
+        empty-space machinery ``accel``); defaults match the paper.
     field:
         Procedural dataset field for out-of-core renders and simulated
         workloads.
@@ -123,13 +125,6 @@ class MapReduceVolumeRenderer:
         :func:`~repro.pipeline.driver.render_rotation`).  1 (default) is
         fully synchronous; 2 double-buffers: workers map+reduce frame
         *k+1* while the parent stitches frame *k*.
-    accel:
-        Override for :attr:`RenderConfig.accel` — the ray caster's
-        empty-space machinery (``"table"``, the default: the corner-max
-        table and the occupied-box trim; ``"off"``).  Both settings
-        produce bitwise-identical images and counters.  The structures
-        are cached per volume+tf+brick in each process, so an orbit
-        builds them once.
     supervise, max_frame_retries, fault_plan:
         Pool-executor fault tolerance (ignored by the in-process
         executor): ``supervise`` (default True) recovers infrastructure
@@ -154,7 +149,6 @@ class MapReduceVolumeRenderer:
         reduce_mode: str = "worker",
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
-        accel: Optional[str] = None,
         supervise: Optional[bool] = None,
         max_frame_retries: Optional[int] = None,
         fault_plan: Optional[str] = None,
@@ -174,10 +168,6 @@ class MapReduceVolumeRenderer:
             raise ValueError("need at least one GPU")
         self.tf = tf if tf is not None else default_tf()
         self.render_config = render_config if render_config is not None else RenderConfig()
-        if accel is not None:
-            # Convenience override for the empty-space machinery, so
-            # callers need not rebuild a whole RenderConfig to flip it.
-            self.render_config = replace(self.render_config, accel=accel)
         self.kv = KVSpec(FRAGMENT_DTYPE, key_field="pixel")
         self._partitioner_factory = partitioner_factory or RoundRobinPartitioner
         if isinstance(executor, str) and executor not in ("inprocess", "pool"):

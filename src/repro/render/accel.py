@@ -102,7 +102,7 @@ class AccelCache:
             self._nbytes -= evicted.nbytes
 
     def stats(self) -> dict:
-        """Hit-rate snapshot for the telemetry registry."""
+        """Hit-rate snapshot for the frame's telemetry document."""
         lookups = self.hits + self.misses
         return {
             "hits": self.hits,

@@ -21,11 +21,13 @@ two kernel calls:
   ``u > u_thr`` and the skip-table probe at the gather's base; the
   lookup in the opacity-corrected transfer function and optional Phong
   shading; the front-to-back fold with block-granular early ray
-  termination; the emit (a fragment per ray that owns a sample and
-  carries more than ``alpha_eps``, over a placeholder per footprint ray
-  with ``emit_placeholders``); and per segment the *owned* samples of
-  every live block, counted before any elision (``MapStats.n_samples``),
-  the positioned ones (``MapStats.n_positioned``) and the kept fragments.
+  termination, checked every :data:`BLOCK_SIZE` owned samples; the
+  emit (a fragment per ray that owns a sample and carries any alpha —
+  the paper's "ray fragments with no contributions are discarded" —
+  over a placeholder per footprint ray with ``emit_placeholders``); and
+  per segment the *owned* samples of every live block, counted before
+  any elision (``MapStats.n_samples``), the positioned ones
+  (``MapStats.n_positioned``) and the kept fragments.
 
 The contract is NumPy's own arithmetic in
 :mod:`~repro.render.kernels.numpy_backend`: float32 slab tests
@@ -60,7 +62,21 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["BrickSegment", "LaunchRays", "MarchPlan", "SetupPlan", "march", "resolve", "setup"]
+__all__ = [
+    "BLOCK_SIZE",
+    "BrickSegment",
+    "LaunchRays",
+    "MarchPlan",
+    "SetupPlan",
+    "march",
+    "resolve",
+    "setup",
+]
+
+#: Owned samples each march folds per ray per iteration; early ray
+#: termination is checked between blocks.  Both marches take it from
+#: here (the raycast module's "Blocked marching" says why 8).
+BLOCK_SIZE = 8
 
 
 @dataclass
@@ -127,7 +143,6 @@ class MarchPlan:
     t0: np.ndarray  # (n,) float32 t of each ray's first owned sample
     dirs: np.ndarray  # (n, 3) float32 ray directions
     dt: float  # step length (voxel units)
-    block_size: int
     use_ert: bool
     ert_alpha: float
     # Empty-space machinery (both optional; both conservative).
@@ -150,7 +165,6 @@ class MarchPlan:
     keys: np.ndarray  # (n,) int32 pixel keys
     active: np.ndarray  # (n,) int64 footprint index of each ray
     n_rays: int  # footprint rays of the launch (one placeholder each)
-    alpha_eps: float
     emit_placeholders: bool
 
 

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from ..fragments import FRAGMENT_DTYPE
-from . import LaunchRays, trim_boxes
+from . import BLOCK_SIZE, LaunchRays, trim_boxes
 
 __all__ = ["FLAGS", "SOURCE", "load"]
 
@@ -193,7 +193,7 @@ def _bind(lib) -> SimpleNamespace:
         f32, i64, c_int, f32, c_int, f32,  # march parameters
         ptr, ptr, ctypes.c_int32, c_int, f32, f32,  # transfer function
         ptr, ptr, ptr,  # accumulators
-        ptr, ptr, f32, c_int, i64, ptr,  # emit
+        ptr, ptr, c_int, i64, ptr,  # emit
         ptr, ptr, ptr,  # per-segment counters
     ]
 
@@ -280,7 +280,7 @@ def _bind(lib) -> SimpleNamespace:
             check(plan.t0, _F32, (n,), "t0"), check(plan.dirs, _F32, (n, 3), "dirs"),
             None if boxes is None else check(plan.lead, np.int64, (n,), "lead"),
             None if boxes is None else check(plan.trail, np.int64, (n,), "trail"),
-            plan.dt, plan.block_size, plan.use_ert, plan.ert_alpha, plan.u_thr >= 0,
+            plan.dt, BLOCK_SIZE, plan.use_ert, plan.ert_alpha, plan.u_thr >= 0,
             plan.u_thr, check(tf.table, _F32, (tf.resolution, 4), "transfer function"),
             check(tf._diff, _F32, (tf.resolution - 1, 4), "transfer function steps"),
             tf.resolution, tf.vmin == 0.0 and tf.vmax == 1.0, tf.vmin,
@@ -288,7 +288,7 @@ def _bind(lib) -> SimpleNamespace:
             check(plan.acc_a, _F32, (n,), "acc_a"), check(plan.term, np.bool_, (n,), "term"),
             check(plan.keys, np.int32, (n,), "keys"),
             check(plan.active, np.int64, (n,), "footprint indices"),
-            plan.alpha_eps, plan.emit_placeholders, n_out,
+            plan.emit_placeholders, n_out,
             check(fragments, FRAGMENT_DTYPE, (n_out,), "fragments"),
             at, at + 8 * nseg, at + 16 * nseg,
         )

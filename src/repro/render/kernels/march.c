@@ -240,10 +240,12 @@ int64_t repro_setup(
  * is trimmed; otherwise boxes[6s..6s+5] is segment s's occupied box
  * (lo, hi) in lattice coordinates and each ray's trim interval is
  * written to lead/trail.  The TF table/diff are the opacity-corrected
- * float32 arrays.  Writes acc_rgb/acc_a/term in place, and emits into
- * out: n_out placeholders first when `placeholders` is set (each kept
- * ray then lands at its footprint index active[r]), else the kept rays
- * in ray order.  Writes the owned / positioned samples and the kept
+ * float32 arrays.  block is the owned samples folded per ray per
+ * iteration (BLOCK_SIZE in kernels/__init__.py); early termination is
+ * checked between blocks.  Writes acc_rgb/acc_a/term in place, and
+ * emits into out: n_out placeholders first when `placeholders` is set
+ * (each kept ray then lands at its footprint index active[r]), else the
+ * kept rays in ray order.  Writes the owned / positioned samples and the kept
  * fragments per segment.  Returns 0, -1 when the scratch allocation
  * fails, or -2 for a footprint index outside out.
  */
@@ -255,9 +257,9 @@ int repro_march(
     int use_ert, float ert_alpha, int filter, float u_thr,
     const float *tf_table, const float *tf_diff, int32_t res, int unit_domain,
     float vmin, float inv_span, float *acc_rgb, float *acc_a, uint8_t *term,
-    const int32_t *keys, const int64_t *active, float alpha_eps,
-    int placeholders, int64_t n_out, fragment *out, int64_t *owned,
-    int64_t *positioned, int64_t *kept)
+    const int32_t *keys, const int64_t *active, int placeholders,
+    int64_t n_out, fragment *out, int64_t *owned, int64_t *positioned,
+    int64_t *kept)
 {
     /* Per visible sample of a block: r, g, b, a, then w·rgb and the
      * transmittance scan. */
@@ -420,8 +422,8 @@ int repro_march(
             acc_a[r] = acc[3];
             term[r] = (uint8_t)done;
             /* Emit: a fragment for every ray that owns a sample and
-             * carries more than alpha_eps. */
-            if (count > 0 && acc[3] > alpha_eps) {
+             * carries any alpha. */
+            if (count > 0 && acc[3] > 0.0f) {
                 const int64_t at = placeholders ? active[r] : emitted;
                 if (at < 0 || at >= n_out) {
                     status = -2;

@@ -36,7 +36,7 @@ from ..compositing import segmented_exclusive_cumprod
 from ..fragments import make_fragments, placeholder_fragments
 from ..geometry import box_intersect_f32
 from ..raycast import _gather_strides, _trilinear_gather
-from . import LaunchRays, MarchPlan, SetupPlan, trim_boxes
+from . import BLOCK_SIZE, LaunchRays, MarchPlan, SetupPlan, trim_boxes
 
 _F32 = np.float32
 _F0 = np.float32(0.0)
@@ -146,7 +146,7 @@ def launch(plan: MarchPlan) -> tuple:
 
     # -- emit: one fragment per contributing ray (or per footprint ray,
     # with placeholders).
-    kept = np.nonzero((plan.counts > 0) & (plan.acc_a > plan.alpha_eps))[0]
+    kept = np.nonzero((plan.counts > 0) & (plan.acc_a > 0))[0]
     fragments = make_fragments(
         plan.keys[kept], plan.t0[kept],
         np.concatenate([plan.acc_rgb[kept], plan.acc_a[kept, None]], axis=1),
@@ -226,7 +226,7 @@ def march(plan: MarchPlan) -> tuple[np.ndarray, np.ndarray]:
     segs = plan.segments
     counts = plan.counts
     dt = _F32(plan.dt)
-    K = plan.block_size
+    K = BLOCK_SIZE
     use_ert = plan.use_ert
     ert_alpha = _F32(plan.ert_alpha)
     u_thr = plan.u_thr

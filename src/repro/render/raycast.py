@@ -60,9 +60,10 @@ buffers, and with them peak memory, grow with the rays in flight).
 
 Blocked marching
 ----------------
-The marcher folds each live ray's next ``block_size`` owned samples at
-once: the block's sample list comes straight from the ownership
-intervals (ownership is a mask by construction, not a test); a
+The marcher folds each live ray's next
+:data:`~repro.render.kernels.BLOCK_SIZE` (8) owned samples at once:
+the block's sample list comes straight from the ownership intervals
+(ownership is a mask by construction, not a test); a
 conservative corner-max empty-space table (built when the sample count
 warrants it) drops samples whose transfer-function alpha is provably
 exactly zero *before* the gather; one flattened ravel-offset trilinear
@@ -74,13 +75,12 @@ the transmittance carried in from earlier blocks.
 Early ray termination runs at **block granularity**: after each block,
 rays whose accumulated alpha reached ``ert_alpha`` stop marching.
 Within a block all owned samples are processed (and counted in
-``MapStats.n_samples``).  ``block_size=1`` reproduces classic per-step
-termination exactly; the default of 8 covers a typical 16³-brick
-crossing in one or two blocks while keeping ERT waste low.  Raise it to
-32–64 when termination is disabled (reference renders) or content is
-mostly transparent; drop toward 1 for dense, high-opacity transfer
-functions.  One 32³ brick at 128², ``dt`` 1, took 6.75 / 6.40 / 7.98 ms
-at block 1 / 8 / 64 (medians, C march, 2-core Xeon VM).
+``MapStats.n_samples``).  The block length is a constant, not a knob:
+8 covers a typical 16³-brick crossing in one or two blocks while
+keeping ERT waste low, and a sweep that retired the knob found it
+fastest — one 32³ brick at 128², ``dt`` 1, took 6.75 / 6.40 / 7.98 ms
+at block 1 / 8 / 64 (medians, C march, 2-core Xeon VM).  Every golden
+fixture pins the arithmetic of blocks of 8.
 
 Occupied-box trim
 -----------------
@@ -109,7 +109,7 @@ that — the ownership intervals need the same) — so the trim removes
 only samples the table then drops, which every path also removes before
 the transmittance scan, leaving the scan's operand list — and hence
 float association — unchanged;  (2) the block structure is untouched:
-block windows still count ``block_size`` ordinals from the ray's first
+block windows still count ``BLOCK_SIZE`` ordinals from the ray's first
 *owned* sample, and a ray sits out only the blocks whose window misses
 its interval — where it would position nothing, fold nothing, and so
 could not newly reach ``ert_alpha`` — so partial accumulator folds and
@@ -148,6 +148,7 @@ so no per-sample transcendental makes the result depend on the CPU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -179,13 +180,12 @@ class RenderConfig:
     ray-termination threshold applied to the alpha accumulated *within
     the current brick* (a distributed renderer cannot see upstream
     bricks' opacity); set it to 1.0 to disable termination, which makes
-    the bricked render exactly equal to the reference.  ``alpha_eps``
-    controls fragment discard — fragments with accumulated alpha at or
-    below it carry no visible contribution and are dropped, exactly the
-    paper's "ray fragments with no contributions are discarded".
-    ``block_size`` is the number of consecutive owned samples the
-    blocked marcher folds per iteration; termination is checked between
-    blocks (see the module docstring for the tradeoff).
+    the bricked render exactly equal to the reference.  ``dt`` must be
+    finite and positive.  Fragments with no accumulated alpha carry no
+    visible contribution and are dropped, exactly the paper's "ray
+    fragments with no contributions are discarded";
+    ``emit_placeholders`` keeps a placeholder for every footprint ray
+    instead (the paper's fixed-output kernel: one pair per ray).
 
     ``accel`` selects the empty-space machinery — both settings are
     bitwise-identical in output and counters (see the module docstring's
@@ -200,21 +200,16 @@ class RenderConfig:
 
     dt: float = 0.5
     ert_alpha: float = 0.98
-    alpha_eps: float = 0.0
     emit_placeholders: bool = False
     shading: bool = False  # Levoy-style gradient Phong shading
-    block_size: int = 8
     accel: str = "table"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # A NaN or infinite step would take no sample and render blank.
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
         if not 0 < self.ert_alpha <= 1.0:
             raise ValueError("ert_alpha must be in (0, 1]")
-        if self.alpha_eps < 0:
-            raise ValueError("alpha_eps must be non-negative")
-        if self.block_size < 1:
-            raise ValueError("block_size must be at least 1")
         if self.accel not in ("table", "off"):
             raise ValueError("accel must be one of 'table', 'off'")
 
@@ -599,12 +594,12 @@ def raycast_bricks(
         n = len(rays.counts)
         fragments, owned_s, positioned, kept_s, name, why = kernels.march(MarchPlan(
             tuple(segments), rays.counts, rays.t0, rays.dirs, float(config.dt),
-            config.block_size, config.ert_alpha < 1.0, float(config.ert_alpha),
+            config.ert_alpha < 1.0, float(config.ert_alpha),
             float(u_thr), lead=None, trail=None, tf=tf.opacity_corrected(config.dt),
             shading=config.shading, acc_rgb=np.zeros((n, 3), dtype=_F32),
             acc_a=np.zeros(n, dtype=_F32), term=np.zeros(n, dtype=bool),
             keys=rays.keys, active=rays.active, n_rays=ray_cuts[-1],
-            alpha_eps=float(config.alpha_eps), emit_placeholders=config.emit_placeholders,
+            emit_placeholders=config.emit_placeholders,
         ))
         for i, own, pos, k in zip(marching, owned_s.tolist(), positioned.tolist(), kept_s.tolist()):
             stats[i].n_samples = own * config.fetches_per_sample

@@ -1,8 +1,8 @@
 """Single-pass reference renderer.
 
 Treats the entire volume as one brick and runs the same kernel the
-distributed pipeline uses — including the blocked vectorized marcher, so
-``config.block_size`` tunes this path too.  Because the MapReduce
+distributed pipeline uses — including the blocked vectorized marcher and
+its fixed block length.  Because the MapReduce
 renderer samples on the identical global-t lattice, its composited
 output must equal this reference exactly (with early termination
 disabled) — the strongest end-to-end correctness check available.

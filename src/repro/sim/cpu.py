@@ -21,8 +21,6 @@ class CPUSpec:
     ----------
     cores:
         Physical cores (the AC nodes were quad-core).
-    dram_bandwidth:
-        Host memory bandwidth, bytes/s.
     sort_keys_per_sec:
         Counting-sort throughput per core (keys/s).
     composite_frags_per_sec:
@@ -44,7 +42,6 @@ class CPUSpec:
     """
 
     cores: int = 4
-    dram_bandwidth: float = 10e9
     sort_keys_per_sec: float = 40e6
     composite_frags_per_sec: float = 2.5e6
     partition_pairs_per_sec: float = 80e6

@@ -29,9 +29,6 @@ class GPUSpec:
     vram_bytes:
         Device memory capacity; a :class:`~repro.core.chunk.Chunk` must fit
         here (paper restriction #1).
-    vram_bandwidth:
-        Device-memory bandwidth in bytes/s (paper: "more than 10X faster
-        than modern CPU DRAM").
     texture_samples_per_sec:
         Sustained trilinear 3D-texture sample rate of the ray-cast kernel,
         including the transfer-function lookup and blend per sample.  This
@@ -61,7 +58,6 @@ class GPUSpec:
 
     name: str = "Tesla C1060"
     vram_bytes: int = 4 * GiB
-    vram_bandwidth: float = 102e9
     texture_samples_per_sec: float = 40e6
     ray_setup_per_sec: float = 400e6
     kernel_launch_overhead: float = 8e-6

@@ -42,7 +42,6 @@ class NodeSpec:
     disk: DiskSpec = field(default_factory=DiskSpec)
     pcie: PCIeSpec = field(default_factory=PCIeSpec)
     gpus: tuple[GPUSpec, ...] = field(default_factory=lambda: (GPUSpec(),))
-    dram_bytes: int = 8 * 1024**3
 
     @property
     def gpu_count(self) -> int:

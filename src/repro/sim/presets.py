@@ -18,8 +18,6 @@ from .pcie import PCIeSpec
 
 __all__ = ["accelerator_cluster"]
 
-GiB = 1024**3
-
 
 def accelerator_cluster(n_gpus: int, gpus_per_node: int = 4) -> ClusterSpec:
     """The paper's AC testbed scaled to ``n_gpus`` total GPUs.
@@ -44,7 +42,6 @@ def accelerator_cluster(n_gpus: int, gpus_per_node: int = 4) -> ClusterSpec:
                 disk=DiskSpec(),
                 pcie=PCIeSpec(),
                 gpus=tuple(GPUSpec() for _ in range(k)),
-                dram_bytes=8 * GiB,
             )
         )
     return ClusterSpec(nodes=tuple(nodes), network=NetworkSpec())

@@ -175,7 +175,9 @@ def test_cached_grid_cannot_change_image_or_stats():
     """The occupied-box mirror of the table test: cold vs warm bitwise,
     with one box per table actually landing in the cache."""
     vol = make_dataset("skull", (32, 32, 32))
-    r = MapReduceVolumeRenderer(volume=vol, cluster=2, accel="table")
+    r = MapReduceVolumeRenderer(
+        volume=vol, cluster=2, render_config=RenderConfig(accel="table")
+    )
     cam = orbit_camera(vol.shape, width=96, height=96)
     shared_cache().clear()
     cold = r.render(cam)

@@ -12,7 +12,10 @@ blocks the same way, and check that:
   real parser;
 * every ``python -m repro <cmd>`` in the workflow names a real
   subcommand;
-* every relative path a step names exists in the repo.
+* every relative path a step names exists in the repo;
+* every ``REPRO_*`` variable the workflow sets is read somewhere under
+  ``src/`` (a step that sets a variable nothing reads would run without
+  the effect it was written for).
 
 The workflow installs ``.[test]``, so every third-party module that
 ``tests/`` and ``benchmarks/e2e/`` import must be declared in
@@ -42,6 +45,7 @@ SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "<"}
 PATH_TOKEN = re.compile(r"[\w.-]+(/[\w.-]+)*/?")
 FILE_SUFFIX = re.compile(r"\.(py|sh|json|ya?ml|toml|cfg|ini|txt|md)$")
 IMPORTING_DIRS = (ROOT / "tests", ROOT / "benchmarks" / "e2e")
+ENV_ASSIGNMENT = re.compile(r"\b(REPRO_[A-Z0-9_]+)=")
 # Import name -> distribution name, where the two differ.
 DISTRIBUTION = {"yaml": "pyyaml"}
 
@@ -151,6 +155,28 @@ def test_every_ci_repo_path_exists():
                     missing.append((job, value))
     assert "benchmarks/e2e/run.py" in named  # the scan sees the steps
     assert not missing, missing
+
+
+def _workflow_env_names() -> set:
+    """Every ``REPRO_*`` name the workflow sets: under an ``env:`` of
+    the workflow, a job or a step, or inline in a ``run:`` script."""
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    blocks = [doc.get("env") or {}]
+    for job in doc["jobs"].values():
+        blocks.append(job.get("env") or {})
+        blocks += [step.get("env") or {} for step in job.get("steps", [])]
+    names = {name for block in blocks for name in block}
+    names |= {name for _, script in SCRIPTS for name in ENV_ASSIGNMENT.findall(script)}
+    return {name for name in names if name.startswith("REPRO_")}
+
+
+def test_every_ci_env_var_is_read():
+    source = "\n".join(
+        path.read_text() for path in sorted((ROOT / "src").rglob("*"))
+        if path.suffix in (".py", ".c")
+    )
+    unread = sorted(name for name in _workflow_env_names() if name not in source)
+    assert not unread, f"the workflow sets {unread}, which nothing under src/ reads"
 
 
 def _declared_distributions() -> set:

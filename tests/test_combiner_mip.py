@@ -128,5 +128,6 @@ def test_mip_upper_bounds_volume_max():
 
 def test_mip_mapper_validation():
     cam = orbit_camera((8, 8, 8), width=16, height=16)
-    with pytest.raises(ValueError):
-        MaxIntensityMapper(cam, (8, 8, 8), dt=0.0)
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MaxIntensityMapper(cam, (8, 8, 8), dt=dt)

@@ -83,22 +83,6 @@ def test_explicit_rect_parameter():
         assert xs.max() < 16
 
 
-def test_alpha_eps_discards_faint_fragments():
-    v = Volume(np.full((8, 8, 8), 0.02, np.float32))  # barely-opaque fog
-    cam = orbit_camera(v.shape, width=16, height=16)
-    tf = grayscale_tf(max_alpha=0.05)
-    keep_all, _ = raycast_brick(
-        v.data, (0, 0, 0), (0, 0, 0), v.shape, v.shape, cam, tf,
-        RenderConfig(dt=0.5, alpha_eps=0.0),
-    )
-    strict, _ = raycast_brick(
-        v.data, (0, 0, 0), (0, 0, 0), v.shape, v.shape, cam, tf,
-        RenderConfig(dt=0.5, alpha_eps=0.5),
-    )
-    assert len(keep_all) > 0
-    assert len(strict) == 0
-
-
 # -- engine edge cases -----------------------------------------------------
 def test_step_on_empty_queue_raises():
     env = Environment()

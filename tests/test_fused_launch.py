@@ -150,9 +150,6 @@ def scenarios(draw):
         ert_alpha=draw(st.sampled_from([0.6, 0.98, 1.0])),
         emit_placeholders=draw(st.booleans()),
         shading=draw(st.booleans()),
-        # 16 and 33 put more than 8 samples of a ray in one block, where
-        # np.add.reduceat switches to its pairwise association.
-        block_size=draw(st.sampled_from([1, 3, 8, 16, 33])),
         accel=draw(st.sampled_from(["table", "off"])),
     )
     camera = _camera(
@@ -562,7 +559,7 @@ def test_c_march_casts_a_fused_launch_as_numpy_does(shading):
     brick; a shaded launch runs on NumPy whatever the process resolved."""
     camera = orbit_camera(VOLUME.shape, azimuth_deg=50, elevation_deg=15, width=48, height=48)
     tasks = _tasks(tag=f"marches-{shading}")
-    config = RenderConfig(dt=0.75, shading=shading, block_size=16)
+    config = RenderConfig(dt=0.75, shading=shading)
     out = {}
     for march in MARCHES:
         with use_march(march):

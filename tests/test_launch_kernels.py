@@ -120,11 +120,10 @@ def _march_plan(rays, occupied, camera):
     n = len(rays.counts)
     return MarchPlan(
         segments=segments, counts=rays.counts, t0=rays.t0, dirs=rays.dirs, dt=0.75,
-        block_size=8, use_ert=False, ert_alpha=1.0, u_thr=-1.0, lead=None, trail=None,
+        use_ert=False, ert_alpha=1.0, u_thr=-1.0, lead=None, trail=None,
         tf=default_tf(), shading=False, acc_rgb=np.zeros((n, 3), F32),
         acc_a=np.zeros(n, F32), term=np.zeros(n, bool), keys=rays.keys,
-        active=rays.active, n_rays=int(rays.ray_cuts[-1]), alpha_eps=0.0,
-        emit_placeholders=False,
+        active=rays.active, n_rays=int(rays.ray_cuts[-1]), emit_placeholders=False,
     )
 
 

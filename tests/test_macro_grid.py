@@ -148,9 +148,6 @@ def random_config(rng, accel):
     return RenderConfig(
         dt=float(rng.choice([0.35, 0.5, 0.8, 1.0, 1.45])),
         ert_alpha=float(rng.choice([1.0, 0.95, 0.9])),
-        # 16 and 33 put more than 8 samples of a ray in one block, where
-        # np.add.reduceat switches to its pairwise association.
-        block_size=int(rng.choice([1, 3, 8, 16, 33])),
         emit_placeholders=bool(rng.integers(0, 2)),
         accel=accel,
     )
@@ -287,7 +284,6 @@ def test_trimmed_table_is_bitwise_accel_off(data):
     config = dict(
         dt=data.draw(st.sampled_from([0.35, 0.5, 0.8, 1.0])),
         ert_alpha=data.draw(st.sampled_from([1.0, 0.9, 0.5])),
-        block_size=data.draw(st.sampled_from([1, 3, 8])),
         shading=data.draw(st.booleans()),
         emit_placeholders=data.draw(st.booleans()),
     )
@@ -637,8 +633,8 @@ def _render_pair(executor_kwargs, accel):
     vol = make_dataset("skull", (24,) * 3)
     cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=48, height=48)
     with MapReduceVolumeRenderer(
-        volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
-        accel=accel, **executor_kwargs,
+        volume=vol, cluster=2, render_config=RenderConfig(dt=0.75, accel=accel),
+        **executor_kwargs,
     ) as r:
         res = r.render(cam)
     assert (positioned_samples(res.stats) < res.stats.n_samples) == (accel != "off")
@@ -668,8 +664,8 @@ def test_renderer_grid_matches_off_pool_matrix(workers):
     vol = make_dataset("skull", (24,) * 3)
     cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=48, height=48)
     with MapReduceVolumeRenderer(
-        volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
-        accel="table", executor="pool", workers=workers,
+        volume=vol, cluster=2, render_config=RenderConfig(dt=0.75, accel="table"),
+        executor="pool", workers=workers,
     ) as r:
         first = r.render(cam)
         # second frame hits the workers' warm caches
@@ -689,8 +685,8 @@ def test_accel_off_publishes_no_grids():
     vol = make_dataset("skull", (24,) * 3)
     cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=48, height=48)
     with MapReduceVolumeRenderer(
-        volume=vol, cluster=2, render_config=RenderConfig(dt=0.75),
-        accel="off", executor="pool", workers=2,
+        volume=vol, cluster=2, render_config=RenderConfig(dt=0.75, accel="off"),
+        executor="pool", workers=2,
     ) as r:
         r.render(cam)
         pool = r._exec_instance

@@ -9,8 +9,8 @@ Four contracts pinned here:
   bitwise, and its exported Chrome/Perfetto timeline has one track per
   worker plus the parent, covers every pipeline stage, nests laminarly
   per track, and tags respawned generations under fault injection.
-* **One telemetry schema** — ``JobStats.telemetry`` carries the unified
-  metrics registry (ring/recovery/arena/cache) and ``as_dict`` only
+* **One telemetry schema** — ``JobStats.telemetry`` carries one flat
+  metrics document (ring/recovery/arena/cache/map) and ``as_dict`` only
   exposes it on explicit opt-in.
 * **Provenance** — every benchmark document records the machine,
   interpreter, bytecode settings and march it was measured with.
@@ -39,7 +39,6 @@ from repro.bench.results import collect_environment  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.core.stats import JobStats  # noqa: E402
 from repro.observability import (  # noqa: E402
-    MetricsRegistry,
     SCHEMA,
     build_job_telemetry,
     chrome_trace,
@@ -162,36 +161,17 @@ def test_stage_summary_line_empty_timeline_is_none():
     assert stage_summary_line(tr) is None
 
 
-# -- metrics registry --------------------------------------------------------
-def test_registry_kinds_and_conflicts():
-    reg = MetricsRegistry()
-    reg.counter("n").inc()
-    reg.counter("n").inc(2)
-    reg.gauge("g", unit="bytes").set(7)
-    with pytest.raises(ValueError):
-        reg.counter("n").inc(-1)
-    with pytest.raises(TypeError):
-        reg.gauge("n")  # kind conflict
-    out = reg.as_dict()
-    assert out["schema"] == SCHEMA
-    assert out["metrics"]["n"] == {"kind": "counter", "value": 3}
-    assert out["metrics"]["g"] == {"kind": "gauge", "value": 7, "unit": "bytes"}
-    assert list(out["metrics"]) == sorted(out["metrics"])
-
-
+# -- telemetry document ------------------------------------------------------
 def test_absorb_flattens_nested_and_indexed():
-    reg = MetricsRegistry()
-    reg.absorb(
-        "ring",
-        {
+    m = build_job_telemetry(
+        ring={
             "shuffle_mode": "mesh",
             "stall_seconds": 0.25,
             "per_worker": [{"stalls": 1}, {"stalls": 0}],
             "widths": [2, 1],
         },
-    )
-    reg.absorb("nothing", None)
-    m = reg.as_dict()["metrics"]
+        recovery=None,
+    )["metrics"]
     assert m["ring.shuffle_mode"]["value"] == "mesh"
     assert m["ring.stall_seconds"]["value"] == 0.25
     assert m["ring.per_worker.0.stalls"]["value"] == 1

@@ -82,8 +82,6 @@ def test_config_validation():
         RenderConfig(dt=0.0)
     with pytest.raises(ValueError):
         RenderConfig(ert_alpha=0.0)
-    with pytest.raises(ValueError):
-        RenderConfig(alpha_eps=-1.0)
 
 
 # -- kernel basics --------------------------------------------------------------

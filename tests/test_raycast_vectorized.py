@@ -4,13 +4,12 @@ The blocked kernel in ``repro.render.raycast`` must produce the same
 fragments and the same :class:`MapStats` counters as a straight-line
 per-sample reference marcher that shares only the ownership-interval
 and geometry helpers.  Hypothesis drives the comparison across random
-bricks, cameras, step sizes, block sizes, shading, early-ray-termination
-and placeholder emission.
+bricks, cameras, step sizes, shading, early-ray-termination and
+placeholder emission.
 
 Early-ray-termination semantics: the kernel checks the accumulated
-alpha at block boundaries (ERT at block granularity), so the reference
-marcher does the same — ``block_size=1`` is exactly classic per-step
-termination.
+alpha at block boundaries (ERT at block granularity, every
+``BLOCK_SIZE`` owned samples), so the reference marcher does the same.
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.render import (
     composite_pixel_fragments,
     default_tf,
     empty_fragments,
-    grayscale_tf,
     make_fragments,
     opacity_correction,
     orbit_camera,
@@ -34,6 +32,7 @@ from repro.render import (
 )
 from repro.render.fragments import PLACEHOLDER_KEY
 from repro.render.geometry import box_intersect_f32
+from repro.render.kernels import BLOCK_SIZE
 from repro.render.kernels.numpy_backend import _sample_intervals
 from repro.volume import BrickGrid, Volume
 
@@ -124,12 +123,12 @@ def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf,
             # ERT at block granularity: check on block boundaries only.
             if (
                 config.ert_alpha < 1.0
-                and (j + 1) % config.block_size == 0
+                and (j + 1) % BLOCK_SIZE == 0
                 and acc_a >= config.ert_alpha
             ):
                 break
         depth[i] = t0
-        if acc_a > config.alpha_eps:
+        if acc_a > 0:
             pix[i] = keys[i]
             rgba[i, :3] = acc_rgb
             rgba[i, 3] = acc_a
@@ -192,7 +191,6 @@ def test_blocked_matches_reference_full_volume(data):
     config = RenderConfig(
         dt=data.draw(st.sampled_from([0.5, 0.8, 1.0, 1.35])),
         ert_alpha=data.draw(st.sampled_from([1.0, 0.9])),
-        block_size=data.draw(st.sampled_from([1, 2, 3, 8, 64])),
         emit_placeholders=data.draw(st.booleans()),
     )
     assert_equivalent(vol, None, cam, default_tf(), config)
@@ -215,44 +213,16 @@ def test_blocked_matches_reference_random_brick(data):
     config = RenderConfig(
         dt=data.draw(st.sampled_from([0.6, 1.0])),
         ert_alpha=data.draw(st.sampled_from([1.0, 0.9])),
-        block_size=data.draw(st.sampled_from([1, 4, 32])),
     )
     assert_equivalent(vol, brick, cam, default_tf(), config)
 
 
-@pytest.mark.parametrize("block_size", [1, 2, 8, 64])
-def test_blocked_matches_reference_shaded(block_size):
+def test_blocked_matches_reference_shaded():
     rng = np.random.default_rng(7)
     vol = make_volume(rng, (12, 12, 12))
     cam = orbit_camera(vol.shape, azimuth_deg=40, elevation_deg=25, width=20, height=20)
-    config = RenderConfig(
-        dt=0.8, ert_alpha=1.0, shading=True, block_size=block_size
-    )
+    config = RenderConfig(dt=0.8, ert_alpha=1.0, shading=True)
     assert_equivalent(vol, None, cam, default_tf(), config, atol=5e-4)
-
-
-def test_block_size_one_equals_per_step_ert():
-    """block_size=1 is classic per-step termination: n_samples is minimal."""
-    rng = np.random.default_rng(3)
-    vol = Volume(np.full((24, 24, 24), 0.95, np.float32))
-    cam = orbit_camera(vol.shape, width=24, height=24)
-    tf = grayscale_tf(max_alpha=0.99)
-    samples = {}
-    for bs in (1, 4, 16, 64):
-        _, stats = raycast_brick(
-            vol.data, (0, 0, 0), (0, 0, 0), vol.shape, vol.shape, cam, tf,
-            RenderConfig(dt=0.5, ert_alpha=0.9, block_size=bs),
-        )
-        samples[bs] = stats.n_samples
-    assert samples[1] <= samples[4] <= samples[16] <= samples[64]
-    # Termination still beats no termination while blocks are shorter
-    # than the ray windows (at 64 a whole crossing can fit one block).
-    _, full = raycast_brick(
-        vol.data, (0, 0, 0), (0, 0, 0), vol.shape, vol.shape, cam, tf,
-        RenderConfig(dt=0.5, ert_alpha=1.0),
-    )
-    assert samples[16] < full.n_samples
-    assert samples[64] <= full.n_samples
 
 
 def test_empty_space_skip_does_not_change_image():
@@ -265,7 +235,7 @@ def test_empty_space_skip_does_not_change_image():
     data[4:12, 4:12, 4:12] = rng.uniform(0.0, 1.0, (8, 8, 8)).astype(np.float32)
     vol = Volume(data)
     cam = orbit_camera(vol.shape, azimuth_deg=15, elevation_deg=35, width=24, height=24)
-    config = RenderConfig(dt=0.7, ert_alpha=1.0, block_size=16)
+    config = RenderConfig(dt=0.7, ert_alpha=1.0)
     assert_equivalent(vol, None, cam, default_tf(), config)
 
 

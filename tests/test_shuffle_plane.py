@@ -20,7 +20,6 @@ import pytest
 from repro.core import InProcessExecutor, ShuffleSpec
 from repro.parallel import (
     DEFAULT_RING_WRITE_TIMEOUT,
-    ENV_RING_WRITE_TIMEOUT,
     PoolConfig,
     SharedMemoryPoolExecutor,
     WorkerMesh,
@@ -89,21 +88,13 @@ def test_map_chunks_to_runs_run_layout():
 
 # -- transport configuration -------------------------------------------------
 def test_pool_config_env_overrides(monkeypatch):
-    monkeypatch.delenv(ENV_RING_WRITE_TIMEOUT, raising=False)
-    cfg = PoolConfig()
-    assert cfg.resolved_ring_write_timeout() == DEFAULT_RING_WRITE_TIMEOUT
-    # Timeout: explicit > env > default; soak tests use the env knob.
-    monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "7.5")
-    assert cfg.resolved_ring_write_timeout() == 7.5
+    """No environment variable overrides the ring write timeout: it is
+    explicit > default, whatever the environment says."""
+    monkeypatch.setenv("REPRO_RING_WRITE_TIMEOUT", "7.5")
+    assert PoolConfig().resolved_ring_write_timeout() == DEFAULT_RING_WRITE_TIMEOUT
     assert PoolConfig(ring_write_timeout=2.0).resolved_ring_write_timeout() == 2.0
-    monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "not-a-number")
-    with pytest.raises(ValueError, match="REPRO_RING_WRITE_TIMEOUT"):
-        cfg.resolved_ring_write_timeout()
-    # Nonpositive env values are as invalid as nonpositive kwargs:
-    # silently falling back to 300s would hide the misconfiguration.
-    monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "0")
     with pytest.raises(ValueError, match="must be positive"):
-        cfg.resolved_ring_write_timeout()
+        PoolConfig(ring_write_timeout=0)
 
 
 def test_pool_config_edge_capacity_and_validation():
@@ -118,7 +109,7 @@ def test_pool_config_edge_capacity_and_validation():
     assert len(dataclasses.fields(PoolConfig)) == 7
 
 
-def test_executor_resolves_transport_at_construction(monkeypatch):
+def test_executor_resolves_transport_at_construction():
     # The values the benchmark harness still passes are accepted, and
     # every one of them runs the mesh.
     for kwargs in (dict(), dict(reduce_mode="worker", shuffle_mode="auto"),
@@ -126,9 +117,8 @@ def test_executor_resolves_transport_at_construction(monkeypatch):
         ex = SharedMemoryPoolExecutor(workers=2, **kwargs)
         assert ex.effective_shuffle_mode == "mesh"
         assert ex.mesh_edge_capacity == 4 << 20
-    # env knobs are captured once, at construction
-    monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "9")
-    ex = SharedMemoryPoolExecutor(workers=1)
+    # knobs are resolved once, at construction
+    ex = SharedMemoryPoolExecutor(workers=1, ring_write_timeout=9)
     assert ex.ring_write_timeout == 9.0
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     ClusterRuntime,
     ClusterSpec,
-    CPUSpec,
     DiskSpec,
     GPUSpec,
     NodeSpec,
@@ -38,10 +37,6 @@ def test_fragment_download_under_2ms():
     # A 512^2 image worth of 24-byte fragments.
     nbytes = 512 * 512 * 24
     assert PCIeSpec().d2h_time(nbytes) < 2e-3
-
-
-def test_vram_more_than_10x_dram_bandwidth():
-    assert GPUSpec().vram_bandwidth > 10 * CPUSpec().dram_bandwidth
 
 
 def test_gpu_raycast_time_monotone_in_work():
