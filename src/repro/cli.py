@@ -51,22 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "the worker that owns it) and the removed "
                         "'parent' raises ValueError.  Kept only until "
                         "the benchmark harness stops passing it")
-    r.add_argument("--no-supervise", dest="supervise", action="store_false",
-                   help="disable supervision: any pool failure tears the "
-                        "pool down and propagates.  By default the pool "
-                        "recovers infrastructure failures in place: it "
-                        "respawns dead/wedged workers, re-executes in-flight "
-                        "frames bitwise-identically, and degrades (fewer "
-                        "workers, then in-process) when retries are "
-                        "exhausted")
-    r.add_argument("--max-frame-retries", type=int, default=None,
-                   help="recovery attempts per frame at each pool width "
-                        "before the supervisor degrades the pool "
-                        "(default 2)")
     r.add_argument("--fault-plan", default=None,
                    help="deterministic fault injection for pool workers, "
                         "e.g. 'crash@map:worker=1,frame=2' or "
-                        "'stall(5)@reduce;exit(3)@shuffle-out:chunk=0' "
+                        "'stall(5)@reduce;exit(3)@shuffle-out:chunk=0', "
+                        "to exercise the pool's always-on recovery "
                         "(testing hook; see repro.parallel.faults)")
     r.add_argument("--accel", default="table", choices=["table", "off"],
                    help="empty-space skipping: 'table' probes a per-voxel "
@@ -88,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "recovery ledger, arena publish bytes, accel-cache "
                         "hit rates) — as JSON")
     r.add_argument("--out", default="render.ppm")
+    r.set_defaults(usage_error=r.error)
 
     f = sub.add_parser("figure", help="print a pinned paper figure "
                                       "(simulated cluster); no name lists them")
@@ -108,40 +98,41 @@ def _cmd_render(args) -> int:
     )
     from .volume.histogram import auto_transfer_function
 
+    try:
+        volume = make_dataset(args.dataset, (args.size,) * 3)
+        tf = auto_transfer_function(volume) if args.auto_tf else default_tf()
+        camera = orbit_camera(
+            volume.shape,
+            azimuth_deg=args.azimuth,
+            elevation_deg=args.elevation,
+            width=args.image,
+            height=args.image,
+        )
+        renderer = MapReduceVolumeRenderer(
+            volume=volume,
+            cluster=args.gpus,
+            tf=tf,
+            render_config=RenderConfig(
+                dt=args.dt,
+                shading=args.shading,
+                accel=args.accel,
+            ),
+            executor=args.executor,
+            workers=args.workers,
+            reduce_mode=args.reduce_mode,
+            fault_plan=args.fault_plan,
+        )
+    except ValueError as exc:  # a flag value the parser could not check
+        args.usage_error(str(exc))
     tracer = None
     if args.trace_out:
-        # Installed before the renderer exists so worker processes fork
-        # (or are told to trace) with tracing already decided, and the
+        # Installed before the first frame so worker processes fork (or
+        # are told to trace) with tracing already decided, and the
         # publish of the very first arena is on the timeline too.
         from .observability import enable_tracing
 
         tracer = enable_tracing()
-
-    volume = make_dataset(args.dataset, (args.size,) * 3)
-    tf = auto_transfer_function(volume) if args.auto_tf else default_tf()
-    camera = orbit_camera(
-        volume.shape,
-        azimuth_deg=args.azimuth,
-        elevation_deg=args.elevation,
-        width=args.image,
-        height=args.image,
-    )
-    with MapReduceVolumeRenderer(
-        volume=volume,
-        cluster=args.gpus,
-        tf=tf,
-        render_config=RenderConfig(
-            dt=args.dt,
-            shading=args.shading,
-            accel=args.accel,
-        ),
-        executor=args.executor,
-        workers=args.workers,
-        reduce_mode=args.reduce_mode,
-        supervise=args.supervise,
-        max_frame_retries=args.max_frame_retries,
-        fault_plan=args.fault_plan,
-    ) as renderer:
+    with renderer:
         t0 = time.perf_counter()
         result = renderer.render(camera)
         frame_s = time.perf_counter() - t0

@@ -53,10 +53,6 @@ class Chunk:
         if self.data is not None and self.loader is not None:
             raise ValueError("chunk cannot have both data and loader")
 
-    @property
-    def is_materialised(self) -> bool:
-        return self.data is not None
-
     def payload(self) -> np.ndarray:
         """Return the payload, loading it if necessary."""
         if self.data is not None:

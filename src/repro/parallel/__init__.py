@@ -45,13 +45,14 @@ bitwise-identical images and counters — worker scheduling never leaks
 into the output because runs are merged in chunk order and every kernel
 is deterministic.
 
-Fault tolerance (:mod:`~repro.parallel.supervise`): the executor
-supervises its workers — a process dying mid-frame (noticed at once:
-the parent waits on every worker's process sentinel) or a wedged edge
-recycles the transport epoch in place (the arena survives and is
-re-attached by name), re-executes the in-flight frames
-bitwise-identically, and degrades (shrink the pool, then fall back to
-the in-process executor) when retries are exhausted.
+Fault tolerance (:mod:`~repro.parallel.supervise`) is always on: a
+process dying mid-frame (noticed at once: the parent waits on every
+worker's process sentinel) or a wedged edge recycles the transport
+epoch in place (the arena survives and is re-attached by name),
+re-executes the in-flight frames bitwise-identically, and degrades
+(shrink the pool, then fall back to the in-process executor) when
+retries are exhausted.  Its timeouts, retry budget and backoff are
+constants of :mod:`~repro.parallel.shuffle`, not settings.
 :mod:`~repro.parallel.faults` is the deterministic fault-injection
 harness (``fault_plan=`` / ``repro render --fault-plan``) that drives
 crash, exit, and stall faults at exact (stage, worker, frame, chunk)
@@ -61,7 +62,6 @@ points.
 from .faults import FaultPlan, FaultRule
 from .pool import (
     PendingFrame,
-    PoolConfig,
     SharedMemoryPoolExecutor,
     check_modes,
     default_pool_workers,
@@ -69,26 +69,17 @@ from .pool import (
 )
 from .ring import RingTimeout, ShmRing
 from .shm import ArenaSpec, ArenaView, ShmArena, shm_segment_exists
-from .shuffle import (
-    DEFAULT_MAX_FRAME_RETRIES,
-    DEFAULT_RETRY_BACKOFF,
-    DEFAULT_RING_WRITE_TIMEOUT,
-    WorkerMesh,
-)
+from .shuffle import WorkerMesh
 from .supervise import PoolFailure, PoolSupervisor
 from .worker import FrameContext, map_chunk_to_runs
 
 __all__ = [
     "ArenaSpec",
     "ArenaView",
-    "DEFAULT_MAX_FRAME_RETRIES",
-    "DEFAULT_RETRY_BACKOFF",
-    "DEFAULT_RING_WRITE_TIMEOUT",
     "FaultPlan",
     "FaultRule",
     "FrameContext",
     "PendingFrame",
-    "PoolConfig",
     "PoolFailure",
     "PoolSupervisor",
     "RingTimeout",

@@ -6,8 +6,8 @@ soak / golden suites a *deterministic* way to kill, wedge, or stall a
 pool worker at an exact point of the Map → shuffle-out → shuffle-in →
 Reduce state machine, replacing the ad-hoc ``os._exit`` mapper
 subclasses the earlier crash tests monkeypatched in.  A plan is a plain
-string (so it travels through ``repro render --fault-plan``,
-``PoolConfig.fault_plan`` and a worker's spawn ``cfg`` dict unchanged)
+string (so it travels through ``repro render --fault-plan``, the
+executor's ``fault_plan`` and a worker's spawn ``cfg`` dict unchanged)
 with the grammar::
 
     plan   := rule ( ';' rule )*
@@ -243,10 +243,6 @@ class FaultPlan:
         if not rules:
             return None
         return cls(rules, generation=generation)
-
-    def for_generation(self, generation: int) -> "FaultPlan":
-        """A fresh plan (no fired state) bound to ``generation``."""
-        return FaultPlan(self.rules, generation=generation)
 
     def fire(
         self,

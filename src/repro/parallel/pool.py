@@ -53,22 +53,23 @@ token, tf version, chunk ids/sizes)`` and republished only when that
 changes, so an orbit's frames upload the volume exactly once — the
 paper's resident-brick regime.
 
-Supervision (``supervise=True``, the default; see
-:mod:`repro.parallel.supervise`): infrastructure failures — a worker
-process dying mid-frame, a wedged edge, an expired frame watermark —
-are detected by the parent (a death at once: the parent waits on the
-result queue and every worker's process sentinel together), the
-transport epoch is recycled *in place* (the shared-memory arena
-survives and is re-attached by name), and the in-flight frames are
-re-executed bitwise-identically.  Repeated failures walk a degradation
-ladder: ``max_frame_retries`` attempts per frame per pool width, then
-the pool shrinks by one worker (ownership re-derives from the same
-static ``partition % workers`` rule), and at the floor the remaining
-frames run on the in-process executor — an infrastructure failure
-degrades throughput, never correctness and never an exception.
-User-code errors stay fatal.  :mod:`repro.parallel.faults` provides
-the deterministic fault-injection harness that drives all of this in
-tests and benchmarks.
+Supervision (always on; see :mod:`repro.parallel.supervise`):
+infrastructure failures — a worker process dying mid-frame, a wedged
+edge, an expired frame watermark — are detected by the parent (a death
+at once: the parent waits on the result queue and every worker's
+process sentinel together), the transport epoch is recycled *in place*
+(the shared-memory arena survives and is re-attached by name), and the
+in-flight frames are re-executed bitwise-identically.  Repeated
+failures walk a degradation ladder:
+:data:`~repro.parallel.shuffle.MAX_FRAME_RETRIES` attempts per frame
+per pool width, then the pool shrinks by one worker (ownership
+re-derives from the same static ``partition % workers`` rule), and at
+the floor the remaining frames run on the in-process executor — an
+infrastructure failure degrades throughput, never correctness and
+never an exception.
+User-code errors stay fatal: they tear the pool down and propagate.
+:mod:`repro.parallel.faults` provides the deterministic fault-injection
+harness (``fault_plan``) that drives all of this in tests and CI.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ import threading
 import time
 import uuid
 import weakref
-from dataclasses import replace
 from multiprocessing.connection import wait as wait_ready
 from typing import Dict, Optional, Sequence
 
@@ -102,7 +102,9 @@ from ..observability.metrics import build_job_telemetry
 from ..observability.tracer import current_tracer, span
 from .ring import ShmRing
 from .shm import ShmArena
-from .shuffle import PoolConfig, mesh_edge_name, mesh_fd_headroom
+from . import shuffle
+from .faults import FaultPlan
+from .shuffle import edge_capacity, mesh_edge_name, mesh_fd_headroom
 from .supervise import (
     PoolFailure,
     PoolSupervisor,
@@ -114,7 +116,6 @@ from .worker import TF_ARENA_KEY, FrameContext, worker_main
 
 __all__ = [
     "PendingFrame",
-    "PoolConfig",
     "SharedMemoryPoolExecutor",
     "check_modes",
     "default_pool_workers",
@@ -312,70 +313,38 @@ class SharedMemoryPoolExecutor:
         Pool size (defaults to the number of usable cores).  The
         renderer passes its simulated-GPU count so placement maps one
         worker per GPU.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``.
+    pipeline_depth:
+        Max frames in flight for :meth:`submit`/:meth:`collect`; 1
+        means fully synchronous.  ``execute`` is unaffected by values
+        > 1 unless frames are also submitted asynchronously.
     reduce_mode, shuffle_mode:
         Vestigial: the pool has one data path, so only
         ``reduce_mode="worker"`` and ``shuffle_mode`` ``"auto"`` or
         ``"mesh"`` are accepted (see :func:`check_modes`).  They stay
         only until the benchmark harness stops passing them (ROADMAP
         item 1(d)).
-    pipeline_depth:
-        Max frames in flight for :meth:`submit`/:meth:`collect`; 1
-        means fully synchronous.  ``execute`` is unaffected by values
-        > 1 unless frames are also submitted asynchronously.
-    ring_write_timeout:
-        Seconds a blocked edge write may wait before the pool is
-        declared wedged (default 300).
-    mesh_edge_capacity:
-        Per-edge mesh ring bytes (default ``8 MiB // workers``, floor
-        64 KiB).
-    watermark_timeout:
-        Seconds a mesh reducer may wait for a frame's completion
-        watermark before declaring the frame wedged (default: the ring
-        write timeout).
-    supervise:
-        When True (the default), infrastructure failures — a dead
-        worker process, a wedged transport timeout — are *recovered*:
-        the transport epoch is recycled in place, in-flight frames are
-        re-executed (bitwise-identically), and repeated failures walk a
-        degradation ladder (shrink the pool, then fall back to the
-        in-process executor) instead of erroring.  ``supervise=False``
-        makes any failure tear the pool down and propagate.  User-code
-        exceptions (a mapper/reducer raise) are *never* retried under
-        either setting — retrying a deterministic bug burns the retry
-        budget to reproduce it.
-    max_frame_retries:
-        Recovery attempts per frame at a given pool width before the
-        degradation ladder steps down (default 2).
-    retry_backoff:
-        Base seconds of exponential backoff between recovery attempts
-        (default 0.05).
     fault_plan:
         Deterministic fault-injection plan for the workers (see
-        :mod:`repro.parallel.faults` for the grammar).  Testing hook —
-        production pools leave it unset.
-    pool_config:
-        A :class:`~repro.parallel.shuffle.PoolConfig` supplying the
-        transport defaults; the explicit keyword arguments above
-        override its fields.
+        :mod:`repro.parallel.faults` for the grammar), parsed here so a
+        typo raises ``ValueError`` before any process starts.  Testing
+        hook — production pools leave it unset.
+
+    Everything else is a constant of :mod:`repro.parallel.shuffle` —
+    edge size, ring-write and watermark timeouts, retry budget and
+    backoff — read once here and shipped to every worker.  Recovery is
+    always on: infrastructure failures (a dead worker, a wedged edge)
+    recycle the transport epoch and re-execute the in-flight frames
+    bitwise-identically; user-code exceptions tear the pool down and
+    propagate, because retrying a deterministic bug only reproduces it.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        reduce_mode: str = "worker",
         pipeline_depth: int = 1,
+        reduce_mode: str = "worker",
         shuffle_mode: str = "auto",
-        ring_write_timeout: Optional[float] = None,
-        mesh_edge_capacity: Optional[int] = None,
-        watermark_timeout: Optional[float] = None,
-        supervise: Optional[bool] = None,
-        max_frame_retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
         fault_plan: Optional[str] = None,
-        pool_config: Optional[PoolConfig] = None,
     ):
         if workers is None:
             workers = usable_cores()
@@ -384,21 +353,11 @@ class SharedMemoryPoolExecutor:
         check_modes(reduce_mode, shuffle_mode)
         if pipeline_depth < 1:
             raise ValueError("pipeline depth must be at least 1")
-        base = pool_config if pool_config is not None else PoolConfig()
-        overrides = {
-            k: v
-            for k, v in {
-                "ring_write_timeout": ring_write_timeout,
-                "mesh_edge_capacity": mesh_edge_capacity,
-                "watermark_timeout": watermark_timeout,
-                "supervise": supervise,
-                "max_frame_retries": max_frame_retries,
-                "retry_backoff": retry_backoff,
-                "fault_plan": fault_plan,
-            }.items()
-            if v is not None
-        }
-        self.pool_config = replace(base, **overrides)  # revalidates knobs
+        # Parsed here so a typo raises before any process starts; each
+        # worker re-parses it bound to its spawn generation.  A blank
+        # plan parses to None: no injection.
+        plan = FaultPlan.parse(fault_plan)
+        self.fault_plan = fault_plan.strip() if plan is not None else None
         self.workers = int(workers)
         # The parent attaches all N(N-1) edges; on many-core hosts that
         # can blow through the fd soft limit mid-handshake.  Fail fast
@@ -411,15 +370,11 @@ class SharedMemoryPoolExecutor:
                 f"{soft}; raise the limit (ulimit -n) or reduce workers"
             )
         self.pipeline_depth = int(pipeline_depth)
-        self.ring_write_timeout = self.pool_config.resolved_ring_write_timeout()
-        self.mesh_edge_capacity = self.pool_config.resolved_edge_capacity(
-            self.workers
-        )
-        self.watermark_timeout = self.pool_config.resolved_watermark_timeout()
-        self.supervise = bool(self.pool_config.supervise)
-        self.max_frame_retries = self.pool_config.resolved_max_frame_retries()
-        self.retry_backoff = self.pool_config.resolved_retry_backoff()
-        self.fault_plan = self.pool_config.resolved_fault_plan()
+        self.mesh_edge_capacity = edge_capacity(self.workers)
+        self.ring_write_timeout = shuffle.RING_WRITE_TIMEOUT
+        self.watermark_timeout = shuffle.WATERMARK_TIMEOUT
+        self.max_frame_retries = shuffle.MAX_FRAME_RETRIES
+        self.retry_backoff = shuffle.RETRY_BACKOFF
         self._supervisor = PoolSupervisor()
         self._spawn_gen = 0  # spawn waves so far; fault rules key on it
         self._degraded_serial = False  # ladder hit the floor: in-process only
@@ -429,11 +384,11 @@ class SharedMemoryPoolExecutor:
         self._arena_publishes = 0
         self._arena_bytes_published = 0
         self._arena_rebroadcasts = 0
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        # Fork where the platform has it; spawn is the only start
+        # method on some platforms.
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self._state: dict = {}
         self._arena_fingerprint = None
         self._result_queue = None
@@ -624,8 +579,7 @@ class SharedMemoryPoolExecutor:
         transport — the supervisor recycles the transport epoch and
         replays the in-flight frames, then ``op`` is retried against
         the fresh pool.  On any other exception (user code, interrupt,
-        protocol violation) or with ``supervise=False``: full teardown,
-        propagate.  When the degradation ladder bottoms out in
+        protocol violation): full teardown, propagate.  When the degradation ladder bottoms out in
         in-process execution, ``serial_fallback`` produces the
         operation's result without any pool at all.
         """
@@ -633,7 +587,7 @@ class SharedMemoryPoolExecutor:
             try:
                 return op()
             except BaseException as exc:
-                failure = classify_failure(exc) if self.supervise else None
+                failure = classify_failure(exc)
                 if failure is None:
                     # Leftover edge bytes or queue messages from a
                     # partially-drained frame must never pair with a
@@ -670,9 +624,7 @@ class SharedMemoryPoolExecutor:
                 if self.workers > 1:
                     old = self.workers
                     self.workers = old - 1
-                    self.mesh_edge_capacity = (
-                        self.pool_config.resolved_edge_capacity(self.workers)
-                    )
+                    self.mesh_edge_capacity = edge_capacity(self.workers)
                     self._supervisor.record_degraded(old, self.workers)
                     for f in frames:
                         f.retries = 0  # fresh budget at the new width
@@ -878,10 +830,9 @@ class SharedMemoryPoolExecutor:
         enforces the ``pipeline_depth`` cap by force-collecting the
         oldest frames (their handles return the cached result).
 
-        Failure semantics: under supervision (the default), an
-        infrastructure failure — a dead worker, a wedged transport —
-        recycles the transport epoch in place, replays the in-flight
-        frames, and retries; user-code errors (and ``supervise=False``)
+        Failure semantics: an infrastructure failure — a dead worker, a
+        wedged transport — recycles the transport epoch in place,
+        replays the in-flight frames, and retries; user-code errors
         tear the whole pool down on the way out, because leftover edge
         bytes or queue messages from a partially-drained frame must
         never be paired with a later frame's chunks.

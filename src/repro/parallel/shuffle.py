@@ -16,7 +16,7 @@ short-circuit through a local stash, no copy.  Edges are created by the
 teardown guarantee even when a worker dies mid-shuffle.
 
 This module holds the worker half (:class:`WorkerMesh`), the pool's
-transport knobs (:class:`PoolConfig`) and the edge naming and fd
+transport and recovery constants, and the edge sizing, naming and fd
 budget helpers; the parent half (handshake, relay, reduce dispatch,
 per-frame edge counters) lives in
 :class:`~repro.parallel.pool.SharedMemoryPoolExecutor`.
@@ -45,18 +45,16 @@ of mutually backpressured workers always makes progress.  A record too
 large for its edge falls back to the parent queue (relayed to the
 owner, counted in ``queue_fallbacks``) instead of deadlocking.  A
 truly wedged edge (dead peer) surfaces as a
-:class:`~repro.parallel.ring.RingTimeout` after the configurable
-``ring_write_timeout`` (and an incomplete frame watermark after
-``watermark_timeout``), which hands the failure to the executor's
+:class:`~repro.parallel.ring.RingTimeout` after
+:data:`RING_WRITE_TIMEOUT` (and an incomplete frame watermark after
+:data:`WATERMARK_TIMEOUT`), which hands the failure to the executor's
 supervision layer (:mod:`repro.parallel.supervise`): the transport
-epoch is recycled and the affected frames re-execute bitwise-identically
-— or, with ``supervise=False``, the whole pool tears down.
+epoch is recycled and the affected frames re-execute bitwise-identically.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -65,12 +63,13 @@ from ..observability.tracer import span
 from .ring import _POLL_SECONDS, RingTimeout, ShmRing
 
 __all__ = [
-    "DEFAULT_MAX_FRAME_RETRIES",
-    "DEFAULT_RETRY_BACKOFF",
-    "DEFAULT_RING_WRITE_TIMEOUT",
+    "MAX_FRAME_RETRIES",
     "MESH_HEADER_NBYTES",
-    "PoolConfig",
+    "RETRY_BACKOFF",
+    "RING_WRITE_TIMEOUT",
+    "WATERMARK_TIMEOUT",
     "WorkerMesh",
+    "edge_capacity",
 ]
 
 #: How long a blocked edge write may sit in backpressure before it is
@@ -78,27 +77,41 @@ __all__ = [
 #: *normal* flow-control state (the consumer is legitimately busy with
 #: the previous frame), so the bound is generous; it exists only so a
 #: dead peer surfaces as a RingTimeout instead of a silent hang.
-DEFAULT_RING_WRITE_TIMEOUT = 300.0
+RING_WRITE_TIMEOUT = 300.0
+
+#: How long a mesh reducer waits for a frame's completion watermark
+#: (``n_chunks × owned`` records) before declaring the frame's shuffle
+#: wedged: the shuffle-in mirror of a blocked shuffle-out write, so it
+#: shares that bound.
+WATERMARK_TIMEOUT = RING_WRITE_TIMEOUT
 
 #: How many times one in-flight frame may be re-executed after an
 #: infrastructure failure before the pool sheds a worker (the
 #: degradation ladder's per-width retry budget).
-DEFAULT_MAX_FRAME_RETRIES = 2
+MAX_FRAME_RETRIES = 2
 
 #: Base of the exponential backoff between recovery attempts, seconds.
-#: Small by default: respawning forked workers is cheap, and the arena
-#: (the expensive state) survives recovery anyway.
-DEFAULT_RETRY_BACKOFF = 0.05
+#: Small: respawning forked workers is cheap, and the arena (the
+#: expensive state) survives recovery anyway.
+RETRY_BACKOFF = 0.05
 
-#: Mesh bytes per pool: the default edge size splits this over the
-#: workers (floor 64 KiB), so a 2-worker pool gets 4 MiB edges.
-DEFAULT_MESH_BYTES = 8 << 20
+#: Mesh bytes per pool, split over the workers' edges (see
+#: :func:`edge_capacity`): a 2-worker pool gets 4 MiB edges.
+MESH_BYTES = 8 << 20
+
+#: Floor of one edge's size, whatever the worker count.
+MIN_EDGE_BYTES = 1 << 16
 
 #: Mesh record header: (frame seq, chunk index, partition, payload bytes).
 MESH_HEADER_DTYPE = np.dtype(
     [("seq", "<u8"), ("chunk", "<u8"), ("part", "<u8"), ("nbytes", "<u8")]
 )
 MESH_HEADER_NBYTES = MESH_HEADER_DTYPE.itemsize  # 32
+
+
+def edge_capacity(workers: int) -> int:
+    """Bytes of each mesh edge ring of a ``workers``-wide pool."""
+    return max(MIN_EDGE_BYTES, MESH_BYTES // max(1, int(workers)))
 
 
 def mesh_fd_headroom(workers: int) -> tuple:
@@ -138,117 +151,6 @@ def mesh_edge_name(token: str, src: int, dst: int) -> str:
     return f"repro_mesh_{token}_{src}_{dst}"
 
 
-@dataclass(frozen=True)
-class PoolConfig:
-    """Transport knobs of the pool executor's data plane.
-
-    Everything here is *mechanism*, not meaning: no setting may change
-    rendered output (the parity suites enforce it); they trade memory,
-    latency, and failure-detection bounds.
-
-    mesh_edge_capacity:
-        Per-edge mesh ring size in bytes; default
-        ``max(64 KiB, 8 MiB // workers)``.
-    ring_write_timeout:
-        Seconds a blocked mesh-edge write may wait before raising
-        :class:`~repro.parallel.ring.RingTimeout` (recovered by the
-        supervision layer, or fatal with ``supervise=False``).
-        ``None`` means :data:`DEFAULT_RING_WRITE_TIMEOUT`.
-    watermark_timeout:
-        Seconds a mesh reducer waits for a frame's completion watermark
-        (``n_chunks × owned`` records) before declaring the frame's
-        shuffle wedged.  ``None`` means the resolved ring write timeout
-        (the watermark wait is the shuffle-in mirror of a blocked
-        shuffle-out write, so by default they share one detection
-        bound).
-    supervise:
-        Whether the executor recovers from *infrastructure* failures
-        (dead workers, wedged edges, expired watermarks) by respawning
-        in place and re-executing the affected frames, instead of
-        tearing the whole pool down (``supervise=False``).  Recovery
-        never changes rendered output — re-executed frames are
-        bitwise-identical by the chunk-order-merge invariant.
-    max_frame_retries:
-        How many times one in-flight frame may be re-executed at a
-        given pool width before the pool degrades (sheds a worker;
-        at width 0 it falls back to the in-process executor).  ``None``
-        means :data:`DEFAULT_MAX_FRAME_RETRIES`; negative values raise.
-    retry_backoff:
-        Base of the exponential backoff slept between recovery
-        attempts, in seconds.  ``None`` means
-        :data:`DEFAULT_RETRY_BACKOFF`; negative values raise, zero
-        disables backoff (the fault-injection suites use that to keep
-        recovery tests fast).
-    fault_plan:
-        Deterministic fault-injection plan string for the workers (see
-        :mod:`repro.parallel.faults` for the grammar), or ``None``
-        (blank means the same: no injection).  For
-        testing the recovery machinery only — injected faults crash,
-        exit, or stall workers at exact stage boundaries.
-    """
-
-    mesh_edge_capacity: Optional[int] = None
-    ring_write_timeout: Optional[float] = None
-    watermark_timeout: Optional[float] = None
-    supervise: bool = True
-    max_frame_retries: Optional[int] = None
-    retry_backoff: Optional[float] = None
-    fault_plan: Optional[str] = None
-
-    def __post_init__(self):
-        if self.mesh_edge_capacity is not None and self.mesh_edge_capacity < (
-            MESH_HEADER_NBYTES + 1
-        ):
-            raise ValueError(
-                f"mesh edge capacity must exceed the {MESH_HEADER_NBYTES}-byte "
-                "record header"
-            )
-        if self.ring_write_timeout is not None and self.ring_write_timeout <= 0:
-            raise ValueError("ring write timeout must be positive")
-        if self.watermark_timeout is not None and self.watermark_timeout <= 0:
-            raise ValueError("watermark timeout must be positive")
-        if self.max_frame_retries is not None and self.max_frame_retries < 0:
-            raise ValueError("max frame retries cannot be negative")
-        if self.retry_backoff is not None and self.retry_backoff < 0:
-            raise ValueError("retry backoff cannot be negative")
-        if self.fault_plan is not None:
-            # Validate the grammar at configuration time, in the parent —
-            # a typo must not surface as a cryptic worker error after
-            # spawn.
-            from .faults import FaultPlan
-
-            FaultPlan.parse(self.fault_plan)
-
-    def resolved_ring_write_timeout(self) -> float:
-        if self.ring_write_timeout is not None:
-            return float(self.ring_write_timeout)
-        return DEFAULT_RING_WRITE_TIMEOUT
-
-    def resolved_watermark_timeout(self) -> float:
-        if self.watermark_timeout is not None:
-            return float(self.watermark_timeout)
-        return self.resolved_ring_write_timeout()
-
-    def resolved_max_frame_retries(self) -> int:
-        if self.max_frame_retries is not None:
-            return int(self.max_frame_retries)
-        return DEFAULT_MAX_FRAME_RETRIES
-
-    def resolved_retry_backoff(self) -> float:
-        if self.retry_backoff is not None:
-            return float(self.retry_backoff)
-        return DEFAULT_RETRY_BACKOFF
-
-    def resolved_fault_plan(self) -> Optional[str]:
-        """The plan string, or None when it is unset or blank."""
-        return (self.fault_plan or "").strip() or None
-
-    def resolved_edge_capacity(self, workers: int) -> int:
-        if self.mesh_edge_capacity is not None:
-            return int(self.mesh_edge_capacity)
-        return max(1 << 16, DEFAULT_MESH_BYTES // max(1, int(workers)))
-
-
 # ---------------------------------------------------------------------------
 # Worker half of the mesh: inbound edge ownership + outbound routing.
 # ---------------------------------------------------------------------------
@@ -282,9 +184,8 @@ class WorkerMesh:
         self.n_workers = int(n_workers)
         self.edge_capacity = int(edge_capacity)
         self.write_timeout = float(write_timeout)
-        # The frame-completion wait has its own configurable bound
-        # (PoolConfig.watermark_timeout); it defaults to the write
-        # timeout, the pre-knob behavior.
+        # The frame-completion wait has its own bound (the pool passes
+        # WATERMARK_TIMEOUT); unset, it is the write timeout.
         self.watermark_timeout = (
             float(watermark_timeout)
             if watermark_timeout is not None

@@ -22,8 +22,8 @@ the same property on its shared-memory mesh:
   before supervision existed.
 * **Policy & accounting** — :class:`PoolSupervisor` records every
   failure, respawn wave, re-executed frame, and degradation step.  The
-  executor consults ``PoolConfig.max_frame_retries`` /
-  ``retry_backoff`` for the bounded-retry ladder and exports the
+  executor reads :data:`~repro.parallel.shuffle.MAX_FRAME_RETRIES` /
+  ``RETRY_BACKOFF`` for the bounded-retry ladder and exports the
   supervisor's snapshot through ``JobStats.recovery`` (excluded from
   ``as_dict()`` like the ring counters: recovery is timing-dependent,
   results are not).

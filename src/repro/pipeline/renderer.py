@@ -125,14 +125,16 @@ class MapReduceVolumeRenderer:
         :func:`~repro.pipeline.driver.render_rotation`).  1 (default) is
         fully synchronous; 2 double-buffers: workers map+reduce frame
         *k+1* while the parent stitches frame *k*.
-    supervise, max_frame_retries, fault_plan:
-        Pool-executor fault tolerance (ignored by the in-process
-        executor): ``supervise`` (default True) recovers infrastructure
-        failures in place — respawn the workers, re-execute the
-        in-flight frames bitwise-identically, degrade to fewer workers
-        and finally to serial execution when ``max_frame_retries`` is
-        exhausted.  ``fault_plan`` injects deterministic worker faults
-        (see :mod:`repro.parallel.faults`) for testing/benchmarking.
+    fault_plan:
+        Deterministic worker faults for the pool executor (see
+        :mod:`repro.parallel.faults`; ignored by the in-process
+        executor), to exercise its always-on recovery: respawn the
+        workers, re-execute the in-flight frames bitwise-identically,
+        degrade to fewer workers and finally to serial execution.
+
+    A pool executor is built here, so a bad ``workers`` or
+    ``fault_plan`` raises ``ValueError`` at construction; its worker
+    processes start with the first frame.
     """
 
     def __init__(
@@ -149,8 +151,6 @@ class MapReduceVolumeRenderer:
         reduce_mode: str = "worker",
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
-        supervise: Optional[bool] = None,
-        max_frame_retries: Optional[int] = None,
         fault_plan: Optional[str] = None,
     ):
         if volume is None and volume_shape is None:
@@ -180,15 +180,16 @@ class MapReduceVolumeRenderer:
         self.executor = executor
         self.workers = workers
         self.pipeline_depth = int(pipeline_depth)
-        self.supervise = supervise
-        self.max_frame_retries = max_frame_retries
         self.fault_plan = fault_plan
         self._exec_instance = None
         self._chunk_memo: tuple = (None, [])  # (key, in-core chunks)
+        if executor == "pool":
+            self._executor()
 
     # -- executor lifecycle ------------------------------------------------
     def _executor(self):
-        """The functional executor (created lazily, reused across frames).
+        """The functional executor (created once — for ``"pool"`` at
+        construction — and reused across frames).
 
         ``executor="pool"`` builds a
         :class:`~repro.parallel.SharedMemoryPoolExecutor` with one worker
@@ -209,8 +210,6 @@ class MapReduceVolumeRenderer:
                 self._exec_instance = SharedMemoryPoolExecutor(
                     workers=workers,
                     pipeline_depth=self.pipeline_depth,
-                    supervise=self.supervise,
-                    max_frame_retries=self.max_frame_retries,
                     fault_plan=self.fault_plan,
                 )
             else:

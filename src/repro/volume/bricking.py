@@ -47,10 +47,6 @@ class Brick:
         return tuple(h - l for l, h in zip(self.data_lo, self.data_hi))  # type: ignore[return-value]
 
     @property
-    def core_voxels(self) -> int:
-        return int(np.prod(self.core_shape))
-
-    @property
     def nbytes(self) -> int:
         """Bytes of the ghost-padded float32 payload uploaded to the GPU."""
         return int(np.prod(self.data_shape)) * 4

@@ -15,7 +15,10 @@ blocks the same way, and check that:
 * every relative path a step names exists in the repo;
 * every ``REPRO_*`` variable the workflow sets is read somewhere under
   ``src/`` (a step that sets a variable nothing reads would run without
-  the effect it was written for).
+  the effect it was written for);
+* every ``pytest … -k EXPR`` step selects at least one ``def test_``
+  of the files it names (pytest exits with status 5, failing the job,
+  when a rename leaves a selection empty).
 
 The workflow installs ``.[test]``, so every third-party module that
 ``tests/`` and ``benchmarks/e2e/`` import must be declared in
@@ -46,6 +49,8 @@ PATH_TOKEN = re.compile(r"[\w.-]+(/[\w.-]+)*/?")
 FILE_SUFFIX = re.compile(r"\.(py|sh|json|ya?ml|toml|cfg|ini|txt|md)$")
 IMPORTING_DIRS = (ROOT / "tests", ROOT / "benchmarks" / "e2e")
 ENV_ASSIGNMENT = re.compile(r"\b(REPRO_[A-Z0-9_]+)=")
+K_TOKEN = re.compile(r"[()]|[^\s()]+")
+TEST_DEF = re.compile(r"^\s*def (test_\w+)", re.MULTILINE)
 # Import name -> distribution name, where the two differ.
 DISTRIBUTION = {"yaml": "pyyaml"}
 
@@ -177,6 +182,41 @@ def test_every_ci_env_var_is_read():
     )
     unread = sorted(name for name in _workflow_env_names() if name not in source)
     assert not unread, f"the workflow sets {unread}, which nothing under src/ reads"
+
+
+def _k_selects(expr: str, name: str) -> bool:
+    """Whether ``pytest -k expr`` keeps a test called ``name``: each word
+    is a case-insensitive substring test, combined with ``and``, ``or``,
+    ``not`` and parentheses."""
+    words = [
+        w if w in ("(", ")", "and", "or", "not") else str(w.lower() in name.lower())
+        for w in K_TOKEN.findall(expr)
+    ]
+    return eval(" ".join(words))  # only True/False, operators, parentheses
+
+
+def _pytest_selections() -> list:
+    """``(job, files, expr)`` for every ``pytest`` line with ``-k``."""
+    found = []
+    for job, script in SCRIPTS:
+        for line in script.splitlines():
+            if "pytest" not in line or " -k " not in line:
+                continue
+            tokens = shlex.split(line, comments=True)
+            args = tokens[tokens.index("pytest") + 1 :]
+            files = [a for a in args if a.endswith(".py")]
+            found.append((job, files, args[args.index("-k") + 1]))
+    return found
+
+
+def test_every_ci_pytest_selection_selects_a_test():
+    selections = _pytest_selections()
+    assert selections, "no `pytest -k` step found"
+    for job, files, expr in selections:
+        names = [
+            name for f in files for name in TEST_DEF.findall((ROOT / f).read_text())
+        ]
+        assert any(_k_selects(expr, n) for n in names), (job, files, expr)
 
 
 def _declared_distributions() -> set:

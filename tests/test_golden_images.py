@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import MapReduceVolumeRenderer, make_dataset, orbit_camera  # noqa: E402
 from repro.core import InProcessExecutor  # noqa: E402
-from repro.parallel import SharedMemoryPoolExecutor  # noqa: E402
+from repro.parallel import SharedMemoryPoolExecutor, shuffle  # noqa: E402
 from repro.render import RenderConfig, default_tf, grayscale_tf  # noqa: E402
 from repro.render.stitch import stitch_pixels  # noqa: E402
 
@@ -318,14 +318,14 @@ def test_pool_mesh_pipelined_matches_golden():
     assert_matches_golden("skull_default_az130", image2, result2)
 
 
-def test_pool_serial_fallback_matches_golden():
+def test_pool_serial_fallback_matches_golden(monkeypatch):
     """The degradation ladder's floor: a pool whose every wave crashes
     finishes the frame on the in-process executor, bitwise-golden."""
+    monkeypatch.setattr(shuffle, "MAX_FRAME_RETRIES", 0)
+    monkeypatch.setattr(shuffle, "RETRY_BACKOFF", 0.0)
     with SharedMemoryPoolExecutor(
         workers=1,
         fault_plan="crash@map:worker=0,frame=1,gen=any",
-        max_frame_retries=0,
-        retry_backoff=0.0,
     ) as pool:
         image, result = render_scene("skull_gray_az40", pool)
     assert result.stats.recovery["serial_fallback"] is True
@@ -344,7 +344,6 @@ def _render_with_crash(scene, pipeline_depth,
         workers=2,
         pipeline_depth=pipeline_depth,
         fault_plan=fault_plan,
-        retry_backoff=0.0,
     ) as pool:
         image, result = render_scene(scene, pool)
         assert pool._supervisor.active, "injected fault never fired"

@@ -330,7 +330,6 @@ def test_fault_plan_trace_tags_respawned_generation():
     with SharedMemoryPoolExecutor(
         workers=2,
         fault_plan="crash@map:worker=1,frame=1",
-        retry_backoff=0.0,
     ) as pool:
         image, result = render_scene("skull_default_az40", pool)
     tr = disable_tracing()

@@ -8,7 +8,7 @@ scheduling must never leak into the rendered image.  Multi-worker
 variants beyond the tier-1 smoke set are marked ``slow``.
 """
 
-import os
+import glob
 import threading
 import time
 
@@ -36,6 +36,7 @@ from repro.parallel import (
     ShmArena,
     ShmRing,
     shm_segment_exists,
+    shuffle,
 )
 from repro.render import RenderConfig, default_tf
 
@@ -77,6 +78,16 @@ def assert_results_identical(a, b):
         assert w1.pairs_emitted == w2.pairs_emitted
         assert w1.read_from_disk == w2.read_from_disk
         assert np.array_equal(w1.pairs_to_reducer, w2.pairs_to_reducer)
+
+
+def set_edge_bytes(monkeypatch, nbytes):
+    """Size every mesh edge at ``nbytes``, whatever the pool width."""
+    monkeypatch.setattr(shuffle, "MESH_BYTES", 0)
+    monkeypatch.setattr(shuffle, "MIN_EDGE_BYTES", nbytes)
+
+
+def shm_listing() -> set:
+    return set(glob.glob("/dev/shm/*"))
 
 
 def run_equivalence(workers, *, gpus=2, bricks_per_gpu=2, ert_alpha=0.98,
@@ -125,10 +136,11 @@ def test_pool_mesh_more_workers_than_reducers():
     run_equivalence(4, gpus=2, bricks_per_gpu=2)
 
 
-def test_pool_mesh_fallback_when_record_outgrows_edge():
+def test_pool_mesh_fallback_when_record_outgrows_edge(monkeypatch):
     # Edges too small for any real run force every record through the
     # parent-queue relay; results must be unchanged and counted.
-    run_equivalence(2, mesh_edge_capacity=64)
+    set_edge_bytes(monkeypatch, 64)
+    run_equivalence(2)
 
 
 def test_pool_rejects_bad_knobs():
@@ -138,8 +150,6 @@ def test_pool_rejects_bad_knobs():
         SharedMemoryPoolExecutor(workers=1, pipeline_depth=0)
     with pytest.raises(ValueError, match="unknown shuffle_mode"):
         SharedMemoryPoolExecutor(workers=1, shuffle_mode="broadcast")
-    with pytest.raises(ValueError, match="ring write timeout"):
-        SharedMemoryPoolExecutor(workers=1, ring_write_timeout=0.0)
 
 
 def test_pool_matches_with_placeholders_and_no_ert():
@@ -159,10 +169,11 @@ def test_pool_multi_frame_resident_arena():
         assert pool._arena_fingerprint is not None
 
 
-def test_pool_counts_queue_fallbacks():
+def test_pool_counts_queue_fallbacks(monkeypatch):
     r, cam = make_scene()
     chunks, ctg = scene_job(r, cam)
-    with SharedMemoryPoolExecutor(workers=2, mesh_edge_capacity=64) as pool:
+    set_edge_bytes(monkeypatch, 64)
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         got = pool.execute(r._spec(cam), chunks, ctg)
     assert got.stats.ring is not None
     # Every non-empty record sent to the other worker outgrows a 64 B
@@ -403,20 +414,6 @@ def test_pool_propagates_worker_errors_and_resets():
         assert_results_identical(ref, got)
 
 
-class ExitMapper(Mapper):
-    """Hard-kills the worker process on one specific chunk (no cleanup,
-    no exception — the way a real segfault/OOM kill looks)."""
-
-    def __init__(self, kill_chunk):
-        self.kill_chunk = kill_chunk
-        self.inner = ModSquareMapper(9)
-
-    def map(self, chunk):
-        if chunk.id == self.kill_chunk:
-            os._exit(3)
-        return self.inner.map(chunk)
-
-
 def _generic_job(mapper, n_chunks=4, n_reducers=2, seed=13, n_elems=32):
     rng = np.random.default_rng(seed)
     datas = [
@@ -446,67 +443,67 @@ def _all_segment_names(pool) -> list:
 
 @pytest.mark.parametrize("reduce_mode,shuffle_mode", [("worker", "mesh")])
 def test_pool_worker_crash_mid_frame_teardown_and_retry(reduce_mode, shuffle_mode):
-    """Kill a worker mid-frame: the pool must tear down cleanly (no
-    leaked shared-memory segments — including worker-created mesh
-    edges), and a retry on the same executor must run on a fresh pool
-    with no stale edge bytes.
+    """Kill a worker mid-frame: the pool must tear the failed transport
+    epoch down cleanly (no leaked shared-memory segments — including
+    worker-created mesh edges) and retry the frame on a fresh wave, with
+    no stale edge bytes: the recovered frame is bitwise.
 
-    ``supervise=False`` pins the fail-fast semantics (the default
-    recovers in place; see test_supervision.py).  The crash comes from
-    user mapper code, which supervision would faithfully re-execute all
-    the way down the degradation ladder into the parent.
+    The kill is an injected crash (no cleanup, the way a segfault or OOM
+    kill looks) of worker 0 as it maps chunk 2 of the second frame; the
+    respawned wave is generation 1, so the rule does not fire again.
     """
-    good_spec, chunks = _generic_job(ModSquareMapper(9))
-    crash_spec, _ = _generic_job(ExitMapper(kill_chunk=2))
-    ref = InProcessExecutor().execute(good_spec, chunks, [0, 1, 0, 1])
+    spec, chunks = _generic_job(ModSquareMapper(9))
+    placement = [0, 1, 0, 1]
+    ref = InProcessExecutor().execute(spec, chunks, placement)
+    before = shm_listing()
     pool = SharedMemoryPoolExecutor(
         workers=2, reduce_mode=reduce_mode, shuffle_mode=shuffle_mode,
-        supervise=False,
+        fault_plan="crash@map:worker=0,frame=2,chunk=2",
     )
     try:
         # Warm frame: creates rings + arena whose names we can audit.
-        got = pool.execute(good_spec, chunks, [0, 1, 0, 1])
+        got = pool.execute(spec, chunks, placement)
         assert_results_identical(ref, got)
-        names = _all_segment_names(pool)
-        assert len(pool._state["mesh_edges"]) == 2  # 2 workers -> 2 edges
+        assert got.stats.recovery is None
+        edges = [r.name for r in pool._state["mesh_edges"].values()]
+        assert len(edges) == 2  # 2 workers -> 2 edges
 
-        with pytest.raises(RuntimeError, match="died during execute"):
-            pool.execute(crash_spec, chunks, [0, 1, 0, 1])
-        assert not pool.running
-        for name in names:
+        got = pool.execute(spec, chunks, placement)
+        assert_results_identical(ref, got)
+        assert got.stats.recovery["respawns"] == 1
+        assert got.stats.recovery["retries_by_stage"] == {"death": 1}
+        # The failed epoch's edges are gone; the fresh wave made its own.
+        for name in edges:
             assert not shm_segment_exists(name), f"leaked segment {name}"
-
-        # Retry: a fresh pool (new processes, new segments) — chunk 0's
-        # fragments from the crashed frame must not bleed into this one.
-        got = pool.execute(good_spec, chunks, [0, 1, 0, 1])
-        assert_results_identical(ref, got)
+        assert_results_identical(ref, pool.execute(spec, chunks, placement))
     finally:
         pool.close()
+    assert shm_listing() - before == set()
 
 
 @pytest.mark.slow
 def test_pool_crash_soak_pipelined():
-    """Soak: interleave pipelined frames with a mid-flight worker crash
-    repeatedly; every recovery must produce bitwise-correct results and
-    release every shared-memory segment."""
+    """Soak: interleave pipelined frames with a mid-flight user-code
+    error repeatedly.  Each error tears the pool down with a frame still
+    in flight; that frame's handle must then either hold bitwise-correct
+    results or refuse to be collected, every shared-memory segment must
+    be released, and the next frame must run bitwise on a fresh pool."""
     good_spec, chunks = _generic_job(ModSquareMapper(9), n_chunks=6)
-    crash_spec, _ = _generic_job(ExitMapper(kill_chunk=4), n_chunks=6)
+    boom_spec, _ = _generic_job(BoomMapper(), n_chunks=6)
     ref = InProcessExecutor().execute(good_spec, chunks)
-    with SharedMemoryPoolExecutor(
-        workers=2, pipeline_depth=2, supervise=False,  # pin fail-fast teardown
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, pipeline_depth=2) as pool:
         for _ in range(3):
             h1 = pool.submit(good_spec, chunks)
             h2 = pool.submit(good_spec, chunks)
             assert_results_identical(ref, pool.collect(h1))
             names = _all_segment_names(pool)
-            with pytest.raises(RuntimeError):
-                pool.collect(pool.submit(crash_spec, chunks))
+            with pytest.raises(RuntimeError, match="boom in worker"):
+                pool.collect(pool.submit(boom_spec, chunks))
             assert not pool.running
-            # h2 was in flight when the pool died.  Depending on whether
-            # its (already queued) results drained before the crash was
-            # detected, it either completed bitwise-correct or aborted —
-            # but it must never return wrong data or hang.
+            # h2 was in flight when the pool went down.  Depending on
+            # whether its (already queued) results drained before the
+            # error was read, it either completed bitwise-correct or
+            # aborted — but it must never return wrong data or hang.
             if h2.done:
                 assert_results_identical(ref, pool.collect(h2))
             else:
@@ -713,7 +710,8 @@ def test_pool_exports_ring_backpressure_into_jobstats(monkeypatch):
     # Every kept key is even, so partition 0 (worker 0's) gets every
     # pair: worker 1 sends each of its chunks as one record of a 32 B
     # header plus ~64 pairs of 8 B, and an 800 B edge holds only one.
-    with SharedMemoryPoolExecutor(workers=2, mesh_edge_capacity=800) as pool:
+    set_edge_bytes(monkeypatch, 800)
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         got = pool.execute(spec, chunks)
     assert_results_identical(ref, got)
     ring_stats = got.stats.ring

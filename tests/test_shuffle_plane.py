@@ -4,14 +4,13 @@ The executor-parity and golden suites already pin that the pool is
 bitwise-indistinguishable from the in-process executor; this layer
 tests the mesh machinery itself: the ShuffleSpec ownership/routing
 contract, the mesh record protocol and per-frame watermarks, transport
-configuration (PoolConfig + env overrides, the removed mode values),
-the control-plane guarantee (zero run bytes through the parent), and
-the mesh failure modes — a reducer-owner dying
-mid-shuffle and a wedged edge — which must tear the pool down with
-zero leaked shared-memory segments and allow a bitwise retry.
+configuration (the edge sizing and timeout constants, the removed mode
+values), the control-plane guarantee (zero run bytes through the
+parent), and the mesh failure modes — a reducer-owner dying
+mid-shuffle and a wedged edge — which must recycle the transport with
+zero leaked shared-memory segments and retry the frame bitwise.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -19,13 +18,12 @@ import pytest
 
 from repro.core import InProcessExecutor, ShuffleSpec
 from repro.parallel import (
-    DEFAULT_RING_WRITE_TIMEOUT,
-    PoolConfig,
     SharedMemoryPoolExecutor,
     WorkerMesh,
     shm_segment_exists,
+    shuffle,
 )
-from repro.parallel.shuffle import MESH_HEADER_NBYTES
+from repro.parallel.shuffle import MESH_HEADER_NBYTES, edge_capacity
 
 
 # -- the shared ownership / routing contract ---------------------------------
@@ -87,29 +85,15 @@ def test_map_chunks_to_runs_run_layout():
 
 
 # -- transport configuration -------------------------------------------------
-def test_pool_config_env_overrides(monkeypatch):
-    """No environment variable overrides the ring write timeout: it is
-    explicit > default, whatever the environment says."""
-    monkeypatch.setenv("REPRO_RING_WRITE_TIMEOUT", "7.5")
-    assert PoolConfig().resolved_ring_write_timeout() == DEFAULT_RING_WRITE_TIMEOUT
-    assert PoolConfig(ring_write_timeout=2.0).resolved_ring_write_timeout() == 2.0
-    with pytest.raises(ValueError, match="must be positive"):
-        PoolConfig(ring_write_timeout=0)
+def test_edge_capacity_splits_the_mesh_bytes():
+    # 8 MiB split over the workers, floor 64 KiB: the benchmark's
+    # 2-worker pool runs 4 MiB edges.
+    assert edge_capacity(2) == 4 << 20
+    assert edge_capacity(4) == 2 << 20
+    assert edge_capacity(256) == 1 << 16
 
 
-def test_pool_config_edge_capacity_and_validation():
-    # The default splits 8 MiB over the workers, floor 64 KiB: the
-    # benchmark's 2-worker pool runs 4 MiB edges.
-    assert PoolConfig().resolved_edge_capacity(2) == 4 << 20
-    assert PoolConfig().resolved_edge_capacity(4) == 2 << 20
-    assert PoolConfig().resolved_edge_capacity(256) == 1 << 16
-    assert PoolConfig(mesh_edge_capacity=4096).resolved_edge_capacity(4) == 4096
-    with pytest.raises(ValueError):
-        PoolConfig(mesh_edge_capacity=MESH_HEADER_NBYTES)
-    assert len(dataclasses.fields(PoolConfig)) == 7
-
-
-def test_executor_resolves_transport_at_construction():
+def test_executor_resolves_transport_at_construction(monkeypatch):
     # The values the benchmark harness still passes are accepted, and
     # every one of them runs the mesh.
     for kwargs in (dict(), dict(reduce_mode="worker", shuffle_mode="auto"),
@@ -117,9 +101,14 @@ def test_executor_resolves_transport_at_construction():
         ex = SharedMemoryPoolExecutor(workers=2, **kwargs)
         assert ex.effective_shuffle_mode == "mesh"
         assert ex.mesh_edge_capacity == 4 << 20
-    # knobs are resolved once, at construction
-    ex = SharedMemoryPoolExecutor(workers=1, ring_write_timeout=9)
-    assert ex.ring_write_timeout == 9.0
+    # Every frame runs on these values: ring-write and watermark
+    # timeouts, retry budget, backoff.
+    assert (ex.ring_write_timeout, ex.watermark_timeout,
+            ex.max_frame_retries, ex.retry_backoff) == (300.0, 300.0, 2, 0.05)
+    # The constants are read once, at construction.
+    monkeypatch.setattr(shuffle, "RING_WRITE_TIMEOUT", 9.0)
+    assert SharedMemoryPoolExecutor(workers=1).ring_write_timeout == 9.0
+    assert ex.ring_write_timeout == 300.0
 
 
 def test_mesh_fd_headroom_guard(monkeypatch):
@@ -158,10 +147,11 @@ REMOVED_MODES = [
 
 
 @pytest.mark.parametrize("name,value", REMOVED_MODES)
-def test_removed_modes_raise_at_every_surface(name, value):
-    """Every removed mode value raises ``ValueError`` naming the removal,
-    at the pool kwarg, the renderer kwarg and the CLI; the CLI no
-    longer has a ``--shuffle-mode`` flag at all."""
+def test_removed_modes_raise_at_every_surface(name, value, capsys):
+    """Every removed mode value raises ``ValueError`` naming the removal
+    at the pool kwarg and the renderer kwarg, and is a usage error
+    naming it at the CLI; the CLI no longer has a ``--shuffle-mode``
+    flag at all."""
     from repro import MapReduceVolumeRenderer
     from repro.cli import build_parser, main
 
@@ -173,9 +163,11 @@ def test_removed_modes_raise_at_every_surface(name, value):
             volume_shape=(8, 8, 8), executor="pool", **{name: value}
         )
     if name == "reduce_mode":
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(SystemExit) as exit_info:
             main(["render", "--size", "8", "--image", "8",
                   "--executor", "pool", "--reduce-mode", value])
+        assert exit_info.value.code == 2
+        assert match in capsys.readouterr().err
     else:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["render", "--shuffle-mode", value])
@@ -299,33 +291,24 @@ def test_worker_mesh_segments_unlinked_on_close():
 # semantics — so the two test layers cannot drift apart.
 from test_parallel_executor import (  # noqa: E402
     KV,
-    ExitMapper,
     ModSquareMapper,
     SumReducer,
     _generic_job as _job,
+    set_edge_bytes,
+    shm_listing,
 )
 
 
-class SleepyMapper(ModSquareMapper):
-    """Sleeps inside map for one specific chunk — a worker that is busy
-    computing (not idle) and therefore cannot drain its inbound edges.
-
-    Unlike its parent it emits *every* key (no placeholder discard):
-    ModSquareMapper keeps only even data values, whose ``% 10`` keys are
-    all even, which would leave the odd partitions — the traffic this
-    test needs to wedge an edge with — completely empty.
+class EveryKeyMapper(ModSquareMapper):
+    """Emits *every* key (no placeholder discard): ModSquareMapper keeps
+    only even data values, whose ``% 10`` keys are all even, which would
+    leave the odd partitions — the traffic the wedge test needs to fill
+    an edge with — completely empty.
     """
-
-    def __init__(self, max_key, sleep_chunk, seconds):
-        super().__init__(max_key)
-        self.sleep_chunk = sleep_chunk
-        self.seconds = seconds
 
     def map(self, chunk):
         from repro.core import MapOutput
 
-        if chunk.id == self.sleep_chunk:
-            time.sleep(self.seconds)
         data = chunk.payload()
         pairs = np.empty(len(data), dtype=KV)
         pairs["key"] = (
@@ -365,12 +348,11 @@ def test_mesh_zero_run_bytes_through_parent_and_stats_schema():
     assert len(ring["per_edge"]) == 2  # N*(N-1) directed edges, N=2
 
 
-def test_mesh_fallback_counts_and_parent_bytes():
+def test_mesh_fallback_counts_and_parent_bytes(monkeypatch):
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
-    with SharedMemoryPoolExecutor(
-        workers=2, mesh_edge_capacity=64,  # no real run fits: all relayed
-    ) as pool:
+    set_edge_bytes(monkeypatch, 64)  # no real run fits: all relayed
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         got = pool.execute(spec, chunks)
     assert_outputs_identical(ref, got)
     ring = got.stats.ring
@@ -381,70 +363,70 @@ def test_mesh_fallback_counts_and_parent_bytes():
 def test_mesh_kill_reducer_owner_mid_shuffle():
     """The mesh-specific stress: a reducer-owning worker dies while its
     peers are still shuffling into its inbound edges.  The pool must
-    detect it, tear down with zero leaked segments (including the dead
-    worker's own edge rings), and retry bitwise on a fresh pool."""
-    good_spec, chunks = _job(ModSquareMapper(9), n_chunks=4)
-    # Worker 1 owns partition 1; chunk 1 is mapped on worker 1 and kills it.
-    crash_spec, _ = _job(ExitMapper(kill_chunk=1), n_chunks=4)
+    detect it, recycle the transport with zero leaked segments
+    (including the dead worker's own edge rings), and re-execute the
+    frame bitwise on a fresh wave."""
+    spec, chunks = _job(ModSquareMapper(9), n_chunks=4)
+    # Worker 1 owns partition 1; chunk 1 of frame 2 is mapped on worker 1
+    # and kills it.
     placement = [0, 1, 0, 1]
-    ref = InProcessExecutor().execute(good_spec, chunks, placement)
+    ref = InProcessExecutor().execute(spec, chunks, placement)
+    before = shm_listing()
     pool = SharedMemoryPoolExecutor(
-        workers=2, supervise=False,  # pin fail-fast teardown semantics
+        workers=2, fault_plan="crash@map:worker=1,frame=2,chunk=1",
     )
     try:
-        got = pool.execute(good_spec, chunks, placement)
+        got = pool.execute(spec, chunks, placement)
         assert_outputs_identical(ref, got)
-        names = [r.name for r in pool._state["mesh_edges"].values()]
-        names.append(pool._state["arena"].name)
+        edges = [r.name for r in pool._state["mesh_edges"].values()]
 
-        with pytest.raises(RuntimeError, match="died during execute"):
-            pool.execute(crash_spec, chunks, placement)
-        assert not pool.running
-        for name in names:
+        got = pool.execute(spec, chunks, placement)
+        assert_outputs_identical(ref, got)
+        assert got.stats.recovery["failures"] == 1
+        assert got.stats.recovery["frames_reexecuted"] == 1
+        for name in edges:
             assert not shm_segment_exists(name), f"leaked segment {name}"
-
-        got = pool.execute(good_spec, chunks, placement)
-        assert_outputs_identical(ref, got)
     finally:
         pool.close()
+    assert shm_listing() - before == set()
 
 
-def test_mesh_wedged_edge_times_out_and_tears_down():
-    """A mapper blocked on a full edge whose owner is busy computing
-    (not draining) must surface as a RingTimeout after the configured
-    ring_write_timeout — tearing the pool down — instead of hanging."""
-    # Worker 1 sleeps through its map while worker 0 shuffles ~11 KiB of
+def test_mesh_wedged_edge_times_out_and_tears_down(monkeypatch):
+    """A mapper blocked on a full edge whose owner is busy (not
+    draining) must surface as a RingTimeout after
+    ``RING_WRITE_TIMEOUT`` instead of hanging; the wedged transport is
+    torn down and the frame re-executed bitwise on a fresh wave."""
+    # Worker 1 stalls before its map while worker 0 shuffles ~11 KiB of
     # partition-1 records into a 4 KiB edge; each record (~1 KiB) fits
     # individually, so there is no queue fallback, only backpressure.
     # The volume exceeds 2x the edge capacity on purpose: worker 1 may
     # legitimately drain the edge once in its idle poll *before* it
-    # starts the sleeping map task, and the write must still wedge.
-    spec, chunks = _job(
-        SleepyMapper(9, sleep_chunk=0, seconds=8.0),
-        n_chunks=12, n_elems=256,
-    )
+    # starts the stalled map task, and the write must still wedge.
+    spec, chunks = _job(EveryKeyMapper(9), n_chunks=12, n_elems=256)
     placement = [1] + [0] * 11
+    ref = InProcessExecutor().execute(spec, chunks, placement)
+    set_edge_bytes(monkeypatch, 4096)
+    monkeypatch.setattr(shuffle, "RING_WRITE_TIMEOUT", 0.25)
+    monkeypatch.setattr(shuffle, "WATERMARK_TIMEOUT", 0.25)
+    before = shm_listing()
     pool = SharedMemoryPoolExecutor(
-        workers=2, mesh_edge_capacity=4096, ring_write_timeout=0.25,
-        supervise=False,  # pin fail-fast teardown semantics
+        workers=2, fault_plan="stall(30)@map:worker=1,frame=1",
     )
     try:
         t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="map of chunk"):
-            pool.execute(spec, chunks, placement)
-        # Detection is ~0.25s + a bounded teardown (the 5s join grace on
-        # the still-sleeping worker); anything near ring_write_timeout's
-        # 300s default would mean the configured bound was ignored.
+        got = pool.execute(spec, chunks, placement)
+        # Detection is ~0.25s + a bounded teardown of the stalled
+        # worker; anything near the 30 s stall would mean the bound was
+        # ignored.  The fresh wave runs on the same short timeout: the
+        # idle-owner drain keeps it live.
         assert time.monotonic() - t0 < 15.0
-        assert not pool.running  # wedged edge => whole-pool teardown
-        # Retry with a non-wedged job on the same executor: fresh pool,
-        # same short timeout — the idle-owner drain keeps it live.
-        good_spec, _ = _job(ModSquareMapper(9))
-        ref = InProcessExecutor().execute(good_spec, chunks, placement)
-        got = pool.execute(good_spec, chunks, placement)
         assert_outputs_identical(ref, got)
+        recovery = got.stats.recovery
+        assert recovery["respawns"] == 1
+        assert recovery["retries_by_stage"] == {"shuffle-out": 1}
     finally:
         pool.close()
+    assert shm_listing() - before == set()
 
 
 def test_cleanup_sweeps_edge_names_even_without_handshake():

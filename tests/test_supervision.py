@@ -1,13 +1,12 @@
 """Tests for pool supervision, recovery, and deterministic fault injection.
 
-The contract under test: with ``supervise=True`` (the default) an
-*infrastructure* failure — a worker process dying or a wedged
-transport — is recovered **in place** (transport epoch recycled, arena
-re-attached, in-flight frames re-executed) and the recovered result is
-**bitwise-identical** to a failure-free run; when retries are
-exhausted the pool degrades (fewer workers, then the in-process
-executor) rather than erroring.  User-code exceptions keep the
-fail-fast semantics.  Faults are injected deterministically via
+The contract under test: an *infrastructure* failure — a worker
+process dying or a wedged transport — is recovered **in place**
+(transport epoch recycled, arena re-attached, in-flight frames
+re-executed) and the recovered result is **bitwise-identical** to a
+failure-free run; when retries are exhausted the pool degrades (fewer
+workers, then the in-process executor) rather than erroring.  Recovery
+is always on; user-code exceptions keep the fail-fast semantics.  Faults are injected deterministically via
 :mod:`repro.parallel.faults` plans, never by ad-hoc monkeypatching.
 """
 
@@ -22,15 +21,14 @@ import pytest
 
 from repro.core import InProcessExecutor
 from repro.observability import chrome_trace, disable_tracing, enable_tracing
+from repro import MapReduceVolumeRenderer
 from repro.parallel import (
-    DEFAULT_MAX_FRAME_RETRIES,
-    DEFAULT_RETRY_BACKOFF,
     FaultPlan,
-    PoolConfig,
     PoolFailure,
     PoolSupervisor,
     SharedMemoryPoolExecutor,
     WorkerMesh,
+    shuffle,
 )
 from repro.parallel.faults import CRASH_EXIT_CODE
 from repro.parallel.ring import RingTimeout
@@ -45,6 +43,7 @@ from test_parallel_executor import (
     ModSquareMapper,
     _generic_job,
     assert_results_identical,
+    set_edge_bytes,
 )
 
 
@@ -52,19 +51,20 @@ def _shm_listing():
     return set(glob.glob("/dev/shm/*"))
 
 
-def _pool(fault_plan=None, workers=2, depth=1, retries=2,
-          shuffle_mode="auto", reduce_mode="worker", **cfg):
+@pytest.fixture(autouse=True)
+def _no_retry_backoff(monkeypatch):
+    """Recover without sleeping between attempts: keeps the suite fast."""
+    monkeypatch.setattr(shuffle, "RETRY_BACKOFF", 0.0)
+
+
+def _pool(fault_plan=None, workers=2, depth=1,
+          shuffle_mode="auto", reduce_mode="worker"):
     return SharedMemoryPoolExecutor(
         workers=workers,
         reduce_mode=reduce_mode,
         shuffle_mode=shuffle_mode,
         pipeline_depth=depth,
-        pool_config=PoolConfig(
-            retry_backoff=0.0,
-            max_frame_retries=retries,
-            fault_plan=fault_plan,
-            **cfg,
-        ),
+        fault_plan=fault_plan,
     )
 
 
@@ -131,47 +131,43 @@ def test_fault_plan_fires_each_rule_at_most_once(monkeypatch):
     for _ in range(3):
         plan.fire("map", 0, 1, chunk=0)
     assert len(fired) == 1
-    # A fresh generation binding starts with a clean fired set.
-    plan.for_generation(1).fire("map", 0, 1, chunk=0)
 
 
 def test_resolve_fault_plan_precedence(monkeypatch):
     """The plan is the explicit string or nothing: no environment
     variable supplies one, and a blank one injects nothing."""
     monkeypatch.setenv("REPRO_FAULT_PLAN", "garbage plan")
-    assert PoolConfig().resolved_fault_plan() is None
-    assert PoolConfig(fault_plan="  ").resolved_fault_plan() is None
-    assert PoolConfig(fault_plan=" exit(2)@reduce ").resolved_fault_plan() == "exit(2)@reduce"
+    assert SharedMemoryPoolExecutor(workers=1).fault_plan is None
+    assert SharedMemoryPoolExecutor(workers=1, fault_plan="  ").fault_plan is None
+    assert SharedMemoryPoolExecutor(
+        workers=1, fault_plan=" exit(2)@reduce "
+    ).fault_plan == "exit(2)@reduce"
 
 
-# -- config knobs ------------------------------------------------------------
+# -- pool constants ----------------------------------------------------------
 def test_supervision_knob_env_overrides(monkeypatch):
-    """No environment variable overrides a supervision knob: each is
-    explicit > default, whatever the environment says."""
-    monkeypatch.setenv("REPRO_WATERMARK_TIMEOUT", "7.5")
-    monkeypatch.setenv("REPRO_MAX_FRAME_RETRIES", "4")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-    cfg = PoolConfig()
-    assert cfg.resolved_watermark_timeout() == cfg.resolved_ring_write_timeout()
-    assert cfg.resolved_max_frame_retries() == DEFAULT_MAX_FRAME_RETRIES
-    assert cfg.resolved_retry_backoff() == DEFAULT_RETRY_BACKOFF
-    explicit = PoolConfig(
-        watermark_timeout=1.5, max_frame_retries=1, retry_backoff=0.0
+    """No environment variable overrides a pool constant: the executor
+    reads :mod:`repro.parallel.shuffle`'s values, whatever the
+    environment says."""
+    for name in ("REPRO_RING_WRITE_TIMEOUT", "REPRO_WATERMARK_TIMEOUT",
+                 "REPRO_MAX_FRAME_RETRIES", "REPRO_RETRY_BACKOFF"):
+        monkeypatch.setenv(name, "7")
+    ex = SharedMemoryPoolExecutor(workers=2)
+    assert (ex.ring_write_timeout, ex.watermark_timeout,
+            ex.max_frame_retries, ex.retry_backoff) == (
+        shuffle.RING_WRITE_TIMEOUT, shuffle.WATERMARK_TIMEOUT,
+        shuffle.MAX_FRAME_RETRIES, shuffle.RETRY_BACKOFF,
     )
-    assert explicit.resolved_watermark_timeout() == 1.5
-    assert explicit.resolved_max_frame_retries() == 1
-    assert explicit.resolved_retry_backoff() == 0.0
 
 
-def test_pool_config_validates_supervision_fields():
-    with pytest.raises(ValueError):
-        PoolConfig(watermark_timeout=0)
-    with pytest.raises(ValueError):
-        PoolConfig(max_frame_retries=-1)
-    with pytest.raises(ValueError):
-        PoolConfig(retry_backoff=-0.1)
-    with pytest.raises(ValueError):
-        PoolConfig(fault_plan="nonsense@nowhere")
+def test_fault_plan_is_validated_before_any_spawn():
+    """A malformed plan raises in the parent, at construction of the
+    executor or of a pool renderer, not as a worker error after spawn."""
+    with pytest.raises(ValueError, match="unknown action"):
+        SharedMemoryPoolExecutor(workers=1, fault_plan="nonsense@nowhere")
+    with pytest.raises(ValueError, match="unknown stage"):
+        MapReduceVolumeRenderer(volume_shape=(8, 8, 8), executor="pool",
+                                fault_plan="crash@nowhere")
 
 
 def test_worker_mesh_watermark_knob():
@@ -344,7 +340,7 @@ def test_mesh_watermark_expiry_raises_ring_timeout():
         mesh.close()
 
 
-def test_wedged_stalled_worker_recovers():
+def test_wedged_stalled_worker_recovers(monkeypatch):
     """A stalled (alive but unresponsive) worker wedges its peers: with
     a small mesh edge, worker 1's fragment writes into the sleeping
     worker 0's inbound edge block until the ring write timeout, which
@@ -362,8 +358,10 @@ def test_wedged_stalled_worker_recovers():
                                 n_elems=512)
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("stall(30)@map:worker=0,frame=1",
-               mesh_edge_capacity=3072, ring_write_timeout=1.0) as pool:
+    set_edge_bytes(monkeypatch, 3072)
+    monkeypatch.setattr(shuffle, "RING_WRITE_TIMEOUT", 1.0)
+    monkeypatch.setattr(shuffle, "WATERMARK_TIMEOUT", 1.0)
+    with _pool("stall(30)@map:worker=0,frame=1") as pool:
         t0 = time.monotonic()
         result = pool.execute(spec, chunks)
         assert time.monotonic() - t0 < 20.0  # recovered, didn't sleep out
@@ -415,27 +413,16 @@ def test_worker_death_reaches_the_supervisor_at_once():
     assert _shm_listing() - before == set()
 
 
-def test_supervise_false_keeps_legacy_fail_fast():
-    spec, chunks = _generic_job(ModSquareMapper(7))
-    pool = SharedMemoryPoolExecutor(
-        workers=2,
-        supervise=False,
-        pool_config=PoolConfig(fault_plan="crash@map:worker=0,frame=1"),
-    )
-    with pool:
-        with pytest.raises(RuntimeError, match="died during execute"):
-            pool.execute(spec, chunks)
-
-
 # -- degradation ladder ------------------------------------------------------
-def test_persistent_fault_degrades_to_serial():
+def test_persistent_fault_degrades_to_serial(monkeypatch):
     """gen=any makes every respawned wave re-crash: the ladder must
     shrink 2 -> 1, then finish on the in-process executor — never
     error."""
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("crash@map:worker=0,frame=1,gen=any", retries=1) as pool:
+    monkeypatch.setattr(shuffle, "MAX_FRAME_RETRIES", 1)
+    with _pool("crash@map:worker=0,frame=1,gen=any") as pool:
         result = pool.execute(spec, chunks)
         snap = pool._supervisor.snapshot()
         # The pool is pinned to the in-process floor for later frames too.
