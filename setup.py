@@ -29,7 +29,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"repro.render.kernels": ["march.c"]},
-    python_requires=">=3.10",
+    # NumPy 2.4, which produced every pinned number, needs Python 3.11.
+    python_requires=">=3.11",
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pyyaml"],

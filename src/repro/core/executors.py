@@ -13,7 +13,7 @@ nothing here imports the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -124,10 +124,11 @@ class MapWork:
     read_from_disk: bool = False
 
     def __post_init__(self):
-        self.pairs_to_reducer = np.asarray(self.pairs_to_reducer, dtype=np.int64)
-        if np.any(self.pairs_to_reducer < 0):
+        # Ufunc reductions: np.any and ndarray.sum are Python wrappers.
+        routed = self.pairs_to_reducer = np.asarray(self.pairs_to_reducer, dtype=np.int64)
+        if np.minimum.reduce(routed, axis=None, initial=0) < 0:
             raise ValueError("negative pair counts")
-        if self.pairs_emitted < int(self.pairs_to_reducer.sum()):
+        if self.pairs_emitted < np.add.reduce(routed, axis=None):
             raise ValueError("emitted fewer pairs than routed")
 
 
@@ -237,10 +238,8 @@ def map_telemetry(works: Iterable[dict]) -> dict:
     wherever the chunks were mapped."""
     works = list(works)
     gauges = {
-        "map.launches": sum(int(w.get("launches", 0)) for w in works),
-        "map.positioned_samples": sum(
-            int(w.get("n_positioned", 0)) for w in works
-        ),
+        "map.launches": int(sum([w.get("launches", 0) for w in works])),
+        "map.positioned_samples": int(sum([w.get("n_positioned", 0) for w in works])),
     }
     for key in ("march", "march_reason"):
         seen = sorted({w[key] for w in works if w.get(key)})

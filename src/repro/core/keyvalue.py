@@ -79,10 +79,9 @@ def concat_pairs(
         if part.dtype != spec.dtype:
             raise TypeError(f"pairs dtype {part.dtype} != spec {spec.dtype}")
     cuts = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum(np.array([len(p) for p in parts], dtype=np.int64), out=cuts[1:])
-    joined = bytearray().join(
-        p if p.flags.c_contiguous else np.ascontiguousarray(p) for p in parts
-    )
+    np.cumsum(np.array(list(map(len, parts)), dtype=np.int64), out=cuts[1:])
+    # ascontiguousarray returns a contiguous part itself, uncopied.
+    joined = bytearray().join(map(np.ascontiguousarray, parts))
     return np.frombuffer(joined, spec.dtype), cuts
 
 

@@ -185,10 +185,6 @@ class Tracer:
             for ev in events:
                 yield worker, gen, ev
 
-    def clear(self) -> None:
-        self._events = []
-        self._remote = []
-
 
 _active: Optional[Tracer] = None
 

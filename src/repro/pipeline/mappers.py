@@ -10,23 +10,15 @@ stay identical (MIP reduces with ``max`` instead of ``over``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.api import Mapper, MapOutput
 from ..core.chunk import Chunk
-from ..render.camera import Camera, PixelRect
-from ..render.fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY, make_fragments
+from ..render.camera import Camera, rect_areas
 from ..render.geometry import box_contains, ray_box_intersect
-from ..render.raycast import (
-    BrickTask,
-    RenderConfig,
-    cut_launches,
-    raycast_bricks,
-    trilinear_sample,
-)
+from ..render.raycast import RenderConfig, cast_launch, cut_launches, trilinear_sample
 from ..render.transfer import TransferFunction1D
 
 __all__ = ["RayCastMapper", "MaxIntensityMapper", "MIP_DTYPE"]
@@ -57,111 +49,73 @@ class RayCastMapper(Mapper):
         # Stable per-volume token (see repro.render.accel.volume_token);
         # enables empty-space-table reuse across frames when set.
         self.accel_token = accel_token
-        self._initialized = False
         self._rects: dict = {}
-
-    def initialize(self, device=None) -> None:
-        """Upload-once static state (view matrix, transfer-function texture)."""
-        self._initialized = True
 
     def static_device_bytes(self) -> int:
         # View parameters + the 1D transfer-function texture.
         return 256 + self.tf.nbytes
 
-    def accel_key_for(self, chunk: Chunk) -> Optional[tuple]:
-        """Base acceleration-cache key for one chunk (None when untokened).
-
-        The corner-max table is cached under this key directly, its
-        occupied box under ``("box",) + key``.
-        """
-        if self.accel_token is None or self.tf is None:
-            return None
-        brick = chunk.meta
-        if brick is None:
-            return None
-        # The padded region pins the payload: the same volume can be
-        # bricked into different grids (brick id 0 of a 2-brick grid
-        # is not brick id 0 of a 4-brick grid).
-        return (
-            self.accel_token,
-            self.tf.version,
-            chunk.id,
-            tuple(brick.data_lo),
-            tuple(brick.data_hi),
-        )
-
     def _bricks(self, chunks: Sequence[Chunk]) -> list:
         bricks = [chunk.meta for chunk in chunks]
-        if None in bricks:
+        if not all(bricks):  # `None in bricks` would call Brick.__eq__ per brick
             chunk = chunks[bricks.index(None)]
             raise ValueError(f"chunk {chunk.id} lacks Brick metadata")
         return bricks
 
-    def _rects_of(self, bricks: Sequence) -> list[PixelRect]:
-        """The brick cores' padded footprints under this mapper's camera
-        (remembered: launch planning and the launch itself both need
-        them), the unseen ones projected in one call."""
+    def _footprints(self, bricks: Sequence) -> np.ndarray:
+        """The brick cores' padded footprints under this mapper's camera,
+        ``(B, 4)`` rows ``[x0, y0, x1, y1]`` (remembered: launch planning
+        and the launch itself both need them), the unseen ones projected
+        in one call."""
         keys = [(tuple(b.lo), tuple(b.hi)) for b in bricks]
         unseen = [key for key in keys if key not in self._rects]
         if unseen:
-            self._rects.update(
-                zip(
-                    unseen,
-                    self.camera.box_rects(
-                        [lo for lo, _ in unseen], [hi for _, hi in unseen]
-                    ),
-                )
-            )
-        return [self._rects[key] for key in keys]
+            los, his = zip(*unseen)
+            self._rects.update(zip(unseen, self.camera.box_rects(los, his)))
+        return np.array([self._rects[key] for key in keys], dtype=np.int64).reshape(-1, 4)
 
     def launch_sizes(self, chunks: Sequence[Chunk]) -> list[int]:
         """Consecutive chunks fused per launch: as many as fit the
         kernel's ray budget (:data:`~repro.render.raycast.LAUNCH_RAY_BUDGET`)."""
-        return cut_launches(
-            [rect.area for rect in self._rects_of(self._bricks(chunks))]
-        )
+        return cut_launches(rect_areas(self._footprints(self._bricks(chunks))).tolist())
 
     def map(self, chunk: Chunk) -> MapOutput:
         return self.map_batch([chunk])[0]
 
     def map_batch(self, chunks: Sequence[Chunk]) -> list[MapOutput]:
-        """Ray cast ``chunks`` in one kernel launch."""
+        """Ray cast ``chunks`` in one kernel launch.
+
+        With a volume token, each brick's empty-space structures are
+        cached under ``(token, tf version, chunk id, padded region)``:
+        the padded region pins the payload, since the same volume can be
+        bricked into different grids (brick id 0 of a 2-brick grid is
+        not brick id 0 of a 4-brick grid).
+        """
         bricks = self._bricks(chunks)
-        results = raycast_bricks(
+        prefix = None
+        if self.accel_token is not None and self.tf is not None:
+            prefix = (self.accel_token, self.tf.version)
+        fragments, cuts, rows = cast_launch(
+            [chunk.payload() for chunk in chunks],
+            [b.data_lo for b in bricks],
+            [(b.lo, b.hi) for b in bricks],
+            self._footprints(bricks),
             [
-                BrickTask(
-                    data=chunk.payload(),
-                    data_lo=brick.data_lo,
-                    core_lo=brick.lo,
-                    core_hi=brick.hi,
-                    rect=rect,
-                    accel_key=self.accel_key_for(chunk),
-                )
-                for chunk, brick, rect in zip(chunks, bricks, self._rects_of(bricks))
+                None if prefix is None else prefix + (c.id, tuple(b.data_lo), tuple(b.data_hi))
+                for c, b in zip(chunks, bricks)
             ],
-            volume_shape=self.volume_shape,
-            camera=self.camera,
-            tf=self.tf,
-            config=self.config,
+            self.volume_shape, self.camera, self.tf, self.config,
         )
         # The renderer's fragment dtype doubles as the library KV dtype;
         # 'pixel' is the int32 key field.
         return [
-            MapOutput(
-                fragments,
-                work={
-                    "n_rays": stats.n_rays,
-                    "n_samples": stats.n_samples,
-                    "n_active_rays": stats.n_active_rays,
-                    "n_emitted": stats.n_emitted
-                    if self.config.emit_placeholders
-                    else stats.n_rays,
-                    "n_positioned": stats.n_positioned,
-                    "march": stats.march,
-                    "march_reason": stats.march_reason,
-                },
-            )
-            for fragments, stats in results
+            MapOutput(fragments[lo:hi], work={
+                "n_rays": n_rays, "n_samples": n_samples, "n_active_rays": n_active,
+                "n_emitted": n_rays, "n_positioned": n_positioned,
+                "march": march, "march_reason": why,
+            })
+            for lo, hi, (n_rays, n_active, n_samples, _, _, n_positioned, march, why)
+            in zip(cuts, cuts[1:], rows)
         ]
 
 

@@ -127,8 +127,8 @@ class MapReduceVolumeRenderer:
         *k+1* while the parent stitches frame *k*.
     fault_plan:
         Deterministic worker faults for the pool executor (see
-        :mod:`repro.parallel.faults`; ignored by the in-process
-        executor), to exercise its always-on recovery: respawn the
+        :mod:`repro.parallel.faults`; any other executor refuses a
+        plan), to exercise its always-on recovery: respawn the
         workers, re-execute the in-flight frames bitwise-identically,
         degrade to fewer workers and finally to serial execution.
 
@@ -177,12 +177,14 @@ class MapReduceVolumeRenderer:
         check_modes(reduce_mode, shuffle_mode)
         if pipeline_depth < 1:
             raise ValueError("pipeline depth must be at least 1")
+        if fault_plan and executor != "pool":
+            raise ValueError("a fault plan needs the pool executor")
         self.executor = executor
         self.workers = workers
         self.pipeline_depth = int(pipeline_depth)
         self.fault_plan = fault_plan
         self._exec_instance = None
-        self._chunk_memo: tuple = (None, [])  # (key, in-core chunks)
+        self._chunk_memo: tuple = (None, None, [])  # (key, grid, in-core chunks)
         if executor == "pool":
             self._executor()
 
@@ -256,7 +258,7 @@ class MapReduceVolumeRenderer:
 
     def _chunks(self, grid: BrickGrid, out_of_core: bool) -> list[Chunk]:
         if not out_of_core:
-            return self._in_core_chunks(grid)
+            return self._in_core_chunks(grid)[1]
         chunks = []
         for b in grid:
             if self.field is None and self.volume is None:
@@ -270,28 +272,26 @@ class MapReduceVolumeRenderer:
             )
         return chunks
 
-    def _in_core_chunks(self, grid: BrickGrid) -> list[Chunk]:
-        """The grid's chunks with their payloads extracted — remembered
-        for the last grid (one copy of the volume plus ghosts), since an
+    def _in_core_chunks(
+        self, grid: Optional[BrickGrid], bricks_per_gpu: int = 0
+    ) -> tuple[BrickGrid, list[Chunk]]:
+        """``grid`` (None: :meth:`_grid` of ``bricks_per_gpu``) and its
+        chunks with their payloads extracted — both remembered for the
+        last bricking (one copy of the volume plus ghosts), since an
         orbit asks for the same ones frame after frame.  Invalidating
         the volume after an in-place edit changes its token."""
         if self.volume is None:
             raise ValueError("in-core render needs an in-core volume")
-        key = (
-            volume_token(self.volume), grid.volume_shape, grid.brick_size, grid.ghost
-        )
+        how = bricks_per_gpu if grid is None else (grid.volume_shape, grid.brick_size, grid.ghost)
+        key = (volume_token(self.volume), how)
         if key[0] is None or key != self._chunk_memo[0]:
+            grid = grid or self._grid(bricks_per_gpu)
             chunks = [
-                Chunk(
-                    id=b.id,
-                    nbytes=b.nbytes,
-                    data=grid.extract(self.volume, b),
-                    meta=b,
-                )
+                Chunk(id=b.id, nbytes=b.nbytes, data=grid.extract(self.volume, b), meta=b)
                 for b in grid
             ]
-            self._chunk_memo = (key, chunks)
-        return self._chunk_memo[1]
+            self._chunk_memo = (key, grid, chunks)
+        return self._chunk_memo[1:]
 
     def _spec(self, camera: Camera) -> MapReduceSpec:
         # The token keys the per-volume acceleration cache (and the pool
@@ -346,10 +346,13 @@ class MapReduceVolumeRenderer:
         completion here.  Redeem the handle with :meth:`collect_frame`;
         frames complete in submission order.
         """
-        grid = grid or self._grid(bricks_per_gpu)
+        if out_of_core:
+            grid = grid or self._grid(bricks_per_gpu)
+            chunks = self._chunks(grid, True)
+        else:
+            grid, chunks = self._in_core_chunks(grid, bricks_per_gpu)
         self._check_grid(grid)
         spec = self._spec(camera)
-        chunks = self._chunks(grid, out_of_core)
         chunk_to_gpu = [c.id % self.n_gpus for c in chunks]
         ex = self._executor()
         if hasattr(ex, "submit") and hasattr(ex, "collect"):

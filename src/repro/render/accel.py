@@ -6,19 +6,19 @@ across the frames of an orbit (same volume, same transfer function, new
 camera) unless cached:
 
 * the per-voxel corner-max empty-space table
-  (:func:`repro.render.raycast._empty_space_table`), cached under the
-  caller's base key;
+  (:func:`repro.render.raycast._empty_space_table`);
 * the axis-aligned box of that table's occupied cells
   (:func:`repro.render.raycast._occupied_box`), which the march kernel
   slab-tests each ray against so it positions only the part of each ray
-  that can show anything, cached under ``("box",) + base key``.
+  that can show anything.
 
-Both are built (and cached) by :func:`raycast_bricks` *before* it
-hands a launch to the march (:mod:`repro.render.kernels`), and the
-cache key contains no march name: the C march and the NumPy march read
-the same structures.
+A brick's two structures are one entry ``(table, box)`` under the
+caller's key, built (and cached) by :func:`~repro.render.raycast.cast_launch`
+*before* it hands a launch to the march (:mod:`repro.render.kernels`),
+so a warm brick costs one look-up; the key contains no march name: the
+C march and the NumPy march read the same structures.
 
-:class:`AccelCache` is a byte-bounded LRU of both, keyed on
+:class:`AccelCache` is a byte-bounded LRU of these entries, keyed on
 ``(volume token, chunk id, transfer-function version)``:
 
 * the **volume token** is a process-unique string minted per volume (or
@@ -43,8 +43,6 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
-import numpy as np
-
 __all__ = [
     "AccelCache",
     "invalidate_volume",
@@ -61,7 +59,7 @@ class AccelCache:
             raise ValueError("cache bounds must be positive")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._entries: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
@@ -73,33 +71,34 @@ class AccelCache:
     def nbytes(self) -> int:
         return self._nbytes
 
-    def get(self, key: Hashable) -> Optional[np.ndarray]:
-        """Return the cached table for ``key`` (marking it recently used)."""
-        table = self._entries.get(key)
-        if table is None:
+    def get(self, key: Hashable) -> Any:
+        """Return the cached entry for ``key`` (marking it recently used)."""
+        item = self._entries.get(key)
+        if item is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return table
+        return item[0]
 
-    def put(self, key: Hashable, table: np.ndarray) -> None:
-        """Insert ``table``, evicting least-recently-used entries to fit.
+    def put(self, key: Hashable, entry: Any) -> None:
+        """Insert ``entry`` — an array, or a tuple of arrays — evicting
+        least-recently-used entries to fit.
 
         ``None`` is rejected: :meth:`get` could not tell it from a miss,
         so "no structure exists for this key" is simply not cached.
         """
-        if table is None:
+        if entry is None:
             raise TypeError("AccelCache cannot store None; skip the put")
+        nbytes = sum([a.nbytes for a in (entry if isinstance(entry, tuple) else (entry,))])
         if key in self._entries:
-            self._nbytes -= self._entries.pop(key).nbytes
-        self._entries[key] = table
-        self._nbytes += table.nbytes
+            self._nbytes -= self._entries.pop(key)[1]
+        self._entries[key] = (entry, nbytes)
+        self._nbytes += nbytes
         while self._entries and (
             len(self._entries) > self.max_entries or self._nbytes > self.max_bytes
         ):
-            _, evicted = self._entries.popitem(last=False)
-            self._nbytes -= evicted.nbytes
+            self._nbytes -= self._entries.popitem(last=False)[1][1]
 
     def stats(self) -> dict:
         """Hit-rate snapshot for the frame's telemetry document."""

@@ -10,12 +10,12 @@ pad it up to whole 16×16 blocks, clip to the viewport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Camera", "PixelRect", "orbit_camera"]
+__all__ = ["Camera", "PixelRect", "orbit_camera", "rect_areas"]
 
 BLOCK = 16  # CUDA block edge used by the paper's kernel
 
@@ -52,6 +52,12 @@ class PixelRect:
         """(px, py) integer coordinates of every pixel, x fastest."""
         ys, xs = np.mgrid[self.y0 : self.y1, self.x0 : self.x1]
         return xs.ravel(), ys.ravel()
+
+
+def rect_areas(rects: np.ndarray) -> np.ndarray:
+    """Pixel count of each ``[x0, y0, x1, y1]`` row of ``rects``
+    (:attr:`PixelRect.area` of each)."""
+    return np.maximum(rects[:, 2] - rects[:, 0], 0) * np.maximum(rects[:, 3] - rects[:, 1], 0)
 
 
 @dataclass(frozen=True)
@@ -169,21 +175,22 @@ class Camera:
         return grid
 
     def footprint_rays_f32(
-        self, rects: Sequence[PixelRect]
+        self, rects: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(unit dirs float32, pixel keys, offsets) of the rays of
-        ``rects``, concatenated — the NumPy set-up's ray gather.
+        """(unit dirs float32, pixel keys, offsets) of the rays of the
+        ``(n, 4)`` footprints ``rects`` (rows ``[x0, y0, x1, y1]``),
+        concatenated — the NumPy set-up's ray gather.
 
         Rect ``i`` owns rays ``offsets[i]:offsets[i + 1]``, x fastest.
         One key computation and one gather from the cached direction
         grid serve the whole list, so a launch's ray set-up does not
         grow with its brick count.
         """
+        rects = np.asarray(rects, dtype=np.int32).reshape(-1, 4)
         # Per rect: its ray count, its first key and its width.
-        areas, first, widths = np.array(
-            [(r.area, r.y0 * self.width + r.x0, r.width) for r in rects],
-            dtype=np.int32,
-        ).reshape(-1, 3).T
+        areas = rect_areas(rects)
+        first = rects[:, 1] * np.int32(self.width) + rects[:, 0]
+        widths = rects[:, 2] - rects[:, 0]
         offsets = np.zeros(len(rects) + 1, dtype=np.int32)
         np.cumsum(areas, dtype=np.int32, out=offsets[1:])
         ray = np.arange(offsets[-1], dtype=np.int32)
@@ -195,7 +202,7 @@ class Camera:
 
     def rect_rays_f32(self, rect: PixelRect) -> tuple[np.ndarray, np.ndarray]:
         """(unit dirs float32, pixel keys) for one rect."""
-        dirs, keys, _ = self.footprint_rays_f32([rect])
+        dirs, keys, _ = self.footprint_rays_f32([(rect.x0, rect.y0, rect.x1, rect.y1)])
         return dirs, keys
 
     def pixel_index(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -226,9 +233,9 @@ class Camera:
         y = np.where(in_front, y, np.nan)
         return np.stack([x, y], axis=-1), in_front
 
-    def _corner_rects(self, corners: np.ndarray, pad_to_block: bool) -> list[PixelRect]:
+    def _corner_rects(self, corners: np.ndarray, pad_to_block: bool) -> np.ndarray:
         """Padded, clipped footprints of ``(B, K, 3)`` corner sets, all
-        projected in one pass."""
+        projected in one pass: ``(B, 4)`` int64 rows ``[x0, y0, x1, y1]``."""
         n_boxes, n_corners = corners.shape[:2]
         xy, in_front = self.project_points(corners.reshape(-1, 3))
         xy = xy.reshape(n_boxes, n_corners, 2)
@@ -246,9 +253,7 @@ class Camera:
         if pad_to_block:
             lo = (lo // BLOCK) * BLOCK
             hi = ((hi + BLOCK - 1) // BLOCK) * BLOCK
-        lo = np.clip(lo, 0, size).tolist()
-        hi = np.clip(hi, 0, size).tolist()
-        return [PixelRect(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(lo, hi)]
+        return np.concatenate([np.clip(lo, 0, size), np.clip(hi, 0, size)], axis=1)
 
     def brick_rect(
         self, corners: np.ndarray, pad_to_block: bool = True
@@ -256,13 +261,14 @@ class Camera:
         """Padded, clipped screen footprint of a world-space box, given
         its ``(K, 3)`` corners."""
         corners = np.asarray(corners, dtype=np.float64)
-        return self._corner_rects(corners[None], pad_to_block)[0]
+        return PixelRect(*self._corner_rects(corners[None], pad_to_block)[0].tolist())
 
     def box_rects(
         self, los: Sequence, his: Sequence, pad_to_block: bool = True
-    ) -> list[PixelRect]:
+    ) -> np.ndarray:
         """:meth:`brick_rect` of every axis-aligned box ``[los[i],
-        his[i]]`` — one projection for the whole list (a frame's bricks)."""
+        his[i]]`` — one projection for the whole list (a launch's
+        bricks), as ``(n, 4)`` int64 rows ``[x0, y0, x1, y1]``."""
         los = np.asarray(los, dtype=np.float64).reshape(-1, 1, 3)
         his = np.asarray(his, dtype=np.float64).reshape(-1, 1, 3)
         return self._corner_rects(np.where(_CORNER_BITS, his, los), pad_to_block)
@@ -271,7 +277,7 @@ class Camera:
         self, lo: Sequence[float], hi: Sequence[float], pad_to_block: bool = True
     ) -> PixelRect:
         """:meth:`box_rects` of one box."""
-        return self.box_rects([lo], [hi], pad_to_block)[0]
+        return PixelRect(*self.box_rects([lo], [hi], pad_to_block)[0].tolist())
 
     def full_rect(self) -> PixelRect:
         return PixelRect(0, 0, self.width, self.height)

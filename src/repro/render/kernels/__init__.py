@@ -1,10 +1,9 @@
 """The per-ray kernels of the blocked ray caster: one arithmetic contract,
 two implementations that give the same bits.
 
-``raycast_bricks`` keeps what belongs to a brick (rect projection, its
-cached empty-space structures, its :class:`BrickSegment` and
-``MapStats``); everything done per *ray* is a kernel, and a launch makes
-two kernel calls:
+``cast_launch`` keeps what belongs to a brick (its cached empty-space
+structures, its :class:`BrickSegment` and its counters); everything done
+per *ray* is a kernel, and a launch makes two kernel calls:
 
 * :func:`setup` (:class:`SetupPlan` → :class:`LaunchRays`) — each
   footprint ray's key and direction, the float32 slab tests against its
@@ -85,7 +84,7 @@ class SetupPlan:
     ``rects[i]`` against its core box ``cores[i]``."""
 
     camera: "Camera"  # noqa: F821 - camera.Camera
-    rects: list  # of PixelRect inside the viewport, one per brick
+    rects: np.ndarray  # (B, 4) int footprints [x0, y0, x1, y1] inside the viewport
     cores: np.ndarray  # (B, 2, 3) float32 core boxes [lo, hi]
     volume_shape: tuple  # the whole-volume box [0, volume_shape)
     dt: float
@@ -178,20 +177,26 @@ def trim_boxes(segments) -> Optional[np.ndarray]:
     return boxes if (boxes != _OPEN).any() else None
 
 
+def _import_backends() -> None:
+    """Import both kernel modules, which binds each as a global of this
+    package.  Not at load time: ``c_backend`` brings ctypes and
+    subprocess into every process that imports the renderer, and
+    ``numpy_backend`` imports the raycast module, which imports this
+    package."""
+    from . import c_backend, numpy_backend  # noqa: F401
+
+
 def resolve() -> tuple[str, str]:
     """``(march, reason)``: the kernels this process runs for an
     unshaded float32 launch (``"c"`` or ``"numpy"``) and why."""
-    from . import c_backend
-
-    lib, reason = c_backend.load()
-    return ("c" if lib is not None else "numpy"), reason
+    return _kernels(False, True)[::2]
 
 
 def _kernels(shading: bool, float32: bool) -> tuple:
     """``(name, kernels, reason)``: C where it can run, else NumPy."""
-    from . import c_backend, numpy_backend
-
-    lib, reason = c_backend.load()
+    if "numpy_backend" not in globals():
+        _import_backends()
+    lib, reason = c_backend.load()  # noqa: F821 - both bound by _import_backends
     if lib is not None and (shading or not float32):
         lib, reason = None, "shaded launch" if shading else "non-float32 payload"
     return ("c", lib, reason) if lib is not None else ("numpy", numpy_backend, reason)
@@ -208,6 +213,6 @@ def march(plan: MarchPlan) -> tuple:
     positioned samples and kept fragments per segment, the march that
     ran and why."""
     name, kernels, reason = _kernels(
-        plan.shading, all(s.flat.dtype == np.float32 for s in plan.segments)
+        plan.shading, all([s.flat.dtype == np.float32 for s in plan.segments])
     )
     return (*kernels.launch(plan), name, reason)

@@ -16,9 +16,10 @@ reason)``; ``kernels`` is None when C is unavailable (no compiler, a
 failed build, a refused cache, a failed ``dlopen``) and ``reason`` says
 why — the NumPy kernels then run, with the same bits.  Forked pool
 workers inherit the loaded library from their parent.  The bindings
-check every buffer C touches (dtype, shape, contiguity, rects inside
-the viewport, segments tiling the rays); C bounds-checks the one index
-it reads from a buffer.
+check every buffer a caller hands to C (dtype, shape, contiguity, rects
+inside the viewport, segments tiling the rays) in one pass per call;
+the buffers they allocate themselves need only an address.  C
+bounds-checks the one index it reads from a buffer.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..camera import rect_areas
 from ..fragments import FRAGMENT_DTYPE
 from . import BLOCK_SIZE, LaunchRays, trim_boxes
 
@@ -197,51 +199,65 @@ def _bind(lib) -> SimpleNamespace:
         ptr, ptr, ptr,  # per-segment counters
     ]
 
-    def check(a: np.ndarray, dtype, shape: tuple, what: str) -> int:
-        """C reads and writes these buffers blind: refuse anything but
-        a C-contiguous array of the expected dtype and shape; the
-        buffer's address."""
-        if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
-            raise ValueError(
-                f"C kernels: {what} must be C-contiguous {np.dtype(dtype)} {shape}, "
-                f"got {a.dtype} {a.shape}"
-            )
-        try:  # a third of a.ctypes.data's cost, for a writable non-empty buffer
-            return ctypes.addressof(ctypes.c_char.from_buffer(a))
-        except (TypeError, ValueError):
-            return a.ctypes.data
+    def addresses(*arrays) -> list:
+        """The buffer address of each array (None stays None): for
+        arrays whose dtype, shape and layout are known — allocated here
+        with them, or passed by :func:`check`."""
+        out = []
+        for a in arrays:
+            try:  # a third of a.ctypes.data's cost, for a writable non-empty buffer
+                out.append(None if a is None else ctypes.addressof(ctypes.c_char.from_buffer(a)))
+            except (TypeError, ValueError):
+                out.append(a.__array_interface__["data"][0])
+        return out
+
+    def check(*buffers) -> list:
+        """C reads and writes these buffers blind: refuse any ``(array,
+        dtype, shape, what)`` whose array is not C-contiguous with that
+        dtype and shape (a None array passes, as a null pointer), in one
+        pass; the buffers' addresses."""
+        for a, dtype, shape, what in buffers:
+            if a is not None and (
+                a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"C kernels: {what} must be C-contiguous {np.dtype(dtype)} {shape}, "
+                    f"got {a.dtype} {a.shape}"
+                )
+        return addresses(*[a for a, _, _, _ in buffers])
 
     def setup(plan) -> LaunchRays:
         """``plan``'s ray set-up in C: the NumPy set-up's arrays, bitwise."""
         cam = plan.camera
-        if any(r.x0 < 0 or r.y0 < 0 or r.x1 > cam.width or r.y1 > cam.height for r in plan.rects):
+        # C takes each footprint as [x0, y0, width, area].
+        rects = np.array(plan.rects, dtype=np.int64).reshape(-1, 4)
+        if ((rects[:, :2] < 0) | (rects[:, 2:] > (cam.width, cam.height))).any():
             raise ValueError("C kernels: a rect lies outside the viewport")
-        rects = np.array([(r.x0, r.y0, r.width, r.area) for r in plan.rects], np.int64)
-        rects = rects.reshape(-1, 4)
+        rects[:, 3] = rect_areas(rects)
+        rects[:, 2] -= rects[:, 0]
         nb = len(rects)
         ray_cuts = np.zeros(nb + 1, dtype=np.int64)
         np.cumsum(rects[:, 3], out=ray_cuts[1:])
         n_rays = int(ray_cuts[-1])
-        eye = np.array(cam.eye, dtype=_F32)
-        volume = np.asarray(plan.volume_shape, dtype=_F32)
         out = LaunchRays(
             ray_cuts, np.empty(n_rays, np.int64), np.empty(n_rays, np.int32),
             np.empty((n_rays, 3), _F32), np.empty(n_rays, np.int64),
             np.empty(n_rays, np.int64), np.empty(n_rays, _F32),
             np.empty(nb + 1, np.int64), np.empty(nb, np.int64),
         )
-        n = lib.repro_setup(
-            nb, check(rects, np.int64, (nb, 4), "rects"), cam.width,
-            check(cam._dirs32(), _F32, (cam.width * cam.height, 3), "direction grid"),
-            check(eye, _F32, (3,), "eye"),
-            check(plan.cores, _F32, (nb, 2, 3), "brick boxes"),
-            check(volume, _F32, (3,), "volume box"), plan.dt,
-            *(
-                check(a, a.dtype, a.shape, "set-up output")
-                for a in (out.active, out.keys, out.dirs, out.kf, out.counts, out.t0,
-                          out.cuts, out.owned)
-            ),
+        # C gets addresses only: every array stays referenced until it returns.
+        eye = np.array(cam.eye, dtype=_F32)
+        volume = np.asarray(plan.volume_shape, dtype=_F32)
+        buffers = check(
+            (cam._dirs32(), _F32, (cam.width * cam.height, 3), "direction grid"),
+            (eye, _F32, (3,), "eye"), (plan.cores, _F32, (nb, 2, 3), "brick boxes"),
+            (volume, _F32, (3,), "volume box"),
         )
+        rects_at, *out_at = addresses(
+            rects, out.active, out.keys, out.dirs, out.kf, out.counts, out.t0,
+            out.cuts, out.owned,
+        )
+        n = lib.repro_setup(nb, rects_at, cam.width, *buffers, plan.dt, *out_at)
         for name in ("active", "keys", "dirs", "kf", "counts", "t0"):
             setattr(out, name, getattr(out, name)[:n])
         return out
@@ -251,46 +267,50 @@ def _bind(lib) -> SimpleNamespace:
         segs = plan.segments
         nseg = len(segs)
         n = len(plan.counts)
-        edges = [s.ray_lo for s in segs] + [n]
-        if edges[0] != 0 or any(s.ray_hi != hi or s.ray_lo > hi for s, hi in zip(segs, edges[1:])):
+        seg_ray = np.array([s.ray_lo for s in segs] + [n], dtype=np.int64)
+        ray_hi = np.array([s.ray_hi for s in segs], dtype=np.int64)
+        if seg_ray[0] != 0 or ((ray_hi != seg_ray[1:]) | (seg_ray[:-1] > ray_hi)).any():
             raise ValueError("C kernels: segments must tile the plan's rays in order")
-        seg_ray = np.array(edges, dtype=np.int64)
-        flat = (ptr * nseg)(*[check(s.flat, _F32, (math.prod(s.shape),), "payload") for s in segs])
-        table = (ptr * nseg)(*[
-            None if s.skip_table is None
-            else check(s.skip_table, np.bool_, (math.prod(s.shape),), "skip table") for s in segs
-        ])
+        sizes = [math.prod(s.shape) for s in segs]
+        boxes = trim_boxes(segs)
+        tf, res = plan.tf, plan.tf.resolution
+        # C gets addresses only: every array stays referenced until it returns.
         shape = np.array([s.shape for s in segs], dtype=np.int64)
         base_w = np.array([s.base_w for s in segs], dtype=_F32)
-        boxes = trim_boxes(segs)
+        at = check(
+            *[(s.flat, _F32, (size,), "payload") for s, size in zip(segs, sizes)],
+            *[(s.skip_table, np.bool_, (size,), "skip table") for s, size in zip(segs, sizes)],
+            (shape, np.int64, (nseg, 3), "shapes"), (base_w, _F32, (nseg, 3), "lattice origins"),
+            (boxes, _F32, (nseg, 2, 3), "occupied boxes"),
+            (seg_ray, np.int64, (nseg + 1,), "segment rays"),
+            (plan.counts, np.int64, (n,), "counts"), (plan.t0, _F32, (n,), "t0"),
+            (plan.dirs, _F32, (n, 3), "dirs"),
+            (tf.table, _F32, (res, 4), "transfer function"),
+            (tf._diff, _F32, (res - 1, 4), "transfer function steps"),
+            (plan.acc_rgb, _F32, (n, 3), "acc_rgb"), (plan.acc_a, _F32, (n,), "acc_a"),
+            (plan.term, np.bool_, (n,), "term"), (plan.keys, np.int32, (n,), "keys"),
+            (plan.active, np.int64, (n,), "footprint indices"),
+        )
+        flat, table = (ptr * nseg)(*at[:nseg]), (ptr * nseg)(*at[nseg : 2 * nseg])
+        (shape_at, base_w_at, boxes_at, seg_ray_at, counts_at, t0_at, dirs_at,
+         tf_at, steps_at, rgb_at, alpha_at, term_at, keys_at, active_at) = at[2 * nseg :]
         if boxes is not None:
             plan.lead = np.empty(n, dtype=np.int64)
             plan.trail = np.empty(n, dtype=np.int64)
-        tf = plan.tf
         n_out = plan.n_rays if plan.emit_placeholders else n
         fragments = np.empty(n_out, dtype=FRAGMENT_DTYPE)
         counters = np.zeros((3, nseg), dtype=np.int64)  # owned, positioned, kept
-        at = check(counters, np.int64, (3, nseg), "counters")
+        lead_at, trail_at, frag_at, count_at = addresses(
+            *((None, None) if boxes is None else (plan.lead, plan.trail)), fragments, counters
+        )
         status = lib.repro_march(
-            nseg, flat, check(shape, np.int64, (nseg, 3), "shapes"), table,
-            check(base_w, _F32, (nseg, 3), "lattice origins"),
-            None if boxes is None else check(boxes, _F32, (nseg, 2, 3), "occupied boxes"),
-            check(seg_ray, np.int64, (nseg + 1,), "segment rays"),
-            any(s.need_clamp for s in segs), check(plan.counts, np.int64, (n,), "counts"),
-            check(plan.t0, _F32, (n,), "t0"), check(plan.dirs, _F32, (n, 3), "dirs"),
-            None if boxes is None else check(plan.lead, np.int64, (n,), "lead"),
-            None if boxes is None else check(plan.trail, np.int64, (n,), "trail"),
+            nseg, flat, shape_at, table, base_w_at, boxes_at, seg_ray_at,
+            any([s.need_clamp for s in segs]), counts_at, t0_at, dirs_at, lead_at, trail_at,
             plan.dt, BLOCK_SIZE, plan.use_ert, plan.ert_alpha, plan.u_thr >= 0,
-            plan.u_thr, check(tf.table, _F32, (tf.resolution, 4), "transfer function"),
-            check(tf._diff, _F32, (tf.resolution - 1, 4), "transfer function steps"),
-            tf.resolution, tf.vmin == 0.0 and tf.vmax == 1.0, tf.vmin,
-            1.0 / (tf.vmax - tf.vmin), check(plan.acc_rgb, _F32, (n, 3), "acc_rgb"),
-            check(plan.acc_a, _F32, (n,), "acc_a"), check(plan.term, np.bool_, (n,), "term"),
-            check(plan.keys, np.int32, (n,), "keys"),
-            check(plan.active, np.int64, (n,), "footprint indices"),
-            plan.emit_placeholders, n_out,
-            check(fragments, FRAGMENT_DTYPE, (n_out,), "fragments"),
-            at, at + 8 * nseg, at + 16 * nseg,
+            plan.u_thr, tf_at, steps_at, res, tf.vmin == 0.0 and tf.vmax == 1.0,
+            tf.vmin, 1.0 / (tf.vmax - tf.vmin), rgb_at, alpha_at, term_at, keys_at, active_at,
+            plan.emit_placeholders, n_out, frag_at,
+            count_at, count_at + 8 * nseg, count_at + 16 * nseg,
         )
         if status == -1:
             raise MemoryError("C kernels: scratch allocation failed")

@@ -35,9 +35,12 @@ finite-precision normalized directions do not produce such rays.)
 Fused launches
 --------------
 One brick's footprint is only a couple of thousand rays, so
-:func:`raycast_bricks` casts the **whole brick list as one launch** of
-two kernel calls (:mod:`repro.render.kernels`), each one C call when
-the process has the C kernels:
+:func:`cast_launch` casts the **whole brick list as one launch** of two
+kernel calls (:mod:`repro.render.kernels`), each one C call when the
+process has the C kernels.  A launch arrives as arrays, and its bricks'
+padded footprints are one ``(B, 4)`` int array ``[x0, y0, x1, y1]``
+from the projection (:meth:`~repro.render.camera.Camera.box_rects`)
+to the C call:
 
 * *set-up* (``kernels.setup``) — every footprint ray's key and
   direction, one float32 slab test against its *own* brick's box and
@@ -49,12 +52,13 @@ the process has the C kernels:
   a placeholder per footprint ray); a brick's fragments are a view of
   the launch's array.
 
-Between the two, :func:`raycast_bricks` does only what is the brick's
-own: the look-up (or first build) of its cached empty-space structures
-and its :class:`~repro.render.kernels.BrickSegment`, and afterwards its
-``MapStats``.  Rays never interact, so any grouping of bricks is
-bitwise the bricks cast one by one; :func:`raycast_brick` is a launch
-of one through the same lines.  Callers bound a launch with
+Between the two, :func:`cast_launch` does only what is the brick's own:
+one look-up (or first build) of its cached empty-space structures and
+its :class:`~repro.render.kernels.BrickSegment`; its counters come back
+as one row per brick.  Rays never interact, so any grouping of bricks
+is bitwise the bricks cast one by one; :func:`raycast_bricks` is a
+launch of :class:`BrickTask` records and :func:`raycast_brick` a launch
+of one, through the same lines.  Callers bound a launch with
 :func:`cut_launches` (``LAUNCH_RAY_BUDGET`` footprint rays: per-launch
 buffers, and with them peak memory, grow with the rays in flight).
 
@@ -150,12 +154,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
+from .accel import AccelCache, shared_cache
 from .camera import Camera, PixelRect
 from .fragments import empty_fragments, placeholder_fragments
+from .kernels import BrickSegment, MarchPlan, SetupPlan
 from .transfer import TransferFunction1D
 
 __all__ = [
@@ -163,6 +171,7 @@ __all__ = [
     "LAUNCH_RAY_BUDGET",
     "MapStats",
     "RenderConfig",
+    "cast_launch",
     "cut_launches",
     "raycast_brick",
     "raycast_bricks",
@@ -217,9 +226,7 @@ class RenderConfig:
     def kernel(self) -> str:
         """The march this process runs for this config: ``"c"`` or
         ``"numpy"`` (read-only; both give the same bits)."""
-        from .kernels import resolve
-
-        return "numpy" if self.shading else resolve()[0]
+        return "numpy" if self.shading else kernels.resolve()[0]
 
     @property
     def fetches_per_sample(self) -> int:
@@ -398,10 +405,10 @@ class BrickTask:
     ``accel_key`` (optional) enables empty-space caching: it must
     uniquely identify ``(data, tf)`` — the renderer uses
     ``(volume token, tf version, brick id, region)``.  The corner-max
-    table is cached under the key itself, its occupied box under
-    ``("box",) + key``.  Both are pure functions of ``(data, tf)`` and
-    skipping with them provably cannot change the image or the stats,
-    so caching never affects output.
+    table and its occupied box are cached together under the key, as
+    one entry.  Both are pure functions of ``(data, tf)`` and skipping
+    with them provably cannot change the image or the stats, so caching
+    never affects output.
     """
 
     data: np.ndarray
@@ -469,43 +476,110 @@ def _occupied_box(table: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     return box
 
 
-def _brick_structures(
-    brick: BrickTask,
-    n_samples: int,
+def cast_launch(
+    payloads: Sequence[np.ndarray],
+    data_lo: Sequence,
+    cores: Sequence,
+    rects: np.ndarray,
+    accel_keys: Sequence[Optional[tuple]],
+    volume_shape: tuple[int, int, int],
+    camera: Camera,
     tf: TransferFunction1D,
-    config: RenderConfig,
-    u_thr: float,
-    cache: Optional["AccelCache"],
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(corner-max table, its occupied box) of one brick that is about
-    to march ``n_samples`` samples — cached copies when the brick
-    carries an ``accel_key``, both None when there is no table."""
-    data = brick.data
-    # u_thr < 0 means the alpha table has no leading zero run: there is
-    # nothing to skip and _empty_space_table would return None.
-    if config.accel == "off" or u_thr < 0 or min(data.shape) < 2:
-        return None, None
-    if brick.accel_key is None:
-        cache = None
-    skip_table = box = None
-    if cache is not None:
-        box_key = ("box",) + tuple(brick.accel_key)
-        skip_table = cache.get(brick.accel_key)
-    if skip_table is not None:
-        box = cache.get(box_key)
-    elif n_samples > data.size // 8:
-        # The table costs O(voxels): without a cached copy, build it
-        # only when the march is big enough to amortize it.
-        skip_table = _empty_space_table(data, tf, u_thr)
-        if cache is not None:
-            cache.put(brick.accel_key, skip_table)
+    config: RenderConfig = RenderConfig(),
+    accel_cache: Optional[AccelCache] = None,
+) -> tuple[np.ndarray, list[int], list[tuple]]:
+    """Ray cast one launch of bricks given as arrays (see "Fused
+    launches" in the module docstring).
+
+    Brick ``i`` is ``payloads[i]``, ghost-padded from voxel
+    ``data_lo[i]``, with core box ``cores[i]`` (``[lo, hi]``), padded
+    footprint ``rects[i]`` (``[x0, y0, x1, y1]`` inside the viewport)
+    and acceleration-cache key ``accel_keys[i]`` (None: nothing cached;
+    see :class:`BrickTask`).  Returns the launch's fragment array, the
+    cuts of each brick's slice of it, and each brick's
+    :class:`MapStats` fields in order.
+    """
+    u_thr = _alpha_zero_threshold(tf)
+    # A table-less alpha (u_thr < 0) has nothing to skip.
+    cache = None
+    if config.accel != "off" and u_thr >= 0:
+        cache = accel_cache if accel_cache is not None else shared_cache()
+    data_lo = np.asarray(data_lo, dtype=np.float64).reshape(-1, 3)
+    cores = np.asarray(cores, dtype=_F32).reshape(-1, 2, 3)
+    shapes = np.array([data.shape for data in payloads], dtype=np.int64).reshape(-1, 3)
+
+    # -- ray set-up, launch-wide (a kernel: see the kernels package).
+    rays = kernels.setup(SetupPlan(
+        camera, rects, cores, volume_shape, config.dt, config.shading,
+        all([data.dtype == _F32 for data in payloads]),
+    ))
+    cuts, owned = rays.cuts.tolist(), rays.owned.tolist()
+    # Lattice coords c = (position − ½) with the brick origin folded in.
+    base_w = (np.asarray(camera.eye, dtype=np.float64) - data_lo - 0.5).astype(_F32)
+    # Interior bricks with a full one-voxel ghost shell keep every
+    # sample's 2×2×2 support inside the payload — no clamping needed.
+    need_clamp = np.logical_or.reduce(
+        (data_lo > cores[:, 0] - 1) | (data_lo + shapes < cores[:, 1] + 1), axis=1
+    ).tolist()
+
+    # -- per brick: what is its own — one look-up (or first build) of
+    # its empty-space structures and a segment over its stretch of the
+    # launch's rays (idle bricks have none).
+    marching, segments = [], []
+    for i, data in enumerate(payloads):
+        lo, hi = cuts[i], cuts[i + 1]
+        if hi == lo:
+            continue
+        key, entry = accel_keys[i], None
+        if cache is not None and min(data.shape) > 1:
+            entry = None if key is None else cache.get(key)
+            # The table costs O(voxels): without a cached copy, build it
+            # only when the march is big enough to amortize it.
+            if entry is None and owned[i] > data.size // 8:
+                table = _empty_space_table(data, tf, u_thr)
+                entry = (table, _occupied_box(table, data.shape))
+                if key is not None:
+                    cache.put(key, entry)
+        skip_table, box = entry or (None, None)
+        marching.append(i)
+        segments.append(BrickSegment(
+            data, np.ascontiguousarray(data).ravel(), data.shape, need_clamp[i],
+            base_w[i], skip_table, box, lo, hi,
+        ))
+
+    # -- trim, march and emit, launch-wide (a kernel: the C one, or the
+    # NumPy passes it mirrors bit for bit).  A launch of idle bricks
+    # never reaches it.
+    n_bricks = len(payloads)
+    n_rays = (rays.ray_cuts[1:] - rays.ray_cuts[:-1]).tolist()
+    samples, positioned, kept = [0] * n_bricks, [0] * n_bricks, [0] * n_bricks
+    marches, reasons = [""] * n_bricks, [""] * n_bricks
+    if segments:
+        n = len(rays.counts)
+        fragments, owned_s, positioned_s, kept_s, name, why = kernels.march(MarchPlan(
+            tuple(segments), rays.counts, rays.t0, rays.dirs, float(config.dt),
+            config.ert_alpha < 1.0, float(config.ert_alpha),
+            float(u_thr), lead=None, trail=None, tf=tf.opacity_corrected(config.dt),
+            shading=config.shading, acc_rgb=np.zeros((n, 3), dtype=_F32),
+            acc_a=np.zeros(n, dtype=_F32), term=np.zeros(n, dtype=bool),
+            keys=rays.keys, active=rays.active, n_rays=int(rays.ray_cuts[-1]),
+            emit_placeholders=config.emit_placeholders,
+        ))
+        fetches = config.fetches_per_sample
+        for i, own, pos, k in zip(marching, owned_s.tolist(), positioned_s.tolist(), kept_s.tolist()):
+            samples[i], positioned[i], kept[i] = own * fetches, pos, k
+            marches[i], reasons[i] = name, why
+    elif config.emit_placeholders:
+        fragments = placeholder_fragments(int(rays.ray_cuts[-1]))
     else:
-        return None, None
-    if box is None:
-        box = _occupied_box(skip_table, data.shape)
-        if cache is not None:
-            cache.put(box_key, box)
-    return skip_table, box
+        fragments = empty_fragments()
+    # Each brick's fragments are a view of the launch's array: its
+    # footprint with placeholders, else its kept rays.
+    emitted = n_rays if config.emit_placeholders else kept
+    return fragments, list(accumulate(emitted, initial=0)), list(zip(
+        n_rays, (rays.cuts[1:] - rays.cuts[:-1]).tolist(), samples, emitted, kept,
+        positioned, marches, reasons,
+    ))
 
 
 def raycast_bricks(
@@ -514,107 +588,31 @@ def raycast_bricks(
     camera: Camera,
     tf: TransferFunction1D,
     config: RenderConfig = RenderConfig(),
-    accel_cache: Optional["AccelCache"] = None,
+    accel_cache: Optional[AccelCache] = None,
 ) -> list[tuple[np.ndarray, MapStats]]:
     """Ray cast ``bricks`` as **one launch**; ``(fragments, stats)`` each.
 
     ``volume_shape`` defines the global box used for the shared ray
     parametrisation.  Rays are set up, marched and emitted for the whole
-    list at once (see "Fused launches" in the module docstring) —
-    callers bound a launch's size with :func:`cut_launches`.  Results
-    are bitwise those of casting every brick on its own, in any
-    grouping; each brick's fragments are a view of the launch's array.
+    list at once (:func:`cast_launch`) — callers bound a launch's size
+    with :func:`cut_launches`.  Results are bitwise those of casting
+    every brick on its own, in any grouping; each brick's fragments are
+    a view of the launch's array.
 
     Acceleration structures are looked up in ``accel_cache`` (default:
     the process-wide :func:`~repro.render.accel.shared_cache`) for
     bricks that carry an ``accel_key``.
     """
-    # Imported lazily: kernels imports this module's helpers at load time.
-    from . import kernels
-    from .kernels import BrickSegment, MarchPlan, SetupPlan
-
-    u_thr = _alpha_zero_threshold(tf)
-    cache = None
-    if config.accel != "off":
-        from .accel import shared_cache
-
-        cache = accel_cache if accel_cache is not None else shared_cache()
-    rects = [b.rect for b in bricks]
-    missing = [i for i, r in enumerate(rects) if r is None]
-    if missing:
-        projected = camera.box_rects(
-            [bricks[i].core_lo for i in missing], [bricks[i].core_hi for i in missing]
-        )
-        for i, rect in zip(missing, projected):
-            rects[i] = rect
-
-    # -- ray set-up, launch-wide (a kernel: see the kernels package).
-    rays = kernels.setup(SetupPlan(
-        camera, rects,
-        np.array([(b.core_lo, b.core_hi) for b in bricks], dtype=_F32).reshape(-1, 2, 3),
-        volume_shape, config.dt, config.shading,
-        all(b.data.dtype == _F32 for b in bricks),
-    ))
-    cuts, owned, ray_cuts = rays.cuts.tolist(), rays.owned.tolist(), rays.ray_cuts.tolist()
-    # Lattice coords c = (position − ½) with the brick origin folded in.
-    data_lo = np.array([b.data_lo for b in bricks], dtype=np.float64).reshape(-1, 3)
-    base_w = (np.asarray(camera.eye, dtype=np.float64) - data_lo - 0.5).astype(_F32)
-    stats = [
-        MapStats(n_rays=hi - lo, n_active_rays=c1 - c0)
-        for lo, hi, c0, c1 in zip(ray_cuts, ray_cuts[1:], cuts, cuts[1:])
-    ]
-
-    # -- per brick: what is its own — structure lookups and a segment
-    # over its stretch of the launch's rays (idle bricks have none).
-    marching, segments = [], []
-    for i, brick in enumerate(bricks):
-        lo, hi = cuts[i], cuts[i + 1]
-        if hi == lo:
-            continue
-        data = brick.data
-        skip_table, box = _brick_structures(brick, owned[i], tf, config, u_thr, cache)
-        marching.append(i)
-        segments.append(BrickSegment(
-            data, np.ascontiguousarray(data).ravel(), data.shape,
-            # Interior bricks with a full one-voxel ghost shell keep
-            # every sample's 2×2×2 support inside the payload — no
-            # clamping needed.
-            need_clamp=any(
-                dl > cl - 1 or dl + size < ch + 1
-                for dl, size, cl, ch in zip(brick.data_lo, data.shape, brick.core_lo, brick.core_hi)
-            ),
-            base_w=base_w[i], skip_table=skip_table, box=box, ray_lo=lo, ray_hi=hi,
-        ))
-
-    # -- trim, march and emit, launch-wide (a kernel: the C one, or the
-    # NumPy passes it mirrors bit for bit).  A launch of idle bricks
-    # never reaches it.
-    kept = [0] * len(bricks)
-    if segments:
-        n = len(rays.counts)
-        fragments, owned_s, positioned, kept_s, name, why = kernels.march(MarchPlan(
-            tuple(segments), rays.counts, rays.t0, rays.dirs, float(config.dt),
-            config.ert_alpha < 1.0, float(config.ert_alpha),
-            float(u_thr), lead=None, trail=None, tf=tf.opacity_corrected(config.dt),
-            shading=config.shading, acc_rgb=np.zeros((n, 3), dtype=_F32),
-            acc_a=np.zeros(n, dtype=_F32), term=np.zeros(n, dtype=bool),
-            keys=rays.keys, active=rays.active, n_rays=ray_cuts[-1],
-            emit_placeholders=config.emit_placeholders,
-        ))
-        for i, own, pos, k in zip(marching, owned_s.tolist(), positioned.tolist(), kept_s.tolist()):
-            stats[i].n_samples = own * config.fetches_per_sample
-            stats[i].n_positioned, kept[i] = pos, k
-            stats[i].march, stats[i].march_reason = name, why
-    elif config.emit_placeholders:
-        fragments = placeholder_fragments(ray_cuts[-1])
-    else:
-        fragments = empty_fragments()
-    # Each brick's fragments are a view of the launch's array: its
-    # footprint with placeholders, else its kept rays.
-    out_cuts = ray_cuts if config.emit_placeholders else np.cumsum([0] + kept).tolist()
-    for st, k, lo, hi in zip(stats, kept, out_cuts, out_cuts[1:]):
-        st.n_kept, st.n_emitted = k, hi - lo
-    return [(fragments[lo:hi], st) for lo, hi, st in zip(out_cuts, out_cuts[1:], stats)]
+    cores = np.array([(b.core_lo, b.core_hi) for b in bricks], dtype=np.float64).reshape(-1, 2, 3)
+    rects = camera.box_rects(cores[:, 0], cores[:, 1])
+    for i, b in enumerate(bricks):
+        if b.rect is not None:
+            rects[i] = (b.rect.x0, b.rect.y0, b.rect.x1, b.rect.y1)
+    fragments, cuts, rows = cast_launch(
+        [b.data for b in bricks], [b.data_lo for b in bricks], cores, rects,
+        [b.accel_key for b in bricks], volume_shape, camera, tf, config, accel_cache,
+    )
+    return [(fragments[lo:hi], MapStats(*row)) for lo, hi, row in zip(cuts, cuts[1:], rows)]
 
 
 def raycast_brick(
@@ -628,7 +626,7 @@ def raycast_brick(
     config: RenderConfig = RenderConfig(),
     rect: Optional[PixelRect] = None,
     accel_key: Optional[tuple] = None,
-    accel_cache: Optional["AccelCache"] = None,
+    accel_cache: Optional[AccelCache] = None,
 ) -> tuple[np.ndarray, MapStats]:
     """Ray cast one ghost-padded brick: a :func:`raycast_bricks` launch
     of one (see :class:`BrickTask` for the parameters)."""

@@ -39,10 +39,6 @@ class Brick:
     data_hi: tuple[int, int, int]  # padded region end
 
     @property
-    def core_shape(self) -> tuple[int, int, int]:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))  # type: ignore[return-value]
-
-    @property
     def data_shape(self) -> tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.data_lo, self.data_hi))  # type: ignore[return-value]
 
@@ -101,7 +97,7 @@ class BrickGrid:
         )
 
     def __len__(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def __iter__(self) -> Iterator[Brick]:
         for i in range(len(self)):

@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bricking import Brick, BrickGrid
+from .bricking import BrickGrid
 from .volume import Volume
 
 __all__ = ["write_bvol", "BvolReader"]
@@ -113,9 +113,6 @@ class BvolReader:
 
     def __len__(self) -> int:
         return len(self.grid)
-
-    def brick(self, i: int) -> Brick:
-        return self.grid.brick(i)
 
     def read_brick(self, i: int) -> np.ndarray:
         """Read brick ``i``'s ghost-padded payload with a single seek."""

@@ -181,13 +181,12 @@ def test_cached_grid_cannot_change_image_or_stats():
     cam = orbit_camera(vol.shape, width=96, height=96)
     shared_cache().clear()
     cold = r.render(cam)
-    keys = list(shared_cache()._entries)
-    box_keys = [k for k in keys if k[0] == "box"]
-    assert len(box_keys) == cold.n_bricks  # one box per brick's table
-    assert sorted(k[1:] for k in box_keys) == sorted(k for k in keys if k[0] != "box")
+    entries = shared_cache()._entries
+    assert len(entries) == cold.n_bricks  # one (table, box) entry per brick
+    assert all(len(entry) == 2 for entry, _ in entries.values())
     hits = shared_cache().hits
     warm = r.render(cam)
-    assert shared_cache().hits == hits + 2 * cold.n_bricks
+    assert shared_cache().hits == hits + cold.n_bricks
     assert np.array_equal(cold.image, warm.image)
     assert cold.stats.as_dict() == warm.stats.as_dict()
 
@@ -277,11 +276,12 @@ def test_raycast_brick_uses_explicit_cache():
         config=RenderConfig(dt=0.5),
     )
     f1, s1 = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    # Table stored under the base key, its occupied box under the
-    # derived box key.
-    assert len(cache) == 2 and set(cache._entries) == {("k",), ("box", "k")}
+    # The table and its occupied box, one entry under the key.
+    assert len(cache) == 1 and set(cache._entries) == {("k",)}
+    (table, box), nbytes = cache._entries[("k",)]
+    assert cache.nbytes == nbytes == table.nbytes + box.nbytes
     f2, s2 = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    assert cache.hits >= 2
+    assert cache.hits >= 1
     assert np.array_equal(f1, f2)
     assert s1.n_samples == s2.n_samples and s1.n_kept == s2.n_kept
     # No key -> the shared cache is untouched and output is unchanged.

@@ -147,14 +147,16 @@ def test_box_rects_projects_a_list_like_one_box_at_a_time():
     los[0], his[0] = (-500, -500, -500), (500, 500, 500)  # eye inside
     los[1], his[1] = (24, 200, 16), (30, 210, 20)  # beside the frustum
     for pad in (True, False):
-        rects = cam.box_rects(los, his, pad)
+        rows = cam.box_rects(los, his, pad)
+        assert rows.shape == (40, 4) and rows.dtype == np.int64
+        rects = [PixelRect(*row) for row in rows.tolist()]
         assert rects == [cam.box_rect(lo, hi, pad) for lo, hi in zip(los, his)]
         for lo, hi, rect in zip(los, his, rects):
             corners = [[(lo, hi)[c >> a & 1][a] for a in range(3)] for c in range(8)]
             assert rect == cam.brick_rect(np.array(corners, float), pad)
     assert rects[0] == cam.full_rect()
     assert any(r.empty for r in rects) and any(not r.empty for r in rects)
-    assert cam.box_rects([], []) == []
+    assert cam.box_rects([], []).shape == (0, 4)
 
 
 @pytest.mark.parametrize("width,height", [(48, 48), (64, 24), (17, 53)])
@@ -177,7 +179,7 @@ def test_footprint_rays_concatenate_the_rects():
         PixelRect(3, 2, 19, 11), PixelRect(0, 0, 0, 0), PixelRect(16, 0, 50, 30),
         PixelRect(7, 7, 8, 8), PixelRect(40, 20, 30, 25),  # negative width: empty
     ]
-    dirs, keys, cuts = cam.footprint_rays_f32(rects)
+    dirs, keys, cuts = cam.footprint_rays_f32([(r.x0, r.y0, r.x1, r.y1) for r in rects])
     assert cuts.tolist() == [0, 144, 144, 1164, 1165, 1165]
     assert dirs.shape == (1165, 3) and keys.shape == (1165,)
     _, all_dirs, all_keys = cam.rays_for_rect(cam.full_rect())

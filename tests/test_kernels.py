@@ -32,7 +32,6 @@ from repro.core import InProcessExecutor
 from repro.parallel import SharedMemoryPoolExecutor
 from repro.render import RenderConfig, default_tf
 from repro.render.accel import AccelCache
-from repro.render.camera import PixelRect
 from repro.render.kernels import SetupPlan, c_backend, resolve
 from repro.render.raycast import raycast_brick
 
@@ -194,7 +193,7 @@ def test_accel_cache_shared_across_backends():
     with use_march("numpy"):
         cold, cold_stats = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
     n_entries = len(cache)
-    assert n_entries == 2  # corner-max table + its occupied box
+    assert n_entries == 1  # corner-max table and its occupied box, one entry
     for march in MARCHES:
         hits = cache.hits
         with use_march(march):
@@ -234,10 +233,10 @@ def test_bad_buffers_are_refused_before_c_sees_them(monkeypatch):
     monkeypatch.setattr(lib.lib, "repro_setup", reached)
     monkeypatch.setattr(lib.lib, "repro_march", reached)
     cores = np.array([[[0, 0, 0], [12, 12, 12]]], np.float32)
-    setup = SetupPlan(cam, [cam.full_rect()], cores, (12,) * 3, 0.5, False, True)
+    setup = SetupPlan(cam, np.array([[0, 0, 24, 24]]), cores, (12,) * 3, 0.5, False, True)
     for bad in (
-        replace(setup, rects=[PixelRect(0, 0, 25, 4)]),  # outside the viewport
-        replace(setup, rects=[PixelRect(-1, 0, 4, 4)]),
+        replace(setup, rects=np.array([[0, 0, 25, 4]])),  # outside the viewport
+        replace(setup, rects=np.array([[-1, 0, 4, 4]])),
         replace(setup, cores=cores.astype(np.float64)),  # wrong dtype
         replace(setup, cores=np.asfortranarray(np.repeat(cores, 2, axis=0))[:1]),
     ):

@@ -99,6 +99,7 @@ def launches(draw):
             ))
     occupied = [_occupied(draw) for _ in range(n)]
     dt = draw(st.sampled_from([0.3, 0.5, 0.75, 1.0, 1.45]))
+    rects = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], np.int64).reshape(-1, 4)
     return camera, rects, np.array(boxes, F32).reshape(-1, 2, 3), occupied, dt
 
 
@@ -133,7 +134,7 @@ def _march_plan(rays, occupied, camera):
 #: the entry and the exit, and np.fmin / np.fmax then keep the ray whole.
 NAN_TRIM = (
     Camera(eye=(20.0, 1e-30, 4.0), center=(15.0, 1e-30 + 5e-39, 4.0), width=1, height=1),
-    [PixelRect(0, 0, 1, 1)],
+    np.array([[0, 0, 1, 1]]),
     np.array([[[0, 0, 0], [12, 10, 8]]], F32),
     [np.array([[-3.0, 0.0, -INF], [1.5, 4.0, INF]], F32)],
     0.75,

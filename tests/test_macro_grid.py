@@ -429,7 +429,7 @@ def test_no_leading_zero_and_opaque_tfs_have_no_table_and_no_trim(monkeypatch):
         for payload, tf, n_cached in (
             (data, _ramp_tf(rng.uniform(0.05, 1.0, 16)), 0),
             (data, _ramp_tf(rng.uniform(0.5, 1.0, 8)), 0),
-            (dense, default_tf(), 2),  # every cell occupied: table + open box
+            (dense, default_tf(), 1),  # every cell occupied: table + open box
         ):
             cache = AccelCache()
             task = BrickTask(payload, (0, 0, 0), (0, 0, 0), payload.shape, accel_key=("k",))
@@ -598,19 +598,19 @@ def test_occupied_box_is_cached_with_its_table_and_invalidated_with_it(monkeypat
     tf = default_tf()
     cold = frame(tf)
     n_bricks = len(built)
-    assert n_bricks == len(list(grid)) and len(cache) == 2 * n_bricks
-    boxes = [k for k in cache._entries if k[0] == "box"]
-    assert len(boxes) == n_bricks
+    assert n_bricks == len(list(grid)) and len(cache) == n_bricks
+    keys = list(cache._entries)  # one (table, box) entry per brick
+    assert all(len(entry) == 2 for entry, _ in cache._entries.values())
     misses = cache.misses
     warm = frame(tf)
     assert len(built) == n_bricks and cache.misses == misses  # all served
     for (f0, s0), (f1, s1) in zip(cold, warm):
         assert f0.tobytes() == f1.tobytes() and s0 == s1
         assert s0.n_positioned == s1.n_positioned
-    # a lost box (LRU eviction) is rebuilt from the cached table alone
-    cache._nbytes -= cache._entries.pop(boxes[0]).nbytes
+    # a lost entry (LRU eviction) is rebuilt, table and box
+    cache._nbytes -= cache._entries.pop(keys[0])[1]
     frame(tf)
-    assert len(built) == n_bricks + 1 and boxes[0] in cache._entries
+    assert len(built) == n_bricks + 1 and keys[0] in cache._entries
     # in-place edit into a previously empty corner
     positioned = sum(s.n_positioned for _, s in warm)
     vol.data[:6, :6, :6] = float(vol.data.max())

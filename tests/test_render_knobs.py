@@ -130,6 +130,7 @@ def test_non_finite_step_is_refused(dt, tmp_path, capsys):
     (["--fault-plan", "bogus", "--executor", "pool"], "fault rule 'bogus'"),
     (["--size", "0"], "shape must be three positive ints"),
     (["--image", "0"], "image must be at least 1x1"),
+    (["--fault-plan", "crash@map:worker=0,frame=1"], "a fault plan needs the pool executor"),
 ])
 def test_invalid_render_value_is_a_usage_error(argv, message, tmp_path, capsys):
     """A value the parser accepts but the dataset, camera, config,
