@@ -12,7 +12,9 @@ The functional renderer, which this namespace exports:
   ``.bvol`` out-of-core container;
 * :mod:`repro.pipeline` — the end-to-end renderer
   (:class:`~repro.pipeline.MapReduceVolumeRenderer`);
-* :mod:`repro.parallel` — the shared-memory multiprocess executor.
+* :mod:`repro.parallel` — the shared-memory multiprocess executor,
+  imported by name (``executor="pool"`` loads it), so an in-process
+  render loads none of it.
 
 The analysis half regenerates the paper's figures and is imported by
 name; it may import the functional half, never the reverse:
@@ -34,7 +36,6 @@ Quickstart::
     # result.image is a (256, 256, 4) premultiplied RGBA array
 """
 
-from .parallel import SharedMemoryPoolExecutor
 from .pipeline import MapReduceVolumeRenderer, RenderResult
 from .render import (
     Camera,
@@ -59,7 +60,6 @@ __all__ = [
     "MapReduceVolumeRenderer",
     "RenderConfig",
     "RenderResult",
-    "SharedMemoryPoolExecutor",
     "TransferFunction1D",
     "Volume",
     "bone_tf",

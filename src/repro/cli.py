@@ -45,12 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--workers", type=int, default=None,
                    help="pool worker processes (default: one per simulated "
                         "GPU, capped to the machine's cores)")
-    r.add_argument("--reduce-mode", default="worker",
+    r.add_argument("--reduce-mode", default=None,
                    help="where the pool executor runs Sort+Reduce; only "
-                        "'worker' remains (each partition is reduced on "
-                        "the worker that owns it) and the removed "
-                        "'parent' raises ValueError.  Kept only until "
-                        "the benchmark harness stops passing it")
+                        "'worker' (the default) remains: each partition is "
+                        "reduced on the worker that owns it.  Kept only "
+                        "until the benchmark harness stops passing it")
     r.add_argument("--fault-plan", default=None,
                    help="deterministic fault injection for pool workers, "
                         "e.g. 'crash@map:worker=1,frame=2' or "

@@ -12,13 +12,8 @@ from .api import Combiner, Mapper, MapOutput, Partitioner, Reducer
 from .chunk import Chunk
 from .executors import InProcessExecutor, InProcessResult, MapWork, ShuffleSpec
 from .job import JobConfig, MapReduceSpec
-from .keyvalue import PLACEHOLDER, KVSpec, discard_placeholders, validate_pairs
-from .partition import (
-    BlockPartitioner,
-    CallablePartitioner,
-    RoundRobinPartitioner,
-    TiledPartitioner,
-)
+from .keyvalue import PLACEHOLDER, KVSpec, validate_pairs
+from .partition import BlockPartitioner, RoundRobinPartitioner, TiledPartitioner
 from .sort import (
     SortResult,
     counting_sort_pairs,
@@ -29,7 +24,6 @@ from .stats import JobStats
 
 __all__ = [
     "BlockPartitioner",
-    "CallablePartitioner",
     "Chunk",
     "Combiner",
     "InProcessExecutor",
@@ -49,7 +43,6 @@ __all__ = [
     "SortResult",
     "TiledPartitioner",
     "counting_sort_pairs",
-    "discard_placeholders",
     "run_length_groups",
     "stable_counting_order",
     "validate_pairs",

@@ -45,9 +45,6 @@ class MapOutput:
         self.pairs = pairs
         self.work = dict(work or {})
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 class Mapper(abc.ABC):
     """Produces key-value pairs from one :class:`Chunk`.
@@ -120,11 +117,6 @@ class Partitioner(abc.ABC):
     @abc.abstractmethod
     def partition(self, keys: np.ndarray) -> np.ndarray:
         """Reducer index (int array) for each key."""
-
-    def owned_key_count(self, reducer: int, n_keys: int) -> int:
-        """How many of the dense keys ``0..n_keys-1`` this reducer owns."""
-        keys = np.arange(n_keys, dtype=np.int64)
-        return int(np.count_nonzero(self.partition(keys) == reducer))
 
 
 class Combiner(abc.ABC):

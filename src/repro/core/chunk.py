@@ -3,12 +3,12 @@
 "A Chunk represents a collection of work to be mapped, in our case, it
 is a brick of a volume."  A chunk carries either its payload (in-core)
 or a recipe to load it (out-of-core: a disk read in the simulated
-cluster, a field evaluation or ``.bvol`` seek in the functional path).
+cluster, a ``.bvol`` seek in the functional path).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -65,7 +65,3 @@ class Chunk:
                 f"chunk {self.id}: loader returned {data.nbytes} B, declared {self.nbytes} B"
             )
         return data
-
-    def fits_on(self, vram_bytes: int, static_bytes: int = 0) -> bool:
-        """Library restriction #1: the map task must fit in GPU memory."""
-        return self.nbytes + static_bytes <= vram_bytes

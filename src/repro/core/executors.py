@@ -83,26 +83,6 @@ class ShuffleSpec:
             raise ValueError(f"worker {worker} out of range")
         return list(range(worker, self.n_reducers, self.n_workers))
 
-    def degrade(self, n_workers: int) -> "ShuffleSpec":
-        """The same reducer partitions re-owned over a *shrunken* pool.
-
-        This is the degradation step of the pool supervisor: after a
-        worker slot is quarantined for repeated failures, every
-        partition is deterministically re-assigned by the identical
-        ``partition % n_workers`` rule over the surviving count.
-        Because keys are disjoint per partition and reduced outputs are
-        assembled in partition order, re-owning cannot change results —
-        only who computes them (the property the recovery golden tests
-        pin).
-        """
-        n_workers = int(n_workers)
-        if not 1 <= n_workers <= self.n_workers:
-            raise ValueError(
-                f"can only degrade to 1..{self.n_workers} workers, "
-                f"got {n_workers}"
-            )
-        return ShuffleSpec(self.n_reducers, n_workers)
-
 
 @dataclass
 class MapWork:

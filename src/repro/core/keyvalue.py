@@ -22,7 +22,6 @@ __all__ = [
     "KVSpec",
     "PLACEHOLDER",
     "concat_pairs",
-    "discard_placeholders",
     "validate_pairs",
 ]
 
@@ -49,19 +48,8 @@ class KVSpec:
             )
         object.__setattr__(self, "dtype", dt)
 
-    @property
-    def pair_nbytes(self) -> int:
-        return self.dtype.itemsize
-
-    @property
-    def value_nbytes(self) -> int:
-        return self.dtype.itemsize - 4
-
     def keys(self, pairs: np.ndarray) -> np.ndarray:
         return pairs[self.key_field]
-
-    def empty(self) -> np.ndarray:
-        return np.empty(0, dtype=self.dtype)
 
 
 def concat_pairs(
@@ -83,11 +71,6 @@ def concat_pairs(
     # ascontiguousarray returns a contiguous part itself, uncopied.
     joined = bytearray().join(map(np.ascontiguousarray, parts))
     return np.frombuffer(joined, spec.dtype), cuts
-
-
-def discard_placeholders(pairs: np.ndarray, spec: KVSpec) -> np.ndarray:
-    """Drop placeholder emissions (library does this during Partition)."""
-    return pairs[pairs[spec.key_field] != PLACEHOLDER]
 
 
 def validate_pairs(pairs: np.ndarray, spec: KVSpec, max_key: int) -> None:

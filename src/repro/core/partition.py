@@ -4,8 +4,8 @@
 empirically, the highest-performing method.  A modulo is sufficient to
 determine the reducer to which a key-value pair must be sent."
 
-Alternatives (striped/block, tiled for images, custom) are provided for
-the ablation benchmark the paper's §6 discussion motivates: round-robin
+Two alternatives (striped/block, tiled for images) are provided for the
+partitioner ablation the paper's §6 discussion motivates: round-robin
 spreads dense pixel keys evenly, while contiguous schemes skew load when
 the image footprint is uneven.
 """
@@ -13,7 +13,6 @@ the image footprint is uneven.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "RoundRobinPartitioner",
     "BlockPartitioner",
     "TiledPartitioner",
-    "CallablePartitioner",
 ]
 
 
@@ -32,20 +30,6 @@ class RoundRobinPartitioner(Partitioner):
 
     def partition(self, keys: np.ndarray) -> np.ndarray:
         return (np.asarray(keys, dtype=np.int64) % self.n_reducers).astype(np.int32)
-
-    def owned_key_count(self, reducer: int, n_keys: int) -> int:
-        if not 0 <= reducer < self.n_reducers:
-            raise ValueError(f"reducer {reducer} out of range")
-        base, extra = divmod(n_keys, self.n_reducers)
-        return base + (1 if reducer < extra else 0)
-
-    def local_index(self, keys: np.ndarray) -> np.ndarray:
-        """Dense per-reducer index of each key (key // n)."""
-        return np.asarray(keys, dtype=np.int64) // self.n_reducers
-
-    def global_key(self, reducer: int, local: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`local_index` for a given reducer."""
-        return np.asarray(local, dtype=np.int64) * self.n_reducers + reducer
 
 
 class BlockPartitioner(Partitioner):
@@ -61,13 +45,6 @@ class BlockPartitioner(Partitioner):
     def partition(self, keys: np.ndarray) -> np.ndarray:
         r = np.asarray(keys, dtype=np.int64) // self.block
         return np.minimum(r, self.n_reducers - 1).astype(np.int32)
-
-    def owned_key_count(self, reducer: int, n_keys: int) -> int:
-        lo = reducer * self.block
-        hi = min((reducer + 1) * self.block, n_keys)
-        if reducer == self.n_reducers - 1:
-            hi = n_keys
-        return max(hi - lo, 0)
 
 
 class TiledPartitioner(Partitioner):
@@ -91,18 +68,3 @@ class TiledPartitioner(Partitioner):
         t = (y // self.tile) * self.tiles_x + (x // self.tile)
         return (t % self.n_reducers).astype(np.int32)
 
-
-class CallablePartitioner(Partitioner):
-    """Wrap an arbitrary vectorised key→reducer function."""
-
-    def __init__(self, n_reducers: int, fn: Callable[[np.ndarray], np.ndarray]):
-        super().__init__(n_reducers)
-        self.fn = fn
-
-    def partition(self, keys: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(keys)))
-        if out.shape != np.asarray(keys).shape:
-            raise ValueError("partition function changed shape")
-        if len(out) and (out.min() < 0 or out.max() >= self.n_reducers):
-            raise ValueError("partition function produced out-of-range reducer")
-        return out.astype(np.int32)

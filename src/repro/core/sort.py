@@ -63,15 +63,6 @@ class SortResult:
     starts: np.ndarray  # start offset of each key's run in `pairs`
     counts: np.ndarray  # run length per unique key
 
-    def group(self, i: int) -> np.ndarray:
-        """All pairs of the i-th unique key."""
-        s = self.starts[i]
-        return self.pairs[s : s + self.counts[i]]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.unique_keys)
-
 
 def stable_counting_order(keys: np.ndarray, n_slots: int) -> np.ndarray:
     """Stable bucket-major order of ``keys`` (dense ints in [0, n_slots)).

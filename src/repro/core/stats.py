@@ -45,12 +45,6 @@ class JobStats:
         self.n_pairs_emitted += emitted
         self.n_pairs_kept += kept
 
-    @property
-    def discard_fraction(self) -> float:
-        if self.n_pairs_emitted == 0:
-            return 0.0
-        return 1.0 - self.n_pairs_kept / self.n_pairs_emitted
-
     def as_dict(self, include_telemetry: bool = False) -> dict:
         """Counter dump.
 

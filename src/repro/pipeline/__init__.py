@@ -7,7 +7,7 @@ by name.
 """
 
 from .combiner import FragmentCombiner
-from .driver import RotationResult, orbit_path, render_rotation
+from .driver import orbit_path
 from .mappers import MIP_DTYPE, MaxIntensityMapper, RayCastMapper
 from .reducers import CompositeReducer, MaxReducer
 from .renderer import MapReduceVolumeRenderer, RenderResult
@@ -21,7 +21,5 @@ __all__ = [
     "MaxReducer",
     "RayCastMapper",
     "RenderResult",
-    "RotationResult",
     "orbit_path",
-    "render_rotation",
 ]

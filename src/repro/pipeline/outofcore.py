@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.executors import MapWork
 from ..sim.node import ClusterSpec
 from ..volume.bricking import BrickGrid
@@ -33,17 +31,6 @@ class ResidencyPlan:
     per_gpu_bytes: tuple[int, ...]  # assigned brick payload per GPU
     vram_bytes: tuple[int, ...]  # capacity per GPU
     static_bytes: int  # mapper constants per GPU
-
-    @property
-    def worst_fill(self) -> float:
-        """Highest VRAM fill fraction across GPUs."""
-        return max(
-            (b + self.static_bytes) / v
-            for b, v in zip(self.per_gpu_bytes, self.vram_bytes)
-        )
-
-    def headroom_bytes(self, gpu: int) -> int:
-        return self.vram_bytes[gpu] - self.per_gpu_bytes[gpu] - self.static_bytes
 
 
 def plan_residency(

@@ -85,8 +85,10 @@ class MapReduceVolumeRenderer:
     Parameters
     ----------
     volume:
-        In-core volume — optional when a procedural ``field`` is given
-        (out-of-core renders, simulated workloads).
+        In-core volume; every functional frame needs one.  Without it
+        the renderer is a scene description for simulated workloads, or
+        builds the map spec (:meth:`_spec`) of chunks the caller loads
+        itself, as ``examples/out_of_core.py`` streams bricks from disk.
     cluster:
         A GPU count, or a cluster description such as
         :class:`~repro.sim.node.ClusterSpec`, read by duck typing
@@ -99,8 +101,7 @@ class MapReduceVolumeRenderer:
         step, early termination, shading, placeholder emission and the
         empty-space machinery ``accel``); defaults match the paper.
     field:
-        Procedural dataset field for out-of-core renders and simulated
-        workloads.
+        Procedural dataset field for simulated workloads.
     volume_shape:
         Required when ``volume`` is None.
     executor, workers:
@@ -121,20 +122,22 @@ class MapReduceVolumeRenderer:
         harness stops passing them (ROADMAP item 1(d)).
     pipeline_depth:
         Max frames in flight for the pool executor's async
-        :meth:`submit_frame`/:meth:`collect_frame` pipeline (used by
-        :func:`~repro.pipeline.driver.render_rotation`).  1 (default) is
-        fully synchronous; 2 double-buffers: workers map+reduce frame
+        :meth:`submit_frame`/:meth:`collect_frame` pipeline: an orbit
+        submits frame *k+1* before it collects frame *k*.  1 (default)
+        is fully synchronous; 2 double-buffers: workers map+reduce frame
         *k+1* while the parent stitches frame *k*.
     fault_plan:
         Deterministic worker faults for the pool executor (see
-        :mod:`repro.parallel.faults`; any other executor refuses a
-        plan), to exercise its always-on recovery: respawn the
-        workers, re-execute the in-flight frames bitwise-identically,
-        degrade to fewer workers and finally to serial execution.
+        :mod:`repro.parallel.faults`), to exercise its always-on
+        recovery: respawn the workers, re-execute the in-flight frames
+        bitwise-identically, degrade to fewer workers and finally to
+        serial execution.
 
-    A pool executor is built here, so a bad ``workers`` or
-    ``fault_plan`` raises ``ValueError`` at construction; its worker
-    processes start with the first frame.
+    ``workers``, ``reduce_mode``, ``shuffle_mode``, ``pipeline_depth``
+    and ``fault_plan`` are pool settings: any other executor refuses
+    each one given a value other than its default.  A pool executor is
+    built here, so a bad pool setting raises ``ValueError`` at
+    construction; its worker processes start with the first frame.
     """
 
     def __init__(
@@ -148,7 +151,7 @@ class MapReduceVolumeRenderer:
         partitioner_factory: Optional[Callable[[int], Partitioner]] = None,
         executor: str | object = "inprocess",
         workers: Optional[int] = None,
-        reduce_mode: str = "worker",
+        reduce_mode: Optional[str] = None,
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
         fault_plan: Optional[str] = None,
@@ -172,13 +175,23 @@ class MapReduceVolumeRenderer:
         self._partitioner_factory = partitioner_factory or RoundRobinPartitioner
         if isinstance(executor, str) and executor not in ("inprocess", "pool"):
             raise ValueError(f"unknown executor {executor!r}")
-        from ..parallel.pool import check_modes
+        if executor == "pool":
+            from ..parallel.pool import check_modes
 
-        check_modes(reduce_mode, shuffle_mode)
+            check_modes(reduce_mode or "worker", shuffle_mode)
+        else:
+            pool_only = {
+                "a worker count": workers is not None,
+                "a reduce mode": reduce_mode is not None,
+                "a shuffle mode": shuffle_mode != "auto",
+                "a pipeline depth": pipeline_depth != 1,
+                "a fault plan": bool(fault_plan),
+            }
+            for what, given in pool_only.items():
+                if given:
+                    raise ValueError(f"{what} needs the pool executor")
         if pipeline_depth < 1:
             raise ValueError("pipeline depth must be at least 1")
-        if fault_plan and executor != "pool":
-            raise ValueError("a fault plan needs the pool executor")
         self.executor = executor
         self.workers = workers
         self.pipeline_depth = int(pipeline_depth)
@@ -256,22 +269,6 @@ class MapReduceVolumeRenderer:
     def _grid(self, bricks_per_gpu: int) -> BrickGrid:
         return bricks_for_gpu_count(self.volume_shape, self.n_gpus, bricks_per_gpu)
 
-    def _chunks(self, grid: BrickGrid, out_of_core: bool) -> list[Chunk]:
-        if not out_of_core:
-            return self._in_core_chunks(grid)[1]
-        chunks = []
-        for b in grid:
-            if self.field is None and self.volume is None:
-                raise ValueError("out-of-core render needs a field or volume")
-            if self.field is not None:
-                loader = (lambda bb=b: grid.extract_from_field(self.field, bb))
-            else:
-                loader = (lambda bb=b: grid.extract(self.volume, bb))
-            chunks.append(
-                Chunk(id=b.id, nbytes=b.nbytes, loader=loader, on_disk=True, meta=b)
-            )
-        return chunks
-
     def _in_core_chunks(
         self, grid: Optional[BrickGrid], bricks_per_gpu: int = 0
     ) -> tuple[BrickGrid, list[Chunk]]:
@@ -316,23 +313,18 @@ class MapReduceVolumeRenderer:
         self,
         camera: Camera,
         bricks_per_gpu: int = 2,
-        out_of_core: bool = False,
         grid: Optional[BrickGrid] = None,
     ) -> RenderResult:
         """Render one frame: exactly one submit/collect round trip, so
         chunk construction and placement live only in
         :meth:`submit_frame`."""
-        handle = self.submit_frame(
-            camera, bricks_per_gpu=bricks_per_gpu,
-            out_of_core=out_of_core, grid=grid,
-        )
+        handle = self.submit_frame(camera, bricks_per_gpu=bricks_per_gpu, grid=grid)
         return self.collect_frame(handle)
 
     def submit_frame(
         self,
         camera: Camera,
         bricks_per_gpu: int = 2,
-        out_of_core: bool = False,
         grid: Optional[BrickGrid] = None,
     ) -> FrameHandle:
         """Start a functional frame without waiting for it.
@@ -340,17 +332,12 @@ class MapReduceVolumeRenderer:
         With a pool executor and ``pipeline_depth > 1`` this is the
         async half of the double-buffered orbit pipeline: map (and
         worker-side reduce) work for this frame is enqueued — and its
-        arena, including any out-of-core chunk loads, published — while
-        previously submitted frames are still being collected and
-        stitched.  With a synchronous executor the frame simply runs to
+        arena published — while previously submitted frames are still
+        being collected and stitched.  With a synchronous executor the frame simply runs to
         completion here.  Redeem the handle with :meth:`collect_frame`;
         frames complete in submission order.
         """
-        if out_of_core:
-            grid = grid or self._grid(bricks_per_gpu)
-            chunks = self._chunks(grid, True)
-        else:
-            grid, chunks = self._in_core_chunks(grid, bricks_per_gpu)
+        grid, chunks = self._in_core_chunks(grid, bricks_per_gpu)
         self._check_grid(grid)
         spec = self._spec(camera)
         chunk_to_gpu = [c.id % self.n_gpus for c in chunks]

@@ -1,28 +1,18 @@
 """Ray-casting renderer substrate: cameras, kernels, compositing."""
 
-from .accel import AccelCache, invalidate_volume, shared_cache, volume_token
+from .accel import AccelCache, shared_cache, volume_token
 from .camera import BLOCK, Camera, PixelRect, orbit_camera
-from .compositing import (
-    blend_background,
-    composite_fragments,
-    composite_pixel_fragments,
-    group_ranks,
-    over,
-    segmented_exclusive_cumprod,
-)
+from .compositing import blend_background, composite_fragments, segmented_exclusive_cumprod
 from .fragments import (
     FRAGMENT_DTYPE,
     FRAGMENT_NBYTES,
     PLACEHOLDER_KEY,
-    concat_fragments,
-    drop_placeholders,
-    empty_fragments,
     fragment_sort_order,
     make_fragments,
     rgba_view,
 )
 from .geometry import box_contains, ray_box_intersect
-from .image import image_stats, max_abs_diff, mean_abs_diff, psnr
+from .image import image_stats, max_abs_diff, psnr
 from .raycast import (
     BrickTask,
     MapStats,
@@ -42,7 +32,6 @@ from .transfer import (
     default_tf,
     fire_tf,
     grayscale_tf,
-    opacity_correction,
 )
 
 __all__ = [
@@ -67,24 +56,15 @@ __all__ = [
     "bone_tf",
     "box_contains",
     "composite_fragments",
-    "composite_pixel_fragments",
-    "concat_fragments",
     "default_tf",
-    "drop_placeholders",
-    "empty_fragments",
     "fire_tf",
     "fragment_sort_order",
     "grayscale_tf",
-    "group_ranks",
     "image_stats",
-    "invalidate_volume",
     "cut_launches",
     "make_fragments",
     "max_abs_diff",
-    "mean_abs_diff",
-    "opacity_correction",
     "orbit_camera",
-    "over",
     "psnr",
     "ray_box_intersect",
     "raycast_brick",

@@ -45,7 +45,6 @@ from typing import Any, Hashable, Optional
 
 __all__ = [
     "AccelCache",
-    "invalidate_volume",
     "shared_cache",
     "volume_token",
 ]
@@ -63,13 +62,6 @@ class AccelCache:
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
 
     def get(self, key: Hashable) -> Any:
         """Return the cached entry for ``key`` (marking it recently used)."""
@@ -111,12 +103,6 @@ class AccelCache:
             "nbytes": self._nbytes,
         }
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._nbytes = 0
-        self.hits = 0
-        self.misses = 0
-
 
 _shared = AccelCache()
 
@@ -145,9 +131,8 @@ def volume_token(obj: Any) -> Optional[str]:
     The token asserts **immutability of the object's voxel data**: it is
     identity-based, so mutating ``volume.data`` in place keeps the token
     and would serve stale cached tables (and stale pool-executor
-    arenas).  Renderers treat volumes as immutable; code that must edit
-    voxels in place should call :func:`invalidate_volume` afterwards (or
-    simply wrap the data in a fresh ``Volume``).
+    arenas).  Renderers treat volumes as immutable; code that edits
+    voxels should wrap the new data in a fresh ``Volume``.
     """
     if obj is None:
         return None
@@ -163,12 +148,3 @@ def volume_token(obj: Any) -> Optional[str]:
     _tokens[key] = (token, ref)
     return token
 
-
-def invalidate_volume(obj: Any) -> None:
-    """Forget ``obj``'s token after an in-place edit of its voxel data.
-
-    The next :func:`volume_token` call mints a fresh token, so every
-    consumer keyed on it (acceleration caches, the pool executor's
-    shared-memory arena fingerprint) re-derives from the new data.
-    """
-    _tokens.pop(id(obj), None)

@@ -78,6 +78,9 @@ class Camera:
     height: int = 512
 
     def __post_init__(self):
+        for name in ("eye", "center", "up"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"camera {name} must be finite, got {getattr(self, name)}")
         if self.width < 1 or self.height < 1:
             raise ValueError("image must be at least 1x1")
         if not 0 < self.fov_y < math.pi:
@@ -100,7 +103,7 @@ class Camera:
         object.__setattr__(self, "_focal", (self.height / 2.0) / math.tan(self.fov_y / 2.0))
 
     def __getstate__(self):
-        # The cached full-viewport direction grid (see rect_rays_f32) is
+        # The cached full-viewport direction grid (see footprint_rays_f32) is
         # a per-process render cache, not camera state — and at ~12 B per
         # pixel it would bloat every pickled per-frame payload the
         # multiprocess executor ships to its workers.  Receivers rebuild
@@ -108,9 +111,6 @@ class Camera:
         state = dict(self.__dict__)
         state.pop("_dirs32_grid", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     # -- basis ------------------------------------------------------------
     @property
@@ -200,11 +200,6 @@ class Camera:
         keys += row * np.repeat(np.int32(self.width) - widths, areas)
         return np.take(self._dirs32(), keys, axis=0), keys, offsets
 
-    def rect_rays_f32(self, rect: PixelRect) -> tuple[np.ndarray, np.ndarray]:
-        """(unit dirs float32, pixel keys) for one rect."""
-        dirs, keys, _ = self.footprint_rays_f32([(rect.x0, rect.y0, rect.x1, rect.y1)])
-        return dirs, keys
-
     def pixel_index(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """The paper's MapReduce key: ``y * width + x`` as int32."""
         return (np.asarray(py) * self.width + np.asarray(px)).astype(np.int32)
@@ -279,9 +274,6 @@ class Camera:
         """:meth:`box_rects` of one box."""
         return PixelRect(*self.box_rects([lo], [hi], pad_to_block)[0].tolist())
 
-    def full_rect(self) -> PixelRect:
-        return PixelRect(0, 0, self.width, self.height)
-
 
 def orbit_camera(
     volume_shape: Sequence[int],
@@ -293,6 +285,9 @@ def orbit_camera(
     fov_deg: float = 45.0,
 ) -> Camera:
     """Camera orbiting the volume center — the paper's interactive view."""
+    for name, value in (("azimuth", azimuth_deg), ("elevation", elevation_deg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     shape = np.asarray(volume_shape, dtype=np.float64)
     center = shape / 2.0
     radius = float(np.linalg.norm(shape)) / 2.0

@@ -20,36 +20,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fragments import FRAGMENT_DTYPE, _pixel_depth_order, rgba_view
+from .fragments import _pixel_depth_order
 
 __all__ = [
-    "over",
     "composite_fragments",
-    "composite_pixel_fragments",
     "blend_background",
     "fold_depth_runs",
-    "group_ranks",
     "segmented_exclusive_cumprod",
 ]
-
-
-def over(front: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """Premultiplied front-to-back over: ``out = F + (1−αF)·B``."""
-    front = np.asarray(front, dtype=np.float32)
-    back = np.asarray(back, dtype=np.float32)
-    a = front[..., 3:4]
-    return front + (1.0 - a) * back
-
-
-def group_ranks(sorted_keys: np.ndarray) -> np.ndarray:
-    """Rank of each element within its run of equal keys (keys pre-sorted)."""
-    n = len(sorted_keys)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    pos = np.arange(n)
-    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
-    return pos - run_start
 
 
 def segmented_exclusive_cumprod(
@@ -108,16 +86,6 @@ def fold_depth_runs(rgba: np.ndarray, starts: np.ndarray) -> np.ndarray:
     trans = segmented_exclusive_cumprod(1.0 - rgba[:, 3], seg_start)
     out = np.add.reduceat(trans[:, None] * rgba, starts, axis=0)
     return out.astype(np.float32, copy=False)
-
-
-def composite_pixel_fragments(fragments: np.ndarray) -> np.ndarray:
-    """Composite one pixel's fragments (ascending depth) → RGBA (premult)."""
-    if fragments.dtype != FRAGMENT_DTYPE:
-        raise TypeError("expected fragment records")
-    if len(fragments) == 0:
-        return np.zeros(4, dtype=np.float32)
-    order = np.argsort(fragments["depth"], kind="stable")
-    return fold_depth_runs(rgba_view(fragments[order]), np.array([0]))[0]
 
 
 def composite_fragments(

@@ -23,10 +23,6 @@ __all__ = [
     "FRAGMENT_NBYTES",
     "PLACEHOLDER_KEY",
     "make_fragments",
-    "concat_fragments",
-    "empty_fragments",
-    "placeholder_fragments",
-    "drop_placeholders",
     "fragment_sort_order",
     "rgba_view",
 ]
@@ -50,17 +46,6 @@ FRAGMENT_NBYTES = FRAGMENT_DTYPE.itemsize  # 24
 PLACEHOLDER_KEY = np.int32(-1)
 
 
-def empty_fragments() -> np.ndarray:
-    return np.empty(0, dtype=FRAGMENT_DTYPE)
-
-
-def placeholder_fragments(n: int) -> np.ndarray:
-    """``n`` placeholders: key −1, zeroed depth and colour."""
-    out = np.zeros(n, dtype=FRAGMENT_DTYPE)
-    out["pixel"] = PLACEHOLDER_KEY
-    return out
-
-
 def make_fragments(
     pixel: np.ndarray, depth: np.ndarray, rgba: np.ndarray
 ) -> np.ndarray:
@@ -81,18 +66,6 @@ def make_fragments(
     out["b"] = rgba[:, 2]
     out["a"] = rgba[:, 3]
     return out
-
-
-def concat_fragments(parts: list[np.ndarray]) -> np.ndarray:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return empty_fragments()
-    return np.concatenate(parts)
-
-
-def drop_placeholders(fragments: np.ndarray) -> np.ndarray:
-    """Discard placeholder emissions (done at Partition in the paper)."""
-    return fragments[fragments["pixel"] != PLACEHOLDER_KEY]
 
 
 def _depth_rank_bits(depth: np.ndarray) -> np.ndarray:

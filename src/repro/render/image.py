@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["psnr", "max_abs_diff", "mean_abs_diff", "image_stats"]
+__all__ = ["psnr", "max_abs_diff", "image_stats"]
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -17,15 +17,6 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.abs(a - b).max())
-
-
-def mean_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a - b).mean())
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:

@@ -194,8 +194,8 @@ def resolve() -> tuple[str, str]:
 
 def _kernels(shading: bool, float32: bool) -> tuple:
     """``(name, kernels, reason)``: C where it can run, else NumPy."""
-    if "numpy_backend" not in globals():
-        _import_backends()
+    if "c_backend" not in globals() or "numpy_backend" not in globals():
+        _import_backends()  # either may be bound alone by a direct import
     lib, reason = c_backend.load()  # noqa: F821 - both bound by _import_backends
     if lib is not None and (shading or not float32):
         lib, reason = None, "shaded launch" if shading else "non-float32 payload"

@@ -71,10 +71,6 @@ def _source() -> bytes:
     return SOURCE.read_bytes()
 
 
-def _compiler() -> Optional[str]:
-    return shutil.which("cc") or shutil.which("gcc")
-
-
 def _cache_dir() -> Path:
     """The per-user cache directory, created ``0700`` when missing."""
     xdg = os.environ.get("XDG_CACHE_HOME", "")
@@ -113,7 +109,7 @@ def _intact(path: Path) -> bool:
 
 def _build(source: bytes, path: Path) -> Optional[str]:
     """Compile ``source`` to ``path`` atomically; an error text or None."""
-    cc = _compiler()
+    cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return "no C compiler"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".march-", suffix=".so")

@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..compositing import segmented_exclusive_cumprod
-from ..fragments import make_fragments, placeholder_fragments
+from ..fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY, make_fragments
 from ..geometry import box_intersect_f32
 from ..raycast import _gather_strides, _trilinear_gather
 from . import BLOCK_SIZE, LaunchRays, MarchPlan, SetupPlan, trim_boxes
@@ -154,7 +154,8 @@ def launch(plan: MarchPlan) -> tuple:
     if plan.emit_placeholders:
         # Every "thread" emits: useless rays write a later-discarded
         # placeholder with zeroed depth and colour.
-        emitted = placeholder_fragments(plan.n_rays)
+        emitted = np.zeros(plan.n_rays, FRAGMENT_DTYPE)
+        emitted["pixel"] = PLACEHOLDER_KEY
         emitted[plan.active[kept]] = fragments
         fragments = emitted
     return (

@@ -162,7 +162,7 @@ import numpy as np
 from . import kernels
 from .accel import AccelCache, shared_cache
 from .camera import Camera, PixelRect
-from .fragments import empty_fragments, placeholder_fragments
+from .fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY
 from .kernels import BrickSegment, MarchPlan, SetupPlan
 from .transfer import TransferFunction1D
 
@@ -569,10 +569,10 @@ def cast_launch(
         for i, own, pos, k in zip(marching, owned_s.tolist(), positioned_s.tolist(), kept_s.tolist()):
             samples[i], positioned[i], kept[i] = own * fetches, pos, k
             marches[i], reasons[i] = name, why
-    elif config.emit_placeholders:
-        fragments = placeholder_fragments(int(rays.ray_cuts[-1]))
-    else:
-        fragments = empty_fragments()
+    else:  # every brick idle: a placeholder per footprint ray, or nothing
+        n_out = int(rays.ray_cuts[-1]) if config.emit_placeholders else 0
+        fragments = np.zeros(n_out, FRAGMENT_DTYPE)
+        fragments["pixel"] = PLACEHOLDER_KEY
     # Each brick's fragments are a view of the launch's array: its
     # footprint with placeholders, else its kept rays.
     emitted = n_rays if config.emit_placeholders else kept

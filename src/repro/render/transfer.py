@@ -29,7 +29,6 @@ __all__ = [
     "bone_tf",
     "fire_tf",
     "grayscale_tf",
-    "opacity_correction",
 ]
 
 
@@ -50,7 +49,7 @@ class TransferFunction1D:
         if not self.vmax > self.vmin:
             raise ValueError("vmax must exceed vmin")
         object.__setattr__(self, "table", t)
-        # Cached forward differences: lookup then needs one table gather and
+        # Cached forward differences: a lookup then needs one table gather and
         # one diff gather instead of two table gathers plus a subtraction.
         object.__setattr__(self, "_diff", t[1:] - t[:-1])
 
@@ -119,25 +118,15 @@ class TransferFunction1D:
         return np.clip(v, 0.0, 1.0) * np.float32(self.resolution - 1)
 
     def lookup_from_u(self, u: np.ndarray) -> np.ndarray:
-        """RGBA for precomputed table coordinates (see :meth:`table_coord`)."""
+        """Linearly-interpolated RGBA at table coordinates ``u`` (see
+        :meth:`table_coord`), float32 like the reduced-precision CUDA
+        texture unit this models."""
         i0 = u.astype(np.int32)  # u >= 0, so truncation is floor
         i0 = np.minimum(i0, self.resolution - 2)
         f = (u - i0.astype(np.float32))[..., None]
         return np.take(self.table, i0, axis=0) + f * np.take(
             self._diff, i0, axis=0
         )
-
-    def lookup(self, values: np.ndarray) -> np.ndarray:
-        """Linearly-interpolated RGBA for each scalar (clamp addressing).
-
-        The scalars are cast to float32 first (whatever width they
-        arrive in — the ray caster hands over float64 samples, see the
-        raycast module's "Float widths") and coordinate, interpolation
-        and result are float32, like the reduced-precision CUDA texture
-        unit this models.  500 000 scalars: 21.0 ms (median, 2-core Xeon
-        VM).
-        """
-        return self.lookup_from_u(self.table_coord(values))
 
     def opacity_threshold_value(self, alpha_eps: float = 1e-3) -> float:
         """Smallest scalar whose opacity exceeds ``alpha_eps``.
@@ -151,21 +140,6 @@ class TransferFunction1D:
             return self.vmax
         frac = hit[0] / (self.resolution - 1)
         return self.vmin + frac * (self.vmax - self.vmin)
-
-
-def opacity_correction(alpha: np.ndarray, dt: float) -> np.ndarray:
-    """Correct per-unit-length opacity for step size ``dt``.
-
-    Preserves the input float width (float32 stays float32 — no float64
-    intermediates on the render hot path).  ``dt == 1`` is the reference
-    step and needs no power at all.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    clipped = np.minimum(alpha, 0.9999)
-    if dt == 1.0:
-        return clipped
-    return 1.0 - np.power(1.0 - clipped, dt)
 
 
 def _ramp(n: int, stops: Sequence[tuple[float, tuple[float, float, float, float]]]) -> np.ndarray:

@@ -429,8 +429,7 @@ def ablation_combiner(size: int = 32, n_gpus: int = 4) -> list[dict]:
             spec.combiner = FragmentCombiner()
         from ..core.executors import InProcessExecutor
 
-        grid = renderer._grid(2)
-        chunks = renderer._chunks(grid, out_of_core=False)
+        _, chunks = renderer._in_core_chunks(None, 2)
         res = InProcessExecutor().execute(spec, chunks, [c.id % n_gpus for c in chunks])
         merged = 0
         if use_combiner:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .volume import Volume, field_on_grid
+from .volume import Volume
 
 __all__ = ["Brick", "BrickGrid", "bricks_for_gpu_count"]
 
@@ -56,20 +56,6 @@ class Brick:
     def world_hi(self) -> np.ndarray:
         """World-space upper corner of the core region."""
         return np.asarray(self.hi, dtype=np.float64)
-
-    def corners(self) -> np.ndarray:
-        """(8, 3) world-space corners of the core box."""
-        lo, hi = self.world_lo, self.world_hi
-        return np.array(
-            [
-                [
-                    (lo[0], hi[0])[(c >> 0) & 1],
-                    (lo[1], hi[1])[(c >> 1) & 1],
-                    (lo[2], hi[2])[(c >> 2) & 1],
-                ]
-                for c in range(8)
-            ]
-        )
 
 
 class BrickGrid:
@@ -138,19 +124,7 @@ class BrickGrid:
             )
         return volume.region(brick.data_lo, brick.data_hi)
 
-    def extract_from_field(
-        self,
-        field: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-        brick: Brick,
-    ) -> np.ndarray:
-        """Materialise only this brick of a procedural field (out-of-core path)."""
-        return field_on_grid(field, self.volume_shape, brick.data_lo, brick.data_hi)
-
     # -- global properties --------------------------------------------------
-    def total_payload_bytes(self) -> int:
-        """Σ brick payloads; exceeds the raw volume because of ghost overlap."""
-        return sum(b.nbytes for b in self)
-
     def max_brick_nbytes(self) -> int:
         """Largest brick payload, without building the bricks.
 

@@ -111,9 +111,6 @@ class BvolReader:
             )
         self.bytes_read = 0
 
-    def __len__(self) -> int:
-        return len(self.grid)
-
     def read_brick(self, i: int) -> np.ndarray:
         """Read brick ``i``'s ghost-padded payload with a single seek."""
         b = self.grid.brick(i)
@@ -125,20 +122,6 @@ class BvolReader:
             raise IOError(f"{self.path}: short read for brick {i}")
         self.bytes_read += nbytes
         return np.frombuffer(raw, dtype=np.float32).reshape(b.data_shape).copy()
-
-    def read_volume(self) -> Volume:
-        """Reassemble the full volume (test/debug helper; defeats out-of-core)."""
-        data = np.zeros(self.shape, dtype=np.float32)
-        for i in range(len(self)):
-            b = self.grid.brick(i)
-            payload = self.read_brick(i)
-            # Strip the ghost shell back off.
-            sl = tuple(
-                slice(l - dl, h - dl)
-                for l, h, dl in zip(b.lo, b.hi, b.data_lo)
-            )
-            data[b.lo[0] : b.hi[0], b.lo[1] : b.hi[1], b.lo[2] : b.hi[2]] = payload[sl]
-        return Volume(data, name=self.name)
 
     def file_size(self) -> int:
         return os.path.getsize(self.path)

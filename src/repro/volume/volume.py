@@ -65,37 +65,10 @@ class Volume:
         if self.data.dtype != np.float32:
             self.data = np.ascontiguousarray(self.data, dtype=np.float32)
 
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_function(
-        cls,
-        field: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-        shape: Sequence[int],
-        name: str = "volume",
-    ) -> "Volume":
-        """Materialise a procedural field at the given resolution."""
-        return cls(field_on_grid(field, shape), name=name)
-
     # -- geometry ------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
-
-    @property
-    def voxel_count(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
-    @property
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        """World-space axis-aligned bounds: (0,0,0) .. shape."""
-        return (
-            np.zeros(3, dtype=np.float64),
-            np.asarray(self.shape, dtype=np.float64),
-        )
 
     def resolution_label(self) -> str:
         """Human label like '256^3' or '512x512x2048'."""
@@ -114,6 +87,3 @@ class Volume:
         return np.ascontiguousarray(
             self.data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
         )
-
-    def value_range(self) -> tuple[float, float]:
-        return float(self.data.min()), float(self.data.max())

@@ -5,6 +5,7 @@ import pytest
 
 from repro import MapReduceVolumeRenderer, make_dataset, orbit_camera
 from repro.render import RenderConfig, default_tf, grayscale_tf
+from repro.render import accel
 from repro.render.accel import AccelCache, shared_cache, volume_token
 from repro.render.raycast import raycast_brick
 
@@ -23,17 +24,15 @@ def test_lru_eviction_by_entries_and_bytes():
     cb.put("x", np.zeros(80, np.uint8))
     cb.put("y", np.zeros(80, np.uint8))
     assert cb.get("x") is None and cb.get("y") is not None
-    assert cb.nbytes <= 100
+    assert cb.stats()["nbytes"] <= 100
 
 
-def test_cache_hit_miss_counters_and_clear():
+def test_cache_hit_miss_counters():
     c = AccelCache()
     assert c.get("k") is None
     c.put("k", np.ones(4, dtype=bool))
     assert c.get("k") is not None
-    assert (c.hits, c.misses) == (1, 1)
-    c.clear()
-    assert len(c) == 0 and c.nbytes == 0 and (c.hits, c.misses) == (0, 0)
+    assert c.stats() == {"hits": 1, "misses": 1, "hit_rate": 0.5, "entries": 1, "nbytes": 4}
 
 
 def test_cache_bounds_validation():
@@ -59,87 +58,6 @@ def test_volume_token_unique_and_stable():
     assert volume_token(Obj()) is not None  # any weakref-able object
 
 
-def test_invalidate_volume_mints_fresh_token():
-    from repro.render.accel import invalidate_volume
-
-    v = make_dataset("skull", (8, 8, 8))
-    t = volume_token(v)
-    # In-place voxel edits keep the object identity; callers signal them
-    # explicitly so caches and arenas re-derive from the new data.
-    v.data[:] = 0.0
-    invalidate_volume(v)
-    assert volume_token(v) != t
-
-
-def test_invalidate_volume_end_to_end_after_inplace_edit():
-    """The escape hatch must actually work: an in-place voxel edit
-    followed by invalidate_volume() renders bitwise-identical to a cold
-    render of the edited data — through the serial executor (stale
-    accel tables) and the pool executor (stale shared-memory arenas)."""
-    import copy
-
-    from repro.render.accel import invalidate_volume
-
-    vol = make_dataset("skull", (24,) * 3)
-    cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=64, height=64)
-    cfg = RenderConfig(dt=0.75)
-
-    r = MapReduceVolumeRenderer(volume=vol, cluster=2, render_config=cfg)
-    before = r.render(cam).image
-    r.render(cam)  # warm the accel cache
-
-    # In-place edit: drop a dense block into a previously empty corner —
-    # exactly the region a stale empty-space table would wrongly skip.
-    vol.data[:10, :10, :10] = float(vol.data.max())
-    invalidate_volume(vol)
-    warm = r.render(cam).image
-
-    # Cold oracle: same bytes, fresh object, fresh caches.
-    vol2 = copy.deepcopy(vol)
-    shared_cache().clear()
-    cold = (
-        MapReduceVolumeRenderer(volume=vol2, cluster=2, render_config=cfg)
-        .render(cam)
-        .image
-    )
-    assert not np.array_equal(cold, before)  # the edit is actually visible
-    assert np.array_equal(warm, cold)
-
-
-def test_invalidate_volume_end_to_end_pool_arena():
-    import copy
-
-    from repro.render.accel import invalidate_volume
-
-    vol = make_dataset("skull", (24,) * 3)
-    cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=64, height=64)
-    cfg = RenderConfig(dt=0.75)
-
-    with MapReduceVolumeRenderer(
-        volume=vol, cluster=2, render_config=cfg,
-        executor="pool", workers=2,
-    ) as rp:
-        before = rp.render(cam).image
-        vol.data[:10, :10, :10] = float(vol.data.max())
-        # Without invalidation the arena fingerprint is unchanged, so the
-        # pool keeps rendering the *stale* published voxels — that is the
-        # documented hazard the escape hatch exists for.
-        stale = rp.render(cam).image
-        assert np.array_equal(stale, before)
-        invalidate_volume(vol)
-        fresh = rp.render(cam).image
-
-    vol2 = copy.deepcopy(vol)
-    shared_cache().clear()
-    cold = (
-        MapReduceVolumeRenderer(volume=vol2, cluster=2, render_config=cfg)
-        .render(cam)
-        .image
-    )
-    assert not np.array_equal(cold, before)
-    assert np.array_equal(fresh, cold)
-
-
 def test_volume_token_never_reused_after_gc():
     import gc
 
@@ -158,12 +76,12 @@ def test_tf_version_tracks_content():
     assert len(a.version) > 0
 
 
-def test_cached_table_cannot_change_image_or_stats():
+def test_cached_table_cannot_change_image_or_stats(monkeypatch):
     """Warm-cache renders are bitwise identical to cold-cache renders."""
     vol = make_dataset("skull", (32, 32, 32))
     r = MapReduceVolumeRenderer(volume=vol, cluster=2)
     cam = orbit_camera(vol.shape, width=96, height=96)
-    shared_cache().clear()
+    monkeypatch.setattr(accel, "_shared", AccelCache())
     cold = r.render(cam)
     warm = r.render(cam)
     assert shared_cache().hits > 0  # the second frame actually hit
@@ -171,7 +89,7 @@ def test_cached_table_cannot_change_image_or_stats():
     assert cold.stats.as_dict() == warm.stats.as_dict()
 
 
-def test_cached_grid_cannot_change_image_or_stats():
+def test_cached_grid_cannot_change_image_or_stats(monkeypatch):
     """The occupied-box mirror of the table test: cold vs warm bitwise,
     with one box per table actually landing in the cache."""
     vol = make_dataset("skull", (32, 32, 32))
@@ -179,7 +97,7 @@ def test_cached_grid_cannot_change_image_or_stats():
         volume=vol, cluster=2, render_config=RenderConfig(accel="table")
     )
     cam = orbit_camera(vol.shape, width=96, height=96)
-    shared_cache().clear()
+    monkeypatch.setattr(accel, "_shared", AccelCache())
     cold = r.render(cam)
     entries = shared_cache()._entries
     assert len(entries) == cold.n_bricks  # one (table, box) entry per brick
@@ -191,43 +109,11 @@ def test_cached_grid_cannot_change_image_or_stats():
     assert cold.stats.as_dict() == warm.stats.as_dict()
 
 
-def test_invalidate_volume_refreshes_grids_after_inplace_edit():
-    """Occupied-box mirror of the table invalidation test: a stale box
-    wrongly trims the edited (previously empty) corner, and
-    invalidate_volume() recovers bitwise agreement with a cold render."""
-    import copy
-
-    from repro.render.accel import invalidate_volume
-
-    vol = make_dataset("skull", (24,) * 3)
-    cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=64, height=64)
-    cfg = RenderConfig(dt=0.75, accel="table")
-
-    r = MapReduceVolumeRenderer(volume=vol, cluster=2, render_config=cfg)
-    before = r.render(cam).image
-    r.render(cam)  # warm the cache
-    # In-place edit into a previously empty corner — the region a stale
-    # occupied box would (at least partially) wrongly trim.
-    vol.data[:10, :10, :10] = float(vol.data.max())
-    invalidate_volume(vol)
-    fresh = r.render(cam).image
-
-    vol2 = copy.deepcopy(vol)
-    shared_cache().clear()
-    cold = (
-        MapReduceVolumeRenderer(volume=vol2, cluster=2, render_config=cfg)
-        .render(cam)
-        .image
-    )
-    assert not np.array_equal(cold, before)  # the edit is actually visible
-    assert np.array_equal(fresh, cold)
-
-
 def test_cache_put_none_raises():
     c = AccelCache()
     with pytest.raises(TypeError):
         c.put("k", None)
-    assert len(c) == 0
+    assert c.stats()["entries"] == 0
 
 
 def test_accel_key_with_no_leading_zero_alpha_tf():
@@ -253,9 +139,9 @@ def test_accel_key_with_no_leading_zero_alpha_tf():
         config=RenderConfig(dt=0.5),
     )
     f1, _ = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    assert len(cache) == 0 and cache.misses == 0
+    assert cache.stats()["entries"] == 0 and cache.misses == 0
     f2, _ = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
-    assert len(cache) == 0 and cache.misses == 0
+    assert cache.stats()["entries"] == 0 and cache.misses == 0
     f3, _ = raycast_brick(**kwargs)
     assert np.array_equal(f1, f2) and np.array_equal(f1, f3)
 
@@ -277,9 +163,9 @@ def test_raycast_brick_uses_explicit_cache():
     )
     f1, s1 = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
     # The table and its occupied box, one entry under the key.
-    assert len(cache) == 1 and set(cache._entries) == {("k",)}
+    assert set(cache._entries) == {("k",)}
     (table, box), nbytes = cache._entries[("k",)]
-    assert cache.nbytes == nbytes == table.nbytes + box.nbytes
+    assert cache.stats()["nbytes"] == nbytes == table.nbytes + box.nbytes
     f2, s2 = raycast_brick(**kwargs, accel_key=("k",), accel_cache=cache)
     assert cache.hits >= 1
     assert np.array_equal(f1, f2)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.volume import BrickGrid, Volume, bricks_for_gpu_count, make_dataset
-from repro.volume.datasets import supernova_field
+from repro.volume import BrickGrid, bricks_for_gpu_count, make_dataset
 
 
 def test_grid_counts_and_len():
@@ -88,16 +87,6 @@ def test_extract_matches_region():
     assert np.array_equal(payload, v.data[7:17, 7:17, 7:17])
 
 
-def test_extract_from_field_matches_extract():
-    """Out-of-core brick materialisation equals in-core extraction."""
-    v = Volume.from_function(supernova_field, (24, 24, 24))
-    g = BrickGrid(v.shape, 10, ghost=1)
-    for b in g:
-        a = g.extract(v, b)
-        c = g.extract_from_field(supernova_field, b)
-        assert np.array_equal(a, c)
-
-
 def test_extract_shape_mismatch():
     v = make_dataset("skull", (16, 16, 16))
     g = BrickGrid((32, 32, 32), 16)
@@ -110,7 +99,7 @@ def test_nbytes_and_payload_total():
     b = g.brick_at(0, 0, 0)
     assert b.data_shape == (17, 17, 17)
     assert b.nbytes == 17**3 * 4
-    assert g.total_payload_bytes() > 32**3 * 4  # ghost overlap costs bytes
+    assert sum(b.nbytes for b in g) > 32**3 * 4  # ghost overlap costs bytes
     # Every brick of a 2x2x2 grid touches the boundary: 16 core + 1 ghost.
     assert g.max_brick_nbytes() == 17**3 * 4
     interior = BrickGrid((48, 48, 48), 16, ghost=1)
@@ -127,15 +116,6 @@ def test_max_brick_nbytes_equals_the_largest_built_brick(shape, brick, ghost):
     """Ghosts wider than a brick and bricks wider than the volume too."""
     g = BrickGrid(shape, brick, ghost=ghost)
     assert g.max_brick_nbytes() == max(b.nbytes for b in g)
-
-
-def test_corners_are_box_corners():
-    g = BrickGrid((32, 32, 32), 16)
-    b = g.brick_at(1, 0, 1)
-    c = b.corners()
-    assert c.shape == (8, 3)
-    assert np.allclose(c.min(axis=0), [16, 0, 16])
-    assert np.allclose(c.max(axis=0), [32, 16, 32])
 
 
 @pytest.mark.parametrize("n_gpus,per_gpu", [(1, 1), (2, 2), (8, 2), (32, 4)])

@@ -122,7 +122,7 @@ def test_brick_rect_behind_camera_covers_viewport():
         [[x, y, z] for x in (-5, 5) for y in (-150, 5) for z in (-5, 5)], dtype=float
     )
     rect = cam.brick_rect(corners)
-    assert rect == cam.full_rect()
+    assert rect == PixelRect(0, 0, cam.width, cam.height)
 
 
 def test_offscreen_brick_rect_is_empty():
@@ -154,7 +154,7 @@ def test_box_rects_projects_a_list_like_one_box_at_a_time():
         for lo, hi, rect in zip(los, his, rects):
             corners = [[(lo, hi)[c >> a & 1][a] for a in range(3)] for c in range(8)]
             assert rect == cam.brick_rect(np.array(corners, float), pad)
-    assert rects[0] == cam.full_rect()
+    assert rects[0] == PixelRect(0, 0, cam.width, cam.height)
     assert any(r.empty for r in rects) and any(not r.empty for r in rects)
     assert cam.box_rects([], []).shape == (0, 4)
 
@@ -165,9 +165,9 @@ def test_direction_grid_is_rays_for_pixels_in_float32(width, height):
     the pixel columns; it must be bit for bit the per-pixel ray formula,
     cast — for non-square and odd-sized images too."""
     cam = orbit_camera((40, 50, 60), azimuth_deg=63, elevation_deg=-17, width=width, height=height)
-    full = cam.full_rect()
+    full = PixelRect(0, 0, cam.width, cam.height)
     _, dirs = cam.rays_for_pixels(*full.pixel_coords())
-    grid, keys = cam.rect_rays_f32(full)
+    grid, keys, _ = cam.footprint_rays_f32([(0, 0, width, height)])
     assert grid.dtype == np.float32 and grid.shape == (width * height, 3)
     assert grid.tobytes() == dirs.astype(np.float32).tobytes()
     assert keys.dtype == np.int32 and keys.tolist() == list(range(width * height))
@@ -182,7 +182,7 @@ def test_footprint_rays_concatenate_the_rects():
     dirs, keys, cuts = cam.footprint_rays_f32([(r.x0, r.y0, r.x1, r.y1) for r in rects])
     assert cuts.tolist() == [0, 144, 144, 1164, 1165, 1165]
     assert dirs.shape == (1165, 3) and keys.shape == (1165,)
-    _, all_dirs, all_keys = cam.rays_for_rect(cam.full_rect())
+    _, all_dirs, all_keys = cam.rays_for_rect(PixelRect(0, 0, cam.width, cam.height))
     for rect, lo, hi in zip(rects, cuts, cuts[1:]):
         px, py = rect.pixel_coords() if not rect.empty else (np.zeros(0, int),) * 2
         want = cam.pixel_index(px, py)

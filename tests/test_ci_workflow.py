@@ -26,23 +26,16 @@ The workflow installs ``.[test]``, so every third-party module that
 """
 
 import ast
-import itertools
 import re
 import shlex
 import sys
-from pathlib import Path
 
 import pytest
 import yaml
 
+from entry_points import ROOT, WORKFLOW, documented_commands, run_scripts
 from repro.cli import build_parser
 
-ROOT = Path(__file__).resolve().parents[1]
-WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
-README = ROOT / "README.md"
-FENCED = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
-MATRIX_REF = re.compile(r"\$\{\{\s*matrix\.([A-Za-z0-9_-]+)\s*\}\}")
-SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "<"}
 # A relative path: word characters, dots and dashes between slashes.  It
 # counts as a repo path when it has a slash or a file suffix.
 PATH_TOKEN = re.compile(r"[\w.-]+(/[\w.-]+)*/?")
@@ -55,63 +48,8 @@ TEST_DEF = re.compile(r"^\s*def (test_\w+)", re.MULTILINE)
 DISTRIBUTION = {"yaml": "pyyaml"}
 
 
-def _matrix_combinations(job: dict) -> list:
-    matrix = (job.get("strategy") or {}).get("matrix") or {}
-    axes = {k: v for k, v in matrix.items() if isinstance(v, list)}
-    keys = sorted(axes)
-    return [dict(zip(keys, values)) for values in itertools.product(
-        *(axes[k] for k in keys)
-    )]
-
-
-def _run_scripts() -> list:
-    """``(job, script)`` for every ``run:`` step, once per matrix
-    combination, continuations joined and matrix values filled in."""
-    doc = yaml.safe_load(WORKFLOW.read_text())
-    found = []
-    for name, job in doc["jobs"].items():
-        for combo in _matrix_combinations(job):
-            for step in job.get("steps", []):
-                script = step.get("run")
-                if not script:
-                    continue
-                script = script.replace("\\\n", " ")
-                script = MATRIX_REF.sub(lambda m: str(combo[m.group(1)]), script)
-                found.append((name, script))
-    return found
-
-
-def _readme_blocks() -> list:
-    """``("README.md", block)`` for every fenced code block of the
-    README, continuations joined."""
-    return [
-        ("README.md", block.replace("\\\n", " "))
-        for block in FENCED.findall(README.read_text())
-    ]
-
-
-def _repro_commands(scripts) -> list:
-    """``(source, argv after "repro")`` for every ``python -m repro``
-    line of the given scripts."""
-    found = []
-    for name, script in scripts:
-        for line in script.splitlines():
-            if "-m repro " not in line:
-                continue
-            tokens = shlex.split(line, comments=True)
-            for i in range(len(tokens) - 2):
-                if tokens[i : i + 2] == ["-m", "repro"]:
-                    argv = []
-                    for tok in tokens[i + 2 :]:
-                        if tok in SHELL_BREAKS:
-                            break
-                        argv.append(tok)
-                    found.append((name, argv))
-    return found
-
-
-SCRIPTS = _run_scripts()
-COMMANDS = _repro_commands(SCRIPTS) + _repro_commands(_readme_blocks())
+SCRIPTS = run_scripts()
+COMMANDS = documented_commands()
 
 
 def test_workflow_has_render_lines():

@@ -77,7 +77,7 @@ def test_pipeline_with_combiner_image_unchanged():
     combiner = FragmentCombiner()
     spec.combiner = combiner
     grid = r._grid(2)
-    chunks = r._chunks(grid, out_of_core=False)
+    chunks = r._in_core_chunks(grid)[1]
     res = InProcessExecutor().execute(spec, chunks)
     from repro.render import stitch_pixels
 

@@ -1,10 +1,10 @@
-"""Tests for the rotation driver, auto transfer functions, and the CLI."""
+"""Tests for orbit paths, auto transfer functions, and the CLI."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.pipeline import MapReduceVolumeRenderer, orbit_path, render_rotation
+from repro.pipeline import MapReduceVolumeRenderer, orbit_path
 from repro.pipeline.workload import simulate_sequence
 from repro.render import RenderConfig, default_tf
 from repro.volume import auto_transfer_function, make_dataset, value_histogram
@@ -42,39 +42,11 @@ def test_simulated_orbit_frame_times():
     assert max(times) > min(times)
 
 
-def test_render_rotation_exec_keeps_images():
-    vol = make_dataset("supernova", (16, 16, 16))
-    r = MapReduceVolumeRenderer(
-        volume=vol, cluster=2, tf=default_tf(), render_config=RenderConfig(dt=1.0)
-    )
-    rot = render_rotation(r, n_frames=3, width=32, height=32, keep_images=True)
-    assert len(rot.images) == 3
-    assert all(img.shape == (32, 32, 4) for img in rot.images)
-    # Different angles produce different images.
-    assert not np.array_equal(rot.images[0], rot.images[1])
-
-
-def test_render_rotation_exec_mode_times_wall_clock():
-    # Orbits have no simulated clock: frame times are the measured wall
-    # clock of the functional pipeline, one per frame.
-    vol = make_dataset("supernova", (16, 16, 16))
-    r = MapReduceVolumeRenderer(volume=vol, cluster=2)
-    rot = render_rotation(r, n_frames=2, width=32, height=32)
-    assert rot.n_frames == 2
-    assert len(rot.wall_seconds) == 2 and len(rot.results) == 2
-    assert all(t > 0 for t in rot.wall_seconds)
-    assert rot.images == []  # kept only on request
-    assert rot.mean_fps == pytest.approx(2 / sum(rot.wall_seconds))
-    assert rot.worst_frame == max(rot.wall_seconds)
-    assert rot.frame_time_spread >= 1.0
-    assert rot.total_seconds == pytest.approx(sum(rot.wall_seconds))
-
-
 # -- histogram / auto transfer function ------------------------------------
 def test_value_histogram_basic():
     vol = make_dataset("skull", (24, 24, 24))
     counts, edges = value_histogram(vol, bins=64)
-    assert counts.sum() == vol.voxel_count
+    assert counts.sum() == vol.data.size
     assert len(edges) == 65
     with pytest.raises(ValueError):
         value_histogram(vol, bins=1)
@@ -87,7 +59,8 @@ def test_auto_transfer_function_properties():
     tf = auto_transfer_function(vol, max_alpha=0.6)
     # Valid table, background transparent, opacity reaches meaningful levels.
     assert tf.table.shape[1] == 4
-    assert tf.lookup(np.array([0.0]))[0, 3] == pytest.approx(0.0, abs=1e-5)
+    alpha0 = tf.lookup_from_u(tf.table_coord(np.array([0.0])))[0, 3]
+    assert alpha0 == pytest.approx(0.0, abs=1e-5)
     assert tf.table[:, 3].max() <= 0.6 + 1e-6
     assert tf.table[:, 3].max() > 0.2
     with pytest.raises(ValueError):

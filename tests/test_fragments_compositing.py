@@ -8,17 +8,10 @@ from hypothesis import strategies as st
 from repro.render import (
     FRAGMENT_DTYPE,
     FRAGMENT_NBYTES,
-    PLACEHOLDER_KEY,
     blend_background,
     composite_fragments,
-    composite_pixel_fragments,
-    concat_fragments,
-    drop_placeholders,
-    empty_fragments,
     fragment_sort_order,
-    group_ranks,
     make_fragments,
-    over,
     rgba_view,
 )
 from repro.render.fragments import _pixel_depth_order
@@ -49,23 +42,8 @@ def test_make_fragments_shape_validation():
         make_fragments(np.zeros(2, np.int32), np.zeros(3), np.zeros((2, 4)))
 
 
-def test_concat_and_empty():
-    a = frag(0, 1.0, [0.1, 0.1, 0.1, 0.5])
-    assert len(concat_fragments([])) == 0
-    assert len(concat_fragments([empty_fragments(), a])) == 1
-    assert len(concat_fragments([a, a, a])) == 3
-
-
-def test_drop_placeholders():
-    good = frag(7, 1.0, [0.1, 0.2, 0.3, 0.4])
-    bad = frag(int(PLACEHOLDER_KEY), 0.0, [0, 0, 0, 0])
-    mixed = concat_fragments([bad, good, bad])
-    kept = drop_placeholders(mixed)
-    assert len(kept) == 1 and kept[0]["pixel"] == 7
-
-
 def test_sort_order_groups_pixels_then_depth():
-    f = concat_fragments(
+    f = np.concatenate(
         [
             frag(5, 2.0, [0, 0, 0, 0.1]),
             frag(3, 9.0, [0, 0, 0, 0.1]),
@@ -88,7 +66,7 @@ def test_sort_order_is_lexsort_over_any_key_range():
         depth = rng.choice(np.float32([-0.0, 0.0, 1.5, np.inf]), 200)
         f = make_fragments(pix, depth, np.zeros((200, 4), np.float32))
         assert np.array_equal(fragment_sort_order(f), np.lexsort((depth, pix)))
-    assert len(fragment_sort_order(empty_fragments())) == 0
+    assert len(fragment_sort_order(np.empty(0, FRAGMENT_DTYPE))) == 0
 
 
 def test_rgba_view_is_a_read_only_view_of_the_colour():
@@ -108,33 +86,40 @@ def test_rgba_view_is_a_read_only_view_of_the_colour():
         rgba_view(np.zeros(2, np.dtype([("pixel", np.int32), ("r", np.float32)])))
 
 
-def test_group_ranks():
-    keys = np.array([3, 3, 5, 5, 5, 9])
-    assert group_ranks(keys).tolist() == [0, 1, 0, 1, 2, 0]
-    assert group_ranks(np.array([])).tolist() == []
-
-
 # -- over operator ------------------------------------------------------------
+def composite_one(fragments):
+    """The reducer's composite of one pixel's (pixel 0's) fragments."""
+    return composite_fragments(fragments, 1)[0]
+
+
+def chain(rgba, depth=None):
+    """Pixel-0 fragments with the given colours, front to back."""
+    n = len(rgba)
+    depth = np.arange(n, dtype=np.float32) if depth is None else depth
+    return make_fragments(np.zeros(n, np.int32), depth, np.asarray(rgba, np.float32))
+
+
 def test_over_opaque_front_hides_back():
-    front = np.array([0.2, 0.3, 0.4, 1.0])
-    back = np.array([0.9, 0.9, 0.9, 0.9])
-    assert np.allclose(over(front, back), front)
+    front = [0.2, 0.3, 0.4, 1.0]
+    back = [0.9, 0.9, 0.9, 0.9]
+    assert np.allclose(composite_one(chain([front, back])), front)
 
 
 def test_over_transparent_front_passes_back():
-    front = np.zeros(4)
-    back = np.array([0.5, 0.4, 0.3, 0.8])
-    assert np.allclose(over(front, back), back)
+    front = [0.0, 0.0, 0.0, 0.0]
+    back = [0.5, 0.4, 0.3, 0.8]
+    assert np.allclose(composite_one(chain([front, back])), back)
 
 
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_over_is_associative(data):
-    """(A over B) over C == A over (B over C) for premultiplied RGBA."""
+    """(A over B) over C == A over (B over C) for premultiplied RGBA:
+    compositing a pair first, as one fragment, changes nothing."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     a, b, c = random_premult_rgba(rng, 3)
-    left = over(over(a, b), c)
-    right = over(a, over(b, c))
+    left = composite_one(chain([composite_one(chain([a, b])), c]))
+    right = composite_one(chain([a, composite_one(chain([b, c]))]))
     assert np.allclose(left, right, atol=1e-5)
 
 
@@ -143,10 +128,9 @@ def test_over_is_associative(data):
 def test_alpha_monotone_and_bounded_under_chain(seed, n):
     rng = np.random.default_rng(seed)
     frags = random_premult_rgba(rng, n)
-    out = np.zeros(4, np.float32)
     prev_alpha = 0.0
-    for f in frags:
-        out = over(out, f)
+    for k in range(1, n + 1):
+        out = composite_one(chain(frags[:k]))
         assert out[3] >= prev_alpha - 1e-7
         prev_alpha = out[3]
     assert 0.0 <= out[3] <= 1.0 + 1e-6
@@ -155,18 +139,16 @@ def test_alpha_monotone_and_bounded_under_chain(seed, n):
 
 # -- reduce compositing --------------------------------------------------------
 def test_composite_pixel_sorts_by_depth():
-    far = frag(0, 10.0, [0.0, 0.0, 0.9, 0.9])[0:1]
-    near = frag(0, 1.0, [0.5, 0.0, 0.0, 0.5])[0:1]
-    f = concat_fragments([far, near])
-    out = composite_pixel_fragments(f)
-    expected = over(
-        np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.0, 0.0, 0.9, 0.9])
-    )
-    assert np.allclose(out, expected, atol=1e-6)
+    far = [0.0, 0.0, 0.9, 0.9]
+    near = [0.5, 0.0, 0.0, 0.5]
+    out = composite_one(chain([far, near], depth=np.float32([10.0, 1.0])))
+    assert np.allclose(out, composite_one(chain([near, far])), atol=1e-6)
+    assert np.allclose(out, [0.5, 0.0, 0.45, 0.95], atol=1e-6)  # near + (1 - 0.5)·far
 
 
 def test_composite_fragments_matches_per_pixel_reference():
-    """The vectorised rank-layer blend equals the sequential per-pixel loop."""
+    """The vectorised segmented-scan blend equals the sequential
+    front-to-back loop, pixel by pixel."""
     rng = np.random.default_rng(42)
     n, n_pixels = 500, 40
     pix = rng.integers(0, n_pixels, n).astype(np.int32)
@@ -175,15 +157,14 @@ def test_composite_fragments_matches_per_pixel_reference():
     frags = make_fragments(pix, depth, rgba)
     fast = composite_fragments(frags, n_pixels)
     for p in range(n_pixels):
-        mine = frags[frags["pixel"] == p]
-        expected = (
-            composite_pixel_fragments(mine) if len(mine) else np.zeros(4, np.float32)
-        )
+        expected = np.zeros(4)
+        for i in np.nonzero(pix == p)[0][np.argsort(depth[pix == p], kind="stable")]:
+            expected += (1.0 - expected[3]) * rgba[i]
         assert np.allclose(fast[p], expected, atol=1e-5), f"pixel {p}"
 
 
 def test_composite_fragments_empty():
-    out = composite_fragments(empty_fragments(), 16)
+    out = composite_fragments(np.empty(0, FRAGMENT_DTYPE), 16)
     assert out.shape == (16, 4)
     assert np.all(out == 0)
 
@@ -237,12 +218,11 @@ def test_composite_split_invariance(seed):
     n = rng.integers(2, 10)
     depth = np.sort(rng.uniform(0, 50, n)).astype(np.float32)
     rgba = random_premult_rgba(rng, n)
-    pix = np.zeros(n, np.int32)
-    full = composite_pixel_fragments(make_fragments(pix, depth, rgba))
+    full = composite_one(chain(rgba, depth))
     cut = int(rng.integers(1, n))
-    front = composite_pixel_fragments(make_fragments(pix[:cut], depth[:cut], rgba[:cut]))
-    back = composite_pixel_fragments(make_fragments(pix[cut:], depth[cut:], rgba[cut:]))
-    assert np.allclose(over(front, back), full, atol=1e-5)
+    front = composite_one(chain(rgba[:cut], depth[:cut]))
+    back = composite_one(chain(rgba[cut:], depth[cut:]))
+    assert np.allclose(composite_one(chain([front, back])), full, atol=1e-5)
 
 
 def test_blend_background():

@@ -50,3 +50,29 @@ def test_functional_render_imports_no_analysis_module(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
     assert (tmp_path / "inprocess.ppm").read_bytes() == (tmp_path / "pool.ppm").read_bytes()
+
+
+_SERIAL_CHILD = r"""
+import sys
+import repro.cli
+print(len([m for m in sys.modules if m == "repro" or m.startswith("repro.")]))
+assert repro.cli.main(["render", "--size", "16", "--gpus", "2", "--image", "16",
+                       "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("repro.parallel")))
+"""
+
+
+def test_in_process_render_loads_no_pool_module(tmp_path):
+    """``repro.parallel`` is imported by name: ``import repro.cli`` stays
+    at 41 ``repro`` modules, and a fresh interpreter's in-process
+    ``repro render`` loads no ``repro.parallel`` module."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERIAL_CHILD, str(tmp_path / "serial.ppm")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert int(lines[0]) <= 41
+    assert lines[-1] == "[]"

@@ -588,7 +588,7 @@ def test_axis_parallel_rays_stay_float32_and_partition_exactly(azimuth, elevatio
         VOLUME.shape, azimuth_deg=azimuth, elevation_deg=elevation,
         distance_factor=2.0, width=41, height=41,
     )
-    dirs, _ = camera.rect_rays_f32(camera.box_rect((0, 0, 0), VOLUME.shape, 1))
+    dirs, _, _ = camera.footprint_rays_f32(camera.box_rects([(0, 0, 0)], [VOLUME.shape], 1))
     assert (dirs == 0.0).any()
     eye = np.asarray(camera.eye, dtype=F32)
     with np.errstate(divide="ignore"):
@@ -663,7 +663,6 @@ def test_march_float_widths_are_pinned():
     u = tf.table_coord(values)
     assert u.dtype == np.float32  # the cast back happens here
     assert tf.lookup_from_u(u).dtype == np.float32
-    assert tf.lookup(values).dtype == np.float32
 
     frags, _ = raycast_brick(
         data, (0, 0, 0), (0, 0, 0), data.shape, data.shape,

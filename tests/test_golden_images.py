@@ -106,7 +106,7 @@ def build_job(name, accel=None):
             **overrides,
         ),
     )
-    chunks = r._chunks(r._grid(s["bricks_per_gpu"]), False)
+    chunks = r._in_core_chunks(None, s["bricks_per_gpu"])[1]
     ctg = [c.id % r.n_gpus for c in chunks]
     return r, cam, chunks, ctg
 

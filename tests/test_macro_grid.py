@@ -43,7 +43,7 @@ from repro.render import (
     raycast_brick,
 )
 from repro.render import raycast
-from repro.render.accel import AccelCache, invalidate_volume, volume_token
+from repro.render.accel import AccelCache, volume_token
 from repro.render.camera import Camera
 from repro.render.raycast import (
     BrickTask,
@@ -349,7 +349,7 @@ def test_no_empty_cell_can_produce_alpha(seed):
         vals = _trilinear_flat(flat, data.shape, cx, cy, cz)
         u = tf.table_coord(vals)
         assert np.all(u <= F32(u_thr)), (ci, cj, ck)
-        assert np.all(tf.lookup(vals)[:, 3] == 0.0), (ci, cj, ck)
+        assert np.all(tf.lookup_from_u(u)[:, 3] == 0.0), (ci, cj, ck)
 
 
 def test_interior_zero_alpha_cells_stay_occupied():
@@ -441,7 +441,7 @@ def test_no_leading_zero_and_opaque_tfs_have_no_table_and_no_trim(monkeypatch):
             assert len(plans) == 1 and plans[0].lead is None and plans[0].trail is None
             assert len(slab_tests) == (2 if march == "numpy" else 0)
             assert (plans[0].segments[0].skip_table is not None) == bool(n_cached)
-            assert len(cache) == n_cached
+            assert cache.stats()["entries"] == n_cached
             assert stats.n_positioned == stats.n_samples > 0
 
 
@@ -569,8 +569,8 @@ def test_trim_is_one_slab_test_and_only_where_a_box_has_a_finite_face(monkeypatc
 
 def test_occupied_box_is_cached_with_its_table_and_invalidated_with_it(monkeypatch):
     """Second frame: table and box come from the ``AccelCache``, nothing
-    is rebuilt; an in-place edit + ``invalidate_volume`` or an edited
-    transfer function re-derives both."""
+    is rebuilt; edited voxels (a fresh ``Volume``, so a fresh token) or
+    an edited transfer function re-derive both."""
     built = []
     build = raycast._occupied_box
 
@@ -579,12 +579,14 @@ def test_occupied_box_is_cached_with_its_table_and_invalidated_with_it(monkeypat
         return build(table, shape)
 
     monkeypatch.setattr(raycast, "_occupied_box", counted)
-    vol = make_dataset("skull", (24,) * 3)
-    cam = orbit_camera(vol.shape, azimuth_deg=40.0, width=48, height=48)
+    volumes = [make_dataset("skull", (24,) * 3)]
+    shape = volumes[0].shape
+    cam = orbit_camera(shape, azimuth_deg=40.0, width=48, height=48)
     cache = AccelCache()
-    grid = BrickGrid(vol.shape, 12, ghost=1)
+    grid = BrickGrid(shape, 12, ghost=1)
 
     def frame(tf):
+        vol = volumes[-1]
         key = (volume_token(vol), tf.version)
         tasks = [
             BrickTask(grid.extract(vol, b), b.data_lo, b.lo, b.hi,
@@ -592,13 +594,13 @@ def test_occupied_box_is_cached_with_its_table_and_invalidated_with_it(monkeypat
             for b in grid
         ]
         return raycast_bricks(
-            tasks, vol.shape, cam, tf, RenderConfig(dt=0.75), cache
+            tasks, shape, cam, tf, RenderConfig(dt=0.75), cache
         )
 
     tf = default_tf()
     cold = frame(tf)
     n_bricks = len(built)
-    assert n_bricks == len(list(grid)) and len(cache) == n_bricks
+    assert n_bricks == len(list(grid)) and cache.stats()["entries"] == n_bricks
     keys = list(cache._entries)  # one (table, box) entry per brick
     assert all(len(entry) == 2 for entry, _ in cache._entries.values())
     misses = cache.misses
@@ -611,10 +613,11 @@ def test_occupied_box_is_cached_with_its_table_and_invalidated_with_it(monkeypat
     cache._nbytes -= cache._entries.pop(keys[0])[1]
     frame(tf)
     assert len(built) == n_bricks + 1 and keys[0] in cache._entries
-    # in-place edit into a previously empty corner
+    # an edit into a previously empty corner
     positioned = sum(s.n_positioned for _, s in warm)
-    vol.data[:6, :6, :6] = float(vol.data.max())
-    invalidate_volume(vol)
+    data = volumes[0].data.copy()
+    data[:6, :6, :6] = float(data.max())
+    volumes.append(Volume(data))
     edited = frame(tf)
     assert len(built) == 2 * n_bricks + 1
     assert sum(s.n_positioned for _, s in edited) > positioned

@@ -5,17 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from repro.render import TransferFunction1D, default_tf, orbit_camera
+from repro.render import PixelRect, TransferFunction1D, default_tf, orbit_camera
 from repro.sim import ClusterSpec, GPUSpec, NodeSpec, accelerator_cluster
-from repro.volume import BvolReader, Volume, make_dataset, write_bvol
-from repro.volume.datasets import supernova_field
-
-
-def test_volume_from_function_and_value_range():
-    v = Volume.from_function(supernova_field, (10, 10, 10), name="sn")
-    assert v.name == "sn"
-    lo, hi = v.value_range()
-    assert 0.0 <= lo < hi <= 1.0
+from repro.volume import BvolReader, make_dataset, write_bvol
 
 
 def test_bvol_offset_count_mismatch_rejected(tmp_path):
@@ -78,8 +70,7 @@ def test_transfer_function_nbytes():
 
 def test_camera_rect_keys_are_int32_row_major():
     cam = orbit_camera((8, 8, 8), width=16, height=16)
-    rect = cam.full_rect()
-    _, _, keys = cam.rays_for_rect(rect)
+    _, _, keys = cam.rays_for_rect(PixelRect(0, 0, 16, 16))
     assert keys.dtype == np.int32
     assert keys[0] == 0
     assert keys[1] == 1  # x fastest

@@ -20,9 +20,9 @@ def test_plan_residency_in_core():
     grid = BrickGrid((64, 64, 64), 32, ghost=1)  # ~9 MB of bricks
     plan = plan_residency(grid, accelerator_cluster(2))
     assert plan.in_core
-    assert sum(plan.per_gpu_bytes) == grid.total_payload_bytes()
-    assert 0 < plan.worst_fill < 0.01
-    assert plan.headroom_bytes(0) > 3 * GiB
+    assert sum(plan.per_gpu_bytes) == sum(b.nbytes for b in grid)
+    assert 0 < max(plan.per_gpu_bytes) < 0.01 * min(plan.vram_bytes)
+    assert plan.vram_bytes[0] - plan.per_gpu_bytes[0] > 3 * GiB
 
 
 def test_plan_residency_out_of_core():
@@ -30,7 +30,7 @@ def test_plan_residency_out_of_core():
     grid = BrickGrid((1024, 1024, 1024), 512, ghost=1)
     plan = plan_residency(grid, accelerator_cluster(1))
     assert not plan.in_core
-    assert plan.worst_fill > 1.0
+    assert plan.per_gpu_bytes[0] > plan.vram_bytes[0]
 
 
 def test_plan_residency_custom_assignment_validation():
@@ -41,7 +41,7 @@ def test_plan_residency_custom_assignment_validation():
 
 def test_plan_residency_static_bytes_counted():
     grid = BrickGrid((64, 64, 64), 32, ghost=1)
-    spec = accelerator_cluster(1).with_gpu(vram_bytes=grid.total_payload_bytes())
+    spec = accelerator_cluster(1).with_gpu(vram_bytes=sum(b.nbytes for b in grid))
     assert plan_residency(grid, spec, static_bytes=0).in_core
     assert not plan_residency(grid, spec, static_bytes=1024).in_core
 

@@ -11,58 +11,40 @@ silent drift.  The only way to rewrite the file is::
 
     PYTHONPATH=src python tests/test_paper_figures.py --regen
 
-The figures run once per module, under a profiler that records every
+The figures run once per session (the ``figure_runs`` fixture of
+``conftest.py``), under a profiler that records every
 Python function they call.  The census test uses that record: each
 function of the paper model (``repro.sim``, ``repro.perfmodel``,
 ``repro.baselines``) either runs for some pinned figure or is named in
 :data:`ALLOWED` with the reason it stays.
 """
 
-import contextlib
-import inspect
-import io
 import json
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
-import repro
-from repro.cli import main as cli_main
+from entry_points import SRC, figure_value, functions_under
 from repro.sim.figures import FIGURES
 
 GOLDEN = Path(__file__).with_name("golden") / "paper_figures.json"
-SRC = Path(repro.__file__).parent
 MODEL_PACKAGES = ("sim", "perfmodel", "baselines")
 
 #: The paper-model functions no pinned figure calls, each with the
-#: reason it stays.  Keyed ``"<path under repro/>::<function name>"``.
+#: reason it stays.  Keyed ``"<path under repro/>::<qualified name>"``.
 ALLOWED = {
     "perfmodel/bottleneck.py::find_crossover":
         "test_paper_claims.py finds §6.3's crossover between 8 and 16 GPUs",
     "perfmodel/bottleneck.py::find_sweet_spot":
         "test_paper_claims.py finds Fig. 4's best GPU count per volume",
-    "sim/node.py::read_disk":
+    "sim/node.py::NodeRuntime.read_disk":
         "test_paper_claims.py::test_in_core_vs_out_of_core charges disk reads",
-    "sim/engine.py::fail":
+    "sim/engine.py::Event.fail":
         "the engine's error path; test_sim_engine.py drives it",
-    "sim/node.py::with_gpu":
+    "sim/node.py::ClusterSpec.with_gpu":
         "five test modules build their cluster fixtures with it",
 }
-
-
-def compute(name):
-    """``repro figure NAME``'s stdout: JSON for a table, raw text for a
-    report."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli_main(["figure", name]) == 0
-    out = buf.getvalue()
-    try:
-        return json.loads(out)
-    except json.JSONDecodeError:
-        return out
 
 
 @pytest.fixture(scope="module")
@@ -70,45 +52,10 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.fixture(scope="module")
-def figure_runs():
-    """``(values, called)``: every figure's value, and the
-    ``(real path, first line)`` of each Python function that ran while
-    they were computed."""
-    raw = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            raw.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        values = {name: compute(name) for name in sorted(FIGURES)}
-    finally:
-        sys.setprofile(previous)
-    return values, {(os.path.realpath(f), line) for f, line in raw}
-
-
 def _model_functions():
-    """``("<path>::<name>", (real path, first line))`` for every function
-    and method defined under the model packages.  Class bodies and
-    ``<lambda>``-style code objects are not functions of their own."""
-
-    def walk(code):
-        for const in code.co_consts:
-            if inspect.iscode(const):
-                if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
-                    yield const
-                yield from walk(const)
-
-    for package in MODEL_PACKAGES:
-        for path in sorted((SRC / package).glob("*.py")):
-            real = os.path.realpath(path)
-            module = compile(path.read_text(), real, "exec")
-            rel = path.relative_to(SRC).as_posix()
-            for code in walk(module):
-                yield f"{rel}::{code.co_name}", (real, code.co_firstlineno)
+    return functions_under(
+        path for package in MODEL_PACKAGES for path in (SRC / package).glob("*.py")
+    )
 
 
 def test_golden_covers_every_figure(golden):
@@ -135,6 +82,6 @@ def test_every_model_function_backs_a_figure(figure_runs):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: {sys.argv[0]} --regen")
-    table = {name: compute(name) for name in sorted(FIGURES)}
+    table = {name: figure_value(name) for name in sorted(FIGURES)}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} figures to {GOLDEN}")

@@ -11,6 +11,7 @@ variants beyond the tier-1 smoke set are marked ``slow``.
 import glob
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.parallel import (
     shm_segment_exists,
     shuffle,
 )
+from repro.pipeline import orbit_path
 from repro.render import RenderConfig, default_tf
 
 
@@ -56,9 +58,19 @@ def make_scene(size=24, gpus=2, image=64, ert_alpha=0.98, placeholders=False):
 
 
 def scene_job(r, cam, bricks_per_gpu=2):
-    chunks = r._chunks(r._grid(bricks_per_gpu), False)
+    chunks = r._in_core_chunks(None, bricks_per_gpu)[1]
     ctg = [c.id % r.n_gpus for c in chunks]
     return chunks, ctg
+
+
+def orbit_images(r, n_frames):
+    """An orbit's images, ``r.frame_pipeline_depth`` frames in flight."""
+    inflight, images = deque(), []
+    for cam in orbit_path(r.volume_shape, n_frames, width=64, height=64):
+        inflight.append(r.submit_frame(cam))
+        if len(inflight) >= r.frame_pipeline_depth:
+            images.append(r.collect_frame(inflight.popleft()).image)
+    return images + [r.collect_frame(h).image for h in inflight]
 
 
 def assert_results_identical(a, b):
@@ -182,15 +194,11 @@ def test_pool_counts_queue_fallbacks(monkeypatch):
     assert got.stats.ring["ring_capacity"] == 64
 
 
-def test_pipelined_orbit_smoke_bitwise_and_walls():
+def test_pipelined_orbit_smoke_bitwise():
     """Tier-1 smoke: a depth-2 worker-reduce orbit is bitwise-identical
-    to the serial orbit and records one wall time per frame."""
-    from repro.pipeline import render_rotation
-
+    to the serial orbit, frame for frame."""
     r_ref, _ = make_scene()
-    ref = render_rotation(
-        r_ref, n_frames=3, width=64, height=64, keep_images=True
-    )
+    ref = orbit_images(r_ref, 3)
     with MapReduceVolumeRenderer(
         volume=r_ref.volume,
         cluster=2,
@@ -200,47 +208,32 @@ def test_pipelined_orbit_smoke_bitwise_and_walls():
         pipeline_depth=2,
     ) as r:
         assert r.frame_pipeline_depth == 2
-        rot = render_rotation(
-            r, n_frames=3, width=64, height=64, keep_images=True
-        )
-    assert len(rot.wall_seconds) == 3 and all(w > 0 for w in rot.wall_seconds)
-    for img, img_ref in zip(rot.images, ref.images):
+        images = orbit_images(r, 3)
+    assert len(images) == len(ref) == 3
+    for img, img_ref in zip(images, ref):
         assert np.array_equal(img, img_ref)
 
 
 def test_pipelined_out_of_core_orbit_matches_serial():
     """Out-of-core frames through the submit/collect pipeline: chunk
-    loads feed the arena at submit time (the prefetch path) and images
-    stay bitwise-identical to the serial out-of-core render."""
-    from repro.render import RenderConfig
-    from repro.volume.datasets import DATASET_FIELDS
-
-    cfg = RenderConfig(dt=0.75)
-    shape = (24,) * 3
+    loads feed the arena at submit time (the prefetch path) and results
+    stay bitwise-identical to the serial executor's."""
+    r, _ = make_scene()
     cams = [
-        orbit_camera(shape, azimuth_deg=a, width=64, height=64)
+        orbit_camera(r.volume_shape, azimuth_deg=a, width=64, height=64)
         for a in (0.0, 120.0, 240.0)
     ]
-    ref = MapReduceVolumeRenderer(
-        volume_shape=shape,
-        field=DATASET_FIELDS["skull"],
-        cluster=2,
-        render_config=cfg,
-    )
-    refs = [ref.render(c, out_of_core=True).image for c in cams]
-    with MapReduceVolumeRenderer(
-        volume_shape=shape,
-        field=DATASET_FIELDS["skull"],
-        cluster=2,
-        render_config=cfg,
-        executor="pool",
-        workers=2,
-        pipeline_depth=2,
-    ) as r:
-        handles = [r.submit_frame(c, out_of_core=True) for c in cams]
-        imgs = [r.collect_frame(h).image for h in handles]
-    for img_ref, img in zip(refs, imgs):
-        assert np.array_equal(img_ref, img)
+    chunks, ctg = scene_job(r, cams[0])
+    loaded = [
+        Chunk(id=c.id, nbytes=c.nbytes, loader=lambda c=c: c.data, on_disk=True, meta=c.meta)
+        for c in chunks
+    ]
+    refs = [InProcessExecutor().execute(r._spec(c), loaded, ctg) for c in cams]
+    with SharedMemoryPoolExecutor(workers=2, pipeline_depth=2) as pool:
+        handles = [pool.submit(r._spec(c), loaded, ctg) for c in cams]
+        got = [pool.collect(h) for h in handles]
+    for ref, result in zip(refs, got):
+        assert_results_identical(ref, result)
 
 
 def test_submit_collect_out_of_order_and_depth_cap():
@@ -308,12 +301,8 @@ def test_pool_pipeline_depth_matrix(workers, pipeline_depth, gpus, bricks_per_gp
 @pytest.mark.slow
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_pipelined_orbit_matches_serial_matrix(workers):
-    from repro.pipeline import render_rotation
-
     r_ref, _ = make_scene()
-    ref = render_rotation(
-        r_ref, n_frames=4, width=64, height=64, keep_images=True
-    )
+    ref = orbit_images(r_ref, 4)
     with MapReduceVolumeRenderer(
         volume=r_ref.volume,
         cluster=2,
@@ -322,11 +311,9 @@ def test_pipelined_orbit_matches_serial_matrix(workers):
         workers=workers,
         pipeline_depth=2,
     ) as r:
-        rot = render_rotation(
-            r, n_frames=4, width=64, height=64, keep_images=True
-        )
-    assert len(rot.images) == len(ref.images) == 4
-    for img, img_ref in zip(rot.images, ref.images):
+        images = orbit_images(r, 4)
+    assert len(images) == len(ref) == 4
+    for img, img_ref in zip(images, ref):
         assert np.array_equal(img, img_ref)
 
 
@@ -788,12 +775,13 @@ def test_camera_pickle_excludes_ray_grid_cache():
     import pickle
 
     cam = orbit_camera((16, 16, 16), width=64, height=64)
-    cam.rect_rays_f32(cam.full_rect())  # populate the cache
+    full = [(0, 0, 64, 64)]
+    cam.footprint_rays_f32(full)  # populate the cache
     assert "_dirs32_grid" in cam.__dict__
     clone = pickle.loads(pickle.dumps(cam))
     assert "_dirs32_grid" not in clone.__dict__
     # The clone still renders identically (cache rebuilt lazily).
-    d1, k1 = cam.rect_rays_f32(cam.full_rect())
-    d2, k2 = clone.rect_rays_f32(clone.full_rect())
+    d1, k1, _ = cam.footprint_rays_f32(full)
+    d2, k2, _ = clone.footprint_rays_f32(full)
     assert np.array_equal(d1, d2) and np.array_equal(k1, k2)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import JobConfig, TiledPartitioner
+from repro.core import Chunk, InProcessExecutor, JobConfig, TiledPartitioner
 from repro.pipeline import MapReduceVolumeRenderer
 from repro.pipeline.workload import replay, simulate_frame
 from repro.render import (
@@ -12,6 +12,7 @@ from repro.render import (
     max_abs_diff,
     orbit_camera,
     render_reference,
+    stitch_pixels,
 )
 from repro.sim import accelerator_cluster
 from repro.volume import make_dataset
@@ -39,29 +40,20 @@ def test_exec_render_matches_reference():
 
 
 def test_exec_render_out_of_core_same_image():
-    """Streaming bricks through loaders changes nothing in the output."""
-    ref = renderer(2).render(CAM)
-    ooc = renderer(2).render(CAM, out_of_core=True)
-    assert max_abs_diff(ooc.image, ref.image) == 0.0
-
-
-def test_exec_render_procedural_field_out_of_core():
-    """A renderer with only a field (no in-core volume) still renders."""
-    from repro.volume.datasets import supernova_field
-
-    r = MapReduceVolumeRenderer(
-        volume=None,
-        volume_shape=VOL.shape,
-        field=supernova_field,
-        cluster=2,
-        tf=default_tf(),
-        render_config=CFG,
-    )
-    with pytest.raises(ValueError):
-        r.render(CAM)  # in-core render without volume
-    res = r.render(CAM, out_of_core=True)
-    ref = renderer(2).render(CAM)
-    assert max_abs_diff(res.image, ref.image) < 1e-4
+    """Streaming bricks through loaders (the out-of-core path of
+    ``examples/out_of_core.py``) changes nothing in the output."""
+    r = renderer(2)
+    ref = r.render(CAM)
+    grid = r._grid(2)
+    chunks = [
+        Chunk(id=b.id, nbytes=b.nbytes, loader=lambda b=b: grid.extract(VOL, b),
+              on_disk=True, meta=b)
+        for b in grid
+    ]
+    result = InProcessExecutor().execute(r._spec(CAM), chunks, [c.id % 2 for c in chunks])
+    parts = [(keys, values) for keys, values in result.outputs if len(keys)]
+    assert np.array_equal(stitch_pixels(parts, CAM.width, CAM.height), ref.image)
+    assert all(w.read_from_disk for w in result.works)
 
 
 def test_replay_times_a_functional_frame():

@@ -7,10 +7,9 @@ import pytest
 from repro.render import (
     Camera,
     RenderConfig,
+    PLACEHOLDER_KEY,
     composite_fragments,
-    concat_fragments,
     default_tf,
-    drop_placeholders,
     grayscale_tf,
     max_abs_diff,
     orbit_camera,
@@ -38,8 +37,8 @@ def render_bricked(volume, grid, camera, tf, config):
         )
         parts.append(frags)
         stats.append(st)
-    frags = concat_fragments(parts)
-    flat = composite_fragments(drop_placeholders(frags), camera.pixel_count)
+    frags = np.concatenate(parts)
+    flat = composite_fragments(frags[frags["pixel"] != PLACEHOLDER_KEY], camera.pixel_count)
     return flat.reshape(camera.height, camera.width, 4), frags, stats
 
 
@@ -120,7 +119,7 @@ def test_placeholder_emission_mode():
         v.data, (0, 0, 0), (0, 0, 0), v.shape, v.shape, cam, grayscale_tf(), cfg
     )
     assert len(frags) == stats.n_rays  # one emission per thread
-    real = drop_placeholders(frags)
+    real = frags[frags["pixel"] != PLACEHOLDER_KEY]
     assert len(real) == stats.n_kept
     assert 0 < len(real) < len(frags)
 

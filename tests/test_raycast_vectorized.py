@@ -20,17 +20,14 @@ from hypothesis import strategies as st
 from repro.render import (
     MapStats,
     RenderConfig,
-    composite_pixel_fragments,
     default_tf,
-    empty_fragments,
     make_fragments,
-    opacity_correction,
     orbit_camera,
     raycast_brick,
     segmented_exclusive_cumprod,
     trilinear_sample,
 )
-from repro.render.fragments import PLACEHOLDER_KEY
+from repro.render.fragments import FRAGMENT_DTYPE, PLACEHOLDER_KEY
 from repro.render.geometry import box_intersect_f32
 from repro.render.kernels import BLOCK_SIZE
 from repro.render.kernels.numpy_backend import _sample_intervals
@@ -75,8 +72,8 @@ def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf,
     )
     rect = camera.brick_rect(corners, pad_to_block=True)
     if rect.empty:
-        return empty_fragments(), stats
-    dirs, keys = camera.rect_rays_f32(rect)
+        return np.empty(0, FRAGMENT_DTYPE), stats
+    dirs, keys, _ = camera.footprint_rays_f32([(rect.x0, rect.y0, rect.x1, rect.y1)])
     n = len(keys)
     stats.n_rays = n
     eye = np.asarray(camera.eye, np.float64)
@@ -86,6 +83,7 @@ def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf,
     active = hit_b & hit_v & (tf_b > tn_b)
     stats.n_active_rays = int(active.sum())
     dt = F32(config.dt)
+    corrected = tf.opacity_corrected(config.dt)
     base_w = (eye - np.asarray(data_lo, np.float64)).astype(F32)
 
     pix = np.full(n, PLACEHOLDER_KEY, np.int32)
@@ -110,13 +108,13 @@ def reference_marcher(data, data_lo, core_lo, core_hi, volume_shape, camera, tf,
             pos = base_w + t * dirs[i]
             stats.n_samples += config.fetches_per_sample
             val = trilinear_sample(data, pos[None, :])
-            srgba = tf.lookup(val)[0].copy()
+            srgba = corrected.lookup_from_u(corrected.table_coord(val))[0].copy()
             if config.shading:
                 from repro.render.shading import central_gradient, shade_phong
 
                 grads = central_gradient(data, pos[None, :])
                 srgba[:3] = shade_phong(srgba[None, :3], grads, dirs[i : i + 1])[0]
-            a = opacity_correction(srgba[3:4], config.dt)[0]
+            a = srgba[3]
             one_m = F32(1.0) - acc_a
             acc_rgb = acc_rgb + (one_m * a) * srgba[:3]
             acc_a = acc_a + one_m * a
@@ -255,9 +253,3 @@ def test_segmented_exclusive_cumprod_matches_loop(data):
             run = 1.0
         assert got[i] == pytest.approx(run, rel=1e-5, abs=1e-7), i
         run *= float(values[i])
-
-
-def test_composite_pixel_fragments_empty():
-    assert np.array_equal(
-        composite_pixel_fragments(empty_fragments()), np.zeros(4, np.float32)
-    )

@@ -105,7 +105,7 @@ def _partition_at_a_time(spec, runs_per_chunk):
             for runs in runs_per_chunk
             if runs is not None and runs[r] is not None and len(runs[r])
         ]
-        pairs = np.concatenate(parts) if parts else spec.kv.empty()
+        pairs = np.concatenate(parts) if parts else np.empty(0, spec.kv.dtype)
         received[r] = len(pairs)
         sr = counting_sort_pairs(pairs, spec.kv.key_field, 0, spec.max_key)
         outputs.append(spec.reducer.reduce_all(sr.pairs))

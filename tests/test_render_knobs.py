@@ -42,7 +42,7 @@ KNOBS = {
 #: Every SharedMemoryPoolExecutor keyword, with its caller or pinning test.
 POOL_PARAMS = {
     "workers": "the renderer passes one per simulated GPU; repro render --workers",
-    "pipeline_depth": "benchmarks/e2e's pool workloads run depth 2 (render_rotation)",
+    "pipeline_depth": "benchmarks/e2e's pool workloads run depth 2 (child.py's stream_frames)",
     "reduce_mode": "benchmarks/e2e/harness.py passes it (ROADMAP item 1(d))",
     "shuffle_mode": "benchmarks/e2e/harness.py passes it (ROADMAP item 1(d))",
     "fault_plan": "repro render --fault-plan; CI's fault-injection job",
@@ -131,6 +131,10 @@ def test_non_finite_step_is_refused(dt, tmp_path, capsys):
     (["--size", "0"], "shape must be three positive ints"),
     (["--image", "0"], "image must be at least 1x1"),
     (["--fault-plan", "crash@map:worker=0,frame=1"], "a fault plan needs the pool executor"),
+    (["--azimuth", "nan"], "azimuth must be finite, got nan"),
+    (["--elevation", "inf"], "elevation must be finite, got inf"),
+    (["--workers", "3"], "a worker count needs the pool executor"),
+    (["--reduce-mode", "worker"], "a reduce mode needs the pool executor"),
 ])
 def test_invalid_render_value_is_a_usage_error(argv, message, tmp_path, capsys):
     """A value the parser accepts but the dataset, camera, config,

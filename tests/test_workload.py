@@ -26,7 +26,7 @@ def functional_works(vol, cam, tf, cfg, grid, n_gpus=4):
         volume=vol, cluster=n_gpus, tf=tf, render_config=cfg
     )
     spec = r._spec(cam)
-    chunks = r._chunks(grid, out_of_core=False)
+    chunks = r._in_core_chunks(grid)[1]
     res = InProcessExecutor().execute(spec, chunks, [c.id % n_gpus for c in chunks])
     return res.works
 
