@@ -5,6 +5,8 @@ The analysis half (``repro.sim``, ``repro.baselines``,
 renderer; the renderer may not import it.  A fresh interpreter renders
 every golden scene through both executors, bitwise, and runs ``repro
 render`` on both, then asserts that no analysis module was ever loaded.
+Another fresh interpreter renders in-process and asserts that no
+``repro.parallel`` module was loaded either.
 """
 
 import subprocess
